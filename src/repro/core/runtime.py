@@ -103,9 +103,9 @@ class StagingRuntime:
         # Host-compute offload hook.  ``None`` (the simulator default)
         # runs numeric work inline with zero extra events, so sim traces
         # and goldens are untouched.  The live backend installs a function
-        # ``fn -> Event`` that runs ``fn`` on a worker thread off the
-        # event loop and fires the event with its result.
-        self.compute_offload: Callable[[Callable[[], object]], object] | None = None
+        # ``(fn, nbytes, category) -> Event`` that runs ``fn`` — inline or
+        # on a worker thread, by size — and fires the event with its result.
+        self.compute_offload: Callable[[Callable[[], object], int, str], object] | None = None
         # Pending (not yet striped) entities per coding group, keyed by the
         # primary server each entity would contribute a data shard from.
         self.pending: dict[int, dict[int, list[EntityKey]]] = {}
@@ -184,34 +184,28 @@ class StagingRuntime:
         self.metrics.count("metadata_updates")
 
     def compute(
-        self,
-        fn: Callable[[], object],
-        exclusive: bool = True,
-        category: str = "codec",
+        self, fn: Callable[[], object], nbytes: int, category: str = "codec"
     ) -> Generator:
         """Run host-side numeric work (``yield from`` this at a yield point).
 
         On the simulator this is a plain call — the generator completes
         without yielding, so the event sequence is identical to calling
         ``fn()`` inline and golden traces are unaffected.  On the live
-        backend ``compute_offload`` is installed and the work runs on a
-        worker thread, keeping GF(2^8) kernel passes off the event loop.
+        backend ``compute_offload`` is installed and decides from
+        ``nbytes`` — the input bytes ``fn`` passes over — whether the work
+        runs on the loop or on a worker thread, keeping large digests and
+        GF(2^8) kernel passes off the event loop.  Offloaded work must
+        carry its own locking; the codec layer (decode-matrix cache,
+        coding batch, scratch pools) does.
         Only legal where the calling flow may yield; atomic (no-yield)
         mutation sections must keep their numeric work inline.
 
-        ``exclusive=True`` (the default) marks work that mutates shared
-        state without its own locking and must be serialized across
-        worker threads.  The codec layer (decode-matrix cache, coding
-        batch, scratch pools) is thread-safe, so every coding path passes
-        ``exclusive=False`` and runs fully in parallel; ``exclusive``
-        remains the safe default for new call sites.
-
-        ``category`` names the attribution bucket the live backend
-        charges the offload wait to ("codec" for kernel passes, "digest"
-        for payload hashing); the simulator ignores it.
+        ``category`` names the attribution bucket the live backend books
+        the work under ("codec" for kernel passes, "digest" for payload
+        hashing); the simulator ignores it.
         """
         if self.compute_offload is not None:
-            result = yield self.compute_offload(fn, exclusive, category)
+            result = yield self.compute_offload(fn, nbytes, category)
             return result
         return fn()
 
@@ -621,7 +615,7 @@ class StagingRuntime:
         if self.tracer.enabled:
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
         parities = yield from self.compute(
-            lambda: self._encode_stripe(payloads), exclusive=False
+            lambda: self._encode_stripe(payloads), k * shard_len
         )
         if self.tracer.enabled:
             self.tracer.annotate(
@@ -1021,7 +1015,7 @@ class StagingRuntime:
             exec_sid, self.costs.encode_cost(stripe.k, stripe.m, stripe.shard_len), "encode"
         )
         parities = yield from self.compute(
-            lambda: self._encode_stripe(shards), exclusive=False
+            lambda: self._encode_stripe(shards), stripe.k * stripe.shard_len
         )
         staged: list[tuple[StagingServer, str, np.ndarray]] = []
         for i, parity in enumerate(parities):
@@ -1380,7 +1374,7 @@ class StagingRuntime:
             hits0, misses0 = code.decode_cache_hits, code.decode_cache_misses
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
         payload = yield from self.compute(
-            lambda: code.reconstruct_shard(present, target_idx), exclusive=False
+            lambda: code.reconstruct_shard(present, target_idx), stripe.k * stripe.shard_len
         )
         if self.tracer.enabled:
             self.tracer.annotate(

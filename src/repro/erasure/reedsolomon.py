@@ -459,15 +459,21 @@ class RSCode:
         decode matrix (a k-element dot product per entry — matrix-dimension
         work, not payload-dimension).  Rows are LRU-cached alongside the
         decode matrices because recovery replays the same erasure patterns.
+
+        One call is one ``decode_cache`` lookup: a cached row is a hit; on
+        a row miss the decode-matrix lookup beneath it decides, and the
+        all-data shortcut, which consults no matrix, is a miss.
         """
         key = (chosen, target)
         with self._cache_lock:
             cached = self._row_cache.get(key)
             if cached is not None:
+                self.decode_cache_hits += 1
                 self._row_cache.move_to_end(key)
                 return cached
             if chosen == tuple(range(self.k)):
                 # All data shards survive: a parity target is its generator row.
+                self.decode_cache_misses += 1
                 row = self.parity_rows[target - self.k : target - self.k + 1].copy()
             else:
                 inv = self._decode_matrix(chosen)

@@ -15,11 +15,22 @@ Key differences from the simulator:
 - Modeled delays are scaled by ``time_scale`` (default ``0.0``: cost-model
   timeouts fire immediately, so the engine runs as fast as the hardware
   allows; a nonzero scale re-introduces modeled pacing for experiments).
+- A flow runs until it really blocks.  An event triggered with no waiter
+  and no wall time to spend (a ``timeout(·)`` at ``time_scale=0``, an
+  uncontended ``Resource.request()``, a finished child nobody joined yet)
+  is *ready*: it is complete at once and never enters the microqueue, and
+  a process that yields a complete event is resumed in the same call.
+  The deferred path — microqueue or timer — is what runs when an event
+  has waiters or a positive scaled delay, for process starts, interrupts
+  and offload completions.  ``soon_batch`` bounds both, so a long
+  ready-chain still re-enters through the microqueue and the loop gets
+  back to its selector.
 - ``offload(fn)`` runs host-side numeric work (GF(2^8) encode/decode
   batches) on a :class:`~concurrent.futures.ThreadPoolExecutor` and
   returns an :class:`~repro.sim.engine.Event` that fires on the loop when
-  the work completes — this is what :meth:`StagingRuntime.compute` yields
-  on in live mode, keeping kernel passes off the event loop.
+  the work completes; ``inline(fn)`` runs it on the loop and returns a
+  ready event.  :meth:`StagingRuntime.compute` yields on one or the other
+  in live mode, by size (see :mod:`repro.live.service`).
 - ``quiesce()`` awaits full drain (no scheduled actions, no in-flight
   offloads) — the live analogue of ``Simulator.run()`` running the heap
   dry — and re-raises any exception a detached background process died
@@ -35,6 +46,7 @@ worker threads.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
 import os
 import threading
@@ -94,6 +106,16 @@ class LiveEngine:
         self._soon: deque[tuple[Callable[[], None], contextvars.Context | None]] = deque()
         self._drain_scheduled = False
         self.soon_batch = 128
+        # What is left of ``soon_batch`` in the loop callback now running:
+        # one unit per microqueue action and per inline resume.
+        self._budget = self.soon_batch
+        # The boundary this engine moves work across, as monotonic counts:
+        # events complete at their trigger vs. actions deferred to the
+        # microqueue or a timer; compute run on the loop vs. on a worker.
+        self.events_ready = 0
+        self.actions_scheduled = 0
+        self.offloads_inlined = 0
+        self.offloads_submitted = 0
         self._timer_deadlines: dict[int, float] = {}
         self._timer_seq = 0
         self._quiesce_waiters: list[asyncio.Future] = []
@@ -135,9 +157,37 @@ class LiveEngine:
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: str = "") -> Process:
-        proc = Process(self, gen, name=name)
+        name = name or getattr(gen, "__name__", "process")
+        proc = Process(self, self._run_to_block(gen), name=name)
         self._processes.add(proc)
         return proc
+
+    def _run_to_block(self, gen: Generator) -> Generator:
+        """Drive ``gen``, resuming it in place on every complete event it yields.
+
+        Only an event that is still pending — or any event once the
+        callback's ``soon_batch`` budget is spent — is yielded on to the
+        :class:`Process`, which waits on it through the deferred path.
+        """
+        send, throw = gen.send, gen.throw
+        value: Any = None
+        exc: BaseException | None = None
+        while True:
+            try:
+                target = send(value) if exc is None else throw(exc)
+            except StopIteration as stop:
+                return stop.value
+            if getattr(target, "processed", False) and self._budget > 0:
+                self._budget -= 1
+                if target.ok:
+                    value, exc = target.value, None
+                else:
+                    value, exc = None, target.value
+                continue
+            try:
+                value, exc = (yield target), None
+            except BaseException as thrown:  # failed event or Interrupt
+                value, exc = None, thrown
 
     def peek(self) -> float:
         """Time of the next scheduled action (inf when fully drained).
@@ -159,6 +209,11 @@ class LiveEngine:
         if event._scheduled:
             raise RuntimeError("event scheduled twice")
         event._scheduled = True
+        if not event.callbacks and delay * self.time_scale <= 0.0:
+            # Ready: nobody to wake and no wall time to spend.
+            event._process()
+            self.events_ready += 1
+            return
         self._schedule_action(delay, event._process)
 
     def _schedule_callback(self, cb: Callable[[], None], delay: float = 0.0) -> None:
@@ -166,6 +221,7 @@ class LiveEngine:
 
     def _schedule_action(self, delay: float, action: Callable[[], None]) -> None:
         self._pending += 1
+        self.actions_scheduled += 1
         wall = delay * self.time_scale
         if wall <= 0.0:
             # FIFO at zero delay, matching the simulator's same-timestamp
@@ -183,10 +239,10 @@ class LiveEngine:
 
     def _drain_soon(self) -> None:
         """Run queued zero-delay actions FIFO, up to the batch cap."""
-        budget = self.soon_batch
+        self._budget = self.soon_batch
         queue = self._soon
-        while queue and budget > 0:
-            budget -= 1
+        while queue and self._budget > 0:
+            self._budget -= 1
             action, ctx = queue.popleft()
             try:
                 if ctx is not None:
@@ -206,6 +262,7 @@ class LiveEngine:
     def _run_action(self, action: Callable[[], None], timer_key: int | None) -> None:
         if timer_key is not None:
             self._timer_deadlines.pop(timer_key, None)
+        self._budget = self.soon_batch
         try:
             action()
         except BaseException as exc:  # detached process crash: keep, re-raise at drain
@@ -234,8 +291,7 @@ class LiveEngine:
         if self._closed:
             raise RuntimeError("offload on a closed LiveEngine")
         ev = Event(self)
-        tracer = self.tracer
-        if tracer.enabled:
+        if self.tracer.enabled:
             ev.charge = charge
             # Snapshot the caller's context so the worker-side span lands
             # under the flow span that requested the offload.
@@ -243,23 +299,14 @@ class LiveEngine:
             work = fn
 
             def _traced_work():
-                span = tracer.begin(
-                    f"offload.{charge}",
-                    category=charge,
-                    thread=threading.get_ident(),
-                )
-                token = tracer.activate(span)
-                try:
+                with self._compute_span(
+                    f"offload.{charge}", charge, thread=threading.get_ident()
+                ):
                     return work()
-                except BaseException as exc:
-                    span.set(error=repr(exc))
-                    raise
-                finally:
-                    tracer.deactivate(token)
-                    tracer.end(span)
 
             fn = lambda: ctx.run(_traced_work)  # noqa: E731
         self._offloads += 1
+        self.offloads_submitted += 1
         fut = self.loop.run_in_executor(self._executor, fn)
 
         def _done(f: asyncio.Future) -> None:
@@ -272,6 +319,39 @@ class LiveEngine:
 
         fut.add_done_callback(_done)
         return ev
+
+    def inline(self, fn: Callable[[], Any], charge: str = "offload") -> Event:
+        """Run ``fn`` here, on the loop; the returned event is already complete.
+
+        For work cheaper than the hop to a worker.  With tracing on the
+        work still gets a span of category ``charge`` under the requesting
+        flow, and its time is charged to the request's ``charge`` bucket —
+        the flow never waits, so nothing else would book it.
+        """
+        self.offloads_inlined += 1
+        if not self.tracer.enabled:
+            return Event(self).succeed(fn())
+        try:
+            with self._compute_span(f"inline.{charge}", charge) as span:
+                result = fn()
+        finally:
+            self.tracer.charge(charge, span.duration)
+        return Event(self).succeed(result)
+
+    @contextlib.contextmanager
+    def _compute_span(self, name: str, charge: str, **attrs: Any):
+        """A span of category ``charge`` around host compute, current while it runs."""
+        tracer = self.tracer
+        span = tracer.begin(name, category=charge, **attrs)
+        token = tracer.activate(span)
+        try:
+            yield span
+        except BaseException as exc:
+            span.set(error=repr(exc))
+            raise
+        finally:
+            tracer.deactivate(token)
+            tracer.end(span)
 
     def codec_map(self, tasks: list[Callable[[], None]]) -> None:
         """Run one kernel pass's column-split tasks across the codec pool.

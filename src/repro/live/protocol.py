@@ -343,6 +343,9 @@ class LiveClient:
         self._connect()
         # op/var/region header preambles, serialized once per distinct key.
         self._preambles: dict[tuple, bytes] = {}
+        # ``str(dtype)`` is Python-level numpy code (~4 us); a put needs the
+        # name on every call and sees a handful of dtypes in its lifetime.
+        self._dtype_names: dict[np.dtype, str] = {}
         # Optional WallClockTracer: every request gets an rpc span whose
         # trace context rides the frame header, and the server's latency
         # attribution (response "attr" field) is kept in ``last_attr``.
@@ -496,9 +499,12 @@ class LiveClient:
         key = ("put", var, tuple(lb), tuple(ub), None)
         if data is not None:
             arr = np.ascontiguousarray(data)
-            header["dtype"] = str(arr.dtype)
+            dtype = self._dtype_names.get(arr.dtype)
+            if dtype is None:
+                dtype = self._dtype_names[arr.dtype] = str(arr.dtype)
+            header["dtype"] = dtype
             payload = memoryview(arr).cast("B")  # zero-copy view of the array
-            key = ("put", var, tuple(lb), tuple(ub), header["dtype"])
+            key = ("put", var, tuple(lb), tuple(ub), dtype)
         resp, _ = self.request(header, payload, preamble=self._cached_preamble(key, header))
         return float(resp["duration"])
 

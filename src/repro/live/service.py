@@ -8,22 +8,22 @@ client API as coroutines.  Every generator flow (put/get, stripe
 formation, recovery sweeps) runs unchanged; what changes is who drives
 it: asyncio tasks on the wall clock instead of a virtual-time heap.
 
-GF(2^8) encode/decode batches are offloaded to the engine's worker pool
-via :meth:`StagingRuntime.compute` and run **lock-free**: the codec
-layer is thread-safe (locked decode-matrix cache, condition-guarded
+Host compute (payload digests, GF(2^8) encode/decode batches) reaches the
+engine through :meth:`StagingRuntime.compute`, which names the bytes the
+work passes over.  Work on fewer than :data:`INLINE_COMPUTE_BYTES` runs on
+the loop — the hop to a worker costs more than the work; everything else
+is offloaded to the engine's worker pool and runs **lock-free**: the
+codec layer is thread-safe (locked decode-matrix cache, condition-guarded
 coding batch, thread-local scratch pools), so concurrent offloads
 genuinely overlap.  On top of that, each offloaded kernel pass is
 stripe-parallel — ``RSCode.parallel_map`` is wired to
 :meth:`LiveEngine.codec_map`, which fans the pass's column splits across
-a dedicated codec worker pool.  The ``exclusive`` offload lock still
-exists for any future work that mutates truly shared scratch state, but
-no codec path needs it anymore.
+a dedicated codec worker pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Any
 
 import numpy as np
@@ -35,7 +35,13 @@ from repro.obs.wallclock import WallClockTracer
 from repro.staging.domain import BBox
 from repro.staging.service import StagingConfig, StagingService
 
-__all__ = ["LiveStagingService"]
+__all__ = ["LiveStagingService", "INLINE_COMPUTE_BYTES"]
+
+#: Compute over fewer input bytes than this runs inline on the event loop.
+#: It is the measured cost of the worker hop (submit, wake, completion
+#: callback, microqueue resume: ~80 us on the dev box) expressed as work:
+#: about 64 KiB of blake2b, the slowest per-byte kernel a flow offloads.
+INLINE_COMPUTE_BYTES = 64 * 1024
 
 
 class LiveStagingService:
@@ -70,7 +76,6 @@ class LiveStagingService:
         if self.tracer is None:
             self.tracer = self.service.tracer  # NULL_TRACER
         self.engine.tracer = self.tracer
-        self._codec_lock = threading.Lock()
         if offload_compute:
             self.service.runtime.compute_offload = self._offload_compute
         if parallel_codec:
@@ -100,23 +105,18 @@ class LiveStagingService:
         reg.gauge("live.pool.queue_depth", lambda: engine.pool_queue_depth)
         reg.gauge("live.codec_pool.queue_depth", lambda: engine.codec_queue_depth)
         reg.gauge("live.microqueue.depth", lambda: engine.microqueue_depth)
+        reg.gauge("live.events.ready_total", lambda: engine.events_ready)
+        reg.gauge("live.events.scheduled_total", lambda: engine.actions_scheduled)
+        reg.gauge("live.offloads.inlined_total", lambda: engine.offloads_inlined)
+        reg.gauge("live.offloads.submitted_total", lambda: engine.offloads_submitted)
         reg.gauge("live.offloads.inflight", lambda: engine.offloads_inflight)
         reg.gauge("live.loop.lag_last_s", lambda: engine.loop_lag_s)
         reg.gauge("live.loop.lag_max_s", lambda: engine.loop_lag_max_s)
 
-    def _offload_compute(self, fn, exclusive: bool = True, category: str = "codec"):
-        if not exclusive:
-            return self.engine.offload(fn, charge=category)
-
-        # ``exclusive`` work mutates shared scratch state that is not
-        # thread-safe.  No codec path is marked exclusive anymore (the
-        # codec layer carries its own locks and thread-local scratch);
-        # the lock remains for anything that still needs serialization.
-        def locked():
-            with self._codec_lock:
-                return fn()
-
-        return self.engine.offload(locked, charge=category)
+    def _offload_compute(self, fn, nbytes: int, category: str):
+        if nbytes < INLINE_COMPUTE_BYTES:
+            return self.engine.inline(fn, charge=category)
+        return self.engine.offload(fn, charge=category)
 
     # ------------------------------------------------------------------
     # convenience passthroughs

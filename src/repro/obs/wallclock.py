@@ -26,11 +26,14 @@ every wait a flow performs, classified by what it yielded on
 (``queue_wait`` for zero-delay scheduling, ``transfer`` for paced
 timeouts, ``lock_wait`` for resource grants, ``codec``/``digest`` for
 offloaded compute — events carry a ``charge`` tag where the default
-classification is wrong).  Waits are charged exactly once even when
-traced flows nest (the outermost wrapper claims the item for the
-duration of the resume call-stack), so a request's charges are
-non-overlapping segments of its wall time whenever its flows do not
-fan out internally.
+classification is wrong).  An event that is already complete when the
+flow yields it is no wait — the live engine resumes the flow in place —
+and is not timed; compute the engine runs inline is no wait either and
+is charged by :meth:`LiveEngine.inline` from its own span.  Waits are
+charged exactly once even when traced flows nest (the outermost wrapper
+claims the item for the duration of the resume call-stack), so a
+request's charges are non-overlapping segments of its wall time
+whenever its flows do not fan out internally.
 
 Thread discipline: ``begin``/``end``/``instant`` may be called from any
 thread (span-id allocation and the span list are lock-protected; ids
@@ -59,8 +62,8 @@ WAIT_CATEGORIES = (
     "queue_wait",   # zero-delay scheduling through the engine microqueue
     "transfer",     # paced (modeled) wire/storage time
     "lock_wait",    # entity/stripe/NIC resource grants
-    "codec",        # offloaded GF(2^8) kernel passes
-    "digest",       # offloaded payload hashing
+    "codec",        # GF(2^8) kernel passes: worker wait, or inline span
+    "digest",       # payload hashing: worker wait, or inline span
     "offload",      # other worker-pool waits
     "fanout_wait",  # condition events (AllOf/AnyOf)
     "event_wait",   # any other event
@@ -242,8 +245,13 @@ class WallClockTracer(Tracer):
                 finally:
                     self._charge_claimed = claim
                     _CURRENT.reset(token)
-                waited_on = item
-                wait_t0 = self._clock()
+                if getattr(item, "processed", False):
+                    # Complete already: the engine resumes the flow in
+                    # place, there is no wait to time.
+                    waited_on = None
+                else:
+                    waited_on = item
+                    wait_t0 = self._clock()
                 try:
                     to_send = yield item
                 except BaseException as exc:  # forwarded into the flow

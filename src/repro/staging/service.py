@@ -312,12 +312,12 @@ class StagingService:
         is_new = ent.version < 0
         prev_bytes = ent.nbytes if not is_new else 0
         payload = self._block_payload(ent.name, ent.block_id, ent.version + 1, region, data)
-        # Digest is a pure function of the payload; on the live backend it
-        # runs lock-free on a worker (blake2b releases the GIL), keeping
-        # the hash off the event loop.  The entity lock is held, so the
-        # write is still recorded before any later op on this entity.
+        # Digest is a pure function of the payload; on the live backend a
+        # large one runs lock-free on a worker (blake2b releases the GIL),
+        # keeping the hash off the event loop.  The entity lock is held, so
+        # the write is still recorded before any later op on this entity.
         digest = yield from self.runtime.compute(
-            lambda: payload_digest(payload), exclusive=False, category="digest"
+            lambda: payload_digest(payload), int(payload.size), category="digest"
         )
         ent.record_write(self.sim.now, self.step, int(payload.size), digest)
         self.metrics.storage.original += int(payload.size) - prev_bytes
@@ -410,7 +410,7 @@ class StagingService:
         )
         if verify:
             digest = yield from self.runtime.compute(
-                lambda: payload_digest(payload), exclusive=False, category="digest"
+                lambda: payload_digest(payload), int(payload.size), category="digest"
             )
             if digest != ent.digest:
                 self.read_errors += 1

@@ -454,6 +454,22 @@ class TestDecodeCache:
         assert code.decode_cache_misses == 1
         assert code.decode_cache_hits == 4
 
+    @pytest.mark.parametrize("lost", [1, 4], ids=["data-target", "parity-target"])
+    def test_reconstruct_shard_lookups_are_counted(self, lost):
+        """One row-cache lookup per reconstruct: a miss, then hits.
+
+        ``lost=4`` leaves every data shard present — the row is a generator
+        row and no decode matrix is consulted — and still counts.
+        """
+        rng = np.random.default_rng(14)
+        code = RSCode(4, 2)
+        data = make_shards(rng, 4, 32)
+        full = dict(enumerate(data + code.encode(data)))
+        present = {i: s for i, s in full.items() if i != lost}
+        for _ in range(5):
+            assert (code.reconstruct_shard(present, lost) == full[lost]).all()
+        assert (code.decode_cache_misses, code.decode_cache_hits) == (1, 4)
+
     def test_distinct_patterns_distinct_entries(self):
         rng = np.random.default_rng(12)
         code = RSCode(3, 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -230,6 +231,26 @@ def test_shard_kill_is_contained_and_replacement_rejoins():
             assert stats["alive_servers"] == list(range(8))
 
 
+def wait_until_stopped(pid: int, timeout: float = 10.0) -> None:
+    """Block until every thread of ``pid`` is in a job-control stop.
+
+    ``kill(pid, SIGSTOP)`` returns once the signal is queued; the group
+    stop starts when some thread of the target dequeues it.  Until then
+    the shard's server thread can still answer a ping, which on a busy
+    one-core box it sometimes did.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        states = set()
+        for tid in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{tid}/stat") as fh:
+                states.add(fh.read().rsplit(")", 1)[1].split()[0])
+        if states == {"T"}:
+            return
+        time.sleep(0.002)
+    raise AssertionError(f"pid {pid} never stopped (thread states {states})")
+
+
 def test_frozen_shard_rpc_hits_client_deadline():
     """A hung (SIGSTOPped) shard turns into ``TimeoutError``, not a hang.
 
@@ -245,6 +266,7 @@ def test_frozen_shard_rpc_hits_client_deadline():
             proc = cluster.processes[1]
             os.kill(proc.pid, signal.SIGSTOP)
             try:
+                wait_until_stopped(proc.pid)
                 with pytest.raises(TimeoutError, match="deadline"):
                     client.shard_client(1).ping()
             finally:

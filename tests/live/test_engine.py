@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.live.engine import LiveEngine, LiveProcessError
-from repro.sim.engine import AllOf
+from repro.sim.engine import AllOf, Interrupt
 from repro.sim.resources import Resource
 
 
@@ -235,3 +235,274 @@ def test_offload_after_close_is_rejected():
             eng.offload(lambda: None)
 
     run(main())
+
+
+# ----------------------------------------------------------------------
+# ready events and run-to-block
+# ----------------------------------------------------------------------
+def with_engine(body, **kwargs):
+    """Run ``body(engine)`` (a coroutine function) on a fresh engine."""
+
+    async def main():
+        eng = LiveEngine(**kwargs)
+        try:
+            return await body(eng)
+        finally:
+            eng.close()
+
+    return run(main())
+
+
+def test_trigger_without_waiter_is_processed_and_schedules_nothing():
+    async def body(eng):
+        ev = eng.event().succeed("v")
+        res = Resource(eng, capacity=1)
+        grant = res.request()  # uncontended
+        tick = eng.timeout(3.0)  # scaled delay is zero at time_scale=0
+        assert ev.processed and grant.processed and tick.processed
+        assert eng.events_ready == 3
+        assert eng.actions_scheduled == 0
+        assert eng.microqueue_depth == 0
+        assert eng.peek() == float("inf")
+
+    with_engine(body)
+
+
+def test_later_waiter_resumes_inline_with_the_value():
+    async def body(eng):
+        ev = eng.event().succeed("early")
+        res = Resource(eng, capacity=1)
+
+        def flow():
+            got = yield ev
+            req = res.request()
+            yield req
+            tick = yield eng.timeout(1.0, value="tick")
+            res.release(req)
+            return got, tick
+
+        proc = eng.process(flow())
+        waiter = eng.wait(proc)
+        assert await waiter == ("early", "tick")
+        # The start, and the completion the waiter was parked on: nothing
+        # in between went through the microqueue.
+        assert eng.actions_scheduled == 2
+
+    with_engine(body)
+
+
+def test_failed_ready_event_is_thrown_into_the_generator():
+    async def body(eng):
+        ev = eng.event().fail(KeyError("gone"))
+        assert ev.processed
+
+        def flow():
+            try:
+                yield ev
+            except KeyError as exc:
+                return f"caught {exc.args[0]}"
+            return "not raised"
+
+        assert await eng.run_process(flow()) == "caught gone"
+
+    with_engine(body)
+
+
+def test_finished_child_nobody_joined_is_ready():
+    async def body(eng):
+        def child():
+            yield eng.timeout(0.0)
+            return 7
+
+        def parent():
+            kid = eng.process(child())
+            blocker = eng.event()
+            eng._schedule_callback(lambda: blocker.succeed(None))
+            yield blocker  # a real wait: the child runs to completion meanwhile
+            assert kid.processed
+            before = eng.actions_scheduled
+            value = yield kid
+            return value, eng.actions_scheduled - before
+
+        assert await eng.run_process(parent()) == (7, 0)
+
+    with_engine(body)
+
+
+def test_interrupt_detaches_a_process_waiting_on_a_real_event():
+    async def body(eng):
+        never = eng.event()
+        seen = []
+
+        def flow():
+            try:
+                yield never
+            except Interrupt as intr:
+                seen.append(intr.cause)
+                yield eng.timeout(0.0)
+                return "recovered"
+
+        proc = eng.process(flow())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert never.callbacks  # parked on the pending event
+        proc.interrupt("server died")
+        assert await eng.wait(proc) == "recovered"
+        assert seen == ["server died"]
+        assert never.callbacks == []  # detached, not just abandoned
+
+    with_engine(body)
+
+
+def test_uncaught_interrupt_ends_the_process_quietly():
+    async def body(eng):
+        never = eng.event()
+
+        def flow():
+            yield never
+
+        proc = eng.process(flow())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        proc.interrupt("bye")
+        result = await eng.wait(proc)
+        assert isinstance(result, Interrupt) and result.cause == "bye"
+        await eng.quiesce()  # no crash recorded
+
+    with_engine(body)
+
+
+def test_quiesce_and_peek_accounting_is_exact():
+    async def body(eng):
+        gate = eng.event()
+
+        def flow():
+            for _ in range(10):
+                yield eng.timeout(0.0)
+            yield gate
+            return "done"
+
+        proc = eng.process(flow())
+        assert eng._pending == 1 and eng.peek() <= eng.now  # the start
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        # Ten ready timeouts consumed inline; parked on the gate with
+        # nothing scheduled, so the engine is drained although not done.
+        assert eng._pending == 0 and eng.peek() == float("inf")
+        assert eng.events_ready == 10 and eng.actions_scheduled == 1
+        await eng.quiesce()
+        assert eng.alive_processes() == [proc]
+        gate.succeed(None)  # has a waiter: deferred
+        assert eng._pending == 1 and eng.microqueue_depth == 1
+        await eng.quiesce()
+        assert eng._pending == 0 and eng.alive_processes() == []
+        assert proc.value == "done"
+
+    with_engine(body)
+
+
+def test_second_connection_is_served_in_the_middle_of_a_long_ready_chain():
+    """A ready chain longer than ``soon_batch`` cannot starve the selector:
+    it re-enters through the microqueue.  While connection A waits
+    in ``quiesce`` for an endless zero-delay flow, connection B's ping is
+    answered — and only that answer lets the flow end."""
+    from repro.core.corec import CoRECPolicy
+    from repro.live import LiveClient, serve_in_thread
+    from repro.staging.service import StagingConfig
+
+    config = StagingConfig(n_servers=8, domain_shape=(32, 32, 32), element_bytes=1, seed=3)
+    handle = serve_in_thread(config, CoRECPolicy)
+    eng = handle.live.engine
+    started, served = threading.Event(), threading.Event()
+    steps = []
+
+    def chain():
+        n = 0
+        while n < 4 * eng.soon_batch or not served.is_set():
+            yield eng.timeout(0.0)
+            n += 1
+            if n == eng.soon_batch:
+                started.set()
+        steps.append(n)
+
+    quiesced = []
+
+    def conn_a():
+        with LiveClient(handle.host, handle.port, name="a", timeout=30.0) as cli:
+            cli.quiesce()
+            quiesced.append(len(steps))
+
+    try:
+        eng.loop.call_soon_threadsafe(lambda: eng.process(chain(), name="chain"))
+        assert started.wait(10.0)
+        waiter = threading.Thread(target=conn_a)
+        waiter.start()
+        with LiveClient(handle.host, handle.port, name="b", timeout=10.0) as cli:
+            cli.ping()  # TimeoutError here = the chain held the loop
+            assert steps == []  # answered mid-chain
+            served.set()
+        waiter.join(30.0)
+        assert not waiter.is_alive()
+    finally:
+        served.set()
+        handle.stop()
+    assert steps and steps[0] > 4 * eng.soon_batch
+    # ... by re-entering through the microqueue once per spent budget.
+    assert eng.actions_scheduled >= steps[0] // eng.soon_batch
+    assert quiesced == [1]  # A's quiesce returned only after the chain ended
+
+
+def test_paced_timers_and_nic_locks_behave_as_before():
+    from repro.live.transport import LiveTransport
+    from repro.sim.network import NetworkConfig
+
+    async def body(eng):
+        # A positive scaled delay is never ready: it is a timer.
+        tick = eng.timeout(0.02)
+        assert not tick.processed and eng.events_ready == 0
+        assert eng.peek() > eng.now
+
+        net = LiveTransport(eng, NetworkConfig(latency_s=0.02, bandwidth_bps=1e12))
+        spans = []
+
+        def mover(tag):
+            t0 = eng.now
+            yield from net.transfer("a", "b", 1000)
+            spans.append((tag, t0, eng.now))
+
+        procs = [eng.process(mover(i)) for i in range(3)]
+
+        def barrier():
+            yield AllOf(eng, procs)
+
+        start = time.monotonic()
+        await eng.run_process(barrier())
+        elapsed = time.monotonic() - start
+        # Three transfers over one NIC pair serialise: >= 3 wire times,
+        # finishing in FIFO order, each starting after the previous ended.
+        assert elapsed >= 0.055
+        assert [tag for tag, _, _ in spans] == [0, 1, 2]
+        ends = [t1 for _, _, t1 in spans]
+        assert ends[1] - ends[0] >= 0.015 and ends[2] - ends[1] >= 0.015
+        await eng.quiesce()
+        assert eng.peek() == float("inf")
+
+    with_engine(body, time_scale=1.0)
+
+
+def test_inline_compute_returns_a_ready_event_and_raises_in_place():
+    async def body(eng):
+        loop_thread = threading.get_ident()
+
+        def flow():
+            where = yield eng.inline(threading.get_ident)
+            try:
+                yield eng.inline(lambda: 1 // 0)
+            except ZeroDivisionError:
+                return where
+            return None
+
+        assert await eng.run_process(flow()) == loop_thread
+        assert (eng.offloads_inlined, eng.offloads_submitted) == (2, 0)
+
+    with_engine(body)

@@ -98,7 +98,7 @@ def test_sim_compute_hook_adds_no_events():
     from tests.conftest import make_service
 
     svc = make_service("corec")
-    gen = svc.runtime.compute(lambda: "inline-result")
+    gen = svc.runtime.compute(lambda: "inline-result", nbytes=0)
     try:
         yielded = next(gen)
     except StopIteration as stop:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.corec import CoRECPolicy
 from repro.live import LiveClient, serve_in_thread
+from repro.live.service import INLINE_COMPUTE_BYTES
 from repro.live.protocol import frame_parts, header_preamble
 from repro.obs.wallclock import WallClockTracer
 from repro.staging.service import StagingConfig
@@ -57,22 +58,35 @@ def client_spans(spans, op):
     return [s for s in spans if s.name == f"rpc.{op}" and "breakdown" not in s.attrs]
 
 
+def traced_put_tree(config: StagingConfig, region, nbytes: int):
+    """One traced put of ``nbytes``; returns (all spans, client rpc span,
+    dispatch span, the spans of the put's trace)."""
+    handle = serve_in_thread(config, CoRECPolicy, tracing=True)
+    tracer = handle.live.tracer
+    try:
+        data = np.arange(nbytes, dtype=np.uint8)
+        with LiveClient(handle.host, handle.port, name="t", tracer=tracer) as cli:
+            cli.put("var0", *region, data)
+            cli.quiesce()
+    finally:
+        handle.stop()
+    spans = tracer.spans
+    (cli_rpc,) = client_spans(spans, "put")
+    (dispatch,) = dispatch_spans(spans, "put")
+    tree = [s for s in spans if s.trace_id == cli_rpc.trace_id]
+    return spans, cli_rpc, dispatch, tree
+
+
 class TestLinkedSpanTree:
     def test_one_put_yields_one_linked_tree(self):
-        """Client rpc -> server dispatch -> put flow -> offloads: one trace."""
-        handle = traced_handle()
-        tracer = handle.live.tracer
-        try:
-            data = np.arange(32 * 32 * 32, dtype=np.uint8)
-            with LiveClient(handle.host, handle.port, name="t", tracer=tracer) as cli:
-                cli.put("var0", *REGION, data)
-                cli.quiesce()
-        finally:
-            handle.stop()
-        spans = tracer.spans
+        """Client rpc -> server dispatch -> put flow -> digest: one trace.
 
-        (cli_rpc,) = client_spans(spans, "put")
-        (dispatch,) = dispatch_spans(spans, "put")
+        A 32 KiB block is under ``INLINE_COMPUTE_BYTES``: its digest runs
+        on the loop, and still shows as a ``digest`` span under the flow
+        that asked for it, booked to the request's ``digest`` bucket.
+        """
+        assert 32768 < INLINE_COMPUTE_BYTES
+        _, cli_rpc, dispatch, tree = traced_put_tree(one_block_config(), REGION, 32768)
         # Cross-process link: same trace, remote parent recorded, but the
         # dispatch span stays a *local* root.
         assert dispatch.trace_id == cli_rpc.trace_id
@@ -81,7 +95,6 @@ class TestLinkedSpanTree:
         assert cli_rpc.attrs["srv_span"] == dispatch.span_id
 
         # Every span of the trace parents back to the dispatch root.
-        tree = [s for s in spans if s.trace_id == cli_rpc.trace_id]
         by_id = {s.span_id: s for s in tree}
         roots = set()
         for span in tree:
@@ -97,7 +110,32 @@ class TestLinkedSpanTree:
         tree_names = {s.name for s in tree}
         assert "put" in tree_names
         assert "put.block" in tree_names
-        assert "offload.digest" in tree_names
+        assert "offload.digest" not in tree_names
+        (digest,) = [s for s in tree if s.category == "digest"]
+        assert by_id[digest.parent_id].name == "put.block"
+        assert "thread" not in digest.attrs  # ran on the loop, not a worker
+        assert dispatch.attrs["breakdown"]["digest"] == pytest.approx(
+            digest.t1 - digest.t0, abs=1e-9
+        )
+
+    def test_threshold_sized_put_still_digests_on_a_worker(self):
+        """At ``INLINE_COMPUTE_BYTES`` and above the digest is offloaded."""
+        config = StagingConfig(
+            n_servers=8,
+            domain_shape=(64, 64, 32),
+            element_bytes=1,
+            object_max_bytes=INLINE_COMPUTE_BYTES,
+            seed=7,
+        )
+        region = ((0, 0, 0), (32, 64, 32))  # exactly one 64 KiB block
+        _, _, dispatch, tree = traced_put_tree(config, region, INLINE_COMPUTE_BYTES)
+        by_id = {s.span_id: s for s in tree}
+        (digest,) = [s for s in tree if s.category == "digest"]
+        assert digest.name == "offload.digest"
+        assert digest.attrs["thread"] != threading.get_ident()
+        assert by_id[digest.parent_id].name == "put.block"
+        # The flow's wait for the worker is what books the bucket here.
+        assert dispatch.attrs["breakdown"]["digest"] > 0.0
 
     def test_breakdown_reconciles_with_wall_time(self):
         """Categories are non-negative, sum exactly to e2e, and the
