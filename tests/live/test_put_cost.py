@@ -73,7 +73,7 @@ def test_small_rewrite_put_schedules_at_most_six_actions_and_no_hop():
             await dep.cost(dep.live.put("w", "v", box, dep.data)) for box in dep.boxes[:8]
         ]
         for scheduled, hops, inlined in costs:
-            assert scheduled <= 6  # was 20: starts, joins and the ack only
+            assert scheduled <= 6  # was 21: starts, joins and the ack only
             assert hops == 0
             assert inlined >= 1  # the digest, on the loop
         assert len(set(costs)) == 1  # a count, not a measurement: it repeats
