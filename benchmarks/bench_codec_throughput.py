@@ -4,8 +4,9 @@ Not a paper figure: these benchmarks track the host-side performance of
 the erasure substrate itself (the part that does real computation), so
 regressions in the vectorized kernels are caught. Numbers are whatever
 the host delivers; the assertions guard against de-vectorization — the
-floors assume the fused table-gather kernels, so a fallback to either a
-Python loop or the unfused per-coefficient path trips them.
+serial floors sit under what the numpy ``table`` fallback delivers, so
+only a Python loop over the payload trips them, while the stripe-parallel
+floor presumes the native kernel (``REPRO_GF_NATIVE=0`` fails it).
 
 ``benchmarks/check_regression.py`` complements these floors with a
 committed-baseline comparison (BENCH_codec.json) run in CI.

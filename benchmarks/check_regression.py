@@ -72,20 +72,16 @@ def measure(reps: int) -> dict[str, float]:
     metrics["gf_addmul_mb_s"] = SHARD / t / 1e6
 
     code = RSCode(6, 3)
-    code.encode(shards)  # warm pair-table / kernel caches
+    code.encode(shards)  # warm
     t = best_time(lambda: code.encode(shards), reps)
     metrics["rs_encode_6_3_mb_s"] = 6 * SHARD / t / 1e6
 
     # Same product through the seed per-cell kernel: the speedup ratio is
     # machine-relative, so it gates vectorization quality, not host speed.
-    # The native kernel must be masked too — encode() routes through it
-    # whenever it is loaded, regardless of the selected numpy kernel.
     GF256.set_kernel("reference")
-    native, GF256._NATIVE = GF256._NATIVE, None
     try:
         t = best_time(lambda: code.encode(shards), max(1, reps // 2))
     finally:
-        GF256._NATIVE = native
         GF256.set_kernel(None)
     metrics["rs_encode_seed_kernel_mb_s"] = 6 * SHARD / t / 1e6
     metrics["encode_speedup_vs_seed"] = (

@@ -4,8 +4,8 @@ This subpackage replaces the Jerasure C library used by the paper.  It
 implements:
 
 - :mod:`repro.erasure.gf256` — the finite field GF(2^8) with log/antilog
-  tables and autotuned fused matrix kernels (numpy table gathers, no
-  Python loops on the data path);
+  tables and the matrix-product kernels (compiled SIMD when the host can
+  build it, numpy table gathers otherwise; no Python loops over payload);
 - :mod:`repro.erasure.matrix` — matrix algebra over GF(2^8), including
   Gauss-Jordan inversion and Vandermonde/Cauchy generator constructions;
 - :mod:`repro.erasure.reedsolomon` — systematic Reed-Solomon ``RS(k, m)``

@@ -69,8 +69,7 @@ class GFMatrix:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
         # The stripe product and the matrix product are the same operation;
-        # delegate to the fused kernel layer (which routes matrix-sized
-        # operands through the setup-free table kernel).
+        # delegate to the kernel layer.
         return GFMatrix(GF256.matmul_bytes(a, b))
 
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":

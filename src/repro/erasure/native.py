@@ -6,9 +6,9 @@ per-user temp directory keyed by the source hash, so the one-time gcc
 invocation (~a second) happens once per container, not per process.
 
 Everything here is **best effort**: no compiler, a failed compile, a
-missing dlopen, or ``REPRO_GF_NATIVE=0`` all simply leave
-:data:`NATIVE` as ``None`` and the pure-numpy kernels in
-:mod:`repro.erasure.gf256` carry the data plane (at a few hundred MB/s
+missing dlopen, or ``REPRO_GF_NATIVE=0`` all simply make :func:`load`
+return ``None`` and the numpy ``table`` kernel in
+:mod:`repro.erasure.gf256` carries the data plane (at 130-165 MB/s
 instead of multiple GB/s).  The native kernel is bit-exact with the
 reference kernel and holds no global state, so concurrent calls from
 parallel codec workers need no locking.
@@ -22,16 +22,14 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NativeKernel", "load", "NATIVE"]
+__all__ = ["NativeKernel", "load"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_gf_matmul.c")
 _CC_CANDIDATES = ("cc", "gcc", "clang")
-_LOCK = threading.Lock()
 
 
 @dataclass
@@ -53,8 +51,8 @@ class NativeKernel:
         """XOR-accumulate ``mat . shards`` into the out rows.
 
         ``shard_ptrs`` / ``out_ptrs`` are ctypes pointer arrays built by
-        :meth:`row_ptrs`; rows may live at arbitrary addresses, so no
-        (k, L) stacking copy is ever needed.
+        :meth:`row_ptrs` for the same ``length``; rows may live at arbitrary
+        addresses, so no (k, L) stacking copy is ever needed.
         """
         r, k = mat.shape
         self.lib.gf_matmul(
@@ -69,10 +67,17 @@ class NativeKernel:
         )
 
     @staticmethod
-    def row_ptrs(rows, offset: int = 0):
-        """Pointer array over uint8 row buffers (ndarray or memoryview)."""
+    def row_ptrs(rows, offset: int, length: int):
+        """Pointers to byte ``offset`` of each contiguous uint8 ndarray row.
+
+        This is where addresses leave Python, so every row must hold the
+        ``offset + length`` bytes the kernel is about to touch.
+        """
+        end = offset + length
         arr = (ctypes.c_void_p * len(rows))()
         for i, row in enumerate(rows):
+            if row.size < end:
+                raise ValueError(f"row {i} holds {row.size} bytes, product needs {end}")
             arr[i] = row.ctypes.data + offset
         return arr
 
@@ -114,7 +119,14 @@ def _build(source_path: str, out_path: str, cc: str) -> None:
             os.unlink(tmp)
 
 
-def _load_uncached() -> NativeKernel | None:
+def load(mul: np.ndarray) -> NativeKernel | None:
+    """Build (first use on this host) and load the kernel, or None.
+
+    ``mul`` is the 256x256 GF product table; the kernel's low/high nibble
+    tables, ``nib_lo[c][x] = c * x`` and ``nib_hi[c][x] = c * (x << 4)``,
+    are cut from it.  Called once, when :mod:`repro.erasure.gf256` is
+    imported.
+    """
     if os.environ.get("REPRO_GF_NATIVE", "1") in ("0", "false", "off"):
         return None
     cc = _compiler()
@@ -142,26 +154,9 @@ def _load_uncached() -> NativeKernel | None:
     lib.gf_matmul.restype = None
     lib.gf_simd_level.restype = ctypes.c_int
 
-    from repro.erasure.gf256 import GF256
-
     return NativeKernel(
         lib=lib,
         simd_level=int(lib.gf_simd_level()),
-        nib_lo=np.ascontiguousarray(GF256.NIB_LO, dtype=np.uint8),
-        nib_hi=np.ascontiguousarray(GF256.NIB_HI, dtype=np.uint8),
+        nib_lo=np.ascontiguousarray(mul[:, :16]),
+        nib_hi=np.ascontiguousarray(mul[:, ::16]),
     )
-
-
-_loaded = False
-NATIVE: NativeKernel | None = None
-
-
-def load() -> NativeKernel | None:
-    """The process-wide native kernel, building it on first call."""
-    global _loaded, NATIVE
-    if not _loaded:
-        with _LOCK:
-            if not _loaded:
-                NATIVE = _load_uncached()
-                _loaded = True
-    return NATIVE

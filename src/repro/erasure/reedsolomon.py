@@ -27,7 +27,12 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.erasure.gf256 import GF256
-from repro.erasure.matrix import GFMatrix, cauchy_rs_matrix, vandermonde_rs_matrix
+from repro.erasure.matrix import (
+    GFMatrix,
+    cauchy_rs_matrix,
+    identity,
+    vandermonde_rs_matrix,
+)
 from repro.obs.registry import StatCounters
 
 __all__ = ["RSCode", "StripeCodec", "Stripe"]
@@ -43,7 +48,8 @@ class RSCode:
     m:
         Number of parity shards (failures tolerated).
     construction:
-        ``"cauchy"`` (default) or ``"vandermonde"`` generator construction.
+        ``"cauchy"`` (default) or ``"vandermonde"`` generator construction,
+        or ``"xor"`` for the single-parity (``m <= 1``) all-ones code.
     decode_cache_capacity:
         Bound on the LRU cache of decode (and reconstruction-row) matrices.
     """
@@ -76,8 +82,6 @@ class RSCode:
             # XOR-based code family.
             if m > 1:
                 raise ValueError("the xor construction supports exactly one parity")
-            from repro.erasure.matrix import GFMatrix, identity
-
             gen = np.concatenate([identity(k), np.ones((m, k), dtype=np.uint8)], axis=0)
             self.generator = GFMatrix(gen)
         else:
@@ -101,8 +105,8 @@ class RSCode:
         # The matrix caches (and their counters) are the only mutable
         # state a codec pass touches, so locking them is all it takes to
         # make every coding method safe from concurrent worker threads
-        # (kernel scratch is thread-local; kernel table caches carry their
-        # own lock).  RLock: _reconstruct_row nests into _decode_matrix.
+        # (kernel scratch is thread-local and the kernels hold no other
+        # state).  RLock: _reconstruct_row nests into _decode_matrix.
         self._cache_lock = threading.RLock()
         # Optional fan-out hook for the payload-dimension kernel passes:
         # when set (the live backend installs its codec pool here), a
@@ -157,14 +161,6 @@ class RSCode:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _as_shard_matrix(shards: Sequence[np.ndarray]) -> np.ndarray:
-        mats = [np.ascontiguousarray(s, dtype=np.uint8).ravel() for s in shards]
-        lengths = {s.size for s in mats}
-        if len(lengths) != 1:
-            raise ValueError(f"shards must be equal length, got {sorted(lengths)}")
-        return np.stack(mats, axis=0)
-
-    @staticmethod
     def _as_rows(shards: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
         """Normalize shards to contiguous uint8 rows *without* stacking."""
         rows = [np.ascontiguousarray(s, dtype=np.uint8).ravel() for s in shards]
@@ -190,43 +186,22 @@ class RSCode:
 
     def _product_tasks(
         self, mat: np.ndarray, rows: Sequence[np.ndarray], length: int
-    ) -> tuple[list[Callable[[], None]], Callable[[], list[np.ndarray]]]:
-        """Build the kernel thunks for ``mat . rows`` plus a result thunk.
+    ) -> tuple[list[Callable[[], None]], list[np.ndarray]]:
+        """The kernel thunks for ``mat . rows`` and the rows they fill.
 
-        With the native kernel loaded, rows are passed by pointer and the
-        parity rows come back as independent arrays — no (k, L) stacking
-        copy ever happens.  The numpy fallback stacks once and splits the
-        same way.  Either way the column split is byte-exact: each task
-        writes a disjoint column range of the output.
+        Shard rows are read in place and the output rows are independent
+        arrays - no (k, L) stacking copy ever happens.  The column split
+        is byte-exact: each task writes a disjoint column range of every
+        output row, which is complete once all the thunks have run.
         """
-        r = mat.shape[0]
         n_tasks = self._n_tasks(len(rows) * length) if length else 1
-        if GF256.native_kernel() is not None:
-            outs = [np.empty(length, dtype=np.uint8) for _ in range(r)]
-            if n_tasks <= 1:
-                tasks = [lambda: GF256.matmul_rows(mat, rows, outs, length=length)]
-            else:
-                tasks = [
-                    lambda a=a, b=b: GF256.matmul_rows(
-                        mat, rows, outs, offset=a, length=b - a
-                    )
-                    for a, b in self._bounds(length, n_tasks)
-                ]
-            return tasks, lambda: outs
-        stacked = (
-            rows[0].reshape(1, -1) if len(rows) == 1 else np.stack(rows, axis=0)
-        )
-        out = np.empty((r, length), dtype=np.uint8)
-        if n_tasks <= 1:
-            tasks = [lambda: GF256.matmul_bytes(mat, stacked, out=out)]
-        else:
-            tasks = [
-                lambda a=a, b=b: GF256.matmul_bytes(
-                    mat, stacked[:, a:b], out=out[:, a:b]
-                )
-                for a, b in self._bounds(length, n_tasks)
-            ]
-        return tasks, lambda: [out[i] for i in range(r)]
+        bounds = self._bounds(length, n_tasks) if n_tasks > 1 else [(0, length)]
+        outs = [np.empty(length, dtype=np.uint8) for _ in range(mat.shape[0])]
+        tasks = [
+            lambda a=a, b=b: GF256.matmul_rows(mat, rows, outs, offset=a, length=b - a)
+            for a, b in bounds
+        ]
+        return tasks, outs
 
     def _run_tasks(self, tasks: Sequence[Callable[[], None]]) -> None:
         pm = self.parallel_map
@@ -243,9 +218,9 @@ class RSCode:
     def _product(
         self, mat: np.ndarray, rows: Sequence[np.ndarray], length: int
     ) -> list[np.ndarray]:
-        tasks, result = self._product_tasks(mat, rows, length)
+        tasks, outs = self._product_tasks(mat, rows, length)
         self._run_tasks(tasks)
-        return result()
+        return outs
 
     def encode(self, data_shards: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Compute the ``m`` parity shards for ``k`` data shards."""
@@ -285,7 +260,7 @@ class RSCode:
         # One fused product per shard-length group, with every group's
         # column-split thunks gathered into a single parallel pass.
         tasks: list[Callable[[], None]] = []
-        finishers: list[tuple[Callable[[], list[np.ndarray]], list[int], int]] = []
+        finishers: list[tuple[list[np.ndarray], list[int], int]] = []
         for length, idxs in by_len.items():
             if len(idxs) == 1:
                 rows = mats[idxs[0]]
@@ -295,12 +270,11 @@ class RSCode:
                     np.concatenate([mats[i][j] for i in idxs]) for j in range(self.k)
                 ]
                 width = length * len(idxs)
-            group_tasks, result = self._product_tasks(self.parity_rows, rows, width)
+            group_tasks, parity = self._product_tasks(self.parity_rows, rows, width)
             tasks.extend(group_tasks)
-            finishers.append((result, idxs, length))
+            finishers.append((parity, idxs, length))
         self._run_tasks(tasks)
-        for result, idxs, length in finishers:
-            parity = result()
+        for parity, idxs, length in finishers:
             for pos, idx in enumerate(idxs):
                 out[idx] = [
                     np.ascontiguousarray(p[pos * length : (pos + 1) * length])
@@ -349,7 +323,7 @@ class RSCode:
                 groups.setdefault((chosen, length), []).append((idx, rows))
         tasks: list[Callable[[], None]] = []
         finishers: list[
-            tuple[Callable[[], list[np.ndarray]], list[tuple[int, list[np.ndarray]]], int]
+            tuple[list[np.ndarray], list[tuple[int, list[np.ndarray]]], int]
         ] = []
         for (chosen, length), members in groups.items():
             inv = self._decode_matrix(chosen)
@@ -362,12 +336,11 @@ class RSCode:
                     for j in range(self.k)
                 ]
                 width = length * len(members)
-            group_tasks, result = self._product_tasks(inv, rows, width)
+            group_tasks, data = self._product_tasks(inv, rows, width)
             tasks.extend(group_tasks)
-            finishers.append((result, members, length))
+            finishers.append((data, members, length))
         self._run_tasks(tasks)
-        for result, members, length in finishers:
-            data = result()
+        for data, members, length in finishers:
             for pos, (idx, _) in enumerate(members):
                 out[idx] = [
                     np.ascontiguousarray(d[pos * length : (pos + 1) * length])

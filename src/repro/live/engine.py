@@ -368,7 +368,36 @@ class LiveEngine:
         (no split is left half-written when a sibling fails).
         """
         tracer = self.tracer
-        if not tracer.enabled:
+        pass_span = None
+        if tracer.enabled:
+            # One pass span + one span per column-split task.  The task
+            # spans carry explicit parents because codec-pool threads have
+            # no inherited context, and close on the exception path too, so
+            # a poisoned split never leaves an open span in the export.
+            pass_span = tracer.begin(
+                "codec.pass", category="codec", parent=tracer.current, tasks=len(tasks)
+            )
+
+            def run_task(index: int, task: Callable[[], None]) -> None:
+                span = tracer.begin(
+                    "codec.task",
+                    category="codec",
+                    parent=pass_span,
+                    index=index,
+                    thread=threading.get_ident(),
+                )
+                try:
+                    task()
+                except BaseException as exc:
+                    span.set(error=repr(exc))
+                    raise
+                finally:
+                    tracer.end(span)
+
+            tasks = [
+                lambda i=i, task=task: run_task(i, task) for i, task in enumerate(tasks)
+            ]
+        try:
             if len(tasks) <= 1 or self._closed:
                 for task in tasks:
                     task()
@@ -387,64 +416,13 @@ class LiveEngine:
                         first_exc = exc
             if first_exc is not None:
                 raise first_exc
-            return
-        self._codec_map_traced(tasks, tracer)
-
-    def _codec_map_traced(self, tasks: list[Callable[[], None]], tracer) -> None:
-        """codec_map with one pass span + one span per column-split task.
-
-        Same execution and exception semantics as the untraced path; the
-        task spans carry explicit parents because codec-pool threads have
-        no inherited context.  Task spans close on the exception path too,
-        so a poisoned split never leaves an open span in the export.
-        """
-        pass_span = tracer.begin(
-            "codec.pass", category="codec", parent=tracer.current, tasks=len(tasks)
-        )
-
-        def run_task(index: int, task: Callable[[], None]) -> None:
-            span = tracer.begin(
-                "codec.task",
-                category="codec",
-                parent=pass_span,
-                index=index,
-                thread=threading.get_ident(),
-            )
-            try:
-                task()
-            except BaseException as exc:
-                span.set(error=repr(exc))
-                raise
-            finally:
-                tracer.end(span)
-
-        first_exc: BaseException | None = None
-        try:
-            if len(tasks) <= 1 or self._closed:
-                for i, task in enumerate(tasks):
-                    run_task(i, task)
-                return
-            futs = [
-                self._codec_executor.submit(run_task, i, task)
-                for i, task in enumerate(tasks[1:], start=1)
-            ]
-            try:
-                run_task(0, tasks[0])
-            except BaseException as exc:
-                first_exc = exc
-            for fut in futs:
-                try:
-                    fut.result()
-                except BaseException as exc:
-                    if first_exc is None:
-                        first_exc = exc
-            if first_exc is not None:
-                raise first_exc
         except BaseException as exc:
-            pass_span.set(error=repr(exc))
+            if pass_span is not None:
+                pass_span.set(error=repr(exc))
             raise
         finally:
-            tracer.end(pass_span)
+            if pass_span is not None:
+                tracer.end(pass_span)
 
     def wait(self, event: Event) -> asyncio.Future:
         """Bridge a process-model event to an awaitable."""

@@ -1,9 +1,15 @@
 """Field-axiom and kernel tests for GF(2^8)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.erasure.gf256 import GF256
 
 elem = st.integers(0, 255)
@@ -202,9 +208,8 @@ class TestOutParameter:
         assert snapshot == after
 
 
-# Shapes chosen to cross kernel tails: odd/even row counts (the pairs
-# kernel fuses coefficient columns two at a time), empty dims, single
-# bytes, and payloads spanning the small/large autotune classes.
+# Shapes chosen to cross kernel tails: odd/even row and column counts,
+# empty dims, single bytes, and payloads from one byte to tens of KiB.
 KERNEL_SHAPES = [
     (1, 1, 1),
     (2, 3, 5),
@@ -227,7 +232,7 @@ class TestKernelEquivalence:
             mat[-1, -1] = 1  # and the xor-only path
         shards = rng.integers(0, 256, (k, length), dtype=np.uint8)
         expected = np.zeros((r, length), dtype=np.uint8)
-        GF256._kernel_reference(mat, shards, expected)
+        GF256._kernel_reference(mat, shards, expected, 0, length)
         GF256.set_kernel(name)
         try:
             got = GF256.matmul_bytes(mat, shards)
@@ -239,7 +244,7 @@ class TestKernelEquivalence:
         with pytest.raises(ValueError):
             GF256.set_kernel("simd9000")
 
-    def test_set_kernel_restores_autotuned_selection(self):
+    def test_set_kernel_none_restores_the_rule(self):
         before = GF256.selected_kernels()
         GF256.set_kernel("reference")
         try:
@@ -248,11 +253,63 @@ class TestKernelEquivalence:
             GF256.set_kernel(None)
         assert GF256.selected_kernels() == before
 
-    def test_autotuned_selection_is_valid(self):
-        sel = GF256.selected_kernels()
-        assert set(sel) == {"small", "large"}
-        for name in sel.values():
-            assert name in GF256.available_kernels()
+    def test_selection_follows_native_load(self):
+        """The one rule: ``native`` iff the shared object loaded, else ``table``."""
+        if GF256.native_kernel() is not None:
+            want, kernels = "native", ("reference", "table", "native")
+        else:
+            want, kernels = "table", ("reference", "table")
+        assert GF256.selected_kernels() == {"small": want, "large": want}
+        assert GF256.available_kernels() == kernels
+
+    def test_selection_without_native_is_table(self, monkeypatch):
+        """What a host with no C compiler runs: the numpy fallback."""
+        monkeypatch.setattr(GF256, "_NATIVE", None)
+        assert GF256.available_kernels() == ("reference", "table")
+        assert set(GF256.selected_kernels().values()) == {"table"}
+        with pytest.raises(ValueError):
+            GF256.set_kernel("native")
+        GF256.reset_kernel_stats()
+        mat = np.array([[3, 7]], dtype=np.uint8)
+        shards = np.arange(64, dtype=np.uint8).reshape(2, 32)
+        got = GF256.matmul_bytes(mat, shards)
+        assert GF256.KERNEL_STATS["table"] == 1
+        assert (got[0] == (GF256.mul_bytes(3, shards[0]) ^ GF256.mul_bytes(7, shards[1]))).all()
+
+
+class TestMatmulRows:
+    """The rows entry point hands addresses to C: shapes are checked first."""
+
+    @pytest.mark.parametrize("name", GF256.available_kernels())
+    def test_rejects_rows_shorter_than_the_column_range(self, name):
+        mat = np.array([[2, 3]], dtype=np.uint8)
+        rows = [np.ones(64, np.uint8), np.ones(63, np.uint8)]
+        outs = [np.zeros(64, np.uint8)]
+        GF256.set_kernel(name)
+        try:
+            with pytest.raises(ValueError):
+                GF256.matmul_rows(mat, rows, outs, offset=32, length=32)
+            with pytest.raises(ValueError):
+                GF256.matmul_rows(mat, [rows[0], rows[0]], [np.zeros(48, np.uint8)])
+        finally:
+            GF256.set_kernel(None)
+
+    def test_rejects_a_matrix_of_the_wrong_shape(self):
+        rows = [np.ones(8, np.uint8)] * 3
+        with pytest.raises(ValueError):
+            GF256.matmul_rows(np.ones((1, 2), np.uint8), rows, [np.zeros(8, np.uint8)])
+        with pytest.raises(ValueError):
+            GF256.matmul_rows(np.ones((2, 3), np.uint8), rows, [np.zeros(8, np.uint8)])
+
+    def test_column_range_leaves_the_rest_untouched(self):
+        mat = np.array([[1, 1]], dtype=np.uint8)
+        rows = [np.full(16, 5, np.uint8), np.full(16, 3, np.uint8)]
+        out = np.full(16, 0xAA, np.uint8)
+        GF256.matmul_rows(mat, rows, [out], offset=4, length=8)
+        assert (out[4:12] == 6).all()
+        assert (out[:4] == 0xAA).all() and (out[12:] == 0xAA).all()
+        GF256.matmul_rows(mat, rows, [out], offset=4, length=8, accumulate=True)
+        assert (out[4:12] == 0).all()
 
 
 class TestKernelStats:
@@ -270,3 +327,39 @@ class TestKernelStats:
         GF256.matmul_bytes(np.zeros((0, 3), np.uint8), np.zeros((3, 8), np.uint8))
         GF256.matmul_bytes(np.zeros((2, 3), np.uint8), np.zeros((3, 0), np.uint8))
         assert GF256.KERNEL_STATS["matmul_calls"] == 0
+
+
+_IMPORT_PROBE = """
+import json, repro, repro.live
+from repro.erasure import gf256
+GF256 = gf256.GF256
+print(json.dumps({
+    "scratch": sorted(getattr(gf256._SCRATCH, "pool", {})),
+    "matmul_calls": GF256.KERNEL_STATS["matmul_calls"],
+    "selected": GF256.selected_kernels(),
+    "native": GF256.native_kernel() is not None,
+}))
+"""
+
+
+@pytest.mark.parametrize("native", ["1", "0"])
+def test_import_runs_no_kernel_and_leaves_nothing_resident(native):
+    """A fresh ``import repro, repro.live`` decides the kernel without racing.
+
+    Counts only, so it holds on one CPU: no scratch buffer allocated, no
+    product pass run, and the selection is exactly "did native load".
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, REPRO_GF_NATIVE=native)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["scratch"] == []
+    assert seen["matmul_calls"] == 0
+    want = "native" if seen["native"] else "table"
+    assert seen["selected"] == {"small": want, "large": want}
+    if native == "0":
+        assert not seen["native"]
+

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.erasure.gf256 import GF256
 from repro.erasure.reedsolomon import RSCode, StripeCodec
 
 
@@ -486,3 +487,50 @@ class TestDecodeCache:
         data = make_shards(rng, 3, 8)
         code.decode({i: d for i, d in enumerate(data)})
         assert code.decode_cache_misses == 0
+
+
+@pytest.mark.parametrize("kernel", ["table", "reference"])
+def test_numpy_kernels_through_the_rows_entry_point(kernel):
+    """Encode -> decode -> reconstruct on the fallback kernels, split raggedly.
+
+    The expected bytes come from the kernel the selection rule picks (native
+    when it loaded), so this is also the native-vs-numpy byte comparison.
+    Odd k, and a shard length that leaves the 4 KiB-aligned column split a
+    1809-byte tail; the direct ``matmul_rows`` calls use ranges aligned to
+    nothing at all.
+    """
+    k, m, length = 5, 3, 10001
+    rng = np.random.default_rng(k * m)
+    data = make_shards(rng, k, length)
+    ref = RSCode(k, m)
+    want_parity = ref.encode(data)
+    shards = data + want_parity
+    survivors = {i: shards[i] for i in range(k + m) if i not in (0, 3, 6)}
+
+    def run_inline(tasks):
+        for task in tasks:
+            task()
+
+    code = RSCode(k, m)
+    code.parallel_map = run_inline
+    code.parallel_min_bytes, code.parallel_chunk_bytes = 1, 4096
+    GF256.set_kernel(kernel)
+    GF256.reset_kernel_stats()
+    try:
+        parity = code.encode(data)
+        decoded = code.decode(survivors)
+        rebuilt = [code.reconstruct_shard(survivors, t) for t in (0, 3, 6)]
+        ranged = [np.full(length, 0xEE, dtype=np.uint8) for _ in range(m)]
+        for a, b in [(0, 1), (1, 4097), (4097, 9000), (9000, length)]:
+            GF256.matmul_rows(code.parity_rows, data, ranged, offset=a, length=b - a)
+        passes = GF256.KERNEL_STATS["matmul_calls"]
+        assert GF256.KERNEL_STATS[kernel] == passes
+    finally:
+        GF256.set_kernel(None)
+    assert code.parallel_stats["passes"] == 5  # every RSCode product fanned out
+    assert passes == 5 * 3 + 4  # three column ranges each, plus the direct calls
+    for got in (parity, ranged):
+        assert all(np.array_equal(w, g) for w, g in zip(want_parity, got))
+    assert all(np.array_equal(w, g) for w, g in zip(data, decoded))
+    assert all(np.array_equal(shards[t], g) for t, g in zip((0, 3, 6), rebuilt))
+
