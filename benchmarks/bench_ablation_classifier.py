@@ -20,7 +20,7 @@ import pytest
 from repro import CoRECConfig, CoRECPolicy, StagingService
 from repro.core.classifier import ClassifierConfig
 
-from common import make_policy, print_table, run_synthetic, save_results, table1_config
+from common import print_table, run_synthetic, save_results, table1_config
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import CoRECConfig, CoRECPolicy, ErasurePolicy, NoResilience, ReplicationPolicy, StagingConfig, StagingService
+from repro import StagingConfig, StagingService
+from repro.core.policies import bounded_spec, policy_from_spec
 from repro.sim.network import NetworkConfig
 from repro.staging.checkpoint import PFSModel
 from repro.staging.server import CostModel
@@ -42,18 +43,6 @@ SCALES = (0, 1, 2)
 # instead of blowing it past the PFS.
 FABRIC_SCALE = 32
 GF_SCALE = 8
-
-
-def make_policy(name):
-    if name == "dataspaces":
-        return NoResilience()
-    if name == "replicate":
-        return ReplicationPolicy()
-    if name == "erasure":
-        return ErasurePolicy()
-    if name == "corec":
-        return CoRECPolicy(CoRECConfig(storage_bound=0.67))
-    raise ValueError(name)
 
 
 def run_s3d(scale_index: int, policy_name: str, failure_plan=None):
@@ -84,7 +73,7 @@ def run_s3d(scale_index: int, policy_name: str, failure_plan=None):
             ),
             seed=2,
         ),
-        make_policy(policy_name),
+        policy_from_spec(bounded_spec(policy_name, 0.67)),
     )
     wl = S3DWorkload(svc, cfg)
     svc.run_workflow(wl.run())

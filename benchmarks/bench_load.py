@@ -90,64 +90,46 @@ def slo_ceilings_ms() -> tuple[float, float]:
     )
 
 
+def capture_spec():
+    """The hybrid differential workload, enforced per group (shardable)."""
+    from repro.live.conformance import WORKLOADS
+
+    return WORKLOADS["hybrid"].with_overrides(enforcement_scope="group")
+
+
 def capture_tape():
     """Phase 1: record the hybrid differential workload from a live client."""
-    from repro.live.conformance import (
-        WORKLOADS,
-        build_config,
-        build_ops,
-        make_policy,
-        policy_spec,
-    )
-    from repro.live.protocol import LiveClient
-    from repro.live.server import serve_in_thread
-    from repro.staging.service import build_geometry
+    from repro.live.conformance import build_config, build_tape, policy_spec
     from repro.workloads.capture import CaptureRecorder
+    from repro.workloads.load import apply_op, open_target
 
-    spec = WORKLOADS["hybrid"].with_overrides(enforcement_scope="group")
+    spec = capture_spec()
     config = build_config(spec)
-    _, domain, _, _ = build_geometry(config)
-    handle = serve_in_thread(config, lambda: make_policy(spec))
-    try:
-        with LiveClient(handle.host, handle.port, name="w") as cli:
+    with open_target("live", config, policy_spec(spec)) as connect:
+        with connect("w") as cli:
             recorder = CaptureRecorder(cli, flow="w")
-            for op in build_ops(spec):
-                kind = op[0]
-                if kind == "put":
-                    box = domain.block_bbox(op[2])
-                    cli.put(op[1], box.lb, box.ub)
-                elif kind == "get":
-                    box = domain.block_bbox(op[2])
-                    cli.get(op[1], box.lb, box.ub)
-                elif kind == "step":
-                    cli.step()
-                elif kind == "flush":
-                    cli.flush()
-                else:  # pragma: no cover - spec has no failures
-                    raise ValueError(f"unexpected conformance op {kind!r}")
-                cli.quiesce()
-            cli.quiesce()
-            tape = recorder.finalize(
+            # The spec's tape quiesces after every op, which keeps
+            # background work deterministic: the recorded digests are
+            # backend-independent ground truth.
+            for op in build_tape(spec).ops:
+                apply_op(cli, op)
+            return recorder.finalize(
                 config=config,
                 policy_spec=policy_spec(spec),
                 projection=cli.projection(),
             )
-    finally:
-        handle.stop()
-        handle.join()
-    return tape
 
 
 def replay_against_cluster(tape) -> dict:
     """Phase 2: replay a tape on the sharded cluster; byte equivalence."""
-    from repro.live.cluster import LiveCluster
     from repro.workloads.capture import config_from_meta
-    from repro.workloads.load import replay_tape
+    from repro.workloads.load import open_target, replay_tape
 
     config = config_from_meta(tape.meta["config"])
-    name, opts = tape.meta["policy"]
-    with LiveCluster(config, (name, dict(opts)), N_SHARDS) as cluster:
-        with cluster.client(name="replay") as client:
+    with open_target(
+        "cluster", config, tuple(tape.meta["policy"]), n_shards=N_SHARDS
+    ) as connect:
+        with connect("replay") as client:
             report = replay_tape(tape, client)
     return report.to_json()
 
@@ -155,22 +137,13 @@ def replay_against_cluster(tape) -> dict:
 def run_burst(smoke: bool, enforce: bool, put_ceiling: float,
               get_ceiling: float) -> dict:
     """Phase 3: seeded open-loop burst against the sharded cluster."""
-    from repro.live.cluster import LiveCluster
-    from repro.live.conformance import WORKLOADS, build_config
+    from repro.live.conformance import build_config, policy_spec
     from repro.staging.service import build_geometry
-    from repro.workloads.load import SLO, LoadSpec, run_load
+    from repro.workloads.load import SLO, LoadSpec, open_target, run_load
 
-    spec = WORKLOADS["hybrid"].with_overrides(enforcement_scope="group")
+    spec = capture_spec()
     config = build_config(spec)
     _, domain, _, _ = build_geometry(config)
-    pspec = (
-        "corec",
-        {
-            "promote_on_access": False,
-            "max_promotions_per_step": 0,
-            "enforcement_scope": "group",
-        },
-    )
     load_spec = LoadSpec(
         process=LOAD_PROCESS,
         rate=SMOKE_RATE if smoke else LOAD_RATE,
@@ -183,13 +156,11 @@ def run_burst(smoke: bool, enforce: bool, put_ceiling: float,
         get_p99_ms=get_ceiling,
         max_error_rate=MAX_ERROR_RATE,
     )
-    with LiveCluster(config, pspec, N_SHARDS) as cluster:
+    with open_target(
+        "cluster", config, policy_spec(spec), n_shards=N_SHARDS
+    ) as connect:
         report = run_load(
-            lambda flow: cluster.client(name=flow),
-            load_spec,
-            domain=domain,
-            slo=slo,
-            enforce_slo=enforce,
+            connect, load_spec, domain=domain, slo=slo, enforce_slo=enforce
         )
     out = report.to_json()
     out["spec"] = {

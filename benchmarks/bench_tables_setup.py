@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CoRECPolicy, StagingService
 from repro.core.model import CoRECModel, ModelParams
 from repro.workloads.s3d import S3DConfig, TABLE_II
 
-from common import TABLE1_PAPER, TABLE1_SIM, make_policy, print_table, save_results, table1_config
+from common import TABLE1_PAPER, TABLE1_SIM, build_service, print_table, save_results
 
 
 def test_table1_configuration(benchmark):
-    def build():
-        return StagingService(table1_config(), make_policy("corec"))
-
-    svc = benchmark.pedantic(build, rounds=1, iterations=1)
+    svc = benchmark.pedantic(lambda: build_service("corec"), rounds=1, iterations=1)
     rows = [
         {"param": "writers", "paper": TABLE1_PAPER["writers"], "sim": TABLE1_SIM["writers"]},
         {"param": "staging servers", "paper": TABLE1_PAPER["staging"], "sim": svc.config.n_servers},

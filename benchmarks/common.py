@@ -15,16 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro import (
-    CoRECConfig,
-    CoRECPolicy,
-    ErasurePolicy,
-    NoResilience,
-    ReplicationPolicy,
-    SimpleHybridPolicy,
-    StagingConfig,
-    StagingService,
-)
+from repro import StagingConfig, StagingService
+from repro.core.policies import bounded_spec, policy_from_spec
 from repro.core.recovery import RecoveryConfig
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
@@ -80,32 +72,24 @@ def table1_config(seed: int = 1, tracing: bool = False) -> StagingConfig:
     )
 
 
-def make_policy(name: str, seed: int = 11, **kw):
-    """Policy factory used by every benchmark."""
-    bound = TABLE1_SIM["storage_bound"]
-    if name == "dataspaces":
-        return NoResilience()
-    if name == "replicate":
-        return ReplicationPolicy(**kw)
-    if name == "erasure":
-        return ErasurePolicy(**kw)
-    if name == "hybrid":
-        return SimpleHybridPolicy(
-            storage_bound=bound, rng=np.random.default_rng(seed), **kw
-        )
-    if name == "corec":
-        return CoRECPolicy(CoRECConfig(storage_bound=bound, **kw))
-    raise ValueError(f"unknown policy {name!r}")
-
-
 POLICIES = ("dataspaces", "replicate", "erasure", "hybrid", "corec")
+
+# The simple-hybrid random selection stream of every figure (goldens pin it).
+HYBRID_SEED = 11
 
 
 def build_service(
-    policy_name: str, seed: int = 1, tracing: bool = False, **policy_kw
+    policy_name: str,
+    seed: int = 1,
+    tracing: bool = False,
+    recovery: RecoveryConfig | None = None,
+    **policy_options,
 ) -> StagingService:
+    """Table I deployment under ``policy_name`` at the Table I storage bound."""
+    spec = bounded_spec(policy_name, TABLE1_SIM["storage_bound"], **policy_options)
     return StagingService(
-        table1_config(seed=seed, tracing=tracing), make_policy(policy_name, **policy_kw)
+        table1_config(seed=seed, tracing=tracing),
+        policy_from_spec(spec, seed=HYBRID_SEED, recovery=recovery),
     )
 
 

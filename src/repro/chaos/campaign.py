@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Generator
 
 import numpy as np
@@ -150,14 +150,9 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # service / workload assembly
 # ----------------------------------------------------------------------
-def _make_policy(cfg: ChaosConfig, horizon: float | None):
-    from repro import (
-        CoRECConfig,
-        CoRECPolicy,
-        ErasurePolicy,
-        ReplicationPolicy,
-        SimpleHybridPolicy,
-    )
+def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = False):
+    from repro import StagingConfig, StagingService
+    from repro.core.policies import bounded_spec, policy_from_spec
     from repro.core.recovery import RecoveryConfig
 
     recovery = None
@@ -166,25 +161,6 @@ def _make_policy(cfg: ChaosConfig, horizon: float | None):
         recovery = RecoveryConfig(
             mode="lazy", mtbf_s=4.0 * cfg.deadline_frac * horizon, deadline_fraction=0.25
         )
-    if cfg.policy == "replicate":
-        return ReplicationPolicy(recovery=recovery)
-    if cfg.policy == "erasure":
-        return ErasurePolicy(recovery=recovery)
-    if cfg.policy == "hybrid":
-        return SimpleHybridPolicy(
-            storage_bound=cfg.storage_bound,
-            rng=np.random.default_rng(cfg.seed),
-            recovery=recovery,
-        )
-    corec_cfg = CoRECConfig(storage_bound=cfg.storage_bound)
-    if recovery is not None:
-        corec_cfg = replace(corec_cfg, recovery=recovery)
-    return CoRECPolicy(corec_cfg)
-
-
-def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = False):
-    from repro import StagingConfig, StagingService
-
     return StagingService(
         StagingConfig(
             n_servers=cfg.n_servers,
@@ -196,7 +172,9 @@ def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = Fals
             tracing=tracing,
             seed=cfg.seed,
         ),
-        _make_policy(cfg, horizon),
+        policy_from_spec(
+            bounded_spec(cfg.policy, cfg.storage_bound), seed=cfg.seed, recovery=recovery
+        ),
     )
 
 

@@ -25,29 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 
-import numpy as np
 
+def _policy(args: argparse.Namespace):
+    """Fresh policy from the shared --policy/--storage-bound/--seed flags."""
+    from repro.core.policies import bounded_spec, policy_from_spec
 
-def _make_policy(name: str, storage_bound: float, seed: int):
-    from repro import (
-        CoRECConfig,
-        CoRECPolicy,
-        ErasurePolicy,
-        NoResilience,
-        ReplicationPolicy,
-        SimpleHybridPolicy,
-    )
-
-    return {
-        "none": lambda: NoResilience(),
-        "replicate": lambda: ReplicationPolicy(),
-        "erasure": lambda: ErasurePolicy(),
-        "hybrid": lambda: SimpleHybridPolicy(
-            storage_bound=storage_bound, rng=np.random.default_rng(seed)
-        ),
-        "corec": lambda: CoRECPolicy(CoRECConfig(storage_bound=storage_bound)),
-    }[name]()
+    return policy_from_spec(bounded_spec(args.policy, args.storage_bound), seed=args.seed)
 
 
 def _parse_plan(fails: list[str], replaces: list[str]) -> dict:
@@ -74,7 +59,7 @@ def _build_case(args: argparse.Namespace, tracing: bool = False):
             tracing=tracing,
             seed=args.seed,
         ),
-        _make_policy(args.policy, args.storage_bound, args.seed),
+        _policy(args),
     )
     workload = SyntheticWorkload(
         service,
@@ -178,7 +163,7 @@ def cmd_run_s3d(args: argparse.Namespace) -> int:
             async_protection=args.async_protection,
             seed=args.seed,
         ),
-        _make_policy(args.policy, args.storage_bound, args.seed),
+        _policy(args),
     )
     workload = S3DWorkload(service, cfg)
     service.run_workflow(workload.run())
@@ -555,9 +540,6 @@ def cmd_live(args: argparse.Namespace) -> int:
     )
     tracing = bool(args.trace_dir)
 
-    def policy_factory():
-        return _make_policy(args.policy, args.storage_bound, args.seed)
-
     if args.shards > 1:
         return _cmd_live_cluster(args, config)
 
@@ -565,7 +547,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         from repro.live import LiveClient, serve_in_thread
 
         handle = serve_in_thread(
-            config, policy_factory, host=args.host, port=args.port,
+            config, lambda: _policy(args), host=args.host, port=args.port,
             time_scale=args.time_scale, tracing=tracing,
         )
         try:
@@ -608,7 +590,7 @@ def cmd_live(args: argparse.Namespace) -> int:
 
     async def serve() -> None:
         live = LiveStagingService(
-            config, policy_factory(), time_scale=args.time_scale,
+            config, _policy(args), time_scale=args.time_scale,
             max_workers=args.workers, tracing=tracing,
         )
         box["live"] = live
@@ -639,6 +621,7 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
     check for the cluster path.  Foreground mode prints each shard's
     endpoint and serves until Ctrl-C.
     """
+    from repro.core.policies import bounded_spec
     from repro.live.cluster import LiveCluster
 
     if args.policy not in ("replicate", "corec"):
@@ -650,15 +633,11 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
         return 2
     if args.trace_dir:
         print("--trace-dir is per-process; ignored with --shards > 1", file=sys.stderr)
-    if args.policy == "replicate":
-        pspec = ("replicate", {})
-    else:
+    pspec = bounded_spec(args.policy, args.storage_bound)
+    if args.policy == "corec":
         # Group-scoped enforcement is the only storage-bound scope a
         # sharded deployment can evaluate (each shard sees its groups).
-        pspec = (
-            "corec",
-            {"storage_bound": args.storage_bound, "enforcement_scope": "group"},
-        )
+        pspec[1]["enforcement_scope"] = "group"
 
     if args.smoke:
         with LiveCluster(
@@ -724,22 +703,34 @@ def _load_config(args: argparse.Namespace):
 def _load_policy_spec(args: argparse.Namespace) -> tuple[str, dict]:
     """Process-shippable policy spec shared by every load/replay backend.
 
-    Mirrors the differential-conformance discipline: promotions off (they
-    race wall-clock access order) and group-scoped enforcement (the only
-    scope a sharded deployment can evaluate), so captures and replays stay
-    comparable across backends.
+    The differential-conformance discipline (``replay_spec``: promotions
+    off) plus group-scoped enforcement (the only scope a sharded
+    deployment can evaluate), so captures and replays stay comparable
+    across backends.
     """
+    from repro.core.policies import replay_spec
+
     if args.policy == "replicate":
-        return ("replicate", {})
-    return (
-        "corec",
-        {
-            "storage_bound": args.storage_bound,
-            "promote_on_access": False,
-            "max_promotions_per_step": 0,
-            "enforcement_scope": "group",
-        },
+        return replay_spec("replicate")
+    return replay_spec(
+        "corec", storage_bound=args.storage_bound, enforcement_scope="group"
     )
+
+
+def _open_backend(args: argparse.Namespace, backend: str, config, pspec):
+    """``open_target`` fed from the load/replay verbs' shared flags."""
+    from repro.workloads.load import open_target
+
+    kwargs = {
+        "sim": {},
+        "live": {"host": args.host, "port": args.port},
+        "cluster": {"host": args.host, "n_shards": args.shards},
+    }[backend]
+    return open_target(backend, config, pspec, **kwargs)
+
+
+def _backend_label(args: argparse.Namespace, backend: str) -> str:
+    return f"cluster-{args.shards}" if backend == "cluster" else backend
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -750,11 +741,8 @@ def cmd_load(args: argparse.Namespace) -> int:
     registry and the p99/error-rate SLO gate decides the exit code.
     ``--capture PATH`` records the run as a replayable JSONL tape.
     """
-    from repro.live.cluster import LiveCluster, build_policy
-    from repro.live.protocol import LiveClient
-    from repro.live.server import serve_in_thread
     from repro.staging.service import build_geometry
-    from repro.workloads.capture import Tape
+    from repro.workloads.capture import Tape, config_meta
     from repro.workloads.load import SLO, LoadSpec, run_load
 
     config = _load_config(args)
@@ -777,22 +765,22 @@ def cmd_load(args: argparse.Namespace) -> int:
         max_error_rate=args.max_error_rate,
     )
     tape = Tape() if args.capture else None
+    backend = "cluster" if args.shards > 1 else "live"
 
-    def finish(make_client, control_client) -> dict:
+    with _open_backend(args, backend, config, pspec) as connect:
         report = run_load(
-            make_client, spec, domain=domain, slo=slo,
+            connect, spec, domain=domain, slo=slo,
             enforce_slo=not args.report_only, capture_tape=tape,
         )
         if tape is not None:
-            control_client.flush()
-            control_client.quiesce()
+            with closing(connect("control")) as control:
+                control.flush()
+                control.quiesce()
             tape.meta["load_spec"] = {
                 "process": spec.process, "rate": spec.rate,
                 "duration": spec.duration, "flows": spec.flows,
                 "seed": spec.seed,
             }
-            from repro.workloads.capture import config_meta
-
             tape.meta["config"] = config_meta(config)
             tape.meta["policy"] = [pspec[0], dict(pspec[1])]
             # No projection_sha256 on load tapes: a streamed (unquiesced)
@@ -802,27 +790,8 @@ def cmd_load(args: argparse.Namespace) -> int:
             # invariant.  Projection-grade tapes come from the serial
             # per-op-quiesced capture in benchmarks/bench_load.py.
             tape.save(args.capture)
-        return report.to_json()
-
-    if args.shards > 1:
-        with LiveCluster(config, pspec, args.shards, host=args.host) as cluster:
-            with cluster.client(name="control") as control:
-                out = finish(lambda flow: cluster.client(name=flow), control)
-                out["backend"] = f"cluster-{args.shards}"
-    else:
-        handle = serve_in_thread(
-            config, lambda: build_policy(pspec), host=args.host, port=args.port
-        )
-        try:
-            with LiveClient(handle.host, handle.port, name="control") as control:
-                out = finish(
-                    lambda flow: LiveClient(handle.host, handle.port, name=flow),
-                    control,
-                )
-                out["backend"] = "live"
-        finally:
-            handle.stop()
-            handle.join()
+    out = report.to_json()
+    out["backend"] = _backend_label(args, backend)
     if tape is not None:
         out["tape"] = args.capture
         out["tape_ops"] = len(tape)
@@ -839,7 +808,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     mismatch.
     """
     from repro.workloads.capture import Tape, config_from_meta
-    from repro.workloads.load import SimTarget, replay_tape
+    from repro.workloads.load import replay_tape
 
     tape = Tape.load(args.tape)
     if "config" not in tape.meta or "policy" not in tape.meta:
@@ -847,47 +816,19 @@ def cmd_replay(args: argparse.Namespace) -> int:
               f"a deployment to replay against", file=sys.stderr)
         return 2
     config = config_from_meta(tape.meta["config"])
-    name, opts = tape.meta["policy"]
-    pspec = (name, dict(opts))
     amplify = {}
     for item in args.amplify:
         flow, _, count = item.partition("=")
         amplify[flow] = int(count)
-    speedup = None if not args.speedup else args.speedup
 
-    def run(target) -> dict:
-        report = replay_tape(
-            tape, target, speedup=speedup, amplify=amplify or None,
-            check_digests=not args.no_check,
-        )
-        return report.to_json()
-
-    if args.backend == "sim":
-        from repro.live.cluster import build_policy
-        from repro.staging.service import StagingService
-
-        out = run(SimTarget(StagingService(config, build_policy(pspec))))
-        out["backend"] = "sim"
-    elif args.backend == "live":
-        from repro.live.cluster import build_policy
-        from repro.live.protocol import LiveClient
-        from repro.live.server import serve_in_thread
-
-        handle = serve_in_thread(config, lambda: build_policy(pspec))
-        try:
-            with LiveClient(handle.host, handle.port, name="replay") as cli:
-                out = run(cli)
-        finally:
-            handle.stop()
-            handle.join()
-        out["backend"] = "live"
-    else:
-        from repro.live.cluster import LiveCluster
-
-        with LiveCluster(config, pspec, args.shards, host=args.host) as cluster:
-            with cluster.client(name="replay") as cli:
-                out = run(cli)
-        out["backend"] = f"cluster-{args.shards}"
+    with _open_backend(args, args.backend, config, tuple(tape.meta["policy"])) as connect:
+        with closing(connect("replay")) as client:
+            report = replay_tape(
+                tape, client, speedup=args.speedup or None, amplify=amplify or None,
+                check_digests=not args.no_check,
+            )
+    out = report.to_json()
+    out["backend"] = _backend_label(args, args.backend)
     out["tape"] = args.tape
     _emit(out, args)
     return 0 if out["ok"] else 1

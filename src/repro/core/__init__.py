@@ -14,7 +14,8 @@
 - :mod:`repro.core.recovery` — degraded reads, lazy recovery and the
   aggressive-recovery baseline (Section III-D, Figure 10);
 - :mod:`repro.core.policies` — the resilience-policy interface and the
-  NoResilience / Replication / ErasureOnly baselines;
+  NoResilience / Replication / ErasureOnly baselines, plus
+  ``policy_from_spec``, the one ``(name, options)`` policy factory;
 - :mod:`repro.core.hybrid` — simple hybrid erasure coding (random
   selection, no classification);
 - :mod:`repro.core.corec` — the full CoREC policy;
@@ -33,6 +34,9 @@ from repro.core.policies import (
     ReplicationPolicy,
     ErasurePolicy,
     DataLossError,
+    policy_from_spec,
+    bounded_spec,
+    replay_spec,
 )
 from repro.core.hybrid import SimpleHybridPolicy
 from repro.core.corec import CoRECPolicy, CoRECConfig
@@ -56,6 +60,9 @@ __all__ = [
     "CoRECPolicy",
     "CoRECConfig",
     "DataLossError",
+    "policy_from_spec",
+    "bounded_spec",
+    "replay_spec",
     "DurabilityParams",
     "group_mttdl",
     "system_mttdl",

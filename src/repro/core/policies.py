@@ -16,7 +16,8 @@ base class.
 
 from __future__ import annotations
 
-from typing import Generator
+from dataclasses import fields
+from typing import Any, Generator
 
 import numpy as np
 
@@ -30,6 +31,9 @@ __all__ = [
     "ReplicationPolicy",
     "ErasurePolicy",
     "DataLossError",
+    "policy_from_spec",
+    "bounded_spec",
+    "replay_spec",
 ]
 
 
@@ -199,3 +203,92 @@ class ErasurePolicy(ResiliencePolicy):
     def on_flush(self) -> Generator:
         for gid in range(self.rt.layout.n_coding_groups()):
             yield from self.rt.flush_pending(gid)
+
+
+# ----------------------------------------------------------------------
+# the one policy factory
+# ----------------------------------------------------------------------
+def policy_from_spec(
+    spec: tuple[str, dict[str, Any]],
+    seed: int | None = None,
+    recovery: RecoveryConfig | None = None,
+) -> ResiliencePolicy:
+    """Build a fresh policy from a picklable ``(name, options)`` spec.
+
+    Every deployment — CLI, chaos campaign, shard process, conformance
+    run, tape replay, figure bench — builds its policy here, so a spec
+    written into a tape or shipped to a shard means one thing.  Names:
+    ``none``/``dataspaces``, ``replicate``, ``erasure``, ``hybrid``,
+    ``corec``.  ``options`` are the policy's own tunables (``erasure``:
+    ``update_strategy``; ``hybrid``: ``storage_bound``,
+    ``redraw_on_update``, ``update_strategy``; ``corec``: any
+    :class:`~repro.core.corec.CoRECConfig` field but ``recovery``).
+    ``seed`` feeds ``hybrid``'s random selection stream; ``recovery``
+    replaces the policy's default recovery configuration.  An unknown name
+    or option is a ``ValueError`` (specs arrive from tape files).
+    """
+    # Imported here: both modules subclass ResiliencePolicy from this one.
+    from repro.core.corec import CoRECConfig, CoRECPolicy
+    from repro.core.hybrid import SimpleHybridPolicy
+
+    name, options = spec
+    allowed = {
+        "none": (),
+        "dataspaces": (),
+        "replicate": (),
+        "erasure": ("update_strategy",),
+        "hybrid": ("storage_bound", "redraw_on_update", "update_strategy"),
+        "corec": tuple(f.name for f in fields(CoRECConfig) if f.name != "recovery"),
+    }
+    if name not in allowed:
+        raise ValueError(f"unknown policy {name!r} (choose from {sorted(allowed)})")
+    unknown = sorted(set(options) - set(allowed[name]))
+    if unknown:
+        raise ValueError(
+            f"policy {name!r} takes no option {unknown} (allowed: {sorted(allowed[name])})"
+        )
+    if name in ("none", "dataspaces"):
+        if recovery is not None:
+            raise ValueError(f"policy {name!r} never recovers; it takes no recovery config")
+        return NoResilience()
+    kwargs = dict(options)
+    if recovery is not None:
+        kwargs["recovery"] = recovery
+    if name == "replicate":
+        return ReplicationPolicy(**kwargs)
+    if name == "erasure":
+        return ErasurePolicy(**kwargs)
+    if name == "hybrid":
+        if seed is None:
+            raise ValueError("policy 'hybrid' draws at random and needs a seed")
+        return SimpleHybridPolicy(rng=np.random.default_rng(seed), **kwargs)
+    return CoRECPolicy(CoRECConfig(**kwargs))
+
+
+def bounded_spec(
+    name: str, storage_bound: float, **options: Any
+) -> tuple[str, dict[str, Any]]:
+    """Spec for ``name`` carrying ``storage_bound`` iff that policy enforces one.
+
+    For callers that hold one bound next to a policy *name* (CLI flags, a
+    chaos config, the Table I benches): only ``hybrid`` and ``corec`` have
+    a storage bound, and :func:`policy_from_spec` rejects it elsewhere.
+    """
+    if name in ("hybrid", "corec"):
+        options = {"storage_bound": storage_bound, **options}
+    return (name, options)
+
+
+def replay_spec(name: str, **options: Any) -> tuple[str, dict[str, Any]]:
+    """Spec for ``name`` whose decisions depend on op order alone.
+
+    CoREC promotions react to access order in wall-clock time and race the
+    background compaction scan; with them off, hot/cold transitions depend
+    only on the step counter, which every backend advances identically —
+    what conformance runs, captures and replays need to stay comparable.
+    Pass ``enforcement_scope="group"`` on top when a sharded cluster is one
+    of the backends (the only storage-bound scope a shard can evaluate).
+    """
+    if name == "corec":
+        options = {"promote_on_access": False, "max_promotions_per_step": 0, **options}
+    return (name, options)

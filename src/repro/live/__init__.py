@@ -23,7 +23,7 @@ entire policy/runtime/directory stack behind the
   state at quiescence.
 """
 
-from repro.live.cluster import LiveCluster, ShardPlan, build_policy
+from repro.live.cluster import LiveCluster, ShardPlan
 from repro.live.engine import LiveEngine, LiveProcessError
 from repro.live.protocol import LiveClient, ProtocolError, RemoteOpError
 from repro.live.router import ClusterClient
@@ -45,5 +45,4 @@ __all__ = [
     "LiveCluster",
     "ShardPlan",
     "ClusterClient",
-    "build_policy",
 ]

@@ -34,36 +34,13 @@ failure domain the test suite probes).
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.core.policies import policy_from_spec
 from repro.staging.service import StagingConfig, build_geometry
 
-__all__ = ["ShardPlan", "LiveCluster", "build_policy"]
-
-
-# ---------------------------------------------------------------------------
-# policy specs (picklable across process boundaries)
-# ---------------------------------------------------------------------------
-def build_policy(policy_spec: tuple[str, dict[str, Any]]):
-    """Construct a resilience policy from a (name, options) spec.
-
-    Shard processes cannot receive live policy objects (not picklable,
-    and sharing one across processes would be wrong anyway), so the
-    cluster ships a spec and every shard builds its own instance —
-    mirroring ``serve_in_thread``'s fresh-policy-per-server contract.
-    """
-    name, options = policy_spec
-    if name == "replicate":
-        from repro.core.policies import ReplicationPolicy
-
-        return ReplicationPolicy()
-    if name == "corec":
-        from repro.core.corec import CoRECConfig, CoRECPolicy
-
-        return CoRECPolicy(CoRECConfig(**options))
-    raise ValueError(f"unknown policy spec {name!r}")
+__all__ = ["ShardPlan", "LiveCluster"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +113,11 @@ class ShardPlan:
 # shard worker (child-process entry point)
 # ---------------------------------------------------------------------------
 def _shard_worker(
-    shard_id: int,
     config: StagingConfig,
     policy_spec: tuple[str, dict[str, Any]],
     host: str,
     conn,
-    time_scale: float,
-    max_workers: int | None,
-    tracing: bool,
+    live_kwargs: dict[str, Any],
 ) -> None:  # pragma: no cover - runs in a child process
     """Run one shard: a full live server bound to an ephemeral port.
 
@@ -157,12 +131,10 @@ def _shard_worker(
     try:
         handle = serve_in_thread(
             config,
-            lambda: build_policy(policy_spec),
+            lambda: policy_from_spec(policy_spec, seed=config.seed),
             host=host,
             port=0,
-            time_scale=time_scale,
-            max_workers=max_workers,
-            tracing=tracing,
+            **live_kwargs,
         )
     except BaseException as exc:
         try:
@@ -181,10 +153,15 @@ def _shard_worker(
 class LiveCluster:
     """Spawn and manage one sharded live deployment.
 
-    ``policy_spec`` is a ``(name, options)`` pair (see :func:`build_policy`);
-    each shard builds its own policy instance.  ``start_method`` defaults
-    to ``fork`` where available (cheap on Linux; the coordinator holds no
-    event loop or server threads when spawning) and ``spawn`` elsewhere.
+    ``policy_spec`` is a ``(name, options)`` pair (see
+    :func:`~repro.core.policies.policy_from_spec`): shard processes cannot
+    receive live policy objects, so every shard builds its own instance
+    from the spec.  ``live_kwargs`` (``time_scale``, ``max_workers``,
+    ``tracing``, ...) go unchanged to every shard's
+    :class:`~repro.live.service.LiveStagingService`.  ``start_method``
+    defaults to ``fork`` where available (cheap on Linux; the coordinator
+    holds no event loop or server threads when spawning) and ``spawn``
+    elsewhere.
     """
 
     def __init__(
@@ -192,18 +169,16 @@ class LiveCluster:
         config: StagingConfig,
         policy_spec: tuple[str, dict[str, Any]],
         n_shards: int,
-        time_scale: float = 0.0,
-        max_workers: int | None = None,
-        tracing: bool = False,
         host: str = "127.0.0.1",
         start_method: str | None = None,
         start_timeout: float = 60.0,
+        **live_kwargs: Any,
     ):
         self.plan = ShardPlan.build(config, n_shards)
         self.config = config
         self.policy_spec = policy_spec
         self._host = host
-        self._worker_args = (policy_spec, host, time_scale, max_workers, tracing)
+        self._live_kwargs = live_kwargs
         if start_method is None:
             start_method = (
                 "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -221,13 +196,11 @@ class LiveCluster:
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, shard: int) -> None:
-        policy_spec, host, time_scale, max_workers, tracing = self._worker_args
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_shard_worker,
             args=(
-                shard, self.config, policy_spec, host, child_conn,
-                time_scale, max_workers, tracing,
+                self.config, self.policy_spec, self._host, child_conn, self._live_kwargs
             ),
             name=f"repro-live-shard-{shard}",
             daemon=True,
@@ -322,7 +295,3 @@ class LiveCluster:
     def __exit__(self, *exc) -> None:
         self.stop(force=exc[0] is not None)
 
-
-def default_shards() -> int:
-    """Conservative shard-count default for CLI smoke runs."""
-    return max(1, min(2, (os.cpu_count() or 1)))

@@ -1,59 +1,62 @@
-"""Differential sim-vs-live conformance harness.
+"""Differential sim-vs-live-vs-cluster conformance harness.
 
-The live backend's correctness claim is *state equivalence*: the same
-seeded workload, driven through the simulator and through the live
-engine, must leave the deployment in byte-identical shape — same object
-contents, same directory and stripe metadata, same durability
+The live backends' correctness claim is *state equivalence*: the same
+seeded workload, driven through the simulator, the live engine and the
+sharded cluster, must leave the deployment in byte-identical shape — same
+object contents, same directory and stripe metadata, same durability
 classifications.  Timing and costs are allowed (expected) to differ;
 placement, versions, digests and protection state are not.
 
 The harness has three parts:
 
-- seeded workload specs (:data:`WORKLOADS`): deterministic op tapes
-  (put/get/step/flush/fail/replace) over single-block regions, built
-  from a spec's seed alone;
-- two runners that play a tape on either backend with a **full drain
-  between ops** (sim: ``run_workflow`` + ``run()``; live: ``await`` +
-  ``quiesce()``), so both backends pass through the same sequence of
-  quiescent states — this is what makes lock-acquisition and background
-  protection ordering irrelevant to the comparison;
+- seeded workload specs (:data:`WORKLOADS`), each a *generator of a
+  tape*: :func:`build_tape` turns a spec's seed into a
+  :class:`~repro.workloads.capture.Tape` of single-block
+  put/get/step/flush/fail/replace ops, every one followed by a
+  ``quiesce`` row;
+- one runner, :func:`run`, that plays the tape through
+  :func:`~repro.workloads.load.apply_op` on an
+  :func:`~repro.workloads.load.open_target` client of any backend.  The
+  **full drain between ops** is in the tape, so all backends pass through
+  the same sequence of quiescent states — this is what makes
+  lock-acquisition and background protection ordering irrelevant to the
+  comparison;
 - :func:`conformance_projection`: the timing-free projection of a
   deployment's state that must match across backends (read payload
-  digests are compared per-op by the runners themselves).
+  digests are returned per-op by :func:`run`).
 
 Determinism notes baked into the specs: ops touch one block at a time
 (multi-block requests fan out sibling processes whose *completion* order
 is timing-dependent; their final state is not, but single-block ops keep
 the read-back comparison trivially ordered), and the CoREC spec disables
-access promotions (a promotion races the background compaction scan in
-wall-clock time; with promotions off, classification depends only on the
-step counter, which both backends advance identically).
+access promotions (:func:`~repro.core.policies.replay_spec`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
+from repro.core.policies import replay_spec
 from repro.staging.objects import payload_digest
-from repro.staging.service import StagingConfig, StagingService
+from repro.staging.service import StagingConfig, StagingService, build_geometry
+from repro.workloads.capture import Tape, block_digests, config_meta
+from repro.workloads.load import apply_op, open_target
 
 __all__ = [
     "WorkloadSpec",
     "WORKLOADS",
     "build_config",
-    "build_ops",
-    "make_policy",
+    "build_tape",
     "policy_spec",
-    "run_sim",
-    "run_live",
-    "run_cluster",
+    "run",
     "conformance_projection",
     "normalize_projection",
+    "diff_projections",
 ]
 
 
@@ -72,7 +75,7 @@ class WorkloadSpec:
     rewrite_fraction: float = 0.5
     failures: tuple[tuple[int, int], ...] = ()  # (step, server) pairs
     config_overrides: dict[str, Any] = field(default_factory=dict)
-    # Extra CoRECConfig fields (ignored for "replicate").  The sharded
+    # Extra CoRECConfig fields ("corec" specs only).  The sharded
     # differential tests set enforcement_scope="group" on *both* sides of
     # the comparison — group-scoped storage-bound enforcement is what a
     # sharded deployment can actually compute, so the single-process
@@ -81,9 +84,7 @@ class WorkloadSpec:
 
     def with_overrides(self, **policy_overrides: Any) -> "WorkloadSpec":
         """Copy of this spec with extra policy overrides merged in."""
-        import dataclasses
-
-        return dataclasses.replace(
+        return replace(
             self, policy_overrides={**self.policy_overrides, **policy_overrides}
         )
 
@@ -132,45 +133,38 @@ def build_config(spec: WorkloadSpec) -> StagingConfig:
 
 
 def policy_spec(spec: WorkloadSpec) -> tuple[str, dict[str, Any]]:
-    """Picklable policy spec for ``spec`` (what shard processes receive)."""
-    if spec.policy == "replicate":
-        return ("replicate", {})
-    if spec.policy == "corec":
-        # Promotions react to *access order in wall-clock time*; disable
-        # them so hot/cold transitions depend only on the step counter.
-        return (
-            "corec",
-            {
-                "promote_on_access": False,
-                "max_promotions_per_step": 0,
-                **spec.policy_overrides,
-            },
-        )
-    raise ValueError(f"unknown conformance policy {spec.policy!r}")
+    """Picklable policy spec for ``spec`` (what every backend builds from)."""
+    return replay_spec(spec.policy, **spec.policy_overrides)
 
 
-def make_policy(spec: WorkloadSpec):
-    """Fresh policy instance for one run of ``spec`` (never shared)."""
-    from repro.live.cluster import build_policy
-
-    return build_policy(policy_spec(spec))
-
-
-def build_ops(spec: WorkloadSpec) -> list[tuple]:
+def build_tape(spec: WorkloadSpec) -> Tape:
     """Deterministic op tape for ``spec`` (depends only on the spec).
 
-    Ops are tuples: ``("put", var, block)``, ``("get", var, block)``,
-    ``("step",)``, ``("flush",)``, ``("fail", sid)``, ``("replace", sid)``.
+    Single-block ``put``/``get`` plus ``step``/``flush``/``fail``/
+    ``replace``, each followed by a ``quiesce`` row; the meta record
+    carries the spec's config and policy, so the tape replays anywhere.
     """
+    config = build_config(spec)
+    _, domain, _, _ = build_geometry(config)
+    tape = Tape(
+        meta={"config": config_meta(config), "policy": list(policy_spec(spec))}
+    )
+
+    def emit(op: str, var: str | None = None, block: int | None = None, **fields: Any):
+        if block is not None:
+            box = domain.block_bbox(block)
+            fields.update(var=var, lb=tuple(box.lb), ub=tuple(box.ub))
+        tape.record(0.0, op, "w", **fields)
+        tape.record(0.0, "quiesce", "w")  # drain all background work before the next op
+
     rng = np.random.default_rng(spec.seed)
     variables = [f"var{v}" for v in range(spec.n_vars)]
     written: list[tuple[str, int]] = []
     fail_at = {step: sid for step, sid in spec.failures}
     pending_replace: list[int] = []
-    ops: list[tuple] = []
     for step in range(spec.n_steps):
         for sid in pending_replace:
-            ops.append(("replace", sid))
+            emit("replace", server=sid)
         pending_replace.clear()
         for _ in range(spec.puts_per_step):
             var = variables[int(rng.integers(len(variables)))]
@@ -178,149 +172,40 @@ def build_ops(spec: WorkloadSpec) -> list[tuple]:
                 var, block = written[int(rng.integers(len(written)))]
             else:
                 block = int(rng.integers(spec.n_blocks))
-            ops.append(("put", var, block))
+            emit("put", var, block)
             if (var, block) not in written:
                 written.append((var, block))
         if step in fail_at:
-            ops.append(("fail", fail_at[step]))
+            emit("fail", server=fail_at[step])
             pending_replace.append(fail_at[step])
         for _ in range(spec.gets_per_step):
             var, block = written[int(rng.integers(len(written)))]
-            ops.append(("get", var, block))
-        ops.append(("step",))
-    ops.append(("flush",))
+            emit("get", var, block)
+        emit("step")
+    emit("flush")
     # Read everything back at the end: every staged object must be
-    # servable on both backends with identical bytes.
+    # servable on every backend with identical bytes.
     for var, block in sorted(written):
-        ops.append(("get", var, block))
-    return ops
+        emit("get", var, block)
+    return tape
 
 
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
-def run_sim(spec: WorkloadSpec) -> tuple[dict, list[str]]:
-    """Play ``spec`` on the simulator; returns (projection, read digests)."""
-    svc = StagingService(build_config(spec), make_policy(spec))
-    reads: list[str] = []
+def run(spec: WorkloadSpec, backend: str, **live_kwargs: Any) -> tuple[dict, list[str]]:
+    """Play ``spec``'s tape on ``backend``; returns (projection, read digests).
 
-    def apply(op: tuple) -> None:
-        kind = op[0]
-        if kind == "put":
-            _, var, block = op
-            svc.run_workflow(svc.put("w", var, svc.domain.block_bbox(block)))
-        elif kind == "get":
-            _, var, block = op
-            box: list = []
-
-            def flow(v=var, b=block):
-                result = yield from svc.get("r", v, svc.domain.block_bbox(b))
-                box.append(result)
-
-            svc.run_workflow(flow())
-            _, payloads = box[0]
-            for bid in sorted(payloads):
-                reads.append(payload_digest(payloads[bid]))
-        elif kind == "step":
-            svc.run_workflow(svc.end_step())
-        elif kind == "flush":
-            svc.run_workflow(svc.flush())
-        elif kind == "fail":
-            svc.fail_server(op[1])
-        elif kind == "replace":
-            svc.replace_server(op[1])
-        else:  # pragma: no cover - tape bug
-            raise ValueError(f"unknown op {op!r}")
-        svc.run()  # drain all background work before the next op
-
-    for op in build_ops(spec):
-        apply(op)
-    svc.run()
-    return conformance_projection(svc), reads
-
-
-def run_live(spec: WorkloadSpec, **live_kwargs) -> tuple[dict, list[str]]:
-    """Play ``spec`` on the live backend; returns (projection, read digests)."""
-    from repro.live.service import LiveStagingService
-
-    async def main() -> tuple[dict, list[str]]:
-        live = LiveStagingService(build_config(spec), make_policy(spec), **live_kwargs)
-        reads: list[str] = []
-        try:
-            for op in build_ops(spec):
-                kind = op[0]
-                if kind == "put":
-                    _, var, block = op
-                    await live.put("w", var, live.domain.block_bbox(block))
-                elif kind == "get":
-                    _, var, block = op
-                    _, payloads = await live.get("r", var, live.domain.block_bbox(block))
-                    for bid in sorted(payloads):
-                        reads.append(payload_digest(payloads[bid]))
-                elif kind == "step":
-                    await live.end_step()
-                elif kind == "flush":
-                    await live.flush()
-                elif kind == "fail":
-                    live.fail_server(op[1])
-                elif kind == "replace":
-                    live.replace_server(op[1])
-                else:  # pragma: no cover - tape bug
-                    raise ValueError(f"unknown op {op!r}")
-                await live.quiesce()  # same quiescent-state sequence as sim
-            return conformance_projection(live.service), reads
-        finally:
-            await live.close()
-
-    return asyncio.run(main())
-
-
-def run_cluster(
-    spec: WorkloadSpec, n_shards: int, **cluster_kwargs: Any
-) -> tuple[dict, list[str]]:
-    """Play ``spec`` on a sharded multi-process cluster over the wire.
-
-    Same tape, same full-drain-between-ops discipline as the other
-    runners (``quiesce`` broadcasts to every shard), so the cluster
-    passes through the same quiescent-state sequence.  Returns the
-    *merged* cluster projection (compare against
-    :func:`normalize_projection` of a single-process projection) and the
-    per-op read digests.
+    ``backend`` and ``live_kwargs`` are :func:`open_target`'s (``"cluster"``
+    needs ``n_shards=``).  The projection comes back JSON-normalized (wire
+    projections pass through JSON headers), so results from any two
+    backends compare directly with :func:`diff_projections`.
     """
-    from repro.live.cluster import LiveCluster
-
     reads: list[str] = []
-    with LiveCluster(
-        build_config(spec), policy_spec(spec), n_shards, **cluster_kwargs
-    ) as cluster:
-        with cluster.client(name="w") as client:
-            domain = client.domain
-            for op in build_ops(spec):
-                kind = op[0]
-                if kind == "put":
-                    _, var, block = op
-                    box = domain.block_bbox(block)
-                    client.put(var, box.lb, box.ub)
-                elif kind == "get":
-                    _, var, block = op
-                    box = domain.block_bbox(block)
-                    _, payloads = client.get(var, box.lb, box.ub)
-                    for bid in sorted(payloads):
-                        reads.append(
-                            payload_digest(np.frombuffer(payloads[bid], dtype=np.uint8))
-                        )
-                elif kind == "step":
-                    client.step()
-                elif kind == "flush":
-                    client.flush()
-                elif kind == "fail":
-                    client.fail_server(op[1])
-                elif kind == "replace":
-                    client.replace_server(op[1])
-                else:  # pragma: no cover - tape bug
-                    raise ValueError(f"unknown op {op!r}")
-                client.quiesce()  # same quiescent-state sequence as sim/live
-            projection = client.projection()
+    with open_target(backend, build_config(spec), policy_spec(spec), **live_kwargs) as connect:
+        with closing(connect("w")) as client:
+            for op in build_tape(spec).ops:
+                payloads = apply_op(client, op)
+                if payloads is not None:
+                    reads.extend(block_digests(payloads).values())
+            projection = normalize_projection(client.projection())
     return projection, reads
 
 
@@ -403,21 +288,23 @@ def normalize_projection(projection: dict) -> dict:
     return json.loads(json.dumps(projection))
 
 
-def diff_projections(a: dict, b: dict, prefix: str = "") -> list[str]:
-    """Human-readable list of paths where two projections differ."""
+def diff_projections(
+    a: dict, b: dict, labels: tuple[str, str] = ("left", "right"), prefix: str = ""
+) -> list[str]:
+    """Human-readable list of paths where two projections differ.
+
+    ``labels`` names the two sides in "only in ..." lines.
+    """
     out: list[str] = []
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             path = f"{prefix}.{key}" if prefix else str(key)
             if key not in a:
-                out.append(f"{path}: only in live")
+                out.append(f"{path}: only in {labels[1]}")
             elif key not in b:
-                out.append(f"{path}: only in sim")
+                out.append(f"{path}: only in {labels[0]}")
             else:
-                out.extend(diff_projections(a[key], b[key], path))
-    elif isinstance(a, list) and isinstance(b, list):
-        if a != b:
-            out.append(f"{prefix}: {a!r} != {b!r}")
+                out.extend(diff_projections(a[key], b[key], labels, path))
     elif a != b:
         out.append(f"{prefix}: {a!r} != {b!r}")
     return out

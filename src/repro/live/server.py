@@ -480,28 +480,22 @@ def serve_in_thread(
     policy_factory: Callable[[], Any],
     host: str = "127.0.0.1",
     port: int = 0,
-    time_scale: float = 0.0,
-    max_workers: int | None = None,
-    tracing: bool = False,
+    **live_kwargs: Any,
 ) -> ServerHandle:
     """Run a live staging server on a dedicated thread; returns its handle.
 
-    ``tracing=True`` gives the service a wall-clock tracer (distributed
-    span trees, per-request attribution, loop-lag watchdog); read the
-    results through ``handle.live`` after ``handle.stop()``.
+    ``live_kwargs`` (``time_scale``, ``max_workers``, ``tracing``, ...) go
+    unchanged to :class:`LiveStagingService`.  ``tracing=True`` gives the
+    service a wall-clock tracer (distributed span trees, per-request
+    attribution, loop-lag watchdog); read the results through
+    ``handle.live`` after ``handle.stop()``.
     """
     started = threading.Event()
     box: dict[str, Any] = {}
 
     def runner() -> None:
         async def main() -> None:
-            live = LiveStagingService(
-                config,
-                policy_factory(),
-                time_scale=time_scale,
-                max_workers=max_workers,
-                tracing=tracing,
-            )
+            live = LiveStagingService(config, policy_factory(), **live_kwargs)
             server = LiveServer(live)
             bound_host, bound_port = await server.start(host, port)
             box["host"], box["port"] = bound_host, bound_port

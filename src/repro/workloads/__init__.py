@@ -5,11 +5,12 @@
   read-everything) with failure-plan hooks;
 - :mod:`repro.workloads.s3d` — the S3D-like combustion workflow at the
   paper's Table II weak-scaling configurations (proportionally reduced);
-- :mod:`repro.workloads.trace` — sim access-trace recording and replay;
-- :mod:`repro.workloads.capture` — live-side tape capture (JSONL tapes
-  with wall-clock issue times, verify flags and payload digests);
-- :mod:`repro.workloads.load` — tape replay against any backend plus the
-  seeded open-loop load generator and SLO gate.
+- :mod:`repro.workloads.capture` — the op tape (the one workload format:
+  JSONL, wall-clock issue times, verify flags, payload digests,
+  fail/replace ops) and its client-side recorder;
+- :mod:`repro.workloads.load` — the Tape -> Target seam (``open_target``
+  over sim / live / cluster, ``apply_op``), tape replay, and the seeded
+  open-loop load generator with its SLO gate.
 """
 
 from repro.workloads.synthetic import (
@@ -19,7 +20,6 @@ from repro.workloads.synthetic import (
     reader_regions,
 )
 from repro.workloads.s3d import S3DWorkload, S3DConfig, TABLE_II
-from repro.workloads.trace import AccessTrace, TraceOp, TraceRecorder
 from repro.workloads.capture import CaptureRecorder, Tape, TapeOp
 from repro.workloads.load import (
     LoadSpec,
@@ -28,8 +28,10 @@ from repro.workloads.load import (
     ReplayReport,
     SLO,
     SimTarget,
+    apply_op,
     arrival_times,
     build_schedule,
+    open_target,
     replay_tape,
     run_load,
 )
@@ -42,9 +44,6 @@ __all__ = [
     "S3DWorkload",
     "S3DConfig",
     "TABLE_II",
-    "AccessTrace",
-    "TraceOp",
-    "TraceRecorder",
     "CaptureRecorder",
     "Tape",
     "TapeOp",
@@ -54,8 +53,10 @@ __all__ = [
     "ReplayReport",
     "SLO",
     "SimTarget",
+    "apply_op",
     "arrival_times",
     "build_schedule",
+    "open_target",
     "replay_tape",
     "run_load",
 ]

@@ -1,20 +1,26 @@
-"""Live-side workload capture: record client traffic onto a JSONL tape.
+"""The op tape: the one workload format, and its client-side recorder.
 
-:class:`CaptureRecorder` taps a live client — a single-server
-:class:`~repro.live.protocol.LiveClient` or a sharded
-:class:`~repro.live.router.ClusterClient`; anything with that surface —
-and records every ``put``/``get``/``step``/``flush``/``quiesce`` the
-application issues: region geometry, the read-verification flag *as
-issued*, payload byte digests, and wall-clock issue times.  The result is
-a :class:`Tape` that :mod:`repro.workloads.load` can replay against any
-backend (sim service, single-process live, sharded cluster) with
-byte-digest equivalence checks, time compression and flow amplification.
+A :class:`Tape` is an ordered list of client operations plus the
+deployment they ran against.  Conformance specs generate tapes
+(:func:`repro.live.conformance.build_tape`), :class:`CaptureRecorder`
+records them, and :mod:`repro.workloads.load` plays them on any backend
+(``apply_op`` on an ``open_target`` client: sim service, single-process
+live, sharded cluster) with byte-digest equivalence checks, time
+compression and flow amplification.
 
-Tape format (version 1)
+:class:`CaptureRecorder` taps a blocking client — a
+:class:`~repro.live.protocol.LiveClient`, a sharded
+:class:`~repro.live.router.ClusterClient` or a sim-backed
+:class:`~repro.workloads.load.SimTarget` — and records every
+``put``/``get``/``step``/``flush``/``quiesce`` the application issues:
+region geometry, the read-verification flag *as issued*, payload byte
+digests, and wall-clock issue times.
+
+Tape format (version 2)
 -----------------------
 JSONL.  The first line is a meta record::
 
-    {"format": "repro-live-tape", "version": 1,
+    {"format": "repro-live-tape", "version": 2,
      "config": {...simple StagingConfig fields...},
      "policy": ["corec", {...}],
      "flows": ["w", ...],
@@ -40,10 +46,12 @@ irrelevant).  Every following line is one operation::
   is what makes cross-backend digest equality possible).  Oversized
   payloads record ``"payload": "elided"`` and replay data-less — flagged,
   because that replay is *not* byte-faithful.
+- ``fail`` / ``replace`` ops (version 2) carry the staging ``server`` id
+  to fail or to replace with an empty one; version 1 tapes have neither
+  and load unchanged.
 
-Like :class:`~repro.workloads.trace.TraceRecorder`, capture recorders
-save and restore the exact instance attributes they displace, so they
-nest and never discard a pre-existing wrapper.
+Capture recorders save and restore the exact instance attributes they
+displace, so they nest and never discard a pre-existing wrapper.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.staging.objects import payload_digest
+from repro.staging.service import StagingConfig
 
 __all__ = [
     "TapeOp",
@@ -67,6 +76,7 @@ __all__ = [
     "CaptureRecorder",
     "TAPE_FORMAT",
     "TAPE_VERSION",
+    "OP_FIELDS",
     "SIMPLE_CONFIG_FIELDS",
     "config_meta",
     "config_from_meta",
@@ -75,7 +85,19 @@ __all__ = [
 ]
 
 TAPE_FORMAT = "repro-live-tape"
-TAPE_VERSION = 1
+TAPE_VERSION = 2
+
+# Every op kind a tape may carry -> the fields that kind cannot do without
+# (on top of ``seq``/``t``/``op``).  ``Tape.loads`` checks rows against it.
+OP_FIELDS: dict[str, tuple[str, ...]] = {
+    "put": ("var", "lb", "ub"),
+    "get": ("var", "lb", "ub"),
+    "step": (),
+    "flush": (),
+    "quiesce": (),
+    "fail": ("server",),
+    "replace": ("server",),
+}
 
 # StagingConfig fields a tape records: scalars and tuples only.  The
 # nested network/cost models shape simulated timing, never state, so a
@@ -109,12 +131,12 @@ def config_meta(config) -> dict[str, Any]:
 
 def config_from_meta(meta: dict[str, Any]):
     """Rebuild a :class:`StagingConfig` from a tape's ``config`` record."""
-    from repro.staging.service import StagingConfig
-
+    unknown = sorted(set(meta) - set(SIMPLE_CONFIG_FIELDS))
+    if unknown:
+        raise ValueError(f"tape config has unknown field(s) {unknown}")
     kwargs = dict(meta)
-    for key in ("domain_shape",):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+    if "domain_shape" in kwargs:
+        kwargs["domain_shape"] = tuple(kwargs["domain_shape"])
     return StagingConfig(**kwargs)
 
 
@@ -143,7 +165,7 @@ class TapeOp:
 
     seq: int
     t: float  # seconds since capture start
-    op: str  # "put" | "get" | "step" | "flush" | "quiesce"
+    op: str  # one of OP_FIELDS
     flow: str = "client"
     var: str | None = None
     lb: tuple[int, ...] | None = None
@@ -154,6 +176,7 @@ class TapeOp:
     payload_b64: str | None = None
     payload: str | None = None  # "elided" when data was too large to inline
     dtype: str | None = None
+    server: int | None = None  # fail / replace target
 
     def to_json(self) -> dict[str, Any]:
         row: dict[str, Any] = {"seq": self.seq, "t": self.t, "op": self.op,
@@ -173,10 +196,21 @@ class TapeOp:
             row["dtype"] = self.dtype
         if self.payload is not None:
             row["payload"] = self.payload
+        if self.server is not None:
+            row["server"] = self.server
         return row
 
     @classmethod
     def from_json(cls, row: dict[str, Any]) -> "TapeOp":
+        """Parse one op row; ``ValueError`` on an unknown kind or a hole."""
+        if not isinstance(row, dict):
+            raise ValueError("op row is not a JSON object")
+        kind = row.get("op")
+        if kind not in OP_FIELDS:
+            raise ValueError(f"unknown op {kind!r} (known: {sorted(OP_FIELDS)})")
+        missing = [f for f in ("seq", "t", *OP_FIELDS[kind]) if row.get(f) is None]
+        if missing:
+            raise ValueError(f"{kind} op is missing {missing}")
         return cls(
             seq=int(row["seq"]),
             t=float(row["t"]),
@@ -191,6 +225,7 @@ class TapeOp:
             payload_b64=row.get("payload_b64"),
             payload=row.get("payload"),
             dtype=row.get("dtype"),
+            server=None if row.get("server") is None else int(row["server"]),
         )
 
     def decode_payload(self) -> np.ndarray | None:
@@ -233,38 +268,6 @@ class Tape:
     def flows(self) -> list[str]:
         return list(self.meta.get("flows", []))
 
-    def data_ops(self) -> list[TapeOp]:
-        return [o for o in self.ops if o.op in ("put", "get")]
-
-    def recorded_get_digests(self) -> list[str]:
-        """All read digests in op/block order (the equivalence reference)."""
-        out: list[str] = []
-        for o in self.ops:
-            if o.op == "get":
-                out.extend(o.digests[k] for k in sorted(o.digests, key=int))
-        return out
-
-    # ------------------------------------------------------------------
-    def to_access_trace(self):
-        """Project the tape onto the sim :class:`AccessTrace` format.
-
-        Steps are derived from the ``step`` markers (the sim trace has no
-        wall clock); flush/quiesce markers and payload bytes drop out —
-        the sim format carries geometry and ``verify`` only.
-        """
-        from repro.staging.domain import BBox
-        from repro.workloads.trace import AccessTrace
-
-        trace = AccessTrace()
-        step = 0
-        for o in self.ops:
-            if o.op == "step":
-                step += 1
-            elif o.op in ("put", "get"):
-                trace.record(step, o.op, o.flow, o.var, BBox(o.lb, o.ub),
-                             verify=o.verify if o.op == "get" else None)
-        return trace
-
     # ------------------------------------------------------------------
     def dumps(self) -> str:
         # Leading-underscore meta keys are capture-session scratch
@@ -276,10 +279,12 @@ class Tape:
 
     @classmethod
     def loads(cls, text: str) -> "Tape":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [
+            (no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()
+        ]
         if not lines:
             raise ValueError("empty tape")
-        meta = json.loads(lines[0])
+        meta = json.loads(lines[0][1])
         if not isinstance(meta, dict) or meta.get("format") != TAPE_FORMAT:
             raise ValueError(f"not a live tape: format={meta.get('format')!r}"
                              if isinstance(meta, dict) else "not a live tape")
@@ -289,7 +294,14 @@ class Tape:
                 f"unsupported tape version {version!r} "
                 f"(this build reads 1..{TAPE_VERSION})"
             )
-        ops = [TapeOp.from_json(json.loads(ln)) for ln in lines[1:]]
+        # Fail closed here: a bad row must not surface mid-replay, after
+        # earlier ops have already mutated the target.
+        ops = []
+        for no, ln in lines[1:]:
+            try:
+                ops.append(TapeOp.from_json(json.loads(ln)))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"tape line {no}: {exc}") from None
         return cls(meta=meta, ops=ops)
 
     def save(self, path: str) -> None:
@@ -323,7 +335,6 @@ class CaptureRecorder:
         tape: Tape | None = None,
         flow: str | None = None,
         inline_limit: int = 1 << 20,
-        attach: bool = True,
     ):
         self.client = client
         self.tape = tape if tape is not None else Tape()
@@ -331,8 +342,7 @@ class CaptureRecorder:
         self.inline_limit = inline_limit
         self._saved: dict[str, object] | None = None
         self._orig: dict[str, Any] = {}
-        if attach:
-            self.attach()
+        self.attach()
 
     @property
     def attached(self) -> bool:
@@ -355,9 +365,8 @@ class CaptureRecorder:
         self._now()  # pin t=0 at attach
         cli.put = self._put
         cli.get = self._get
-        cli.step = self._step
-        cli.flush = self._flush
-        cli.quiesce = self._quiesce
+        for op in ("step", "flush", "quiesce"):
+            setattr(cli, op, self._marker(op))
         return self
 
     def detach(self) -> Tape:
@@ -403,23 +412,17 @@ class CaptureRecorder:
         )
         return duration, payloads
 
-    def _step(self):
-        t = self._now()
-        result = self._orig["step"]()
-        self.tape.record(t, "step", self.flow)
-        return result
+    def _marker(self, op: str):
+        """Tap for a control op: no region, no payload, only its issue time."""
+        orig = self._orig[op]
 
-    def _flush(self):
-        t = self._now()
-        result = self._orig["flush"]()
-        self.tape.record(t, "flush", self.flow)
-        return result
+        def tapped():
+            t = self._now()
+            result = orig()
+            self.tape.record(t, op, self.flow)
+            return result
 
-    def _quiesce(self):
-        t = self._now()
-        result = self._orig["quiesce"]()
-        self.tape.record(t, "quiesce", self.flow)
-        return result
+        return tapped
 
     # -- finalization --------------------------------------------------
     def finalize(self, config=None, policy_spec=None,

@@ -1,14 +1,21 @@
-"""Open-loop load generation and tape replay for the live backends.
+"""The Tape -> Target seam, tape replay and open-loop load generation.
 
-Two drivers share this module:
+A *target* is a blocking client: ``put``/``get``/``step``/``flush``/
+``quiesce``/``fail_server``/``replace_server``/``projection``/``close``.
+:class:`~repro.live.protocol.LiveClient` and the sharded
+:class:`~repro.live.router.ClusterClient` are targets; :class:`SimTarget`
+makes the simulator one.  :func:`open_target` opens a deployment on any
+of the three backends and hands out targets; :func:`apply_op` is the one
+place a :class:`~repro.workloads.capture.TapeOp` is dispatched onto one.
+Conformance, ``repro replay``, ``repro load`` and ``bench_load.py`` all
+go through those two.
+
+Two drivers build on the seam:
 
 - :func:`replay_tape` re-emits a :class:`~repro.workloads.capture.Tape`
-  against *any* backend exposing the blocking client surface — a
-  :class:`~repro.live.protocol.LiveClient`, a sharded
-  :class:`~repro.live.router.ClusterClient`, or the simulator via
-  :class:`SimTarget` — with time compression (``speedup``), selective
-  flow amplification, and byte-digest equivalence checks against what
-  the recording actually read.
+  against a target with time compression (``speedup``), selective flow
+  amplification, and byte-digest equivalence checks against what the
+  recording actually read.
 - :func:`run_load` drives N concurrent flow clients from a seeded
   open-loop schedule (:func:`build_schedule`): operations are issued at
   their scheduled arrival times regardless of completion of earlier ones
@@ -45,13 +52,23 @@ from __future__ import annotations
 import math
 import time
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from repro.core.policies import policy_from_spec
 from repro.obs.registry import MetricsRegistry, latency_edges
-from repro.workloads.capture import Tape, TapeOp, block_digests, projection_sha256
+from repro.staging.domain import BBox
+from repro.staging.service import StagingService
+from repro.workloads.capture import (
+    CaptureRecorder,
+    Tape,
+    TapeOp,
+    block_digests,
+    projection_sha256,
+)
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -63,6 +80,8 @@ __all__ = [
     "run_load",
     "SLO",
     "SimTarget",
+    "open_target",
+    "apply_op",
     "ReplayReport",
     "replay_tape",
 ]
@@ -270,12 +289,8 @@ class LoadReport:
             "errors": self.errors,
             "wall_s": round(self.wall_s, 4),
             "achieved_rate": round(self.achieved_rate, 2),
-            "put_percentiles_ms": {
-                k: round(v, 3) for k, v in self.put_percentiles_ms.items()
-            },
-            "get_percentiles_ms": {
-                k: round(v, 3) for k, v in self.get_percentiles_ms.items()
-            },
+            "put_percentiles_ms": _rounded(self.put_percentiles_ms),
+            "get_percentiles_ms": _rounded(self.get_percentiles_ms),
             "lateness_p99_ms": round(self.lateness_p99_ms, 3),
             "slo_violations": self.slo_violations,
             "slo_gate": self.slo_gate,
@@ -284,6 +299,10 @@ class LoadReport:
 
 def _percentiles_ms(hist) -> dict[str, float]:
     return {k: v * 1000.0 for k, v in hist.percentiles().items()}
+
+
+def _rounded(ms: dict[str, float]) -> dict[str, float]:
+    return {k: round(v, 3) for k, v in ms.items()}
 
 
 def run_load(
@@ -308,8 +327,6 @@ def run_load(
     before it shows up as latency).  With ``capture_tape``, every flow
     client is wrapped in a :class:`CaptureRecorder` writing to that tape.
     """
-    from repro.workloads.capture import CaptureRecorder
-
     registry = registry if registry is not None else MetricsRegistry()
     put_hist = registry.histogram("load_put_seconds", latency_edges())
     get_hist = registry.histogram("load_get_seconds", latency_edges())
@@ -414,14 +431,14 @@ def run_load(
 
 
 # ---------------------------------------------------------------------------
-# sim backend target
+# targets: one blocking-client surface over sim / live / cluster
 # ---------------------------------------------------------------------------
 class SimTarget:
     """Adapt a sim :class:`StagingService` to the blocking client surface.
 
-    Every op drains the simulator before returning (the same quiescent
-    discipline as the conformance runners), so a tape replayed here walks
-    the exact state sequence the differential harness compares.
+    Every op drains the simulator before returning, so a tape played here
+    walks the same quiescent-state sequence a per-op-quiesced live or
+    cluster run does.
     """
 
     def __init__(self, service, name: str = "replay"):
@@ -430,8 +447,6 @@ class SimTarget:
         self.domain = service.domain
 
     def put(self, var, lb, ub, data=None):
-        from repro.staging.domain import BBox
-
         arr = None if data is None else np.ascontiguousarray(data)
         self.service.run_workflow(
             self.service.put(self.name, var, BBox(tuple(lb), tuple(ub)), arr)
@@ -440,8 +455,6 @@ class SimTarget:
         return 0.0
 
     def get(self, var, lb, ub, verify=None):
-        from repro.staging.domain import BBox
-
         box: list = []
 
         def flow():
@@ -467,6 +480,14 @@ class SimTarget:
     def quiesce(self):
         self.service.run()
 
+    def fail_server(self, sid):
+        self.service.fail_server(sid)
+        self.service.run()
+
+    def replace_server(self, sid):
+        self.service.replace_server(sid)
+        self.service.run()
+
     def projection(self):
         from repro.live.conformance import conformance_projection
 
@@ -474,6 +495,80 @@ class SimTarget:
 
     def close(self):
         self.service.run()
+
+
+@contextmanager
+def open_target(
+    backend: str,
+    config,
+    policy_spec: tuple[str, dict[str, Any]],
+    **live_kwargs: Any,
+) -> Iterator[Callable[..., Any]]:
+    """Open a deployment on ``backend``; yields its ``client(name)`` factory.
+
+    ``backend`` is ``"sim"`` (in-process simulator), ``"live"`` (one live
+    server on a background thread, clients over TCP) or ``"cluster"`` (one
+    OS process per shard, routed clients).  Every ``client(name)`` call
+    returns a fresh target the caller closes — one per flow, the way
+    :meth:`LiveCluster.client` hands out routers.  ``live_kwargs`` go
+    unchanged to the backend's constructor: ``StagingService``,
+    :class:`~repro.live.service.LiveStagingService` (through
+    ``serve_in_thread``) or :class:`~repro.live.cluster.LiveCluster`
+    (``n_shards`` is required there).  Each server builds its own policy
+    from ``policy_spec``, the hybrid stream seeded by ``config.seed``.
+    The deployment is torn down on exit.
+    """
+    if backend == "sim":
+        service = StagingService(
+            config, policy_from_spec(policy_spec, seed=config.seed), **live_kwargs
+        )
+        yield lambda name="client": SimTarget(service, name=name)
+    elif backend == "live":
+        # repro.live is imported on use: its conformance module drives this one.
+        from repro.live.protocol import LiveClient
+        from repro.live.server import serve_in_thread
+
+        handle = serve_in_thread(
+            config, lambda: policy_from_spec(policy_spec, seed=config.seed), **live_kwargs
+        )
+        try:
+            yield lambda name="client": LiveClient(handle.host, handle.port, name=name)
+        finally:
+            handle.stop()
+            handle.join()
+    elif backend == "cluster":
+        from repro.live.cluster import LiveCluster
+
+        with LiveCluster(config, policy_spec, **live_kwargs) as cluster:
+            yield cluster.client
+    else:
+        raise ValueError(f"unknown backend {backend!r} (choose from sim, live, cluster)")
+
+
+def apply_op(target: Any, op: TapeOp):
+    """Issue one tape op on ``target``; returns a ``get``'s payloads, else None.
+
+    The only place a :class:`TapeOp` is dispatched onto a backend, so a
+    new op kind is taught to every driver here (and to
+    :data:`~repro.workloads.capture.OP_FIELDS`, which gates what loads).
+    """
+    kind = op.op
+    if kind == "put":
+        target.put(op.var, op.lb, op.ub, op.decode_payload())
+    elif kind == "get":
+        return target.get(op.var, op.lb, op.ub, op.verify)[1]
+    elif kind == "step":
+        target.step()
+    elif kind == "flush":
+        target.flush()
+    elif kind == "quiesce":
+        target.quiesce()
+    elif kind == "fail":
+        target.fail_server(op.server)
+    elif kind == "replace":
+        target.replace_server(op.server)
+    else:
+        raise ValueError(f"unknown tape op {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +603,8 @@ class ReplayReport:
             "mismatches": self.mismatches,
             "unfaithful_puts": self.unfaithful_puts,
             "projection_check": self.projection_check,
-            "put_percentiles_ms": {
-                k: round(v, 3) for k, v in self.put_percentiles_ms.items()
-            },
-            "get_percentiles_ms": {
-                k: round(v, 3) for k, v in self.get_percentiles_ms.items()
-            },
+            "put_percentiles_ms": _rounded(self.put_percentiles_ms),
+            "get_percentiles_ms": _rounded(self.get_percentiles_ms),
             "ok": self.ok,
         }
 
@@ -526,9 +617,7 @@ def _amplified(op: TapeOp, copy: int) -> TapeOp:
     variable (extra read load on the same hot data — a block another flow
     wrote has no shadow twin to read).  Clones are never digest-checked.
     """
-    import dataclasses
-
-    return dataclasses.replace(
+    return replace(
         op,
         var=f"{op.var}~amp{copy}" if op.op == "put" else op.var,
         flow=f"{op.flow}~amp{copy}",
@@ -542,14 +631,13 @@ def replay_tape(
     speedup: float | None = None,
     amplify: dict[str, int] | None = None,
     check_digests: bool = True,
-    check_projection: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> ReplayReport:
     """Re-emit ``tape`` against ``target`` and check byte equivalence.
 
-    ``target`` is any blocking client surface (``LiveClient``,
-    ``ClusterClient``, :class:`SimTarget`).  Ops are issued sequentially
-    in recorded order — the property that makes digest comparison exact.
+    ``target`` is a client from :func:`open_target` (or any object with
+    that surface).  Ops are issued sequentially in recorded order — the
+    property that makes digest comparison exact.
 
     ``speedup`` compresses recorded inter-op gaps (2.0 = twice as fast);
     ``None`` replays as fast as the backend accepts (no pacing).
@@ -583,19 +671,15 @@ def replay_tape(
                 report.ops += 1
             else:
                 report.amplified_ops += 1
+            if emitted.op == "put" and emitted.payload == "elided":
+                report.unfaithful_puts += 1
+            t0 = time.monotonic()
+            payloads = apply_op(target, emitted)
+            elapsed = time.monotonic() - t0
             if emitted.op == "put":
-                if emitted.payload == "elided":
-                    report.unfaithful_puts += 1
-                t0 = time.monotonic()
-                target.put(emitted.var, emitted.lb, emitted.ub,
-                           emitted.decode_payload())
-                put_hist.observe(time.monotonic() - t0)
+                put_hist.observe(elapsed)
             elif emitted.op == "get":
-                t0 = time.monotonic()
-                _, payloads = target.get(
-                    emitted.var, emitted.lb, emitted.ub, emitted.verify
-                )
-                get_hist.observe(time.monotonic() - t0)
+                get_hist.observe(elapsed)
                 if original and check_digests and emitted.digests:
                     got = block_digests(payloads)
                     report.digest_checks += len(emitted.digests)
@@ -605,25 +689,15 @@ def replay_tape(
                             f"[{emitted.lb}:{emitted.ub}]: "
                             f"recorded {emitted.digests} != replayed {got}"
                         )
-            elif emitted.op == "step":
-                target.step()
-            elif emitted.op == "flush":
-                target.flush()
-            elif emitted.op == "quiesce":
-                target.quiesce()
-            else:  # pragma: no cover - tape corruption
-                raise ValueError(f"unknown tape op {emitted.op!r}")
     report.wall_s = time.monotonic() - start
 
     recorded_sha = tape.meta.get("projection_sha256")
-    if check_projection and recorded_sha:
+    if recorded_sha:
         if amplify:
             # Shadow variables change the final state by construction.
             report.projection_check = "skipped-amplified"
         elif report.unfaithful_puts:
             report.projection_check = "skipped-elided-payloads"
-        elif not hasattr(target, "projection"):
-            report.projection_check = "skipped-no-projection"
         else:
             target.quiesce()
             got_sha = projection_sha256(target.projection())

@@ -146,3 +146,90 @@ class TestErasurePolicy:
         write_all(svc_r, steps=3)
         write_all(svc_e, steps=3)
         assert svc_e.metrics.put_stat.mean > svc_r.metrics.put_stat.mean
+
+
+class TestPolicyFromSpec:
+    """The one (name, options) policy factory."""
+
+    def test_every_name_builds_its_policy(self):
+        from repro import (
+            CoRECPolicy,
+            ErasurePolicy,
+            NoResilience,
+            ReplicationPolicy,
+            SimpleHybridPolicy,
+        )
+        from repro.core.policies import policy_from_spec
+
+        expected = {
+            "none": NoResilience,
+            "dataspaces": NoResilience,
+            "replicate": ReplicationPolicy,
+            "erasure": ErasurePolicy,
+            "hybrid": SimpleHybridPolicy,
+            "corec": CoRECPolicy,
+        }
+        for name, cls in expected.items():
+            assert type(policy_from_spec((name, {}), seed=3)) is cls
+        # Fresh instance per call: servers never share a policy.
+        spec = ("corec", {"storage_bound": 0.5, "promote_on_access": False})
+        a, b = policy_from_spec(spec), policy_from_spec(spec)
+        assert a is not b
+        assert a.config.storage_bound == 0.5 and not a.config.promote_on_access
+
+    def test_options_reach_the_policy(self):
+        import numpy as np
+
+        from repro.core.policies import policy_from_spec
+
+        assert policy_from_spec(
+            ("erasure", {"update_strategy": "delta"})
+        ).update_strategy == "delta"
+        hybrid = policy_from_spec(("hybrid", {"storage_bound": 0.6}), seed=11)
+        assert hybrid.storage_bound == 0.6
+        assert hybrid.rng.random() == np.random.default_rng(11).random()
+
+    def test_recovery_replaces_the_default(self):
+        from repro.core.policies import policy_from_spec
+        from repro.core.recovery import RecoveryConfig
+
+        lazy = RecoveryConfig(mode="lazy", mtbf_s=2.0)
+        for name in ("replicate", "erasure", "hybrid", "corec"):
+            policy = policy_from_spec((name, {}), seed=1, recovery=lazy)
+            assert policy.recovery_config is lazy
+        assert policy_from_spec(("erasure", {})).recovery_config.mode == "aggressive"
+
+    @pytest.mark.parametrize(
+        "spec, kwargs, complaint",
+        [
+            (("raid5", {}), {}, "unknown policy 'raid5'"),
+            (("replicate", {"storage_bound": 0.5}), {}, "no option"),
+            (("corec", {"storage_bond": 0.5}), {}, "storage_bond"),
+            (("corec", {"recovery": None}), {}, "recovery"),
+            (("none", {}), {"recovery": object()}, "never recovers"),
+            (("hybrid", {}), {}, "needs a seed"),
+        ],
+    )
+    def test_bad_specs_fail_closed(self, spec, kwargs, complaint):
+        from repro.core.policies import policy_from_spec
+
+        with pytest.raises(ValueError, match=complaint):
+            policy_from_spec(spec, **kwargs)
+
+    def test_spec_helpers(self):
+        from repro.core.policies import bounded_spec, replay_spec
+
+        assert bounded_spec("corec", 0.6) == ("corec", {"storage_bound": 0.6})
+        assert bounded_spec("hybrid", 0.6, update_strategy="delta") == (
+            "hybrid", {"storage_bound": 0.6, "update_strategy": "delta"}
+        )
+        assert bounded_spec("erasure", 0.6) == ("erasure", {})
+        assert replay_spec("replicate") == ("replicate", {})
+        assert replay_spec("corec", enforcement_scope="group") == (
+            "corec",
+            {
+                "promote_on_access": False,
+                "max_promotions_per_step": 0,
+                "enforcement_scope": "group",
+            },
+        )

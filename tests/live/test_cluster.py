@@ -24,11 +24,8 @@ from repro.live.conformance import (
     WORKLOADS,
     build_config,
     diff_projections,
-    normalize_projection,
     policy_spec,
-    run_cluster,
-    run_live,
-    run_sim,
+    run,
 )
 from repro.staging.service import build_geometry
 
@@ -86,9 +83,9 @@ def test_shard_plan_rejects_indivisible_group_count():
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_two_shard_cluster_matches_single_process(name):
     spec = sharded_spec(name, n_servers=8)
-    ref_proj, ref_reads = run_sim(spec)
-    cl_proj, cl_reads = run_cluster(spec, 2)
-    diffs = diff_projections(normalize_projection(ref_proj), cl_proj)
+    ref_proj, ref_reads = run(spec, "sim")
+    cl_proj, cl_reads = run(spec, "cluster", n_shards=2)
+    diffs = diff_projections(ref_proj, cl_proj, ("sim", "cluster"))
     assert diffs == [], "cluster state diverged:\n" + "\n".join(diffs[:40])
     assert len(ref_reads) == len(cl_reads) > 0
     assert ref_reads == cl_reads, "read payload digests diverged"
@@ -97,9 +94,9 @@ def test_two_shard_cluster_matches_single_process(name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_four_shard_cluster_matches_single_process(name):
     spec = sharded_spec(name, n_servers=16)  # 16 servers -> 4 coding groups
-    ref_proj, ref_reads = run_sim(spec)
-    cl_proj, cl_reads = run_cluster(spec, 4)
-    diffs = diff_projections(normalize_projection(ref_proj), cl_proj)
+    ref_proj, ref_reads = run(spec, "sim")
+    cl_proj, cl_reads = run(spec, "cluster", n_shards=4)
+    diffs = diff_projections(ref_proj, cl_proj, ("sim", "cluster"))
     assert diffs == [], "cluster state diverged:\n" + "\n".join(diffs[:40])
     assert ref_reads == cl_reads, "read payload digests diverged"
 
@@ -107,9 +104,9 @@ def test_four_shard_cluster_matches_single_process(name):
 def test_group_scoped_policy_keeps_sim_live_agreement():
     """The group-scoped CoREC variant stays sim-vs-live conformant too."""
     spec = sharded_spec("hybrid", n_servers=8)
-    sim_proj, sim_reads = run_sim(spec)
-    live_proj, live_reads = run_live(spec)
-    assert diff_projections(sim_proj, live_proj) == []
+    sim_proj, sim_reads = run(spec, "sim")
+    live_proj, live_reads = run(spec, "live")
+    assert diff_projections(sim_proj, live_proj, ("sim", "live")) == []
     assert sim_reads == live_reads
 
 

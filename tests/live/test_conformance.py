@@ -1,7 +1,8 @@
 """Differential conformance: sim and live must reach byte-identical state.
 
-Each seeded workload tape is played twice — once on the virtual-time
-simulator, once on the wall-clock live engine — with a full drain between
+Each seeded workload tape is played twice through the one runner
+(``conformance.run``) — once on the virtual-time simulator, once on the
+wall-clock live server over TCP — with the tape's full drain between
 ops.  At every read, payload digests must match op-for-op; at the end,
 the timing-free state projections (directory metadata, stripe geometry,
 every server's store contents, pending pools, storage accounting) must
@@ -15,19 +16,31 @@ import pytest
 
 from repro.live.conformance import (
     WORKLOADS,
-    build_ops,
+    build_tape,
     diff_projections,
-    run_live,
-    run_sim,
+    run,
 )
+from repro.workloads.capture import projection_sha256
+
+# Sim-backend projection digest, non-quiesce op count and read-digest
+# count of each spec, measured at the commit before specs became tape
+# generators: the spec -> Tape rewrite must emit the same op sequence.
+PINNED = {
+    "replication-only": (
+        "306c66b7d6903b5f0feec6fc477c679837501b5153f75b321aeefd939e37ea15", 49, 20),
+    "hybrid": (
+        "a88b64994ac9dd908b64c4e8e9903105df2db3931856e20ed3352415f1251532", 74, 28),
+    "failure-and-recover": (
+        "662884120deaabca6203eb5334235010c7505686f66d888cb2beea066310ae24", 78, 30),
+}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_sim_and_live_agree(name):
     spec = WORKLOADS[name]
-    sim_proj, sim_reads = run_sim(spec)
-    live_proj, live_reads = run_live(spec)
-    diffs = diff_projections(sim_proj, live_proj)
+    sim_proj, sim_reads = run(spec, "sim")
+    live_proj, live_reads = run(spec, "live")
+    diffs = diff_projections(sim_proj, live_proj, ("sim", "live"))
     assert diffs == [], "sim/live state diverged:\n" + "\n".join(diffs[:40])
     assert len(sim_reads) == len(live_reads) > 0
     assert sim_reads == live_reads, "read payload digests diverged"
@@ -36,8 +49,8 @@ def test_sim_and_live_agree(name):
 def test_live_runs_are_deterministic():
     """Two live runs of one seed match each other (not just the sim)."""
     spec = WORKLOADS["hybrid"]
-    proj_a, reads_a = run_live(spec)
-    proj_b, reads_b = run_live(spec)
+    proj_a, reads_a = run(spec, "live")
+    proj_b, reads_b = run(spec, "live")
     assert diff_projections(proj_a, proj_b) == []
     assert reads_a == reads_b
 
@@ -45,21 +58,21 @@ def test_live_runs_are_deterministic():
 def test_offload_choice_does_not_change_state():
     """Worker-pool codec offload must be invisible to the state machine."""
     spec = WORKLOADS["failure-and-recover"]
-    proj_on, reads_on = run_live(spec, offload_compute=True)
-    proj_off, reads_off = run_live(spec, offload_compute=False)
+    proj_on, reads_on = run(spec, "live", offload_compute=True)
+    proj_off, reads_off = run(spec, "live", offload_compute=False)
     assert diff_projections(proj_on, proj_off) == []
     assert reads_on == reads_off
 
 
 def test_workloads_are_not_vacuous():
     """The tapes must actually exercise the paths they claim to cover."""
-    rep = run_sim(WORKLOADS["replication-only"])[0]
+    rep = run(WORKLOADS["replication-only"], "sim")[0]
     assert rep["entities"] and all(
         e["state"] == "replicated" for e in rep["entities"].values()
     )
-    hyb = run_sim(WORKLOADS["hybrid"])[0]
+    hyb = run(WORKLOADS["hybrid"], "sim")[0]
     assert len(hyb["stripes"]) >= 2, "hybrid workload formed no stripes"
-    fail = run_sim(WORKLOADS["failure-and-recover"])[0]
+    fail = run(WORKLOADS["failure-and-recover"], "sim")[0]
     assert len(fail["stripes"]) >= 2
     assert all(not s["failed"] for s in fail["servers"]), "ends fully replaced"
     # Recovery actually ran: the projection is only comparable because
@@ -69,5 +82,32 @@ def test_workloads_are_not_vacuous():
 
 def test_op_tapes_are_reproducible():
     for spec in WORKLOADS.values():
-        assert build_ops(spec) == build_ops(spec)
-        assert any(op[0] == "put" for op in build_ops(spec))
+        tape = build_tape(spec)
+        assert build_tape(spec).ops == tape.ops
+        assert any(op.op == "put" for op in tape.ops)
+        # The per-op drain is written into the tape, not into a runner.
+        assert [op.op for op in tape.ops[1::2]] == ["quiesce"] * (len(tape) // 2)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_sim_projection_matches_pinned_digest(name):
+    sha, n_ops, n_reads = PINNED[name]
+    spec = WORKLOADS[name]
+    assert sum(1 for op in build_tape(spec).ops if op.op != "quiesce") == n_ops
+    projection, reads = run(spec, "sim")
+    assert len(reads) == n_reads
+    assert projection_sha256(projection) == sha
+
+
+def test_diff_projections_names_the_sides_it_was_given():
+    a = {"entities": {"x": 1}, "both": [1]}
+    b = {"stripes": {"y": 2}, "both": [2]}
+    assert diff_projections(a, b, ("sim", "cluster")) == [
+        "both: [1] != [2]",
+        "entities: only in sim",
+        "stripes: only in cluster",
+    ]
+    assert diff_projections(a, b)[1:] == [
+        "entities: only in left",
+        "stripes: only in right",
+    ]

@@ -12,22 +12,18 @@ be *caught*, which pins that the equivalence check has teeth.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 
 import pytest
 
-from repro.live.cluster import LiveCluster
 from repro.live.conformance import (
     WORKLOADS,
     build_config,
-    build_ops,
-    make_policy,
+    build_tape,
     policy_spec,
 )
-from repro.live.protocol import LiveClient
-from repro.live.server import serve_in_thread
-from repro.staging.service import StagingService, build_geometry
 from repro.workloads.capture import CaptureRecorder, config_from_meta
-from repro.workloads.load import SimTarget, replay_tape
+from repro.workloads.load import apply_op, open_target, replay_tape
 
 N_SHARDS = 2
 
@@ -45,38 +41,28 @@ def captured_tape():
     """Record the shrunk hybrid workload from a single-process live run."""
     spec = small_spec()
     config = build_config(spec)
-    _, domain, _, _ = build_geometry(config)
-    handle = serve_in_thread(config, lambda: make_policy(spec))
-    try:
-        with LiveClient(handle.host, handle.port, name="w") as cli:
+    with open_target("live", config, policy_spec(spec)) as connect:
+        with connect("w") as cli:
             recorder = CaptureRecorder(cli, flow="w")
-            for op in build_ops(spec):
-                kind = op[0]
-                if kind == "put":
-                    box = domain.block_bbox(op[2])
-                    cli.put(op[1], box.lb, box.ub)
-                elif kind == "get":
-                    box = domain.block_bbox(op[2])
-                    cli.get(op[1], box.lb, box.ub)
-                elif kind == "step":
-                    cli.step()
-                elif kind == "flush":
-                    cli.flush()
-                else:  # pragma: no cover - spec has no failure ops
-                    raise ValueError(f"unexpected conformance op {kind!r}")
-                # Per-op quiesce keeps background work deterministic so the
-                # recorded digests are backend-independent ground truth.
-                cli.quiesce()
-            cli.quiesce()
-            tape = recorder.finalize(
+            # The spec's tape quiesces after every op: background work
+            # stays deterministic, so the recorded digests are
+            # backend-independent ground truth.
+            for op in build_tape(spec).ops:
+                apply_op(cli, op)
+            return recorder.finalize(
                 config=config,
                 policy_spec=policy_spec(spec),
                 projection=cli.projection(),
             )
-    finally:
-        handle.stop()
-        handle.join()
-    return tape
+
+
+def replay_on(tape, backend, policy=None, **live_kwargs):
+    """Replay ``tape`` the way ``repro replay`` does: deployment from its meta."""
+    config = config_from_meta(tape.meta["config"])
+    policy = tuple(tape.meta["policy"]) if policy is None else policy
+    with open_target(backend, config, policy, **live_kwargs) as connect:
+        with closing(connect("replay")) as client:
+            return replay_tape(tape, client)
 
 
 class TestCaptureFidelity:
@@ -103,10 +89,7 @@ class TestCaptureFidelity:
 
 class TestCrossBackendReplay:
     def test_replays_byte_identical_on_sim(self, captured_tape):
-        config = config_from_meta(captured_tape.meta["config"])
-        name, opts = captured_tape.meta["policy"]
-        svc = StagingService(config, policy=make_policy(small_spec()))
-        report = replay_tape(captured_tape, SimTarget(svc))
+        report = replay_on(captured_tape, "sim")
         assert report.ok, report.mismatches
         assert report.digest_checks == sum(
             1 for o in captured_tape.ops if o.op == "get"
@@ -114,11 +97,7 @@ class TestCrossBackendReplay:
         assert report.projection_check == "match"
 
     def test_replays_byte_identical_on_sharded_cluster(self, captured_tape):
-        config = config_from_meta(captured_tape.meta["config"])
-        name, opts = captured_tape.meta["policy"]
-        with LiveCluster(config, (name, dict(opts)), N_SHARDS) as cluster:
-            with cluster.client(name="replay") as client:
-                report = replay_tape(captured_tape, client)
+        report = replay_on(captured_tape, "cluster", n_shards=N_SHARDS)
         assert report.ok, report.mismatches
         assert report.digest_checks > 0
         assert not report.mismatches
@@ -127,11 +106,9 @@ class TestCrossBackendReplay:
     def test_divergent_backend_is_caught(self, captured_tape):
         """Replaying under a different policy must fail the projection
         check — proof the equivalence gate can actually fire."""
-        config = config_from_meta(captured_tape.meta["config"])
         # Replication policy instead of the recorded corec policy.
-        svc = StagingService(
-            config, policy=make_policy(WORKLOADS["replication-only"])
+        report = replay_on(
+            captured_tape, "sim", policy=policy_spec(WORKLOADS["replication-only"])
         )
-        report = replay_tape(captured_tape, SimTarget(svc))
         assert report.projection_check == "MISMATCH"
         assert not report.ok

@@ -84,6 +84,46 @@ class TestTapeFormat:
         with pytest.raises(ValueError):
             Tape.loads(json.dumps({"format": TAPE_FORMAT, "version": 99}))
 
+    def test_v2_failure_ops_roundtrip_and_v1_still_loads(self):
+        tape = Tape()
+        tape.record(0.0, "fail", "w", server=3)
+        tape.record(0.1, "replace", "w", server=3)
+        restored = Tape.loads(tape.dumps())
+        assert restored.ops == tape.ops
+        assert [o.server for o in restored.ops] == [3, 3]
+        assert "server" not in TapeOp(seq=0, t=0.0, op="step").to_json()
+        v1 = json.dumps({"format": TAPE_FORMAT, "version": 1}) + "\n" + json.dumps(
+            {"seq": 0, "t": 0.0, "op": "step", "flow": "w"}
+        )
+        assert [o.op for o in Tape.loads(v1).ops] == ["step"]
+
+    @pytest.mark.parametrize(
+        "row, complaint",
+        [
+            ({"seq": 1, "t": 0.1, "op": "teleport"}, "unknown op 'teleport'"),
+            ({"t": 0.1, "op": "step"}, r"missing \['seq'\]"),
+            ({"seq": 1, "op": "step"}, r"missing \['t'\]"),
+            ({"seq": 1, "t": 0.1}, "unknown op None"),
+            ({"seq": 1, "t": 0.1, "op": "put", "var": "v"}, r"missing \['lb', 'ub'\]"),
+            ({"seq": 1, "t": 0.1, "op": "fail"}, r"missing \['server'\]"),
+            ({"seq": "x", "t": 0.1, "op": "step"}, "invalid literal"),
+            ([1, 2], "not a JSON object"),
+        ],
+    )
+    def test_bad_row_rejected_at_load_naming_the_line(self, row, complaint):
+        good = {"seq": 0, "t": 0.0, "op": "step", "flow": "w"}
+        text = "\n".join(
+            json.dumps(r)
+            for r in ({"format": TAPE_FORMAT, "version": TAPE_VERSION}, good, row)
+        )
+        with pytest.raises(ValueError, match=f"tape line 3: .*{complaint}"):
+            Tape.loads(text)
+
+    def test_truncated_row_rejected_naming_the_line(self):
+        text = json.dumps({"format": TAPE_FORMAT, "version": 1}) + '\n{"seq": 0, "t"'
+        with pytest.raises(ValueError, match="tape line 2"):
+            Tape.loads(text)
+
     def test_scratch_meta_keys_not_serialized(self):
         tape = Tape()
         tape.meta["_t0"] = 123.0
@@ -118,6 +158,13 @@ class TestTapeFormat:
         assert rebuilt.n_servers == config.n_servers
         assert rebuilt.domain_shape == config.domain_shape
         assert rebuilt.seed == config.seed
+
+    def test_config_meta_with_unknown_field_rejected(self):
+        from tests.conftest import small_config
+
+        meta = {**config_meta(small_config()), "n_servres": 8}
+        with pytest.raises(ValueError, match="unknown field.*n_servres"):
+            config_from_meta(meta)
 
 
 class TestBlockDigests:
@@ -221,17 +268,3 @@ class TestCaptureRecorder:
         assert tape.meta["config"]["n_servers"] == 8
         assert tape.meta["policy"] == ["corec", {"storage_bound": 0.5}]
         assert "_t0" not in json.loads(tape.dumps().splitlines()[0])
-
-
-class TestAccessTraceProjection:
-    def test_to_access_trace_maps_steps_and_verify(self):
-        tape = Tape()
-        tape.record(0.0, "put", "w", var="v", lb=(0, 0, 0), ub=(8, 8, 8))
-        tape.record(0.1, "step", "w")
-        tape.record(0.2, "get", "r", var="v", lb=(0, 0, 0), ub=(8, 8, 8),
-                    verify=True, digests={"0": "ab"})
-        tape.record(0.3, "flush", "w")
-        trace = tape.to_access_trace()
-        assert len(trace) == 2
-        assert trace.ops[0].step == 0 and trace.ops[0].op == "put"
-        assert trace.ops[1].step == 1 and trace.ops[1].verify is True

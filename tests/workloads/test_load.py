@@ -5,16 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import os
+from contextlib import closing
+
 from repro.staging.service import StagingService, build_geometry
-from repro.workloads.capture import CaptureRecorder, Tape
+from repro.workloads.capture import CaptureRecorder, Tape, TapeOp, config_from_meta
 from repro.workloads.load import (
     ARRIVAL_PROCESSES,
     SLO,
     LoadReport,
     LoadSpec,
     SimTarget,
+    apply_op,
     arrival_times,
     build_schedule,
+    open_target,
     replay_tape,
     run_load,
 )
@@ -301,12 +306,12 @@ class TestReplay:
         import time
 
         t0 = time.monotonic()
-        replay_tape(tape, NullTarget(), speedup=2.0, check_projection=False)
+        replay_tape(tape, NullTarget(), speedup=2.0)
         paced = time.monotonic() - t0
         assert paced >= 0.18  # 0.4 s gap compressed 2x
 
         t0 = time.monotonic()
-        replay_tape(tape, NullTarget(), speedup=None, check_projection=False)
+        replay_tape(tape, NullTarget(), speedup=None)
         assert time.monotonic() - t0 < 0.1  # unpaced replay is flat out
 
     def test_elided_payload_skips_projection_and_is_flagged(self):
@@ -345,3 +350,95 @@ class TestReplay:
         assert report.ok
         assert report.unfaithful_puts == 0
         assert report.projection_check == "match"
+
+    def test_committed_v1_tape_still_replays_on_sim(self):
+        """Back-compat pin: the release tape (format v1) loads under the
+        current reader and replays byte-identically, deployment rebuilt
+        from its own meta the way ``repro replay`` does."""
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "..", "benchmarks", "tapes",
+            "smoke.tape.jsonl",
+        )
+        tape = Tape.load(path)
+        assert tape.meta["version"] == 1
+        config = config_from_meta(tape.meta["config"])
+        with open_target("sim", config, tuple(tape.meta["policy"])) as connect:
+            with closing(connect("replay")) as client:
+                report = replay_tape(tape, client)
+        assert report.ok, report.mismatches
+        assert report.digest_checks == 28
+        assert report.projection_check == "match"
+
+
+class TestTargetSeam:
+    def test_apply_op_dispatches_every_kind(self):
+        calls: list[tuple] = []
+
+        class Spy:
+            def put(self, var, lb, ub, data=None):
+                calls.append(("put", var, lb, ub, data))
+
+            def get(self, var, lb, ub, verify=None):
+                calls.append(("get", var, lb, ub, verify))
+                return 0.0, {0: b"x"}
+
+            def step(self):
+                calls.append(("step",))
+
+            def flush(self):
+                calls.append(("flush",))
+
+            def quiesce(self):
+                calls.append(("quiesce",))
+
+            def fail_server(self, sid):
+                calls.append(("fail", sid))
+
+            def replace_server(self, sid):
+                calls.append(("replace", sid))
+
+        ops = [
+            TapeOp(0, 0.0, "put", var="v", lb=(0,), ub=(4,)),
+            TapeOp(1, 0.0, "get", var="v", lb=(0,), ub=(4,), verify=True),
+            TapeOp(2, 0.0, "step"),
+            TapeOp(3, 0.0, "flush"),
+            TapeOp(4, 0.0, "quiesce"),
+            TapeOp(5, 0.0, "fail", server=2),
+            TapeOp(6, 0.0, "replace", server=2),
+        ]
+        results = [apply_op(Spy(), op) for op in ops]
+        assert results == [None, {0: b"x"}, None, None, None, None, None]
+        assert calls == [
+            ("put", "v", (0,), (4,), None),
+            ("get", "v", (0,), (4,), True),
+            ("step",), ("flush",), ("quiesce",), ("fail", 2), ("replace", 2),
+        ]
+        with pytest.raises(ValueError, match="unknown tape op"):
+            apply_op(Spy(), TapeOp(7, 0.0, "teleport"))
+
+    def test_sim_target_fails_and_replaces_servers(self):
+        svc = make_service("replication")
+        target = SimTarget(svc)
+        box = target.domain.block_bbox(0)
+        target.put("v", box.lb, box.ub)
+        victim = svc.directory.entities[("v", 0)].primary
+        target.fail_server(victim)
+        assert svc.servers[victim].failed
+        _, payloads = target.get("v", box.lb, box.ub)  # served by the replica
+        assert payloads
+        target.replace_server(victim)
+        assert not svc.servers[victim].failed
+
+    def test_open_target_rejects_unknown_backend_and_sim_keywords(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            with open_target("mainframe", small_config(), ("replicate", {})):
+                pass
+        with pytest.raises(TypeError, match="n_shards"):
+            with open_target("sim", small_config(), ("replicate", {}), n_shards=2):
+                pass
+
+    def test_open_target_hands_out_one_client_per_flow(self):
+        with open_target("sim", small_config(), ("replicate", {})) as connect:
+            a, b = connect("a"), connect("b")
+            assert (a.name, b.name) == ("a", "b")
+            assert a.service is b.service  # two flows, one deployment
