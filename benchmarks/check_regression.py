@@ -10,6 +10,9 @@ baseline ``benchmarks/BENCH_codec.json``:
 - the machine-relative speedup ratios — fused encode vs the seed per-cell
   kernel, and 32-stripe batched encode vs a per-stripe loop — must stay
   above their acceptance floors (3x and 1.5x) regardless of host speed;
+  where the native kernel loaded, so must the scalar ``addmul`` vs the same
+  pass forced onto the numpy ``table`` kernel (4x): the parity delta of a
+  rewrite runs at kernel speed, not at gather speed;
 - the stripe-parallel encode path (column splits over a worker pool, the
   configuration the live backend runs) must clear an *absolute* floor of
   2x the pre-native-kernel serial baseline (867.6 MB/s).
@@ -46,6 +49,9 @@ BATCH_SHARD = 2048
 
 MIN_ENCODE_SPEEDUP_VS_SEED = 3.0
 MIN_BATCH_SPEEDUP_VS_LOOP = 1.5
+# Scalar products follow the kernel in charge; only meaningful (and only
+# gated) where that kernel is not the table fallback itself.
+MIN_ADDMUL_SPEEDUP_VS_TABLE = 4.0
 # Absolute (host-independent) floor for the stripe-parallel encode path:
 # 2x the serial rs_encode_6_3_mb_s baseline committed before the native
 # kernel and the parallel splits landed (433.8 MB/s).
@@ -70,6 +76,15 @@ def measure(reps: int) -> dict[str, float]:
     acc = np.zeros(SHARD, dtype=np.uint8)
     t = best_time(lambda: GF256.addmul_bytes(acc, 0x57, shards[0]), reps)
     metrics["gf_addmul_mb_s"] = SHARD / t / 1e6
+    GF256.set_kernel("table")
+    try:
+        t = best_time(lambda: GF256.addmul_bytes(acc, 0x57, shards[0]), reps)
+    finally:
+        GF256.set_kernel(None)
+    metrics["gf_addmul_table_mb_s"] = SHARD / t / 1e6
+    metrics["addmul_speedup_vs_table"] = (
+        metrics["gf_addmul_mb_s"] / metrics["gf_addmul_table_mb_s"]
+    )
 
     code = RSCode(6, 3)
     code.encode(shards)  # warm
@@ -115,6 +130,11 @@ def measure(reps: int) -> dict[str, float]:
     metrics["rs_decode_4_2_mb_s"] = 4 * SHARD / t / 1e6
 
     rparity = code.encode(shards)
+    # The write path of an encoded block: one data shard changes, every
+    # parity is copied and delta-updated (bytes of the rewritten shard / s).
+    t = best_time(lambda: code.update_parity(rparity, 1, shards[1], shards[0]), reps)
+    metrics["rs_update_parity_mb_s"] = SHARD / t / 1e6
+
     full = {i: s for i, s in enumerate(shards + rparity)}
     rec_present = {i: s for i, s in full.items() if i != 3}
     code.reconstruct_shard(rec_present, 3)  # warm row cache
@@ -157,6 +177,14 @@ def check_ratios(metrics: dict[str, float]) -> list[str]:
         failures.append(
             f"batched encode is only {metrics['batch_speedup_vs_loop']:.2f}x the "
             f"per-stripe loop (floor {MIN_BATCH_SPEEDUP_VS_LOOP}x)"
+        )
+    if (
+        GF256.native_kernel() is not None
+        and metrics["addmul_speedup_vs_table"] < MIN_ADDMUL_SPEEDUP_VS_TABLE
+    ):
+        failures.append(
+            f"scalar addmul is only {metrics['addmul_speedup_vs_table']:.2f}x the "
+            f"table kernel (floor {MIN_ADDMUL_SPEEDUP_VS_TABLE}x with native loaded)"
         )
     if metrics["rs_encode_parallel_mb_s"] < MIN_PARALLEL_ENCODE_MB_S:
         failures.append(

@@ -816,11 +816,7 @@ class StagingRuntime:
                 self._drop_replica_copies(ent)
 
         yield from self._apply_parity_delta(
-            stripe,
-            slot,
-            old=np.zeros(stripe.shard_len, dtype=np.uint8),
-            new=payload_p,
-            src_sid=ent.primary,
+            stripe, slot, old=None, new=payload_p, src_sid=ent.primary,
             apply_data=apply_state,
         )
         yield from self.metadata_update(ent, ent.primary)
@@ -837,13 +833,16 @@ class StagingRuntime:
         self,
         stripe: StripeInfo,
         slot: int,
-        old: np.ndarray,
-        new: np.ndarray,
+        old: np.ndarray | None,
+        new: np.ndarray | None,
         src_sid: int,
         apply_data: Callable[[], None] | None = None,
         precondition: Callable[[], bool] | None = None,
     ) -> Generator:
         """Delta-update every parity of ``stripe`` for a change in ``slot``.
+
+        ``old`` / ``new`` are the slot's bytes before and after; ``None``
+        is a vacant (all-zero) slot.
 
         Two phases: first all transfer and compute *costs* are charged (the
         generator yields), then every state mutation — the parity buffers
@@ -854,11 +853,9 @@ class StagingRuntime:
         returns False nothing is mutated and the call returns False (used
         to abort when e.g. a server died while costs were being charged).
         """
-        old_p = self._pad(old, stripe.shard_len)
-        new_p = self._pad(new, stripe.shard_len)
-        delta = np.bitwise_xor(old_p, new_p)
+        old_p = None if old is None else self._pad(old, stripe.shard_len)
+        new_p = None if new is None else self._pad(new, stripe.shard_len)
         src_name = self.server(src_sid).name
-        code = self.codec.code
         touched: list[tuple[StagingServer, str, int]] = []
         for i in range(stripe.m):
             psid = stripe.shard_servers[stripe.k + i]
@@ -890,16 +887,16 @@ class StagingRuntime:
             yield from self.busy(
                 psid, self.costs.parity_update_cost(1, stripe.shard_len), "encode"
             )
-            touched.append((psrv, pkey, int(code.parity_rows[i, slot])))
+            touched.append((psrv, pkey, i))
         # --- atomic application: no yields below this line ---
         if precondition is not None and not precondition():
             return False
-        for psrv, pkey, coeff in touched:
+        for psrv, pkey, i in touched:
             if psrv.failed or not psrv.has(pkey):
                 continue  # died while we were charging costs
-            # P_i' = P_i + G[k+i, slot] * (old + new), applied in place.
+            # P_i' = P_i + G[k+i, slot] * (old + new), folded into a copy.
             buf = psrv.fetch_bytes(pkey).copy()
-            GF256.addmul_bytes(buf, coeff, delta)
+            self.codec.code.fold_parity(buf, i, slot, old_p, new_p)
             psrv.store_bytes(pkey, buf)
         if apply_data is not None:
             apply_data()
@@ -1077,7 +1074,7 @@ class StagingRuntime:
             stripe,
             slot,
             old=old,
-            new=np.zeros(stripe.shard_len, dtype=np.uint8),
+            new=None,
             src_sid=ent.primary,
             apply_data=apply_state,
             precondition=lambda: not psrv.failed,

@@ -6,12 +6,12 @@ multiplication modulo the primitive polynomial ``x^8 + x^4 + x^3 + x^2 + 1``
 
 Two tables back the arithmetic: **log/antilog tables** for scalar
 operations (``a*b = exp[log a + log b]``) and a **256x256 full
-multiplication table** (64 KiB) for byte buffers, where multiplying a whole
-buffer by a scalar is one numpy gather, ``np.take(MUL[c], buf, out=...)``.
+multiplication table** (64 KiB) the byte-buffer kernels are cut from.
 
-The stripe product ``M . D`` has one entry point, :meth:`GF256.matmul_rows`
-(:meth:`GF256.matmul_bytes` is its stacked-array wrapper), and three
-kernels behind it:
+Every payload-sized pass - the stripe product ``M . D`` and the scalar
+``c * buf`` / ``acc ^= c * buf``, which are its 1x1 case - has one entry
+point, :meth:`GF256.matmul_rows` (:meth:`GF256.matmul_bytes` is its
+stacked-array wrapper), and three kernels behind it:
 
 - ``reference`` - the seed per-cell kernel, one fancy-index temporary per
   coefficient.  The oracle the tests compare against and the baseline the
@@ -64,6 +64,9 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mul[:, 0] = 0
     return exp, log, mul
 
+
+# The 1x1 coefficient matrices of the scalar products, built once.
+_SCALARS = np.arange(_FIELD_SIZE, dtype=np.uint8).reshape(_FIELD_SIZE, 1, 1)
 
 # ---------------------------------------------------------------------------
 # scratch buffers (grow-only, reused across kernel calls)
@@ -153,44 +156,54 @@ class GF256:
     # ------------------------------------------------------------------
     # vectorized byte-buffer kernels (the encode/decode hot path)
     # ------------------------------------------------------------------
+    @staticmethod
+    def writable_row(arr: np.ndarray, size: int) -> np.ndarray:
+        """``arr`` as the flat row a kernel may write ``size`` bytes into.
+
+        Output buffers reach the native kernel as bare pointers, so anything
+        but a writable C-contiguous uint8 array of exactly that size is a
+        ValueError here rather than a broadcast or a stray write there.
+        """
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.uint8
+            and arr.size == size
+            and arr.flags.c_contiguous
+            and arr.flags.writeable
+        ):
+            raise ValueError(f"need a writable contiguous uint8 buffer of {size} bytes")
+        return arr.reshape(-1)
+
     @classmethod
     def mul_bytes(cls, c: int, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``c * buf`` elementwise for a uint8 buffer, optionally into ``out``.
 
-        A single gather from the product-table row: O(len) with no Python
-        loop and, with ``out=`` supplied, no allocation either.
+        The 1x1 case of :meth:`matmul_rows`: one pass of the kernel in
+        charge and, with ``out=`` supplied, no allocation.
         """
         buf = np.ascontiguousarray(buf, dtype=np.uint8)
-        c &= 0xFF
         if out is None:
             out = np.empty_like(buf)
-        elif out.shape != buf.shape or out.dtype != np.uint8:
+        elif out.shape != buf.shape:
             raise ValueError("out must be a uint8 buffer of the input's shape")
-        if c == 0:
-            out[...] = 0
-        elif c == 1:
-            if out is not buf:
-                out[...] = buf
-        else:
-            np.take(cls.MUL[c], buf, out=out, mode="clip")
+        row = cls.writable_row(out, buf.size)
+        if np.may_share_memory(out, buf):
+            buf = buf.copy()  # the product overwrites ``out`` before reading
+        cls.matmul_rows(_SCALARS[c & 0xFF], (buf.reshape(-1),), (row,))
         return out
 
     @classmethod
     def addmul_bytes(cls, acc: np.ndarray, c: int, buf: np.ndarray) -> None:
-        """In-place ``acc ^= c * buf`` — the fused scalar-coefficient kernel.
+        """In-place ``acc ^= c * buf``: the accumulating 1x1 product.
 
-        The product is gathered through a reused row view of ``MUL`` into a
-        module-level scratch buffer, so the steady state allocates nothing.
+        ``acc`` must be a writable contiguous uint8 buffer of ``buf``'s
+        size (no broadcasting); the steady state allocates nothing.
         """
+        buf = np.ascontiguousarray(buf, dtype=np.uint8).reshape(-1)
+        row = cls.writable_row(acc, buf.size)
         c &= 0xFF
-        if c == 0:
-            return
-        if c == 1:
-            np.bitwise_xor(acc, buf, out=acc)
-        else:
-            tmp = _scratch("addmul", buf.size, np.uint8).reshape(buf.shape)
-            np.take(cls.MUL[c], buf, out=tmp, mode="clip")
-            np.bitwise_xor(acc, tmp, out=acc)
+        if c:
+            cls.matmul_rows(_SCALARS[c], (buf,), (row,), accumulate=True)
 
     # ------------------------------------------------------------------
     # matrix kernels: XOR-accumulate ``mat . shard_rows`` into the column

@@ -8,10 +8,11 @@ invocation (~a second) happens once per container, not per process.
 Everything here is **best effort**: no compiler, a failed compile, a
 missing dlopen, or ``REPRO_GF_NATIVE=0`` all simply make :func:`load`
 return ``None`` and the numpy ``table`` kernel in
-:mod:`repro.erasure.gf256` carries the data plane (at 130-165 MB/s
-instead of multiple GB/s).  The native kernel is bit-exact with the
-reference kernel and holds no global state, so concurrent calls from
-parallel codec workers need no locking.
+:mod:`repro.erasure.gf256` carries the data plane, scalar products
+included (a 1 MiB ``addmul`` at ~0.6 GB/s and an RS(6,3) encode at
+~0.2 GB/s instead of multiple GB/s).  The native kernel is bit-exact
+with the reference kernel and holds no global state, so concurrent calls
+from parallel codec workers need no locking.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class NativeKernel:
     nib_lo: np.ndarray
     nib_hi: np.ndarray
 
+    def __post_init__(self) -> None:
+        # ``ndarray.ctypes`` costs ~1 us a read; the tables never move.
+        self._tables = (self.nib_lo.ctypes.data, self.nib_hi.ctypes.data)
+
     def matmul_ptrs(
         self,
         mat: np.ndarray,
@@ -55,16 +60,7 @@ class NativeKernel:
         addresses, so no (k, L) stacking copy is ever needed.
         """
         r, k = mat.shape
-        self.lib.gf_matmul(
-            mat.ctypes.data,
-            r,
-            k,
-            shard_ptrs,
-            out_ptrs,
-            length,
-            self.nib_lo.ctypes.data,
-            self.nib_hi.ctypes.data,
-        )
+        self.lib.gf_matmul(mat.tobytes(), r, k, shard_ptrs, out_ptrs, length, *self._tables)
 
     @staticmethod
     def row_ptrs(rows, offset: int, length: int):
@@ -142,7 +138,7 @@ def load(mul: np.ndarray) -> NativeKernel | None:
     except (OSError, subprocess.SubprocessError):
         return None
     lib.gf_matmul.argtypes = [
-        ctypes.c_void_p,  # mat
+        ctypes.c_char_p,  # mat (r*k coefficient bytes)
         ctypes.c_size_t,  # r
         ctypes.c_size_t,  # k
         ctypes.POINTER(ctypes.c_void_p),  # shard ptrs

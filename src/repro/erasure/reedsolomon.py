@@ -88,6 +88,8 @@ class RSCode:
             raise ValueError(f"unknown construction {construction!r}")
         # Parity block rows (m x k): the non-identity part of the generator.
         self.parity_rows = self.generator.a[k:, :]
+        # fold_parity's 1x2 matrices: [i, j:j+1] is [[c, c]], c = G[k+i, j].
+        self._fold_rows = np.repeat(self.parity_rows[:, :, None], 2, axis=2)
         # Decode matrices are pure functions of the surviving-row set; the
         # same erasure patterns recur constantly during recovery, so the
         # Gauss-Jordan inversions are kept in a bounded LRU (as production
@@ -348,6 +350,31 @@ class RSCode:
                 ]
         return out  # type: ignore[return-value]
 
+    def fold_parity(
+        self,
+        parity: np.ndarray,
+        parity_index: int,
+        shard_index: int,
+        old_shard: np.ndarray | None,
+        new_shard: np.ndarray | None,
+    ) -> None:
+        """In place ``P_i += G[k+i, j] * (old + new)`` for one parity buffer.
+
+        One kernel pass: the 1x2 product ``[c c] . [old; new]`` accumulated
+        into ``parity`` - no ``old ^ new`` delta is materialized.  ``None``
+        stands for a vacant (all-zero) slot and drops its column.
+        """
+        rows, length = self._as_rows(
+            [s for s in (old_shard, new_shard) if s is not None]
+        )
+        if rows:
+            GF256.matmul_rows(
+                self._fold_rows[parity_index, shard_index : shard_index + 1, : len(rows)],
+                rows,
+                (GF256.writable_row(parity, length),),
+                accumulate=True,
+            )
+
     def update_parity(
         self,
         parities: Sequence[np.ndarray],
@@ -365,14 +392,10 @@ class RSCode:
             raise IndexError("shard_index out of range")
         if len(parities) != self.m:
             raise ValueError(f"expected {self.m} parities, got {len(parities)}")
-        delta = np.bitwise_xor(
-            np.ascontiguousarray(old_shard, dtype=np.uint8).ravel(),
-            np.ascontiguousarray(new_shard, dtype=np.uint8).ravel(),
-        )
         out = []
         for i in range(self.m):
             p = np.ascontiguousarray(parities[i], dtype=np.uint8).ravel().copy()
-            GF256.addmul_bytes(p, int(self.parity_rows[i, shard_index]), delta)
+            self.fold_parity(p, i, shard_index, old_shard, new_shard)
             out.append(p)
         return out
 
@@ -454,10 +477,9 @@ class RSCode:
                     row = inv[target : target + 1].copy()
                 else:
                     prow = self.parity_rows[target - self.k]
-                    acc = np.zeros(self.k, dtype=np.uint8)
-                    for j in range(self.k):
-                        GF256.addmul_bytes(acc, int(prow[j]), inv[j])
-                    row = acc.reshape(1, self.k)
+                    row = np.bitwise_xor.reduce(
+                        GF256.MUL[prow[:, None], inv], axis=0, keepdims=True
+                    )
             while len(self._row_cache) >= self.decode_cache_capacity:
                 self._row_cache.popitem(last=False)
             self._row_cache[key] = row

@@ -42,8 +42,12 @@ class ObjectId:
 
 
 def payload_digest(data: np.ndarray) -> str:
-    """Short stable digest for byte-exact comparison in tests."""
-    return hashlib.blake2b(np.ascontiguousarray(data, dtype=np.uint8).tobytes(), digest_size=12).hexdigest()
+    """Short stable digest for byte-exact comparison in tests.
+
+    Hashes the contiguous uint8 view in place - no ``tobytes()`` copy.
+    """
+    view = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
+    return hashlib.blake2b(view, digest_size=12).hexdigest()
 
 
 @dataclass

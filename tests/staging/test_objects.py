@@ -1,5 +1,8 @@
 """Tests for the object model (ids, entities, stripes)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,27 @@ class TestPayloadDigest:
         a = np.zeros(10, dtype=np.uint8)
         b = np.ones(10, dtype=np.uint8)
         assert payload_digest(a) != payload_digest(b)
+
+    def test_value_is_blake2b_of_the_bytes_whatever_the_view(self):
+        # ent.digest is baked into pinned projections and committed tapes.
+        grid = np.random.default_rng(0).integers(0, 256, (64, 64), dtype=np.uint8)
+        frozen = grid.copy()
+        frozen.flags.writeable = False
+        for view in (grid, grid[:, ::2], grid.ravel()[1:], frozen, grid[:0]):
+            want = hashlib.blake2b(view.tobytes(), digest_size=12).hexdigest()
+            assert payload_digest(view) == want
+        assert payload_digest(np.arange(100, dtype=np.uint8)) == "809caf3820d5f479cb61ccec"
+
+    def test_hashes_a_mebibyte_in_place(self):
+        block = np.zeros(1 << 20, dtype=np.uint8)
+        payload_digest(block)
+        tracemalloc.start()
+        try:
+            payload_digest(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestDataObject:
