@@ -25,8 +25,6 @@ from repro.erasure.gf256 import GF256
 
 SHARD = 1 << 20  # 1 MiB shards
 NATIVE = GF256.native_kernel() is not None
-BATCH_STRIPES = 32
-BATCH_SHARD = 2048  # staging-object-sized shards: where batching pays most
 
 
 @pytest.fixture(scope="module")
@@ -60,24 +58,6 @@ def test_rs_encode_throughput(benchmark, shards, k, m):
     mbps = data_mb / benchmark.stats["mean"]
     benchmark.extra_info["data_MB_per_s"] = mbps
     assert mbps > 100, f"RS({k},{m}) encode too slow: {mbps:.1f} MB/s"
-
-
-def test_rs_encode_batch_throughput(benchmark):
-    rng = np.random.default_rng(1)
-    code = RSCode(6, 3)
-    stripes = [
-        [rng.integers(0, 256, BATCH_SHARD, dtype=np.uint8) for _ in range(6)]
-        for _ in range(BATCH_STRIPES)
-    ]
-
-    def run():
-        return code.encode_batch(stripes)
-
-    benchmark(run)
-    data_mb = BATCH_STRIPES * 6 * BATCH_SHARD / 1e6
-    mbps = data_mb / benchmark.stats["mean"]
-    benchmark.extra_info["data_MB_per_s"] = mbps
-    assert mbps > 100, f"batched encode too slow: {mbps:.1f} MB/s"
 
 
 def test_rs_encode_parallel_throughput(benchmark, shards):

@@ -7,12 +7,11 @@ baseline ``benchmarks/BENCH_codec.json``:
 
 - absolute throughputs (MB/s) may not drop more than ``--tolerance``
   (default 30%) below the baseline;
-- the machine-relative speedup ratios — fused encode vs the seed per-cell
-  kernel, and 32-stripe batched encode vs a per-stripe loop — must stay
-  above their acceptance floors (3x and 1.5x) regardless of host speed;
-  where the native kernel loaded, so must the scalar ``addmul`` vs the same
-  pass forced onto the numpy ``table`` kernel (4x): the parity delta of a
-  rewrite runs at kernel speed, not at gather speed;
+- the machine-relative speedup ratio — fused encode vs the seed per-cell
+  kernel — must stay above its acceptance floor (3x) regardless of host
+  speed; where the native kernel loaded, so must the scalar ``addmul`` vs
+  the same pass forced onto the numpy ``table`` kernel (4x): the parity
+  delta of a rewrite runs at kernel speed, not at gather speed;
 - the stripe-parallel encode path (column splits over a worker pool, the
   configuration the live backend runs) must clear an *absolute* floor of
   2x the pre-native-kernel serial baseline (867.6 MB/s).
@@ -40,15 +39,9 @@ from repro.erasure.gf256 import GF256
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_codec.json")
 
-SHARD = 1 << 20  # single-stripe measurements: 1 MiB shards
-BATCH_STRIPES = 32
-# Batched measurements use staging-object-sized shards (config
-# object_max_bytes is 4 KiB): per-call overhead dominates there, which is
-# exactly the regime the batch API exists for.
-BATCH_SHARD = 2048
+SHARD = 1 << 20  # 1 MiB shards
 
 MIN_ENCODE_SPEEDUP_VS_SEED = 3.0
-MIN_BATCH_SPEEDUP_VS_LOOP = 1.5
 # Scalar products follow the kernel in charge; only meaningful (and only
 # gated) where that kernel is not the table fallback itself.
 MIN_ADDMUL_SPEEDUP_VS_TABLE = 4.0
@@ -103,25 +96,6 @@ def measure(reps: int) -> dict[str, float]:
         metrics["rs_encode_6_3_mb_s"] / metrics["rs_encode_seed_kernel_mb_s"]
     )
 
-    stripes = [
-        [rng.integers(0, 256, BATCH_SHARD, dtype=np.uint8) for _ in range(6)]
-        for _ in range(BATCH_STRIPES)
-    ]
-    batch_bytes = BATCH_STRIPES * 6 * BATCH_SHARD
-    code.encode_batch(stripes)  # warm
-    t = best_time(lambda: code.encode_batch(stripes), reps)
-    metrics["rs_encode_batch32_mb_s"] = batch_bytes / t / 1e6
-
-    def loop():
-        for s in stripes:
-            code.encode(s)
-
-    t = best_time(loop, reps)
-    metrics["rs_encode_loop32_mb_s"] = batch_bytes / t / 1e6
-    metrics["batch_speedup_vs_loop"] = (
-        metrics["rs_encode_batch32_mb_s"] / metrics["rs_encode_loop32_mb_s"]
-    )
-
     dec = RSCode(4, 2)
     parity = dec.encode(shards[:4])
     present = {0: shards[0], 2: shards[2], 4: parity[0], 5: parity[1]}
@@ -172,11 +146,6 @@ def check_ratios(metrics: dict[str, float]) -> list[str]:
         failures.append(
             f"fused encode is only {metrics['encode_speedup_vs_seed']:.2f}x the "
             f"seed kernel (floor {MIN_ENCODE_SPEEDUP_VS_SEED}x)"
-        )
-    if metrics["batch_speedup_vs_loop"] < MIN_BATCH_SPEEDUP_VS_LOOP:
-        failures.append(
-            f"batched encode is only {metrics['batch_speedup_vs_loop']:.2f}x the "
-            f"per-stripe loop (floor {MIN_BATCH_SPEEDUP_VS_LOOP}x)"
         )
     if (
         GF256.native_kernel() is not None
@@ -241,8 +210,6 @@ def main() -> int:
         payload = {
             "note": "codec throughput baseline for benchmarks/check_regression.py",
             "shard_bytes": SHARD,
-            "batch_stripes": BATCH_STRIPES,
-            "batch_shard_bytes": BATCH_SHARD,
             "kernels": GF256.selected_kernels(),
             "metrics": {k: round(v, 3) for k, v in metrics.items()},
         }

@@ -38,7 +38,6 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from repro.core.backend import Clock, Transport
-from repro.erasure.batch import CodingBatch
 from repro.erasure.gf256 import GF256
 from repro.erasure.reedsolomon import StripeCodec
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -92,14 +91,6 @@ class StagingRuntime:
         self.log = log or EventLog()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.costs = self.servers[0].costs
-        # Batched coding data path: stripe encodes are submitted to the
-        # batch and forced when their bytes are needed, so every numeric
-        # pass runs through the fused batch kernels.  Purely host-side —
-        # simulated costs are charged per stripe exactly as before, and
-        # ``batch_coding = False`` (the stripe-at-a-time path) produces
-        # bit-identical stripes and identical event traces.
-        self.batch_coding = True
-        self.coding_batch = CodingBatch(codec.code, tracer=self.tracer)
         # Host-compute offload hook.  ``None`` (the simulator default)
         # runs numeric work inline with zero extra events, so sim traces
         # and goldens are untouched.  The live backend installs a function
@@ -208,20 +199,6 @@ class StagingRuntime:
             result = yield self.compute_offload(fn, nbytes, category)
             return result
         return fn()
-
-    def _encode_stripe(self, payloads: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Compute one stripe's parities through the batched coding path.
-
-        The job joins whatever encodes are already pending and the whole
-        batch is computed in one fused kernel flush.  Within the simulator
-        a stripe's bytes are stored before the next flow runs, so the
-        flush is usually immediate — the point is that *every* encode goes
-        through the batch kernels, so drains that can overlap submissions
-        fuse automatically and cost nothing extra when they cannot.
-        """
-        if not self.batch_coding:
-            return self.codec.code.encode(payloads)
-        return self.coding_batch.submit_encode(payloads).result()
 
     @staticmethod
     def _pad(buf: np.ndarray, length: int) -> np.ndarray:
@@ -615,7 +592,7 @@ class StagingRuntime:
         if self.tracer.enabled:
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
         parities = yield from self.compute(
-            lambda: self._encode_stripe(payloads), k * shard_len
+            lambda: self.codec.code.encode(payloads), k * shard_len
         )
         if self.tracer.enabled:
             self.tracer.annotate(
@@ -1012,7 +989,7 @@ class StagingRuntime:
             exec_sid, self.costs.encode_cost(stripe.k, stripe.m, stripe.shard_len), "encode"
         )
         parities = yield from self.compute(
-            lambda: self._encode_stripe(shards), stripe.k * stripe.shard_len
+            lambda: self.codec.code.encode(shards), stripe.k * stripe.shard_len
         )
         staged: list[tuple[StagingServer, str, np.ndarray]] = []
         for i, parity in enumerate(parities):

@@ -9,13 +9,10 @@ implements:
 - :mod:`repro.erasure.matrix` — matrix algebra over GF(2^8), including
   Gauss-Jordan inversion and Vandermonde/Cauchy generator constructions;
 - :mod:`repro.erasure.reedsolomon` — systematic Reed-Solomon ``RS(k, m)``
-  encode, arbitrary-erasure decode, delta-based parity update, batched
-  multi-stripe encode/decode, and single-row shard reconstruction;
-- :mod:`repro.erasure.batch` — deferred coding batches that let the data
-  path fuse many stripes into one kernel pass.
+  encode, arbitrary-erasure decode, delta-based parity update and
+  single-row shard reconstruction, one stripe per call.
 """
 
-from repro.erasure.batch import CodingBatch, PendingEncode
 from repro.erasure.gf256 import GF256
 from repro.erasure.matrix import GFMatrix, vandermonde_rs_matrix, cauchy_rs_matrix
 from repro.erasure.reedsolomon import RSCode, StripeCodec
@@ -27,6 +24,4 @@ __all__ = [
     "cauchy_rs_matrix",
     "RSCode",
     "StripeCodec",
-    "CodingBatch",
-    "PendingEncode",
 ]

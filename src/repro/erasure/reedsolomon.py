@@ -186,25 +186,6 @@ class RSCode:
         step = (step + 4095) & ~4095
         return [(a, min(a + step, length)) for a in range(0, length, step)]
 
-    def _product_tasks(
-        self, mat: np.ndarray, rows: Sequence[np.ndarray], length: int
-    ) -> tuple[list[Callable[[], None]], list[np.ndarray]]:
-        """The kernel thunks for ``mat . rows`` and the rows they fill.
-
-        Shard rows are read in place and the output rows are independent
-        arrays - no (k, L) stacking copy ever happens.  The column split
-        is byte-exact: each task writes a disjoint column range of every
-        output row, which is complete once all the thunks have run.
-        """
-        n_tasks = self._n_tasks(len(rows) * length) if length else 1
-        bounds = self._bounds(length, n_tasks) if n_tasks > 1 else [(0, length)]
-        outs = [np.empty(length, dtype=np.uint8) for _ in range(mat.shape[0])]
-        tasks = [
-            lambda a=a, b=b: GF256.matmul_rows(mat, rows, outs, offset=a, length=b - a)
-            for a, b in bounds
-        ]
-        return tasks, outs
-
     def _run_tasks(self, tasks: Sequence[Callable[[], None]]) -> None:
         pm = self.parallel_map
         if pm is not None and len(tasks) > 1:
@@ -220,8 +201,20 @@ class RSCode:
     def _product(
         self, mat: np.ndarray, rows: Sequence[np.ndarray], length: int
     ) -> list[np.ndarray]:
-        tasks, outs = self._product_tasks(mat, rows, length)
-        self._run_tasks(tasks)
+        """``mat . rows`` as one kernel pass, column-split when large.
+
+        Shard rows are read in place and the output rows are independent
+        arrays - no (k, L) stacking copy ever happens.  The column split
+        is byte-exact: each task writes a disjoint column range of every
+        output row, which is complete once all the tasks have run.
+        """
+        n_tasks = self._n_tasks(len(rows) * length) if length else 1
+        bounds = self._bounds(length, n_tasks) if n_tasks > 1 else [(0, length)]
+        outs = [np.empty(length, dtype=np.uint8) for _ in range(mat.shape[0])]
+        self._run_tasks([
+            lambda a=a, b=b: GF256.matmul_rows(mat, rows, outs, offset=a, length=b - a)
+            for a, b in bounds
+        ])
         return outs
 
     def encode(self, data_shards: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -232,123 +225,6 @@ class RSCode:
         if self.m == 0:
             return []
         return self._product(self.parity_rows, rows, length)
-
-    def encode_batch(
-        self, stripes: Sequence[Sequence[np.ndarray]]
-    ) -> list[list[np.ndarray]]:
-        """Encode many stripes with one kernel pass per shard-length group.
-
-        ``stripes`` is a sequence of S stripes, each ``k`` equal-length data
-        shards.  Stripes of the same shard length are stacked into a single
-        ``(k, S*L)`` matrix so the whole group is one fused matrix product —
-        the batching that makes per-call overhead vanish for the small
-        shards staging actually produces.  Results are byte-identical to
-        calling :meth:`encode` per stripe, in input order.
-        """
-        mats: list[list[np.ndarray]] = []
-        lengths: list[int] = []
-        for shards in stripes:
-            rows, length = self._as_rows(shards)
-            if len(rows) != self.k:
-                raise ValueError(f"expected {self.k} data shards, got {len(rows)}")
-            mats.append(rows)
-            lengths.append(length)
-        if self.m == 0:
-            return [[] for _ in mats]
-        out: list[list[np.ndarray] | None] = [None] * len(mats)
-        by_len: dict[int, list[int]] = {}
-        for idx, length in enumerate(lengths):
-            by_len.setdefault(length, []).append(idx)
-        # One fused product per shard-length group, with every group's
-        # column-split thunks gathered into a single parallel pass.
-        tasks: list[Callable[[], None]] = []
-        finishers: list[tuple[list[np.ndarray], list[int], int]] = []
-        for length, idxs in by_len.items():
-            if len(idxs) == 1:
-                rows = mats[idxs[0]]
-                width = length
-            else:
-                rows = [
-                    np.concatenate([mats[i][j] for i in idxs]) for j in range(self.k)
-                ]
-                width = length * len(idxs)
-            group_tasks, parity = self._product_tasks(self.parity_rows, rows, width)
-            tasks.extend(group_tasks)
-            finishers.append((parity, idxs, length))
-        self._run_tasks(tasks)
-        for parity, idxs, length in finishers:
-            for pos, idx in enumerate(idxs):
-                out[idx] = [
-                    np.ascontiguousarray(p[pos * length : (pos + 1) * length])
-                    for p in parity
-                ]
-        return out  # type: ignore[return-value]
-
-    def decode_batch(
-        self, jobs: Sequence[dict[int, np.ndarray]]
-    ) -> list[list[np.ndarray]]:
-        """Decode many stripes, one kernel pass per (erasure pattern, length).
-
-        Each job is a ``present`` mapping as accepted by :meth:`decode`.
-        Jobs sharing a survivor set and shard length are stacked into one
-        matrix product against the shared decode matrix.  Byte-identical to
-        per-stripe :meth:`decode`, in input order.
-        """
-        plans: list[tuple[int, tuple[int, ...], np.ndarray] | tuple[int, None, list[np.ndarray]]] = []
-        for idx, present in enumerate(jobs):
-            if len(present) < self.k:
-                raise ValueError(
-                    f"unrecoverable: need {self.k} shards, only {len(present)} present"
-                )
-            for i in present:
-                if not 0 <= i < self.n:
-                    raise IndexError(f"shard index {i} out of range 0..{self.n - 1}")
-            if all(i in present for i in range(self.k)):
-                data = [
-                    np.ascontiguousarray(present[i], dtype=np.uint8).ravel()
-                    for i in range(self.k)
-                ]
-                plans.append((idx, None, data))
-                continue
-            chosen = tuple(sorted(present.keys())[: self.k])
-            rows, length = self._as_rows([present[i] for i in chosen])
-            plans.append((idx, chosen, (rows, length)))
-        out: list[list[np.ndarray] | None] = [None] * len(jobs)
-        groups: dict[
-            tuple[tuple[int, ...], int], list[tuple[int, list[np.ndarray]]]
-        ] = {}
-        for idx, chosen, payload in plans:
-            if chosen is None:
-                out[idx] = payload  # all data shards survived; nothing to invert
-            else:
-                rows, length = payload
-                groups.setdefault((chosen, length), []).append((idx, rows))
-        tasks: list[Callable[[], None]] = []
-        finishers: list[
-            tuple[list[np.ndarray], list[tuple[int, list[np.ndarray]]], int]
-        ] = []
-        for (chosen, length), members in groups.items():
-            inv = self._decode_matrix(chosen)
-            if len(members) == 1:
-                rows = members[0][1]
-                width = length
-            else:
-                rows = [
-                    np.concatenate([mrows[j] for _, mrows in members])
-                    for j in range(self.k)
-                ]
-                width = length * len(members)
-            group_tasks, data = self._product_tasks(inv, rows, width)
-            tasks.extend(group_tasks)
-            finishers.append((data, members, length))
-        self._run_tasks(tasks)
-        for data, members, length in finishers:
-            for pos, (idx, _) in enumerate(members):
-                out[idx] = [
-                    np.ascontiguousarray(d[pos * length : (pos + 1) * length])
-                    for d in data
-                ]
-        return out  # type: ignore[return-value]
 
     def fold_parity(
         self,
@@ -568,33 +444,6 @@ class StripeCodec:
         data = [self._pad(o, shard_len) for o in objects]
         parity = self.code.encode(data)
         return Stripe(code=self.code, shards=data + parity, lengths=lengths)
-
-    def encode_objects_batch(
-        self, object_groups: Sequence[Sequence[np.ndarray]]
-    ) -> list[Stripe]:
-        """Encode many object groups into stripes with batched kernel passes.
-
-        Each group independently determines its shard length (its longest
-        object); groups that share a shard length are encoded in one fused
-        kernel call via :meth:`RSCode.encode_batch`.  Byte-identical to
-        mapping :meth:`encode_objects` over the groups.
-        """
-        all_lengths: list[list[int]] = []
-        all_data: list[list[np.ndarray]] = []
-        for objects in object_groups:
-            if len(objects) != self.k:
-                raise ValueError(f"expected {self.k} objects, got {len(objects)}")
-            lengths = [int(np.asarray(o).size) for o in objects]
-            shard_len = max(lengths) if lengths else 0
-            if shard_len == 0:
-                raise ValueError("cannot encode empty objects")
-            all_lengths.append(lengths)
-            all_data.append([self._pad(o, shard_len) for o in objects])
-        parities = self.code.encode_batch(all_data)
-        return [
-            Stripe(code=self.code, shards=data + parity, lengths=lengths)
-            for data, parity, lengths in zip(all_data, parities, all_lengths)
-        ]
 
     def decode_objects(self, stripe_lengths: Sequence[int], present: dict[int, np.ndarray]) -> list[np.ndarray]:
         """Recover the original (unpadded) objects from surviving shards."""

@@ -83,7 +83,6 @@ class LiveEngine:
         self,
         time_scale: float = 0.0,
         max_workers: int | None = None,
-        codec_workers: int | None = None,
     ):
         self.loop = asyncio.get_running_loop()
         self.time_scale = float(time_scale)
@@ -128,11 +127,9 @@ class LiveEngine:
         # pass).  Offloaded passes run on ``_executor`` workers and fan
         # their splits out here; keeping the pools distinct means a pass
         # can never deadlock waiting for splits behind other whole passes.
-        if codec_workers is None:
-            codec_workers = min(8, (os.cpu_count() or 1))
-        self.codec_workers = codec_workers
+        self.codec_workers = min(8, (os.cpu_count() or 1))
         self._codec_executor = ThreadPoolExecutor(
-            max_workers=codec_workers, thread_name_prefix="repro-codec"
+            max_workers=self.codec_workers, thread_name_prefix="repro-codec"
         )
         # Wall-clock observability (off by default; the live service
         # installs a WallClockTracer and starts the watchdog).

@@ -58,11 +58,12 @@ asyncio needed on the client side).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import struct
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -75,7 +76,6 @@ __all__ = [
     "frame_parts",
     "header_preamble",
     "read_frame",
-    "read_frame_timed",
     "write_frame",
     "LiveClient",
 ]
@@ -222,60 +222,71 @@ def _decode_header(raw: bytes | bytearray | memoryview) -> dict[str, Any]:
     return header
 
 
+def _frame_header():
+    """The header half of a frame, shared by both readers (sans-IO).
+
+    A generator the reader drives with the bytes it fetched: it yields
+    the size of the length word, is sent those bytes and yields the
+    header's size, is sent the header bytes and yields the decoded
+    header.  :func:`read_frame` (asyncio) and :class:`LiveClient`
+    (blocking socket) differ only in how they fetch — the length check
+    and the header decode are these statements for both.
+    """
+    (hlen,) = _LEN.unpack((yield _LEN.size))
+    if hlen == 0 or hlen > MAX_HEADER_BYTES:
+        raise ProtocolError(f"bad header length {hlen}")
+    yield _decode_header((yield hlen))
+
+
 # ---------------------------------------------------------------------------
 # asyncio framing (server side)
 # ---------------------------------------------------------------------------
-async def read_frame(reader) -> tuple[dict[str, Any], bytes]:
+async def read_frame(
+    reader, stamp: Callable[[], None] | None = None
+) -> tuple[dict[str, Any], bytes]:
     """Read one frame; raises ``EOFError`` on clean connection close.
 
     The payload lands in the single buffer ``readexactly`` returns —
     that is its final resting place on this side (``np.frombuffer``
     wraps it without copying), so the receive path contributes no
     intermediate copies.
+
+    A close is clean only at a frame boundary: EOF before the first byte
+    is ``EOFError``, EOF anywhere inside the frame is a
+    :class:`ProtocolError` (the peer died mid-request).
+
+    ``stamp``, when given, is called with no arguments at four points —
+    the length word arrived (the earliest this process can observe the
+    request), the header bytes arrived, the header is decoded, the
+    payload arrived — so a traced caller can read its clock there.  The
+    bytes take the same statements either way.
     """
+    steps = _frame_header()
+    part = "length word"
     try:
-        head = await reader.readexactly(_LEN.size)
-    except Exception as exc:  # IncompleteReadError or closed transport
-        raise EOFError("connection closed") from exc
-    (hlen,) = _LEN.unpack(head)
-    if hlen == 0 or hlen > MAX_HEADER_BYTES:
-        raise ProtocolError(f"bad header length {hlen}")
-    header = _decode_header(await reader.readexactly(hlen))
-    payload = await reader.readexactly(header["payload_len"]) if header["payload_len"] else b""
+        head = await reader.readexactly(next(steps))
+        if stamp is not None:
+            stamp()
+        part = "header"
+        raw = await reader.readexactly(steps.send(head))
+        if stamp is not None:
+            stamp()
+        header = steps.send(raw)
+        if stamp is not None:
+            stamp()
+        part = "payload"
+        payload = await reader.readexactly(header["payload_len"]) if header["payload_len"] else b""
+        if stamp is not None:
+            stamp()
+    except asyncio.IncompleteReadError as exc:
+        if part == "length word" and not exc.partial:
+            raise EOFError("connection closed") from exc
+        raise ProtocolError(
+            f"truncated frame: connection closed {len(exc.partial)} of "
+            f"{exc.expected} bytes into the {part}"
+        ) from exc
     PROTO_STATS.inc("frames_in")
     return header, payload
-
-
-async def read_frame_timed(reader, clock) -> tuple[dict[str, Any], bytes, float, float, float]:
-    """:func:`read_frame` plus arrival time and socket/decode timing.
-
-    Returns ``(header, payload, t_arrival, read_s, decode_s)`` where
-    ``t_arrival`` is the ``clock()`` reading right after the first length
-    byte arrived (the earliest this process can observe the request),
-    ``read_s`` is time spent awaiting header/payload bytes off the socket
-    and ``decode_s`` the JSON header decode.  Identical wire behaviour to
-    :func:`read_frame`; only used by the traced server path.
-    """
-    try:
-        head = await reader.readexactly(_LEN.size)
-    except Exception as exc:  # IncompleteReadError or closed transport
-        raise EOFError("connection closed") from exc
-    t_arrival = clock()
-    (hlen,) = _LEN.unpack(head)
-    if hlen == 0 or hlen > MAX_HEADER_BYTES:
-        raise ProtocolError(f"bad header length {hlen}")
-    hraw = await reader.readexactly(hlen)
-    t_head = clock()
-    header = _decode_header(hraw)
-    t_decoded = clock()
-    if header["payload_len"]:
-        payload = await reader.readexactly(header["payload_len"])
-    else:
-        payload = b""
-    t_body = clock()
-    PROTO_STATS.inc("frames_in")
-    read_s = (t_head - t_arrival) + (t_body - t_decoded)
-    return header, payload, t_arrival, read_s, t_decoded - t_head
 
 
 async def write_frame(
@@ -283,14 +294,19 @@ async def write_frame(
     header: dict[str, Any],
     payload: Buffer | Sequence[Buffer] = b"",
     extra: dict[str, Any] | None = None,
+    stamp: Callable[[], None] | None = None,
 ) -> None:
     """Scatter/gather frame send: no payload concatenation in our code.
 
     ``payload`` may be one buffer or a list of buffers (e.g. a get
     response's block views); ``writelines`` hands the list to the
-    transport as-is.
+    transport as-is.  ``stamp`` as for :func:`read_frame`, called once:
+    the frame is serialized, nothing is sent yet.
     """
-    writer.writelines(frame_parts(header, payload, extra=extra))
+    parts = frame_parts(header, payload, extra=extra)
+    if stamp is not None:
+        stamp()
+    writer.writelines(parts)
     await writer.drain()
 
 
@@ -463,10 +479,9 @@ class LiveClient:
         op = header.get("op", "?")
         try:
             self._send_parts(frame_parts(header, payload, preamble=preamble, extra=extra))
-            (hlen,) = _LEN.unpack(self._recv_exactly(_LEN.size))
-            if hlen == 0 or hlen > MAX_HEADER_BYTES:
-                raise ProtocolError(f"bad header length {hlen}")
-            resp = _decode_header(self._recv_exactly(hlen))
+            steps = _frame_header()
+            head = self._recv_exactly(next(steps))
+            resp = steps.send(self._recv_exactly(steps.send(head)))
             body = self._recv_exactly(resp["payload_len"]) if resp["payload_len"] else memoryview(b"")
         except socket.timeout as exc:
             # The op blew its deadline: the connection's framing state is

@@ -7,7 +7,7 @@ the shared service, and streams the response back.  Frames on one
 connection execute in order (a client's pipeline is FIFO); different
 connections run concurrently on the event loop — which is exactly where
 the live backend's parallelism comes from: while one request's encode
-batch runs on a worker thread, the loop serves other clients.
+runs on a worker thread, the loop serves other clients.
 
 ``serve_in_thread`` runs the whole stack (loop + service + server) on a
 dedicated thread and hands back a handle with the bound port — the shape
@@ -24,13 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.live.protocol import (
-    ProtocolError,
-    frame_parts,
-    read_frame,
-    read_frame_timed,
-    write_frame,
-)
+from repro.live.protocol import ProtocolError, read_frame, write_frame
 from repro.live.service import LiveStagingService
 from repro.staging.domain import BBox
 from repro.staging.service import StagingConfig
@@ -91,10 +85,7 @@ class LiveServer:
         self.connections_served += 1
         try:
             while True:
-                if self.live.tracer.enabled:
-                    op = await self._serve_one_traced(reader, writer)
-                else:
-                    op = await self._serve_one(reader, writer)
+                op = await self._serve_one(reader, writer)
                 if op is None:  # clean EOF
                     break
                 if op == "shutdown":
@@ -110,16 +101,28 @@ class LiveServer:
                 pass
 
     async def _serve_one(self, reader, writer) -> str | None:
-        """Read-dispatch-respond for one frame; returns the op (None on EOF)."""
+        """Read-dispatch-respond for one frame; returns the op (None on EOF).
+
+        The one request path.  With tracing on a :class:`_RequestTrace`
+        rides along and observes these same statements; the frame, the
+        dispatch and the response bytes do not know it is there.
+        """
+        tracer = self.live.tracer
+        trace = _RequestTrace(tracer) if tracer.enabled else None
         try:
-            header, payload = await read_frame(reader)
+            header, payload = await read_frame(reader, trace and trace.stamp)
         except EOFError:
             return None
+        op = header.get("op", "?")
         self._begin_request()
         try:
+            if trace:
+                trace.enter(op, header)
             try:
                 resp, body = await self._dispatch(header, payload)
             except ProtocolError:
+                if trace:
+                    trace.leave(None)
                 raise
             except BaseException as exc:
                 resp = {
@@ -128,117 +131,14 @@ class LiveServer:
                     "error": str(exc),
                 }
                 body = b""
+            if trace:
+                trace.leave(resp)
             self.requests_served += 1
-            await write_frame(writer, resp, body)
+            await write_frame(writer, resp, body, stamp=trace and trace.stamp)
+            if trace:
+                self.live.observe_request(*trace.finish())
         finally:
             self._end_request()
-        return header.get("op")
-
-    async def _serve_one_traced(self, reader, writer) -> str | None:
-        """The traced request path: one dispatch span + latency attribution.
-
-        The dispatch span is a *local* root backdated to frame arrival; a
-        propagated client trace context pins its ``trace_id`` and lands as
-        ``attrs["remote_parent"]`` (remote span ids never masquerade as
-        local parent links).  The span is installed as the handler task's
-        current scope, so every flow span the dispatch spawns — put/get
-        roots, offload and codec-pool spans — parents under it through the
-        contextvar, forming one tree per request.
-
-        Attribution: flow waits charge the request sink (classified by
-        the tracer) and are normalized to the dispatch wall interval when
-        concurrent flows overlap their waits; handler-side
-        socket/serialization costs are measured directly, ``loop_cpu`` is
-        the dispatch residual, and ``other`` closes the sum to
-        end-to-end exactly.  The partial breakdown
-        (everything but the response serialize/send, which cannot observe
-        itself) returns to the client as ``attr`` + ``srv_span``.
-        """
-        tracer = self.live.tracer
-        try:
-            header, payload, t_arrival, read_s, decode_s = await read_frame_timed(
-                reader, tracer._clock
-            )
-        except EOFError:
-            return None
-        self._begin_request()
-        try:
-            return await self._serve_one_traced_inner(
-                writer, header, payload, t_arrival, read_s, decode_s
-            )
-        finally:
-            self._end_request()
-
-    async def _serve_one_traced_inner(
-        self, writer, header, payload, t_arrival, read_s, decode_s
-    ) -> str:
-        tracer = self.live.tracer
-        op = header.get("op", "?")
-        span = tracer.begin(
-            f"rpc.{op}",
-            category="rpc",
-            parent=None,
-            trace_id=header.get("trace"),
-            t0=t_arrival,
-            client=header.get("client"),
-        )
-        if header.get("span") is not None:
-            span.set(remote_parent=header["span"])
-        sink: dict[str, float] = {}
-        scope_token = tracer.activate(span)
-        attr_token = tracer.push_attribution(sink)
-        t_svc0 = tracer.now
-        try:
-            resp, body = await self._dispatch(header, payload)
-        except ProtocolError:
-            tracer.end(span, error="ProtocolError")
-            raise
-        except BaseException as exc:
-            resp = {
-                "ok": False,
-                "error_type": type(exc).__name__,
-                "error": str(exc),
-            }
-            body = b""
-            span.set(error=f"{type(exc).__name__}: {exc}")
-        finally:
-            service_s = tracer.now - t_svc0
-            tracer.pop_attribution(attr_token)
-            tracer.deactivate(scope_token)
-        self.requests_served += 1
-        # Concurrent flows (block fan-out, background protection) overlap
-        # their waits, so charged seconds can exceed the dispatch wall
-        # interval.  Reconcile by scaling the categories down to the
-        # interval — ratios are preserved, the sum closes against wall
-        # time, and the raw overlap factor lands on the span.
-        sink_total = sum(sink.values())
-        wait_overlap = sink_total / service_s if service_s > 0.0 else 0.0
-        if sink_total > service_s > 0.0:
-            scale = service_s / sink_total
-            sink = {k: v * scale for k, v in sink.items()}
-            loop_cpu = 0.0
-        else:
-            loop_cpu = max(0.0, service_s - sink_total)
-        attr = {"socket_read": read_s, "serialization": decode_s, **sink,
-                "loop_cpu": loop_cpu}
-        resp["attr"] = attr
-        resp["srv_span"] = span.span_id
-        t_ser0 = tracer.now
-        parts = frame_parts(resp, body)
-        t_ser1 = tracer.now
-        writer.writelines(parts)
-        await writer.drain()
-        t_end = tracer.now
-        breakdown = dict(attr)
-        breakdown["serialization"] += t_ser1 - t_ser0
-        breakdown["socket_write"] = t_end - t_ser1
-        e2e = t_end - t_arrival
-        # Exact closure: "other" absorbs what no probe measured (handler
-        # bookkeeping, clock skew between probes); near zero by design.
-        breakdown["other"] = e2e - sum(breakdown.values())
-        span.t1 = t_end
-        span.set(op=op, e2e_s=e2e, breakdown=breakdown, wait_overlap=wait_overlap)
-        self.live.observe_request(op, e2e, breakdown)
         return op
 
     def _begin_request(self) -> None:
@@ -402,6 +302,113 @@ class LiveServer:
             await self.stop()
             return {"ok": True}, b""
         raise ProtocolError(f"unknown op {op!r}")
+
+
+class _RequestTrace:
+    """What tracing adds to one request of :meth:`LiveServer._serve_one`.
+
+    The dispatch span is a *local* root backdated to frame arrival; a
+    propagated client trace context pins its ``trace_id`` and lands as
+    ``attrs["remote_parent"]`` (remote span ids never masquerade as
+    local parent links).  The span is installed as the handler task's
+    current scope, so every flow span the dispatch spawns — put/get
+    roots, offload and codec-pool spans — parents under it through the
+    contextvar, forming one tree per request.
+
+    Attribution: flow waits charge the request sink (classified by the
+    tracer) and are normalized to the dispatch wall interval when
+    concurrent flows overlap their waits; handler-side
+    socket/serialization costs are measured directly, ``loop_cpu`` is
+    the dispatch residual, and ``other`` closes the sum to end-to-end
+    exactly.  The partial breakdown (everything but the response
+    serialize/send, which cannot observe itself) returns to the client
+    as ``attr`` + ``srv_span``.
+    """
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        # Clock readings outside the dispatch: read_frame's four (length
+        # word in, header in, header decoded, payload in), then the
+        # response serialization's start and end.
+        self.stamps: list[float] = []
+
+    def stamp(self) -> None:
+        self.stamps.append(self.tracer.now)
+
+    def enter(self, op: str, header: dict[str, Any]) -> None:
+        """Open the dispatch span and the attribution sink."""
+        tracer = self.tracer
+        self.op = op
+        self.span = tracer.begin(
+            f"rpc.{op}",
+            category="rpc",
+            parent=None,
+            trace_id=header.get("trace"),
+            t0=self.stamps[0],
+            client=header.get("client"),
+        )
+        if header.get("span") is not None:
+            self.span.set(remote_parent=header["span"])
+        self.sink: dict[str, float] = {}
+        self._scope_token = tracer.activate(self.span)
+        self._attr_token = tracer.push_attribution(self.sink)
+        self._t_svc0 = tracer.now
+
+    def leave(self, resp: dict[str, Any] | None) -> None:
+        """Close the sink; put ``attr`` / ``srv_span`` on the response.
+
+        ``resp`` is None when the dispatch died on a protocol error and
+        there is no response to annotate.
+        """
+        tracer = self.tracer
+        service_s = tracer.now - self._t_svc0
+        tracer.pop_attribution(self._attr_token)
+        tracer.deactivate(self._scope_token)
+        if resp is None:
+            tracer.end(self.span, error="ProtocolError")
+            return
+        if not resp["ok"]:
+            self.span.set(error=f"{resp['error_type']}: {resp['error']}")
+        # Concurrent flows (block fan-out, background protection) overlap
+        # their waits, so charged seconds can exceed the dispatch wall
+        # interval.  Reconcile by scaling the categories down to the
+        # interval — ratios are preserved, the sum closes against wall
+        # time, and the raw overlap factor lands on the span.
+        sink = self.sink
+        sink_total = sum(sink.values())
+        self.wait_overlap = sink_total / service_s if service_s > 0.0 else 0.0
+        if sink_total > service_s > 0.0:
+            scale = service_s / sink_total
+            sink = {k: v * scale for k, v in sink.items()}
+            loop_cpu = 0.0
+        else:
+            loop_cpu = max(0.0, service_s - sink_total)
+        t_arrival, t_head, t_decoded, t_body = self.stamps
+        self.attr = resp["attr"] = {
+            "socket_read": (t_head - t_arrival) + (t_body - t_decoded),
+            "serialization": t_decoded - t_head,
+            **sink,
+            "loop_cpu": loop_cpu,
+        }
+        resp["srv_span"] = self.span.span_id
+        self.stamp()
+
+    def finish(self) -> tuple[str, float, dict[str, float]]:
+        """Close the span once the response is sent: ``(op, e2e_s, breakdown)``."""
+        t_end = self.tracer.now
+        t_arrival, _, _, _, t_ser0, t_ser1 = self.stamps
+        breakdown = dict(self.attr)
+        breakdown["serialization"] += t_ser1 - t_ser0
+        breakdown["socket_write"] = t_end - t_ser1
+        e2e = t_end - t_arrival
+        # Exact closure: "other" absorbs what no probe measured (handler
+        # bookkeeping, clock skew between probes); near zero by design.
+        breakdown["other"] = e2e - sum(breakdown.values())
+        self.span.t1 = t_end
+        self.span.set(
+            op=self.op, e2e_s=e2e, breakdown=breakdown, wait_overlap=self.wait_overlap
+        )
+        return self.op, e2e, breakdown
 
 
 class ServerHandle:

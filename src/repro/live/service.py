@@ -58,7 +58,6 @@ class LiveStagingService:
         time_scale: float = 0.0,
         max_workers: int | None = None,
         offload_compute: bool = True,
-        parallel_codec: bool = True,
         tracing: bool = False,
     ):
         self.engine = LiveEngine(time_scale=time_scale, max_workers=max_workers)
@@ -78,12 +77,11 @@ class LiveStagingService:
         self.engine.tracer = self.tracer
         if offload_compute:
             self.service.runtime.compute_offload = self._offload_compute
-        if parallel_codec:
-            # Stripe-parallel kernel passes: large encodes/decodes split by
-            # column range across the engine's codec pool.  Byte-identical
-            # to serial (columns are independent), so sim-vs-live
-            # conformance is unaffected.
-            self.service.codec.code.parallel_map = self.engine.codec_map
+        # Stripe-parallel kernel passes: large encodes/decodes split by
+        # column range across the engine's codec pool.  Byte-identical
+        # to serial (columns are independent), so sim-vs-live
+        # conformance is unaffected.
+        self.service.codec.code.parallel_map = self.engine.codec_map
         self._register_live_gauges()
         if self.tracing:
             self.engine.start_watchdog(

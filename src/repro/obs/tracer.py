@@ -151,7 +151,7 @@ class Tracer:
         return span
 
     def instant(self, name: str, category: str = "", **attrs: Any) -> Span:
-        """A zero-duration marker span (failure detection, batch flush...)."""
+        """A zero-duration marker span (failure detection, get.locate...)."""
         span = self.begin(name, category=category, **attrs)
         span.t1 = span.t0
         return span

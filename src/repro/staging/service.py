@@ -181,7 +181,7 @@ class StagingService:
     def _register_component_gauges(self) -> None:
         """Publish component-internal counters into the metrics registry.
 
-        The decode-matrix cache, the coding batch and the event log keep
+        The decode-matrix cache, the directory and the event log keep
         plain-int counters for zero-overhead updates; registering callback
         gauges gives them one queryable namespace without changing the hot
         paths.
@@ -191,10 +191,6 @@ class StagingService:
         reg.gauge("rs.decode_cache.hits", lambda: code.decode_cache_hits)
         reg.gauge("rs.decode_cache.misses", lambda: code.decode_cache_misses)
         reg.gauge("rs.decode_cache.evictions", lambda: code.decode_cache_evictions)
-        batch = self.runtime.coding_batch
-        reg.gauge("coding_batch.jobs_submitted", lambda: batch.jobs_submitted)
-        reg.gauge("coding_batch.flushes", lambda: batch.flushes)
-        reg.gauge("coding_batch.largest_flush", lambda: batch.largest_flush)
         reg.gauge("eventlog.len", lambda: len(self.log))
         reg.gauge("eventlog.dropped", lambda: self.log.dropped)
         stats = self.directory.op_stats

@@ -5,7 +5,8 @@ tasks.  Columns of a GF(2^8) matrix product are independent, so any
 split must reproduce the serial bytes exactly — for every registered
 kernel, the native kernel (when loaded), every worker count, and the
 awkward shapes (zero-length shards, lengths that are not multiples of
-k or of the 4 KiB split alignment).
+k or of the 4 KiB split alignment).  The ``*_batch_*`` tests push a
+batch of stripes through the codec one ``encode`` / ``decode`` call each.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ def test_parallel_encode_batch_matches_serial(
         monkeypatch.setattr(GF256, "_NATIVE", None)
         GF256.set_kernel(kernel)
     try:
-        serial = RSCode(k, m).encode_batch(stripes)
+        serial = list(map(RSCode(k, m).encode, stripes))
         par_code = RSCode(k, m)
         _make_parallel(par_code, _pool_map(workers))
-        parallel = par_code.encode_batch(stripes)
+        parallel = [par_code.encode(s) for s in stripes]
     finally:
         GF256.set_kernel(None)
     assert par_code.parallel_stats["passes"] >= 1
@@ -100,10 +101,10 @@ def test_parallel_decode_batch_matches_serial(
         monkeypatch.setattr(GF256, "_NATIVE", None)
         GF256.set_kernel(kernel)
     try:
-        serial = RSCode(k, m).decode_batch(jobs)
+        serial = list(map(RSCode(k, m).decode, jobs))
         par_code = RSCode(k, m)
         _make_parallel(par_code, _pool_map(workers))
-        parallel = par_code.decode_batch(jobs)
+        parallel = [par_code.decode(j) for j in jobs]
     finally:
         GF256.set_kernel(None)
     for want, got in zip(serial, parallel):
@@ -123,10 +124,10 @@ def test_parallel_encode_objects_batch_matches_serial(workers):
         groups.append(
             [rng.integers(0, 256, size=int(n), dtype=np.uint8) for n in lengths]
         )
-    serial = StripeCodec(k, m).encode_objects_batch(groups)
+    serial = list(map(StripeCodec(k, m).encode_objects, groups))
     par = StripeCodec(k, m)
     _make_parallel(par.code, _pool_map(workers))
-    parallel = par.encode_objects_batch(groups)
+    parallel = [par.encode_objects(g) for g in groups]
     for want, got in zip(serial, parallel):
         assert want.lengths == got.lengths
         for a, b in zip(want.shards, got.shards):
@@ -165,10 +166,10 @@ def test_parallel_split_property(k, m, workers, seed):
         stripes.append(
             [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
         )
-    serial = RSCode(k, m).encode_batch(stripes)
+    serial = list(map(RSCode(k, m).encode, stripes))
     par = RSCode(k, m)
     _make_parallel(par, _pool_map(workers))
-    parallel = par.encode_batch(stripes)
+    parallel = [par.encode(s) for s in stripes]
     stats = par.parallel_stats
     assert stats["passes"] + stats["serial_passes"] >= 1
     for want, got in zip(serial, parallel):

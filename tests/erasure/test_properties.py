@@ -4,8 +4,8 @@ The unit tests in ``test_reedsolomon.py`` / ``test_gf256.py`` pin known
 cases; this file asserts the *algebraic contracts* over randomly drawn
 instances (hypothesis, derandomized so CI is stable):
 
-- encode/encode_batch and decode/decode_batch are byte-identical to the
-  reference kernel for every registered kernel;
+- encode and decode are byte-identical to the reference kernel for
+  every registered kernel;
 - any erasure pattern of ≤ m shards decodes back to the original bytes,
   for random k, m, and object sizes (including zero-length objects and
   totals that are not multiples of k);
@@ -62,49 +62,6 @@ def test_every_erasure_pattern_decodes(problem):
                 assert np.array_equal(orig, got), (
                     f"k={k} m={m} lost={lost} object mismatch"
                 )
-
-
-@settings(max_examples=25, **COMMON)
-@given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_encode_batch_matches_per_stripe_encode(k, m, seed):
-    """Batched encode is byte-identical to encoding each stripe alone."""
-    rng = np.random.default_rng(seed)
-    code = RSCode(k, m)
-    stripes = []
-    for _ in range(int(rng.integers(1, 5))):
-        length = int(rng.integers(1, 257))
-        stripes.append(
-            [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
-        )
-    batched = code.encode_batch(stripes)
-    for shards, parities in zip(stripes, batched):
-        single = code.encode(shards)
-        assert len(single) == len(parities) == m
-        for a, b in zip(single, parities):
-            assert np.array_equal(a, b)
-
-
-@settings(max_examples=25, **COMMON)
-@given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_decode_batch_matches_per_stripe_decode(k, m, seed):
-    """Batched decode is byte-identical to decoding each job alone."""
-    rng = np.random.default_rng(seed)
-    code = RSCode(k, m)
-    jobs = []
-    expected = []
-    for _ in range(int(rng.integers(1, 6))):
-        length = int(rng.integers(1, 129))
-        data = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
-        shards = data + code.encode(data)
-        lost = rng.choice(k + m, size=int(rng.integers(0, m + 1)), replace=False)
-        jobs.append({i: shards[i] for i in range(k + m) if i not in lost})
-        expected.append(data)
-    decoded = code.decode_batch(jobs)
-    for job, exp, got in zip(jobs, expected, decoded):
-        alone = code.decode(job)
-        for e, g, a in zip(exp, got, alone):
-            assert np.array_equal(e, g)
-            assert np.array_equal(g, a)
 
 
 @settings(max_examples=20, **COMMON)
@@ -191,5 +148,3 @@ def test_too_many_erasures_raises():
     present = {i: shards[i] for i in range(2)}  # only 2 of k=3 survive
     with pytest.raises(ValueError):
         code.decode(present)
-    with pytest.raises(ValueError):
-        code.decode_batch([present])

@@ -302,88 +302,65 @@ def roundtrip_configs():
 
 @pytest.mark.parametrize("k,m,construction", list(roundtrip_configs()))
 def test_roundtrip_every_erasure_pattern(k, m, construction):
-    """Exhaustive MDS check: every erasure pattern of size <= m round-trips,
-    and the batch APIs are byte-identical to the per-stripe ones."""
+    """Exhaustive MDS check: every erasure pattern of size <= m round-trips."""
     rng = np.random.default_rng(1000 * k + 10 * m)
     code = RSCode(k, m, construction, decode_cache_capacity=2048)
     data = make_shards(rng, k, 8)
     parity = code.encode(data)
     full = {i: s for i, s in enumerate(data + parity)}
 
-    jobs = []
     for lost in all_erasure_patterns(code.n, m):
         present = {i: s for i, s in full.items() if i not in lost}
         rec = code.decode(present)
         assert all((a == b).all() for a, b in zip(rec, data))
-        jobs.append(present)
-
-    # Batch APIs must agree byte-for-byte with the per-stripe calls.
-    batch_parity = code.encode_batch([data])[0]
-    assert all((a == b).all() for a, b in zip(batch_parity, parity))
-    for rec in code.decode_batch(jobs):
-        assert all((a == b).all() for a, b in zip(rec, data))
 
 
-class TestBatchAPIs:
-    def test_encode_batch_matches_per_stripe(self):
-        rng = np.random.default_rng(40)
-        code = RSCode(4, 2)
-        # Mixed shard lengths force multiple length groups in one batch.
-        stripes = [make_shards(rng, 4, n) for n in (64, 32, 64, 17, 32, 64)]
-        batched = code.encode_batch(stripes)
-        for shards, parity in zip(stripes, batched):
-            ref = code.encode(shards)
-            assert all((a == b).all() for a, b in zip(parity, ref))
-            assert all(p.flags["C_CONTIGUOUS"] for p in parity)
+class TestSinglePassReconstruction:
+    """A single missing shard must cost exactly one fused kernel pass."""
 
-    def test_encode_batch_empty_and_zero_parity(self):
-        code = RSCode(3, 0)
-        assert code.encode_batch([]) == []
-        stripes = [make_shards(np.random.default_rng(41), 3, 8)]
-        assert code.encode_batch(stripes) == [[]]
+    @pytest.fixture
+    def stripe(self):
+        rng = np.random.default_rng(63)
+        code = RSCode(6, 3)
+        data = make_shards(rng, 6, 2048)
+        parity = code.encode(data)
+        return code, data, parity, {i: s for i, s in enumerate(data + parity)}
 
-    def test_encode_batch_validates_each_stripe(self):
-        code = RSCode(3, 1)
-        good = make_shards(np.random.default_rng(42), 3, 8)
-        with pytest.raises(ValueError):
-            code.encode_batch([good, good[:2]])
+    def test_missing_data_shard_is_one_pass(self, stripe):
+        code, data, _, full = stripe
+        present = {i: s for i, s in full.items() if i != 2}
+        GF256.reset_kernel_stats()
+        rec = code.reconstruct_shard(present, 2)
+        assert GF256.KERNEL_STATS["matmul_calls"] == 1
+        assert (rec == data[2]).all()
 
-    def test_decode_batch_matches_per_stripe(self):
-        rng = np.random.default_rng(43)
-        code = RSCode(4, 2)
-        jobs = []
-        refs = []
-        for seed, lost in enumerate([(0,), (1, 3), (), (5,), (1, 3)]):
-            data = make_shards(rng, 4, 24 + seed)
-            parity = code.encode(data)
-            full = {i: s for i, s in enumerate(data + parity)}
-            jobs.append({i: s for i, s in full.items() if i not in lost})
-            refs.append(data)
-        for rec, data in zip(code.decode_batch(jobs), refs):
-            assert all((a == b).all() for a, b in zip(rec, data))
+    def test_missing_parity_shard_is_one_pass(self, stripe):
+        code, _, parity, full = stripe
+        present = {i: s for i, s in full.items() if i != 7}
+        GF256.reset_kernel_stats()
+        rec = code.reconstruct_shard(present, 7)
+        assert GF256.KERNEL_STATS["matmul_calls"] == 1
+        assert (rec == parity[1]).all()
 
-    def test_decode_batch_unrecoverable_raises(self):
-        code = RSCode(3, 1)
-        with pytest.raises(ValueError, match="unrecoverable"):
-            code.decode_batch([{0: np.zeros(4, np.uint8)}])
+    def test_parity_with_data_losses_one_pass(self, stripe):
+        # Survivor set mixes data and parity rows, so the combination row
+        # composes the parity generator with the decode matrix — still one
+        # payload-sized kernel pass.
+        code, _, parity, full = stripe
+        present = {i: s for i, s in full.items() if i not in (0, 1, 6)}
+        GF256.reset_kernel_stats()
+        rec = code.reconstruct_shard(present, 6)
+        assert GF256.KERNEL_STATS["matmul_calls"] == 1
+        assert (rec == parity[0]).all()
 
-    def test_encode_objects_batch_matches_per_group(self):
-        rng = np.random.default_rng(44)
-        sc = StripeCodec(3, 2)
-        groups = [
-            [rng.integers(0, 256, n, dtype=np.uint8) for n in sizes]
-            for sizes in [(50, 64, 33), (16, 16, 16), (50, 64, 33)]
-        ]
-        batched = sc.encode_objects_batch(groups)
-        for group, stripe in zip(groups, batched):
-            ref = sc.encode_objects(group)
-            assert stripe.lengths == ref.lengths
-            assert all((a == b).all() for a, b in zip(stripe.shards, ref.shards))
-
-    def test_encode_objects_batch_validates(self):
-        sc = StripeCodec(2, 1)
-        with pytest.raises(ValueError):
-            sc.encode_objects_batch([[np.ones(4, np.uint8)]])
+    def test_warm_row_cache_stays_one_pass(self, stripe):
+        code, data, _, full = stripe
+        present = {i: s for i, s in full.items() if i != 4}
+        code.reconstruct_shard(present, 4)  # builds and caches the row
+        GF256.reset_kernel_stats()
+        rec = code.reconstruct_shard(present, 4)
+        assert GF256.KERNEL_STATS["matmul_calls"] == 1
+        assert (rec == data[4]).all()
 
 
 class TestDecodeCacheLRU:
