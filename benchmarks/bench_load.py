@@ -20,7 +20,7 @@ Three phases, mirroring how the harness is meant to be used:
    routed flow clients against the 2-shard cluster; put/get p99 and the
    error rate are gated against the committed ``BENCH_load.json``
    baseline with headroom (the same committed-baseline-with-tolerance
-   style ``check_regression.py`` and ``bench_live.py`` use).  On hosts
+   style ``check_regression.py`` uses).  On hosts
    with fewer than ``MIN_CPUS_FOR_SLO_GATE`` CPUs the shard processes
    and flow threads time-slice one core, so wall-clock percentiles say
    nothing about the code; the gate drops to report-only and the emitted

@@ -18,6 +18,7 @@ import numpy as np
 from repro import StagingConfig, StagingService
 from repro.core.policies import bounded_spec, policy_from_spec
 from repro.core.recovery import RecoveryConfig
+from repro.obs.export import write_trace_dir
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -93,30 +94,6 @@ def build_service(
     )
 
 
-def export_trace(svc: StagingService, trace_dir: str, process_name: str = "repro-bench") -> dict:
-    """Write a service's trace/metrics artifacts into ``trace_dir``.
-
-    Returns the artifact paths.  Requires the service to have been built
-    with ``tracing=True``.
-    """
-    from repro.obs.export import (
-        write_chrome_trace,
-        write_events_jsonl,
-        write_metrics_json,
-        write_spans_jsonl,
-    )
-
-    os.makedirs(trace_dir, exist_ok=True)
-    return {
-        "chrome_trace": write_chrome_trace(
-            os.path.join(trace_dir, "trace.json"), svc.tracer, process_name=process_name
-        ),
-        "spans": write_spans_jsonl(os.path.join(trace_dir, "spans.jsonl"), svc.tracer),
-        "events": write_events_jsonl(os.path.join(trace_dir, "events.jsonl"), svc.log),
-        "metrics": write_metrics_json(os.path.join(trace_dir, "metrics.json"), svc.metrics),
-    }
-
-
 def run_synthetic(
     policy_name: str,
     case: str,
@@ -130,7 +107,7 @@ def run_synthetic(
     """Run one Table I synthetic case; return a result row.
 
     ``trace_dir`` additionally runs the case with span tracing enabled and
-    drops trace.json / spans.jsonl / events.jsonl / metrics.json there.
+    drops the ``write_trace_dir`` artifact set there.
     Tracing adds no simulator events, so the result row is unaffected;
     golden results are regenerated with tracing off regardless.
     """
@@ -147,7 +124,10 @@ def run_synthetic(
     svc.run_workflow(wl.run())
     svc.run()  # drain background transitions / recovery
     if trace_dir is not None:
-        export_trace(svc, trace_dir, process_name=f"repro-{case}-{policy_name}")
+        write_trace_dir(
+            trace_dir, svc.tracer, svc.log, svc.metrics,
+            process_name=f"repro-{case}-{policy_name}",
+        )
     m = svc.metrics
     steady_put = (
         float(np.mean(wl.step_put.values[-5:])) if len(wl.step_put) >= 5 else m.put_stat.mean

@@ -475,24 +475,13 @@ def dump_artifacts(
     reproduces the same violations while capturing the full span tree
     around them.
     """
-    from repro.obs.export import (
-        write_chrome_trace,
-        write_events_jsonl,
-        write_metrics_json,
-        write_spans_jsonl,
-    )
+    from repro.obs.export import write_trace_dir
 
-    os.makedirs(out_dir, exist_ok=True)
     traced_result, svc = execute_units(cfg, units, result.horizon, tracing=True)
-    artifacts = {
-        "chrome_trace": write_chrome_trace(
-            os.path.join(out_dir, "trace.json"), svc.tracer,
-            process_name=f"chaos-{cfg.mode}-seed{cfg.seed}",
-        ),
-        "spans": write_spans_jsonl(os.path.join(out_dir, "spans.jsonl"), svc.tracer),
-        "events": write_events_jsonl(os.path.join(out_dir, "events.jsonl"), svc.log),
-        "metrics": write_metrics_json(os.path.join(out_dir, "metrics.json"), svc.metrics),
-    }
+    artifacts = write_trace_dir(
+        out_dir, svc.tracer, svc.log, svc.metrics,
+        process_name=f"chaos-{cfg.mode}-seed{cfg.seed}",
+    )
     schedule_path = os.path.join(out_dir, "schedule.json")
     with open(schedule_path, "w", encoding="utf-8") as fh:
         json.dump(

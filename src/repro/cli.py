@@ -17,13 +17,14 @@ Usage::
 ``--fail STEP:SERVER`` / ``--replace STEP:SERVER`` inject the paper's
 Figure-10-style failure schedules.  ``trace`` runs with hierarchical span
 tracing enabled and exports Perfetto-loadable ``trace.json`` plus JSONL
-span/event dumps (see docs/OBSERVABILITY.md).
+span/event dumps and metrics snapshots (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import closing
 
@@ -93,30 +94,16 @@ def cmd_run_case(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one traced case and export Chrome-trace / JSONL / metrics files."""
-    import os
-
-    from repro.obs.export import (
-        spans_to_breakdown,
-        write_chrome_trace,
-        write_events_jsonl,
-        write_metrics_json,
-        write_spans_jsonl,
-    )
+    from repro.obs.export import spans_to_breakdown, write_trace_dir
 
     service, workload = _build_case(args, tracing=True)
     service.run_workflow(workload.run())
     service.run()
-    os.makedirs(args.out, exist_ok=True)
     tracer = service.tracer
-    artifacts = {
-        "chrome_trace": write_chrome_trace(
-            os.path.join(args.out, "trace.json"), tracer,
-            process_name=f"repro-{args.case}-{args.policy}",
-        ),
-        "spans": write_spans_jsonl(os.path.join(args.out, "spans.jsonl"), tracer),
-        "events": write_events_jsonl(os.path.join(args.out, "events.jsonl"), service.log),
-        "metrics": write_metrics_json(os.path.join(args.out, "metrics.json"), service.metrics),
-    }
+    artifacts = write_trace_dir(
+        args.out, tracer, service.log, service.metrics,
+        process_name=f"repro-{args.case}-{args.policy}",
+    )
     # Cross-check: summed leaf-span costs must reproduce Metrics.breakdown.
     recon = spans_to_breakdown(tracer.spans)
     breakdown = service.metrics.breakdown
@@ -209,11 +196,7 @@ def cmd_durability(args: argparse.Namespace) -> int:
 
 def _events_dropped_nearby(path: str) -> int | None:
     """Read ``eventlog.dropped`` from a metrics.json next to ``path``."""
-    import os
-
     metrics_path = os.path.join(os.path.dirname(os.path.abspath(path)), "metrics.json")
-    if not os.path.exists(metrics_path):
-        return None
     try:
         with open(metrics_path, encoding="utf-8") as fh:
             registry = json.load(fh).get("registry", {})
@@ -234,106 +217,37 @@ def _span_table(rows: list[dict]) -> None:
         )
 
 
-def _report_trace(path: str, as_json: bool) -> int:
-    """Per-span-name duration summary of a ``spans.jsonl`` dump."""
-    from repro.obs.registry import Histogram
+def _report_spans(spans_path: str, args: argparse.Namespace) -> int:
+    """Summary of a ``spans.jsonl`` dump (simulated or wall-clock).
 
-    by_name: dict[str, Histogram] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            hist = by_name.get(row["name"])
-            if hist is None:
-                hist = by_name[row["name"]] = Histogram(row["name"])
-            hist.observe(float(row["t1"]) - float(row["t0"]))
-    rows = [{"name": name, **hist.snapshot()} for name, hist in by_name.items()]
-    rows.sort(key=lambda r: -r["total"])
-    if as_json:
-        json.dump(rows, sys.stdout, indent=2, default=float)
-        print()
-        return 0
-    _span_table(rows)
-    dropped = _events_dropped_nearby(path)
-    if dropped is not None:
-        print(f"events dropped: {dropped}")
-    return 0
-
-
-def _report_live_trace(trace_dir: str, as_json: bool) -> int:
-    """Summary of a wall-clock live trace directory.
-
-    Reads ``spans.jsonl`` written by ``repro live --trace-dir`` (or
-    ``bench_live.py --trace-dir``): per-span-name duration percentiles,
-    request count and distinct trace count, plus per-category latency
+    Per-span-name duration percentiles; for a live trace also the
+    request / distinct-trace counts and the per-category latency
     attribution aggregated from the dispatch spans' ``breakdown`` attrs.
     ``metrics.json`` in the same directory contributes the dropped-event
     count.
     """
-    import os
+    from repro.obs.export import span_summary
 
-    from repro.obs.registry import Histogram
-
-    spans_path = os.path.join(trace_dir, "spans.jsonl")
-    by_name: dict[str, Histogram] = {}
-    attr_hists: dict[str, Histogram] = {}
-    trace_ids: set[str] = set()
-    n_spans = 0
-    n_requests = 0
     with open(spans_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            n_spans += 1
-            if row.get("trace_id"):
-                trace_ids.add(row["trace_id"])
-            hist = by_name.get(row["name"])
-            if hist is None:
-                hist = by_name[row["name"]] = Histogram(row["name"])
-            hist.observe(float(row["t1"]) - float(row["t0"]))
-            breakdown = (row.get("attrs") or {}).get("breakdown")
-            if breakdown:
-                n_requests += 1
-                for cat, dt in breakdown.items():
-                    cat_hist = attr_hists.get(cat)
-                    if cat_hist is None:
-                        cat_hist = attr_hists[cat] = Histogram(cat)
-                    cat_hist.observe(float(dt))
-    span_rows = [{"name": name, **hist.snapshot()} for name, hist in by_name.items()]
-    span_rows.sort(key=lambda r: -r["total"])
-    attr_rows = [{"name": cat, **hist.snapshot()} for cat, hist in attr_hists.items()]
-    attr_rows.sort(key=lambda r: -r["total"])
-    dropped = _events_dropped_nearby(spans_path)
-    if as_json:
-        json.dump(
-            {
-                "spans": n_spans,
-                "traces": len(trace_ids),
-                "requests": n_requests,
-                "events_dropped": dropped,
-                "by_span": span_rows,
-                "attribution": attr_rows,
-            },
-            sys.stdout,
-            indent=2,
-            default=float,
-        )
-        print()
+        summary = span_summary(json.loads(line) for line in fh if line.strip())
+    dropped = summary["events_dropped"] = _events_dropped_nearby(spans_path)
+    if args.json:
+        _emit(summary, args)
         return 0
-    print(f"{n_spans} spans in {len(trace_ids)} traces, "
-          f"{n_requests} attributed requests")
-    if dropped is not None:
-        print(f"events dropped: {dropped}")
-    print()
-    _span_table(span_rows)
-    if attr_rows:
+    dropped_line = f"events dropped: {dropped}\n" if dropped is not None else ""
+    if summary["traces"]:
+        # A wall-clock trace leads with its trace / request counts.
+        print(f"{summary['spans']} spans in {summary['traces']} traces, "
+              f"{summary['requests']} attributed requests")
+        print(dropped_line, end="")
+        print()
+    _span_table(summary["by_span"])
+    if not summary["traces"]:
+        print(dropped_line, end="")
+    if summary["attribution"]:
         print()
         print("latency attribution (per request, seconds):")
-        _span_table(attr_rows)
+        _span_table(summary["attribution"])
     return 0
 
 
@@ -341,9 +255,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import ascii_bars, ascii_series, list_results, load_results
 
     if args.live_trace:
-        return _report_live_trace(args.live_trace, args.json)
+        return _report_spans(os.path.join(args.live_trace, "spans.jsonl"), args)
     if args.trace:
-        return _report_trace(args.trace, args.json)
+        return _report_spans(args.trace, args)
     if args.list:
         for name in list_results(args.results_dir):
             print(name)
@@ -483,38 +397,43 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _export_live_trace(out_dir: str, live) -> dict[str, str]:
-    """Dump a stopped live service's trace + metrics artifacts to a dir.
+def _export_live(args: argparse.Namespace, live) -> dict[str, str]:
+    """``--trace-dir``: a stopped live service's artifacts, wall-clock labeled."""
+    from repro.obs.export import write_trace_dir
 
-    Same artifact set as ``repro trace`` (Perfetto ``trace.json``,
-    ``spans.jsonl``, ``events.jsonl``, ``metrics.json``) plus a
-    Prometheus text dump, with the wall-clock domain labeled in the
-    Chrome trace metadata.
-    """
-    import os
-
-    from repro.obs.export import (
-        write_chrome_trace,
-        write_events_jsonl,
-        write_metrics_json,
-        write_prometheus_text,
-        write_spans_jsonl,
+    return write_trace_dir(
+        args.trace_dir, live.tracer, live.service.log, live.service.metrics,
+        process_name="repro-live", clock="wall-clock seconds",
     )
 
-    os.makedirs(out_dir, exist_ok=True)
-    service = live.service
+
+def _smoke(cli, domain: tuple[int, ...]) -> dict:
+    """The ``live --smoke`` workload against a connected (routing) client.
+
+    Whole-domain puts and gets (cross-shard on a cluster), step/flush
+    broadcasts, then the full read audit and the quiescent invariant
+    sweep — on every shard when ``cli`` routes.
+    """
+    for _ in range(3):
+        for v in range(2):
+            cli.put(f"var{v}", (0, 0, 0), domain)
+        cli.step()
+    _, blocks = cli.get("var0", (0, 0, 0), domain)
+    cli.flush()
+    cli.quiesce()
+    audit = cli.verify()
+    violations = cli.invariants()
     return {
-        "chrome_trace": write_chrome_trace(
-            os.path.join(out_dir, "trace.json"), live.tracer,
-            process_name="repro-live", clock="wall-clock seconds",
-        ),
-        "spans": write_spans_jsonl(os.path.join(out_dir, "spans.jsonl"), live.tracer),
-        "events": write_events_jsonl(os.path.join(out_dir, "events.jsonl"), service.log),
-        "metrics": write_metrics_json(os.path.join(out_dir, "metrics.json"), service.metrics),
-        "prometheus": write_prometheus_text(
-            os.path.join(out_dir, "metrics.prom"), service.metrics.registry
-        ),
+        "blocks_read": len(blocks),
+        **cli.stats(),
+        "unrecoverable": audit["unrecoverable"],
+        "invariant_violations": violations,
     }
+
+
+def _emit_smoke(out: dict, args: argparse.Namespace) -> int:
+    _emit(out, args)
+    return 0 if not out["unrecoverable"] and not out["invariant_violations"] else 1
 
 
 def cmd_live(args: argparse.Namespace) -> int:
@@ -558,29 +477,17 @@ def cmd_live(args: argparse.Namespace) -> int:
             with LiveClient(
                 handle.host, handle.port, name="smoke", tracer=tracer
             ) as cli:
-                for step in range(3):
-                    for v in range(2):
-                        cli.put(f"var{v}", (0, 0, 0), tuple(args.domain))
-                    cli.step()
-                _, blocks = cli.get("var0", (0, 0, 0), tuple(args.domain))
-                cli.flush()
-                cli.quiesce()
-                audit = cli.verify()
-                stats = cli.stats()
+                out = {
+                    "host": handle.host,
+                    "port": handle.port,
+                    **_smoke(cli, tuple(args.domain)),
+                }
         finally:
             handle.stop()
-        out = {
-            "host": handle.host,
-            "port": handle.port,
-            "blocks_read": len(blocks),
-            **stats,
-            "unrecoverable": audit["unrecoverable"],
-        }
         if tracing:
             out["spans"] = len(handle.live.tracer.spans)
-            out["artifacts"] = _export_live_trace(args.trace_dir, handle.live)
-        _emit(out, args)
-        return 0 if not audit["unrecoverable"] else 1
+            out["artifacts"] = _export_live(args, handle.live)
+        return _emit_smoke(out, args)
 
     import asyncio
 
@@ -605,7 +512,7 @@ def cmd_live(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     if tracing and "live" in box:
-        artifacts = _export_live_trace(args.trace_dir, box["live"])
+        artifacts = _export_live(args, box["live"])
         print(f"trace artifacts in {args.trace_dir}: "
               f"{', '.join(sorted(artifacts))}", file=sys.stderr)
     return 0
@@ -615,11 +522,9 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
     """``repro live --shards N``: the sharded multi-process deployment.
 
     One OS process per coding-group shard; clients route block ops by
-    primary placement.  ``--smoke`` drives a routed workload through the
-    cluster (cross-shard puts/gets, step/flush broadcasts, full audit +
-    quiescent invariant sweep on every shard) and exits — the CI health
-    check for the cluster path.  Foreground mode prints each shard's
-    endpoint and serves until Ctrl-C.
+    primary placement.  ``--smoke`` drives the smoke workload through a
+    routing client and exits — the CI health check for the cluster path.
+    Foreground mode prints each shard's endpoint and serves until Ctrl-C.
     """
     from repro.core.policies import bounded_spec
     from repro.live.cluster import LiveCluster
@@ -639,37 +544,18 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
         # sharded deployment can evaluate (each shard sees its groups).
         pspec[1]["enforcement_scope"] = "group"
 
-    if args.smoke:
-        with LiveCluster(
-            config, pspec, args.shards,
-            time_scale=args.time_scale, max_workers=args.workers, host=args.host,
-        ) as cluster:
-            endpoints = [list(ep) for ep in cluster.endpoints]
-            with cluster.client(name="smoke") as cli:
-                for _ in range(3):
-                    for v in range(2):
-                        cli.put(f"var{v}", (0, 0, 0), tuple(args.domain))
-                    cli.step()
-                _, blocks = cli.get("var0", (0, 0, 0), tuple(args.domain))
-                cli.flush()
-                cli.quiesce()
-                audit = cli.verify()
-                violations = cli.invariants()
-                stats = cli.stats()
-        out = {
-            "endpoints": endpoints,
-            "blocks_read": len(blocks),
-            **stats,
-            "unrecoverable": audit["unrecoverable"],
-            "invariant_violations": violations,
-        }
-        _emit(out, args)
-        return 0 if not audit["unrecoverable"] and not violations else 1
-
     cluster = LiveCluster(
         config, pspec, args.shards,
         time_scale=args.time_scale, max_workers=args.workers, host=args.host,
     )
+    if args.smoke:
+        with cluster, cluster.client(name="smoke") as cli:
+            out = {
+                "endpoints": [list(ep) for ep in cluster.endpoints],
+                **_smoke(cli, tuple(args.domain)),
+            }
+        return _emit_smoke(out, args)
+
     for shard, (host, port) in enumerate(cluster.endpoints):
         print(
             f"live staging shard {shard} on {host}:{port} "
@@ -886,30 +772,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fail", action="append", default=[], metavar="STEP:SERVER")
         p.add_argument("--replace", action="append", default=[], metavar="STEP:SERVER")
 
+    def synthetic_case(p):
+        common(p)
+        p.add_argument("--case", default="case1",
+                       choices=["case1", "case2", "case3", "case4", "case5"])
+        p.add_argument("--writers", type=int, default=64)
+        p.add_argument("--readers", type=int, default=32)
+        p.add_argument("--servers", type=int, default=8)
+        p.add_argument("--domain", type=int, nargs=3, default=[64, 64, 64])
+        p.add_argument("--element-bytes", type=int, default=1)
+
     p_case = sub.add_parser("run-case", help="run a synthetic Table-I case")
-    common(p_case)
-    p_case.add_argument("--case", default="case1",
-                        choices=["case1", "case2", "case3", "case4", "case5"])
-    p_case.add_argument("--writers", type=int, default=64)
-    p_case.add_argument("--readers", type=int, default=32)
-    p_case.add_argument("--servers", type=int, default=8)
-    p_case.add_argument("--domain", type=int, nargs=3, default=[64, 64, 64])
-    p_case.add_argument("--element-bytes", type=int, default=1)
+    synthetic_case(p_case)
     p_case.set_defaults(func=cmd_run_case)
 
     p_trace = sub.add_parser(
         "trace", help="run a traced synthetic case and export trace artifacts"
     )
-    common(p_trace)
-    p_trace.add_argument("--case", default="case1",
-                         choices=["case1", "case2", "case3", "case4", "case5"])
-    p_trace.add_argument("--writers", type=int, default=64)
-    p_trace.add_argument("--readers", type=int, default=32)
-    p_trace.add_argument("--servers", type=int, default=8)
-    p_trace.add_argument("--domain", type=int, nargs=3, default=[64, 64, 64])
-    p_trace.add_argument("--element-bytes", type=int, default=1)
+    synthetic_case(p_trace)
     p_trace.add_argument("--out", default="trace-out",
-                         help="directory for trace.json / spans.jsonl / events.jsonl / metrics.json")
+                         help="directory for trace.json / spans.jsonl / "
+                              "events.jsonl / metrics.json / metrics.prom")
     p_trace.set_defaults(func=cmd_trace)
 
     p_s3d = sub.add_parser("run-s3d", help="run the S3D workflow (Table II)")
@@ -935,8 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--trace", default="",
                           help="summarize a spans.jsonl dump instead of a stored result")
     p_report.add_argument("--live-trace", default="", metavar="DIR",
-                          help="summarize a live trace directory (spans, traces, "
-                               "latency attribution, dropped events)")
+                          help="the same summary for DIR/spans.jsonl (a live trace "
+                               "adds trace counts and latency attribution)")
     p_report.set_defaults(func=cmd_report)
 
     p_chaos = sub.add_parser(

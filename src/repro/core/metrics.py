@@ -13,10 +13,12 @@ Everything the paper's evaluation reports comes from here:
 
 All named metrics live in one :class:`repro.obs.registry.MetricsRegistry`:
 event counters are registry counters (``Metrics.counters`` stays available
-as a read view), put/get response times additionally feed fixed-bucket
-histograms for p50/p95/p99/max tail accounting, and the storage accountant
-publishes byte gauges.  Components with internal counters (codec decode
-caches, coding batches) register gauges into the same registry, replacing
+as a read view), put/get response times feed a constant-memory
+``RunningStat`` plus a fixed-bucket histogram for p50/p95/p99/max tail
+accounting (no per-request sample is kept: a server's metrics do not grow
+with the requests it has served), and the storage accountant publishes
+byte gauges.  Components with internal counters (codec decode caches,
+coding batches) register gauges into the same registry, replacing
 the old scattered ``Counter`` dicts with one queryable namespace.
 """
 
@@ -95,16 +97,12 @@ class Metrics:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.put_stat = RunningStat()
         self.get_stat = RunningStat()
-        self.put_series = TimeSeries("put")
-        self.get_series = TimeSeries("get")
         self.breakdown: dict[str, float] = {
             c: 0.0 for c in (*BREAKDOWN_CATEGORIES, *extra_categories)
         }
         self.storage = StorageAccountant()
         self.storage.register_gauges(self.registry)
         self.efficiency_series = TimeSeries("efficiency")
-        self.step_get_series = TimeSeries("step_get")  # per-timestep means (Fig. 10)
-        self.step_put_series = TimeSeries("step_put")
         self.put_hist = self.registry.histogram("put_response_s")
         self.get_hist = self.registry.histogram("get_response_s")
 
@@ -131,14 +129,12 @@ class Metrics:
         """
         return Counter(self.registry.counters())
 
-    def record_put(self, t: float, duration: float) -> None:
+    def record_put(self, duration: float) -> None:
         self.put_stat.add(duration)
-        self.put_series.add(t, duration)
         self.put_hist.observe(duration)
 
-    def record_get(self, t: float, duration: float) -> None:
+    def record_get(self, duration: float) -> None:
         self.get_stat.add(duration)
-        self.get_series.add(t, duration)
         self.get_hist.observe(duration)
 
     def sample_efficiency(self, t: float) -> None:

@@ -20,7 +20,8 @@ in aggregate:
   :class:`StatCounters` for stats incremented from worker threads.
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   ``chrome://tracing`` / Perfetto), JSONL span/event dumps, flat metrics
-  snapshots, and Prometheus text exposition.
+  snapshots, and Prometheus text exposition (``write_trace_dir``: all of
+  them into one directory).
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and how to read a
 trace.
@@ -40,6 +41,7 @@ from repro.obs.export import (
     write_metrics_json,
     write_prometheus_text,
     write_spans_jsonl,
+    write_trace_dir,
 )
 
 __all__ = [
@@ -65,4 +67,5 @@ __all__ = [
     "write_metrics_json",
     "write_prometheus_text",
     "write_spans_jsonl",
+    "write_trace_dir",
 ]

@@ -17,6 +17,10 @@ Three output shapes:
 - **Metrics snapshot** (:func:`write_metrics_json`): the flat registry
   snapshot plus the legacy ``Metrics.snapshot()`` dict.
 
+:func:`write_trace_dir` writes all of them (plus the Prometheus text dump)
+into one directory — the artifact set of ``repro trace``, ``repro live
+--trace-dir``, a failing chaos campaign and the traced benches alike.
+
 All exporters sort nothing and randomize nothing: output order is span
 id / event order, so deterministic runs export byte-identical artifacts.
 """
@@ -24,10 +28,11 @@ id / event order, so deterministic runs export byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import os
 import re
 from typing import Any, Iterable, Sequence
 
-from repro.obs.registry import Counter, Gauge, Histogram
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "write_metrics_json",
     "write_prometheus_text",
     "write_spans_jsonl",
+    "write_trace_dir",
 ]
 
 _US = 1e6  # trace_event timestamps are microseconds
@@ -151,17 +157,40 @@ def spans_to_breakdown(spans: Iterable[Span]) -> dict[str, float]:
     return out
 
 
-def span_summary(tracer: Tracer) -> list[dict[str, Any]]:
-    """Per-span-name duration summary (count, total, p50/p95/p99/max)."""
-    by_name: dict[str, Histogram] = {}
-    for span in tracer.spans:
-        hist = by_name.get(span.name)
-        if hist is None:
-            hist = by_name[span.name] = Histogram(span.name)
-        hist.observe(span.duration)
-    return [
-        {"name": name, **hist.snapshot()} for name, hist in by_name.items()
-    ]
+def span_summary(rows: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Summary of span dicts (:func:`span_rows` or a parsed ``spans.jsonl``).
+
+    ``by_span`` holds the per-span-name duration table (count, total,
+    p50/p95/p99/max), largest total first; ``attribution`` the same table
+    over the per-category ``breakdown`` attrs that live dispatch spans
+    carry.  A simulator trace has no trace ids and no breakdowns, so it
+    reads 0 traces / 0 attributed requests.
+    """
+    by_span, by_category = MetricsRegistry(), MetricsRegistry()
+    trace_ids: set[str] = set()
+    n_spans = n_requests = 0
+    for row in rows:
+        n_spans += 1
+        if row.get("trace_id"):
+            trace_ids.add(row["trace_id"])
+        by_span.histogram(row["name"]).observe(float(row["t1"]) - float(row["t0"]))
+        breakdown = (row.get("attrs") or {}).get("breakdown")
+        if breakdown:
+            n_requests += 1
+            for category, dt in breakdown.items():
+                by_category.histogram(category).observe(float(dt))
+
+    def table(registry: MetricsRegistry) -> list[dict[str, Any]]:
+        named = [{"name": name, **snap} for name, snap in registry.snapshot().items()]
+        return sorted(named, key=lambda r: -r["total"])
+
+    return {
+        "spans": n_spans,
+        "traces": len(trace_ids),
+        "requests": n_requests,
+        "by_span": table(by_span),
+        "attribution": table(by_category),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +284,30 @@ def write_metrics_json(path: str, metrics) -> str:
         json.dump(payload, fh, indent=2, default=float)
         fh.write("\n")
     return path
+
+
+def write_trace_dir(
+    out_dir: str,
+    tracer: Tracer,
+    log,
+    metrics,
+    process_name: str = "repro-staging",
+    clock: str = "simulated seconds",
+) -> dict[str, str]:
+    """Write every trace/metrics artifact of one run into ``out_dir``.
+
+    ``trace.json`` (Perfetto), ``spans.jsonl``, ``events.jsonl``,
+    ``metrics.json`` and ``metrics.prom``; returns their paths by
+    artifact name.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    join = os.path.join
+    return {
+        "chrome_trace": write_chrome_trace(
+            join(out_dir, "trace.json"), tracer, process_name, clock
+        ),
+        "spans": write_spans_jsonl(join(out_dir, "spans.jsonl"), tracer),
+        "events": write_events_jsonl(join(out_dir, "events.jsonl"), log),
+        "metrics": write_metrics_json(join(out_dir, "metrics.json"), metrics),
+        "prometheus": write_prometheus_text(join(out_dir, "metrics.prom"), metrics.registry),
+    }

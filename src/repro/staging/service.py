@@ -288,7 +288,7 @@ class StagingService:
         ]
         yield AllOf(self.sim, procs)
         duration = self.sim.now - t0
-        self.metrics.record_put(t0, duration)
+        self.metrics.record_put(duration)
         tracer.end(root, duration_s=duration)
         return duration
 
@@ -385,7 +385,7 @@ class StagingService:
         done = AllOf(self.sim, procs)
         yield done
         duration = self.sim.now - t0
-        self.metrics.record_get(t0, duration)
+        self.metrics.record_get(duration)
         tracer.end(root, duration_s=duration)
         payloads = {bid: proc.value for bid, proc in zip(block_ids, procs)}
         return duration, payloads

@@ -6,7 +6,7 @@ staging service and the CoREC runtime — can build on them without cycles.
 """
 
 from repro.util.rng import RngStreams
-from repro.util.stats import RunningStat, TimeSeries, percentile, summarize
+from repro.util.stats import RunningStat, TimeSeries, percentile
 from repro.util.eventlog import Event, EventLog
 from repro.util.units import KB, MB, GB, fmt_bytes, fmt_time
 
@@ -15,7 +15,6 @@ __all__ = [
     "RunningStat",
     "TimeSeries",
     "percentile",
-    "summarize",
     "Event",
     "EventLog",
     "KB",

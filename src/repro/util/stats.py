@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RunningStat", "TimeSeries", "percentile", "summarize"]
+__all__ = ["RunningStat", "TimeSeries", "percentile"]
 
 
 class RunningStat:
@@ -125,20 +125,3 @@ def percentile(xs, q: float) -> float:
     if len(xs) == 0:
         return 0.0
     return float(np.percentile(np.asarray(xs, dtype=float), q))
-
-
-def summarize(xs) -> dict[str, float]:
-    """Summary dict (n, mean, std, min, p50, p95, max, total) of a sample."""
-    arr = np.asarray(list(xs), dtype=float)
-    if arr.size == 0:
-        return {"n": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0, "total": 0.0}
-    return {
-        "n": int(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        "min": float(arr.min()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "max": float(arr.max()),
-        "total": float(arr.sum()),
-    }

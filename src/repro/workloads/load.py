@@ -53,7 +53,7 @@ import math
 import time
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -265,8 +265,26 @@ class SLO:
         return violations
 
 
+class _Report:
+    """The one ``to_json`` of :class:`LoadReport` and :class:`ReplayReport`."""
+
+    _DIGITS = {"wall_s": 4, "achieved_rate": 2, "lateness_p99_ms": 3}
+
+    def to_json(self) -> dict[str, Any]:
+        """Fields in declaration order, timings rounded (ms to 3 places)."""
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in self._DIGITS:
+                value = round(value, self._DIGITS[f.name])
+            elif f.name.endswith("_percentiles_ms"):
+                value = {k: round(v, 3) for k, v in value.items()}
+            out[f.name] = value
+        return out
+
+
 @dataclass
-class LoadReport:
+class LoadReport(_Report):
     """Outcome of one open-loop run (JSON-serializable via ``to_json``)."""
 
     ops: int = 0
@@ -281,28 +299,19 @@ class LoadReport:
     slo_violations: list[str] = field(default_factory=list)
     slo_gate: str = "not-evaluated"
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "ops": self.ops,
-            "puts": self.puts,
-            "gets": self.gets,
-            "errors": self.errors,
-            "wall_s": round(self.wall_s, 4),
-            "achieved_rate": round(self.achieved_rate, 2),
-            "put_percentiles_ms": _rounded(self.put_percentiles_ms),
-            "get_percentiles_ms": _rounded(self.get_percentiles_ms),
-            "lateness_p99_ms": round(self.lateness_p99_ms, 3),
-            "slo_violations": self.slo_violations,
-            "slo_gate": self.slo_gate,
-        }
+
+def _latency_hists(registry: MetricsRegistry | None, prefix: str):
+    """``(registry, put histogram, get histogram)`` of one driver run."""
+    registry = registry if registry is not None else MetricsRegistry()
+    return (
+        registry,
+        registry.histogram(f"{prefix}_put_seconds", latency_edges()),
+        registry.histogram(f"{prefix}_get_seconds", latency_edges()),
+    )
 
 
 def _percentiles_ms(hist) -> dict[str, float]:
     return {k: v * 1000.0 for k, v in hist.percentiles().items()}
-
-
-def _rounded(ms: dict[str, float]) -> dict[str, float]:
-    return {k: round(v, 3) for k, v in ms.items()}
 
 
 def run_load(
@@ -327,9 +336,7 @@ def run_load(
     before it shows up as latency).  With ``capture_tape``, every flow
     client is wrapped in a :class:`CaptureRecorder` writing to that tape.
     """
-    registry = registry if registry is not None else MetricsRegistry()
-    put_hist = registry.histogram("load_put_seconds", latency_edges())
-    get_hist = registry.histogram("load_get_seconds", latency_edges())
+    registry, put_hist, get_hist = _latency_hists(registry, "load")
     late_hist = registry.histogram("load_lateness_seconds", latency_edges())
     ops_total = registry.counter("load_ops_total")
     err_total = registry.counter("load_errors_total")
@@ -575,7 +582,7 @@ def apply_op(target: Any, op: TapeOp):
 # replay
 # ---------------------------------------------------------------------------
 @dataclass
-class ReplayReport:
+class ReplayReport(_Report):
     """Outcome of one tape replay (JSON-serializable via ``to_json``)."""
 
     ops: int = 0
@@ -594,19 +601,7 @@ class ReplayReport:
         return not self.mismatches and self.projection_check != "MISMATCH"
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "ops": self.ops,
-            "amplified_ops": self.amplified_ops,
-            "wall_s": round(self.wall_s, 4),
-            "speedup": self.speedup,
-            "digest_checks": self.digest_checks,
-            "mismatches": self.mismatches,
-            "unfaithful_puts": self.unfaithful_puts,
-            "projection_check": self.projection_check,
-            "put_percentiles_ms": _rounded(self.put_percentiles_ms),
-            "get_percentiles_ms": _rounded(self.get_percentiles_ms),
-            "ok": self.ok,
-        }
+        return {**super().to_json(), "ok": self.ok}
 
 
 def _amplified(op: TapeOp, copy: int) -> TapeOp:
@@ -648,9 +643,7 @@ def replay_tape(
     against the recording; mismatches are collected, not raised — the
     caller decides (CI asserts ``report.ok``).
     """
-    registry = registry if registry is not None else MetricsRegistry()
-    put_hist = registry.histogram("replay_put_seconds", latency_edges())
-    get_hist = registry.histogram("replay_get_seconds", latency_edges())
+    _, put_hist, get_hist = _latency_hists(registry, "replay")
     amplify = amplify or {}
     report = ReplayReport(speedup=speedup)
 

@@ -189,23 +189,27 @@ class SyntheticWorkload:
             return chosen or [int(self.rng.integers(0, n))]
         raise AssertionError(f"no write phase for {cfg.case}")
 
+    # Response times are appended as each flow completes, so a phase's
+    # mean sums them in completion order (the goldens pin that order).
+    def _timed_put(self, durations: list[float], *args) -> Generator:
+        durations.append((yield from self.service.put(*args)))
+
+    def _timed_get(self, durations: list[float], *args) -> Generator:
+        durations.append((yield from self.service.get(*args))[0])
+
     def _write_phase(self, step: int) -> Generator:
         sim = self.service.sim
-        t0 = sim.now
-        before = self.service.metrics.put_stat.n
+        durations: list[float] = []
         procs = [
             sim.process(
-                self.service.put(f"w{i}", self.config.var, self.writer_boxes[i]),
+                self._timed_put(durations, f"w{i}", self.config.var, self.writer_boxes[i]),
                 name=f"w{i}-s{step}",
             )
             for i in self._writers_for_step(step)
         ]
         yield AllOf(sim, procs)
-        n_new = self.service.metrics.put_stat.n - before
-        if n_new:
-            recent = self.service.metrics.put_series.values[-n_new:]
-            self.step_put.add(self.service.step, float(np.mean(recent)))
-        del t0
+        if durations:
+            self.step_put.add(self.service.step, float(np.mean(durations)))
 
     def _populate(self) -> Generator:
         """Initial write of the whole domain (case 5 setup)."""
@@ -235,16 +239,14 @@ class SyntheticWorkload:
 
     def _read_phase(self) -> Generator:
         sim = self.service.sim
-        before = self.service.metrics.get_stat.n
+        durations: list[float] = []
         procs = [
             sim.process(
-                self.service.get(f"r{i}", self.config.var, self.reader_boxes[i]),
+                self._timed_get(durations, f"r{i}", self.config.var, self.reader_boxes[i]),
                 name=f"r{i}-s{self.service.step}",
             )
             for i in self._readers_for_step()
         ]
         yield AllOf(sim, procs)
-        n_new = self.service.metrics.get_stat.n - before
-        if n_new:
-            recent = self.service.metrics.get_series.values[-n_new:]
-            self.step_get.add(self.service.step, float(np.mean(recent)))
+        if durations:
+            self.step_get.add(self.service.step, float(np.mean(durations)))

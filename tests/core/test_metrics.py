@@ -74,24 +74,43 @@ class TestMetrics:
 
     def test_record_put_get(self):
         m = Metrics()
-        m.record_put(0.0, 0.1)
-        m.record_put(1.0, 0.3)
-        m.record_get(2.0, 0.05)
+        m.record_put(0.1)
+        m.record_put(0.3)
+        m.record_get(0.05)
         assert m.put_stat.n == 2
         assert m.put_stat.mean == pytest.approx(0.2)
         assert m.get_stat.n == 1
-        assert len(m.put_series) == 2
+
+    def test_recording_requests_retains_no_samples(self):
+        """A long-running server's metrics must not grow per request."""
+        import tracemalloc
+
+        m = Metrics()
+        m.record_put(1e-3)  # first-use allocations happen before the window
+        m.record_get(1e-3)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(1, 10_000):
+                m.record_put(1e-3 + i * 1e-7)
+                m.record_get(2e-3 + i * 1e-7)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.put_stat.n == m.get_stat.n == 10_000
+        assert m.put_hist.n == m.get_hist.n == 10_000
+        assert after - before < 64 * 1024
 
     def test_write_efficiency(self):
         m = Metrics()
-        m.record_put(0.0, 0.1)
+        m.record_put(0.1)
         m.storage.original = 100
         m.storage.replica = 100
         assert m.write_efficiency() == pytest.approx(0.1 / 0.5)
 
     def test_snapshot_structure(self):
         m = Metrics()
-        m.record_put(0.0, 0.1)
+        m.record_put(0.1)
         m.count("encodes")
         snap = m.snapshot()
         assert snap["put_n"] == 1
@@ -129,7 +148,7 @@ class TestMetrics:
     def test_snapshot_percentile_keys(self):
         m = Metrics()
         for i in range(100):
-            m.record_put(float(i), 0.01 * (i + 1))
+            m.record_put(0.01 * (i + 1))
         snap = m.snapshot()
         pct = snap["put_percentiles_s"]
         assert set(pct) == {"p50", "p95", "p99", "max"}

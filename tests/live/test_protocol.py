@@ -207,28 +207,38 @@ def test_header_preamble_completes_to_full_header():
     assert got == want
 
 
-def test_live_put_get_path_makes_zero_payload_copies(server):
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_live_put_get_path_makes_zero_payload_copies(server, traced):
     """End-to-end over TCP: no frame assembly ever joins payload bytes.
 
     ``PROTO_STATS["payload_copies"]`` counts every place the protocol
     module materializes payload bytes it already held (only the legacy
     ``_encode_frame`` join does); the scatter/gather send and recv_into
-    receive paths used by the live data plane must keep it flat.
+    receive paths used by the live data plane must keep it flat — with
+    tracing on too: trace context and the latency attribution ride the
+    JSON header, never the payload.
     """
     from repro.live import protocol
 
+    handle = serve_in_thread(server.live.config, CoRECPolicy, tracing=traced)
+    # Sharing the server's tracer links client and dispatch spans per request.
+    tracer = handle.live.tracer if traced else None
     data = np.arange(16 * 16 * 16, dtype=np.uint8)
-    with LiveClient(server.host, server.port, name="zc") as c:
-        c.put("zc", (0, 0, 0), (16, 16, 16), data)  # warm entity + preamble
-        c.get("zc", (0, 0, 0), (16, 16, 16))
-        before = dict(protocol.PROTO_STATS)
-        for _ in range(3):
-            c.put("zc", (0, 0, 0), (16, 16, 16), data)
-            _, blocks = c.get("zc", (0, 0, 0), (16, 16, 16))
-            (payload,) = blocks.values()
-            assert isinstance(payload, memoryview)
-            assert payload == data.tobytes()
-        after = dict(protocol.PROTO_STATS)
+    try:
+        with LiveClient(handle.host, handle.port, name="zc", tracer=tracer) as c:
+            c.put("zc", (0, 0, 0), (16, 16, 16), data)  # warm entity + preamble
+            c.get("zc", (0, 0, 0), (16, 16, 16))
+            before = dict(protocol.PROTO_STATS)
+            for _ in range(3):
+                c.put("zc", (0, 0, 0), (16, 16, 16), data)
+                assert (c.last_attr is not None) == traced
+                _, blocks = c.get("zc", (0, 0, 0), (16, 16, 16))
+                (payload,) = blocks.values()
+                assert isinstance(payload, memoryview)
+                assert payload == data.tobytes()
+            after = dict(protocol.PROTO_STATS)
+    finally:
+        handle.stop()
     assert after["payload_copies"] == before["payload_copies"]
     assert after["bytes_copied"] == before["bytes_copied"]
     assert after["frames_out"] > before["frames_out"]

@@ -345,9 +345,13 @@ class TestExportedTraceValidates:
                 cli.quiesce()
         finally:
             handle.stop()
-        from repro.cli import _export_live_trace
+        from repro.obs.export import write_trace_dir
 
-        artifacts = _export_live_trace(str(tmp_path), handle.live)
+        service = handle.live.service
+        artifacts = write_trace_dir(
+            str(tmp_path), tracer, service.log, service.metrics,
+            process_name="repro-live", clock="wall-clock seconds",
+        )
         assert set(artifacts) == {
             "chrome_trace", "spans", "events", "metrics", "prometheus"
         }

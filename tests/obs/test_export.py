@@ -1,6 +1,9 @@
 """Tests for the Chrome-trace / JSONL / metrics exporters."""
 
 import json
+import os
+
+import pytest
 
 from repro.core.metrics import Metrics
 from repro.obs.export import (
@@ -12,8 +15,10 @@ from repro.obs.export import (
     write_events_jsonl,
     write_metrics_json,
     write_spans_jsonl,
+    write_trace_dir,
 )
 from repro.obs.tracer import Tracer
+from repro.obs.wallclock import WallClockTracer
 from repro.util.eventlog import EventLog
 
 
@@ -113,12 +118,28 @@ class TestBreakdownReconciliation:
 
 class TestSpanSummary:
     def test_groups_by_name(self):
-        rows = span_summary(build_sample_tracer())
-        by_name = {r["name"]: r for r in rows}
+        summary = span_summary(span_rows(build_sample_tracer()))
+        by_name = {r["name"]: r for r in summary["by_span"]}
         assert by_name["put"]["n"] == 1
         assert by_name["put"]["max"] == 10.0
         assert by_name["failure.detect"]["max"] == 0.0
         assert set(by_name["transport"]) >= {"n", "mean", "p50", "p95", "p99", "max"}
+        totals = [r["total"] for r in summary["by_span"]]
+        assert totals == sorted(totals, reverse=True)
+        # A simulator trace carries no trace ids and no request breakdowns.
+        assert (summary["spans"], summary["traces"], summary["requests"]) == (5, 0, 0)
+        assert summary["attribution"] == []
+
+    def test_live_rows_count_traces_and_fold_breakdowns(self):
+        tracer = WallClockTracer()
+        for cost in (1e-3, 3e-3):
+            span = tracer.begin("rpc.put", category="rpc")
+            tracer.end(span, breakdown={"codec": cost, "socket": 1e-4})
+        summary = span_summary(span_rows(tracer))
+        assert (summary["traces"], summary["requests"]) == (2, 2)
+        codec, socket = summary["attribution"]  # largest total first
+        assert (codec["name"], codec["n"], socket["name"]) == ("codec", 2, "socket")
+        assert codec["total"] == pytest.approx(4e-3)
 
 
 class TestWriters:
@@ -148,7 +169,7 @@ class TestWriters:
 
     def test_metrics_json(self, tmp_path):
         m = Metrics()
-        m.record_put(0.0, 0.25)
+        m.record_put(0.25)
         m.count("encodes", 2)
         path = write_metrics_json(str(tmp_path / "metrics.json"), m)
         with open(path, encoding="utf-8") as fh:
@@ -157,3 +178,42 @@ class TestWriters:
         assert payload["summary"]["counters"]["encodes"] == 2
         assert payload["registry"]["encodes"] == 2
         assert payload["registry"]["put_response_s"]["n"] == 1
+
+
+class TestWriteTraceDir:
+    ARTIFACTS = {
+        "chrome_trace": "trace.json",
+        "spans": "spans.jsonl",
+        "events": "events.jsonl",
+        "metrics": "metrics.json",
+        "prometheus": "metrics.prom",
+    }
+
+    @pytest.mark.parametrize(
+        "make_tracer, clock",
+        [(build_sample_tracer, "simulated seconds"), (WallClockTracer, "wall-clock seconds")],
+        ids=["sim", "wallclock"],
+    )
+    def test_writes_exactly_the_five_artifacts(self, tmp_path, make_tracer, clock):
+        tracer = make_tracer()
+        tracer.end(tracer.begin("rpc.put", category="rpc"))
+        m = Metrics()
+        m.record_put(0.25)
+        out = tmp_path / "nested" / "dir"  # created on demand
+        artifacts = write_trace_dir(
+            str(out), tracer, EventLog(), m, process_name="unit", clock=clock
+        )
+        assert artifacts == {k: str(out / name) for k, name in self.ARTIFACTS.items()}
+        assert sorted(os.listdir(out)) == sorted(self.ARTIFACTS.values())
+        with open(artifacts["chrome_trace"], encoding="utf-8") as fh:
+            trace = json.load(fh)
+        assert trace["otherData"]["clock"] == clock
+        assert trace["traceEvents"][0]["args"]["name"] == "unit"
+        assert "put_response_s_count 1" in (out / "metrics.prom").read_text()
+
+    def test_summary_of_written_spans_equals_summary_of_the_tracer(self, tmp_path):
+        tracer = build_sample_tracer()
+        artifacts = write_trace_dir(str(tmp_path), tracer, EventLog(), Metrics())
+        with open(artifacts["spans"], encoding="utf-8") as fh:
+            read_back = [json.loads(line) for line in fh]
+        assert span_summary(read_back) == span_summary(span_rows(tracer))

@@ -226,6 +226,29 @@ class TestDurabilityCommand:
         assert len(out["deadline_sweep"]) == 5
 
 
+class TestTraceReport:
+    def test_trace_and_live_trace_are_one_report(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "trace")
+        rc = main([
+            "--json", "trace", "--case", "case5", "--timesteps", "2",
+            "--writers", "8", "--readers", "4", "--out", out_dir,
+        ])
+        assert rc == 0
+        artifacts = json.loads(capsys.readouterr().out)["artifacts"]
+        assert set(artifacts) == {
+            "chrome_trace", "spans", "events", "metrics", "prometheus"
+        }
+        assert main(["report", "--trace", artifacts["spans"]]) == 0
+        by_file = capsys.readouterr().out
+        assert main(["report", "--live-trace", out_dir]) == 0
+        assert capsys.readouterr().out == by_file
+        assert by_file.startswith("span ") and "events dropped: 0" in by_file
+        assert main(["--json", "report", "--live-trace", out_dir]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["spans"] > 0 and summary["traces"] == 0
+        assert summary["by_span"][0]["total"] >= summary["by_span"][-1]["total"]
+
+
 class TestLiveClusterCommand:
     def test_sharded_smoke_json(self, capsys):
         rc = main(["--json", "live", "--shards", "2", "--smoke"])
@@ -234,6 +257,15 @@ class TestLiveClusterCommand:
         assert len(out["endpoints"]) == 2
         assert out["blocks_read"] > 0
         assert out["shards"] == 2
+        assert out["unrecoverable"] == []
+        assert out["invariant_violations"] == []
+
+    def test_single_process_smoke_runs_the_same_body(self, capsys):
+        rc = main(["--json", "live", "--smoke"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["port"] > 0
+        assert out["blocks_read"] > 0
         assert out["unrecoverable"] == []
         assert out["invariant_violations"] == []
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import RunningStat, TimeSeries, percentile, summarize
+from repro.util.stats import RunningStat, TimeSeries, percentile
 
 
 class TestRunningStat:
@@ -125,15 +125,3 @@ class TestPercentileAndSummarize:
 
     def test_percentile_median(self):
         assert percentile([1, 2, 3, 4, 5], 50) == 3
-
-    def test_summarize_empty(self):
-        s = summarize([])
-        assert s["n"] == 0 and s["mean"] == 0.0
-
-    def test_summarize_fields(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s["n"] == 3
-        assert s["mean"] == 2.0
-        assert s["min"] == 1.0 and s["max"] == 3.0
-        assert s["p50"] == 2.0
-        assert s["total"] == 6.0
