@@ -42,7 +42,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.policies import replay_spec
-from repro.staging.objects import payload_digest
+from repro.core.runtime import primary_key
+from repro.staging.objects import content_id
 from repro.staging.service import StagingConfig, StagingService, build_geometry
 from repro.workloads.capture import Tape, block_digests, config_meta
 from repro.workloads.load import apply_op, open_target
@@ -217,10 +218,17 @@ def conformance_projection(svc: StagingService) -> dict:
 
     Everything here must be identical across backends at a quiescent
     point: directory metadata, stripe geometry and membership, each
-    server's store contents (key → payload digest), pending-encode pools
+    server's store contents (key → ``content_id``), pending-encode pools
     and durability-relevant counters.  Clock readings, response times and
     transfer stats are deliberately excluded.
     """
+    # Each store payload is hashed once, here; an entity's digest is its
+    # primary copy's entry in that table (absent while the primary is down),
+    # so the projection never reads the request path's CRC.
+    stores = {
+        srv.server_id: {key: content_id(srv.store[key]) for key in sorted(srv.store)}
+        for srv in svc.servers
+    }
     entities = {}
     for (name, block), ent in sorted(svc.directory.entities.items()):
         entities[f"{name}/{block}"] = {
@@ -229,7 +237,7 @@ def conformance_projection(svc: StagingService) -> dict:
             "primary": ent.primary,
             "replicas": sorted(ent.replicas),
             "stripe": None if ent.stripe is None else ent.stripe.stripe_id,
-            "digest": ent.digest,
+            "digest": stores[ent.primary].get(primary_key(ent)),
             "nbytes": ent.nbytes,
         }
     stripes = {}
@@ -242,18 +250,15 @@ def conformance_projection(svc: StagingService) -> dict:
             "lengths": list(stripe.lengths),
             "shard_len": stripe.shard_len,
         }
-    servers = []
-    for srv in svc.servers:
-        servers.append(
-            {
-                "server": srv.server_id,
-                "failed": srv.failed,
-                "epoch": srv.epoch,
-                "store": {
-                    key: payload_digest(srv.store[key]) for key in sorted(srv.store)
-                },
-            }
-        )
+    servers = [
+        {
+            "server": srv.server_id,
+            "failed": srv.failed,
+            "epoch": srv.epoch,
+            "store": stores[srv.server_id],
+        }
+        for srv in svc.servers
+    ]
     pending = {
         gid: {
             srv: [f"{k[0]}/{k[1]}" for k in queue]

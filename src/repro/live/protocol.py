@@ -18,13 +18,13 @@ Payload bytes are never concatenated in this module: a frame is built as
 a *list* of buffers (:func:`frame_parts`) — one small prefix holding the
 length word plus the JSON header, then the payload buffers exactly as
 the caller handed them over (``memoryview``\\ s over numpy arrays, block
-slices, …).  Senders hand the list to a scatter/gather primitive —
-``StreamWriter.writelines`` on the asyncio side, ``socket.sendmsg`` on
-the blocking client — and receivers land bytes directly into one
-preallocated buffer (``recv_into``) and return ``memoryview`` slices of
-it.  :data:`PROTO_STATS` counts the payload copies that do happen (only
-the legacy :func:`_encode_frame` join performs one), so tests can assert
-the hot path stays at zero.
+slices, …).  Both ends hand the list to ``socket.sendmsg``
+(:func:`send_some`: the blocking client directly, the server through its
+connection stream's ``writelines``/``drain``) and both land bytes
+directly into one buffer sized for them (``recv_into``) and return
+``memoryview``\\ s of it.  :data:`PROTO_STATS` counts the payload copies
+that do happen (only the legacy :func:`_encode_frame` join performs
+one), so tests can assert the hot path stays at zero.
 
 Hot-path header encoding: ``json.dumps`` of a per-request dict shows up
 at GB/s payload rates, so stable header fields can be pre-serialized
@@ -83,6 +83,9 @@ __all__ = [
 _LEN = struct.Struct("<I")
 MAX_HEADER_BYTES = 1 << 20
 MAX_PAYLOAD_BYTES = 1 << 30
+#: Buffers one ``sendmsg`` takes (``EMSGSIZE`` beyond it): a response with
+#: more block views than this goes out in several calls.
+IOV_MAX = 1024
 
 #: Copy accounting for the payload path.  ``payload_copies`` /
 #: ``bytes_copied`` count every place this module materializes payload
@@ -126,6 +129,23 @@ def _payload_list(payload: Buffer | Sequence[Buffer]) -> list[memoryview]:
         if view.nbytes:
             views.append(view)
     return views
+
+
+def send_some(sock: socket.socket, views: list[memoryview]) -> None:
+    """One vectored ``sendmsg``; what it sent is dropped from the front of ``views``.
+
+    The partial-send continuation of both ends of the wire: the blocking
+    client calls it until ``views`` is empty, the server's connection
+    stream does the same and waits for writability on ``BlockingIOError``.
+    """
+    sent = sock.sendmsg(views[:IOV_MAX])
+    while sent:
+        if sent >= views[0].nbytes:
+            sent -= views[0].nbytes
+            views.pop(0)
+        else:
+            views[0] = views[0][sent:]
+            sent = 0
 
 
 def header_preamble(header: dict[str, Any]) -> bytes:
@@ -407,18 +427,9 @@ class LiveClient:
     # -- framing -------------------------------------------------------
     def _send_parts(self, parts: list[Buffer]) -> None:
         """Vectored send with partial-send continuation."""
-        views = [p if isinstance(p, memoryview) else memoryview(p) for p in parts]
-        views = [v if v.format == "B" and v.ndim == 1 else v.cast("B") for v in views]
+        views = _payload_list(parts)
         while views:
-            sent = self.sock.sendmsg(views)
-            while sent:
-                if sent >= views[0].nbytes:
-                    sent -= views[0].nbytes
-                    views.pop(0)
-                else:
-                    views[0] = views[0][sent:]
-                    sent = 0
-            views = [v for v in views if v.nbytes]
+            send_some(self.sock, views)
 
     def _recv_exactly(self, n: int) -> memoryview:
         """Receive exactly ``n`` bytes into one fresh buffer (no joins)."""

@@ -2,8 +2,10 @@
 
 One :class:`LiveServer` fronts one :class:`~repro.live.service.LiveStagingService`:
 each accepted connection gets a handler coroutine that reads
-length-prefixed frames (:mod:`repro.live.protocol`), dispatches them on
-the shared service, and streams the response back.  Frames on one
+length-prefixed frames (:mod:`repro.live.protocol`) straight off its
+socket (:class:`_SocketStream`: every part of a frame is received into
+the one buffer it stays in), dispatches them on the shared service, and
+sends the response back with vectored ``sendmsg``.  Frames on one
 connection execute in order (a client's pipeline is FIFO); different
 connections run concurrently on the event loop — which is exactly where
 the live backend's parallelism comes from: while one request's encode
@@ -18,13 +20,14 @@ plain blocking clients.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.live.protocol import ProtocolError, read_frame, write_frame
+from repro.live.protocol import ProtocolError, read_frame, send_some, write_frame
 from repro.live.service import LiveStagingService
 from repro.staging.domain import BBox
 from repro.staging.service import StagingConfig
@@ -32,12 +35,60 @@ from repro.staging.service import StagingConfig
 __all__ = ["LiveServer", "ServerHandle", "serve_in_thread"]
 
 
+class _SocketStream:
+    """One accepted connection, as :func:`read_frame` / :func:`write_frame` see it.
+
+    ``readexactly(n)`` receives into one buffer sized ``n`` — for a
+    payload, the buffer ``np.frombuffer`` wraps and the store keeps — so a
+    frame is landed once, by the kernel.  The buffer is uninitialised
+    memory (``np.empty``), which is what makes a declared-but-never-sent
+    gigabyte cost address space and no resident pages.  The non-blocking
+    socket is tried first; the loop is asked to wait only when it has
+    nothing, so a connection yields whenever its socket runs dry.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, sock: socket.socket):
+        self._loop = loop
+        self._sock = sock
+        self._out: list[memoryview] = []
+
+    async def readexactly(self, n: int) -> memoryview:
+        view = memoryview(np.empty(n, dtype=np.uint8))
+        got = 0
+        while got < n:
+            try:
+                nread = self._sock.recv_into(view[got:])
+            except BlockingIOError:
+                nread = await self._loop.sock_recv_into(self._sock, view[got:])
+            if nread == 0:
+                raise asyncio.IncompleteReadError(view[:got], n)
+            got += nread
+        return view.toreadonly()
+
+    def writelines(self, parts) -> None:
+        # ``frame_parts`` output: a bytes prefix, then flat non-empty byte views.
+        self._out = [memoryview(part) for part in parts]
+
+    async def drain(self) -> None:
+        views = self._out
+        while views:
+            try:
+                send_some(self._sock, views)
+            except BlockingIOError:
+                await self._loop.sock_sendall(self._sock, views.pop(0))
+
+    def close(self) -> None:
+        self._sock.close()
+
+
 class LiveServer:
     """Protocol frontend over one live staging service."""
 
     def __init__(self, live: LiveStagingService, drain_timeout: float = 30.0):
         self.live = live
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
+        self._acceptor: asyncio.Task | None = None
+        self._connections: set[asyncio.Task] = set()
         self._shutdown = asyncio.Event()
         # In-flight dispatch accounting for graceful shutdown: the drain
         # waits until every request that had started dispatching has sent
@@ -53,8 +104,10 @@ class LiveServer:
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind and start accepting; returns the (host, port) actually bound."""
-        self._server = await asyncio.start_server(self._handle, host, port)
-        sockname = self._server.sockets[0].getsockname()
+        self._listener = socket.create_server((host, port), backlog=100)
+        self._listener.setblocking(False)
+        self._acceptor = asyncio.get_running_loop().create_task(self._accept_loop())
+        sockname = self._listener.getsockname()
         return sockname[0], sockname[1]
 
     async def serve_until_shutdown(self) -> None:
@@ -63,29 +116,60 @@ class LiveServer:
         Teardown order: stop accepting, wait for in-flight requests to
         finish responding (bounded by ``drain_timeout``), then quiesce and
         close the engine.  Requests that outlive the drain deadline are
-        abandoned (their tasks are cancelled when the loop winds down).
+        abandoned: every connection still open — idle, mid-frame or
+        mid-request — is cancelled and its socket closed before this
+        returns.
         """
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("start() first")
-        async with self._server:
+        try:
             await self._shutdown.wait()
-        if self._inflight:
-            try:
-                await asyncio.wait_for(self._idle.wait(), timeout=self.drain_timeout)
-            except asyncio.TimeoutError:  # pragma: no cover - pathological op
-                pass
-        await self.live.close()
+        finally:
+            await self._cancel([self._acceptor])
+            self._listener.close()
+        try:
+            if self._inflight:
+                try:
+                    await asyncio.wait_for(self._idle.wait(), timeout=self.drain_timeout)
+                except asyncio.TimeoutError:  # pragma: no cover - pathological op
+                    pass
+            await self.live.close()
+        finally:
+            await self._cancel(list(self._connections))
+
+    @staticmethod
+    async def _cancel(tasks: list[asyncio.Task]) -> None:
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def stop(self) -> None:
         """Schedule a graceful stop (same path as the ``shutdown`` wire op)."""
         self._shutdown.set()
 
     # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    async def _accept_loop(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _ = await loop.sock_accept(self._listener)
+            except ConnectionAbortedError:
+                continue  # the peer gave up between SYN and accept
+            except OSError:
+                # Out of descriptors or buffers: keep the listener, retry
+                # once something may have been released.
+                await asyncio.sleep(1.0)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            task = loop.create_task(self._handle(_SocketStream(loop, sock)))
+            self._connections.add(task)
+            task.add_done_callback(self._connections.discard)
+
+    async def _handle(self, stream: _SocketStream) -> None:
         self.connections_served += 1
         try:
             while True:
-                op = await self._serve_one(reader, writer)
+                op = await self._serve_one(stream, stream)
                 if op is None:  # clean EOF
                     break
                 if op == "shutdown":
@@ -94,11 +178,7 @@ class LiveServer:
         except (ProtocolError, ConnectionResetError, BrokenPipeError):
             pass  # drop the misbehaving/vanished connection
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+            stream.close()
 
     async def _serve_one(self, reader, writer) -> str | None:
         """Read-dispatch-respond for one frame; returns the op (None on EOF).
@@ -153,7 +233,9 @@ class LiveServer:
     def _bbox(self, header: dict[str, Any]) -> BBox:
         return BBox(tuple(header["lb"]), tuple(header["ub"]))
 
-    async def _dispatch(self, header: dict[str, Any], payload: bytes) -> tuple[dict, Any]:
+    async def _dispatch(
+        self, header: dict[str, Any], payload: bytes | memoryview
+    ) -> tuple[dict, Any]:
         op = header.get("op")
         live = self.live
         if op == "ping":

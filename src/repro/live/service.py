@@ -39,9 +39,17 @@ __all__ = ["LiveStagingService", "INLINE_COMPUTE_BYTES"]
 
 #: Compute over fewer input bytes than this runs inline on the event loop.
 #: It is the measured cost of the worker hop (submit, wake, completion
-#: callback, microqueue resume: ~80 us on the dev box) expressed as work:
-#: about 64 KiB of blake2b, the slowest per-byte kernel a flow offloads.
-INLINE_COMPUTE_BYTES = 64 * 1024
+#: callback, microqueue resume) expressed as work of the slowest per-byte
+#: kernel a flow offloads.  The hop: 47 us in an otherwise idle process on
+#: one core (a flow with one offload 60 us, with one inline 12 us), ~80 us
+#: with a client thread competing for the interpreter.  The kernels, in ns
+#: per input byte named to ``compute`` at 64 KiB / 256 KiB / 1 MiB:
+#: ``payload_digest`` (CRC-32) 0.23 / 0.22 / 0.22, RS(3,1) ``encode``
+#: 0.22 / 0.09 / 0.06, ``reconstruct_shard`` 0.24 / 0.09 / 0.06 (``decode``,
+#: which no flow offloads, 0.37 / 0.20 / 0.48).  The checksum is the
+#: slowest, so the hop is worth 210-360 KiB of it; 256 KiB of CRC is 57 us
+#: on the loop.
+INLINE_COMPUTE_BYTES = 256 * 1024
 
 
 class LiveStagingService:

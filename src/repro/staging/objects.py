@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,9 +43,26 @@ class ObjectId:
 
 
 def payload_digest(data: np.ndarray) -> str:
-    """Short stable digest for byte-exact comparison in tests.
+    """Corruption checksum of the request path: CRC-32 of the bytes.
 
-    Hashes the contiguous uint8 view in place - no ``tobytes()`` copy.
+    What a put records on its entity and what a verified get and both
+    ``verify_all`` audits compare against (the role iSCSI and ext4 give a
+    CRC).  Runs over the contiguous uint8 view in place, at about a
+    quarter of a millisecond per MiB with the GIL released.  It detects
+    corruption; it is not an identity — 32 bits collide, so nothing that
+    is recorded or compared across runs may use it (that is
+    :func:`content_id`).
+    """
+    view = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
+    return "%08x" % zlib.crc32(view)
+
+
+def content_id(data: np.ndarray) -> str:
+    """Stable 96-bit identity of a payload (blake2b), off the request path.
+
+    What tapes, conformance projections and server snapshots record and
+    compare; about five times the cost of :func:`payload_digest` per byte,
+    which is why no put or get computes it.
     """
     view = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
     return hashlib.blake2b(view, digest_size=12).hexdigest()
@@ -203,7 +221,7 @@ class BlockEntity:
     ref_counter: int = 0          # accesses since the last state transition
     last_write_time: float = -1.0
     last_write_step: int = -1
-    digest: str = ""              # blake2b of the current payload
+    digest: str = ""              # payload_digest (CRC-32) of the current payload
     transition_in_flight: bool = False  # async promote/demote already queued
     replica_bytes_accounted: int = 0    # logical replica bytes in the accountant
     # Version the replica copies hold.  Reads may serve a replica only when

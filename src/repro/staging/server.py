@@ -149,18 +149,18 @@ class StagingServer:
     def snapshot(self) -> dict:
         """Deterministic structural summary of this server's state.
 
-        ``content`` digests the sorted (key, payload-digest) pairs, so two
+        ``content`` digests the sorted (key, ``content_id``) pairs, so two
         servers holding byte-identical stores produce identical snapshots
         regardless of insertion order — the building block of the chaos
         campaigns' bit-identical-reproduction fingerprint.
         """
         import hashlib
 
-        from repro.staging.objects import payload_digest
+        from repro.staging.objects import content_id
 
         h = hashlib.blake2b(digest_size=12)
         for key in sorted(self.store):
-            h.update(f"{key}:{payload_digest(self.store[key])};".encode())
+            h.update(f"{key}:{content_id(self.store[key])};".encode())
         return {
             "server": self.server_id,
             "failed": self.failed,

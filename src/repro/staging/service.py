@@ -309,8 +309,8 @@ class StagingService:
         prev_bytes = ent.nbytes if not is_new else 0
         payload = self._block_payload(ent.name, ent.block_id, ent.version + 1, region, data)
         # Digest is a pure function of the payload; on the live backend a
-        # large one runs lock-free on a worker (blake2b releases the GIL),
-        # keeping the hash off the event loop.  The entity lock is held, so
+        # large one runs lock-free on a worker (zlib releases the GIL),
+        # keeping the checksum off the event loop.  The entity lock is held, so
         # the write is still recorded before any later op on this entity.
         digest = yield from self.runtime.compute(
             lambda: payload_digest(payload), int(payload.size), category="digest"

@@ -37,9 +37,11 @@ irrelevant).  Every following line is one operation::
 
 - ``t`` is seconds since capture start (monotonic clock) — the replay
   pacing signal.
-- ``digests`` on a ``get`` maps block-id → blake2b digest of the bytes
-  the recorded run actually read; on a ``put`` with inline data it holds
-  the written payload's digest under ``"data"``.
+- ``digests`` are ``staging.objects.content_id`` values (blake2b-96, the
+  stable identity — not the CRC the request path checks): on a ``get``
+  they map block-id → id of the bytes the recorded run actually read; on
+  a ``put`` with inline data the written payload's id sits under
+  ``"data"``.
 - ``payload_b64`` appears only on puts that carried explicit data small
   enough to inline (``inline_limit``); data-less puts replay as data-less
   puts (the staging service synthesizes payloads deterministically, which
@@ -67,7 +69,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.staging.objects import payload_digest
+from repro.staging.objects import content_id
 from repro.staging.service import StagingConfig
 
 __all__ = [
@@ -149,13 +151,13 @@ def projection_sha256(projection: dict) -> str:
 
 
 def block_digests(payloads: dict[int, Any]) -> dict[str, str]:
-    """Per-block payload digests, accepting ndarrays or raw buffers."""
+    """Per-block ``content_id``, accepting ndarrays or raw buffers."""
     out: dict[str, str] = {}
     for bid in sorted(payloads):
         data = payloads[bid]
         if not isinstance(data, np.ndarray):
             data = np.frombuffer(data, dtype=np.uint8)
-        out[str(bid)] = payload_digest(data)
+        out[str(bid)] = content_id(data)
     return out
 
 
@@ -393,7 +395,7 @@ class CaptureRecorder:
             arr = np.ascontiguousarray(data)
             raw = arr.view(np.uint8).ravel()
             fields["nbytes"] = int(raw.nbytes)
-            fields["digests"] = {"data": payload_digest(raw)}
+            fields["digests"] = {"data": content_id(raw)}
             if raw.nbytes <= self.inline_limit:
                 fields["payload_b64"] = base64.b64encode(raw.tobytes()).decode()
                 fields["dtype"] = "uint8"

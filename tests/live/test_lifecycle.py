@@ -182,3 +182,33 @@ def test_client_without_reconnect_stays_closed():
         cli.close()
     finally:
         handle.stop()
+
+
+# ---------------------------------------------------------------------------
+# open connections at shutdown
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("how", ["stop", "shutdown-op"])
+def test_shutdown_closes_idle_and_mid_frame_connections(how):
+    """The server owns every socket it accepted: a stop with an idle
+    connection and one stalled inside a frame still joins the thread, and
+    both peers see the close instead of hanging on a half-dead server."""
+    handle = serve_in_thread(small_config(), ReplicationPolicy)
+    idle = socket.create_connection((handle.host, handle.port), timeout=10.0)
+    mid_frame = socket.create_connection((handle.host, handle.port), timeout=10.0)
+    try:
+        mid_frame.sendall(b"\x40\x00\x00\x00" + b'{"op": "put"')  # 64-byte header, 12 sent
+        with LiveClient(handle.host, handle.port) as ctl:
+            ctl.ping()  # both sockets above were accepted before this one
+            if how == "shutdown-op":
+                ctl.shutdown()
+        if how == "shutdown-op":
+            handle.join(30.0)
+        handle.stop()
+        assert not handle._thread.is_alive()
+        assert handle._server.connections_served == 3
+        assert handle._server._connections == set()
+        for sock in (idle, mid_frame):
+            assert sock.recv(1) == b""
+    finally:
+        idle.close()
+        mid_frame.close()

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import resource
 import socket
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.corec import CoRECPolicy
 from repro.live import LiveClient, RemoteOpError, serve_in_thread
-from repro.live.protocol import ProtocolError, read_frame
+from repro.live.protocol import MAX_PAYLOAD_BYTES, ProtocolError, read_frame
+from repro.live.server import _SocketStream
 from repro.obs.wallclock import WAIT_CATEGORIES
 from repro.staging.service import StagingConfig
 
@@ -164,12 +167,17 @@ def test_traced_responses_carry_the_attribution_and_it_closes():
 # ---------------------------------------------------------------------------
 # (b): a frame cut short is not a clean close
 # ---------------------------------------------------------------------------
-def _frame(header: dict, payload: bytes) -> bytes:
-    raw = json.dumps({**header, "payload_len": len(payload)}).encode()
+def _frame(header: dict, payload: bytes, declared: int | None = None) -> bytes:
+    """A frame; ``declared`` overrides the ``payload_len`` the header claims."""
+    plen = len(payload) if declared is None else declared
+    raw = json.dumps({**header, "payload_len": plen}).encode()
     return struct.pack("<I", len(raw)) + raw + payload
 
 
-_PUT = _frame({"op": "put", "client": "w", "var": "v", "lb": B0[0], "ub": B0[1]}, bytes(BLOCK))
+_PUT_HEADER = {"op": "put", "client": "w", "var": "v", "lb": B0[0], "ub": B0[1]}
+_PUT = _frame(_PUT_HEADER, bytes(BLOCK))
+#: A put that claims the largest payload the protocol admits and sends ten bytes of it.
+_GIGABYTE_LIE = _frame(_PUT_HEADER, b"only these", declared=MAX_PAYLOAD_BYTES)
 _HEADER_END = len(_PUT) - BLOCK
 
 CUTS = {
@@ -212,3 +220,98 @@ def test_read_frame_types_the_cut(cut, stamped):
     else:
         with pytest.raises(ProtocolError, match="truncated frame"):
             asyncio.run(read())
+
+
+# ---------------------------------------------------------------------------
+# (d): the connection stream lands a frame once, and fails closed
+# ---------------------------------------------------------------------------
+def test_declared_gigabyte_never_sent_costs_a_connection_and_no_memory(handle):
+    """The payload buffer is sized from the header before a byte of it
+    arrives: a peer that lies about a gigabyte and leaves must cost the
+    server that connection, not a gigabyte of resident pages."""
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with socket.create_connection((handle.host, handle.port), timeout=10.0) as sock:
+        sock.sendall(_GIGABYTE_LIE)
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1) == b""  # no response; the server hung up
+    with LiveClient(handle.host, handle.port) as fresh:
+        assert fresh.query("v", *B0) == [{"block": 0, "version": -1}]
+    assert_idle(handle)
+    assert handle._server.requests_served == 1
+    grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_before
+    assert grown_kb < 8 * 1024
+
+
+def _over_a_socketpair(sender) -> tuple[dict, memoryview]:
+    """``read_frame`` on a :class:`_SocketStream`; ``sender(sock)`` feeds it."""
+    async def read():
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        loop = asyncio.get_running_loop()
+        feeding = loop.run_in_executor(None, sender, theirs)
+        try:
+            return await read_frame(_SocketStream(loop, ours))
+        finally:
+            await feeding
+            ours.close()
+            theirs.close()
+
+    return asyncio.run(read())
+
+
+@pytest.mark.parametrize("cut", [*CUTS, "declared-gigabyte"])
+def test_socket_stream_types_the_cut(cut):
+    """The truncation mapping of :func:`read_frame` holds on the socket
+    stream as on a ``StreamReader``: the stream's EOF is the
+    ``IncompleteReadError`` the mapping is written against."""
+    sent = _GIGABYTE_LIE if cut == "declared-gigabyte" else _PUT[: CUTS[cut]]
+
+    def sender(sock):
+        sock.sendall(sent)
+        sock.shutdown(socket.SHUT_WR)
+
+    if cut == "nothing":
+        with pytest.raises(EOFError) as err:
+            _over_a_socketpair(sender)
+        assert type(err.value) is EOFError
+    else:
+        with pytest.raises(ProtocolError, match="truncated frame"):
+            _over_a_socketpair(sender)
+
+
+def test_byte_at_a_time_writer_still_yields_one_frame():
+    payload = np.random.default_rng(5).integers(0, 256, BLOCK, dtype=np.uint8).tobytes()
+    frame = _frame(_PUT_HEADER, payload)
+
+    def sender(sock):
+        for i in range(len(frame)):
+            sock.sendall(frame[i:i + 1])
+
+    header, body = _over_a_socketpair(sender)
+    assert header["op"] == "put" and header["payload_len"] == BLOCK
+    assert bytes(body) == payload
+    assert body.readonly  # as the bytes object it replaces was
+
+
+def test_a_mebibyte_put_frame_is_landed_once(handle):
+    """From the first byte on the socket to the dispatch, the server
+    allocates the payload's own buffer and small change: no chunk list, no
+    join, no ``bytes`` copy out of a stream buffer."""
+    peaks = []
+
+    async def at_dispatch(header, payload):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return {"ok": True, "duration": 0.0, "got": len(payload)}, b""
+
+    data = np.zeros(1 << 20, dtype=np.uint8)
+    with LiveClient(handle.host, handle.port) as client:
+        client.ping()  # connection, handler task and first-use imports exist
+        handle._server._dispatch = at_dispatch
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            resp, _ = client.request({"op": "put"}, memoryview(data))
+        finally:
+            tracemalloc.stop()
+    assert resp["got"] == 1 << 20
+    assert peaks[-1] - base < (1 << 20) + 64 * 1024

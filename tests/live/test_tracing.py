@@ -26,7 +26,7 @@ from repro.live import LiveClient, serve_in_thread
 from repro.live.service import INLINE_COMPUTE_BYTES
 from repro.live.protocol import frame_parts, header_preamble
 from repro.obs.wallclock import WallClockTracer
-from repro.staging.service import StagingConfig
+from repro.staging.service import StagingConfig, build_geometry
 
 REGION = ((0, 0, 0), (32, 32, 32))  # exactly one 32 KiB block
 
@@ -122,12 +122,14 @@ class TestLinkedSpanTree:
         """At ``INLINE_COMPUTE_BYTES`` and above the digest is offloaded."""
         config = StagingConfig(
             n_servers=8,
-            domain_shape=(64, 64, 32),
+            domain_shape=(128, 64, 64),
             element_bytes=1,
             object_max_bytes=INLINE_COMPUTE_BYTES,
             seed=7,
         )
-        region = ((0, 0, 0), (32, 64, 32))  # exactly one 64 KiB block
+        box = build_geometry(config)[1].block_bbox(0)
+        assert box.volume == INLINE_COMPUTE_BYTES  # exactly one threshold-sized block
+        region = (box.lb, box.ub)
         _, _, dispatch, tree = traced_put_tree(config, region, INLINE_COMPUTE_BYTES)
         by_id = {s.span_id: s for s in tree}
         (digest,) = [s for s in tree if s.category == "digest"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.staging.objects import (
     ObjectId,
     ResilienceState,
     StripeInfo,
+    content_id,
     payload_digest,
 )
 
@@ -31,6 +33,14 @@ class TestObjectId:
             oid.version = 1
 
 
+def _view_shapes():
+    """2-D, strided, odd-offset, read-only and empty views of one grid."""
+    grid = np.random.default_rng(0).integers(0, 256, (64, 64), dtype=np.uint8)
+    frozen = grid.copy()
+    frozen.flags.writeable = False
+    return (grid, grid[:, ::2], grid.ravel()[1:], frozen, grid[:0])
+
+
 class TestPayloadDigest:
     def test_deterministic(self):
         a = np.arange(100, dtype=np.uint8)
@@ -41,15 +51,10 @@ class TestPayloadDigest:
         b = np.ones(10, dtype=np.uint8)
         assert payload_digest(a) != payload_digest(b)
 
-    def test_value_is_blake2b_of_the_bytes_whatever_the_view(self):
-        # ent.digest is baked into pinned projections and committed tapes.
-        grid = np.random.default_rng(0).integers(0, 256, (64, 64), dtype=np.uint8)
-        frozen = grid.copy()
-        frozen.flags.writeable = False
-        for view in (grid, grid[:, ::2], grid.ravel()[1:], frozen, grid[:0]):
-            want = hashlib.blake2b(view.tobytes(), digest_size=12).hexdigest()
-            assert payload_digest(view) == want
-        assert payload_digest(np.arange(100, dtype=np.uint8)) == "809caf3820d5f479cb61ccec"
+    def test_value_is_crc32_of_the_bytes_whatever_the_view(self):
+        for view in _view_shapes():
+            assert payload_digest(view) == "%08x" % zlib.crc32(view.tobytes())
+        assert payload_digest(np.arange(100, dtype=np.uint8)) == "58c932f5"
 
     def test_hashes_a_mebibyte_in_place(self):
         block = np.zeros(1 << 20, dtype=np.uint8)
@@ -61,6 +66,15 @@ class TestPayloadDigest:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestContentId:
+    def test_value_is_blake2b_of_the_bytes_whatever_the_view(self):
+        # Baked into pinned projections and committed tapes.
+        for view in _view_shapes():
+            want = hashlib.blake2b(view.tobytes(), digest_size=12).hexdigest()
+            assert content_id(view) == want
+        assert content_id(np.arange(100, dtype=np.uint8)) == "809caf3820d5f479cb61ccec"
 
 
 class TestDataObject:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.staging.objects import payload_digest
+from repro.staging.objects import content_id
 from repro.workloads.capture import (
     TAPE_FORMAT,
     TAPE_VERSION,
@@ -172,7 +172,7 @@ class TestBlockDigests:
         arr = np.arange(16, dtype=np.uint8)
         from_array = block_digests({3: arr})
         from_buffer = block_digests({3: memoryview(arr.tobytes())})
-        assert from_array == from_buffer == {"3": payload_digest(arr)}
+        assert from_array == from_buffer == {"3": content_id(arr)}
 
 
 class TestCaptureRecorder:
@@ -204,7 +204,7 @@ class TestCaptureRecorder:
         tape = rec.detach()
         op = tape.ops[0]
         assert op.nbytes == 64
-        assert op.digests == {"data": payload_digest(data)}
+        assert op.digests == {"data": content_id(data)}
         assert np.array_equal(op.decode_payload(), data)
         assert op.payload is None
 
