@@ -204,7 +204,7 @@ class LiveServer:
                 if trace:
                     trace.leave(None)
                 raise
-            except BaseException as exc:
+            except Exception as exc:
                 resp = {
                     "ok": False,
                     "error_type": type(exc).__name__,
@@ -233,6 +233,19 @@ class LiveServer:
     def _bbox(self, header: dict[str, Any]) -> BBox:
         return BBox(tuple(header["lb"]), tuple(header["ub"]))
 
+    @staticmethod
+    def _blocks_response(duration: float, payloads: dict[int, np.ndarray]) -> tuple[dict, list]:
+        """The ``get`` / ``mget`` response: ``blocks`` = [[id, nbytes], ...]
+        in block order, body = one memoryview per block's array — zero-copy,
+        the scatter/gather ``write_frame`` sends the list without joining."""
+        blocks = []
+        chunks = []
+        for bid in sorted(payloads):
+            buf = np.ascontiguousarray(payloads[bid], dtype=np.uint8)
+            blocks.append([int(bid), int(buf.size)])
+            chunks.append(memoryview(buf).cast("B"))
+        return {"ok": True, "duration": duration, "blocks": blocks}, chunks
+
     async def _dispatch(
         self, header: dict[str, Any], payload: bytes | memoryview
     ) -> tuple[dict, Any]:
@@ -255,15 +268,7 @@ class LiveServer:
                 self._bbox(header),
                 header.get("verify"),
             )
-            blocks = []
-            chunks = []
-            for bid in sorted(payloads):
-                # Zero-copy: ship a memoryview over the block's array; the
-                # scatter/gather write_frame sends the list without joining.
-                buf = np.ascontiguousarray(payloads[bid], dtype=np.uint8)
-                blocks.append([int(bid), int(buf.size)])
-                chunks.append(memoryview(buf).cast("B"))
-            return {"ok": True, "duration": duration, "blocks": blocks}, chunks
+            return self._blocks_response(duration, payloads)
         if op == "mput":
             # Batched put: one shard's sub-regions of a routed client put.
             # Header: "puts" = [[lb, ub, nbytes], ...]; payload = the
@@ -290,13 +295,7 @@ class LiveServer:
                 header.get("client", "client"), header["var"], regions,
                 header.get("verify"),
             )
-            blocks = []
-            chunks = []
-            for bid in sorted(payloads):
-                buf = np.ascontiguousarray(payloads[bid], dtype=np.uint8)
-                blocks.append([int(bid), int(buf.size)])
-                chunks.append(memoryview(buf).cast("B"))
-            return {"ok": True, "duration": duration, "blocks": blocks}, chunks
+            return self._blocks_response(duration, payloads)
         if op == "query":
             region = self._bbox(header)
             out = []

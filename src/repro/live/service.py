@@ -231,7 +231,6 @@ class LiveStagingService:
     async def verify_all(self) -> dict:
         """Live analogue of :meth:`StagingService.verify_all` (read audit)."""
         from repro.core.runtime import DataLossError
-        from repro.staging.objects import payload_digest
 
         svc = self.service
         verified = 0
@@ -240,14 +239,8 @@ class LiveStagingService:
             ent = svc.directory.entities[key]
             if ent.version < 0:
                 continue
-
-            def probe(e=ent):
-                payload = yield from svc.runtime.read_entity(e, "auditor", repair=False)
-                if payload_digest(payload) != e.digest:
-                    raise DataLossError(f"audit digest mismatch for {e.key}")
-
             try:
-                await self.engine.run_process(probe(), name=f"audit-{key}")
+                await self.engine.run_process(svc.audit_probe(ent), name=f"audit-{key}")
                 verified += 1
             except DataLossError:
                 unrecoverable.append(key)

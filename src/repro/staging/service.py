@@ -540,6 +540,14 @@ class StagingService:
     def alive_servers(self) -> list[int]:
         return [s.server_id for s in self.servers if not s.failed]
 
+    def audit_probe(self, ent):
+        """One entity's read audit as a flow: the real read path (replica
+        fallback, degraded decode, no repair), then the digest check.
+        Raises :class:`DataLossError` when the entity cannot be served."""
+        payload = yield from self.runtime.read_entity(ent, "auditor", repair=False)
+        if payload_digest(payload) != ent.digest:
+            raise DataLossError(f"audit digest mismatch for {ent.key}")
+
     def verify_all(self) -> dict:
         """Off-line audit: try to serve every staged entity and verify it.
 
@@ -554,14 +562,8 @@ class StagingService:
             ent = self.directory.entities[key]
             if ent.version < 0:
                 continue
-
-            def probe(e=ent):
-                payload = yield from self.runtime.read_entity(e, "auditor", repair=False)
-                if payload_digest(payload) != e.digest:
-                    raise DataLossError(f"audit digest mismatch for {e.key}")
-
             try:
-                self.run_workflow(probe())
+                self.run_workflow(self.audit_probe(ent))
                 verified += 1
             except DataLossError:
                 unrecoverable.append(key)

@@ -103,7 +103,9 @@ OP_FIELDS: dict[str, tuple[str, ...]] = {
 
 # StagingConfig fields a tape records: scalars and tuples only.  The
 # nested network/cost models shape simulated timing, never state, so a
-# replayed deployment uses defaults for them.
+# replayed deployment uses defaults for them.  A field a tape lacks (the
+# placement pair on tapes written before it was recorded) takes the
+# ``StagingConfig`` default.
 SIMPLE_CONFIG_FIELDS = (
     "n_servers",
     "servers_per_node",
@@ -116,6 +118,8 @@ SIMPLE_CONFIG_FIELDS = (
     "rs_construction",
     "index_scheme",
     "topology_aware",
+    "placement_mode",
+    "max_coding_sets",
     "verify_reads",
     "async_protection",
     "tracing",

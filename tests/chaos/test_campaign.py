@@ -40,12 +40,19 @@ class TestReproducibility:
 
 class TestAllModesPass:
     @pytest.mark.parametrize("mode", ["scheduled", "stochastic", "cabinet"])
-    @pytest.mark.parametrize("policy", ["corec", "replicate"])
+    @pytest.mark.parametrize("policy", ["corec", "hybrid", "replicate", "erasure"])
     def test_mode_policy_clean(self, mode, policy):
-        res = run_campaign(ChaosConfig(mode=mode, policy=policy, seed=1))
-        assert res.passed, [str(v) for v in res.violations]
-        assert res.units, "campaign must actually inject failures"
-        assert res.checks_run > len(res.units)
+        # The whole fixed-seed matrix, full invariant suite on: any
+        # violation names its seed and the shrunk minimal schedule.
+        for seed in (0, 1):
+            res = run_campaign(ChaosConfig(mode=mode, policy=policy, seed=seed))
+            assert res.passed, (
+                seed,
+                [str(v) for v in res.violations],
+                [u.as_dict() for u in res.minimal_units or ()],
+            )
+            assert res.units, "campaign must actually inject failures"
+            assert res.checks_run > len(res.units)
 
     def test_cabinet_mode_correlated(self):
         cfg = ChaosConfig(mode="cabinet", policy="corec", seed=1)

@@ -23,6 +23,15 @@ from repro.chaos.campaign import (
 )
 
 
+# The whole payload of the default campaign (cabinet kill injected for
+# real, audit through the read paths) is deterministic per seed.
+FINGERPRINTS = {
+    0: "c053c68d326116f37d79aa8e54536d51",
+    1: "49dc3ac509c9c9f0f05cc5b993d2b1be",
+    2: "eafcada58a47e10c96b00709a1edc57a",
+}
+
+
 @pytest.fixture(scope="module")
 def campaign_seed0():
     return run_dataloss_campaign(DataLossConfig(seed=0))
@@ -35,10 +44,13 @@ class TestLossReduction:
 
     @pytest.mark.parametrize("seed,spread_kills", [(0, 6), (1, 8), (2, 9)])
     def test_exact_counts_pinned(self, seed, spread_kills):
-        payload = run_dataloss_campaign(DataLossConfig(seed=seed, inject=False))
+        payload = run_dataloss_campaign(DataLossConfig(seed=seed))
         placements = payload["placements"]
         assert placements["spread"]["stripe_kill_events"] == spread_kills
         assert placements["coding_sets"]["stripe_kill_events"] == 0
+        cmp_ = payload["comparisons"]["spread_vs_coding_sets"]
+        assert cmp_["loss_ratio"] >= 2.0
+        assert payload["fingerprint"] == FINGERPRINTS[seed]
 
     def test_coding_sets_bounds_distinct_server_sets(self, campaign_seed0):
         # Spread placement scatters each group over many server sets;

@@ -164,13 +164,15 @@ class TestEwmaTraces:
 class TestTranscodeManager:
     """Integration: the manager drives real transcodes through the policy."""
 
-    def make_service(self, **tiering_kw):
+    def make_service(self, n_servers=8, domain_shape=(32, 64, 64), **tiering_kw):
         # storage_bound below replica efficiency (0.5 with one replica):
         # the classic bound enforcement never demotes, so every transcode
         # observed is the cost model's doing.
         cfg = CoRECConfig(storage_bound=0.4, tiering=TieringConfig(**tiering_kw))
         svc = StagingService(
-            StagingConfig(n_servers=8, domain_shape=(32, 64, 64), object_max_bytes=4096),
+            StagingConfig(
+                n_servers=n_servers, domain_shape=domain_shape, object_max_bytes=4096
+            ),
             CoRECPolicy(cfg),
         )
         return svc
@@ -217,6 +219,31 @@ class TestTranscodeManager:
         audit = svc.verify_all()
         assert not audit["unrecoverable"]
         assert audit["verified"] == svc.domain.n_blocks
+
+    def test_cooling_working_set_exact_counts(self):
+        # 16 servers, two variables staged in one step, ten idle barriers:
+        # the simulator is deterministic, so the demotions the cost model
+        # schedules under the 8-per-barrier budget are an exact count.
+        svc = self.make_service(
+            n_servers=16, domain_shape=(32, 128, 64),
+            cooldown_steps=0, max_transcodes_per_step=8,
+        )
+
+        def flow():
+            for v in range(2):
+                for b in range(svc.domain.n_blocks):
+                    yield from svc.put("w", f"v{v}", svc.domain.block_bbox(b))
+            for _ in range(11):
+                yield from svc.end_step()
+            yield from svc.flush()
+
+        svc.run_workflow(flow())
+        svc.run()
+        mgr = svc.policy.tiering
+        assert mgr.demotes_scheduled == 48
+        assert mgr.promotes_scheduled == 0
+        audit = svc.verify_all()
+        assert audit == {"verified": 128, "unrecoverable": []}
 
     def test_tiering_counters_exposed(self):
         svc = self.make_service(cooldown_steps=0)

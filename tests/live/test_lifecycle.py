@@ -124,6 +124,56 @@ def test_shutdown_op_drains_inflight_requests():
     handle.stop()  # thread already exited; surfaces any recorded error
 
 
+def test_request_outliving_the_drain_is_cancelled():
+    """A request still running when the drain expires is abandoned for real.
+
+    The cancellation must reach the dispatch and unwind the handler: an
+    error *response* to it would leave the connection's task waiting for
+    the next frame with nobody left to cancel it again, and ``stop()``
+    would never return while the peer keeps its socket open.
+    """
+    handle = serve_in_thread(small_config(), ReplicationPolicy)
+    server = handle._server
+    server.drain_timeout = 0.2
+    started = threading.Event()
+    cancelled = threading.Event()
+
+    async def stuck_put(*args, **kwargs):
+        started.set()
+        try:
+            await asyncio.sleep(3600)
+        except asyncio.CancelledError:
+            cancelled.set()
+            raise
+
+    handle.live.put = stuck_put
+    result: dict = {}
+    cli = LiveClient(handle.host, handle.port, name="w", timeout=30.0)
+
+    def writer() -> None:
+        try:
+            result["duration"] = cli.put("var", (0, 0, 0), (16, 16, 16))
+        except BaseException as exc:
+            result["error"] = exc
+
+    t = threading.Thread(target=writer)
+    t.start()
+    try:
+        assert started.wait(10.0), "put never reached the service"
+        handle.stop(timeout=10.0)
+        assert not handle._thread.is_alive()
+        assert cancelled.is_set()
+        assert server._inflight == 0
+        assert server._connections == set()
+        # The peer sees its connection die, not a reply to the dead request.
+        t.join(10.0)
+        assert not t.is_alive()
+        assert isinstance(result.get("error"), ConnectionError), result
+    finally:
+        cli.close()
+        t.join(10.0)
+
+
 # ---------------------------------------------------------------------------
 # client deadline + typed errors + bounded reconnect
 # ---------------------------------------------------------------------------

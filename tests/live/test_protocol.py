@@ -21,7 +21,14 @@ from repro.staging.service import StagingConfig
 # framing
 # ---------------------------------------------------------------------------
 def test_frame_roundtrip():
+    from repro.live.protocol import PROTO_STATS
+
+    before = dict(PROTO_STATS)
     frame = _encode_frame({"op": "put", "var": "x"}, b"\x01\x02\x03")
+    # The join is the one place the module copies a payload, and the only
+    # thing the copy counters count.
+    assert PROTO_STATS["payload_copies"] == before["payload_copies"] + 1
+    assert PROTO_STATS["bytes_copied"] == before["bytes_copied"] + 3
     hlen = int.from_bytes(frame[:4], "little")
     header = _decode_header(frame[4 : 4 + hlen])
     assert header["op"] == "put"

@@ -36,13 +36,11 @@ def small_spec():
     ).with_overrides(enforcement_scope="group")
 
 
-@pytest.fixture(scope="module")
-def captured_tape():
-    """Record the shrunk hybrid workload from a single-process live run."""
-    spec = small_spec()
+def capture(spec, backend):
+    """Record ``spec``'s workload from a ``backend`` deployment."""
     config = build_config(spec)
-    with open_target("live", config, policy_spec(spec)) as connect:
-        with connect("w") as cli:
+    with open_target(backend, config, policy_spec(spec)) as connect:
+        with closing(connect("w")) as cli:
             recorder = CaptureRecorder(cli, flow="w")
             # The spec's tape quiesces after every op: background work
             # stays deterministic, so the recorded digests are
@@ -54,6 +52,12 @@ def captured_tape():
                 policy_spec=policy_spec(spec),
                 projection=cli.projection(),
             )
+
+
+@pytest.fixture(scope="module")
+def captured_tape():
+    """The shrunk hybrid workload recorded from a single-process live run."""
+    return capture(small_spec(), "live")
 
 
 def replay_on(tape, backend, policy=None, **live_kwargs):
@@ -101,6 +105,19 @@ class TestCrossBackendReplay:
         assert report.ok, report.mismatches
         assert report.digest_checks > 0
         assert not report.mismatches
+        assert report.projection_check == "match"
+
+    def test_coding_sets_capture_replays_on_its_own_placement(self):
+        """The tape records where parity lands: a CodingSets deployment
+        replays on CodingSets, not on the default grouped layout."""
+        spec = dataclasses.replace(
+            small_spec(),
+            config_overrides=dict(
+                n_servers=16, placement_mode="coding_sets", max_coding_sets=3
+            ),
+        )
+        report = replay_on(capture(spec, "sim"), "sim")
+        assert report.ok, report.mismatches
         assert report.projection_check == "match"
 
     def test_divergent_backend_is_caught(self, captured_tape):

@@ -7,7 +7,10 @@ from repro.scaling import ScalingConfig, check_bounds, run_scale
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    cfg = ScalingConfig(servers=(4, 8), blocks_per_server=4, timesteps=2)
+    # The default per-server load on the cheap prefix of the 4 -> 64 sweep
+    # (`repro scale` runs all of it): the bounds are operation counts, so
+    # this is the whole gate, not a sample of one.
+    cfg = ScalingConfig(servers=(4, 8, 16))
     rows = [run_scale(cfg, n) for n in cfg.servers]
     return cfg, rows
 
@@ -29,6 +32,7 @@ class TestSweep:
         for row in rows:
             assert row["total_entities"] == 2 * cfg.blocks_per_server * row["n_servers"]
         assert rows[1]["total_entities"] == 2 * rows[0]["total_entities"]
+        assert rows[2]["total_entities"] == 4 * rows[0]["total_entities"]
 
     def test_bounds_hold_on_small_sweep(self, small_sweep):
         cfg, rows = small_sweep

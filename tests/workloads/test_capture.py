@@ -159,6 +159,20 @@ class TestTapeFormat:
         assert rebuilt.domain_shape == config.domain_shape
         assert rebuilt.seed == config.seed
 
+    def test_config_meta_carries_placement(self):
+        from repro.staging.service import StagingConfig
+
+        config = StagingConfig(
+            n_servers=16, placement_mode="coding_sets", max_coding_sets=3
+        )
+        meta = json.loads(json.dumps(config_meta(config)))
+        rebuilt = config_from_meta(meta)
+        assert (rebuilt.placement_mode, rebuilt.max_coding_sets) == ("coding_sets", 3)
+        # A tape from before the pair was recorded replays on the defaults.
+        del meta["placement_mode"], meta["max_coding_sets"]
+        legacy = config_from_meta(meta)
+        assert (legacy.placement_mode, legacy.max_coding_sets) == ("grouped", 2)
+
     def test_config_meta_with_unknown_field_rejected(self):
         from tests.conftest import small_config
 
