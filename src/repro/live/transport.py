@@ -84,5 +84,4 @@ class LiveTransport:
         return duration
 
     def send_metadata(self, src: str, dst: str) -> Generator:
-        result = yield from self.transfer(src, dst, self.config.metadata_bytes, metadata=True)
-        return result
+        return self.transfer(src, dst, self.config.metadata_bytes, metadata=True)

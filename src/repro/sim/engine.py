@@ -18,6 +18,7 @@ insertion hashing.  Tests assert on this property.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable, Generator, Iterable
 
 __all__ = [
@@ -53,13 +54,18 @@ class Event:
     callbacks run at the simulation time of triggering.  Waiting on an
     already-processed event resumes the waiter immediately (same timestamp,
     later sequence number).
+
+    ``charge`` is the latency-attribution tag read by the wall-clock
+    tracer: it names the category a flow's wait on this event is charged
+    to ("lock_wait", "transfer", "codec", ...).  None means "classify by
+    event type".
+
+    The event classes are slotted: a put creates a few dozen of them, and
+    a slot store is what each field costs.  ``__weakref__`` stays because
+    the live engine tracks its processes in a ``WeakSet``.
     """
 
-    #: Latency-attribution tag read by the wall-clock tracer: names the
-    #: category a flow's wait on this event is charged to ("lock_wait",
-    #: "transfer", "codec", ...).  None means "classify by event type".
-    #: Class-level default so untagged events cost no per-instance slot.
-    charge: str | None = None
+    __slots__ = ("sim", "callbacks", "_value", "ok", "_scheduled", "charge", "__weakref__")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -67,6 +73,7 @@ class Event:
         self._value: Any = _PENDING
         self.ok: bool | None = None
         self._scheduled = False
+        self.charge: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -85,7 +92,7 @@ class Event:
 
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError("event already triggered")
         self.ok = True
         self._value = value
@@ -93,7 +100,7 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -106,7 +113,7 @@ class Event:
     def _add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             # Already processed: schedule an immediate wake-up.
-            self.sim._schedule_callback(lambda: cb(self))
+            self.sim._schedule_callback(partial(cb, self))
         else:
             self.callbacks.append(cb)
 
@@ -124,14 +131,16 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which ``delay < 0`` lets through
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim)
-        self.delay = float(delay)
+        self.delay = delay = float(delay)
         self.ok = True
         self._value = value
-        sim._schedule_event(self, delay=self.delay)
+        sim._schedule_event(self, delay)
 
 
 class Process(Event):
@@ -147,6 +156,8 @@ class Process(Event):
     current simulation time, detaching it from whatever it was waiting on.
     """
 
+    __slots__ = ("gen", "name", "_target")
+
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         if not hasattr(gen, "send"):
@@ -154,7 +165,7 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Event | None = None
-        self.sim._schedule_callback(self._start)
+        sim._schedule_callback(self._start)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.triggered else "alive"
@@ -162,23 +173,23 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return self._value is _PENDING
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
-        self._step(lambda: self.gen.send(None))
+        self._step(None, None)
 
     def _resume(self, event: Event) -> None:
         self._target = None
         if event.ok:
-            self._step(lambda: self.gen.send(event.value))
+            self._step(event._value, None)
         else:
-            exc = event.value
-            self._step(lambda: self.gen.throw(exc))
+            self._step(None, event._value)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, value: Any, exc: BaseException | None) -> None:
+        """Advance the generator: send ``value``, or throw ``exc`` if given."""
         try:
-            target = advance()
+            target = self.gen.send(value) if exc is None else self.gen.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -187,19 +198,23 @@ class Process(Event):
             # killed" — the normal fate of a failed staging server process.
             self.succeed(intr)
             return
-        except BaseException as exc:  # propagate real errors to waiters
+        except BaseException as crash:  # propagate real errors to waiters
             if not self.callbacks and not self.triggered:
                 # No one is waiting: surface the crash instead of hiding it.
-                self.fail(exc)
+                self.fail(crash)
                 raise
-            self.fail(exc)
+            self.fail(crash)
             return
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; processes may only yield Events"
             )
         self._target = target
-        target._add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            target._add_callback(self._resume)  # processed: immediate wake-up
+        else:
+            callbacks.append(self._resume)
 
     # ------------------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
@@ -212,7 +227,7 @@ class Process(Event):
             if self._target is not None:
                 self._target._remove_callback(self._resume)
                 self._target = None
-            self._step(lambda: self.gen.throw(Interrupt(cause)))
+            self._step(None, Interrupt(cause))
         self.sim._schedule_callback(do_interrupt)
 
 
@@ -222,6 +237,8 @@ class ConditionEvent(Event):
     The value is a dict mapping each fired event to its value.  If any child
     fails, the condition fails with that exception.
     """
+
+    __slots__ = ("events", "_needed", "_fired")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event], count: int):
         super().__init__(sim)
@@ -284,20 +301,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling primitives (internal)
     # ------------------------------------------------------------------
-    def _push(self, delay: float, action: Callable[[], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, action))
-
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         # Each event is scheduled exactly once: Timeouts at construction,
         # all other events via succeed()/fail() (which reject re-triggering).
         if event._scheduled:
             raise RuntimeError("event scheduled twice")
-        self._push(delay, event._process)
         event._scheduled = True
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (self.now + delay, seq, event._process))
 
     def _schedule_callback(self, cb: Callable[[], None], delay: float = 0.0) -> None:
-        self._push(delay, cb)
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (self.now + delay, seq, cb))
 
     # ------------------------------------------------------------------
     # public API
@@ -324,46 +339,44 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
+        if isinstance(until, Event):
+            stop_event, horizon = until, float("inf")
+        else:
+            stop_event, horizon = None, float("inf") if until is None else float(until)
+        limit = float("inf") if max_events is None else max_events
+        heap, pop = self._heap, heapq.heappop
         executed = 0
-
-        def bump() -> None:
-            nonlocal executed
-            executed += 1
-            if max_events is not None and executed > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded max_events={max_events}; "
-                    "likely a livelock (zero-delay loop) in the model"
-                )
-
         try:
-            if isinstance(until, Event):
-                stop_event = until
-                while not stop_event.processed:
-                    if not self._heap:
+            while True:
+                if stop_event is not None:
+                    if stop_event.callbacks is None:  # processed
+                        break
+                    if not heap:
                         raise RuntimeError(
                             "simulation starved: awaited event can never fire"
                         )
-                    bump()
-                    self._step()
+                elif not heap or heap[0][0] > horizon:
+                    break
+                executed += 1
+                if executed > limit:
+                    raise RuntimeError(
+                        f"simulation exceeded max_events={max_events}; "
+                        "likely a livelock (zero-delay loop) in the model"
+                    )
+                t, _seq, action = pop(heap)
+                if t < self.now:  # pragma: no cover - delays are validated >= 0
+                    raise RuntimeError("time went backwards")
+                self.now = t
+                action()
+            if stop_event is not None:
                 if stop_event.ok:
-                    return stop_event.value
-                raise stop_event.value
-            horizon = float("inf") if until is None else float(until)
-            while self._heap and self._heap[0][0] <= horizon:
-                bump()
-                self._step()
+                    return stop_event._value
+                raise stop_event._value
             if until is not None and self.now < horizon:
                 self.now = horizon
             return None
         finally:
             self._running = False
-
-    def _step(self) -> None:
-        t, _seq, action = heapq.heappop(self._heap)
-        if t < self.now:  # pragma: no cover - guarded by Timeout validation
-            raise RuntimeError("time went backwards")
-        self.now = t
-        action()
 
     def peek(self) -> float:
         """Time of the next scheduled action (inf if none)."""

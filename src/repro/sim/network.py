@@ -105,21 +105,21 @@ class Network:
             return duration
 
         wire = self.transfer_time(nbytes)
-        first, second = sorted((src, dst))
-        req_a = self.nic(first).request()
+        first, second = (src, dst) if src < dst else (dst, src)
+        nic_a, nic_b = self.nic(first), self.nic(second)
+        req_a = nic_a.request()
         yield req_a
-        req_b = self.nic(second).request()
+        req_b = nic_b.request()
         yield req_b
         try:
             yield self.sim.timeout(wire)
         finally:
-            self.nic(second).release(req_b)
-            self.nic(first).release(req_a)
+            nic_b.release(req_b)
+            nic_a.release(req_a)
         duration = self.sim.now - start
         self.stats.record(src, dst, nbytes, duration, metadata)
         return duration
 
     def send_metadata(self, src: str, dst: str) -> Generator:
         """Process body: one metadata-update message."""
-        result = yield from self.transfer(src, dst, self.config.metadata_bytes, metadata=True)
-        return result
+        return self.transfer(src, dst, self.config.metadata_bytes, metadata=True)

@@ -49,7 +49,7 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         ev.charge = "lock_wait"  # wall-clock attribution for grant waits
         if self.in_use < self.capacity:
             self.in_use += 1

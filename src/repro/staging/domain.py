@@ -171,6 +171,13 @@ class Domain:
         self.blocks_per_dim = tuple(
             -(-s // b) for s, b in zip(self.shape, self.block_shape)
         )
+        # Block geometry is a pure function of the constants above, and the
+        # write path asks for the same few answers on every put.  Each memo
+        # is filled on first use (so ids are validated before they are
+        # cached) and holds at most one entry per block (per radius in use).
+        self._bboxes: dict[int, BBox] = {}
+        self._block_of_bbox: dict[BBox, int] = {}
+        self._neighbors: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -210,13 +217,22 @@ class Domain:
         return tuple(reversed(coords))
 
     def block_bbox(self, block_id: int) -> BBox:
-        coords = self.block_coords(block_id)
-        lb = tuple(c * b for c, b in zip(coords, self.block_shape))
-        ub = tuple(min((c + 1) * b, s) for c, b, s in zip(coords, self.block_shape, self.shape))
-        return BBox(lb, ub)
+        box = self._bboxes.get(block_id)
+        if box is None:
+            coords = self.block_coords(block_id)
+            lb = tuple(c * b for c, b in zip(coords, self.block_shape))
+            ub = tuple(
+                min((c + 1) * b, s) for c, b, s in zip(coords, self.block_shape, self.shape)
+            )
+            box = self._bboxes[int(block_id)] = BBox(lb, ub)
+            self._block_of_bbox[box] = int(block_id)
+        return box
 
     def blocks_overlapping(self, box: BBox) -> list[int]:
         """Block ids intersecting ``box`` (clipped to the domain)."""
+        aligned = self._block_of_bbox.get(box)
+        if aligned is not None:
+            return [aligned]  # the box is exactly one (already built) block
         clipped = box.intersect(self.bbox)
         if clipped is None:
             return []
@@ -238,14 +254,14 @@ class Domain:
         neighbours of a freshly-written block are predicted to be written
         soon (paper Section II-C).
         """
-        coords = self.block_coords(block_id)
-        ranges = [
-            range(max(0, c - radius), min(n, c + radius + 1))
-            for c, n in zip(coords, self.blocks_per_dim)
-        ]
-        out = []
-        for cs in itertools.product(*ranges):
-            bid = self.block_id(cs)
-            if bid != block_id:
-                out.append(bid)
-        return out
+        cached = self._neighbors.get((block_id, radius))
+        if cached is None:
+            coords = self.block_coords(block_id)
+            ranges = [
+                range(max(0, c - radius), min(n, c + radius + 1))
+                for c, n in zip(coords, self.blocks_per_dim)
+            ]
+            cached = self._neighbors[(int(block_id), int(radius))] = tuple(
+                bid for bid in map(self.block_id, itertools.product(*ranges)) if bid != block_id
+            )
+        return list(cached)

@@ -201,6 +201,8 @@ class StagingServer:
 
         Returns the total elapsed time including queueing, so callers can
         attribute wait time to the server's load.
+        :meth:`StagingRuntime.busy` issues these same steps from its own
+        frame (one generator per booking); a change here belongs there too.
         """
         start = self.sim.now
         self.note_request()

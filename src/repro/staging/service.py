@@ -15,6 +15,7 @@ correctness backbone of the failure/recovery tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Generator, Sequence
 
 import numpy as np
@@ -125,6 +126,15 @@ def build_geometry(config: StagingConfig) -> tuple[Cluster, Domain, SpatialIndex
     return cluster, domain, index, layout
 
 
+@lru_cache(maxsize=8)
+def _byte_ramp(nbytes: int) -> np.ndarray:
+    """``(i * 131) mod 256`` for ``i < nbytes``: the version-independent
+    part of a synthetic payload (read-only, a handful of block sizes)."""
+    ramp = ((np.arange(nbytes, dtype=np.uint64) * 131) & 0xFF).astype(np.uint8)
+    ramp.setflags(write=False)
+    return ramp
+
+
 class StagingService:
     """One staging deployment under one resilience policy.
 
@@ -205,8 +215,8 @@ class StagingService:
     def synth_payload(name: str, block_id: int, version: int, nbytes: int) -> np.ndarray:
         """Deterministic, version-distinct bytes for one object."""
         base = stable_hash(f"{name}/{block_id}@{version}")
-        ramp = np.arange(nbytes, dtype=np.uint64)
-        return ((ramp * 131 + base) & 0xFF).astype(np.uint8)
+        # ((i * 131 + base) mod 2^64) mod 256, one uint8 add per byte.
+        return _byte_ramp(nbytes) + np.uint8(base & 0xFF)
 
     def _block_payload(
         self, name: str, block_id: int, version: int, region: BBox, data: np.ndarray | None
@@ -225,6 +235,8 @@ class StagingService:
                 f"data has {arr.size * arr.itemsize} bytes; region {region} needs "
                 f"{region.volume * eb}"
             )
+        if region == block_box:
+            return arr.view(np.uint8).ravel()  # the caller's bytes, no slicing
         # Element-wise byte view: (*region.shape, element_bytes).
         grid = arr.view(np.uint8).reshape(region.shape + (eb,))
         inter = block_box.intersect(region)
@@ -297,9 +309,13 @@ class StagingService:
     ) -> Generator:
         primary = self.index.primary_of_block(block_id, name)
         ent = self.directory.get_or_create(name, block_id, primary)
-        yield from self.runtime.with_entity_lock(
-            ent.key, self._put_block_locked(ent, client_name, region, data)
-        )
+        lock = self.runtime.entity_lock(ent.key)
+        req = lock.request()
+        yield req
+        try:
+            yield from self._put_block_locked(ent, client_name, region, data)
+        finally:
+            lock.release(req)
 
     def _put_block_locked(
         self, ent: BlockEntity, client_name: str, region: BBox, data: np.ndarray | None
@@ -349,9 +365,13 @@ class StagingService:
         cost of the async mode shows up.
         """
         primary_name = self.servers[ent.primary].name
-        yield from self.runtime.with_entity_lock(
-            ent.key, self.policy.on_write(ent, primary_name, payload, step, is_new)
-        )
+        lock = self.runtime.entity_lock(ent.key)
+        req = lock.request()
+        yield req
+        try:
+            yield from self.policy.on_write(ent, primary_name, payload, step, is_new)
+        finally:
+            lock.release(req)
 
     def get(
         self,

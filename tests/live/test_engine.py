@@ -253,6 +253,16 @@ def with_engine(body, **kwargs):
     return run(main())
 
 
+def test_nan_and_negative_timeouts_are_rejected_before_anything_is_scheduled():
+    async def body(eng):
+        for delay in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                eng.timeout(delay)
+        assert eng.events_ready == 0 and eng.actions_scheduled == 0
+
+    with_engine(body, time_scale=1.0)
+
+
 def test_trigger_without_waiter_is_processed_and_schedules_nothing():
     async def body(eng):
         ev = eng.event().succeed("v")

@@ -23,6 +23,21 @@ class TestTimeouts:
         with pytest.raises(ValueError):
             sim.timeout(-1)
 
+    def test_nan_delay_rejected_at_the_call(self):
+        """``nan < 0`` is False: a NaN delay used to enter the heap and
+        surface as "time went backwards" in whichever process ran next."""
+        sim = Simulator()
+
+        def sleeper(delay):
+            yield sim.timeout(delay)
+
+        for delay in (3.0, 1.0, 2.0):
+            sim.process(sleeper(delay))
+        with pytest.raises(ValueError, match="nan"):
+            sim.timeout(float("nan"))
+        sim.run()  # nothing poisoned: the others run to completion
+        assert sim.now == 3.0
+
     def test_timeout_value(self):
         sim = Simulator()
         got = []

@@ -1,5 +1,7 @@
 """Tests for bounding boxes and the domain grid, incl. property-based algebra."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -254,3 +256,96 @@ class TestDomain:
             Domain((8, 8), (4,))
         with pytest.raises(ValueError):
             Domain((0,), (4,))
+
+
+class TestDomainMemos:
+    """The memoised geometry is the computed geometry, and cannot be aliased.
+
+    The references below recompute each answer from the domain's constants
+    the way ``Domain`` did before it kept them; the domain is non-divisible,
+    so its edge blocks are smaller than ``block_shape``.
+    """
+
+    SHAPE, BLOCK = (10, 7, 5), (4, 3, 2)
+
+    @staticmethod
+    def ref_bbox(d, bid):
+        coords = d.block_coords(bid)
+        return BBox(
+            tuple(c * b for c, b in zip(coords, d.block_shape)),
+            tuple(min((c + 1) * b, s) for c, b, s in zip(coords, d.block_shape, d.shape)),
+        )
+
+    @staticmethod
+    def ref_overlapping(d, box):
+        clipped = box.intersect(d.bbox)
+        if clipped is None:
+            return []
+        lo = [l // b for l, b in zip(clipped.lb, d.block_shape)]
+        hi = [(u - 1) // b for u, b in zip(clipped.ub, d.block_shape)]
+        return [
+            d.block_id(cs)
+            for cs in itertools.product(*(range(a, z + 1) for a, z in zip(lo, hi)))
+        ]
+
+    @staticmethod
+    def ref_neighbors(d, bid, radius):
+        coords = d.block_coords(bid)
+        ranges = [
+            range(max(0, c - radius), min(n, c + radius + 1))
+            for c, n in zip(coords, d.blocks_per_dim)
+        ]
+        return [b for b in map(d.block_id, itertools.product(*ranges)) if b != bid]
+
+    def test_every_block_matches_the_uncached_computation(self):
+        d = Domain(self.SHAPE, self.BLOCK)
+        assert d.n_blocks == 3 * 3 * 3
+        for _ in range(2):  # first build, then served from the memo
+            for bid in range(d.n_blocks):
+                box = d.block_bbox(bid)
+                assert box == self.ref_bbox(d, bid)
+                assert d.blocks_overlapping(box) == self.ref_overlapping(d, box) == [bid]
+                for radius in (0, 1, 2):
+                    assert d.neighbor_blocks(bid, radius) == self.ref_neighbors(d, bid, radius)
+        assert d.block_bbox(d.n_blocks - 1).shape == (2, 1, 1)  # the ragged corner
+
+    def test_aligned_answer_does_not_shadow_the_general_one(self):
+        d = Domain(self.SHAPE, self.BLOCK)
+        for bid in range(d.n_blocks):
+            d.block_bbox(bid)
+        for box in (d.bbox, BBox((0, 0, 0), (5, 3, 2)), BBox((3, 2, 1), (9, 7, 5))):
+            assert d.blocks_overlapping(box) == self.ref_overlapping(d, box)
+        assert d.blocks_overlapping(BBox((100, 0, 0), (200, 1, 1))) == []
+
+    def test_returned_lists_are_fresh(self):
+        d = Domain(self.SHAPE, self.BLOCK)
+        box = d.block_bbox(13)
+        for ask in (lambda: d.neighbor_blocks(13, 1), lambda: d.blocks_overlapping(box)):
+            first = ask()
+            want = list(first)
+            first.clear()
+            first.append(-1)
+            assert ask() == want
+            assert ask() is not ask()
+
+    def test_memos_are_bounded_by_the_block_count(self):
+        d = Domain(self.SHAPE, self.BLOCK)
+        for _ in range(3):
+            for bid in range(d.n_blocks):
+                d.block_bbox(bid)
+                d.neighbor_blocks(bid)
+        assert len(d._bboxes) == len(d._block_of_bbox) == len(d._neighbors) == d.n_blocks
+
+    def test_errors_are_not_cached_away(self):
+        d = Domain(self.SHAPE, self.BLOCK)
+        for _ in range(2):
+            for bad in (-1, d.n_blocks):
+                with pytest.raises(IndexError):
+                    d.block_bbox(bad)
+                with pytest.raises(IndexError):
+                    d.neighbor_blocks(bad)
+            with pytest.raises(ValueError, match="inverted"):
+                BBox((4, 0, 0), (0, 3, 2))
+            with pytest.raises(ValueError, match="dimensionality"):
+                d.blocks_overlapping(BBox((0,), (4,)))
+        assert not d._bboxes and not d._neighbors

@@ -5,6 +5,8 @@ import pytest
 
 from repro import BBox, DataLossError, StagingConfig, StagingService, NoResilience, ReplicationPolicy
 from repro.staging.objects import ResilienceState
+from repro.staging.service import _byte_ramp
+from repro.util.rng import stable_hash
 
 from tests.conftest import make_service, small_config
 
@@ -35,6 +37,68 @@ class TestSynthPayloads:
         a = StagingService.synth_payload("v", 1, 1, 64)
         b = StagingService.synth_payload("v", 2, 1, 64)
         assert not (a == b).all()
+
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 255, 256, 4096, 16384, 100001])
+    def test_byte_identical_to_the_uint64_formula(self, nbytes):
+        for version in (0, 1, 7):
+            base = stable_hash(f"v/3@{version}")
+            ramp = np.arange(nbytes, dtype=np.uint64)
+            want = ((ramp * 131 + base) & 0xFF).astype(np.uint8)
+            got = StagingService.synth_payload("v", 3, version, nbytes)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+    def test_every_call_returns_its_own_writable_buffer(self):
+        a = StagingService.synth_payload("v", 1, 2, 4096)
+        b = StagingService.synth_payload("v", 1, 2, 4096)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        a[:] = 0
+        assert np.array_equal(b, StagingService.synth_payload("v", 1, 2, 4096))
+
+    def test_ramp_table_keeps_at_most_eight_sizes(self):
+        for nbytes in range(1, 40):
+            StagingService.synth_payload("v", 0, 0, nbytes)
+        assert _byte_ramp.cache_info().currsize <= 8
+
+
+class TestBlockPayload:
+    """``_block_payload``'s full-block path against the general (sliced) one."""
+
+    def test_full_block_returns_the_same_bytes_as_the_general_path(self):
+        svc = make_service("none")
+        block = 5
+        box = svc.domain.block_bbox(block)
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 256, size=box.shape, dtype=np.uint8)
+        fast = svc._block_payload("v", block, 0, box, data)
+        assert fast.ndim == 1 and fast.dtype == np.uint8
+        assert np.shares_memory(fast, data)  # a view of the caller's bytes
+        # The same block written as part of a two-block region is sliced out.
+        wide = box.union_bounds(svc.domain.block_bbox(block + 1))
+        wide_data = rng.integers(0, 256, size=wide.shape, dtype=np.uint8)
+        sel = tuple(slice(l - wl, u - wl) for l, u, wl in zip(box.lb, box.ub, wide.lb))
+        wide_data[sel] = data
+        general = svc._block_payload("v", block, 0, wide, wide_data)
+        assert np.array_equal(fast, general)
+        assert np.array_equal(fast, data.ravel())
+
+    def test_full_block_of_wider_elements_is_viewed_as_bytes(self):
+        svc = StagingService(small_config(element_bytes=8, object_max_bytes=32768), NoResilience())
+        box = svc.domain.block_bbox(0)
+        data = np.arange(box.volume, dtype=np.float64).reshape(box.shape)
+        out = svc._block_payload("v", 0, 0, box, data)
+        assert out.dtype == np.uint8 and out.size == box.volume * 8
+        assert out.tobytes() == data.tobytes()
+
+    def test_wrong_sized_array_is_rejected_on_both_paths(self):
+        svc = make_service("none")
+        box = svc.domain.block_bbox(0)
+        wide = box.union_bounds(svc.domain.block_bbox(1))
+        for region in (box, wide):
+            short = np.zeros(region.volume - 1, dtype=np.uint8)
+            with pytest.raises(ValueError, match=f"data has {region.volume - 1} bytes"):
+                svc._block_payload("v", 0, 0, region, short)
 
 
 class TestPutGet:
