@@ -122,13 +122,9 @@ def capture_tape():
 
 def replay_against_cluster(tape) -> dict:
     """Phase 2: replay a tape on the sharded cluster; byte equivalence."""
-    from repro.workloads.capture import config_from_meta
     from repro.workloads.load import open_target, replay_tape
 
-    config = config_from_meta(tape.meta["config"])
-    with open_target(
-        "cluster", config, tuple(tape.meta["policy"]), n_shards=N_SHARDS
-    ) as connect:
+    with open_target("cluster", *tape.deployment(), n_shards=N_SHARDS) as connect:
         with connect("replay") as client:
             report = replay_tape(tape, client)
     return report.to_json()

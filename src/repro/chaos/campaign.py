@@ -47,6 +47,18 @@ __all__ = ["ChaosConfig", "FailureUnit", "CampaignResult", "run_campaign", "shri
 _POLICIES = ("replicate", "erasure", "hybrid", "corec")
 _MODES = ("scheduled", "stochastic", "cabinet")
 
+READ_STRIDE = 4  # the workload reads every Nth block back each step
+# Fraction of the calibrated horizon the recovery sweep deadline gets.
+# Kept small so repairs land between failure slots — chaos verifies
+# correctness of the machinery, not the paper's deadline tradeoff.
+DEADLINE_FRAC = 0.04
+# Minimum spacing (fraction of horizon) between one unit's replacement
+# and the next unit's failure: the repair sweep must be able to finish,
+# otherwise back-to-back failures exceed the code's tolerance by
+# construction and every durability report would be noise.
+REPAIR_GUARD_FRAC = 0.08
+MAX_SHRINK_RUNS = 40
+
 
 @dataclass(frozen=True)
 class FailureUnit:
@@ -73,24 +85,12 @@ class ChaosConfig:
     object_bytes: int = 4096
     n_variables: int = 2
     timesteps: int = 4
-    read_stride: int = 4          # read every Nth block back each step
     n_failures: int = 3
     placement_mode: str = "grouped"
     max_coding_sets: int = 2
     storage_bound: float = 0.67
-    # Fraction of the calibrated horizon the recovery sweep deadline gets.
-    # Kept small so repairs land between failure slots — chaos verifies
-    # correctness of the machinery, not the paper's deadline tradeoff.
-    deadline_frac: float = 0.04
-    # Minimum spacing (fraction of horizon) between one unit's replacement
-    # and the next unit's failure: the repair sweep must be able to finish,
-    # otherwise back-to-back failures exceed the code's tolerance by
-    # construction and every durability report would be noise.
-    repair_guard_frac: float = 0.08
     shrink: bool = True
-    max_shrink_runs: int = 40
     out_dir: str | None = None
-    invariants: tuple | None = None  # None = the full suite
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -159,7 +159,7 @@ def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = Fals
     if horizon is not None:
         # Lazy recovery whose sweep deadline fits inside a failure slot.
         recovery = RecoveryConfig(
-            mode="lazy", mtbf_s=4.0 * cfg.deadline_frac * horizon, deadline_fraction=0.25
+            mode="lazy", mtbf_s=4.0 * DEADLINE_FRAC * horizon, deadline_fraction=0.25
         )
     return StagingService(
         StagingConfig(
@@ -188,7 +188,6 @@ def _workload(svc, cfg: ChaosConfig, losses: list) -> Generator:
     """
     names = [f"v{i}" for i in range(cfg.n_variables)]
     blocks = list(range(svc.domain.n_blocks))
-    stride = max(1, cfg.read_stride)
     for step in range(cfg.timesteps):
         for name in names:
             for b in blocks:
@@ -197,7 +196,7 @@ def _workload(svc, cfg: ChaosConfig, losses: list) -> Generator:
                 except DataLossError as exc:
                     losses.append((svc.sim.now, f"put {name}/{b}: {exc}"))
         for name in names:
-            for b in blocks[::stride]:
+            for b in blocks[::READ_STRIDE]:
                 try:
                     yield from svc.get(f"r{step}", name, svc.domain.block_bbox(b))
                 except DataLossError as exc:
@@ -282,7 +281,7 @@ def _stochastic_units(cfg: ChaosConfig, horizon: float, rng) -> list[FailureUnit
     for sid, t in sorted(open_fail.items()):
         units.append(FailureUnit(t, sid, None))  # replacement past the cutoff
     units.sort(key=lambda u: u.t_fail)
-    return _enforce_guard(units, cfg.repair_guard_frac * horizon)
+    return _enforce_guard(units, REPAIR_GUARD_FRAC * horizon)
 
 
 def _enforce_guard(units: list[FailureUnit], guard: float) -> list[FailureUnit]:
@@ -329,7 +328,17 @@ def _units_to_schedule(units: list[FailureUnit]) -> FailureSchedule:
     return sched
 
 
-def _fingerprint(payload: dict) -> str:
+def fingerprint(svc, events: list, units: list[FailureUnit]) -> str:
+    """What two runs of one seed must agree on, bit for bit: the injected
+    schedule, when each event landed, where the clock stopped, every
+    policy/runtime counter and the deployment's state projection."""
+    payload = {
+        "events": events,
+        "units": [u.as_dict() for u in units],
+        "t_end": svc.sim.now,
+        "counters": dict(svc.metrics.counters),
+        "projection": svc.projection(),
+    }
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
@@ -355,7 +364,7 @@ def execute_units(
             svc.replace_server(sid)
         events.append((svc.sim.now, kind, sid))
         checks += 1
-        found = run_invariants(svc, tier=ONLINE, names=cfg.invariants)
+        found = run_invariants(svc, tier=ONLINE)
         for v in found:
             svc.log.emit(svc.sim.now, "invariant_violated", source="chaos",
                          invariant=v.invariant, detail=v.detail)
@@ -392,15 +401,7 @@ def execute_units(
             continue
         violations.append(Violation("workload_loss", detail, t))
     checks += 1
-    violations.extend(run_invariants(svc, tier=QUIESCENT, names=cfg.invariants))
-    snap = svc.state_snapshot()
-    fp = _fingerprint(
-        {
-            "events": events,
-            "state": snap,
-            "units": [u.as_dict() for u in units],
-        }
-    )
+    violations.extend(run_invariants(svc, tier=QUIESCENT))
     result = CampaignResult(
         mode=cfg.mode,
         seed=cfg.seed,
@@ -409,7 +410,7 @@ def execute_units(
         violations=violations,
         checks_run=checks,
         read_errors=svc.read_errors,
-        fingerprint=fp,
+        fingerprint=fingerprint(svc, events, units),
         waived_losses=waived,
         horizon=horizon,
     )
@@ -420,7 +421,7 @@ def execute_units(
 # shrinking (ddmin over the failure-unit list)
 # ----------------------------------------------------------------------
 def shrink_units(
-    cfg: ChaosConfig, units: list[FailureUnit], horizon: float, max_runs: int = 40
+    cfg: ChaosConfig, units: list[FailureUnit], horizon: float, max_runs: int = MAX_SHRINK_RUNS
 ) -> tuple[list[FailureUnit], int]:
     """Minimize ``units`` while the campaign still fails.
 
@@ -519,7 +520,7 @@ def run_campaign(cfg: ChaosConfig) -> CampaignResult:
     units = generate_units(cfg, horizon)
     result, _ = execute_units(cfg, units, horizon)
     if not result.passed and cfg.shrink:
-        minimal, runs = shrink_units(cfg, units, horizon, max_runs=cfg.max_shrink_runs)
+        minimal, runs = shrink_units(cfg, units, horizon)
         result.minimal_units = minimal
         result.shrink_runs = runs
         if cfg.out_dir:

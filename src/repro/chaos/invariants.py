@@ -360,9 +360,7 @@ def check_reverse_indexes(svc) -> list[str]:
 
     Rebuilds each index from scratch out of the entities/stripes dicts and
     diffs it against the incrementally-maintained one — any divergence
-    means some mutation path bypassed the index-update hooks.  Also
-    cross-checks the spatial index's cached per-server load against its
-    brute-force scan.
+    means some mutation path bypassed the index-update hooks.
     """
     problems = []
     d = svc.directory
@@ -428,13 +426,6 @@ def check_reverse_indexes(svc) -> list[str]:
             problems.append(f"entity {key}: directory back-reference not set")
         if ent.seq < 0:
             problems.append(f"entity {key}: no insertion sequence assigned")
-
-    for name in sorted({e.name for e in d.entities.values()}):
-        if svc.index.blocks_per_server(name) != svc.index.scan_blocks_per_server(name):
-            problems.append(
-                f"spatial index: cached blocks_per_server({name!r}) diverges "
-                f"from the brute-force scan"
-            )
     return problems
 
 

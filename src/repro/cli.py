@@ -389,7 +389,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     rows = [run_scale(cfg, n) for n in cfg.servers]
-    problems = [] if args.no_assert else check_bounds(rows, cfg)
+    problems = [] if args.no_assert else check_bounds(rows)
     _emit({"sweep": rows, "bound_violations": problems}, args)
     if problems and not args.json:
         for p in problems:
@@ -642,7 +642,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         n_vars=args.vars,
         n_blocks=args.blocks,
         read_fraction=args.read_fraction,
-        verify_fraction=args.verify_fraction,
         seed=args.seed,
     )
     slo = SLO(
@@ -693,21 +692,21 @@ def cmd_replay(args: argparse.Namespace) -> int:
     compared byte-for-byte against the recording.  Exit code 1 on any
     mismatch.
     """
-    from repro.workloads.capture import Tape, config_from_meta
+    from repro.workloads.capture import Tape
     from repro.workloads.load import replay_tape
 
-    tape = Tape.load(args.tape)
-    if "config" not in tape.meta or "policy" not in tape.meta:
-        print(f"{args.tape}: tape has no config/policy meta; cannot rebuild "
-              f"a deployment to replay against", file=sys.stderr)
+    try:
+        tape = Tape.load(args.tape)
+        deployment = tape.deployment()
+    except ValueError as exc:
+        print(f"{args.tape}: {exc}", file=sys.stderr)
         return 2
-    config = config_from_meta(tape.meta["config"])
     amplify = {}
     for item in args.amplify:
         flow, _, count = item.partition("=")
         amplify[flow] = int(count)
 
-    with _open_backend(args, args.backend, config, tuple(tape.meta["policy"])) as connect:
+    with _open_backend(args, args.backend, *deployment) as connect:
         with closing(connect("replay")) as client:
             report = replay_tape(
                 tape, client, speedup=args.speedup or None, amplify=amplify or None,
@@ -931,8 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--blocks", type=int, default=12,
                         help="working-set size (first N blocks)")
     p_load.add_argument("--read-fraction", type=float, default=0.4)
-    p_load.add_argument("--verify-fraction", type=float, default=0.0,
-                        help="fraction of gets issued with verify=True")
     p_load.add_argument("--capture", default="",
                         help="record the run to this JSONL tape")
     p_load.add_argument("--slo-put-p99", type=float, default=None, metavar="MS")

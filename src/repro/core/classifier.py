@@ -5,7 +5,8 @@ to recently-written entities, or is predicted by its own temporal pattern to
 be written soon; otherwise it is **write-cold**.  Hot entities are
 replicated; cold ones are erasure coded.
 
-Three signals, each independently switchable (for the ablation bench):
+Three signals (``spatial_radius=0`` and ``temporal_lookahead=False`` switch
+the last two off for the ablation bench):
 
 - **recency** — written within the last ``hot_window_steps`` timesteps at
   least ``hot_threshold`` times;
@@ -43,11 +44,6 @@ class ClassifierConfig:
     temporal_lookahead: bool = True
     lookahead_steps: int = 1
     history_len: int = 8
-    use_recency: bool = True
-    use_spatial: bool = True
-    # Count reads toward recency hotness (tiering v2).  Off by default:
-    # the paper's classifier is write-history-only.
-    count_reads: bool = False
 
     def __post_init__(self) -> None:
         if self.hot_window_steps < 1 or self.hot_threshold < 1:
@@ -65,7 +61,6 @@ class HotColdClassifier:
         self.domain = domain
         self.config = config or ClassifierConfig()
         self._history: dict[EntityKey, deque[int]] = {}
-        self._read_history: dict[EntityKey, deque[int]] = {}
         self._spatial_hot_until: dict[EntityKey, int] = {}
         # accuracy bookkeeping
         self.writes_total = 0
@@ -87,27 +82,13 @@ class HotColdClassifier:
             self.writes_total += 1
             if not was_hot:
                 self.writes_while_cold += 1
-        if self.config.use_spatial and self.config.spatial_radius > 0:
+        if self.config.spatial_radius > 0:
             name, block_id = key
             until = step + self.config.spatial_ttl_steps
             for nbr in self.domain.neighbor_blocks(block_id, self.config.spatial_radius):
                 nbr_key = (name, nbr)
                 if self._spatial_hot_until.get(nbr_key, -1) < until:
                     self._spatial_hot_until[nbr_key] = until
-
-    def record_read(self, key: EntityKey, step: int) -> None:
-        """Note a read of ``key`` (no-op unless ``count_reads`` is set).
-
-        Reads feed recency only — they carry no spatial promotion (a read
-        does not predict neighbouring *writes*) and no miss accounting.
-        """
-        if not self.config.count_reads:
-            return
-        hist = self._read_history.get(key)
-        if hist is None:
-            hist = deque(maxlen=self.config.history_len)
-            self._read_history[key] = hist
-        hist.append(step)
 
     # ------------------------------------------------------------------
     def recency_hot(self, key: EntityKey, step: int) -> bool:
@@ -147,18 +128,9 @@ class HotColdClassifier:
         return 0 <= next_write - step <= self.config.lookahead_steps
 
     # ------------------------------------------------------------------
-    def read_recency_hot(self, key: EntityKey, step: int) -> bool:
-        hist = self._read_history.get(key)
-        if not hist:
-            return False
-        lo = step - self.config.hot_window_steps + 1
-        return sum(1 for s in hist if s >= lo) >= self.config.hot_threshold
-
     def is_hot(self, key: EntityKey, step: int) -> bool:
         """The combined classification used by the CoREC policy."""
-        if self.config.use_recency and self.recency_hot(key, step):
-            return True
-        if self.config.count_reads and self.read_recency_hot(key, step):
+        if self.recency_hot(key, step):
             return True
         if self.spatial_hot(key, step):
             return True

@@ -36,6 +36,12 @@ from repro.staging.objects import BlockEntity, ResilienceState
 
 __all__ = ["CoRECConfig", "CoRECPolicy"]
 
+# Hysteresis band below the storage bound: inside it only entities not
+# currently classified hot are demoted.
+STORAGE_BOUND_SLACK = 0.04
+MAX_DEMOTIONS_PER_ENFORCEMENT = 2  # smooths transition bursts
+SWAP_REF_MARGIN = 2  # min access-frequency gap to justify a pool swap
+
 
 @dataclass
 class CoRECConfig:
@@ -43,21 +49,16 @@ class CoRECConfig:
 
     ``storage_bound`` is the paper's storage-efficiency constraint S (a
     lower bound on original/(original+redundant); 0.67 in Table I).
-    ``async_transitions=False`` forces demotions onto the write path (an
-    ablation); ``tokens_enabled=False`` disables the load-balancing token
-    (another ablation).
+    ``tokens_enabled=False`` disables the load-balancing token (an
+    ablation).
     """
 
     storage_bound: float = 0.67
-    storage_bound_slack: float = 0.04  # hysteresis band below the bound
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     update_strategy: str = "delta"
-    async_transitions: bool = True
     tokens_enabled: bool = True
     promote_on_access: bool = True
     max_promotions_per_step: int = 8
-    max_demotions_per_enforcement: int = 2  # smooths transition bursts
-    swap_ref_margin: int = 2  # min access-frequency gap to justify a swap
     # "global" (default) enforces S over the whole deployment's byte
     # counts; "group" enforces it per coding group, with demotion victims
     # drawn from the violating group only.  Group scope makes every
@@ -140,7 +141,6 @@ class CoRECPolicy(ResiliencePolicy):
         self._enforce_storage_bound(step=step, ent=ent)
 
     def on_read(self, ent: BlockEntity, step: int) -> None:
-        self.classifier.record_read(ent.key, step)
         if self.tiering is not None:
             self.tiering.record_read(ent.key)
 
@@ -152,7 +152,7 @@ class CoRECPolicy(ResiliencePolicy):
     ) -> None:
         """Demote the coldest replicated entities until the bound holds.
 
-        Hysteresis: within ``storage_bound_slack`` below the bound, only
+        Hysteresis: within ``STORAGE_BOUND_SLACK`` below the bound, only
         entities *not currently classified hot* are eligible — demoting hot
         data there would immediately bounce back as a promotion (thrash).
         Under a hard violation (below bound - slack), anything goes, which
@@ -163,33 +163,37 @@ class CoRECPolicy(ResiliencePolicy):
         check (only its coding group is enforced); with no entity (the
         step barrier) every group is enforced in ascending id order.
         """
-        if self.config.enforcement_scope == "group":
-            if ent is not None:
-                groups = [self._group_of(ent)]
-            else:
-                groups = list(range(self.rt.layout.n_coding_groups()))
-            for gid in groups:
-                self._enforce_group_bound(gid, step=step)
-            return
-        storage = self.rt.metrics.storage
-        scheduled = 0
-        projected_replica = 0
-        while scheduled < self.config.max_demotions_per_enforcement:
-            eff = storage.would_be_efficiency(d_replica=-projected_replica)
-            if eff >= self.config.storage_bound:
-                break
-            soft = eff >= self.config.storage_bound - self.config.storage_bound_slack
-            victim = self._coldest_replicated(exclude_hot=soft, step=step)
-            if victim is None:
-                break
-            # Account the in-flight demotion so we don't over-demote.
-            projected_replica += victim.nbytes * len(victim.replicas)
-            self._schedule_demotion(victim)
-            scheduled += 1
+        if self.config.enforcement_scope != "group":
+            scopes = [None]
+        elif ent is not None:
+            scopes = [self._group_of(ent)]
+        else:
+            scopes = range(self.rt.layout.n_coding_groups())
+        bound = self.config.storage_bound
+        for gid in scopes:
+            scheduled = 0
+            projected_replica = 0
+            while scheduled < MAX_DEMOTIONS_PER_ENFORCEMENT:
+                eff = self._efficiency(gid, d_replica=-projected_replica)
+                if eff >= bound:
+                    break
+                soft = eff >= bound - STORAGE_BOUND_SLACK
+                victim = self._coldest_replicated(exclude_hot=soft, step=step, group=gid)
+                if victim is None:
+                    break
+                # Account the in-flight demotion so we don't over-demote.
+                projected_replica += victim.nbytes * len(victim.replicas)
+                self._schedule_demotion(victim)
+                scheduled += 1
 
-    # -- group-scoped enforcement --------------------------------------
+    # -- enforcement scope ---------------------------------------------
     def _group_of(self, ent: BlockEntity) -> int:
         return self.rt.layout.coding_group_id(ent.primary)
+
+    def _scope_of(self, ent: BlockEntity) -> int | None:
+        """What ``ent`` is accounted against: its coding group under group
+        scope, ``None`` (the whole deployment) otherwise."""
+        return self._group_of(ent) if self.config.enforcement_scope == "group" else None
 
     def _group_storage(self, gid: int) -> tuple[int, int, int]:
         """(original, replica, parity) bytes attributable to one group.
@@ -212,25 +216,14 @@ class CoRECPolicy(ResiliencePolicy):
                 parity += stripe.m * stripe.shard_len
         return original, replica, parity
 
-    def _group_efficiency(self, gid: int, d_replica: int = 0) -> float:
+    def _efficiency(self, gid: int | None, d_replica: int = 0) -> float:
+        """Storage efficiency of coding group ``gid`` (``None``: of the
+        whole deployment) after a hypothetical change in replica bytes."""
+        if gid is None:
+            return self.rt.metrics.storage.would_be_efficiency(d_replica=d_replica)
         original, replica, parity = self._group_storage(gid)
         total = original + replica + d_replica + parity
         return original / total if total else 1.0
-
-    def _enforce_group_bound(self, gid: int, step: int | None = None) -> None:
-        scheduled = 0
-        projected_replica = 0
-        while scheduled < self.config.max_demotions_per_enforcement:
-            eff = self._group_efficiency(gid, d_replica=-projected_replica)
-            if eff >= self.config.storage_bound:
-                break
-            soft = eff >= self.config.storage_bound - self.config.storage_bound_slack
-            victim = self._coldest_replicated(exclude_hot=soft, step=step, group=gid)
-            if victim is None:
-                break
-            projected_replica += victim.nbytes * len(victim.replicas)
-            self._schedule_demotion(victim)
-            scheduled += 1
 
     def _coldest_replicated(
         self,
@@ -257,32 +250,13 @@ class CoRECPolicy(ResiliencePolicy):
                 best = ent
         return best
 
-    def _hottest_encoded(self, exclude: set | None = None) -> BlockEntity | None:
-        best: BlockEntity | None = None
-        for ent in self.rt.directory.entities_in_state(ResilienceState.ENCODED):
-            if ent.transition_in_flight:
-                continue
-            if exclude and ent.key in exclude:
-                continue
-            if best is None or (ent.ref_counter, ent.last_write_step) > (
-                best.ref_counter,
-                best.last_write_step,
-            ):
-                best = ent
-        return best
-
     # ------------------------------------------------------------------
     # asynchronous transitions via the token workflow
     # ------------------------------------------------------------------
     def _schedule_demotion(self, ent: BlockEntity) -> None:
         ent.transition_in_flight = True
         self.rt.metrics.count("demotions_scheduled")
-        if self.config.async_transitions:
-            self.rt.sim.process(self._demotion_process(ent), name=f"demote-{ent.name}-{ent.block_id}")
-        else:
-            # Ablation: transitions run inline on whatever process triggered
-            # them (the write path), exposing the interference CoREC avoids.
-            self.rt.sim.process(self._demotion_process(ent))
+        self.rt.sim.process(self._demotion_process(ent), name=f"demote-{ent.name}-{ent.block_id}")
 
     def _demotion_process(self, ent: BlockEntity) -> Generator:
         from repro.core.runtime import DataLossError
@@ -313,11 +287,7 @@ class CoRECPolicy(ResiliencePolicy):
         # Include promotions already in flight so concurrent promotions
         # don't all pass the same headroom check and overshoot the bound.
         extra = ent.nbytes * self.rt.layout.n_level + self._promotion_bytes_in_flight
-        if self.config.enforcement_scope == "group":
-            eff = self._group_efficiency(self._group_of(ent), d_replica=extra)
-        else:
-            eff = self.rt.metrics.storage.would_be_efficiency(d_replica=extra)
-        return eff >= self.config.storage_bound
+        return self._efficiency(self._scope_of(ent), d_replica=extra) >= self.config.storage_bound
 
     def _maybe_schedule_promotion(self, ent: BlockEntity) -> None:
         """Queue a cold->hot transition.
@@ -342,18 +312,11 @@ class CoRECPolicy(ResiliencePolicy):
             if ent.state != ResilienceState.ENCODED:
                 return
             if not self._has_headroom(ent):
-                scope_gid = (
-                    self._group_of(ent)
-                    if self.config.enforcement_scope == "group"
-                    else None
-                )
-                victim = self._coldest_replicated(group=scope_gid)
+                victim = self._coldest_replicated(group=self._scope_of(ent))
                 # A swap must be clearly profitable: demanding a minimum
                 # access-frequency gap prevents ping-pong between equally
                 # hot objects (the uniform-hotness regime of case 1).
-                if victim is None or (
-                    victim.ref_counter + self.config.swap_ref_margin > ent.ref_counter
-                ):
+                if victim is None or victim.ref_counter + SWAP_REF_MARGIN > ent.ref_counter:
                     return  # nothing clearly colder to displace: stay encoded
                 self.rt.metrics.count("swap_demotions")
                 victim.transition_in_flight = True

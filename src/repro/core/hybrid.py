@@ -33,7 +33,6 @@ class SimpleHybridPolicy(ResiliencePolicy):
         self,
         storage_bound: float = 0.67,
         rng: np.random.Generator | None = None,
-        redraw_on_update: bool = True,
         update_strategy: str = "reencode",
         recovery: RecoveryConfig | None = None,
     ):
@@ -42,7 +41,6 @@ class SimpleHybridPolicy(ResiliencePolicy):
             raise ValueError("SimpleHybridPolicy requires an rng stream")
         self.storage_bound = storage_bound
         self.rng = rng
-        self.redraw_on_update = redraw_on_update
         self.update_strategy = update_strategy
         self.p_replicate = 0.0  # resolved at attach from the code geometry
 
@@ -58,7 +56,7 @@ class SimpleHybridPolicy(ResiliencePolicy):
         return "replicate" if self.rng.random() < self.p_replicate else "encode"
 
     def on_write(self, ent: BlockEntity, client_name, payload, step, is_new) -> Generator:
-        desired = self._draw() if (is_new or self.redraw_on_update) else None
+        desired = self._draw()  # re-drawn on every write, new or update
 
         if is_new:
             yield from self.rt.ingest_primary(ent, client_name, payload)
@@ -72,24 +70,15 @@ class SimpleHybridPolicy(ResiliencePolicy):
             return
 
         state = ent.state
-        if desired is None or (
-            (desired == "replicate" and state == ResilienceState.REPLICATED)
-            or (desired == "encode" and state == ResilienceState.ENCODED)
+        if (desired == "replicate" and state == ResilienceState.REPLICATED) or (
+            desired == "encode" and state == ResilienceState.ENCODED
         ):
             # No switch: plain in-state update.
             if state == ResilienceState.REPLICATED:
                 yield from self._refresh_replicated(ent, client_name, payload)
-            elif state == ResilienceState.ENCODED:
+            else:
                 yield from self.rt.ingest_primary(ent, client_name, payload, store=False)
                 yield from self.rt.update_encoded_entity(ent, payload, strategy=self.update_strategy)
-            else:  # PENDING/NONE
-                yield from self.rt.ingest_primary(ent, client_name, payload)
-                if ent.state == ResilienceState.ENCODED:
-                    # An encoder raced the ingest: reconcile the parity with
-                    # the bytes that just landed.
-                    yield from self.rt.reconcile_encoded_member(ent)
-                elif ent.replicas:
-                    yield from self.rt.refresh_replica_copies(ent, payload)
             return
 
         # Switching states on the write path — the churn the paper calls out.

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.obs.registry import MetricsRegistry
 from repro.util.stats import RunningStat, TimeSeries
@@ -82,24 +81,17 @@ class StorageAccountant:
 class Metrics:
     """Shared metrics sink for one simulated workflow run.
 
-    ``extra_categories`` extends the execution-breakdown beyond
-    :data:`BREAKDOWN_CATEGORIES` (e.g. recovery sub-phases); categories can
-    also be added later with :meth:`register_category` — ``add_time`` on an
-    unregistered category stays a hard error so typos don't silently
+    :meth:`register_category` extends the execution breakdown beyond
+    :data:`BREAKDOWN_CATEGORIES` (e.g. recovery sub-phases) — ``add_time``
+    on an unregistered category stays a hard error so typos don't silently
     siphon time into nowhere.
     """
 
-    def __init__(
-        self,
-        extra_categories: Iterable[str] = (),
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.put_stat = RunningStat()
         self.get_stat = RunningStat()
-        self.breakdown: dict[str, float] = {
-            c: 0.0 for c in (*BREAKDOWN_CATEGORIES, *extra_categories)
-        }
+        self.breakdown: dict[str, float] = {c: 0.0 for c in BREAKDOWN_CATEGORIES}
         self.storage = StorageAccountant()
         self.storage.register_gauges(self.registry)
         self.efficiency_series = TimeSeries("efficiency")

@@ -221,7 +221,7 @@ def policy_from_spec(
     ``none``/``dataspaces``, ``replicate``, ``erasure``, ``hybrid``,
     ``corec``.  ``options`` are the policy's own tunables (``erasure``:
     ``update_strategy``; ``hybrid``: ``storage_bound``,
-    ``redraw_on_update``, ``update_strategy``; ``corec``: any
+    ``update_strategy``; ``corec``: any
     :class:`~repro.core.corec.CoRECConfig` field but ``recovery``).
     ``seed`` feeds ``hybrid``'s random selection stream; ``recovery``
     replaces the policy's default recovery configuration.  An unknown name
@@ -237,7 +237,7 @@ def policy_from_spec(
         "dataspaces": (),
         "replicate": (),
         "erasure": ("update_strategy",),
-        "hybrid": ("storage_bound", "redraw_on_update", "update_strategy"),
+        "hybrid": ("storage_bound", "update_strategy"),
         "corec": tuple(f.name for f in fields(CoRECConfig) if f.name != "recovery"),
     }
     if name not in allowed:

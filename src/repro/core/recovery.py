@@ -25,6 +25,12 @@ from repro.staging.objects import BlockEntity, ResilienceState, StripeInfo
 
 __all__ = ["RecoveryConfig", "RecoveryManager"]
 
+# Aggressive mode re-generates *everything at once* (paper Section III-D:
+# "all lost objects are recovered and re-generated onto active servers
+# immediately") — that burst is exactly what interferes with application
+# requests, so it runs much wider than a lazy sweep.
+AGGRESSIVE_PARALLELISM = 64
+
 
 @dataclass
 class RecoveryConfig:
@@ -33,11 +39,6 @@ class RecoveryConfig:
     deadline_fraction: float = 0.25  # the paper's 1/4 MTBF limit
     repair_on_access: bool = True
     sweep_parallelism: int = 4       # concurrent repairs during a lazy sweep
-    # Aggressive mode re-generates *everything at once* (paper Section
-    # III-D: "all lost objects are recovered and re-generated onto active
-    # servers immediately") — that burst is exactly what interferes with
-    # application requests, so it gets its own, much wider, parallelism.
-    aggressive_parallelism: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in ("lazy", "aggressive", "none"):
@@ -490,7 +491,7 @@ class RecoveryManager:
                 tasks.append(self.rt.recover_parity(stripe, idx, onto=onto))
                 decode_stripes.append(stripe)
         self._warm_decode_matrices(decode_stripes)
-        yield from self._run_limited(tasks, width=self.config.aggressive_parallelism)
+        yield from self._run_limited(tasks, width=AGGRESSIVE_PARALLELISM)
 
     def _promote_replica(self, ent: BlockEntity, dead_sid: int) -> Generator:
         """Promote a live replica to primary, then restore replica count.

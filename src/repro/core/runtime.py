@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.backend import Clock, Transport
 from repro.erasure.gf256 import GF256
 from repro.erasure.reedsolomon import StripeCodec
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.sim.resources import Resource
 from repro.staging.metadata import MetadataDirectory
 from repro.staging.objects import BlockEntity, ResilienceState, StripeInfo
@@ -78,8 +78,8 @@ class StagingRuntime:
         layout: GroupLayout,
         metrics: Metrics,
         codec: StripeCodec,
-        log: EventLog | None = None,
-        tracer: Tracer | None = None,
+        log: EventLog,
+        tracer: Tracer,
     ):
         self.sim = sim
         self.network = network
@@ -88,8 +88,8 @@ class StagingRuntime:
         self.layout = layout
         self.metrics = metrics
         self.codec = codec
-        self.log = log or EventLog()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.log = log
+        self.tracer = tracer
         self.costs = self.servers[0].costs
         # Host-compute offload hook.  ``None`` (the simulator default)
         # runs numeric work inline with zero extra events, so sim traces
@@ -306,7 +306,11 @@ class StagingRuntime:
                 continue
             yield from self.transfer(src.name, dst.name, ent.nbytes)
             yield from self.busy(t, self.costs.store_cost(ent.nbytes), "store")
-            if not dst.failed:
+            # An encoder holds the stripe lock, not this entity's: it may
+            # have put the entity in a stripe and reclaimed the copies
+            # during the yields, and a copy stored now would belong to no
+            # entity.  (A drifted member keeps ``t`` and still needs it fresh.)
+            if not dst.failed and t in ent.replicas:
                 dst.store_bytes(replica_key(ent), payload)
             self.metrics.count("replica_writes")
         new_accounted = ent.nbytes * len(ent.replicas)

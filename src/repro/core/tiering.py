@@ -101,7 +101,7 @@ class TieringConfig:
 class AccessStats:
     """Per-entity EWMA read/write rates, folded once per timestep."""
 
-    def __init__(self, alpha: float = 0.5):
+    def __init__(self, alpha: float):
         self.alpha = alpha
         self._reads_now: dict[EntityKey, int] = {}
         self._writes_now: dict[EntityKey, int] = {}

@@ -158,10 +158,9 @@ class LiveCluster:
     receive live policy objects, so every shard builds its own instance
     from the spec.  ``live_kwargs`` (``time_scale``, ``max_workers``,
     ``tracing``, ...) go unchanged to every shard's
-    :class:`~repro.live.service.LiveStagingService`.  ``start_method``
-    defaults to ``fork`` where available (cheap on Linux; the coordinator
-    holds no event loop or server threads when spawning) and ``spawn``
-    elsewhere.
+    :class:`~repro.live.service.LiveStagingService`.  Shards are forked
+    where the platform can (cheap on Linux; the coordinator holds no event
+    loop or server threads when spawning) and spawned elsewhere.
     """
 
     def __init__(
@@ -170,7 +169,6 @@ class LiveCluster:
         policy_spec: tuple[str, dict[str, Any]],
         n_shards: int,
         host: str = "127.0.0.1",
-        start_method: str | None = None,
         start_timeout: float = 60.0,
         **live_kwargs: Any,
     ):
@@ -179,11 +177,9 @@ class LiveCluster:
         self.policy_spec = policy_spec
         self._host = host
         self._live_kwargs = live_kwargs
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
         self._start_timeout = start_timeout
         self.processes: list[multiprocessing.Process | None] = [None] * n_shards
         self.endpoints: list[tuple[str, int] | None] = [None] * n_shards

@@ -21,7 +21,7 @@ The harness has three parts:
   the same sequence of quiescent states — this is what makes
   lock-acquisition and background protection ordering irrelevant to the
   comparison;
-- :func:`conformance_projection`: the timing-free projection of a
+- :meth:`StagingService.projection`: the timing-free projection of a
   deployment's state that must match across backends (read payload
   digests are returned per-op by :func:`run`).
 
@@ -34,7 +34,6 @@ access promotions (:func:`~repro.core.policies.replay_spec`).
 
 from __future__ import annotations
 
-import json
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -42,9 +41,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.policies import replay_spec
-from repro.core.runtime import primary_key
-from repro.staging.objects import content_id
-from repro.staging.service import StagingConfig, StagingService, build_geometry
+from repro.staging.service import StagingConfig, build_geometry, normalize_projection
 from repro.workloads.capture import Tape, block_digests, config_meta
 from repro.workloads.load import apply_op, open_target
 
@@ -55,10 +52,10 @@ __all__ = [
     "build_tape",
     "policy_spec",
     "run",
-    "conformance_projection",
-    "normalize_projection",
-    "diff_projections",
 ]
+
+
+REWRITE_FRACTION = 0.5  # share of a step's puts that rewrite a staged block
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class WorkloadSpec:
     n_steps: int = 4
     puts_per_step: int = 6
     gets_per_step: int = 3
-    rewrite_fraction: float = 0.5
     failures: tuple[tuple[int, int], ...] = ()  # (step, server) pairs
     config_overrides: dict[str, Any] = field(default_factory=dict)
     # Extra CoRECConfig fields ("corec" specs only).  The sharded
@@ -169,7 +165,7 @@ def build_tape(spec: WorkloadSpec) -> Tape:
         pending_replace.clear()
         for _ in range(spec.puts_per_step):
             var = variables[int(rng.integers(len(variables)))]
-            if written and rng.random() < spec.rewrite_fraction:
+            if written and rng.random() < REWRITE_FRACTION:
                 var, block = written[int(rng.integers(len(written)))]
             else:
                 block = int(rng.integers(spec.n_blocks))
@@ -197,7 +193,8 @@ def run(spec: WorkloadSpec, backend: str, **live_kwargs: Any) -> tuple[dict, lis
     ``backend`` and ``live_kwargs`` are :func:`open_target`'s (``"cluster"``
     needs ``n_shards=``).  The projection comes back JSON-normalized (wire
     projections pass through JSON headers), so results from any two
-    backends compare directly with :func:`diff_projections`.
+    backends compare directly with
+    :func:`~repro.staging.service.diff_projections`.
     """
     reads: list[str] = []
     with open_target(backend, build_config(spec), policy_spec(spec), **live_kwargs) as connect:
@@ -208,108 +205,3 @@ def run(spec: WorkloadSpec, backend: str, **live_kwargs: Any) -> tuple[dict, lis
                     reads.extend(block_digests(payloads).values())
             projection = normalize_projection(client.projection())
     return projection, reads
-
-
-# ---------------------------------------------------------------------------
-# projection
-# ---------------------------------------------------------------------------
-def conformance_projection(svc: StagingService) -> dict:
-    """Timing-free projection of deployment state for differential compare.
-
-    Everything here must be identical across backends at a quiescent
-    point: directory metadata, stripe geometry and membership, each
-    server's store contents (key → ``content_id``), pending-encode pools
-    and durability-relevant counters.  Clock readings, response times and
-    transfer stats are deliberately excluded.
-    """
-    # Each store payload is hashed once, here; an entity's digest is its
-    # primary copy's entry in that table (absent while the primary is down),
-    # so the projection never reads the request path's CRC.
-    stores = {
-        srv.server_id: {key: content_id(srv.store[key]) for key in sorted(srv.store)}
-        for srv in svc.servers
-    }
-    entities = {}
-    for (name, block), ent in sorted(svc.directory.entities.items()):
-        entities[f"{name}/{block}"] = {
-            "version": ent.version,
-            "state": ent.state.value,
-            "primary": ent.primary,
-            "replicas": sorted(ent.replicas),
-            "stripe": None if ent.stripe is None else ent.stripe.stripe_id,
-            "digest": stores[ent.primary].get(primary_key(ent)),
-            "nbytes": ent.nbytes,
-        }
-    stripes = {}
-    for sid, stripe in sorted(svc.directory.stripes.items()):
-        stripes[sid] = {
-            "servers": list(stripe.shard_servers),
-            "members": [
-                None if mk is None else f"{mk[0]}/{mk[1]}" for mk in stripe.members
-            ],
-            "lengths": list(stripe.lengths),
-            "shard_len": stripe.shard_len,
-        }
-    servers = [
-        {
-            "server": srv.server_id,
-            "failed": srv.failed,
-            "epoch": srv.epoch,
-            "store": stores[srv.server_id],
-        }
-        for srv in svc.servers
-    ]
-    pending = {
-        gid: {
-            srv: [f"{k[0]}/{k[1]}" for k in queue]
-            for srv, queue in sorted(group.items())
-            if queue
-        }
-        for gid, group in sorted(svc.runtime.pending.items())
-        if any(queue for queue in group.values())
-    }
-    storage = svc.metrics.storage
-    return {
-        "entities": entities,
-        "stripes": stripes,
-        "servers": servers,
-        "pending": pending,
-        "storage": {
-            "original": storage.original,
-            "replica": storage.replica,
-            "parity": storage.parity,
-        },
-        "read_errors": svc.read_errors,
-    }
-
-
-def normalize_projection(projection: dict) -> dict:
-    """JSON round-trip of a projection (int dict keys become strings).
-
-    Wire projections pass through JSON headers, which stringifies the
-    stripe-id and group-id keys; normalizing the in-process reference the
-    same way makes :func:`diff_projections` comparisons exact.
-    """
-    return json.loads(json.dumps(projection))
-
-
-def diff_projections(
-    a: dict, b: dict, labels: tuple[str, str] = ("left", "right"), prefix: str = ""
-) -> list[str]:
-    """Human-readable list of paths where two projections differ.
-
-    ``labels`` names the two sides in "only in ..." lines.
-    """
-    out: list[str] = []
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if key not in a:
-                out.append(f"{path}: only in {labels[1]}")
-            elif key not in b:
-                out.append(f"{path}: only in {labels[0]}")
-            else:
-                out.extend(diff_projections(a[key], b[key], labels, path))
-    elif a != b:
-        out.append(f"{prefix}: {a!r} != {b!r}")
-    return out

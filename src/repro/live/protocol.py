@@ -35,8 +35,8 @@ is appended per frame.  :class:`LiveClient` caches preambles per
 Operations
 ----------
 ``ping``, ``put``, ``get``, ``mput``, ``mget``, ``query``, ``step``,
-``flush``, ``quiesce``, ``fail``, ``replace``, ``snapshot``, ``projection``,
-``stats``, ``metrics``, ``verify``, ``invariants``, ``shutdown`` — see
+``flush``, ``quiesce``, ``fail``, ``replace``, ``projection``, ``stats``,
+``metrics``, ``verify``, ``invariants``, ``shutdown`` — see
 :class:`repro.live.server.LiveServer` for semantics.
 
 Trace propagation
@@ -610,10 +610,6 @@ class LiveClient:
 
     def replace_server(self, sid: int) -> None:
         self.request({"op": "replace", "server": int(sid)})
-
-    def snapshot(self) -> dict[str, Any]:
-        resp, _ = self.request({"op": "snapshot"})
-        return resp["snapshot"]
 
     def stats(self) -> dict[str, Any]:
         resp, _ = self.request({"op": "stats"})

@@ -7,7 +7,7 @@ connection each operation rides.
 
 Routing is pure geometry, derived from the same :func:`~repro.staging.service.build_geometry`
 the servers use: a block's owner is the shard owning the coding group of
-its *hash-placed primary* (``index.primary_of_block``).  Failure
+its index-placed primary (``index.primary_of_block``).  Failure
 redirects never move an object across coding groups, so this static
 mapping stays correct across server kills and replacements — no
 membership chatter, no ownership leases.
@@ -292,7 +292,7 @@ class ClusterClient:
         that server ever holds state); storage counters sum.  The result
         is shaped exactly like a single-process projection modulo JSON
         key stringification — compare against
-        :func:`repro.live.conformance.normalize_projection` of the
+        :func:`repro.staging.service.normalize_projection` of the
         reference.
         """
         shard_projs = [cli.projection() for cli in self._clients]

@@ -331,17 +331,12 @@ class LiveServer:
         if op == "replace":
             live.replace_server(int(header["server"]))
             return {"ok": True}, b""
-        if op == "snapshot":
-            await live.quiesce()
-            return {"ok": True, "snapshot": live.state_snapshot()}, b""
         if op == "projection":
-            # Quiescent conformance projection (timing-free state) — what
-            # the sharded differential harness merges across shards and
-            # diffs against a single-process run.
-            from repro.live.conformance import conformance_projection
-
+            # Quiescent timing-free state — what the sharded differential
+            # harness merges across shards and diffs against a
+            # single-process run.
             await live.quiesce()
-            return {"ok": True, "projection": conformance_projection(live.service)}, b""
+            return {"ok": True, "projection": live.service.projection()}, b""
         if op == "stats":
             return {"ok": True, "stats": live.stats()}, b""
         if op == "metrics":

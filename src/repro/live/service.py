@@ -65,7 +65,6 @@ class LiveStagingService:
         policy,
         time_scale: float = 0.0,
         max_workers: int | None = None,
-        offload_compute: bool = True,
         tracing: bool = False,
     ):
         self.engine = LiveEngine(time_scale=time_scale, max_workers=max_workers)
@@ -83,8 +82,7 @@ class LiveStagingService:
         if self.tracer is None:
             self.tracer = self.service.tracer  # NULL_TRACER
         self.engine.tracer = self.tracer
-        if offload_compute:
-            self.service.runtime.compute_offload = self._offload_compute
+        self.service.runtime.compute_offload = self._place_compute
         # Stripe-parallel kernel passes: large encodes/decodes split by
         # column range across the engine's codec pool.  Byte-identical
         # to serial (columns are independent), so sim-vs-live
@@ -119,7 +117,7 @@ class LiveStagingService:
         reg.gauge("live.loop.lag_last_s", lambda: engine.loop_lag_s)
         reg.gauge("live.loop.lag_max_s", lambda: engine.loop_lag_max_s)
 
-    def _offload_compute(self, fn, nbytes: int, category: str):
+    def _place_compute(self, fn, nbytes: int, category: str):
         if nbytes < INLINE_COMPUTE_BYTES:
             return self.engine.inline(fn, charge=category)
         return self.engine.offload(fn, charge=category)
@@ -245,9 +243,6 @@ class LiveStagingService:
             except DataLossError:
                 unrecoverable.append(key)
         return {"verified": verified, "unrecoverable": unrecoverable}
-
-    def state_snapshot(self) -> dict:
-        return self.service.state_snapshot()
 
     def storage_report(self) -> dict:
         return self.service.storage_report()

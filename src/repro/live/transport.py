@@ -44,7 +44,7 @@ class LiveTransport:
     def nic(self, endpoint: str) -> Resource:
         res = self._nics.get(endpoint)
         if res is None:
-            res = Resource(self.engine, capacity=self.config.nic_capacity)
+            res = Resource(self.engine)
             self._nics[endpoint] = res
         return res
 

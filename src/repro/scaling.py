@@ -17,13 +17,12 @@ and trips the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chaos.invariants import QUIESCENT, run_invariants
-from repro.core.corec import CoRECConfig, CoRECPolicy
-from repro.core.recovery import RecoveryConfig
+from repro.core.corec import CoRECPolicy
 
-__all__ = ["ScalingConfig", "run_scale", "run_sweep", "check_bounds"]
+__all__ = ["ScalingConfig", "run_scale", "check_bounds"]
 
 #: Server counts of the full sweep (each divisible by the k+m=4 coding
 #: group and the size-2 replication group).
@@ -31,6 +30,17 @@ SWEEP_SERVERS = (4, 8, 16, 32, 64)
 
 #: Block edge in cells (element_bytes=1 -> bytes per object).
 _BLOCK_CELLS = 256
+
+# Touches per failure may exceed the affected-record count by a small
+# constant factor (each repair reads and rewrites its record, and the
+# rebalance scans its coding group's stripes); what must NOT happen is
+# growth with deployment size.
+MAX_TOUCH_RATIO = 16.0
+# The per-scale ratio must stay flat: the largest scale may exceed the
+# smallest by at most this factor (a whole-directory walk grows it by
+# ~n_servers, 16x across the sweep).
+MAX_RATIO_GROWTH = 2.0
+VICTIM = 1  # the server failed at each scale
 
 
 @dataclass
@@ -41,24 +51,11 @@ class ScalingConfig:
     blocks_per_server: int = 8   # primaries per server per variable
     timesteps: int = 3
     seed: int = 1
-    victim: int = 1              # server failed at each scale
-    recovery_mode: str = "lazy"
-    # Touches per failure may exceed the affected-record count by a small
-    # constant factor (each repair reads and rewrites its record, and the
-    # rebalance scans its coding group's stripes); what must NOT happen is
-    # growth with deployment size.
-    max_touch_ratio: float = 16.0
-    # The per-scale ratio must stay flat: the largest scale may exceed the
-    # smallest by at most this factor (a whole-directory walk grows it by
-    # ~n_servers, 16x across the sweep).
-    max_ratio_growth: float = 2.0
 
     def __post_init__(self) -> None:
         for n in self.servers:
             if n % 4 or n % 2:
                 raise ValueError(f"{n} servers cannot host the 4-wide coding groups")
-        if self.victim < 0 or any(self.victim >= n for n in self.servers):
-            raise ValueError("victim server out of range for the sweep")
 
 
 def _build_service(cfg: ScalingConfig, n_servers: int):
@@ -72,10 +69,7 @@ def _build_service(cfg: ScalingConfig, n_servers: int):
         object_max_bytes=_BLOCK_CELLS,
         seed=cfg.seed,
     )
-    policy = CoRECPolicy(
-        CoRECConfig(recovery=RecoveryConfig(mode=cfg.recovery_mode))
-    )
-    return StagingService(config, policy)
+    return StagingService(config, CoRECPolicy())  # lazy recovery, CoREC's default
 
 
 def _populate(svc, cfg: ScalingConfig):
@@ -99,7 +93,7 @@ def run_scale(cfg: ScalingConfig, n_servers: int) -> dict:
     svc = _build_service(cfg, n_servers)
     _populate(svc, cfg)
     d = svc.directory
-    victim = cfg.victim
+    victim = VICTIM
 
     group = set(svc.layout.coding_group(victim))
     affected = {
@@ -142,14 +136,8 @@ def run_scale(cfg: ScalingConfig, n_servers: int) -> dict:
     return row
 
 
-def run_sweep(cfg: ScalingConfig | None = None) -> list[dict]:
-    cfg = cfg or ScalingConfig()
-    return [run_scale(cfg, n) for n in cfg.servers]
-
-
-def check_bounds(rows: list[dict], cfg: ScalingConfig | None = None) -> list[str]:
+def check_bounds(rows: list[dict]) -> list[str]:
     """Complexity-bound assertions over a sweep; returns problem strings."""
-    cfg = cfg or ScalingConfig()
     problems = []
     for row in rows:
         n = row["n_servers"]
@@ -162,19 +150,19 @@ def check_bounds(rows: list[dict], cfg: ScalingConfig | None = None) -> list[str
                 f"n={n}: {row['full_scans_during_failure']} full directory "
                 f"scans during the failure window (expected 0)"
             )
-        if row["touch_ratio"] > cfg.max_touch_ratio:
+        if row["touch_ratio"] > MAX_TOUCH_RATIO:
             problems.append(
                 f"n={n}: {row['touches']} directory touches for "
                 f"{row['affected_total']} affected records "
-                f"(ratio {row['touch_ratio']:.1f} > {cfg.max_touch_ratio})"
+                f"(ratio {row['touch_ratio']:.1f} > {MAX_TOUCH_RATIO})"
             )
     if len(rows) >= 2:
         first, last = rows[0], rows[-1]
         growth = last["touch_ratio"] / max(1e-9, first["touch_ratio"])
-        if growth > cfg.max_ratio_growth:
+        if growth > MAX_RATIO_GROWTH:
             problems.append(
                 f"touch ratio grew {growth:.2f}x from {first['n_servers']} to "
-                f"{last['n_servers']} servers (> {cfg.max_ratio_growth}x): "
+                f"{last['n_servers']} servers (> {MAX_RATIO_GROWTH}x): "
                 f"failure cost is scaling with directory size"
             )
     return problems

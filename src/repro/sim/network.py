@@ -37,7 +37,6 @@ class NetworkConfig:
     latency_s: float = 10e-6
     bandwidth_bps: float = 5.0e9  # bytes per second per NIC
     metadata_bytes: int = 512
-    nic_capacity: int = 1
     local_copy_bandwidth_bps: float = 40.0e9  # memcpy within a server
 
 
@@ -76,7 +75,7 @@ class Network:
         """The NIC resource of ``endpoint`` (created on first use)."""
         res = self._nics.get(endpoint)
         if res is None:
-            res = Resource(self.sim, capacity=self.config.nic_capacity)
+            res = Resource(self.sim)  # one transfer at a time per endpoint
             self._nics[endpoint] = res
         return res
 

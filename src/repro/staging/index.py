@@ -3,82 +3,38 @@
 DataSpaces distributes the staged domain across servers with a DHT over a
 space-filling decomposition.  We reproduce the essential property — a
 *deterministic, balanced* mapping from spatial blocks to servers that every
-client can compute locally — with a block-grid round-robin assignment
-(optionally hashed for de-clustering).
+client can compute locally — with a block-grid round-robin assignment.
 """
 
 from __future__ import annotations
 
-from repro.staging.domain import BBox, Domain
-from repro.util.rng import stable_hash
+from repro.staging.domain import Domain
 
 __all__ = ["SpatialIndex"]
 
 
 class SpatialIndex:
-    """Maps domain blocks to primary servers.
+    """Maps domain blocks to primary servers: block ``b`` lives on server
+    ``b % n_servers``, preserving spatial striding — what the original
+    DataSpaces layout achieves.  The variable name plays no role."""
 
-    Parameters
-    ----------
-    domain:
-        The global staged domain.
-    n_servers:
-        Number of staging servers.
-    scheme:
-        ``"round_robin"`` (default) assigns block ``b`` to server
-        ``b % n_servers`` — preserving spatial striding, which is what the
-        original DataSpaces layout achieves; ``"hash"`` de-clusters blocks
-        pseudo-randomly but deterministically.
-    """
-
-    def __init__(self, domain: Domain, n_servers: int, scheme: str = "round_robin"):
+    def __init__(self, domain: Domain, n_servers: int):
         if n_servers < 1:
             raise ValueError("need at least one server")
-        if scheme not in ("round_robin", "hash"):
-            raise ValueError(f"unknown scheme {scheme!r}")
         self.domain = domain
         self.n_servers = n_servers
-        self.scheme = scheme
-        # blocks_per_server is pure in (scheme, name): memoise per name.
-        self._load_cache: dict[str, dict[int, int]] = {}
 
-    # ------------------------------------------------------------------
     def primary_of_block(self, block_id: int, name: str = "") -> int:
         """Primary server for one block of one variable."""
         if not 0 <= block_id < self.domain.n_blocks:
             raise IndexError(f"block {block_id} out of range")
-        if self.scheme == "round_robin":
-            return block_id % self.n_servers
-        return (stable_hash(f"{name}/{block_id}")) % self.n_servers
-
-    def locate(self, box: BBox, name: str = "") -> dict[int, list[int]]:
-        """Map a query box to ``{server: [block ids]}`` covering it."""
-        out: dict[int, list[int]] = {}
-        for bid in self.domain.blocks_overlapping(box):
-            srv = self.primary_of_block(bid, name)
-            out.setdefault(srv, []).append(bid)
-        return out
+        return block_id % self.n_servers
 
     def blocks_per_server(self, name: str = "") -> dict[int, int]:
         """Block-count load per server (for balance assertions).
 
-        Round-robin loads are computed analytically in O(n_servers); hash
-        loads are scanned once per variable name and memoised (the mapping
-        is a pure function of the name, so the cache never invalidates).
+        Blocks 0..n-1 striped over servers: server s gets one extra block
+        iff s < n_blocks % n_servers.
         """
-        if self.scheme == "round_robin":
-            # Blocks 0..n-1 striped over servers: server s gets one extra
-            # block iff s < n_blocks % n_servers.  Name plays no role.
-            base, extra = divmod(self.domain.n_blocks, self.n_servers)
-            return {s: base + (1 if s < extra else 0) for s in range(self.n_servers)}
-        cached = self._load_cache.get(name)
-        if cached is None:
-            cached = self._load_cache[name] = self.scan_blocks_per_server(name)
-        return dict(cached)
-
-    def scan_blocks_per_server(self, name: str = "") -> dict[int, int]:
-        """Uncached O(n_blocks) reference scan (cross-check for the cache)."""
-        counts = {s: 0 for s in range(self.n_servers)}
-        for bid in range(self.domain.n_blocks):
-            counts[self.primary_of_block(bid, name)] += 1
-        return counts
+        base, extra = divmod(self.domain.n_blocks, self.n_servers)
+        return {s: base + (1 if s < extra else 0) for s in range(self.n_servers)}

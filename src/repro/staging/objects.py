@@ -276,10 +276,6 @@ class BlockEntity:
         coded, its access frequency is reset back to zero"."""
         self.ref_counter = 0
 
-    def store_key(self, version: int | None = None) -> str:
-        v = self.version if version is None else version
-        return ObjectId(self.name, self.block_id, v).key()
-
     def primary_key(self) -> str:
         """Key under which the *current* primary copy is stored."""
         return f"{self.name}/{self.block_id}"

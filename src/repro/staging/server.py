@@ -25,6 +25,9 @@ from repro.sim.resources import Resource
 
 __all__ = ["CostModel", "StagingServer"]
 
+# Span of the workload monitor's recent-request rate (seconds).
+WORKLOAD_WINDOW_S = 1.0
+
 
 @dataclass
 class CostModel:
@@ -79,15 +82,13 @@ class StagingServer:
         sim: Simulator,
         server_id: int,
         costs: CostModel | None = None,
-        cpu_slots: int = 1,
-        workload_window_s: float = 1.0,
         tiers=None,
     ):
         self.sim = sim
         self.server_id = server_id
         self.name = f"s{server_id}"
         self.costs = costs or CostModel()
-        self.cpu = Resource(sim, capacity=cpu_slots)
+        self.cpu = Resource(sim)  # one slot: request processing and encoding serialize
         self.store: dict[str, np.ndarray] = {}
         # Optional multi-tier backing store (the paper's future-work
         # extension): placement/capacity/migration are tracked per object
@@ -102,7 +103,6 @@ class StagingServer:
             self.tiered = TieredStore(tiers)
         self.failed = False
         self.epoch = 0  # bumped on replacement; distinguishes incarnations
-        self._window_s = workload_window_s
         self._recent_requests: deque[float] = deque()
         self.requests_served = 0
         self.bytes_stored = 0
@@ -145,30 +145,6 @@ class StagingServer:
             self.bytes_stored -= payload.size
         if self.tiered is not None:
             self.tiered.delete(key)
-
-    def snapshot(self) -> dict:
-        """Deterministic structural summary of this server's state.
-
-        ``content`` digests the sorted (key, ``content_id``) pairs, so two
-        servers holding byte-identical stores produce identical snapshots
-        regardless of insertion order — the building block of the chaos
-        campaigns' bit-identical-reproduction fingerprint.
-        """
-        import hashlib
-
-        from repro.staging.objects import content_id
-
-        h = hashlib.blake2b(digest_size=12)
-        for key in sorted(self.store):
-            h.update(f"{key}:{content_id(self.store[key])};".encode())
-        return {
-            "server": self.server_id,
-            "failed": self.failed,
-            "epoch": self.epoch,
-            "objects": len(self.store),
-            "bytes": self.bytes_stored,
-            "content": h.hexdigest(),
-        }
 
     # ------------------------------------------------------------------
     # failure / replacement
@@ -219,7 +195,7 @@ class StagingServer:
     def note_request(self) -> None:
         now = self.sim.now
         self._recent_requests.append(now)
-        cutoff = now - self._window_s
+        cutoff = now - WORKLOAD_WINDOW_S
         while self._recent_requests and self._recent_requests[0] < cutoff:
             self._recent_requests.popleft()
 
@@ -230,8 +206,8 @@ class StagingServer:
         replication group when placing the encoding token.
         """
         now = self.sim.now
-        cutoff = now - self._window_s
+        cutoff = now - WORKLOAD_WINDOW_S
         while self._recent_requests and self._recent_requests[0] < cutoff:
             self._recent_requests.popleft()
-        rate = len(self._recent_requests) / self._window_s
+        rate = len(self._recent_requests) / WORKLOAD_WINDOW_S
         return self.cpu.queued + self.cpu.in_use + 0.01 * rate

@@ -14,6 +14,8 @@ correctness backbone of the failure/recovery tests.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Generator, Sequence
@@ -32,12 +34,19 @@ from repro.sim.network import Network, NetworkConfig
 from repro.staging.domain import BBox, Domain
 from repro.staging.index import SpatialIndex
 from repro.staging.metadata import MetadataDirectory
-from repro.staging.objects import BlockEntity, ResilienceState, payload_digest
+from repro.staging.objects import BlockEntity, ResilienceState, content_id, payload_digest
 from repro.staging.server import CostModel, StagingServer
 from repro.util.eventlog import EventLog
 from repro.util.rng import RngStreams, stable_hash
 
-__all__ = ["StagingConfig", "StagingService", "build_geometry"]
+__all__ = [
+    "StagingConfig",
+    "StagingService",
+    "build_geometry",
+    "normalize_projection",
+    "projection_sha256",
+    "diff_projections",
+]
 
 
 @dataclass
@@ -60,7 +69,6 @@ class StagingConfig:
     rs_construction: str = "cauchy"
     network: NetworkConfig = field(default_factory=NetworkConfig)
     costs: CostModel = field(default_factory=CostModel)
-    index_scheme: str = "round_robin"
     topology_aware: bool = True
     # Parity-placement regime (see repro.core.placement): "grouped" keeps
     # every stripe inside its coding group (the paper's layout, default),
@@ -69,7 +77,6 @@ class StagingConfig:
     # ``max_coding_sets`` servers per group (Hydra's CodingSets).
     placement_mode: str = "grouped"
     max_coding_sets: int = 2
-    verify_reads: bool = True
     # When True, a put is acknowledged once the primary copy is staged and
     # the protection work (replicas / parity) continues in the background,
     # contending with foreground requests — the large-scale deployment mode
@@ -112,7 +119,7 @@ def build_geometry(config: StagingConfig) -> tuple[Cluster, Domain, SpatialIndex
         config.domain_shape, config.element_bytes, config.object_max_bytes
     )
     domain = Domain(config.domain_shape, block_shape, config.element_bytes)
-    index = SpatialIndex(domain, config.n_servers, scheme=config.index_scheme)
+    index = SpatialIndex(domain, config.n_servers)
     layout = GroupLayout(
         cluster,
         n_level=config.n_level,
@@ -380,9 +387,14 @@ class StagingService:
         region: BBox,
         verify: bool | None = None,
     ) -> Generator:
-        """Read ``region``; returns ``(response_time, payloads_by_block)``."""
+        """Read ``region``; returns ``(response_time, payloads_by_block)``.
+
+        Every read is digest-checked unless the caller passes
+        ``verify=False``.
+        """
         t0 = self.sim.now
-        verify = self.config.verify_reads if verify is None else verify
+        if verify is None:
+            verify = True
         block_ids = self.domain.blocks_overlapping(region)
         if not block_ids:
             raise ValueError(f"region {region} outside the staged domain")
@@ -589,40 +601,74 @@ class StagingService:
                 unrecoverable.append(key)
         return {"verified": verified, "unrecoverable": unrecoverable}
 
-    def state_snapshot(self) -> dict:
-        """Deterministic dump of the deployment's observable state.
+    def projection(self) -> dict:
+        """The one deterministic dump of a deployment: its timing-free state.
 
-        Everything is keyed and sorted stably (no ids, no hashes of
-        mutable objects), so two runs that made the same decisions produce
-        the same snapshot — chaos campaigns fingerprint this to assert
-        bit-identical reproduction of a seed.
+        Everything here must be identical across backends at a quiescent
+        point: directory metadata, stripe geometry and membership, each
+        server's store contents (key → ``content_id``), pending-encode pools
+        and durability-relevant counters.  Clock readings, response times and
+        transfer stats are deliberately excluded.  Tape pins
+        (``projection_sha256``), the conformance diffs and the chaos
+        fingerprint all hash this.
         """
+        # Each store payload is hashed once, here; an entity's digest is its
+        # primary copy's entry in that table (absent while the primary is down),
+        # so the projection never reads the request path's CRC.
+        stores = {
+            srv.server_id: {key: content_id(srv.store[key]) for key in sorted(srv.store)}
+            for srv in self.servers
+        }
         entities = {}
         for (name, block), ent in sorted(self.directory.entities.items()):
             entities[f"{name}/{block}"] = {
                 "version": ent.version,
                 "state": ent.state.value,
                 "primary": ent.primary,
-                "replicas": list(ent.replicas),
+                "replicas": sorted(ent.replicas),
                 "stripe": None if ent.stripe is None else ent.stripe.stripe_id,
-                "digest": ent.digest,
+                "digest": stores[ent.primary].get(primary_key(ent)),
+                "nbytes": ent.nbytes,
             }
-        stripes = {
-            str(sid): {
+        stripes = {}
+        for sid, stripe in sorted(self.directory.stripes.items()):
+            stripes[sid] = {
                 "servers": list(stripe.shard_servers),
                 "members": [
                     None if mk is None else f"{mk[0]}/{mk[1]}" for mk in stripe.members
                 ],
                 "lengths": list(stripe.lengths),
+                "shard_len": stripe.shard_len,
             }
-            for sid, stripe in sorted(self.directory.stripes.items())
+        servers = [
+            {
+                "server": srv.server_id,
+                "failed": srv.failed,
+                "epoch": srv.epoch,
+                "store": stores[srv.server_id],
+            }
+            for srv in self.servers
+        ]
+        pending = {
+            gid: {
+                srv: [f"{k[0]}/{k[1]}" for k in queue]
+                for srv, queue in sorted(group.items())
+                if queue
+            }
+            for gid, group in sorted(self.runtime.pending.items())
+            if any(queue for queue in group.values())
         }
+        storage = self.metrics.storage
         return {
-            "t": self.sim.now,
-            "servers": [s.snapshot() for s in self.servers],
             "entities": entities,
             "stripes": stripes,
-            "counters": dict(sorted(self.metrics.counters.items())),
+            "servers": servers,
+            "pending": pending,
+            "storage": {
+                "original": storage.original,
+                "replica": storage.replica,
+                "parity": storage.parity,
+            },
             "read_errors": self.read_errors,
         }
 
@@ -638,3 +684,44 @@ class StagingService:
             "efficiency": self.metrics.storage.efficiency(),
             "physical_bytes": {s.name: s.bytes_stored for s in self.servers},
         }
+
+
+# ---------------------------------------------------------------------------
+# projection helpers
+# ---------------------------------------------------------------------------
+def normalize_projection(projection: dict) -> dict:
+    """JSON round-trip of a projection (int dict keys become strings).
+
+    Wire projections pass through JSON headers, which stringifies the
+    stripe-id and group-id keys; normalizing the in-process reference the
+    same way makes :func:`diff_projections` comparisons exact.
+    """
+    return json.loads(json.dumps(projection))
+
+
+def projection_sha256(projection: dict) -> str:
+    """Canonical hash of a (normalized) :meth:`StagingService.projection`."""
+    canon = json.dumps(normalize_projection(projection), sort_keys=True)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def diff_projections(
+    a: dict, b: dict, labels: tuple[str, str] = ("left", "right"), prefix: str = ""
+) -> list[str]:
+    """Human-readable list of paths where two projections differ.
+
+    ``labels`` names the two sides in "only in ..." lines.
+    """
+    out: list[str] = []
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if key not in a:
+                out.append(f"{path}: only in {labels[1]}")
+            elif key not in b:
+                out.append(f"{path}: only in {labels[0]}")
+            else:
+                out.extend(diff_projections(a[key], b[key], labels, path))
+    elif a != b:
+        out.append(f"{prefix}: {a!r} != {b!r}")
+    return out

@@ -113,7 +113,6 @@ class TieredStore:
         self,
         tiers: Iterable[StorageTier],
         rule: TierPlacementRule | None = None,
-        promote_on_read: bool = True,
     ):
         self.tiers = list(tiers)
         if not self.tiers:
@@ -121,7 +120,6 @@ class TieredStore:
         if any(t.capacity_bytes == 0 for t in self.tiers[:-1]):
             raise ValueError("only the bottom tier may be unbounded")
         self.rule = rule or TierPlacementRule()
-        self.promote_on_read = promote_on_read
         self._objects: dict[str, np.ndarray] = {}
         self._tier_of: dict[str, int] = {}
         # Access rates: incremented on fetch, optionally decayed by the
@@ -213,11 +211,7 @@ class TieredStore:
         self._access[key] = self._access.get(key, 0) + 1
         cost = self.tiers[tier_idx].read_time(payload.size)
         preferred = self.rule.preferred(key, len(self.tiers))
-        if (
-            self.promote_on_read
-            and tier_idx > preferred
-            and self._fits(preferred, payload.size)
-        ):
+        if tier_idx > preferred and self._fits(preferred, payload.size):
             cost += self._place(key, payload, preferred, replace=True)
             self.migrations_up += 1
         return payload, cost

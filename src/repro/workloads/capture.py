@@ -59,7 +59,6 @@ displace, so they nest and never discard a pre-existing wrapper.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import threading
@@ -70,7 +69,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.staging.objects import content_id
-from repro.staging.service import StagingConfig
+from repro.staging.service import StagingConfig, projection_sha256
 
 __all__ = [
     "TapeOp",
@@ -82,7 +81,6 @@ __all__ = [
     "SIMPLE_CONFIG_FIELDS",
     "config_meta",
     "config_from_meta",
-    "projection_sha256",
     "block_digests",
 ]
 
@@ -116,15 +114,17 @@ SIMPLE_CONFIG_FIELDS = (
     "n_level",
     "k",
     "rs_construction",
-    "index_scheme",
     "topology_aware",
     "placement_mode",
     "max_coding_sets",
-    "verify_reads",
     "async_protection",
     "tracing",
     "seed",
 )
+# Fields older tapes carry whose one value in use became a constant of the
+# build: such a tape loads when it recorded that value and fails closed
+# when it asks for another.
+RETIRED_CONFIG_FIELDS = {"index_scheme": "round_robin", "verify_reads": True}
 
 _MISSING = object()
 _TAPPED = ("put", "get", "step", "flush", "quiesce")
@@ -137,21 +137,21 @@ def config_meta(config) -> dict[str, Any]:
 
 def config_from_meta(meta: dict[str, Any]):
     """Rebuild a :class:`StagingConfig` from a tape's ``config`` record."""
-    unknown = sorted(set(meta) - set(SIMPLE_CONFIG_FIELDS))
+    if not isinstance(meta, dict):
+        raise ValueError("tape config is not a JSON object")
+    kwargs = dict(meta)
+    for name, constant in RETIRED_CONFIG_FIELDS.items():
+        if kwargs.pop(name, constant) != constant:
+            raise ValueError(
+                f"tape config asks for {name}={meta[name]!r}; this build "
+                f"only has {name}={constant!r}"
+            )
+    unknown = sorted(set(kwargs) - set(SIMPLE_CONFIG_FIELDS))
     if unknown:
         raise ValueError(f"tape config has unknown field(s) {unknown}")
-    kwargs = dict(meta)
     if "domain_shape" in kwargs:
         kwargs["domain_shape"] = tuple(kwargs["domain_shape"])
     return StagingConfig(**kwargs)
-
-
-def projection_sha256(projection: dict) -> str:
-    """Stable digest of a timing-free conformance projection."""
-    from repro.live.conformance import normalize_projection
-
-    canon = json.dumps(normalize_projection(projection), sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def block_digests(payloads: dict[int, Any]) -> dict[str, str]:
@@ -274,6 +274,17 @@ class Tape:
     def flows(self) -> list[str]:
         return list(self.meta.get("flows", []))
 
+    def deployment(self) -> tuple[StagingConfig, tuple]:
+        """``(config, policy spec)`` of the deployment the tape ran against,
+        rebuilt from its own meta — ``open_target(backend, *tape.deployment())``
+        is how a tape is replayed."""
+        if "config" not in self.meta or "policy" not in self.meta:
+            raise ValueError(
+                "tape has no config/policy meta; cannot rebuild a deployment "
+                "to replay against"
+            )
+        return config_from_meta(self.meta["config"]), tuple(self.meta["policy"])
+
     # ------------------------------------------------------------------
     def dumps(self) -> str:
         # Leading-underscore meta keys are capture-session scratch
@@ -300,8 +311,11 @@ class Tape:
                 f"unsupported tape version {version!r} "
                 f"(this build reads 1..{TAPE_VERSION})"
             )
-        # Fail closed here: a bad row must not surface mid-replay, after
-        # earlier ops have already mutated the target.
+        # Fail closed here: a bad row or a deployment this build cannot
+        # rebuild must not surface mid-replay, after earlier ops have
+        # already mutated the target.
+        if "config" in meta:
+            config_from_meta(meta["config"])
         ops = []
         for no, ln in lines[1:]:
             try:

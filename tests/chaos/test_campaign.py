@@ -10,6 +10,7 @@ from repro.chaos.campaign import (
     FailureUnit,
     calibrate_horizon,
     execute_units,
+    fingerprint,
     generate_units,
     run_campaign,
     shrink_units,
@@ -31,6 +32,33 @@ class TestReproducibility:
         u0 = generate_units(ChaosConfig(mode="scheduled", policy="corec", seed=0), h)
         u1 = generate_units(ChaosConfig(mode="scheduled", policy="corec", seed=1), h)
         assert [u.as_dict() for u in u0] != [u.as_dict() for u in u1]
+
+    def test_fingerprint_sees_bytes_counters_and_event_times(self):
+        """What the fingerprint hashed when it read ``state_snapshot`` it
+        still hashes through ``projection()``: each single mutation of a
+        finished run moves it, and undoing the mutation restores it."""
+        cfg = ChaosConfig(mode="scheduled", policy="corec", seed=7, shrink=False)
+        horizon = calibrate_horizon(cfg)
+        res, svc = execute_units(cfg, generate_units(cfg, horizon), horizon)
+        assert fingerprint(svc, res.events, res.units) == res.fingerprint
+
+        srv = next(s for s in svc.servers if s.store)
+        key = sorted(srv.store)[0]
+        original = srv.store[key]
+        srv.store[key] = original.copy()
+        srv.store[key][0] ^= 0x01  # one stored byte on one server
+        assert fingerprint(svc, res.events, res.units) != res.fingerprint
+        srv.store[key] = original
+        assert fingerprint(svc, res.events, res.units) == res.fingerprint
+
+        svc.metrics.count("stripe_encodes")  # one counter, by one
+        assert fingerprint(svc, res.events, res.units) != res.fingerprint
+        svc.metrics.count("stripe_encodes", -1)
+        assert fingerprint(svc, res.events, res.units) == res.fingerprint
+
+        t, kind, sid = res.events[0]
+        nudged = [(t + 1e-9, kind, sid), *res.events[1:]]  # one event time
+        assert fingerprint(svc, nudged, res.units) != res.fingerprint
 
     def test_stochastic_mode_reproducible(self):
         a = run_campaign(ChaosConfig(mode="stochastic", policy="corec", seed=4))

@@ -48,11 +48,6 @@ class TestRecency:
         clf.record_write(("v", 0), step=1)
         assert clf.recency_hot(("v", 0), 1)
 
-    def test_recency_disabled(self):
-        clf, _ = make(use_recency=False, spatial_radius=0, temporal_lookahead=False)
-        clf.record_write(("v", 0), step=0)
-        assert not clf.is_hot(("v", 0), 0)
-
 
 class TestSpatialLocality:
     def test_neighbor_promoted(self):
@@ -74,7 +69,7 @@ class TestSpatialLocality:
         assert not clf.spatial_hot(("v", 0), 2)
 
     def test_spatial_disabled(self):
-        clf, _ = make(use_spatial=False)
+        clf, _ = make(spatial_radius=0)
         clf.record_write(("v", 1), step=0)
         assert not clf.spatial_hot(("v", 0), 0)
 

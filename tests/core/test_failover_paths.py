@@ -218,3 +218,36 @@ class TestHybridPendingRefresh:
         primary_bytes = svc.servers[ent.primary].fetch_bytes(primary_key(ent))
         replica_bytes = svc.servers[target].fetch_bytes(replica_key(ent))
         assert (primary_bytes == replica_bytes).all()
+
+
+class TestRefreshRacesEncoder:
+    """A pending entity's writer refreshes its replica copies under the
+    entity lock while an encoder, holding only the stripe lock, puts the
+    entity in a stripe and reclaims those copies: the refresh must not
+    store a copy the entity no longer lists (ROADMAP 3(i), the replica
+    leak).  S3D under async protection, a server failed at step 1 and
+    replaced at step 2 so recovery, pending encodes and the step's writes
+    overlap — the smallest geometries that still race."""
+
+    @pytest.mark.parametrize("shrink, victim", [(8, 2), (4, 5)])
+    def test_no_replica_copy_outlives_the_entitys_replica_set(self, shrink, victim):
+        from repro import CoRECConfig, CoRECPolicy, StagingConfig, StagingService
+        from repro.chaos.invariants import QUIESCENT, run_invariants
+        from repro.workloads.s3d import S3DConfig, S3DWorkload
+
+        cfg = S3DConfig(
+            scale_index=1, shrink=shrink, per_core_subdomain=8, element_bytes=8,
+            timesteps=3, analysis_every=2,
+            failure_plan={1: [("fail", victim)], 2: [("replace", victim)]},
+        )
+        svc = StagingService(
+            StagingConfig(
+                n_servers=cfg.n_staging, domain_shape=cfg.domain_shape, element_bytes=8,
+                object_max_bytes=4096, async_protection=True, nodes_per_cabinet=1, seed=1,
+            ),
+            CoRECPolicy(CoRECConfig(storage_bound=0.67)),
+        )
+        drive(svc, S3DWorkload(svc, cfg).run())
+        svc.run()
+        assert [str(v) for v in run_invariants(svc, tier=QUIESCENT)] == []
+        assert svc.verify_all()["unrecoverable"] == []

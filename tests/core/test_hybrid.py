@@ -62,14 +62,6 @@ class TestMixedPlacement:
         write_all(svc, steps=5)
         assert svc.metrics.counters["hybrid_switches"] > 0
 
-    def test_no_redraw_mode_is_stable(self):
-        svc = StagingService(
-            small_config(),
-            SimpleHybridPolicy(rng=np.random.default_rng(2), redraw_on_update=False),
-        )
-        write_all(svc, steps=3)
-        assert svc.metrics.counters.get("hybrid_switches", 0) == 0
-
     def test_deterministic_given_seed(self):
         a = make(seed=5)
         b = make(seed=5)

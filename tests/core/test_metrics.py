@@ -126,7 +126,9 @@ class TestMetrics:
         assert m.efficiency_series.values == [1.0, 0.5]
 
     def test_extra_categories(self):
-        m = Metrics(extra_categories=("recovery_sweep", "recovery_burst"))
+        m = Metrics()
+        m.register_category("recovery_sweep")
+        m.register_category("recovery_burst")
         m.add_time("recovery_sweep", 2.0)
         assert m.breakdown["recovery_sweep"] == 2.0
         # base categories come first, extras append — dict shape is stable

@@ -152,7 +152,7 @@ class TestEwmaTraces:
             assert flips <= max_flips, f"started {start_state}: {flips} flips"
 
     def test_forget_drops_all_tracking(self):
-        stats = AccessStats()
+        stats = AccessStats(alpha=0.5)
         key = ("v", 1)
         stats.record_write(key)
         stats.advance()

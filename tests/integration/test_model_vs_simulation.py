@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import CoRECConfig, CoRECPolicy, CoRECModel, ModelParams, StagingService
+from repro.core.corec import STORAGE_BOUND_SLACK
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 from tests.conftest import make_service, small_config
@@ -98,5 +99,4 @@ class TestStorageEfficiencyStructure:
         svc.run_workflow(wl.run())
         svc.run()
         bound = svc.policy.config.storage_bound
-        slack = svc.policy.config.storage_bound_slack
-        assert svc.metrics.storage.efficiency() >= bound - slack - 0.02
+        assert svc.metrics.storage.efficiency() >= bound - STORAGE_BOUND_SLACK - 0.02

@@ -20,14 +20,8 @@ import numpy as np
 import pytest
 
 from repro.live.cluster import LiveCluster, ShardPlan
-from repro.live.conformance import (
-    WORKLOADS,
-    build_config,
-    diff_projections,
-    policy_spec,
-    run,
-)
-from repro.staging.service import build_geometry
+from repro.live.conformance import WORKLOADS, build_config, policy_spec, run
+from repro.staging.service import build_geometry, diff_projections
 
 
 def sharded_spec(name: str, n_servers: int):

@@ -14,13 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.live.conformance import (
-    WORKLOADS,
-    build_tape,
-    diff_projections,
-    run,
-)
-from repro.workloads.capture import projection_sha256
+from repro.live.conformance import WORKLOADS, build_tape, run
+from repro.staging.service import diff_projections, projection_sha256
 
 # Sim-backend projection digest, non-quiesce op count and read-digest
 # count of each spec, measured at the commit before specs became tape
@@ -55,13 +50,16 @@ def test_live_runs_are_deterministic():
     assert reads_a == reads_b
 
 
-def test_offload_choice_does_not_change_state():
+def test_offload_choice_does_not_change_state(monkeypatch):
     """Worker-pool codec offload must be invisible to the state machine."""
     spec = WORKLOADS["failure-and-recover"]
-    proj_on, reads_on = run(spec, "live", offload_compute=True)
-    proj_off, reads_off = run(spec, "live", offload_compute=False)
-    assert diff_projections(proj_on, proj_off) == []
-    assert reads_on == reads_off
+    # The tape's 4 KiB objects sit under the inline threshold: all on the loop.
+    proj_inline, reads_inline = run(spec, "live")
+    # Threshold 0: every digest, encode and reconstruct hops to a worker.
+    monkeypatch.setattr("repro.live.service.INLINE_COMPUTE_BYTES", 0)
+    proj_pool, reads_pool = run(spec, "live")
+    assert diff_projections(proj_inline, proj_pool) == []
+    assert reads_inline == reads_pool
 
 
 def test_workloads_are_not_vacuous():

@@ -22,7 +22,7 @@ from repro.live.conformance import (
     build_tape,
     policy_spec,
 )
-from repro.workloads.capture import CaptureRecorder, config_from_meta
+from repro.workloads.capture import CaptureRecorder
 from repro.workloads.load import apply_op, open_target, replay_tape
 
 N_SHARDS = 2
@@ -62,8 +62,8 @@ def captured_tape():
 
 def replay_on(tape, backend, policy=None, **live_kwargs):
     """Replay ``tape`` the way ``repro replay`` does: deployment from its meta."""
-    config = config_from_meta(tape.meta["config"])
-    policy = tuple(tape.meta["policy"]) if policy is None else policy
+    config, recorded_policy = tape.deployment()
+    policy = recorded_policy if policy is None else policy
     with open_target(backend, config, policy, **live_kwargs) as connect:
         with closing(connect("replay")) as client:
             return replay_tape(tape, client)

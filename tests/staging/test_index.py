@@ -1,9 +1,8 @@
 """Tests for the spatial index."""
 
-import numpy as np
 import pytest
 
-from repro.staging.domain import BBox, Domain
+from repro.staging.domain import Domain
 from repro.staging.index import SpatialIndex
 
 
@@ -26,108 +25,36 @@ class TestRoundRobin:
             idx.primary_of_block(5)
 
 
-class TestHashScheme:
-    def test_deterministic(self):
-        d = Domain((16,), (4,))
-        a = SpatialIndex(d, 4, scheme="hash")
-        b = SpatialIndex(d, 4, scheme="hash")
-        assert [a.primary_of_block(i, "v") for i in range(4)] == [
-            b.primary_of_block(i, "v") for i in range(4)
-        ]
-
-    def test_name_sensitivity(self):
-        d = Domain((16, 16), (2, 2))
-        idx = SpatialIndex(d, 8, scheme="hash")
-        a = [idx.primary_of_block(i, "var_a") for i in range(d.n_blocks)]
-        b = [idx.primary_of_block(i, "var_b") for i in range(d.n_blocks)]
-        assert a != b
-
-    def test_roughly_balanced(self):
-        d = Domain((16, 16), (2, 2))  # 64 blocks
-        idx = SpatialIndex(d, 4, scheme="hash")
-        counts = idx.blocks_per_server("v")
-        assert min(counts.values()) > 0
-        assert max(counts.values()) < 2 * (d.n_blocks // 4)
-
-    def test_balance_bound_across_names(self):
-        # With many blocks per server, every variable's hash placement
-        # should stay within 2x of the ideal share on both sides.
-        d = Domain((32, 32), (2, 2))  # 256 blocks
-        idx = SpatialIndex(d, 8, scheme="hash")
-        ideal = d.n_blocks / 8
-        for name in ("temp", "pressure", "yspecies", "u", "v", "w"):
-            counts = idx.blocks_per_server(name)
-            assert sum(counts.values()) == d.n_blocks
-            assert max(counts.values()) <= 2 * ideal
-            assert min(counts.values()) >= ideal / 2
+def scan_blocks_per_server(idx, name=""):
+    """O(n_blocks) reference for the analytic ``blocks_per_server``."""
+    counts = {s: 0 for s in range(idx.n_servers)}
+    for bid in range(idx.domain.n_blocks):
+        counts[idx.primary_of_block(bid, name)] += 1
+    return counts
 
 
 class TestBlocksPerServerCache:
     def test_cache_matches_reference_scan(self):
-        d = Domain((20, 12), (4, 4))
-        idx = SpatialIndex(d, 6, scheme="hash")
-        for name in ("a", "b", "a"):  # 'a' twice: second hit is cached
-            assert idx.blocks_per_server(name) == idx.scan_blocks_per_server(name)
+        d = Domain((20, 12), (4, 4))  # 15 blocks over 6 servers, any variable
+        idx = SpatialIndex(d, 6)
+        for name in ("a", "b", "a"):
+            assert idx.blocks_per_server(name) == scan_blocks_per_server(idx, name)
 
     def test_round_robin_analytic_matches_scan(self):
         # 13 blocks over 5 servers: ragged striping, base+1 for the first 3.
         d = Domain((13,), (1,))
         idx = SpatialIndex(d, 5)
-        assert idx.blocks_per_server() == idx.scan_blocks_per_server()
+        assert idx.blocks_per_server() == scan_blocks_per_server(idx)
         assert idx.blocks_per_server() == {0: 3, 1: 3, 2: 3, 3: 2, 4: 2}
 
     def test_cached_result_is_a_copy(self):
-        idx = SpatialIndex(Domain((16,), (4,)), 2, scheme="hash")
+        idx = SpatialIndex(Domain((16,), (4,)), 2)
         counts = idx.blocks_per_server("v")
         counts[0] = -999
         assert idx.blocks_per_server("v") != counts
 
 
-class TestLocateRoundTrip:
-    @pytest.mark.parametrize("scheme", ["round_robin", "hash"])
-    def test_locate_partitions_overlap_set(self, scheme):
-        # locate() must return exactly blocks_overlapping(box), partitioned
-        # by primary_of_block, for random query boxes.
-        d = Domain((24, 24), (4, 4))
-        idx = SpatialIndex(d, 5, scheme=scheme)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            lb = rng.integers(0, 24, size=2)
-            ub = lb + rng.integers(1, 12, size=2)
-            box = BBox(tuple(int(x) for x in lb), tuple(int(x) for x in ub))
-            located = idx.locate(box, "var")
-            flat = sorted(b for blocks in located.values() for b in blocks)
-            assert flat == sorted(d.blocks_overlapping(box))
-            for srv, blocks in located.items():
-                assert blocks  # no empty server entries
-                for b in blocks:
-                    assert idx.primary_of_block(b, "var") == srv
-
-
-class TestLocate:
-    def test_locate_full_domain(self):
-        d = Domain((16,), (4,))
-        idx = SpatialIndex(d, 2)
-        located = idx.locate(d.bbox)
-        assert located == {0: [0, 2], 1: [1, 3]}
-
-    def test_locate_partial(self):
-        d = Domain((16,), (4,))
-        idx = SpatialIndex(d, 2)
-        located = idx.locate(BBox((0,), (4,)))
-        assert located == {0: [0]}
-
-    def test_locate_outside(self):
-        d = Domain((16,), (4,))
-        idx = SpatialIndex(d, 2)
-        assert idx.locate(BBox((100,), (104,))) == {}
-
-
 class TestValidation:
-    def test_bad_scheme(self):
-        with pytest.raises(ValueError):
-            SpatialIndex(Domain((8,), (4,)), 2, scheme="zorder")
-
     def test_bad_server_count(self):
         with pytest.raises(ValueError):
             SpatialIndex(Domain((8,), (4,)), 0)

@@ -134,7 +134,7 @@ class TestBusyAndWorkload:
 
     def test_workload_window_expires(self):
         sim = Simulator()
-        s = StagingServer(sim, 0, workload_window_s=1.0)
+        s = StagingServer(sim, 0)  # WORKLOAD_WINDOW_S is 1 s
 
         def work():
             yield from s.busy(0.01)

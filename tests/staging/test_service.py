@@ -326,3 +326,49 @@ class TestVerifyAll:
         svc.fail_server(3)
         audit = svc.verify_all()
         assert audit["unrecoverable"] == []
+
+
+_REPLAY_WITHOUT_LIVE = """
+import json, sys
+from repro.staging.service import projection_sha256
+from repro.workloads.capture import Tape
+from repro.workloads.load import apply_op, open_target
+
+out = {}
+for name, text in json.load(sys.stdin).items():
+    tape = Tape.loads(text)
+    with open_target("sim", *tape.deployment()) as connect:
+        client = connect("w")
+        for op in tape.ops:
+            apply_op(client, op)
+        out[name] = projection_sha256(client.service.projection())
+out["imported_live"] = sorted(m for m in sys.modules if m.startswith("repro.live"))
+print(json.dumps(out))
+"""
+
+
+class TestProjection:
+    def test_conformance_pins_without_importing_the_live_backend(self):
+        """``StagingService.projection()`` of the three conformance tapes
+        hashes to the pinned literals in an interpreter that never imports
+        ``repro.live`` — the dump describes a staging object, and staging
+        and workloads reach it without the live package."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        from repro.live.conformance import WORKLOADS, build_tape
+        from tests.live.test_conformance import PINNED
+
+        tapes = {name: build_tape(spec).dumps() for name, spec in WORKLOADS.items()}
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _REPLAY_WITHOUT_LIVE],
+            input=json.dumps(tapes), capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        assert out.pop("imported_live") == []
+        assert out == {name: sha for name, (sha, _, _) in PINNED.items()}

@@ -20,10 +20,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScalingConfig(servers=(6,))
 
-    def test_rejects_victim_out_of_range(self):
-        with pytest.raises(ValueError):
-            ScalingConfig(servers=(4,), victim=4)
-
 
 class TestSweep:
     def test_weak_scaling_holds_per_server_share(self, small_sweep):
@@ -36,7 +32,7 @@ class TestSweep:
 
     def test_bounds_hold_on_small_sweep(self, small_sweep):
         cfg, rows = small_sweep
-        assert check_bounds(rows, cfg) == []
+        assert check_bounds(rows) == []
 
     def test_failure_window_avoids_full_scans(self, small_sweep):
         _, rows = small_sweep
@@ -51,7 +47,6 @@ class TestSweep:
 
 class TestBoundChecker:
     def test_flags_ratio_growth(self):
-        cfg = ScalingConfig(servers=(4, 8))
         rows = [
             {"n_servers": 4, "touches": 50, "affected_total": 50,
              "touch_ratio": 1.0, "full_scans_during_failure": 0,
@@ -60,25 +55,23 @@ class TestBoundChecker:
              "touch_ratio": 10.0, "full_scans_during_failure": 0,
              "invariant_violations": []},
         ]
-        problems = check_bounds(rows, cfg)
+        problems = check_bounds(rows)
         assert any("grew" in p for p in problems)
 
     def test_flags_full_scans(self):
-        cfg = ScalingConfig(servers=(4,))
         rows = [
             {"n_servers": 4, "touches": 50, "affected_total": 50,
              "touch_ratio": 1.0, "full_scans_during_failure": 2,
              "invariant_violations": []},
         ]
-        problems = check_bounds(rows, cfg)
+        problems = check_bounds(rows)
         assert any("full directory" in p for p in problems)
 
     def test_flags_invariant_violations(self):
-        cfg = ScalingConfig(servers=(4,))
         rows = [
             {"n_servers": 4, "touches": 50, "affected_total": 50,
              "touch_ratio": 1.0, "full_scans_during_failure": 0,
              "invariant_violations": ["boom"]},
         ]
-        problems = check_bounds(rows, cfg)
+        problems = check_bounds(rows)
         assert any("invariants" in p for p in problems)

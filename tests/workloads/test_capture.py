@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -179,6 +180,52 @@ class TestTapeFormat:
         meta = {**config_meta(small_config()), "n_servres": 8}
         with pytest.raises(ValueError, match="unknown field.*n_servres"):
             config_from_meta(meta)
+
+
+class TestRetiredConfigFields:
+    """``index_scheme`` and ``verify_reads`` stopped being options: a tape
+    that recorded the one value ever in use still loads, one that asks for
+    another fails closed at load, and new tapes do not write them."""
+
+    SMOKE_TAPE = os.path.join(
+        os.path.dirname(__file__), "..", "..", "benchmarks", "tapes", "smoke.tape.jsonl"
+    )
+
+    def test_committed_v1_tape_carries_both_and_still_opens_its_deployment(self):
+        # Its replay (projection: match, 28 digests) is
+        # test_load.py::test_committed_v1_tape_still_replays_on_sim.
+        tape = Tape.load(self.SMOKE_TAPE)
+        assert tape.meta["version"] == 1
+        assert tape.meta["config"]["index_scheme"] == "round_robin"
+        assert tape.meta["config"]["verify_reads"] is True
+        config, policy = tape.deployment()
+        assert config.n_servers == 8 and policy[0] == "corec"
+
+    @pytest.mark.parametrize(
+        "field, value", [("index_scheme", "hash"), ("verify_reads", False)]
+    )
+    def test_another_value_is_rejected_at_load(self, field, value):
+        with open(self.SMOKE_TAPE, encoding="utf-8") as fh:
+            meta_line, _, ops = fh.read().partition("\n")
+        meta = json.loads(meta_line)
+        meta["config"][field] = value
+        with pytest.raises(ValueError, match=field):
+            Tape.loads(json.dumps(meta) + "\n" + ops)  # before any op runs
+
+    def test_fresh_tapes_do_not_write_them(self):
+        from tests.conftest import small_config
+
+        cli = FakeClient()
+        tape = CaptureRecorder(cli, flow="w").finalize(
+            config=small_config(), policy_spec=("corec", {})
+        )
+        written = json.loads(tape.dumps().splitlines()[0])["config"]
+        assert "index_scheme" not in written and "verify_reads" not in written
+        assert Tape.loads(tape.dumps()).deployment()[0].seed == small_config().seed
+
+    def test_tape_without_deployment_meta_cannot_open_one(self):
+        with pytest.raises(ValueError, match="config/policy"):
+            Tape().deployment()
 
 
 class TestBlockDigests:

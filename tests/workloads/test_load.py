@@ -9,7 +9,7 @@ import os
 from contextlib import closing
 
 from repro.staging.service import StagingService, build_geometry
-from repro.workloads.capture import CaptureRecorder, Tape, TapeOp, config_from_meta
+from repro.workloads.capture import CaptureRecorder, Tape, TapeOp
 from repro.workloads.load import (
     ARRIVAL_PROCESSES,
     SLO,
@@ -43,15 +43,13 @@ class TestArrivalProcesses:
         assert a != b
 
     def test_hotspot_bursts_in_the_middle(self):
-        ts = arrival_times("hotspot", 40, 4.0, seed=3,
-                           burst_factor=6.0, burst_span=0.25)
+        ts = arrival_times("hotspot", 40, 4.0, seed=3)
         middle = sum(1 for t in ts if 1.5 <= t < 2.5)
         edge = sum(1 for t in ts if t < 1.0)
         assert middle > edge * 2
 
     def test_flash_crowd_spikes_after_onset(self):
-        ts = arrival_times("flash-crowd", 30, 4.0, seed=3,
-                           spike_at=0.5, spike_factor=8.0)
+        ts = arrival_times("flash-crowd", 30, 4.0, seed=3)
         before = sum(1 for t in ts if 1.0 <= t < 2.0)
         after = sum(1 for t in ts if 2.0 <= t < 3.0)
         assert after > before * 2
@@ -81,14 +79,50 @@ class TestSchedule:
         sched = build_schedule(spec)
         assert {op.flow for op in sched} == {"flow0", "flow1", "flow2"}
 
-    def test_verify_fraction(self):
-        spec = LoadSpec(rate=80, duration=2.0, seed=5,
-                        read_fraction=0.6, verify_fraction=1.0)
-        gets = [o for o in build_schedule(spec) if o.op == "get"]
-        assert gets and all(o.verify is True for o in gets)
-        no_verify = LoadSpec(rate=80, duration=2.0, seed=5, read_fraction=0.6)
-        assert all(o.verify is None for o in build_schedule(no_verify)
-                   if o.op == "get")
+
+    # (ops, puts, gets, sha256[:16] of the (t, flow, op, var, block) rows) of
+    # every LoadSpec in bench_load.py and in this file, taken at the commit
+    # before ``verify_fraction`` went: the retired verify draw keeps its place
+    # in the seeded stream, so none of them moved.
+    PINNED_SCHEDULES = [
+        (dict(process="poisson", rate=80.0, duration=5.0, flows=4, seed=7),
+         396, 251, 145, "75f51026b93e87aa"),  # bench_load.py, BENCH_load.json
+        (dict(process="poisson", rate=40.0, duration=1.5, flows=2, seed=7),
+         64, 38, 26, "d07b9bb1da4f50ee"),  # bench_load.py --smoke
+        (dict(rate=60, duration=2.0, flows=3, seed=5, read_fraction=0.5),
+         121, 62, 59, "83de303cc8bb5a64"),
+        (dict(rate=60, duration=1.0, flows=3, seed=5), 57, 35, 22, "193852cbd949c372"),
+        (dict(rate=80, duration=0.5, flows=2, seed=4, n_blocks=8),
+         36, 21, 15, "19b4aafa56c19148"),
+        (dict(rate=60, duration=0.5, flows=2, seed=4, n_blocks=8),
+         21, 12, 9, "44c4647f8b42429b"),
+        (dict(rate=200, duration=0.2, flows=1, seed=4, n_blocks=8),
+         36, 21, 15, "dae8cf20a2d0eda5"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, ops, puts, gets, sha", PINNED_SCHEDULES)
+    def test_seeded_schedules_are_op_for_op_what_they_were(
+        self, kwargs, ops, puts, gets, sha
+    ):
+        import hashlib
+        import json
+
+        sched = build_schedule(LoadSpec(**kwargs))
+        rows = [(round(o.t, 9), o.flow, o.op, o.var, o.block) for o in sched]
+        assert (len(sched), sum(o.op == "put" for o in sched),
+                sum(o.op == "get" for o in sched)) == (ops, puts, gets)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == sha
+
+    def test_committed_load_baseline_counts_match_its_schedule(self):
+        import json
+
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "..", "benchmarks", "BENCH_load.json"
+        )
+        with open(path, encoding="utf-8") as fh:
+            load = json.load(fh)["load"]
+        _, ops, puts, gets, _ = self.PINNED_SCHEDULES[0]
+        assert (load["ops"], load["puts"], load["gets"]) == (ops, puts, gets)
 
 
 class TestSLO:
@@ -361,8 +395,7 @@ class TestReplay:
         )
         tape = Tape.load(path)
         assert tape.meta["version"] == 1
-        config = config_from_meta(tape.meta["config"])
-        with open_target("sim", config, tuple(tape.meta["policy"])) as connect:
+        with open_target("sim", *tape.deployment()) as connect:
             with closing(connect("replay")) as client:
                 report = replay_tape(tape, client)
         assert report.ok, report.mismatches
