@@ -26,7 +26,7 @@ simulated time *and* under real concurrency.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Protocol, runtime_checkable
+from typing import Any, Generator, Iterable, Protocol, runtime_checkable
 
 __all__ = ["Clock", "Transport"]
 
@@ -36,9 +36,14 @@ class Clock(Protocol):
     """Scheduling and time source driving generator processes.
 
     Implementations must also provide the two internal primitives the
-    event classes call back into (``_schedule_event(event, delay=0.0)``
-    and ``_schedule_callback(cb, delay=0.0)``); they are omitted here
-    because protocol members are part of the *caller-facing* surface.
+    event classes call back into (``_schedule_event(event, delay=0.0)``,
+    ``_schedule_callback(cb, delay=0.0)``) and accept the ``_siblings``
+    flag ``Event._process`` sets while it has waiters left to wake.
+
+    ``runs_next`` / ``skip`` may only say yes when leaving the event out
+    changes no order: on a "no" the caller creates and yields the event,
+    and that path is the whole contract — a clock that always says no
+    (the test simulators do) is a correct one.
     """
 
     now: float
@@ -57,6 +62,22 @@ class Clock(Protocol):
 
     def peek(self) -> float:
         """Time of the next scheduled action (inf when idle/quiescent)."""
+        ...
+
+    def gather(self, flows: Iterable[Generator]) -> Any:
+        """Start ``flows``; an event that fires when all are done, with the
+        flows' processes, in order, as its ``events``."""
+        ...
+
+    def runs_next(self) -> bool:
+        """Would an event triggered now, with only the caller waiting on it,
+        be the very next thing to run?  Then the caller may do without it:
+        ``Resource.try_acquire`` takes a free slot on a yes."""
+        ...
+
+    def skip(self, delay: float) -> bool:
+        """Would a ``timeout(delay)`` created now be the very next thing to
+        run?  Then advance to it and return True; the caller does not yield."""
         ...
 
 

@@ -147,20 +147,20 @@ class StagingRuntime:
             if tracer.enabled
             else None
         )
-        # StagingServer.busy's body, issued from this frame: a booking is
-        # the commonest step of every flow and needs no generator of its own.
+        # The one booking body: a free slot and an undisturbed hold take
+        # no event; the request and the timeout run when the clock says no.
         srv = self.servers[sid]
         sim = self.sim
         start = sim.now
         srv.note_request()
         cpu = srv.cpu
-        req = cpu.request()
-        yield req
+        if not cpu.try_acquire():
+            yield cpu.request()
         try:
-            if duration > 0:
+            if duration > 0 and not sim.skip(duration):
                 yield sim.timeout(duration)
         finally:
-            cpu.release(req)
+            cpu.release()
         srv.requests_served += 1
         dur = sim.now - start
         booked = dur if charge_wait else duration
@@ -244,30 +244,20 @@ class StagingRuntime:
         return lock
 
     def with_entity_lock(self, key: EntityKey, body: Generator) -> Generator:
-        """Run ``body`` while holding the entity's lock.
-
-        The per-request callers (a put's block, a read, background
-        protection) spell these six lines out instead: a wrapper generator
-        is one more frame on every resume of the flow beneath it.
-        """
-        lock = self.entity_lock(key)
-        req = lock.request()
-        yield req
-        try:
-            result = yield from body
-        finally:
-            lock.release(req)
-        return result
+        """Run ``body`` while holding the entity's lock."""
+        return self._locked(self.entity_lock(key), body)
 
     def with_stripe_lock(self, stripe_id: int, body: Generator) -> Generator:
-        lock = self.stripe_lock(stripe_id)
-        req = lock.request()
-        yield req
+        return self._locked(self.stripe_lock(stripe_id), body)
+
+    @staticmethod
+    def _locked(lock: Resource, body: Generator) -> Generator:
+        if not lock.try_acquire():
+            yield lock.request()
         try:
-            result = yield from body
+            return (yield from body)
         finally:
-            lock.release(req)
-        return result
+            lock.release()
 
     # ------------------------------------------------------------------
     # ingest
@@ -1170,13 +1160,7 @@ class StagingRuntime:
             body = self.tracer.traced(
                 "get.fetch", body, category="get", entity=f"{ent.name}/{ent.block_id}"
             )
-        lock = self.entity_lock(ent.key)
-        req = lock.request()
-        yield req
-        try:
-            return (yield from body)
-        finally:
-            lock.release(req)
+        return self.with_entity_lock(ent.key, body)
 
     def _read_entity_locked(self, ent: BlockEntity, dst_name: str, repair: bool) -> Generator:
         psrv = self.server(ent.primary)

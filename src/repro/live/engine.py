@@ -15,16 +15,20 @@ Key differences from the simulator:
 - Modeled delays are scaled by ``time_scale`` (default ``0.0``: cost-model
   timeouts fire immediately, so the engine runs as fast as the hardware
   allows; a nonzero scale re-introduces modeled pacing for experiments).
-- A flow runs until it really blocks.  An event triggered with no waiter
-  and no wall time to spend (a ``timeout(·)`` at ``time_scale=0``, an
-  uncontended ``Resource.request()``, a finished child nobody joined yet)
-  is *ready*: it is complete at once and never enters the microqueue, and
-  a process that yields a complete event is resumed in the same call.
-  The deferred path — microqueue or timer — is what runs when an event
-  has waiters or a positive scaled delay, for process starts, interrupts
-  and offload completions.  ``soon_batch`` bounds both, so a long
-  ready-chain still re-enters through the microqueue and the loop gets
-  back to its selector.
+- A flow runs until it really blocks.  A booking that needs no wait takes
+  no event at all (``runs_next`` / ``skip`` answer from the ``soon_batch``
+  budget); an event triggered with no waiter and no wall time to spend is
+  *ready*, complete at once, and a process that yields a complete event
+  is resumed in the same call.  A request's flows take their first step
+  in their starter's frame (``gather``, ``run_process``), and
+  ``run_process`` returns the value directly when the flow ran to
+  completion and nothing is pending.  The deferred path — microqueue or
+  timer — is what runs when an event has waiters or a positive scaled
+  delay, for detached process starts (background work must not re-enter
+  the policy code that spawns it), interrupts and offload completions.
+  The budget is refilled only by a loop callback of the engine's own, so
+  a handler that never awaits still yields to the selector once per
+  ``soon_batch`` units.
 - ``offload(fn)`` runs host-side numeric work (GF(2^8) encode/decode
   batches) on a :class:`~concurrent.futures.ThreadPoolExecutor` and
   returns an :class:`~repro.sim.engine.Event` that fires on the loop when
@@ -54,10 +58,10 @@ import time
 import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.engine import Event, Process, Timeout
+from repro.sim.engine import AllOf, ConditionEvent, Event, Process, Timeout
 
 __all__ = ["LiveEngine", "LiveProcessError"]
 
@@ -153,11 +157,50 @@ class LiveEngine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, gen: Generator, name: str = "") -> Process:
+    def _new_process(self, gen: Generator, name: str) -> Process:
         name = name or getattr(gen, "__name__", "process")
         proc = Process(self, self._run_to_block(gen), name=name)
         self._processes.add(proc)
         return proc
+
+    def process(self, gen: Generator, name: str = "") -> Process:
+        proc = self._new_process(gen, name)
+        self._schedule_callback(proc._start)
+        return proc
+
+    def _step_in(self, gen: Generator, name: str = "") -> Process:
+        """Start ``gen`` as a process whose first step runs here, in this frame.
+
+        A crash in that step is the process's failure value, raised by
+        whoever joins it; it is not raised into the spawner.
+        """
+        proc = self._new_process(gen, name)
+        try:
+            proc._start()
+        except BaseException:
+            if proc.ok is not False:
+                raise
+        return proc
+
+    def gather(self, flows: Iterable[Generator]) -> ConditionEvent:
+        """Step each flow in place; an already-complete join if all finished."""
+        procs = [self._step_in(flow) for flow in flows]
+        if all(proc.ok and proc.callbacks is None for proc in procs):
+            done = ConditionEvent(self, (), 0)  # succeeds at once: ready
+            done.events = procs
+            return done
+        return AllOf(self, procs)
+
+    def runs_next(self) -> bool:
+        """Spend one unit of the callback's budget on a booking taken in place."""
+        if self._budget <= 0:
+            return False
+        self._budget -= 1
+        self.events_ready += 1
+        return True
+
+    def skip(self, delay: float) -> bool:
+        return delay >= 0 and delay * self.time_scale <= 0.0 and self.runs_next()
 
     def _run_to_block(self, gen: Generator) -> Generator:
         """Drive ``gen``, resuming it in place on every complete event it yields.
@@ -437,8 +480,19 @@ class LiveEngine:
         return fut
 
     async def run_process(self, gen: Generator, name: str = "") -> Any:
-        """Start ``gen`` as a process and await its completion value."""
-        return await self.wait(self.process(gen, name=name))
+        """Step ``gen`` in place as a process and return its completion value.
+
+        Directly — no future, no loop iteration — only when it ran to
+        completion *and* nothing is pending: a background process it
+        spawned is in the microqueue, and must take its first step before
+        the caller hears the ack, as it does when the ack queues behind it.
+        """
+        proc = self._step_in(gen, name)
+        if proc.callbacks is None and not self._pending and self.runs_next():
+            if proc.ok:
+                return proc._value
+            raise proc._value
+        return await self.wait(proc)
 
     async def quiesce(self, settle_rounds: int = 2) -> None:
         """Await full drain of scheduled work and offloads.

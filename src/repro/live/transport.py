@@ -7,11 +7,11 @@ move within process memory — the client-facing hop happens for real in
 the TCP protocol layer (:mod:`repro.live.server`) — so the transport's
 job is cooperative scheduling and accounting, not copying:
 
-- it yields once per transfer: a scaled wire time when ``time_scale >
-  0``; at ``time_scale = 0`` a ready timeout the engine consumes in
-  place, charged against its ``soon_batch`` budget — which, not the
-  yield itself, is what keeps long staging flows from monopolizing the
-  event loop between socket reads;
+- it books once per transfer: a scaled wire time when ``time_scale >
+  0``; at ``time_scale = 0`` nothing to wait for, so ``engine.skip``
+  charges the booking against the ``soon_batch`` budget and no event is
+  made — the budget, not a yield, is what keeps long staging flows from
+  monopolizing the event loop between socket reads;
 - it records the same :class:`~repro.sim.network.TransferStats`, so
   storage/traffic accounting and the invariant checkers read identically
   on both backends.
@@ -57,10 +57,10 @@ class LiveTransport:
             raise ValueError("negative transfer size")
         start = self.engine.now
         if src == dst or self.engine.time_scale <= 0.0:
-            # One cooperative yield; a ready event at time_scale 0.
-            yield self.engine.timeout(
-                0.0 if src == dst else self.transfer_time(nbytes)
-            )
+            # One booking: no event while the callback's budget lasts.
+            wire = 0.0 if src == dst else self.transfer_time(nbytes)
+            if not self.engine.skip(wire):
+                yield self.engine.timeout(wire)
             duration = self.engine.now - start
             self.stats.record(src, dst, nbytes, duration, metadata)
             return duration

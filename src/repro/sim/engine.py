@@ -124,8 +124,13 @@ class Event:
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
-            for cb in callbacks:
-                cb(self)
+            last = callbacks.pop()
+            if callbacks:  # siblings left to wake: nothing these trigger "runs next"
+                self.sim._siblings = True
+                for cb in callbacks:
+                    cb(self)
+                self.sim._siblings = False
+            last(self)
 
 
 class Timeout(Event):
@@ -165,7 +170,6 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Event | None = None
-        sim._schedule_callback(self._start)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.triggered else "alive"
@@ -297,6 +301,10 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._running = False
+        # What, besides the heap, decides what runs next (runs_next / skip).
+        self._stop_event: Event | None = None
+        self._horizon = float("inf")
+        self._siblings = False
 
     # ------------------------------------------------------------------
     # scheduling primitives (internal)
@@ -327,7 +335,44 @@ class Simulator:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a process; returns its completion event."""
-        return Process(self, gen, name=name)
+        proc = Process(self, gen, name=name)
+        self._schedule_callback(proc._start)
+        return proc
+
+    def gather(self, flows: Iterable[Generator]) -> ConditionEvent:
+        """Start ``flows`` as processes (``.events``); fires when all are done."""
+        return AllOf(self, [self.process(flow) for flow in flows])
+
+    def runs_next(self) -> bool:
+        """Would an event triggered now, waited on by its trigger alone, run next?
+
+        True only when nothing else is due at ``now``: the heap is empty or
+        its top is *strictly* later (an entry at ``now`` has the smaller
+        sequence number and goes first), the event being processed has no
+        other waiter left to wake, and this ``run()`` has not met its
+        ``until`` event.  Then pushing the event and yielding on it hands
+        control straight back, so not pushing it reorders nothing.
+        """
+        heap, stop = self._heap, self._stop_event
+        return (
+            (not heap or heap[0][0] > self.now)
+            and not self._siblings
+            and (stop is None or stop.callbacks is not None)
+        )
+
+    def skip(self, delay: float) -> bool:
+        """Advance to ``now + delay`` if a ``timeout(delay)`` would run next.
+
+        An invalid delay is a "no": the timeout spelled out raises for it.
+        """
+        t = self.now + delay  # the sum the timeout's push would make
+        heap = self._heap
+        if not delay >= 0 or (heap and heap[0][0] <= t) or t > self._horizon:
+            return False
+        if not self.runs_next():
+            return False
+        self.now = t
+        return True
 
     def run(self, until: float | Event | None = None, max_events: int | None = None) -> Any:
         """Run until the heap drains, time ``until``, or event ``until``.
@@ -343,6 +388,7 @@ class Simulator:
             stop_event, horizon = until, float("inf")
         else:
             stop_event, horizon = None, float("inf") if until is None else float(until)
+        self._stop_event, self._horizon = stop_event, horizon
         limit = float("inf") if max_events is None else max_events
         heap, pop = self._heap, heapq.heappop
         executed = 0
@@ -377,6 +423,7 @@ class Simulator:
             return None
         finally:
             self._running = False
+            self._stop_event, self._horizon, self._siblings = None, float("inf"), False
 
     def peek(self) -> float:
         """Time of the next scheduled action (inf if none)."""

@@ -97,7 +97,7 @@ class Network:
         if src == dst:
             # Local memcpy: no NIC involvement, higher bandwidth.
             dt = nbytes / self.config.local_copy_bandwidth_bps
-            if dt > 0:
+            if dt > 0 and not self.sim.skip(dt):
                 yield self.sim.timeout(dt)
             duration = self.sim.now - start
             self.stats.record(src, dst, nbytes, duration, metadata)
@@ -106,15 +106,16 @@ class Network:
         wire = self.transfer_time(nbytes)
         first, second = (src, dst) if src < dst else (dst, src)
         nic_a, nic_b = self.nic(first), self.nic(second)
-        req_a = nic_a.request()
-        yield req_a
-        req_b = nic_b.request()
-        yield req_b
+        if not nic_a.try_acquire():
+            yield nic_a.request()
+        if not nic_b.try_acquire():
+            yield nic_b.request()
         try:
-            yield self.sim.timeout(wire)
+            if not self.sim.skip(wire):
+                yield self.sim.timeout(wire)
         finally:
-            nic_b.release(req_b)
-            nic_a.release(req_a)
+            nic_b.release()
+            nic_a.release()
         duration = self.sim.now - start
         self.stats.record(src, dst, nbytes, duration, metadata)
         return duration

@@ -10,7 +10,7 @@ servers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator
+from typing import Any
 
 from repro.sim.engine import Event, Simulator
 
@@ -22,12 +22,12 @@ class Resource:
 
     Usage inside a process::
 
-        req = resource.request()
-        yield req
+        if not resource.try_acquire():
+            yield resource.request()
         try:
             yield sim.timeout(service_time)
         finally:
-            resource.release(req)
+            resource.release()
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -58,6 +58,21 @@ class Resource:
             self._queue.append(ev)
         return ev
 
+    def try_acquire(self) -> bool:
+        """Take a free slot with no event, if its grant would run next;
+        on False spell it out: ``yield resource.request()``."""
+        if self.in_use < self.capacity and self.sim.runs_next():
+            self.in_use += 1
+            return True
+        return False
+
+    def cancel(self, request: Event) -> None:
+        """Give up ``request``: withdraw it if still queued, else free its slot."""
+        try:
+            self._queue.remove(request)
+        except ValueError:
+            self.release(request)
+
     def release(self, _request: Event | None = None) -> None:
         """Free a slot, waking the oldest waiter if any."""
         if self.in_use <= 0:
@@ -67,15 +82,6 @@ class Resource:
             nxt.succeed(self)  # slot transfers directly to the waiter
         else:
             self.in_use -= 1
-
-    def acquire(self, hold_time: float) -> Generator:
-        """Convenience process body: acquire, hold for ``hold_time``, release."""
-        req = self.request()
-        yield req
-        try:
-            yield self.sim.timeout(hold_time)
-        finally:
-            self.release(req)
 
 
 class Store:

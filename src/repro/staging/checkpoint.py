@@ -101,17 +101,19 @@ class CheckpointedStaging:
         t0 = sim.now
         requests = []
         servers = [s for s in self.service.servers if not s.failed]
-        for srv in servers:
-            req = srv.cpu.request()
-            yield req
-            requests.append((srv, req))
-        nbytes = self.staged_bytes()
-        self.last_checkpoint_bytes = nbytes
         try:
+            for srv in servers:
+                req = srv.cpu.request()
+                requests.append((srv, req))
+                yield req
+            nbytes = self.staged_bytes()
+            self.last_checkpoint_bytes = nbytes
             yield sim.timeout(self.config.pfs.write_time(nbytes))
         finally:
+            # An interrupt can land while the last request is still queued:
+            # cancel() withdraws that one and releases the granted ones.
             for srv, req in requests:
-                srv.cpu.release(req)
+                srv.cpu.cancel(req)
         duration = sim.now - t0
         self.n_checkpoints += 1
         self.total_checkpoint_time += duration

@@ -4,7 +4,7 @@ A server couples *state* (the in-memory object store — real byte buffers)
 with *timing resources* (a CPU slot through which request processing and
 encoding serialize, and a NIC owned by the network model).  Operations on
 the store are instantaneous state changes; their simulated duration is
-charged explicitly through :meth:`StagingServer.busy` using the
+charged explicitly through :meth:`StagingRuntime.busy` using the
 :class:`CostModel`, which keeps the timing model in one auditable place.
 
 The workload monitor implements the paper's "workload measurement component"
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator
 
 import numpy as np
 
@@ -172,26 +171,6 @@ class StagingServer:
     # ------------------------------------------------------------------
     # timing and workload
     # ------------------------------------------------------------------
-    def busy(self, duration: float) -> Generator:
-        """Process body: occupy this server's CPU for ``duration`` seconds.
-
-        Returns the total elapsed time including queueing, so callers can
-        attribute wait time to the server's load.
-        :meth:`StagingRuntime.busy` issues these same steps from its own
-        frame (one generator per booking); a change here belongs there too.
-        """
-        start = self.sim.now
-        self.note_request()
-        req = self.cpu.request()
-        yield req
-        try:
-            if duration > 0:
-                yield self.sim.timeout(duration)
-        finally:
-            self.cpu.release(req)
-        self.requests_served += 1
-        return self.sim.now - start
-
     def note_request(self) -> None:
         now = self.sim.now
         self._recent_requests.append(now)

@@ -293,19 +293,16 @@ class StagingService:
         root = tracer.begin(
             "put", category="request", client=client_name, var=name, blocks=len(block_ids)
         )
-        procs = [
-            self.sim.process(
-                tracer.traced(
-                    "put.block",
-                    self._put_block(client_name, name, bid, region, data),
-                    category="request",
-                    parent=root,
-                    block=bid,
-                )
+        yield self.sim.gather(
+            tracer.traced(
+                "put.block",
+                self._put_block(client_name, name, bid, region, data),
+                category="request",
+                parent=root,
+                block=bid,
             )
             for bid in block_ids
-        ]
-        yield AllOf(self.sim, procs)
+        )
         duration = self.sim.now - t0
         self.metrics.record_put(duration)
         tracer.end(root, duration_s=duration)
@@ -316,13 +313,9 @@ class StagingService:
     ) -> Generator:
         primary = self.index.primary_of_block(block_id, name)
         ent = self.directory.get_or_create(name, block_id, primary)
-        lock = self.runtime.entity_lock(ent.key)
-        req = lock.request()
-        yield req
-        try:
-            yield from self._put_block_locked(ent, client_name, region, data)
-        finally:
-            lock.release(req)
+        yield from self.runtime.with_entity_lock(
+            ent.key, self._put_block_locked(ent, client_name, region, data)
+        )
 
     def _put_block_locked(
         self, ent: BlockEntity, client_name: str, region: BBox, data: np.ndarray | None
@@ -372,13 +365,9 @@ class StagingService:
         cost of the async mode shows up.
         """
         primary_name = self.servers[ent.primary].name
-        lock = self.runtime.entity_lock(ent.key)
-        req = lock.request()
-        yield req
-        try:
-            yield from self.policy.on_write(ent, primary_name, payload, step, is_new)
-        finally:
-            lock.release(req)
+        yield from self.runtime.with_entity_lock(
+            ent.key, self.policy.on_write(ent, primary_name, payload, step, is_new)
+        )
 
     def get(
         self,
@@ -402,24 +391,21 @@ class StagingService:
         root = tracer.begin(
             "get", category="request", client=client_name, var=name, blocks=len(block_ids)
         )
-        procs = [
-            self.sim.process(
-                tracer.traced(
-                    "get.block",
-                    self._get_block(client_name, name, bid, verify),
-                    category="request",
-                    parent=root,
-                    block=bid,
-                )
+        done = self.sim.gather(
+            tracer.traced(
+                "get.block",
+                self._get_block(client_name, name, bid, verify),
+                category="request",
+                parent=root,
+                block=bid,
             )
             for bid in block_ids
-        ]
-        done = AllOf(self.sim, procs)
+        )
         yield done
         duration = self.sim.now - t0
         self.metrics.record_get(duration)
         tracer.end(root, duration_s=duration)
-        payloads = {bid: proc.value for bid, proc in zip(block_ids, procs)}
+        payloads = {bid: proc.value for bid, proc in zip(block_ids, done.events)}
         return duration, payloads
 
     def _get_block(self, client_name: str, name: str, block_id: int, verify: bool) -> Generator:

@@ -7,6 +7,13 @@ from repro.sim.engine import Simulator
 from repro.staging.server import StagingServer
 
 
+def hold_cpu(server, duration):
+    """Process body: occupy ``server``'s CPU slot for ``duration``."""
+    yield server.cpu.request()
+    yield server.sim.timeout(duration)
+    server.cpu.release()
+
+
 def make(n=4, enabled=True):
     sim = Simulator()
     servers = [StagingServer(sim, i) for i in range(n)]
@@ -19,7 +26,7 @@ class TestChooseExecutor:
         sim, servers, mgr = make()
         # Load server 0 with queued work.
         def hog():
-            yield from servers[0].busy(100.0)
+            yield from hold_cpu(servers[0], 100.0)
         sim.process(hog())
         sim.process(hog())
         sim.run(until=0.1)
@@ -45,7 +52,7 @@ class TestChooseExecutor:
     def test_disabled_returns_preferred(self):
         sim, servers, mgr = make(enabled=False)
         def hog():
-            yield from servers[0].busy(100.0)
+            yield from hold_cpu(servers[0], 100.0)
         sim.process(hog())
         sim.process(hog())
         sim.run(until=0.1)
@@ -97,7 +104,7 @@ class TestRunEncode:
         sim, servers, mgr = make()
 
         def hog():
-            yield from servers[0].busy(100.0)
+            yield from hold_cpu(servers[0], 100.0)
 
         sim.process(hog())
         sim.process(hog())

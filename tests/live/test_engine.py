@@ -411,6 +411,97 @@ def test_quiesce_and_peek_accounting_is_exact():
     with_engine(body)
 
 
+def test_a_flow_that_never_waits_returns_on_its_callers_stack():
+    async def body(eng):
+        cpu = Resource(eng)
+
+        def booking():
+            if not cpu.try_acquire():
+                yield cpu.request()
+            if not eng.skip(1.0):
+                yield eng.timeout(1.0)
+            cpu.release()
+            return "done"
+
+        def parent():
+            done = eng.gather(booking() for _ in range(3))
+            assert done.processed  # every child ran to completion in place
+            yield done
+            return [proc.value for proc in done.events]
+
+        ready = eng.events_ready
+        assert await eng.run_process(parent()) == ["done"] * 3
+        assert eng.actions_scheduled == 0 and eng._pending == 0
+        # Six bookings and the direct return, counted as ready like the
+        # events they stand for (plus the children's and the join's own).
+        assert eng.events_ready - ready >= 7
+
+    with_engine(body)
+
+
+def test_direct_return_waits_its_turn_behind_anything_pending():
+    async def body(eng):
+        order = []
+
+        def background():
+            order.append("background started")
+            yield eng.timeout(0.0)
+
+        def request():
+            eng.process(background(), name="bg")  # starts through the microqueue
+            order.append("request done")
+            return "ack"
+            yield  # pragma: no cover - makes this a generator
+
+        assert await eng.run_process(request()) == "ack"
+        order.append("acked")
+        assert order == ["request done", "background started", "acked"]
+        assert eng.actions_scheduled == 2  # the start, and the ack behind it
+
+    with_engine(body)
+
+
+def test_a_crash_in_a_first_step_taken_in_place_is_raised_by_the_joiner():
+    async def body(eng):
+        seen = []
+
+        def child():
+            raise KeyError("never staged")
+            yield  # pragma: no cover
+
+        def parent():
+            done = eng.gather([child()])  # does not raise here
+            seen.append("gathered")
+            yield done
+
+        with pytest.raises(KeyError):
+            await eng.run_process(parent())
+        assert seen == ["gathered"]
+        with pytest.raises(ValueError):  # ... and the root's own first step
+            await eng.run_process(iter_raising(ValueError("outside")))
+        await eng.quiesce()  # would raise LiveProcessError for a kept crash
+        assert eng.errors == [] and eng.alive_processes() == []
+
+    def iter_raising(exc):
+        raise exc
+        yield  # pragma: no cover
+
+    with_engine(body)
+
+
+def test_a_spent_budget_or_a_paced_delay_says_no():
+    async def body(eng):
+        assert eng.skip(0.0) and not eng.skip(0.5)  # a positive scaled delay
+        with pytest.raises(ValueError):
+            eng.skip(float("nan")) or eng.timeout(float("nan"))
+        eng._budget = 1
+        assert eng.runs_next() and not eng.runs_next() and not eng.skip(0.0)
+        res = Resource(eng)
+        assert not res.try_acquire() and res.in_use == 0
+
+    with_engine(body, time_scale=0.01)
+
+
 def test_second_connection_is_served_in_the_middle_of_a_long_ready_chain():
     """A ready chain longer than ``soon_batch`` cannot starve the selector:
     it re-enters through the microqueue.  While connection A waits
@@ -460,6 +551,70 @@ def test_second_connection_is_served_in_the_middle_of_a_long_ready_chain():
     # ... by re-entering through the microqueue once per spent budget.
     assert eng.actions_scheduled >= steps[0] // eng.soon_batch
     assert quiesced == [1]  # A's quiesce returned only after the chain ended
+
+
+def test_a_pipelining_connection_that_never_awaits_cannot_starve_a_second_one():
+    """The fairness the microqueue used to give for free, over TCP.
+
+    Connection A has 4 x ``soon_batch`` small puts in the server's socket
+    buffer before the handler reads the first: every frame is there when
+    asked for, every put runs to completion on the handler's stack, every
+    response fits the send buffer — the handler never has to await.  The
+    budget is refilled only in a loop callback of the engine's own, so
+    after ``soon_batch`` units the next booking takes the deferred path
+    and A's handler waits for it: B's ping, sent once A's handler is at
+    work, is answered long before A's last put.
+    """
+    import socket
+
+    from repro.core.corec import CoRECPolicy
+    from repro.live import LiveClient, serve_in_thread
+    from repro.live.protocol import _encode_frame
+    from repro.staging.service import StagingConfig
+
+    config = StagingConfig(
+        n_servers=8, domain_shape=(16, 16, 16), element_bytes=1, object_max_bytes=64, seed=3
+    )
+    handle = serve_in_thread(config, CoRECPolicy)
+    eng, server = handle.live.engine, handle._server
+    n_puts = 4 * eng.soon_batch
+    put = _encode_frame(
+        {"op": "put", "client": "a", "var": "v", "lb": [0, 0, 0], "ub": [4, 4, 4]}
+    )
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_loop():
+        held.set()
+        release.wait(10.0)
+
+    try:
+        with LiveClient(handle.host, handle.port, name="b", timeout=10.0) as b:
+            for _ in range(3):  # a hot block: its rewrites spawn nothing
+                b.put("v", (0, 0, 0), (4, 4, 4))
+            b.step()
+            b.quiesce()  # B is connected and its handler is parked on the socket
+            scheduled = eng.actions_scheduled
+            eng.loop.call_soon_threadsafe(hold_the_loop)
+            assert held.wait(10.0)
+            with socket.create_connection((handle.host, handle.port)) as a:
+                a.sendall(put * n_puts)
+                before = server.requests_served
+                release.set()
+                deadline = time.monotonic() + 10.0
+                while server.requests_served - before < 8:  # A's handler is at work
+                    assert time.monotonic() < deadline
+                b.ping()
+                served_at_pong = server.requests_served - before
+                assert served_at_pong < n_puts  # answered mid-pipeline
+                a.settimeout(10.0)
+                while server.requests_served - before < n_puts + 1:
+                    assert a.recv(1 << 16)  # ... and A's puts all complete
+        # A's puts were rewrites that spawn nothing: all that was ever
+        # scheduled is the deferred path taken on each spent budget.
+        assert 0 < eng.actions_scheduled - scheduled < n_puts
+    finally:
+        release.set()
+        handle.stop()
 
 
 def test_paced_timers_and_nic_locks_behave_as_before():

@@ -13,9 +13,11 @@ from __future__ import annotations
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro import CoRECConfig, CoRECPolicy
 from repro.live.service import INLINE_COMPUTE_BYTES, LiveStagingService
+from repro.staging.objects import ResilienceState
 from repro.staging.service import StagingConfig
 
 
@@ -55,11 +57,12 @@ class Deployment:
         return tuple(b - a for a, b in zip(before, self.counts()))
 
 
-def run(body, block_bytes=4096, domain_shape=(32, 32, 64)):
+def run(body, block_bytes=4096, domain_shape=(32, 32, 64), warm=True):
     async def main():
         dep = Deployment(block_bytes, domain_shape)
         try:
-            await dep.warm()
+            if warm:
+                await dep.warm()
             return await body(dep)
         finally:
             await dep.live.close()
@@ -68,31 +71,99 @@ def run(body, block_bytes=4096, domain_shape=(32, 32, 64)):
 
 
 def test_small_rewrite_put_schedules_at_most_six_actions_and_no_hop():
+    """Six was the bound before a request ran on its caller's stack.  Now a
+    rewrite that spawns nothing schedules *nothing*: it runs to completion
+    inside ``run_process``.  A rewrite of an encoded block spawns CoREC's
+    promotion process, and that is its two: the promotion's start, and the
+    ack, which queues behind it so the start is never overtaken."""
+
     async def body(dep):
-        costs = [
-            await dep.cost(dep.live.put("w", "v", box, dep.data)) for box in dep.boxes[:8]
-        ]
-        for scheduled, hops, inlined in costs:
-            assert scheduled <= 6  # was 21: starts, joins and the ack only
-            assert hops == 0
-            assert inlined >= 1  # the digest, on the loop
-        assert len(set(costs)) == 1  # a count, not a measurement: it repeats
+        state = lambda b: dep.live.directory.get("v", b).state  # noqa: E731
+        blocks = range(len(dep.boxes))
+        hot = [b for b in blocks if state(b) == ResilienceState.REPLICATED][:4]
+        cold = [b for b in blocks if state(b) == ResilienceState.ENCODED][:4]
+        assert len(hot) == len(cold) == 4
+        for chosen, actions in ((hot, 0), (cold, 2)):
+            costs = [
+                await dep.cost(dep.live.put("w", "v", dep.boxes[b], dep.data)) for b in chosen
+            ]
+            # (scheduled actions, worker hops, inline computes: the digest)
+            assert costs == [(actions, 0, 1)] * 4, costs
 
     run(body)
 
 
 def test_small_verified_get_schedules_at_most_five_actions_and_no_hop():
+    """... and a verified get none at all."""
+
     async def body(dep):
         costs = [
             await dep.cost(dep.live.get("r", "v", box, True)) for box in dep.boxes[:8]
         ]
-        for scheduled, hops, inlined in costs:
-            assert scheduled <= 5  # was 10
-            assert hops == 0
-            assert inlined == 1  # the verify digest
-        assert len(set(costs)) == 1
+        assert costs == [(0, 0, 1)] * 8  # the one inline compute is the verify digest
 
     run(body)
+
+
+def test_a_put_that_spawns_a_demotion_acks_after_the_demotions_first_step():
+    """The clause ``run_process`` hangs its direct return on.
+
+    Four first writes to blocks of one primary, on a cold deployment: each
+    spawns a demotion,
+    which starts through the microqueue.  Acked from the handler's stack,
+    the put would overtake it — the client's ``flush`` would find nothing
+    pending, the demotions would enqueue their entities afterwards, and
+    ``flush + quiesce`` would leave them ``PENDING_STRIPE``.
+    """
+
+    async def body(dep):
+        live, eng = dep.live, dep.engine
+        primary_of = live.service.index.primary_of_block
+        blocks = [b for b in range(len(dep.boxes)) if primary_of(b, "v") == 0][:4]
+        assert len(blocks) == 4
+        order = []
+
+        def announced(gen, name):
+            order.append(f"step {name}")
+            return (yield from gen)
+
+        process = eng.process
+        eng.process = lambda gen, name="": process(announced(gen, name), name)
+        for b in blocks:
+            scheduled, _, _ = await dep.cost(live.put("w", "v", dep.boxes[b], dep.data))
+            order.append(f"ack {b}")
+            assert scheduled == 2  # the demotion's start, and the ack behind it
+        assert order == [
+            line for b in blocks for line in (f"step demote-v-{b}", f"ack {b}")
+        ]
+        await live.flush()
+        await live.quiesce()
+        states = {live.directory.get("v", b).state for b in blocks}
+        assert states == {ResilienceState.ENCODED}
+
+    run(body, domain_shape=(32, 32, 128), warm=False)
+
+
+def test_a_put_that_fails_in_its_first_step_is_an_error_response_not_a_crash():
+    """A flow stepped in place that raises is a failed process: whoever
+    joins it gets the exception (the error response); the spawner — the
+    connection handler — does not, and nothing lands in ``engine.errors``."""
+    from repro.live import LiveClient, serve_in_thread
+    from repro.live.protocol import RemoteOpError
+
+    config = StagingConfig(n_servers=8, domain_shape=(32, 32, 32), element_bytes=1, seed=3)
+    with serve_in_thread(config, CoRECPolicy) as handle:
+        with LiveClient(handle.host, handle.port, name="c", timeout=10.0) as cli:
+            with pytest.raises(RemoteOpError) as outside:  # raised by put's own first step
+                cli.put("v", (64, 64, 64), (65, 65, 65))
+            assert outside.value.error_type == "ValueError"
+            with pytest.raises(RemoteOpError) as unstaged:  # ... by a gathered child's
+                cli.get("v", (0, 0, 0), (1, 1, 1))
+            assert unstaged.value.error_type == "KeyError"
+            cli.put("v", (0, 0, 0), (1, 1, 1))  # the connection is still good
+            cli.quiesce()  # would raise LiveProcessError had a crash been kept
+    assert handle.live.engine.errors == []
+    assert handle._server._inflight == 0
 
 
 def test_one_mib_put_makes_exactly_one_digest_hop():

@@ -9,9 +9,14 @@ process start and interrupt goes through, and the sha256 of that log is a
 committed literal per workload.
 
 An optimisation below the live seam reproduces these literals unedited, or
-explains the diff event by event.  Regenerate them (``python
-tests/sim/test_event_sequence.py``) only from a commit whose fig8 / fig10
-goldens and conformance projections are green — see docs/TESTING.md.
+explains the diff event by event.  There are two sets: ``PINNED`` is the
+sequence as it runs, where an uncontended booking takes no event
+(``Simulator.runs_next`` / ``skip``); ``PINNED_SLOW_PATH`` is the sequence on
+a simulator that answers those two questions "no", which is every event the
+flows can spell out and has not moved since 149fcf0.  Regenerate ``PINNED``
+(``python tests/sim/test_event_sequence.py``) only from a commit whose fig8 /
+fig10 goldens and conformance projections are green and whose
+``tests/sim/test_fast_path.py`` passes — see docs/TESTING.md.
 """
 
 from __future__ import annotations
@@ -55,17 +60,31 @@ class LoggingSimulator(Simulator):
         return self._sha.hexdigest(), self.scheduled
 
 
-def conformance_sequence(name: str) -> tuple[str, int]:
+class AlwaysNo:
+    """Mixin: the clock's two questions answered "no", so every booking
+    takes its event — the sequence from before the fast path."""
+
+    def runs_next(self) -> bool:
+        return False
+
+    def skip(self, delay: float) -> bool:
+        return False
+
+
+class SlowPathSimulator(AlwaysNo, LoggingSimulator):
+    pass
+
+
+def conformance_run(name: str, sim: Simulator) -> StagingService:
     spec = WORKLOADS[name]
-    sim = LoggingSimulator()
     with open_target("sim", build_config(spec), policy_spec(spec), engine=sim) as connect:
         with closing(connect("w")) as client:
             for op in build_tape(spec).ops:
                 apply_op(client, op)
-    return sim.fingerprint()
+            return client.service
 
 
-def s3d_sequence() -> tuple[str, int]:
+def s3d_run(sim: Simulator) -> StagingService:
     """Three S3D timesteps at Table II scale 1 / 4: a server fails before
     step 1's reads (degraded) and is replaced before step 2's."""
     cfg = S3DConfig(
@@ -73,7 +92,6 @@ def s3d_sequence() -> tuple[str, int]:
         timesteps=3, analysis_every=1,
         failure_plan={1: [("fail", 2)], 2: [("replace", 2)]},
     )
-    sim = LoggingSimulator()
     svc = StagingService(
         StagingConfig(
             n_servers=cfg.n_staging, domain_shape=cfg.domain_shape, element_bytes=1,
@@ -85,14 +103,24 @@ def s3d_sequence() -> tuple[str, int]:
     svc.run_workflow(S3DWorkload(svc, cfg).run())
     svc.run()
     assert svc.read_errors == 0
+    return svc
+
+
+# name -> run the scenario on the given simulator, return its service.
+RUNS = {name: (lambda sim, name=name: conformance_run(name, sim)) for name in WORKLOADS}
+RUNS["s3d-fail-replace"] = s3d_run
+
+
+def sequence(name: str, sim_cls=LoggingSimulator) -> tuple[str, int]:
+    sim = sim_cls()
+    RUNS[name](sim)
     return sim.fingerprint()
 
 
-SEQUENCES = {name: (lambda name=name: conformance_sequence(name)) for name in WORKLOADS}
-SEQUENCES["s3d-fail-replace"] = s3d_sequence
-
-# (sha256 of the schedule log, scheduled entries), computed at 149fcf0.
-PINNED = {
+# (sha256 of the schedule log, scheduled entries) with every booking taking
+# its event, computed at 149fcf0: the whole sequence before PR 24, and still
+# the sequence of the path taken whenever runs_next() / skip() say no.
+PINNED_SLOW_PATH = {
     "failure-and-recover": (
         "968dac31051489031b60a6a02d561c0e58ecf15705d4940133a3244018a6b4d3", 1667),
     "hybrid": (
@@ -103,10 +131,29 @@ PINNED = {
         "73fc9baef08d90d70f3a5b6db65ee005ec6c900c6b8200f6d7c68feb79f9194d", 16045),
 }
 
+# The same four runs with uncontended bookings taking no event (PR 24).
+# What is left is what really waits; tests/sim/test_fast_path.py holds the
+# two sequences to one order of bookings, grants and stores.
+PINNED = {
+    "failure-and-recover": (
+        "a5427b3574b8e013492369136a52cec1b1e8060103202c766855d3d2a0b8ff61", 528),
+    "hybrid": (
+        "64784035fb8de584518b47412bbf82e0c8e7493d7b40fca7081468d5b3a1ff90", 468),
+    "replication-only": (
+        "72a36a9ca2f0436a825e6df876d86c51772f1d811cde0109736caa42b7ed7ae8", 230),
+    "s3d-fail-replace": (
+        "7bfb9d947c9e094fefab0aa63ed18454aa57efd458e4bfc6fa51549847864ebd", 14528),
+}
 
-@pytest.mark.parametrize("name", sorted(SEQUENCES))
+
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_event_sequence_is_the_pinned_one(name):
-    assert SEQUENCES[name]() == PINNED[name]
+    assert sequence(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_slow_path_is_the_sequence_from_before_the_fast_path(name):
+    assert sequence(name, SlowPathSimulator) == PINNED_SLOW_PATH[name]
 
 
 def test_the_log_sees_order_not_only_content():
@@ -128,6 +175,6 @@ def test_the_log_sees_order_not_only_content():
 
 
 if __name__ == "__main__":
-    for name in sorted(SEQUENCES):
-        sha, n = SEQUENCES[name]()
+    for name in sorted(RUNS):
+        sha, n = sequence(name)
         print(f'    "{name}": (\n        "{sha}", {n}),')

@@ -81,13 +81,41 @@ class TestResource:
         assert res.queued == 1
         assert res.utilization == 1.0
 
+    def test_try_acquire_takes_a_free_slot_only_when_its_grant_would_run_next(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        assert res.try_acquire() and res.in_use == 1  # nothing is scheduled
+        assert not res.try_acquire()  # no slot
+        res.release()
+        sim.timeout(0.0)  # something else is due at ``now``
+        assert not res.try_acquire() and res.in_use == 0
+        sim.run()
+        assert res.try_acquire()
+
+    def test_cancel_withdraws_a_queued_request_and_releases_a_granted_one(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        held, queued, behind = res.request(), res.request(), res.request()
+        res.cancel(queued)
+        assert (res.in_use, res.queued) == (1, 1)
+        res.cancel(held)  # granted: its slot goes to the next in line
+        assert behind.triggered and (res.in_use, res.queued) == (1, 0)
+        res.cancel(behind)
+        assert (res.in_use, res.queued) == (0, 0)
+
     def test_acquire_helper(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
         done = []
 
+        def acquire(hold_time):
+            if not res.try_acquire():
+                yield res.request()
+            yield sim.timeout(hold_time)
+            res.release()
+
         def worker(tag):
-            yield from res.acquire(1.0)
+            yield from acquire(1.0)
             done.append((sim.now, tag))
 
         sim.process(worker("x"))

@@ -110,3 +110,32 @@ class TestCheckpointing:
         ckpt.stop()
         svc.run(until=10.0)
         assert ckpt.n_checkpoints == n
+
+    def test_stop_while_waiting_for_a_cpu_leaks_no_slot_and_no_request(self):
+        """``stop()`` interrupts the checkpoint while it holds servers 0 and 1
+        and is queued for server 2's CPU: the two slots come back and the
+        queued request is withdrawn, not granted to a dead process."""
+        svc, ckpt = self.make(interval=1.0)
+
+        def hog():  # server 2 is busy across the checkpoint's start
+            yield from svc.runtime.busy(2, 5.0, "store")
+
+        svc.sim.process(hog())
+        ckpt.start()
+        svc.run(until=1.5)
+        cpus = [srv.cpu for srv in svc.servers]
+        assert [c.in_use for c in cpus[:3]] == [1, 1, 1] and cpus[2].queued == 1
+        ckpt.stop()
+        svc.run()  # the hog ends at 5.0; nothing is left to grant
+        assert ckpt.n_checkpoints == 0
+        assert [(c.in_use, c.queued) for c in cpus] == [(0, 0)] * len(cpus)
+        done = []
+
+        def later(sid):
+            yield from svc.runtime.busy(sid, 0.1, "store")
+            done.append(sid)
+
+        for sid in range(len(cpus)):
+            svc.sim.process(later(sid))
+        svc.run()
+        assert sorted(done) == list(range(len(cpus)))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.staging.server import CostModel, StagingServer
+from tests.conftest import make_service
 
 
 class TestCostModel:
@@ -90,13 +91,19 @@ class TestFailureSemantics:
 
 
 class TestBusyAndWorkload:
+    """Server 0's CPU and workload monitor, booked through the one booking
+    body there is: ``StagingRuntime.busy``."""
+
+    def make(self):
+        svc = make_service("none")
+        return svc.sim, svc.servers[0], lambda dur: svc.runtime.busy(0, dur, "store")
+
     def test_busy_serializes_on_cpu(self):
-        sim = Simulator()
-        s = StagingServer(sim, 0)
+        sim, s, busy = self.make()
         log = []
 
         def work(tag):
-            dur = yield from s.busy(1.0)
+            dur = yield from busy(1.0)
             log.append((sim.now, tag, dur))
 
         sim.process(work("a"))
@@ -107,39 +114,27 @@ class TestBusyAndWorkload:
         assert log[1][2] == pytest.approx(2.0)  # includes queue wait
 
     def test_requests_served_counter(self):
-        sim = Simulator()
-        s = StagingServer(sim, 0)
-
-        def work():
-            yield from s.busy(0.1)
+        sim, s, busy = self.make()
 
         for _ in range(3):
-            sim.process(work())
+            sim.process(busy(0.1))
         sim.run()
         assert s.requests_served == 3
 
     def test_workload_level_reflects_queue(self):
-        sim = Simulator()
-        s = StagingServer(sim, 0)
+        sim, s, busy = self.make()
         assert s.workload_level() == pytest.approx(0.0, abs=0.1)
 
-        def work():
-            yield from s.busy(10.0)
-
         for _ in range(3):
-            sim.process(work())
+            sim.process(busy(10.0))
         sim.run(until=1.0)
         # One in service + two queued.
         assert s.workload_level() >= 3.0
 
     def test_workload_window_expires(self):
-        sim = Simulator()
-        s = StagingServer(sim, 0)  # WORKLOAD_WINDOW_S is 1 s
+        sim, s, busy = self.make()  # WORKLOAD_WINDOW_S is 1 s
 
-        def work():
-            yield from s.busy(0.01)
-
-        sim.process(work())
+        sim.process(busy(0.01))
         sim.run()
         busy_now = s.workload_level()
         sim.timeout(5.0)
