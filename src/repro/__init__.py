@@ -32,7 +32,6 @@ from repro.core.policies import (
 from repro.core.hybrid import SimpleHybridPolicy
 from repro.core.corec import CoRECPolicy, CoRECConfig
 from repro.core.recovery import RecoveryConfig
-from repro.core.tiering import TieringConfig, TieringCosts
 from repro.core.model import CoRECModel, ModelParams
 from repro.staging.domain import BBox, Domain
 from repro.staging.tiers import StorageTier, TieredStore, default_tiers
@@ -50,8 +49,6 @@ __all__ = [
     "CoRECPolicy",
     "CoRECConfig",
     "RecoveryConfig",
-    "TieringConfig",
-    "TieringCosts",
     "CoRECModel",
     "ModelParams",
     "BBox",

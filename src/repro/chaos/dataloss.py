@@ -1,8 +1,8 @@
 """Correlated-failure data-loss campaign: unconstrained vs CodingSets placement.
 
-The headline measurement of the tiering-v2 / CodingSets work (ROADMAP item
-3, grounded in Hydra): under a correlated cabinet failure, how many
-stripes lose more shards than the code tolerates?  The campaign stages a
+The headline measurement of CodingSets parity placement (grounded in
+Hydra): under a correlated cabinet failure, how many stripes lose more
+shards than the code tolerates?  The campaign stages a
 deterministic workload twice — once under ``spread`` placement (parity
 scattered cluster-wide, cabinet-oblivious: the unconstrained layout large
 deployments drift into) and once under ``coding_sets`` (parity bounded to

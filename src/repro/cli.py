@@ -36,12 +36,45 @@ def _policy(args: argparse.Namespace):
     return policy_from_spec(bounded_spec(args.policy, args.storage_bound), seed=args.seed)
 
 
-def _parse_plan(fails: list[str], replaces: list[str]) -> dict:
+class _UsageError(Exception):
+    """A flag value that parsed but does not fit the deployment (exit 2)."""
+
+
+def _step_server(text: str) -> tuple[int, int]:
+    """argparse type of ``--fail``/``--replace``: ``STEP:SERVER``, both >= 0."""
+    step, sep, server = text.partition(":")
+    try:
+        pair = int(step), int(server)
+    except ValueError:
+        pair = None
+    if not sep or pair is None or min(pair) < 0:
+        raise argparse.ArgumentTypeError(f"expected STEP:SERVER, both >= 0, got {text!r}")
+    return pair
+
+
+def _flow_count(text: str) -> tuple[str, int]:
+    """argparse type of ``--amplify``: ``FLOW=K`` with ``K >= 1``."""
+    flow, sep, count = text.partition("=")
+    try:
+        k = int(count)
+    except ValueError:
+        k = 0
+    if not flow or not sep or k < 1:
+        raise argparse.ArgumentTypeError(f"expected FLOW=K with K >= 1, got {text!r}")
+    return flow, k
+
+
+def _failure_plan(args: argparse.Namespace, n_servers: int) -> dict:
+    """``--fail``/``--replace`` as a step -> [(action, server)] plan, each
+    server checked against the deployment's ``n_servers``."""
     plan: dict[int, list[tuple[str, int]]] = {}
-    for action, items in (("fail", fails), ("replace", replaces)):
-        for item in items:
-            step_s, _, sid_s = item.partition(":")
-            plan.setdefault(int(step_s), []).append((action, int(sid_s)))
+    for action in ("fail", "replace"):
+        for step, sid in getattr(args, action):
+            if sid >= n_servers:
+                raise _UsageError(
+                    f"--{action} {step}:{sid}: the deployment has servers 0..{n_servers - 1}"
+                )
+            plan.setdefault(step, []).append((action, sid))
     return plan
 
 
@@ -50,6 +83,7 @@ def _build_case(args: argparse.Namespace, tracing: bool = False):
     from repro import StagingConfig, StagingService
     from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
+    failure_plan = _failure_plan(args, args.servers)
     service = StagingService(
         StagingConfig(
             n_servers=args.servers,
@@ -69,7 +103,7 @@ def _build_case(args: argparse.Namespace, tracing: bool = False):
             n_writers=args.writers,
             n_readers=args.readers,
             timesteps=args.timesteps,
-            failure_plan=_parse_plan(args.fail, args.replace),
+            failure_plan=failure_plan,
             seed=args.seed,
         ),
     )
@@ -138,11 +172,12 @@ def cmd_run_s3d(args: argparse.Namespace) -> int:
         per_core_subdomain=args.subdomain,
         timesteps=args.timesteps,
         analysis_every=args.analysis_every,
-        failure_plan=_parse_plan(args.fail, args.replace),
     )
+    n_servers = max(4, cfg.n_staging)
+    cfg.failure_plan = _failure_plan(args, n_servers)
     service = StagingService(
         StagingConfig(
-            n_servers=max(4, cfg.n_staging),
+            n_servers=n_servers,
             domain_shape=cfg.domain_shape,
             element_bytes=cfg.element_bytes,
             object_max_bytes=args.object_bytes,
@@ -467,7 +502,7 @@ def cmd_live(args: argparse.Namespace) -> int:
 
         handle = serve_in_thread(
             config, lambda: _policy(args), host=args.host, port=args.port,
-            time_scale=args.time_scale, tracing=tracing,
+            tracing=tracing,
         )
         try:
             # Sharing the server's tracer puts the in-process client's
@@ -497,8 +532,7 @@ def cmd_live(args: argparse.Namespace) -> int:
 
     async def serve() -> None:
         live = LiveStagingService(
-            config, _policy(args), time_scale=args.time_scale,
-            max_workers=args.workers, tracing=tracing,
+            config, _policy(args), max_workers=args.workers, tracing=tracing
         )
         box["live"] = live
         server = LiveServer(live)
@@ -545,8 +579,7 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
         pspec[1]["enforcement_scope"] = "group"
 
     cluster = LiveCluster(
-        config, pspec, args.shards,
-        time_scale=args.time_scale, max_workers=args.workers, host=args.host,
+        config, pspec, args.shards, max_workers=args.workers, host=args.host
     )
     if args.smoke:
         with cluster, cluster.client(name="smoke") as cli:
@@ -701,10 +734,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"{args.tape}: {exc}", file=sys.stderr)
         return 2
-    amplify = {}
-    for item in args.amplify:
-        flow, _, count = item.partition("=")
-        amplify[flow] = int(count)
+    amplify = dict(args.amplify)
 
     with _open_backend(args, args.backend, *deployment) as connect:
         with closing(connect("replay")) as client:
@@ -768,8 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--object-bytes", type=int, default=4096)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--async-protection", action="store_true")
-        p.add_argument("--fail", action="append", default=[], metavar="STEP:SERVER")
-        p.add_argument("--replace", action="append", default=[], metavar="STEP:SERVER")
+        p.add_argument("--fail", action="append", default=[], type=_step_server,
+                       metavar="STEP:SERVER")
+        p.add_argument("--replace", action="append", default=[], type=_step_server,
+                       metavar="STEP:SERVER")
 
     def synthetic_case(p):
         common(p)
@@ -884,8 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_live.add_argument("--object-bytes", type=int, default=4096)
     p_live.add_argument("--seed", type=int, default=1)
     p_live.add_argument("--async-protection", action="store_true")
-    p_live.add_argument("--time-scale", type=float, default=0.0,
-                        help="wall seconds per modeled second (0: run flat out)")
     p_live.add_argument("--workers", type=int, default=None,
                         help="codec offload thread pool size")
     p_live.add_argument("--shards", type=int, default=1,
@@ -949,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--speedup", type=float, default=0.0,
                           help="pace replay at recorded-time/N (0: no pacing, "
                                "replay flat out)")
-    p_replay.add_argument("--amplify", action="append", default=[],
+    p_replay.add_argument("--amplify", action="append", default=[], type=_flow_count,
                           metavar="FLOW=K",
                           help="issue FLOW's data ops K times (shadow vars; "
                                "repeatable)")
@@ -970,7 +1000,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,13 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator
 
-import numpy as np
-
 from repro.core.classifier import ClassifierConfig, HotColdClassifier
 from repro.core.policies import ResiliencePolicy
 from repro.core.recovery import RecoveryConfig
 from repro.core.runtime import StagingRuntime
-from repro.core.tiering import TieringConfig, TranscodeManager
 from repro.core.tokens import EncodingTokenManager
 from repro.staging.objects import BlockEntity, ResilienceState
 
@@ -68,10 +65,6 @@ class CoRECConfig:
     # exactly its groups' entities and reaches exactly the same verdicts.
     enforcement_scope: str = "global"
     recovery: RecoveryConfig = field(default_factory=lambda: RecoveryConfig(mode="lazy"))
-    # Tiering v2: cost-modelled online transcoding between replication and
-    # erasure coding (see repro.core.tiering).  None disables it entirely —
-    # the default, so the paper's figures are untouched.
-    tiering: TieringConfig | None = None
 
 
 class CoRECPolicy(ResiliencePolicy):
@@ -85,9 +78,6 @@ class CoRECPolicy(ResiliencePolicy):
         self.config = cfg
         self.classifier: HotColdClassifier | None = None
         self.tokens: EncodingTokenManager | None = None
-        self.tiering: TranscodeManager | None = (
-            TranscodeManager(self, cfg.tiering) if cfg.tiering is not None else None
-        )
         self._promotion_bytes_in_flight = 0
 
     def attach(self, runtime: StagingRuntime) -> None:
@@ -99,8 +89,6 @@ class CoRECPolicy(ResiliencePolicy):
             runtime.servers,
             enabled=self.config.tokens_enabled,
         )
-        if self.tiering is not None:
-            self.tiering.attach(runtime)
 
     # ------------------------------------------------------------------
     # write path
@@ -112,8 +100,6 @@ class CoRECPolicy(ResiliencePolicy):
         yield from rt.busy(ent.primary, rt.costs.classify_op_s, "classify", charge_wait=False)
         was_protected_hot = ent.state == ResilienceState.REPLICATED or is_new
         self.classifier.record_write(ent.key, step, was_hot=was_protected_hot)
-        if self.tiering is not None:
-            self.tiering.record_write(ent.key)
 
         if is_new or ent.state in (ResilienceState.NONE,):
             # Newly written objects are hot by definition: replicate.
@@ -139,10 +125,6 @@ class CoRECPolicy(ResiliencePolicy):
                 self._maybe_schedule_promotion(ent)
 
         self._enforce_storage_bound(step=step, ent=ent)
-
-    def on_read(self, ent: BlockEntity, step: int) -> None:
-        if self.tiering is not None:
-            self.tiering.record_read(ent.key)
 
     # ------------------------------------------------------------------
     # storage-bound enforcement: demote coldest replicated entities
@@ -354,10 +336,6 @@ class CoRECPolicy(ResiliencePolicy):
     # ------------------------------------------------------------------
     def on_step_end(self, step: int) -> Generator:
         self.classifier.advance(step)
-        # Cost-modelled transcoding first: its scheduled transitions mark
-        # entities in-flight, so bound enforcement below won't double-pick.
-        if self.tiering is not None:
-            self.tiering.on_step_end(step)
         # Settle the storage bound at the barrier (writes may have left
         # promotions/demotions imbalanced).
         self._enforce_storage_bound(step=step)

@@ -60,10 +60,6 @@ class StorageAccountant:
         total = self.original + self.replica + self.parity
         return self.original / total if total else 1.0
 
-    def overhead_ratio(self) -> float:
-        """Redundancy bytes as a fraction of original bytes."""
-        return (self.replica + self.parity) / self.original if self.original else 0.0
-
     def would_be_efficiency(self, d_original: int = 0, d_replica: int = 0, d_parity: int = 0) -> float:
         """Efficiency after a hypothetical delta (for admission decisions)."""
         orig = self.original + d_original

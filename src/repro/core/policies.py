@@ -74,14 +74,6 @@ class ResiliencePolicy:
         """Stage ``payload`` as the entity's new version, with protection."""
         raise NotImplementedError
 
-    def on_read(self, ent: BlockEntity, step: int) -> None:
-        """Notification (not a flow) that a read of ``ent`` succeeded.
-
-        Called synchronously from the service's get path after the payload
-        is assembled — policies use it to feed access statistics; it must
-        not yield, block or mutate entity protection state.
-        """
-
     def on_step_end(self, step: int) -> Generator:
         """Barrier hook after all writers of a timestep complete."""
         return _noop()

@@ -360,12 +360,6 @@ class StagingRuntime:
         self.metrics.storage.replica -= ent.replica_bytes_accounted
         ent.replica_bytes_accounted = 0
 
-    def drop_replicas(self, ent: BlockEntity) -> Generator:
-        """Delete the entity's replicas (demotion to erasure coding)."""
-        self._drop_replica_copies(ent)
-        ent.state = ResilienceState.NONE
-        yield from self.metadata_update(ent, ent.primary)
-
     # ------------------------------------------------------------------
     # stripe formation (demotion / initial protection by erasure coding)
     # ------------------------------------------------------------------

@@ -88,15 +88,3 @@ class EncodingTokenManager:
         finally:
             if self.enabled:
                 token.release(req)
-
-    # ------------------------------------------------------------------
-    def balance_stats(self) -> dict:
-        """Distribution of encode executions across servers."""
-        counts = list(self.encodes_by_server.values())
-        return {
-            "executed": self.executed,
-            "offloaded": self.offloaded,
-            "max_per_server": max(counts) if counts else 0,
-            "min_per_server": min(counts) if counts else 0,
-            "servers_used": len(counts),
-        }

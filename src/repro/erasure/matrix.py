@@ -75,10 +75,6 @@ class GFMatrix:
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
         return self.matmul(other)
 
-    def mul_vec(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product over the field."""
-        return self.matmul(GFMatrix(np.asarray(v, dtype=np.uint8).reshape(-1, 1))).a.ravel()
-
     # ------------------------------------------------------------------
     def invert(self) -> "GFMatrix":
         """Gauss-Jordan inversion over GF(2^8).

@@ -9,7 +9,8 @@ entire policy/runtime/directory stack behind the
   generator-process model as the simulator, plus a worker pool for
   GF(2^8) offload;
 - :class:`LiveTransport` — cooperative-yield transport with the
-  simulator's transfer accounting (optionally paced by ``time_scale``);
+  simulator's transfer accounting (a modeled transfer takes no wall
+  time);
 - :class:`LiveStagingService` — async facade assembling the standard
   :class:`~repro.staging.service.StagingService` on the live backend;
 - :class:`LiveServer` / :class:`LiveClient` — length-prefixed TCP

@@ -12,20 +12,19 @@ under real concurrency, with no second copy of the mechanics.
 Key differences from the simulator:
 
 - ``now`` is the wall clock (monotonic seconds since engine start).
-- Modeled delays are scaled by ``time_scale`` (default ``0.0``: cost-model
-  timeouts fire immediately, so the engine runs as fast as the hardware
-  allows; a nonzero scale re-introduces modeled pacing for experiments).
+- Modeled delays take no wall time: a cost-model timeout is due at once,
+  so the engine runs the code as fast as the hardware allows.
 - A flow runs until it really blocks.  A booking that needs no wait takes
   no event at all (``runs_next`` / ``skip`` answer from the ``soon_batch``
-  budget); an event triggered with no waiter and no wall time to spend is
-  *ready*, complete at once, and a process that yields a complete event
-  is resumed in the same call.  A request's flows take their first step
-  in their starter's frame (``gather``, ``run_process``), and
-  ``run_process`` returns the value directly when the flow ran to
-  completion and nothing is pending.  The deferred path — microqueue or
-  timer — is what runs when an event has waiters or a positive scaled
-  delay, for detached process starts (background work must not re-enter
-  the policy code that spawns it), interrupts and offload completions.
+  budget); an event triggered with no waiter is *ready*, complete at
+  once, and a process that yields a complete event is resumed in the
+  same call.  A request's flows take their first step in their starter's
+  frame (``gather``, ``run_process``), and ``run_process`` returns the
+  value directly when the flow ran to completion and nothing is pending.
+  The deferred path — the microqueue — is what runs when an event has
+  waiters, for detached process starts (background work must not
+  re-enter the policy code that spawns it), interrupts and offload
+  completions.
   The budget is refilled only by a loop callback of the engine's own, so
   a handler that never awaits still yields to the selector once per
   ``soon_batch`` units.
@@ -83,15 +82,10 @@ class LiveProcessError(RuntimeError):
 class LiveEngine:
     """Asyncio-backed implementation of the :class:`repro.core.backend.Clock`."""
 
-    def __init__(
-        self,
-        time_scale: float = 0.0,
-        max_workers: int | None = None,
-    ):
+    def __init__(self, max_workers: int | None = None):
         self.loop = asyncio.get_running_loop()
-        self.time_scale = float(time_scale)
         self._t0 = time.monotonic()
-        # Scheduled-but-not-yet-executed actions (microqueue + timers) and
+        # Scheduled-but-not-yet-executed actions (the microqueue) and
         # in-flight offloads; quiescence is both counters at zero.
         self._pending = 0
         self._offloads = 0
@@ -104,8 +98,8 @@ class LiveEngine:
         # ``(action, context)``; the context is None with tracing off and
         # a per-action contextvars snapshot with tracing on, so the
         # wall-clock tracer's request scope survives the shared drain
-        # callback (``call_later``/``add_done_callback`` capture context
-        # natively, the batched microqueue must do it by hand).
+        # callback (``add_done_callback`` captures context natively, the
+        # batched microqueue must do it by hand).
         self._soon: deque[tuple[Callable[[], None], contextvars.Context | None]] = deque()
         self._drain_scheduled = False
         self.soon_batch = 128
@@ -114,13 +108,11 @@ class LiveEngine:
         self._budget = self.soon_batch
         # The boundary this engine moves work across, as monotonic counts:
         # events complete at their trigger vs. actions deferred to the
-        # microqueue or a timer; compute run on the loop vs. on a worker.
+        # microqueue; compute run on the loop vs. on a worker.
         self.events_ready = 0
         self.actions_scheduled = 0
         self.offloads_inlined = 0
         self.offloads_submitted = 0
-        self._timer_deadlines: dict[int, float] = {}
-        self._timer_seq = 0
         self._quiesce_waiters: list[asyncio.Future] = []
         self.errors: list[BaseException] = []
         self._processes: weakref.WeakSet[Process] = weakref.WeakSet()
@@ -200,7 +192,7 @@ class LiveEngine:
         return True
 
     def skip(self, delay: float) -> bool:
-        return delay >= 0 and delay * self.time_scale <= 0.0 and self.runs_next()
+        return delay >= 0 and self.runs_next()
 
     def _run_to_block(self, gen: Generator) -> Generator:
         """Drive ``gen``, resuming it in place on every complete event it yields.
@@ -235,11 +227,8 @@ class LiveEngine:
         In-flight offloads count as imminent work: their completion event
         is scheduled the moment the worker finishes.
         """
-        soon = self._pending - len(self._timer_deadlines)
-        if soon > 0 or self._offloads > 0:
+        if self._pending > 0 or self._offloads > 0:
             return self.now
-        if self._timer_deadlines:
-            return min(self._timer_deadlines.values())
         return float("inf")
 
     # ------------------------------------------------------------------
@@ -249,33 +238,23 @@ class LiveEngine:
         if event._scheduled:
             raise RuntimeError("event scheduled twice")
         event._scheduled = True
-        if not event.callbacks and delay * self.time_scale <= 0.0:
-            # Ready: nobody to wake and no wall time to spend.
+        if not event.callbacks:
+            # Ready: nobody to wake.
             event._process()
             self.events_ready += 1
             return
-        self._schedule_action(delay, event._process)
+        self._schedule_callback(event._process)
 
     def _schedule_callback(self, cb: Callable[[], None], delay: float = 0.0) -> None:
-        self._schedule_action(delay, cb)
-
-    def _schedule_action(self, delay: float, action: Callable[[], None]) -> None:
+        # FIFO, matching the simulator's same-timestamp sequence-number
+        # ordering; a modeled delay takes no wall time.
         self._pending += 1
         self.actions_scheduled += 1
-        wall = delay * self.time_scale
-        if wall <= 0.0:
-            # FIFO at zero delay, matching the simulator's same-timestamp
-            # sequence-number ordering.
-            ctx = contextvars.copy_context() if self.tracer.enabled else None
-            self._soon.append((action, ctx))
-            if not self._drain_scheduled:
-                self._drain_scheduled = True
-                self.loop.call_soon(self._drain_soon)
-        else:
-            self._timer_seq += 1
-            key = self._timer_seq
-            self._timer_deadlines[key] = self.now + wall
-            self.loop.call_later(wall, self._run_action, action, key)
+        ctx = contextvars.copy_context() if self.tracer.enabled else None
+        self._soon.append((cb, ctx))
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self.loop.call_soon(self._drain_soon)
 
     def _drain_soon(self) -> None:
         """Run queued zero-delay actions FIFO, up to the batch cap."""
@@ -298,18 +277,6 @@ class LiveEngine:
         else:
             self._drain_scheduled = False
         self._notify_if_drained()
-
-    def _run_action(self, action: Callable[[], None], timer_key: int | None) -> None:
-        if timer_key is not None:
-            self._timer_deadlines.pop(timer_key, None)
-        self._budget = self.soon_batch
-        try:
-            action()
-        except BaseException as exc:  # detached process crash: keep, re-raise at drain
-            self.errors.append(exc)
-        finally:
-            self._pending -= 1
-            self._notify_if_drained()
 
     def _notify_if_drained(self) -> None:
         if self._pending == 0 and self._offloads == 0 and self._quiesce_waiters:

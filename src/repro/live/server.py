@@ -567,7 +567,7 @@ def serve_in_thread(
 ) -> ServerHandle:
     """Run a live staging server on a dedicated thread; returns its handle.
 
-    ``live_kwargs`` (``time_scale``, ``max_workers``, ``tracing``, ...) go
+    ``live_kwargs`` (``max_workers``, ``tracing``, ...) go
     unchanged to :class:`LiveStagingService`.  ``tracing=True`` gives the
     service a wall-clock tracer (distributed span trees, per-request
     attribution, loop-lag watchdog); read the results through

@@ -67,7 +67,10 @@ class LiveStagingService:
         max_workers: int | None = None,
         tracing: bool = False,
     ):
-        self.engine = LiveEngine(time_scale=time_scale, max_workers=max_workers)
+        # The wall clock runs at one rate: a modeled delay takes no time.
+        if time_scale != 0.0:
+            raise ValueError(f"time_scale must be 0.0, got {time_scale}")
+        self.engine = LiveEngine(max_workers=max_workers)
         # Wall-clock tracing: the injected tracer replaces the sim-time
         # Tracer the StagingService would build, so put/get flows, the
         # runtime's leaf instrumentation and the engine's offload/codec

@@ -23,8 +23,8 @@ Per-request latency attribution
 :meth:`charge` adds a duration to the *attribution sink* installed for
 the current request (:meth:`push_attribution`).  :meth:`traced` charges
 every wait a flow performs, classified by what it yielded on
-(``queue_wait`` for zero-delay scheduling, ``transfer`` for paced
-timeouts, ``lock_wait`` for resource grants, ``codec``/``digest`` for
+(``queue_wait`` for scheduling through the engine's microqueue,
+``lock_wait`` for resource grants, ``codec``/``digest`` for
 offloaded compute — events carry a ``charge`` tag where the default
 classification is wrong).  An event that is already complete when the
 flow yields it is no wait — the live engine resumes the flow in place —
@@ -59,9 +59,8 @@ __all__ = ["WallSpan", "WallClockTracer", "WAIT_CATEGORIES"]
 #: handler-level categories the live server adds around a dispatch
 #: (documented in docs/OBSERVABILITY.md).
 WAIT_CATEGORIES = (
-    "queue_wait",   # zero-delay scheduling through the engine microqueue
-    "transfer",     # paced (modeled) wire/storage time
-    "lock_wait",    # entity/stripe/NIC resource grants
+    "queue_wait",   # scheduling through the engine microqueue
+    "lock_wait",    # entity/stripe resource grants
     "codec",        # GF(2^8) kernel passes: worker wait, or inline span
     "digest",       # payload hashing: worker wait, or inline span
     "offload",      # other worker-pool waits
@@ -195,9 +194,8 @@ class WallClockTracer(Tracer):
         tag = getattr(event, "charge", None)
         if tag:
             return tag
-        delay = getattr(event, "delay", None)
-        if delay is not None:
-            return "transfer" if delay > 0 else "queue_wait"
+        if getattr(event, "delay", None) is not None:  # timeouts
+            return "queue_wait"
         if getattr(event, "events", None) is not None:  # condition events
             return "fanout_wait"
         return "event_wait"

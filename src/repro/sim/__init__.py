@@ -6,8 +6,8 @@ Cray XK7 with RDMA transport).  It provides:
 - :mod:`repro.sim.engine` — a deterministic event-heap simulator with
   generator-coroutine processes, timeouts, interrupts and condition events
   (a minimal SimPy work-alike, built from scratch);
-- :mod:`repro.sim.resources` — FIFO resources and stores for modelling
-  request queues and NIC serialization;
+- :mod:`repro.sim.resources` — FIFO resources for modelling CPU slots and
+  NIC serialization;
 - :mod:`repro.sim.network` — a latency + bandwidth point-to-point transfer
   model with per-endpoint contention;
 - :mod:`repro.sim.cluster` — nodes, cabinets and the topology-aware logical
@@ -17,7 +17,7 @@ Cray XK7 with RDMA transport).  It provides:
 """
 
 from repro.sim.engine import Simulator, Process, Event, Timeout, Interrupt, AnyOf, AllOf
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.cluster import Cluster, Node, topology_aware_ring
 from repro.sim.failures import FailureInjector, FailureSchedule
@@ -31,7 +31,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Resource",
-    "Store",
     "Network",
     "NetworkConfig",
     "Cluster",

@@ -57,7 +57,7 @@ class Event:
 
     ``charge`` is the latency-attribution tag read by the wall-clock
     tracer: it names the category a flow's wait on this event is charged
-    to ("lock_wait", "transfer", "codec", ...).  None means "classify by
+    to ("lock_wait", "codec", "digest", ...).  None means "classify by
     event type".
 
     The event classes are slotted: a put creates a few dozen of them, and

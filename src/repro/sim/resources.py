@@ -1,20 +1,17 @@
-"""FIFO resources and item stores for the simulator.
+"""FIFO resources for the simulator.
 
 ``Resource`` models a server's bounded concurrency (CPU slots, NIC
 serialization): processes request a slot, hold it for some duration, and
-release it; waiters queue FIFO.  ``Store`` is an unbounded (or bounded)
-queue of items used for request mailboxes between clients and staging
-servers.
+release it; waiters queue FIFO.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -42,10 +39,6 @@ class Resource:
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._queue)
-
-    @property
-    def utilization(self) -> float:
-        return self.in_use / self.capacity
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -83,56 +76,3 @@ class Resource:
         else:
             self.in_use -= 1
 
-
-class Store:
-    """An item queue with blocking ``get`` and (optionally bounded) ``put``."""
-
-    def __init__(self, sim: Simulator, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
-        self.sim = sim
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Deposit ``item``; fires immediately unless the store is full."""
-        ev = self.sim.event()
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        """Return an event whose value is the next item (FIFO)."""
-        ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-            if self._putters:
-                put_ev, item = self._putters.popleft()
-                self._items.append(item)
-                put_ev.succeed(None)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Any | None:
-        """Non-blocking get: the next item or None if empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        if self._putters:
-            put_ev, queued = self._putters.popleft()
-            self._items.append(queued)
-            put_ev.succeed(None)
-        return item

@@ -65,11 +65,6 @@ class BBox:
         self._same_dim(other)
         return all(sl <= ol and ou <= su for sl, su, ol, ou in zip(self.lb, self.ub, other.lb, other.ub))
 
-    def contains_point(self, point: Sequence[int]) -> bool:
-        if len(point) != self.ndim:
-            raise ValueError("dimensionality mismatch")
-        return all(l <= p < u for l, p, u in zip(self.lb, point, self.ub))
-
     def intersect(self, other: "BBox") -> "BBox | None":
         """The overlapping box, or None if disjoint (or touching)."""
         self._same_dim(other)
@@ -117,32 +112,6 @@ class BBox:
             raise ValueError(f"box {self} too small to halve")
         mid = self.lb[dim] + shape[dim] // 2
         return self.split(dim, mid)
-
-    def chebyshev_distance(self, other: "BBox") -> int:
-        """L-inf gap between two boxes (0 if they touch or overlap).
-
-        Used by the spatial-locality classifier: blocks within a small
-        Chebyshev distance of a hot block are promoted to hot.
-        """
-        self._same_dim(other)
-        dist = 0
-        for d in range(self.ndim):
-            gap = max(self.lb[d] - other.ub[d], other.lb[d] - self.ub[d], 0)
-            # Half-open boxes: ub is one past the last cell, so a gap
-            # computed this way is already in cells; adjacent boxes give 0.
-            dist = max(dist, gap)
-        return dist
-
-    def corners(self) -> list[tuple[int, ...]]:
-        """Distinct corner cells of the box; ``[]`` for an empty box.
-
-        A size-1 dimension contributes one coordinate, not two (its first
-        and last cells coincide), so no corner is listed twice.
-        """
-        if self.is_empty:
-            return []
-        axes = [(l,) if u - l == 1 else (l, u - 1) for l, u in zip(self.lb, self.ub)]
-        return list(itertools.product(*axes))
 
 
 class Domain:

@@ -258,10 +258,6 @@ class BlockEntity:
     def key(self) -> tuple[str, int]:
         return (self.name, self.block_id)
 
-    @property
-    def current_oid(self) -> ObjectId:
-        return ObjectId(self.name, self.block_id, self.version)
-
     def record_write(self, t: float, step: int, nbytes: int, digest: str) -> None:
         self.version += 1
         self.write_count += 1

@@ -431,9 +431,6 @@ class StagingService:
                 raise DataLossError(
                     f"digest mismatch reading {name}/{block_id}@v{ent.version}"
                 )
-        # Synchronous notification (no simulated events): policies feed
-        # read-access statistics for adaptive tiering from here.
-        self.policy.on_read(ent, self.step)
         return payload
 
     # ------------------------------------------------------------------

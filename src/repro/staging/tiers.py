@@ -122,9 +122,8 @@ class TieredStore:
         self.rule = rule or TierPlacementRule()
         self._objects: dict[str, np.ndarray] = {}
         self._tier_of: dict[str, int] = {}
-        # Access rates: incremented on fetch, optionally decayed by the
-        # tiering layer so the utility ordering tracks *recent* heat.
-        self._access: dict[str, float] = {}
+        # Access counts, incremented on fetch.
+        self._access: dict[str, int] = {}
         self.occupancy = [0] * len(self.tiers)
         self.migrations_down = 0
         self.migrations_up = 0
@@ -215,21 +214,6 @@ class TieredStore:
             cost += self._place(key, payload, preferred, replace=True)
             self.migrations_up += 1
         return payload, cost
-
-    def decay_access(self, factor: float) -> None:
-        """Geometrically decay access rates (EWMA with no new samples).
-
-        Called at step barriers by the adaptive-tiering layer; rates below
-        a small floor are dropped so a long-idle store frees its tracking.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("decay factor must be in [0, 1]")
-        decayed = {}
-        for key, rate in self._access.items():
-            rate *= factor
-            if rate >= 1e-3:
-                decayed[key] = rate
-        self._access = decayed
 
     def delete(self, key: str) -> None:
         payload = self._objects.pop(key, None)

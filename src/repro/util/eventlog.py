@@ -11,15 +11,14 @@ An unbounded log (``capacity=None``, the default) keeps everything.  A
 bounded log is a **ring buffer**: once ``capacity`` events are held, each
 new event evicts the *oldest* one, so the log always contains the most
 recent ``capacity`` events.  Evictions are counted in :attr:`EventLog.dropped`
-(so monitoring can tell a quiet run from a truncated one), and listeners
-are notified of every event regardless of capacity.
+(so monitoring can tell a quiet run from a truncated one).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = ["Event", "EventLog"]
 
@@ -59,7 +58,6 @@ class EventLog:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self._events: deque[Event] = deque(maxlen=capacity)
         self._capacity = capacity
-        self._listeners: list[Callable[[Event], None]] = []
         self.dropped = 0
 
     @property
@@ -71,23 +69,13 @@ class EventLog:
         if self._capacity is not None and len(self._events) == self._capacity:
             self.dropped += 1  # deque(maxlen=...) evicts the oldest entry
         self._events.append(ev)
-        for listener in self._listeners:
-            listener(ev)
         return ev
-
-    def subscribe(self, listener: Callable[[Event], None]) -> None:
-        """Register a callback invoked synchronously for every event."""
-        self._listeners.append(listener)
 
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)
-
-    def of_kind(self, *kinds: str) -> list[Event]:
-        wanted = set(kinds)
-        return [e for e in self._events if e.kind in wanted]
 
     def between(self, t0: float, t1: float, kinds: Iterable[str] | None = None) -> list[Event]:
         wanted = set(kinds) if kinds is not None else None

@@ -96,29 +96,6 @@ class TimeSeries:
     def mean(self) -> float:
         return float(np.mean(self.values)) if self.values else 0.0
 
-    def bucket_mean(self, edges) -> np.ndarray:
-        """Mean value per bucket, where ``edges`` are bucket boundaries.
-
-        Used to aggregate per-request samples into per-timestep means for
-        Figure 10-style plots.  Empty buckets yield NaN.
-        """
-        t, v = self.as_arrays()
-        edges = np.asarray(edges, dtype=float)
-        out = np.full(len(edges) - 1, np.nan)
-        if len(t) == 0:
-            return out
-        idx = np.searchsorted(edges, t, side="right") - 1
-        if len(edges) > 1:
-            # Buckets are half-open [e_i, e_i+1) except the last, which is
-            # closed: a sample landing exactly on the final edge belongs to
-            # the last bucket instead of silently falling out of range.
-            idx[t == edges[-1]] = len(edges) - 2
-        for b in range(len(edges) - 1):
-            sel = idx == b
-            if sel.any():
-                out[b] = float(v[sel].mean())
-        return out
-
 
 def percentile(xs, q: float) -> float:
     """Percentile of a sample list (q in [0, 100]); 0.0 for empty input."""

@@ -12,7 +12,6 @@ class TestStorageAccountant:
     def test_replication_efficiency(self):
         acc = StorageAccountant(original=100, replica=100)
         assert acc.efficiency() == 0.5
-        assert acc.overhead_ratio() == 1.0
 
     def test_erasure_efficiency(self):
         acc = StorageAccountant(original=300, parity=100)
@@ -26,9 +25,6 @@ class TestStorageAccountant:
     def test_would_be_with_original_delta(self):
         acc = StorageAccountant(original=100, replica=50)
         assert acc.would_be_efficiency(d_original=50) == pytest.approx(150 / 200)
-
-    def test_overhead_ratio_empty(self):
-        assert StorageAccountant().overhead_ratio() == 0.0
 
     def test_would_be_efficiency_no_originals(self):
         # an empty accountant projecting zero deltas stays at the 1.0 convention

@@ -66,16 +66,6 @@ class TestReplicationFlow:
         with pytest.raises(RuntimeError):
             drive(svc, wf())
 
-    def test_drop_replicas_frees_bytes(self):
-        svc = make_service("none")
-        ent, payloads = stage_entity(svc)
-        drive(svc, svc.runtime.replicate_entity(ent, payloads[-1]))
-        before = svc.metrics.storage.replica
-        drive(svc, svc.runtime.drop_replicas(ent))
-        assert svc.metrics.storage.replica == before - ent.nbytes
-        assert ent.state == ResilienceState.NONE
-        assert ent.replicas == []
-
 
 class TestStripeFormation:
     def fill_group(self, svc, n_entities=3):

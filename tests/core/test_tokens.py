@@ -150,19 +150,3 @@ class TestRunEncode:
         sim.run()
         assert errors == ["encode failed"]
         assert done  # second encode proceeded: token was released
-
-    def test_balance_stats(self):
-        sim, servers, mgr = make()
-
-        def work(executor):
-            yield sim.timeout(0.01)
-
-        def run():
-            yield from mgr.run_encode(0, [0, 1], 0, work)
-
-        for _ in range(4):
-            sim.process(run())
-        sim.run()
-        stats = mgr.balance_stats()
-        assert stats["executed"] == 4
-        assert stats["servers_used"] >= 1

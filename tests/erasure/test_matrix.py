@@ -44,11 +44,6 @@ class TestGFMatrixBasics:
         with pytest.raises(ValueError):
             GFMatrix(np.zeros((2, 3), np.uint8)) @ GFMatrix(np.zeros((2, 3), np.uint8))
 
-    def test_mul_vec(self):
-        m = GFMatrix(identity(3))
-        v = np.array([1, 2, 3], dtype=np.uint8)
-        assert (m.mul_vec(v) == v).all()
-
 
 class TestInversion:
     @settings(max_examples=25, deadline=None)

@@ -22,10 +22,10 @@ from repro import CoRECConfig, CoRECPolicy, StagingConfig, StagingService
 from repro.live.engine import LiveEngine
 from repro.live.service import LiveStagingService
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.staging.server import StagingServer
 
-CENSUS_TYPES = (Event, Resource, Store, StagingServer, LiveEngine, Simulator)
+CENSUS_TYPES = (Event, Resource, StagingServer, LiveEngine, Simulator)
 DEPLOYMENTS = 5
 
 

@@ -68,22 +68,6 @@ def test_now_is_monotonic_wall_clock():
     run(main())
 
 
-def test_time_scale_paces_timeouts():
-    async def main():
-        eng = LiveEngine(time_scale=1.0)
-        try:
-            def flow():
-                yield eng.timeout(0.05)
-
-            start = time.monotonic()
-            await eng.run_process(flow())
-            assert time.monotonic() - start >= 0.04
-        finally:
-            eng.close()
-
-    run(main())
-
-
 def test_offload_runs_off_the_loop_thread():
     async def main():
         eng = LiveEngine()
@@ -260,7 +244,7 @@ def test_nan_and_negative_timeouts_are_rejected_before_anything_is_scheduled():
                 eng.timeout(delay)
         assert eng.events_ready == 0 and eng.actions_scheduled == 0
 
-    with_engine(body, time_scale=1.0)
+    with_engine(body)
 
 
 def test_trigger_without_waiter_is_processed_and_schedules_nothing():
@@ -268,7 +252,7 @@ def test_trigger_without_waiter_is_processed_and_schedules_nothing():
         ev = eng.event().succeed("v")
         res = Resource(eng, capacity=1)
         grant = res.request()  # uncontended
-        tick = eng.timeout(3.0)  # scaled delay is zero at time_scale=0
+        tick = eng.timeout(3.0)  # a modeled delay takes no wall time
         assert ev.processed and grant.processed and tick.processed
         assert eng.events_ready == 3
         assert eng.actions_scheduled == 0
@@ -491,7 +475,7 @@ def test_a_crash_in_a_first_step_taken_in_place_is_raised_by_the_joiner():
 
 def test_a_spent_budget_or_a_paced_delay_says_no():
     async def body(eng):
-        assert eng.skip(0.0) and not eng.skip(0.5)  # a positive scaled delay
+        assert eng.skip(0.0) and eng.skip(0.5)  # no delay is paced any more
         with pytest.raises(ValueError):
             eng.skip(float("nan")) or eng.timeout(float("nan"))
         eng._budget = 1
@@ -499,7 +483,7 @@ def test_a_spent_budget_or_a_paced_delay_says_no():
         res = Resource(eng)
         assert not res.try_acquire() and res.in_use == 0
 
-    with_engine(body, time_scale=0.01)
+    with_engine(body)
 
 
 def test_second_connection_is_served_in_the_middle_of_a_long_ready_chain():
@@ -617,44 +601,6 @@ def test_a_pipelining_connection_that_never_awaits_cannot_starve_a_second_one():
         handle.stop()
 
 
-def test_paced_timers_and_nic_locks_behave_as_before():
-    from repro.live.transport import LiveTransport
-    from repro.sim.network import NetworkConfig
-
-    async def body(eng):
-        # A positive scaled delay is never ready: it is a timer.
-        tick = eng.timeout(0.02)
-        assert not tick.processed and eng.events_ready == 0
-        assert eng.peek() > eng.now
-
-        net = LiveTransport(eng, NetworkConfig(latency_s=0.02, bandwidth_bps=1e12))
-        spans = []
-
-        def mover(tag):
-            t0 = eng.now
-            yield from net.transfer("a", "b", 1000)
-            spans.append((tag, t0, eng.now))
-
-        procs = [eng.process(mover(i)) for i in range(3)]
-
-        def barrier():
-            yield AllOf(eng, procs)
-
-        start = time.monotonic()
-        await eng.run_process(barrier())
-        elapsed = time.monotonic() - start
-        # Three transfers over one NIC pair serialise: >= 3 wire times,
-        # finishing in FIFO order, each starting after the previous ended.
-        assert elapsed >= 0.055
-        assert [tag for tag, _, _ in spans] == [0, 1, 2]
-        ends = [t1 for _, _, t1 in spans]
-        assert ends[1] - ends[0] >= 0.015 and ends[2] - ends[1] >= 0.015
-        await eng.quiesce()
-        assert eng.peek() == float("inf")
-
-    with_engine(body, time_scale=1.0)
-
-
 def test_inline_compute_returns_a_ready_event_and_raises_in_place():
     async def body(eng):
         loop_thread = threading.get_ident()
@@ -671,3 +617,21 @@ def test_inline_compute_returns_a_ready_event_and_raises_in_place():
         assert (eng.offloads_inlined, eng.offloads_submitted) == (2, 0)
 
     with_engine(body)
+
+
+def test_the_live_service_runs_the_wall_clock_at_one_rate():
+    """A modeled delay takes no wall time: ``time_scale`` is 0.0 or an error."""
+    from repro.core.policies import ReplicationPolicy
+    from repro.live.service import LiveStagingService
+    from repro.staging.service import StagingConfig
+
+    config = StagingConfig(n_servers=8, domain_shape=(16, 16, 16), element_bytes=1, seed=3)
+
+    async def main():
+        for scale in (0.5, 1.0, -1.0):
+            with pytest.raises(ValueError, match="time_scale"):
+                LiveStagingService(config, ReplicationPolicy(), time_scale=scale)
+        live = LiveStagingService(config, ReplicationPolicy(), time_scale=0.0)
+        await live.close()
+
+    run(main())

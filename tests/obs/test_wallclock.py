@@ -159,7 +159,7 @@ class TestAttribution:
     def test_wait_category_classification(self):
         wc = WallClockTracer.wait_category
         assert wc(_FakeEvent(charge="lock_wait")) == "lock_wait"
-        assert wc(_FakeEvent(delay=0.01)) == "transfer"
+        assert wc(_FakeEvent(delay=0.01)) == "queue_wait"  # a modeled delay takes no wall time
         assert wc(_FakeEvent(delay=0.0)) == "queue_wait"
 
         class Cond:
@@ -167,8 +167,9 @@ class TestAttribution:
 
         assert wc(Cond()) == "fanout_wait"
         assert wc(object()) == "event_wait"
-        for cat in ("lock_wait", "transfer", "queue_wait", "fanout_wait", "event_wait"):
+        for cat in ("lock_wait", "queue_wait", "fanout_wait", "event_wait"):
             assert cat in WAIT_CATEGORIES
+        assert "transfer" not in WAIT_CATEGORIES
 
     def test_traced_charges_each_wait(self):
         tracer = WallClockTracer()
@@ -180,7 +181,7 @@ class TestAttribution:
         for item in flow:
             pass  # drive to completion; resume timestamps bracket each yield
         tracer.pop_attribution(token)
-        assert set(sink) == {"lock_wait", "transfer"}
+        assert set(sink) == {"lock_wait", "queue_wait"}
         assert all(v >= 0.0 for v in sink.values())
 
     def test_nested_traced_charges_exactly_once(self):

@@ -1,9 +1,9 @@
-"""Tests for FIFO resources and stores."""
+"""Tests for FIFO resources."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -79,7 +79,6 @@ class TestResource:
         res.request()
         assert res.in_use == 1
         assert res.queued == 1
-        assert res.utilization == 1.0
 
     def test_try_acquire_takes_a_free_slot_only_when_its_grant_would_run_next(self):
         sim = Simulator()
@@ -122,102 +121,3 @@ class TestResource:
         sim.process(worker("y"))
         sim.run()
         assert done == [(1.0, "x"), (2.0, "y")]
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append(item)
-
-        store.put("hello")
-        sim.process(consumer())
-        sim.run()
-        assert got == ["hello"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(3)
-            yield store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [(3, "late")]
-
-    def test_fifo_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_bounded_put_blocks(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append((sim.now, "put-a"))
-            yield store.put("b")
-            log.append((sim.now, "put-b"))
-
-        def consumer():
-            yield sim.timeout(5)
-            item = yield store.get()
-            log.append((sim.now, f"got-{item}"))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert log == [(0, "put-a"), (5, "got-a"), (5, "put-b")]
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put("x")
-        assert store.try_get() == "x"
-
-    def test_try_get_unblocks_putter(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)
-            done.append(sim.now)
-
-        sim.process(producer())
-        sim.run()
-        assert store.try_get() == 1
-        sim.run()
-        assert done and len(store) == 1
-
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)

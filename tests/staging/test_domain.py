@@ -57,14 +57,6 @@ class TestBBoxBasics:
         assert not inner.contains(outer)
         assert outer.contains(outer)
 
-    def test_contains_point(self):
-        b = BBox((0, 0), (4, 4))
-        assert b.contains_point((0, 0))
-        assert b.contains_point((3, 3))
-        assert not b.contains_point((4, 0))
-        with pytest.raises(ValueError):
-            b.contains_point((1,))
-
 
 class TestBBoxIntersection:
     def test_overlap(self):
@@ -108,39 +100,6 @@ class TestBBoxIntersection:
         assert u.contains(a) and u.contains(b)
 
 
-class TestCorners:
-    def test_full_rank_box_has_2_to_the_ndim(self):
-        b = BBox((0, 0), (4, 8))
-        cs = b.corners()
-        assert sorted(cs) == [(0, 0), (0, 7), (3, 0), (3, 7)]
-
-    def test_one_wide_dims_are_not_duplicated(self):
-        # A size-1 dimension has coincident first/last cells; the old
-        # implementation emitted each corner twice per such dimension.
-        b = BBox((2, 0), (3, 5))
-        cs = b.corners()
-        assert len(cs) == len(set(cs))
-        assert sorted(cs) == [(2, 0), (2, 4)]
-
-    def test_unit_box_single_corner(self):
-        assert BBox((7,), (8,)).corners() == [(7,)]
-        assert BBox((1, 2, 3), (2, 3, 4)).corners() == [(1, 2, 3)]
-
-    def test_empty_box_has_no_corners(self):
-        assert BBox((0,), (0,)).corners() == []
-        assert BBox((0, 3), (4, 3)).corners() == []
-
-    @given(bbox_strategy())
-    def test_corners_distinct_and_contained(self, b):
-        cs = b.corners()
-        assert len(cs) == len(set(cs))
-        if b.is_empty:
-            assert cs == []
-        else:
-            for c in cs:
-                assert b.contains_point(c)
-
-
 class TestBBoxSplit:
     def test_split(self):
         b = BBox((0, 0), (4, 4))
@@ -175,23 +134,6 @@ class TestBBoxSplit:
             lo, hi = b.halve_longest()
             assert lo.volume + hi.volume == b.volume
             assert lo.intersect(hi) is None
-
-
-class TestChebyshev:
-    def test_overlapping_distance_zero(self):
-        a = BBox((0, 0), (4, 4))
-        b = BBox((2, 2), (6, 6))
-        assert a.chebyshev_distance(b) == 0
-
-    def test_gap(self):
-        a = BBox((0,), (2,))
-        b = BBox((5,), (7,))
-        assert a.chebyshev_distance(b) == 3
-
-    @given(paired_boxes())
-    def test_symmetric(self, pair):
-        a, b = pair
-        assert a.chebyshev_distance(b) == b.chebyshev_distance(a)
 
 
 class TestDomain:

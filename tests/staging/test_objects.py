@@ -119,7 +119,6 @@ class TestBlockEntity:
         e = self.make()
         e.record_write(0.0, 0, 4, "d")
         assert e.key == ("v", 2)
-        assert e.current_oid == ObjectId("v", 2, 0)
         assert e.primary_key() == "v/2"
 
 

@@ -136,7 +136,7 @@ class TestCapacityPressure:
         assert ts.tier_of("P/v/0") == "dram"
         assert ts.tier_of("P/v/1") == "ssd"
 
-    def test_promote_on_read(self):
+    def test_fetch_promotes_a_demoted_object(self):
         ts = two_tier(dram=250)
         ts.put("P/v/0", payload(100))
         ts.put("P/v/1", payload(100))

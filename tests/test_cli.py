@@ -25,8 +25,43 @@ class TestParser:
         args = build_parser().parse_args(
             ["run-case", "--fail", "4:0", "--replace", "8:0"]
         )
-        assert args.fail == ["4:0"]
-        assert args.replace == ["8:0"]
+        assert args.fail == [(4, 0)]
+        assert args.replace == [(8, 0)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-case", "--fail", "1"],
+            ["run-case", "--fail", "1:x"],
+            ["run-case", "--fail", "1:-1"],  # would index from the end
+            ["run-case", "--replace=-1:0"],
+            ["run-case", "--servers", "8", "--fail", "1:8"],
+            ["trace", "--fail", "1:99"],
+            ["replay", "--tape", "never-read.jsonl", "--amplify", "w"],
+            ["replay", "--tape", "never-read.jsonl", "--amplify", "w=0"],
+            ["replay", "--tape", "never-read.jsonl", "--amplify", "=2"],
+        ],
+        ids=[
+            "fail-no-server", "fail-server-not-int", "fail-negative-server",
+            "replace-negative-step", "fail-past-the-deployment", "trace-fail-past-the-deployment",
+            "amplify-no-count", "amplify-zero", "amplify-no-flow",
+        ],
+    )
+    def test_malformed_input_is_a_usage_error_before_anything_runs(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err
+
+    def test_run_s3d_checks_servers_against_its_derived_count(self, capsys):
+        from repro.workloads.s3d import S3DConfig
+
+        n_servers = max(4, S3DConfig(shrink=8).n_staging)
+        with pytest.raises(SystemExit) as exc:
+            main(["run-s3d", "--shrink", "8", "--fail", f"1:{n_servers}"])
+        assert exc.value.code == 2
+        assert f"servers 0..{n_servers - 1}" in capsys.readouterr().err
 
 
 class TestRunCase:

@@ -20,13 +20,6 @@ class TestEventLog:
         assert ev.source == "s3"
         assert ev.data == {"stripe": 7}
 
-    def test_of_kind_filters(self):
-        log = EventLog()
-        for kind in ("a", "b", "a", "c"):
-            log.emit(0.0, kind)
-        assert len(log.of_kind("a")) == 2
-        assert len(log.of_kind("a", "c")) == 3
-
     def test_between_half_open(self):
         log = EventLog()
         for t in (0.0, 1.0, 2.0, 3.0):
@@ -79,21 +72,6 @@ class TestEventLog:
         assert EventLog(capacity=5).capacity == 5
         with pytest.raises(ValueError):
             EventLog(capacity=0)
-
-    def test_subscribe_listener(self):
-        log = EventLog()
-        seen = []
-        log.subscribe(seen.append)
-        log.emit(1.0, "x")
-        assert len(seen) == 1 and seen[0].kind == "x"
-
-    def test_listener_fires_even_when_capacity_full(self):
-        log = EventLog(capacity=1)
-        seen = []
-        log.emit(0, "a")
-        log.subscribe(seen.append)
-        log.emit(1, "b")
-        assert len(log) == 1 and len(seen) == 1
 
     def test_clear(self):
         log = EventLog()

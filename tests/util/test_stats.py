@@ -72,52 +72,6 @@ class TestTimeSeries:
         assert len(ts) == 2
         assert ts.mean() == 2.0
 
-    def test_bucket_mean(self):
-        ts = TimeSeries()
-        for t, v in [(0.1, 1), (0.2, 3), (1.5, 10), (2.5, 7)]:
-            ts.add(t, v)
-        means = ts.bucket_mean([0, 1, 2, 3])
-        assert means[0] == 2.0
-        assert means[1] == 10.0
-        assert means[2] == 7.0
-
-    def test_bucket_mean_empty_bucket_is_nan(self):
-        ts = TimeSeries()
-        ts.add(0.5, 1.0)
-        means = ts.bucket_mean([0, 1, 2])
-        assert means[0] == 1.0
-        assert np.isnan(means[1])
-
-    def test_bucket_mean_empty_series(self):
-        means = TimeSeries().bucket_mean([0, 1, 2])
-        assert np.isnan(means).all()
-
-    def test_bucket_mean_sample_on_final_edge_kept(self):
-        # Regression: a sample landing exactly on the last edge used to be
-        # silently dropped; it belongs to the (closed) final bucket.
-        ts = TimeSeries()
-        ts.add(1.5, 4.0)
-        ts.add(2.0, 8.0)  # exactly on the final edge
-        means = ts.bucket_mean([0, 1, 2])
-        assert np.isnan(means[0])
-        assert means[1] == 6.0
-
-    def test_bucket_mean_interior_edges_half_open(self):
-        # Only the *final* edge is closed; an interior edge sample still
-        # belongs to the bucket it opens.
-        ts = TimeSeries()
-        ts.add(1.0, 5.0)
-        means = ts.bucket_mean([0, 1, 2])
-        assert np.isnan(means[0])
-        assert means[1] == 5.0
-
-    def test_bucket_mean_beyond_range_still_dropped(self):
-        ts = TimeSeries()
-        ts.add(2.5, 99.0)
-        ts.add(-1.0, 99.0)
-        means = ts.bucket_mean([0, 1, 2])
-        assert np.isnan(means).all()
-
 
 class TestPercentileAndSummarize:
     def test_percentile_empty(self):
