@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Codec performance regression gate.
+"""Codec and checksum performance regression gate.
 
-Measures the erasure-kernel data path (the only part of the reproduction
-doing real host-side computation) and compares it against the committed
+Measures the host-side data path — the erasure kernels and the request
+path's CRC-32 (``payload_digest``) — and compares it against the committed
 baseline ``benchmarks/BENCH_codec.json``:
 
 - absolute throughputs (MB/s) may not drop more than ``--tolerance``
@@ -11,7 +11,9 @@ baseline ``benchmarks/BENCH_codec.json``:
   kernel — must stay above its acceptance floor (3x) regardless of host
   speed; where the native kernel loaded, so must the scalar ``addmul`` vs
   the same pass forced onto the numpy ``table`` kernel (4x): the parity
-  delta of a rewrite runs at kernel speed, not at gather speed;
+  delta of a rewrite runs at kernel speed, not at gather speed; and so
+  must ``payload_digest`` vs ``zlib.crc32`` on the same 1 MiB buffer (3x):
+  a digest that lost the carry-less fold runs at zlib speed;
 - every timed path must clear an *absolute* floor that only de-vectorization
   trips (``MIN_MB_S``), whatever the baseline says; for the stripe-parallel
   encode path (column splits over a worker pool, the configuration the live
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,6 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.erasure import RSCode
 from repro.erasure.gf256 import GF256
+from repro.staging.objects import payload_digest
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_codec.json")
 
@@ -46,6 +50,8 @@ MIN_ENCODE_SPEEDUP_VS_SEED = 3.0
 # Scalar products follow the kernel in charge; only meaningful (and only
 # gated) where that kernel is not the table fallback itself.
 MIN_ADDMUL_SPEEDUP_VS_TABLE = 4.0
+# The same for the checksum: the native CRC fold vs zlib (measured 4-5x).
+MIN_DIGEST_SPEEDUP_VS_ZLIB = 3.0
 # Absolute floors in MB/s, (native kernel loaded, numpy ``table`` fallback).
 # The serial ones sit under what the fallback delivers, so only a Python loop
 # over the payload trips them; the scalar ``addmul`` and the parity delta run
@@ -53,7 +59,8 @@ MIN_ADDMUL_SPEEDUP_VS_TABLE = 4.0
 # a scalar pass that fell back to the numpy gather trips them.  The parallel
 # floor is 2x the serial rs_encode_6_3_mb_s baseline committed before the
 # native kernel and the parallel splits landed (433.8 MB/s) and presumes the
-# native kernel.
+# native kernel.  The digest's sit far under zlib's table-driven CRC (GB/s)
+# and the fold: only a per-byte loop in Python trips them.
 MIN_MB_S = {
     "gf_addmul_mb_s": (1500, 150),
     "rs_encode_3_1_mb_s": (100, 100),
@@ -62,6 +69,7 @@ MIN_MB_S = {
     "rs_reconstruct_shard_mb_s": (50, 50),
     "rs_update_parity_mb_s": (300, 30),
     "rs_encode_parallel_mb_s": (867.6, 867.6),
+    "payload_digest_mb_s": (1000, 300),
 }
 
 
@@ -156,6 +164,17 @@ def measure(reps: int) -> dict[str, float]:
     metrics["rs_encode_parallel_mb_s"] = 6 * SHARD / t / 1e6
     metrics["parallel_passes"] = float(pcode.parallel_stats["passes"])
 
+    # The request path's checksum over one 1 MiB block, against zlib on the
+    # same buffer: the ratio is machine-relative like the two above.
+    block = shards[0]
+    t = best_time(lambda: payload_digest(block), reps)
+    metrics["payload_digest_mb_s"] = SHARD / t / 1e6
+    t = best_time(lambda: zlib.crc32(block), reps)
+    metrics["zlib_crc32_mb_s"] = SHARD / t / 1e6
+    metrics["digest_speedup_vs_zlib"] = (
+        metrics["payload_digest_mb_s"] / metrics["zlib_crc32_mb_s"]
+    )
+
     return metrics
 
 
@@ -171,6 +190,11 @@ def check_floors(metrics: dict[str, float]) -> list[str]:
         failures.append(
             f"scalar addmul is only {metrics['addmul_speedup_vs_table']:.2f}x the "
             f"table kernel (floor {MIN_ADDMUL_SPEEDUP_VS_TABLE}x with native loaded)"
+        )
+    if native and metrics["digest_speedup_vs_zlib"] < MIN_DIGEST_SPEEDUP_VS_ZLIB:
+        failures.append(
+            f"payload_digest is only {metrics['digest_speedup_vs_zlib']:.2f}x "
+            f"zlib.crc32 (floor {MIN_DIGEST_SPEEDUP_VS_ZLIB}x with native loaded)"
         )
     for key, floors in MIN_MB_S.items():
         floor = floors[0] if native else floors[1]

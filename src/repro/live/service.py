@@ -43,13 +43,17 @@ __all__ = ["LiveStagingService", "INLINE_COMPUTE_BYTES"]
 #: kernel a flow offloads.  The hop: 47 us in an otherwise idle process on
 #: one core (a flow with one offload 60 us, with one inline 12 us), ~80 us
 #: with a client thread competing for the interpreter.  The kernels, in ns
-#: per input byte named to ``compute`` at 64 KiB / 256 KiB / 1 MiB:
-#: ``payload_digest`` (CRC-32) 0.23 / 0.22 / 0.22, RS(3,1) ``encode``
-#: 0.22 / 0.09 / 0.06, ``reconstruct_shard`` 0.24 / 0.09 / 0.06 (``decode``,
-#: which no flow offloads, 0.37 / 0.20 / 0.48).  The checksum is the
-#: slowest, so the hop is worth 210-360 KiB of it; 256 KiB of CRC is 57 us
-#: on the loop.
-INLINE_COMPUTE_BYTES = 256 * 1024
+#: per input byte named to ``compute`` at 64 KiB / 256 KiB / 1 MiB / 2 MiB
+#: (native kernel, one core of a 2-vCPU x86-64 with AVX2 and PCLMULQDQ):
+#: ``payload_digest`` (CRC-32, native fold) 0.09 / 0.06 / 0.05 / 0.05,
+#: RS(3,1) ``encode`` 0.25 / 0.09 / 0.06 / 0.06, ``reconstruct_shard``
+#: 0.27 / 0.11 / 0.06 / 0.06 (``decode``, which no flow offloads,
+#: 0.44 / 0.20 / 0.36 / 0.47).  At a MiB and up all three cost about
+#: 0.06 ns/B, so the hop is worth 0.7-1.4 MiB of any of them; the constant
+#: is the power of two above that.  A 1 MiB block's digest (~55 us, no
+#: more than the hop) stays on the loop; every k x 1 MiB kernel pass
+#: (k >= 2) goes to a worker.
+INLINE_COMPUTE_BYTES = 2 * 1024 * 1024
 
 
 class LiveStagingService:

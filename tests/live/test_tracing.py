@@ -122,7 +122,7 @@ class TestLinkedSpanTree:
         """At ``INLINE_COMPUTE_BYTES`` and above the digest is offloaded."""
         config = StagingConfig(
             n_servers=8,
-            domain_shape=(128, 64, 64),
+            domain_shape=(128, 128, 256),
             element_bytes=1,
             object_max_bytes=INLINE_COMPUTE_BYTES,
             seed=7,

@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro import DataLossError, ErasurePolicy, ReplicationPolicy, StagingService
+from repro import CoRECPolicy, DataLossError, ErasurePolicy, ReplicationPolicy, StagingService
 from repro.core.runtime import primary_key, replica_key
 from repro.live.service import LiveStagingService
 from repro.staging.objects import ResilienceState
@@ -116,6 +116,60 @@ def test_live_read_paths_catch_one_flipped_bit(scenario):
                 await live.get("r", ent.name, svc.domain.block_bbox(ent.block_id), True)
             assert svc.read_errors == 1
             assert ent.key in (await live.verify_all())["unrecoverable"]
+        finally:
+            await live.close()
+
+    asyncio.run(main())
+
+
+def _counting_digest(monkeypatch):
+    """Count the request path's ``payload_digest`` calls."""
+    import repro.staging.service as service_mod
+
+    calls = []
+    real = service_mod.payload_digest
+
+    def counted(data):
+        calls.append(int(data.size))
+        return real(data)
+
+    monkeypatch.setattr(service_mod, "payload_digest", counted)
+    return calls
+
+
+def test_sim_pass_budget_one_digest_per_put_and_per_verified_get(monkeypatch):
+    """A put hashes its payload once, a verified get once, an unverified get
+    never — background work it sets off included."""
+    svc = StagingService(small_config(), CoRECPolicy())
+    for flow in writes(svc):
+        svc.run_workflow(flow)
+    svc.run()
+    calls = _counting_digest(monkeypatch)
+    box = svc.domain.block_bbox(0)
+    for flow, hashed in ((svc.put("w", "v", box), 1), (svc.get("r", "v", box, True), 1),
+                         (svc.get("r", "v", box, False), 0)):
+        calls.clear()
+        svc.run_workflow(flow)
+        svc.run()
+        assert calls == [box.volume] * hashed
+
+
+def test_live_pass_budget_one_digest_per_put_and_per_verified_get(monkeypatch):
+    async def main():
+        live = LiveStagingService(small_config(), CoRECPolicy())
+        try:
+            svc = live.service
+            for flow in writes(svc):
+                await live.engine.run_process(flow, name="stage")
+            await live.quiesce()
+            calls = _counting_digest(monkeypatch)
+            box = svc.domain.block_bbox(0)
+            for op, hashed in ((live.put("w", "v", box), 1), (live.get("r", "v", box, True), 1),
+                               (live.get("r", "v", box, False), 0)):
+                calls.clear()
+                await op
+                await live.quiesce()
+                assert calls == [box.volume] * hashed
         finally:
             await live.close()
 

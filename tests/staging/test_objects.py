@@ -9,6 +9,7 @@ import pytest
 
 from repro.staging.domain import BBox
 from repro.staging.objects import (
+    NATIVE_CRC_MIN_BYTES,
     BlockEntity,
     DataObject,
     ObjectId,
@@ -52,9 +53,22 @@ class TestPayloadDigest:
         assert payload_digest(a) != payload_digest(b)
 
     def test_value_is_crc32_of_the_bytes_whatever_the_view(self):
+        # Holds on both routes: the native fold above NATIVE_CRC_MIN_BYTES
+        # where the kernel loaded, zlib everywhere else.
         for view in _view_shapes():
             assert payload_digest(view) == "%08x" % zlib.crc32(view.tobytes())
         assert payload_digest(np.arange(100, dtype=np.uint8)) == "58c932f5"
+        cut = NATIVE_CRC_MIN_BYTES
+        buf = np.random.default_rng(1).integers(0, 256, 4 * cut + 64, dtype=np.uint8)
+        views = [buf[:n] for n in range(301)]
+        views += [buf[:n] for n in (15, 16, 17, 63, 64, 65, cut - 1, cut, cut + 1, cut + 17)]
+        views += [buf[s : s + cut + 77] for s in range(1, 17)]  # misaligned starts
+        grid = buf[: 2 * cut].reshape(128, -1)
+        views += [grid[:, ::2], grid[::3], grid.T, buf[: 4 * cut : 3]]  # strided, non-contiguous
+        big = np.random.default_rng(2).integers(0, 256, (1 << 20) + 77, dtype=np.uint8)
+        views += [big, big[5:]]
+        for view in views:
+            assert payload_digest(view) == "%08x" % zlib.crc32(view.tobytes()), view.shape
 
     def test_hashes_a_mebibyte_in_place(self):
         block = np.zeros(1 << 20, dtype=np.uint8)
