@@ -226,6 +226,13 @@ class StagingRuntime:
         out[: buf.size] = buf
         return out
 
+    @staticmethod
+    def _unpad(shard: np.ndarray, nbytes: int) -> np.ndarray:
+        """The first ``nbytes`` of a decoded shard: the shard itself when
+        nothing was padded.  Stored arrays are never written in place, so
+        the one array may be both returned to a reader and stored."""
+        return shard if shard.size == nbytes else shard[:nbytes].copy()
+
     # ------------------------------------------------------------------
     # locks
     # ------------------------------------------------------------------
@@ -1387,7 +1394,7 @@ class StagingRuntime:
         stripe = ent.stripe
         slot = stripe.member_shard_index(ent.key)
         padded, exec_sid = yield from self.reconstruct_shard(stripe, slot)
-        payload = padded[: ent.nbytes].copy()
+        payload = self._unpad(padded, ent.nbytes)
         yield from self.transfer(self.server(exec_sid).name, dst_name, ent.nbytes)
         self.metrics.count("degraded_reads")
         return payload
@@ -1430,7 +1437,7 @@ class StagingRuntime:
             padded, exec_sid = yield from self.reconstruct_shard(
                 ent.stripe, slot, category="recovery"
             )
-            payload = padded[: ent.nbytes].copy()
+            payload = self._unpad(padded, ent.nbytes)
             if exec_sid != dst_sid:
                 yield from self.transfer(self.server(exec_sid).name, dst.name, ent.nbytes, "recovery")
         if payload is None:

@@ -9,7 +9,10 @@
  * in-register shuffle performs 32 table lookups, so a full r x k stripe
  * product streams the data once while every table access stays in
  * registers.  A plain-C path covers tails and non-AVX2 hosts; both paths
- * are bit-exact with the Python reference kernel.
+ * are bit-exact with the Python reference kernel.  The product either
+ * overwrites its output rows (the first column group's sums are stored as
+ * they are, so a fresh buffer needs no zeroing pass first) or
+ * XOR-accumulates into them (parity folds).
  *
  * CRC-32 fold: zlib's reflected polynomial 0xEDB88320 folded 4 x 128 bits
  * at a time with carry-less multiplies, then Barrett-reduced to 32 bits
@@ -25,22 +28,26 @@
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define GF_X86 1
 #include <immintrin.h>
 #endif
 
-/* Scalar product over an arbitrary row range / column range / byte range:
- * out[i] ^= sum_j mat[i*k+j] * shards[j] for the given bounds. */
+/* Scalar product over bytes [l0, length) of every row: out[i] (^)=
+ * sum_j mat[i*k+j] * shards[j], the rows zeroed first unless accumulating. */
 static void matmul_scalar(const uint8_t *mat, size_t r, size_t k,
                           const uint8_t *const *shard_ptrs,
                           uint8_t *const *out_ptrs,
                           size_t l0, size_t length,
-                          const uint8_t *nib_lo, const uint8_t *nib_hi)
+                          const uint8_t *nib_lo, const uint8_t *nib_hi,
+                          int accumulate)
 {
     for (size_t i = 0; i < r; i++) {
         uint8_t *o = out_ptrs[i];
+        if (!accumulate)
+            memset(o + l0, 0, length - l0);
         for (size_t j = 0; j < k; j++) {
             uint8_t c = mat[i * k + j];
             if (c == 0)
@@ -57,21 +64,35 @@ static void matmul_scalar(const uint8_t *mat, size_t r, size_t k,
 }
 
 #ifdef GF_X86
+/* One 32-byte accumulator to its output row: stored as is (``fresh``), or
+ * XORed into what the row holds. */
+__attribute__((target("avx2")))
+static inline void store_row(uint8_t *o, __m256i acc, int fresh)
+{
+    if (!fresh)
+        acc = _mm256_xor_si256(_mm256_loadu_si256((const __m256i *)o), acc);
+    _mm256_storeu_si256((__m256i *)o, acc);
+}
+
 __attribute__((target("avx2")))
 static size_t matmul_avx2(const uint8_t *mat, size_t r, size_t k,
                           const uint8_t *const *shard_ptrs,
                           uint8_t *const *out_ptrs, size_t length,
-                          const uint8_t *nib_lo, const uint8_t *nib_hi)
+                          const uint8_t *nib_lo, const uint8_t *nib_hi,
+                          int accumulate)
 {
     const __m256i mask = _mm256_set1_epi8(0x0f);
     size_t vlen = length & ~(size_t)31; /* 32-byte blocks */
     /* Rows in groups of <=4 (separate accumulator registers), columns in
      * groups of <=16 (hoisted table registers): every (row, column) pair
-     * costs two shuffles and three XORs per 32 bytes. */
+     * costs two shuffles and three XORs per 32 bytes.  Unless accumulating,
+     * the first column group's sums are stored without reading the row, and
+     * later groups XOR into them: the output is written once, never zeroed. */
     for (size_t i0 = 0; i0 < r; i0 += 4) {
         size_t gr = (r - i0) < 4 ? (r - i0) : 4;
         for (size_t j0 = 0; j0 < k; j0 += 16) {
             size_t gk = (k - j0) < 16 ? (k - j0) : 16;
+            int fresh = !accumulate && j0 == 0;
             __m256i tlo[4][16], thi[4][16];
             for (size_t i = 0; i < gr; i++) {
                 for (size_t j = 0; j < gk; j++) {
@@ -106,24 +127,13 @@ static size_t matmul_avx2(const uint8_t *mat, size_t r, size_t k,
                             _mm256_shuffle_epi8(tlo[3][j], xlo),
                             _mm256_shuffle_epi8(thi[3][j], xhi)));
                 }
-                uint8_t *o = out_ptrs[i0] + l;
-                _mm256_storeu_si256((__m256i *)o, _mm256_xor_si256(
-                    _mm256_loadu_si256((const __m256i *)o), acc0));
-                if (gr > 1) {
-                    o = out_ptrs[i0 + 1] + l;
-                    _mm256_storeu_si256((__m256i *)o, _mm256_xor_si256(
-                        _mm256_loadu_si256((const __m256i *)o), acc1));
-                }
-                if (gr > 2) {
-                    o = out_ptrs[i0 + 2] + l;
-                    _mm256_storeu_si256((__m256i *)o, _mm256_xor_si256(
-                        _mm256_loadu_si256((const __m256i *)o), acc2));
-                }
-                if (gr > 3) {
-                    o = out_ptrs[i0 + 3] + l;
-                    _mm256_storeu_si256((__m256i *)o, _mm256_xor_si256(
-                        _mm256_loadu_si256((const __m256i *)o), acc3));
-                }
+                store_row(out_ptrs[i0] + l, acc0, fresh);
+                if (gr > 1)
+                    store_row(out_ptrs[i0 + 1] + l, acc1, fresh);
+                if (gr > 2)
+                    store_row(out_ptrs[i0 + 2] + l, acc2, fresh);
+                if (gr > 3)
+                    store_row(out_ptrs[i0 + 3] + l, acc3, fresh);
             }
         }
     }
@@ -131,24 +141,29 @@ static size_t matmul_avx2(const uint8_t *mat, size_t r, size_t k,
 }
 #endif /* GF_X86 */
 
-/* Entry point: XOR-accumulates the product into the out rows.  Shards and
- * output rows are passed as pointer arrays so callers can hand over
- * arbitrary (even non-adjacent) row buffers without stacking a matrix. */
+/* Entry point: writes the product into the out rows (accumulate == 0) or
+ * XOR-accumulates it into them (accumulate != 0).  What an overwritten row
+ * held is never read: the AVX2 body stores its first column group's sums,
+ * and the scalar path (the tail, or the whole row without AVX2) zeroes its
+ * bytes before summing into them.
+ * Shards and output rows are passed as pointer arrays so callers can hand
+ * over arbitrary (even non-adjacent) row buffers without stacking a matrix. */
 void gf_matmul(const uint8_t *mat, size_t r, size_t k,
                const uint8_t *const *shard_ptrs,
                uint8_t *const *out_ptrs, size_t length,
-               const uint8_t *nib_lo, const uint8_t *nib_hi)
+               const uint8_t *nib_lo, const uint8_t *nib_hi,
+               int accumulate)
 {
     size_t l0 = 0;
-    if (r == 0 || k == 0 || length == 0)
+    if (r == 0 || length == 0)
         return;
 #ifdef GF_X86
-    if (__builtin_cpu_supports("avx2"))
+    if (k > 0 && __builtin_cpu_supports("avx2"))
         l0 = matmul_avx2(mat, r, k, shard_ptrs, out_ptrs, length,
-                         nib_lo, nib_hi);
+                         nib_lo, nib_hi, accumulate);
 #endif
     matmul_scalar(mat, r, k, shard_ptrs, out_ptrs, l0, length,
-                  nib_lo, nib_hi);
+                  nib_lo, nib_hi, accumulate);
 }
 
 /* 0 = plain C only, 2 = AVX2 dispatch active on this host. */

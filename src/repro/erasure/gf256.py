@@ -207,7 +207,8 @@ class GF256:
 
     # ------------------------------------------------------------------
     # matrix kernels: XOR-accumulate ``mat . shard_rows`` into the column
-    # range [offset, offset + length) of ``out_rows``
+    # range [offset, offset + length) of ``out_rows`` (``native`` may
+    # overwrite it instead)
     # ------------------------------------------------------------------
     @classmethod
     def _kernel_reference(cls, mat, shard_rows, out_rows, offset, length) -> None:
@@ -248,12 +249,13 @@ class GF256:
                     np.bitwise_xor(acc, tmp, out=acc)
 
     @classmethod
-    def _kernel_native(cls, mat, shard_rows, out_rows, offset, length) -> None:
+    def _kernel_native(cls, mat, shard_rows, out_rows, offset, length, accumulate) -> None:
         """Compiled nibble-shuffle kernel (see ``_gf_matmul.c``).
 
         Rows are handed to C as pointer arrays, so neither separate row
         buffers nor a column range of a larger product need a compaction
-        copy.
+        copy.  Unlike the numpy kernels it can overwrite its output, so a
+        fresh product costs no zeroing pass.
         """
         nat = cls._NATIVE
         nat.matmul_ptrs(
@@ -261,6 +263,7 @@ class GF256:
             nat.row_ptrs(shard_rows, offset, length),
             nat.row_ptrs(out_rows, offset, length),
             length,
+            accumulate,
         )
 
     # The runtime-compiled kernel, or None when it could not be built or
@@ -331,26 +334,32 @@ class GF256:
         matrix first.  ``offset``/``length`` select a column range, which
         is how parallel passes split one large product across workers
         without slicing copies.  The range of ``out_rows`` is overwritten,
-        or XOR-accumulated into with ``accumulate=True``.  One call is one
-        kernel pass regardless of matrix size - the unit
+        or XOR-accumulated into with ``accumulate=True``: the ``native``
+        kernel overwrites in its one pass, the numpy kernels (which only
+        accumulate) get the range zeroed first.  One call is one kernel
+        pass regardless of matrix size - the unit
         ``KERNEL_STATS["matmul_calls"]`` counts.
         """
         if length is None:
             length = (len(shard_rows[0]) if len(shard_rows) else 0) - offset
-        if not accumulate:
+        name = cls._kernel_name()
+        empty = length <= 0 or not len(shard_rows) or not len(out_rows)
+        if not accumulate and (empty or name != "native"):
             for row in out_rows:
                 row[offset : offset + length] = 0
-        if length <= 0 or not len(shard_rows) or not len(out_rows):
+        if empty:
             return
         mat = np.ascontiguousarray(mat, dtype=np.uint8)
         if mat.shape != (len(out_rows), len(shard_rows)):
             raise ValueError(
                 f"matrix {mat.shape} does not map {len(shard_rows)} rows to {len(out_rows)}"
             )
-        name = cls._kernel_name()
         cls.KERNEL_STATS["matmul_calls"] += 1
         cls.KERNEL_STATS[name] = cls.KERNEL_STATS.get(name, 0) + 1
-        getattr(cls, "_kernel_" + name)(mat, shard_rows, out_rows, offset, length)
+        if name == "native":
+            cls._kernel_native(mat, shard_rows, out_rows, offset, length, accumulate)
+        else:
+            getattr(cls, "_kernel_" + name)(mat, shard_rows, out_rows, offset, length)
 
     @classmethod
     def matmul_bytes(
@@ -378,7 +387,7 @@ class GF256:
             raise ValueError(f"matrix expects {k} shards, got {shards.shape[0]}")
         length = shards.shape[1]
         if out is None:
-            out, accumulate = np.zeros((r, length), dtype=np.uint8), True
+            out, accumulate = np.empty((r, length), dtype=np.uint8), False
         elif out.shape != (r, length) or out.dtype != np.uint8:
             raise ValueError(f"out must be uint8 of shape {(r, length)}")
         cls.matmul_rows(mat, shards, out, length=length, accumulate=accumulate)

@@ -77,15 +77,20 @@ class NativeKernel:
         shard_ptrs,
         out_ptrs,
         length: int,
+        accumulate: bool,
     ) -> None:
-        """XOR-accumulate ``mat . shards`` into the out rows.
+        """Write ``mat . shards`` into the out rows, or XOR-accumulate it.
 
+        With ``accumulate`` false the kernel overwrites the rows: whatever
+        they held is never read, so the caller need not zero them.
         ``shard_ptrs`` / ``out_ptrs`` are ctypes pointer arrays built by
         :meth:`row_ptrs` for the same ``length``; rows may live at arbitrary
         addresses, so no (k, L) stacking copy is ever needed.
         """
         r, k = mat.shape
-        self.lib.gf_matmul(mat.tobytes(), r, k, shard_ptrs, out_ptrs, length, *self._tables)
+        self.lib.gf_matmul(
+            mat.tobytes(), r, k, shard_ptrs, out_ptrs, length, *self._tables, accumulate
+        )
 
     @staticmethod
     def row_ptrs(rows, offset: int, length: int):
@@ -171,6 +176,7 @@ def load(mul: np.ndarray) -> NativeKernel | None:
         ctypes.c_size_t,  # length
         ctypes.c_void_p,  # nib_lo
         ctypes.c_void_p,  # nib_hi
+        ctypes.c_int,  # accumulate (0: overwrite the out rows)
     ]
     lib.gf_matmul.restype = None
     lib.gf_simd_level.restype = ctypes.c_int

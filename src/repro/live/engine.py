@@ -119,11 +119,18 @@ class LiveEngine:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-live"
         )
+        # The CPUs this process may run on (its affinity mask, which
+        # ``os.cpu_count()`` ignores): where compute is placed follows
+        # from it, since a worker on the loop's only CPU never overlaps it.
+        try:
+            self.usable_cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            self.usable_cpus = os.cpu_count() or 1
         # Separate pool for *leaf* codec tasks (column splits of one kernel
         # pass).  Offloaded passes run on ``_executor`` workers and fan
         # their splits out here; keeping the pools distinct means a pass
         # can never deadlock waiting for splits behind other whole passes.
-        self.codec_workers = min(8, (os.cpu_count() or 1))
+        self.codec_workers = min(8, self.usable_cpus)
         self._codec_executor = ThreadPoolExecutor(
             max_workers=self.codec_workers, thread_name_prefix="repro-codec"
         )

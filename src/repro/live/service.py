@@ -15,10 +15,15 @@ the loop — the hop to a worker costs more than the work; everything else
 is offloaded to the engine's worker pool and runs **lock-free**: the
 codec layer is thread-safe (locked decode-matrix cache, condition-guarded
 coding batch, thread-local scratch pools), so concurrent offloads
-genuinely overlap.  On top of that, each offloaded kernel pass is
+genuinely overlap.  On top of that, each large kernel pass is
 stripe-parallel — ``RSCode.parallel_map`` is wired to
 :meth:`LiveEngine.codec_map`, which fans the pass's column splits across
 a dedicated codec worker pool.
+
+Both rest on a second CPU.  A process whose affinity mask holds one
+(``LiveEngine.usable_cpus``) runs every pass on the loop, unsplit: a
+worker there only takes turns with the loop, and a split is the serial
+pass plus handoffs.
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ __all__ = ["LiveStagingService", "INLINE_COMPUTE_BYTES"]
 #: 0.06 ns/B, so the hop is worth 0.7-1.4 MiB of any of them; the constant
 #: is the power of two above that.  A 1 MiB block's digest (~55 us, no
 #: more than the hop) stays on the loop; every k x 1 MiB kernel pass
-#: (k >= 2) goes to a worker.
+#: (k >= 2) goes to a worker - where the process may use a second CPU.
+#: On one, nothing does: the worker cannot run beside the loop, so the hop
+#: (and a column split on top of it) is pure overhead.
 INLINE_COMPUTE_BYTES = 2 * 1024 * 1024
 
 
@@ -93,8 +100,10 @@ class LiveStagingService:
         # Stripe-parallel kernel passes: large encodes/decodes split by
         # column range across the engine's codec pool.  Byte-identical
         # to serial (columns are independent), so sim-vs-live
-        # conformance is unaffected.
-        self.service.codec.code.parallel_map = self.engine.codec_map
+        # conformance is unaffected.  With one codec thread a split is
+        # the serial pass plus handoffs, so then there is none.
+        if self.engine.codec_workers > 1:
+            self.service.codec.code.parallel_map = self.engine.codec_map
         self._register_live_gauges()
         if self.tracing:
             self.engine.start_watchdog(
@@ -125,7 +134,7 @@ class LiveStagingService:
         reg.gauge("live.loop.lag_max_s", lambda: engine.loop_lag_max_s)
 
     def _place_compute(self, fn, nbytes: int, category: str):
-        if nbytes < INLINE_COMPUTE_BYTES:
+        if nbytes < INLINE_COMPUTE_BYTES or self.engine.usable_cpus == 1:
             return self.engine.inline(fn, charge=category)
         return self.engine.offload(fn, charge=category)
 

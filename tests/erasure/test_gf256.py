@@ -263,6 +263,10 @@ class TestOutParameter:
 
 # Shapes chosen to cross kernel tails: odd/even row and column counts,
 # empty dims, single bytes, and payloads from one byte to tens of KiB.
+# r = 5 opens a second group of four rows and k = 17 a second group of
+# sixteen columns (which must accumulate onto the first even when the
+# product overwrites); 31, 33, 95 and 129 leave scalar tails of 31 and 1
+# bytes after the 32-byte SIMD body.
 KERNEL_SHAPES = [
     (1, 1, 1),
     (2, 3, 5),
@@ -271,27 +275,54 @@ KERNEL_SHAPES = [
     (3, 4, 0),
     (0, 3, 16),
     (2, 5, 40000),
+    (5, 4, 129),
+    (3, 17, 95),
+    (5, 17, 33),
+    (5, 17, 31),
 ]
+
+
+def kernel_case(r: int, k: int, length: int):
+    """A seeded (mat, shards) pair and the reference kernel's product."""
+    rng = np.random.default_rng(r * 1000 + k * 100 + length)
+    mat = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    if r and k:
+        mat[0, 0] = 0  # exercise the zero-coefficient skip
+        mat[-1, -1] = 1  # and the xor-only path
+    shards = rng.integers(0, 256, (k, length), dtype=np.uint8)
+    expected = np.zeros((r, length), dtype=np.uint8)
+    GF256._kernel_reference(mat, shards, expected, 0, length)
+    return mat, shards, expected
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", GF256.available_kernels())
     @pytest.mark.parametrize("r,k,length", KERNEL_SHAPES)
     def test_kernel_matches_reference(self, name, r, k, length):
-        rng = np.random.default_rng(r * 1000 + k * 100 + length)
-        mat = rng.integers(0, 256, (r, k), dtype=np.uint8)
-        if r and k:
-            mat[0, 0] = 0  # exercise the zero-coefficient skip
-            mat[-1, -1] = 1  # and the xor-only path
-        shards = rng.integers(0, 256, (k, length), dtype=np.uint8)
-        expected = np.zeros((r, length), dtype=np.uint8)
-        GF256._kernel_reference(mat, shards, expected, 0, length)
+        mat, shards, expected = kernel_case(r, k, length)
         GF256.set_kernel(name)
         try:
             got = GF256.matmul_bytes(mat, shards)
         finally:
             GF256.set_kernel(None)
         assert (got == expected).all()
+
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["overwrite", "accumulate"])
+    @pytest.mark.parametrize("name", GF256.available_kernels())
+    @pytest.mark.parametrize("r,k,length", KERNEL_SHAPES)
+    def test_kernel_writes_or_accumulates_into_a_dirty_out(self, name, r, k, length, accumulate):
+        """What ``out`` held before is gone (overwrite) or XORed in (accumulate)."""
+        mat, shards, expected = kernel_case(r, k, length)
+        if accumulate:
+            expected ^= 0xAA
+        out = np.full((r, length), 0xAA, dtype=np.uint8)
+        GF256.set_kernel(name)
+        try:
+            got = GF256.matmul_bytes(mat, shards, out=out, accumulate=accumulate)
+        finally:
+            GF256.set_kernel(None)
+        assert got is out
+        assert (out == expected).all()
 
     def test_set_kernel_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -15,10 +15,14 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro import CoRECConfig, CoRECPolicy
+from repro import CoRECConfig, CoRECPolicy, ErasurePolicy
+from repro.core.recovery import RecoveryConfig
+from repro.erasure.gf256 import GF256
 from repro.live.service import INLINE_COMPUTE_BYTES, LiveStagingService
 from repro.staging.objects import ResilienceState
 from repro.staging.service import StagingConfig
+
+from tests.conftest import pin_usable_cpus, small_config
 
 
 class Deployment:
@@ -195,14 +199,16 @@ def test_one_mib_put_hashes_once_on_the_loop_and_hops_only_for_kernel_passes():
     run(body, block_bytes=block, domain_shape=(128, 128, 128))
 
 
-def test_concurrent_puts_to_one_block_serialise_through_a_scheduled_grant():
+def test_concurrent_puts_to_one_block_serialise_through_a_scheduled_grant(monkeypatch):
     """Contention is still a real wait.
 
     Small puts run start to finish without blocking, so two of them never
     meet.  A threshold-sized (2 MiB) put parks on its digest hop *holding*
     the entity lock: the second put finds the lock taken, queues, and its
-    grant — an event with a waiter — goes through the microqueue.
+    grant — an event with a waiter — goes through the microqueue.  The hop
+    exists where a worker can overlap the loop: on two usable CPUs.
     """
+    pin_usable_cpus(monkeypatch, 2)
 
     async def body(dep):
         box = dep.boxes[0]
@@ -230,6 +236,56 @@ def test_concurrent_puts_to_one_block_serialise_through_a_scheduled_grant():
         assert dep.live.directory.get("v", 0).version == version + 2
 
     run(body, block_bytes=INLINE_COMPUTE_BYTES, domain_shape=(128, 128, 256))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_mebibyte_kernel_passes_hop_and_split_only_with_a_second_cpu(monkeypatch, cpus):
+    """Where a stripe encode over k x 1 MiB and the decode behind a 1 MiB
+    degraded get run follows from the CPUs the process may use.
+
+    On one, a worker cannot overlap the loop and a column split is the
+    serial pass plus handoffs: each pass is one kernel call on the loop.
+    On two, each pass hops to a worker and splits into k column tasks.
+    """
+    pin_usable_cpus(monkeypatch, cpus)
+    # (worker hops, kernel calls, split passes) of one pass
+    per_pass = [0, 1, 0] if cpus == 1 else [1, 3, 1]
+
+    async def main():
+        # Eight 1 MiB blocks: four RS(3,1) stripes, two of them full.
+        config = small_config(domain_shape=(128, 128, 512), object_max_bytes=1 << 20)
+        live = LiveStagingService(config, ErasurePolicy(RecoveryConfig(mode="none")))
+        eng, code = live.engine, live.service.codec.code
+
+        def counts() -> list[int]:
+            return [
+                eng.offloads_submitted,
+                GF256.KERNEL_STATS["matmul_calls"],
+                code.parallel_stats["passes"],
+            ]
+
+        def since(before: list[int]) -> list[int]:
+            return [b - a for a, b in zip(before, counts())]
+
+        try:
+            before = counts()
+            for b in range(live.domain.n_blocks):
+                await live.put("w", "v", live.domain.block_bbox(b))
+            await live.flush()
+            await live.quiesce()
+            encodes = live.metrics.counters["stripe_encodes"]
+            assert encodes == 4
+            assert since(before) == [n * encodes for n in per_pass]
+            live.fail_server(live.directory.get("v", 0).primary)
+            before = counts()
+            _, got = await live.get("r", "v", live.domain.block_bbox(0))
+            assert live.metrics.counters["degraded_reads"] == 1
+            assert got[0].size == 1 << 20
+            assert since(before) == per_pass
+        finally:
+            await live.close()
+
+    asyncio.run(main())
 
 
 def test_boundary_counters_are_in_the_registry_and_the_prometheus_dump():

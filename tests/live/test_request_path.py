@@ -18,12 +18,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import ErasurePolicy, StagingService
 from repro.core.corec import CoRECPolicy
+from repro.core.recovery import RecoveryConfig
+from repro.core.runtime import primary_key
+from repro.erasure.gf256 import GF256
 from repro.live import LiveClient, RemoteOpError, serve_in_thread
 from repro.live.protocol import MAX_PAYLOAD_BYTES, ProtocolError, read_frame
 from repro.live.server import _SocketStream
+from repro.live.service import LiveStagingService
 from repro.obs.wallclock import WAIT_CATEGORIES
 from repro.staging.service import StagingConfig
+
+from tests.conftest import pin_usable_cpus, small_config
 
 BLOCK = 16 * 16 * 16
 B0 = ((0, 0, 0), (16, 16, 16))
@@ -316,3 +323,91 @@ def test_a_mebibyte_put_frame_is_landed_once(handle):
             tracemalloc.stop()
     assert resp["got"] == 1 << 20
     assert peaks[-1] - base < (1 << 20) + 64 * 1024
+
+
+MIB = 1 << 20
+
+
+def mebibyte_stripes_config() -> StagingConfig:
+    """Eight 1 MiB blocks: under RS(3,1), two full stripes and two of one."""
+    return small_config(domain_shape=(128, 128, 512), object_max_bytes=MIB)
+
+
+def lose_two_members(svc):
+    """Fail the primaries of blocks 0 and 1, members of the two full
+    stripes, and replace the second; returns both entities."""
+    got, rec = (svc.directory.get("v", b) for b in (0, 1))
+    assert got.stripe is not rec.stripe
+    assert None not in got.stripe.members and None not in rec.stripe.members
+    svc.fail_server(got.primary)
+    svc.fail_server(rec.primary)
+    svc.replace_server(rec.primary)
+    return got, rec
+
+
+class PeakAbove:
+    """Peak bytes traced above the level at entry (tracemalloc on inside)."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        self.base = tracemalloc.get_traced_memory()[0]
+        return self
+
+    def __exit__(self, *exc):
+        self.bytes = tracemalloc.get_traced_memory()[1] - self.base
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(
+    GF256.native_kernel() is None,
+    reason="the numpy table kernel gathers through an index temporary 8x the payload",
+)
+@pytest.mark.parametrize("backend", ["sim", "live-1cpu", "live-2cpu"])
+def test_a_mebibyte_decode_allocates_the_decoded_shard_and_nothing_else(monkeypatch, backend):
+    """The allocation line of the degraded-read pass budget.
+
+    A degraded get of a 1 MiB block, and ``recover_primary`` of another,
+    each allocate one payload-sized buffer: the shard the kernel decodes
+    into, which is what the get returns and what recovery stores.  No
+    second one - a copy of the decoded shard, a zeroed product - is ever
+    live beside it.  (Recovery mode ``none``: nothing repairs behind us.)
+    """
+    policy = ErasurePolicy(RecoveryConfig(mode="none"))
+    if backend == "sim":
+        svc = StagingService(mebibyte_stripes_config(), policy)
+        for b in range(svc.domain.n_blocks):
+            svc.run_workflow(svc.put("w", "v", svc.domain.block_bbox(b)))
+        svc.run_workflow(svc.flush())
+        got, rec = lose_two_members(svc)
+        with PeakAbove() as get_peak:
+            done = svc.sim.process(svc.get("r", "v", svc.domain.block_bbox(got.block_id)))
+            svc.sim.run(until=done)
+        with PeakAbove() as recover_peak:
+            svc.run_workflow(svc.runtime.recover_primary(rec))
+        payload = done.value[1][got.block_id]
+    else:
+        pin_usable_cpus(monkeypatch, 1 if backend == "live-1cpu" else 2)
+
+        async def main():
+            live = LiveStagingService(mebibyte_stripes_config(), policy)
+            try:
+                svc = live.service
+                for b in range(svc.domain.n_blocks):
+                    await live.put("w", "v", svc.domain.block_bbox(b))
+                await live.flush()
+                await live.quiesce()
+                got, rec = lose_two_members(svc)
+                with PeakAbove() as get_peak:
+                    _, payloads = await live.get("r", "v", svc.domain.block_bbox(got.block_id))
+                with PeakAbove() as recover_peak:
+                    await live.engine.run_process(svc.runtime.recover_primary(rec))
+                return svc, got, rec, payloads[got.block_id], get_peak, recover_peak
+            finally:
+                await live.close()
+
+        svc, got, rec, payload, get_peak, recover_peak = asyncio.run(main())
+    assert svc.metrics.counters["degraded_reads"] == 1
+    assert payload.size == MIB
+    assert svc.servers[rec.primary].store[primary_key(rec)].size == MIB
+    assert MIB <= get_peak.bytes < 2 * MIB
+    assert MIB <= recover_peak.bytes < 2 * MIB

@@ -31,6 +31,8 @@ from repro.live.protocol import LiveClient, RemoteOpError
 from repro.live.server import serve_in_thread
 from repro.staging.service import StagingConfig
 
+from tests.conftest import pin_usable_cpus
+
 N_CLIENTS = 6
 OPS_PER_CLIENT = 18
 SHARED_REGION = ((0, 0, 0), (16, 16, 16))  # block 0 of every variable
@@ -212,7 +214,7 @@ def test_concurrent_clients_with_server_kill():
         handle.stop()
 
 
-def test_server_kill_during_parallel_encode():
+def test_server_kill_during_parallel_encode(monkeypatch):
     """Chaos while encodes fan out across the codec worker pool.
 
     The codec split thresholds are forced down so every offloaded
@@ -220,8 +222,9 @@ def test_server_kill_during_parallel_encode():
     then a server is killed and replaced twice mid-traffic.  At quiesce
     the full invariant sweep and a digest audit must come back clean —
     a column-split pass interrupted by chaos must never publish a
-    half-written shard.
+    half-written shard.  Passes split only with two or more usable CPUs.
     """
+    pin_usable_cpus(monkeypatch, 2)
     # Blocks of 32 KiB: the 4 KiB-aligned column split needs shards wider
     # than one alignment quantum, or every pass collapses back to one task.
     config = StagingConfig(

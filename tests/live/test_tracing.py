@@ -28,6 +28,8 @@ from repro.live.protocol import frame_parts, header_preamble
 from repro.obs.wallclock import WallClockTracer
 from repro.staging.service import StagingConfig, build_geometry
 
+from tests.conftest import pin_usable_cpus
+
 REGION = ((0, 0, 0), (32, 32, 32))  # exactly one 32 KiB block
 
 
@@ -118,8 +120,10 @@ class TestLinkedSpanTree:
             digest.t1 - digest.t0, abs=1e-9
         )
 
-    def test_threshold_sized_put_still_digests_on_a_worker(self):
-        """At ``INLINE_COMPUTE_BYTES`` and above the digest is offloaded."""
+    def test_threshold_sized_put_still_digests_on_a_worker(self, monkeypatch):
+        """At ``INLINE_COMPUTE_BYTES`` and above the digest is offloaded
+        (where a worker can overlap the loop: two usable CPUs)."""
+        pin_usable_cpus(monkeypatch, 2)
         config = StagingConfig(
             n_servers=8,
             domain_shape=(128, 128, 256),
@@ -168,7 +172,8 @@ class TestLinkedSpanTree:
                 checked += 1
         assert checked == 4
 
-    def test_codec_fanout_spans_join_the_request_trace(self):
+    def test_codec_fanout_spans_join_the_request_trace(self, monkeypatch):
+        pin_usable_cpus(monkeypatch, 2)  # passes split only with two or more
         handle = traced_handle()
         tracer = handle.live.tracer
         try:
