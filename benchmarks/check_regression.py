@@ -15,9 +15,7 @@ baseline ``benchmarks/BENCH_codec.json``:
   must ``payload_digest`` vs ``zlib.crc32`` on the same 1 MiB buffer (3x):
   a digest that lost the carry-less fold runs at zlib speed;
 - every timed path must clear an *absolute* floor that only de-vectorization
-  trips (``MIN_MB_S``), whatever the baseline says; for the stripe-parallel
-  encode path (column splits over a worker pool, the configuration the live
-  backend runs) it is 2x the pre-native-kernel serial baseline (867.6 MB/s).
+  trips (``MIN_MB_S``), whatever the baseline says.
 
 Usage:
     PYTHONPATH=src python benchmarks/check_regression.py                  # gate
@@ -32,7 +30,6 @@ import os
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,11 +53,9 @@ MIN_DIGEST_SPEEDUP_VS_ZLIB = 3.0
 # The serial ones sit under what the fallback delivers, so only a Python loop
 # over the payload trips them; the scalar ``addmul`` and the parity delta run
 # on the kernel in charge, so theirs are ten times higher where native loaded:
-# a scalar pass that fell back to the numpy gather trips them.  The parallel
-# floor is 2x the serial rs_encode_6_3_mb_s baseline committed before the
-# native kernel and the parallel splits landed (433.8 MB/s) and presumes the
-# native kernel.  The digest's sit far under zlib's table-driven CRC (GB/s)
-# and the fold: only a per-byte loop in Python trips them.
+# a scalar pass that fell back to the numpy gather trips them.  The digest's
+# sit far under zlib's table-driven CRC (GB/s) and the fold: only a per-byte
+# loop in Python trips them.
 MIN_MB_S = {
     "gf_addmul_mb_s": (1500, 150),
     "rs_encode_3_1_mb_s": (100, 100),
@@ -68,7 +63,6 @@ MIN_MB_S = {
     "rs_decode_4_2_mb_s": (50, 50),
     "rs_reconstruct_shard_mb_s": (50, 50),
     "rs_update_parity_mb_s": (300, 30),
-    "rs_encode_parallel_mb_s": (867.6, 867.6),
     "payload_digest_mb_s": (1000, 300),
 }
 
@@ -142,28 +136,6 @@ def measure(reps: int) -> dict[str, float]:
     t = best_time(lambda: code.reconstruct_shard(rec_present, 3), reps)
     metrics["rs_reconstruct_shard_mb_s"] = SHARD / t / 1e6
 
-    # Stripe-parallel encode: the exact configuration the live backend
-    # runs — column splits fanned over a small worker pool, first split
-    # inline on the calling thread (LiveEngine.codec_map's discipline).
-    workers = min(8, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bench-codec")
-    try:
-        pcode = RSCode(6, 3)
-
-        def pool_map(tasks):
-            futs = [pool.submit(task) for task in tasks[1:]]
-            tasks[0]()
-            for fut in futs:
-                fut.result()
-
-        pcode.parallel_map = pool_map
-        pcode.encode(shards)  # warm + verify the splits actually fan out
-        t = best_time(lambda: pcode.encode(shards), reps)
-    finally:
-        pool.shutdown(wait=True)
-    metrics["rs_encode_parallel_mb_s"] = 6 * SHARD / t / 1e6
-    metrics["parallel_passes"] = float(pcode.parallel_stats["passes"])
-
     # The request path's checksum over one 1 MiB block, against zlib on the
     # same buffer: the ratio is machine-relative like the two above.
     block = shards[0]
@@ -202,8 +174,6 @@ def check_floors(metrics: dict[str, float]) -> list[str]:
             failures.append(
                 f"{key}: {metrics[key]:.1f} MB/s is below the absolute floor {floor} MB/s"
             )
-    if metrics["parallel_passes"] < 1:
-        failures.append("parallel encode never fanned out (0 parallel passes)")
     return failures
 
 

@@ -531,9 +531,7 @@ def cmd_live(args: argparse.Namespace) -> int:
     box: dict = {}
 
     async def serve() -> None:
-        live = LiveStagingService(
-            config, _policy(args), max_workers=args.workers, tracing=tracing
-        )
+        live = LiveStagingService(config, _policy(args), tracing=tracing)
         box["live"] = live
         server = LiveServer(live)
         host, port = await server.start(args.host, args.port)
@@ -578,9 +576,7 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
         # sharded deployment can evaluate (each shard sees its groups).
         pspec[1]["enforcement_scope"] = "group"
 
-    cluster = LiveCluster(
-        config, pspec, args.shards, max_workers=args.workers, host=args.host
-    )
+    cluster = LiveCluster(config, pspec, args.shards, host=args.host)
     if args.smoke:
         with cluster, cluster.client(name="smoke") as cli:
             out = {
@@ -916,8 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_live.add_argument("--object-bytes", type=int, default=4096)
     p_live.add_argument("--seed", type=int, default=1)
     p_live.add_argument("--async-protection", action="store_true")
-    p_live.add_argument("--workers", type=int, default=None,
-                        help="codec offload thread pool size")
     p_live.add_argument("--shards", type=int, default=1,
                         help="split the deployment into N shard processes "
                              "(one per coding-group range; requires the "

@@ -91,12 +91,12 @@ class StagingRuntime:
         self.log = log
         self.tracer = tracer
         self.costs = self.servers[0].costs
-        # Host-compute offload hook.  ``None`` (the simulator default)
-        # runs numeric work inline with zero extra events, so sim traces
-        # and goldens are untouched.  The live backend installs a function
-        # ``(fn, nbytes, category) -> Event`` that runs ``fn`` — inline or
-        # on a worker thread, by size — and fires the event with its result.
-        self.compute_offload: Callable[[Callable[[], object], int, str], object] | None = None
+        # Host-compute hook.  ``None`` (the simulator default) runs numeric
+        # work inline with zero extra events, so sim traces and goldens are
+        # untouched.  The live backend installs ``LiveEngine.inline``,
+        # ``(fn, category) -> Event``: it runs ``fn`` on the loop and, with
+        # tracing on, charges the time to ``category``.
+        self.compute_hook: Callable[[Callable[[], object], str], object] | None = None
         # Pending (not yet striped) entities per coding group, keyed by the
         # primary server each entity would contribute a data shard from.
         self.pending: dict[int, dict[int, list[EntityKey]]] = {}
@@ -189,20 +189,14 @@ class StagingRuntime:
             yield from self.busy(owner, self.costs.metadata_op_s, "metadata")
         self.metrics.count("metadata_updates")
 
-    def compute(
-        self, fn: Callable[[], object], nbytes: int, category: str = "codec"
-    ) -> Generator:
+    def compute(self, fn: Callable[[], object], category: str = "codec") -> Generator:
         """Run host-side numeric work (``yield from`` this at a yield point).
 
         On the simulator this is a plain call — the generator completes
         without yielding, so the event sequence is identical to calling
         ``fn()`` inline and golden traces are unaffected.  On the live
-        backend ``compute_offload`` is installed and decides from
-        ``nbytes`` — the input bytes ``fn`` passes over — whether the work
-        runs on the loop or on a worker thread, keeping large digests and
-        GF(2^8) kernel passes off the event loop.  Offloaded work must
-        carry its own locking; the codec layer (decode-matrix cache,
-        coding batch, scratch pools) does.
+        backend ``compute_hook`` runs it on the loop and yields a ready
+        event, so the flow resumes in place.
         Only legal where the calling flow may yield; atomic (no-yield)
         mutation sections must keep their numeric work inline.
 
@@ -210,8 +204,8 @@ class StagingRuntime:
         the work under ("codec" for kernel passes, "digest" for payload
         hashing); the simulator ignores it.
         """
-        if self.compute_offload is not None:
-            result = yield self.compute_offload(fn, nbytes, category)
+        if self.compute_hook is not None:
+            result = yield self.compute_hook(fn, category)
             return result
         return fn()
 
@@ -606,9 +600,7 @@ class StagingRuntime:
         yield from self.busy(exec_sid, self.costs.encode_cost(k, m, shard_len), "encode")
         if self.tracer.enabled:
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
-        parities = yield from self.compute(
-            lambda: self.codec.code.encode(payloads), k * shard_len
-        )
+        parities = yield from self.compute(lambda: self.codec.code.encode(payloads))
         if self.tracer.enabled:
             self.tracer.annotate(
                 executor=exec_sid,
@@ -1003,9 +995,7 @@ class StagingRuntime:
         yield from self.busy(
             exec_sid, self.costs.encode_cost(stripe.k, stripe.m, stripe.shard_len), "encode"
         )
-        parities = yield from self.compute(
-            lambda: self.codec.code.encode(shards), stripe.k * stripe.shard_len
-        )
+        parities = yield from self.compute(lambda: self.codec.code.encode(shards))
         staged: list[tuple[StagingServer, str, np.ndarray]] = []
         for i, parity in enumerate(parities):
             psid = stripe.shard_servers[stripe.k + i]
@@ -1361,9 +1351,7 @@ class StagingRuntime:
         if self.tracer.enabled:
             hits0, misses0 = code.decode_cache_hits, code.decode_cache_misses
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
-        payload = yield from self.compute(
-            lambda: code.reconstruct_shard(present, target_idx), stripe.k * stripe.shard_len
-        )
+        payload = yield from self.compute(lambda: code.reconstruct_shard(present, target_idx))
         if self.tracer.enabled:
             self.tracer.annotate(
                 executor=exec_sid,

@@ -72,8 +72,8 @@ _SCALARS = np.arange(_FIELD_SIZE, dtype=np.uint8).reshape(_FIELD_SIZE, 1, 1)
 # scratch buffers (grow-only, reused across kernel calls)
 # ---------------------------------------------------------------------------
 # One scratch pool per *thread*, so steady-state kernel calls allocate
-# nothing while staying safe when the live backend offloads encodes to a
-# worker thread concurrently with parity delta-updates on the event loop.
+# nothing while staying safe when two threads run kernels at once (a
+# ``serve_in_thread`` server's loop next to the caller's own codec work).
 _SCRATCH = threading.local()
 
 
@@ -331,8 +331,7 @@ class GF256:
         ``shard_rows`` and ``out_rows`` are sequences of contiguous uint8
         arrays (or the rows of a 2-D array), read and written in place, so
         a stripe encode never compacts its k payload buffers into a (k, L)
-        matrix first.  ``offset``/``length`` select a column range, which
-        is how parallel passes split one large product across workers
+        matrix first.  ``offset``/``length`` select a column range
         without slicing copies.  The range of ``out_rows`` is overwritten,
         or XOR-accumulated into with ``accumulate=True``: the ``native``
         kernel overwrites in its one pass, the numpy kernels (which only

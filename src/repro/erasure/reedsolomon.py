@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.erasure.matrix import (
     identity,
     vandermonde_rs_matrix,
 )
-from repro.obs.registry import StatCounters
 
 __all__ = ["RSCode", "StripeCodec", "Stripe"]
 
@@ -106,24 +105,10 @@ class RSCode:
         self.decode_cache_evictions = 0
         # The matrix caches (and their counters) are the only mutable
         # state a codec pass touches, so locking them is all it takes to
-        # make every coding method safe from concurrent worker threads
+        # make every coding method safe from concurrent threads
         # (kernel scratch is thread-local and the kernels hold no other
         # state).  RLock: _reconstruct_row nests into _decode_matrix.
         self._cache_lock = threading.RLock()
-        # Optional fan-out hook for the payload-dimension kernel passes:
-        # when set (the live backend installs its codec pool here), a
-        # product over at least ``parallel_min_bytes`` of input is split
-        # into ~``parallel_chunk_bytes`` column ranges and the resulting
-        # thunks are handed to ``parallel_map`` to run concurrently.
-        # Columns of a GF matrix product are independent, so any split is
-        # byte-identical to the serial pass.  ``None`` = fully serial.
-        self.parallel_map: Callable[[Sequence[Callable[[], Any]]], Any] | None = None
-        self.parallel_min_bytes = 1 << 18
-        self.parallel_chunk_bytes = 1 << 20
-        self.parallel_max_tasks = 16
-        # Thread-safe: pool workers and the loop thread both pass through
-        # _run_tasks; reads keep the dict interface (stats["passes"]).
-        self.parallel_stats = StatCounters(("passes", "tasks", "serial_passes"))
 
     def _decode_matrix(self, chosen: tuple[int, ...]) -> np.ndarray:
         with self._cache_lock:
@@ -171,50 +156,15 @@ class RSCode:
             raise ValueError(f"shards must be equal length, got {sorted(lengths)}")
         return rows, (lengths.pop() if lengths else 0)
 
-    # -- parallel product plumbing --------------------------------------
-    def _n_tasks(self, work_bytes: int) -> int:
-        if self.parallel_map is None or work_bytes < self.parallel_min_bytes:
-            return 1
-        return max(
-            1, min(self.parallel_max_tasks, work_bytes // self.parallel_chunk_bytes)
-        )
-
     @staticmethod
-    def _bounds(length: int, n_tasks: int) -> list[tuple[int, int]]:
-        # Contiguous column ranges, SIMD/cache-line aligned at 4 KiB.
-        step = -(-length // n_tasks)
-        step = (step + 4095) & ~4095
-        return [(a, min(a + step, length)) for a in range(0, length, step)]
-
-    def _run_tasks(self, tasks: Sequence[Callable[[], None]]) -> None:
-        pm = self.parallel_map
-        if pm is not None and len(tasks) > 1:
-            self.parallel_stats.inc("passes")
-            self.parallel_stats.inc("tasks", len(tasks))
-            pm(tasks)
-            return
-        if pm is not None:
-            self.parallel_stats.inc("serial_passes")
-        for task in tasks:
-            task()
-
-    def _product(
-        self, mat: np.ndarray, rows: Sequence[np.ndarray], length: int
-    ) -> list[np.ndarray]:
-        """``mat . rows`` as one kernel pass, column-split when large.
+    def _product(mat: np.ndarray, rows: Sequence[np.ndarray], length: int) -> list[np.ndarray]:
+        """``mat . rows`` as one kernel pass.
 
         Shard rows are read in place and the output rows are independent
-        arrays - no (k, L) stacking copy ever happens.  The column split
-        is byte-exact: each task writes a disjoint column range of every
-        output row, which is complete once all the tasks have run.
+        arrays - no (k, L) stacking copy ever happens.
         """
-        n_tasks = self._n_tasks(len(rows) * length) if length else 1
-        bounds = self._bounds(length, n_tasks) if n_tasks > 1 else [(0, length)]
         outs = [np.empty(length, dtype=np.uint8) for _ in range(mat.shape[0])]
-        self._run_tasks([
-            lambda a=a, b=b: GF256.matmul_rows(mat, rows, outs, offset=a, length=b - a)
-            for a, b in bounds
-        ])
+        GF256.matmul_rows(mat, rows, outs)
         return outs
 
     def encode(self, data_shards: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -6,8 +6,8 @@ entire policy/runtime/directory stack behind the
 :mod:`repro.core.backend` interfaces:
 
 - :class:`LiveEngine` — asyncio-backed clock driving the same
-  generator-process model as the simulator, plus a worker pool for
-  GF(2^8) offload;
+  generator-process model as the simulator, with host compute
+  (digests, GF(2^8) kernel passes) run on the loop;
 - :class:`LiveTransport` — cooperative-yield transport with the
   simulator's transfer accounting (a modeled transfer takes no wall
   time);

@@ -156,8 +156,8 @@ class LiveCluster:
     ``policy_spec`` is a ``(name, options)`` pair (see
     :func:`~repro.core.policies.policy_from_spec`): shard processes cannot
     receive live policy objects, so every shard builds its own instance
-    from the spec.  ``live_kwargs`` (``max_workers``, ``tracing``,
-    ...) go unchanged to every shard's
+    from the spec.  ``live_kwargs`` (``time_scale``, ``tracing``) go
+    unchanged to every shard's
     :class:`~repro.live.service.LiveStagingService`.  Shards are forked
     where the platform can (cheap on Linux; the coordinator holds no event
     loop or server threads when spawning) and spawned elsewhere.

@@ -23,40 +23,32 @@ Key differences from the simulator:
   value directly when the flow ran to completion and nothing is pending.
   The deferred path — the microqueue — is what runs when an event has
   waiters, for detached process starts (background work must not
-  re-enter the policy code that spawns it), interrupts and offload
-  completions.
+  re-enter the policy code that spawns it) and interrupts.
   The budget is refilled only by a loop callback of the engine's own, so
   a handler that never awaits still yields to the selector once per
   ``soon_batch`` units.
-- ``offload(fn)`` runs host-side numeric work (GF(2^8) encode/decode
-  batches) on a :class:`~concurrent.futures.ThreadPoolExecutor` and
-  returns an :class:`~repro.sim.engine.Event` that fires on the loop when
-  the work completes; ``inline(fn)`` runs it on the loop and returns a
-  ready event.  :meth:`StagingRuntime.compute` yields on one or the other
-  in live mode, by size (see :mod:`repro.live.service`).
-- ``quiesce()`` awaits full drain (no scheduled actions, no in-flight
-  offloads) — the live analogue of ``Simulator.run()`` running the heap
-  dry — and re-raises any exception a detached background process died
-  with instead of letting it vanish into the loop's exception handler.
+- ``inline(fn)`` runs host-side numeric work (payload digests, GF(2^8)
+  kernel passes) on the loop and returns a ready event:
+  :meth:`StagingRuntime.compute` yields on it in live mode.  A staging
+  server is one process on one core; deployments scale by adding shard
+  processes (:mod:`repro.live.cluster`), not threads inside one.
+- ``quiesce()`` awaits full drain (no scheduled actions) — the live
+  analogue of ``Simulator.run()`` running the heap dry — and re-raises
+  any exception a detached background process died with instead of
+  letting it vanish into the loop's exception handler.
 
-Thread discipline: every engine method must be called on the loop thread
-(offload completion callbacks are marshalled back onto it), so all
-scheduler and directory state stays single-threaded exactly like the
-simulator; only the numeric payload work inside ``offload`` runs on
-worker threads.
+Thread discipline: every engine method must be called on the loop thread,
+so all scheduler and directory state stays single-threaded exactly like
+the simulator.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
-import os
-import threading
 import time
 import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Generator, Iterable
 
 from repro.obs.tracer import NULL_TRACER
@@ -82,13 +74,12 @@ class LiveProcessError(RuntimeError):
 class LiveEngine:
     """Asyncio-backed implementation of the :class:`repro.core.backend.Clock`."""
 
-    def __init__(self, max_workers: int | None = None):
+    def __init__(self):
         self.loop = asyncio.get_running_loop()
         self._t0 = time.monotonic()
-        # Scheduled-but-not-yet-executed actions (the microqueue) and
-        # in-flight offloads; quiescence is both counters at zero.
+        # Scheduled-but-not-yet-executed actions (the microqueue);
+        # quiescence is this counter at zero.
         self._pending = 0
-        self._offloads = 0
         # Zero-delay actions drain through one FIFO microqueue per loop
         # callback instead of one call_soon (and one selector round) each:
         # a put chains ~15 zero-delay events, and per-event loop iterations
@@ -108,32 +99,13 @@ class LiveEngine:
         self._budget = self.soon_batch
         # The boundary this engine moves work across, as monotonic counts:
         # events complete at their trigger vs. actions deferred to the
-        # microqueue; compute run on the loop vs. on a worker.
+        # microqueue; host compute calls (digests, kernel passes).
         self.events_ready = 0
         self.actions_scheduled = 0
-        self.offloads_inlined = 0
-        self.offloads_submitted = 0
+        self.compute_calls = 0
         self._quiesce_waiters: list[asyncio.Future] = []
         self.errors: list[BaseException] = []
         self._processes: weakref.WeakSet[Process] = weakref.WeakSet()
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-live"
-        )
-        # The CPUs this process may run on (its affinity mask, which
-        # ``os.cpu_count()`` ignores): where compute is placed follows
-        # from it, since a worker on the loop's only CPU never overlaps it.
-        try:
-            self.usable_cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity API on this platform
-            self.usable_cpus = os.cpu_count() or 1
-        # Separate pool for *leaf* codec tasks (column splits of one kernel
-        # pass).  Offloaded passes run on ``_executor`` workers and fan
-        # their splits out here; keeping the pools distinct means a pass
-        # can never deadlock waiting for splits behind other whole passes.
-        self.codec_workers = min(8, self.usable_cpus)
-        self._codec_executor = ThreadPoolExecutor(
-            max_workers=self.codec_workers, thread_name_prefix="repro-codec"
-        )
         # Wall-clock observability (off by default; the live service
         # installs a WallClockTracer and starts the watchdog).
         self.tracer = NULL_TRACER
@@ -229,12 +201,8 @@ class LiveEngine:
                 value, exc = None, thrown
 
     def peek(self) -> float:
-        """Time of the next scheduled action (inf when fully drained).
-
-        In-flight offloads count as imminent work: their completion event
-        is scheduled the moment the worker finishes.
-        """
-        if self._pending > 0 or self._offloads > 0:
+        """Time of the next scheduled action (inf when fully drained)."""
+        if self._pending > 0:
             return self.now
         return float("inf")
 
@@ -286,7 +254,7 @@ class LiveEngine:
         self._notify_if_drained()
 
     def _notify_if_drained(self) -> None:
-        if self._pending == 0 and self._offloads == 0 and self._quiesce_waiters:
+        if self._pending == 0 and self._quiesce_waiters:
             waiters, self._quiesce_waiters = self._quiesce_waiters, []
             for fut in waiters:
                 if not fut.done():
@@ -295,148 +263,30 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # live-only surface
     # ------------------------------------------------------------------
-    def offload(self, fn: Callable[[], Any], charge: str = "offload") -> Event:
-        """Run ``fn`` on a worker thread; the returned event fires on the loop.
-
-        ``charge`` names the attribution bucket the caller's wait on the
-        returned event is charged to, and the category of the worker-side
-        span when tracing is on.
-        """
-        if self._closed:
-            raise RuntimeError("offload on a closed LiveEngine")
-        ev = Event(self)
-        if self.tracer.enabled:
-            ev.charge = charge
-            # Snapshot the caller's context so the worker-side span lands
-            # under the flow span that requested the offload.
-            ctx = contextvars.copy_context()
-            work = fn
-
-            def _traced_work():
-                with self._compute_span(
-                    f"offload.{charge}", charge, thread=threading.get_ident()
-                ):
-                    return work()
-
-            fn = lambda: ctx.run(_traced_work)  # noqa: E731
-        self._offloads += 1
-        self.offloads_submitted += 1
-        fut = self.loop.run_in_executor(self._executor, fn)
-
-        def _done(f: asyncio.Future) -> None:
-            self._offloads -= 1
-            exc = f.exception()
-            if exc is not None:
-                ev.fail(exc)
-            else:
-                ev.succeed(f.result())
-
-        fut.add_done_callback(_done)
-        return ev
-
-    def inline(self, fn: Callable[[], Any], charge: str = "offload") -> Event:
+    def inline(self, fn: Callable[[], Any], charge: str) -> Event:
         """Run ``fn`` here, on the loop; the returned event is already complete.
 
-        For work cheaper than the hop to a worker.  With tracing on the
-        work still gets a span of category ``charge`` under the requesting
-        flow, and its time is charged to the request's ``charge`` bucket —
-        the flow never waits, so nothing else would book it.
+        With tracing on the work gets a span of category ``charge`` under
+        the requesting flow, and its time is charged to the request's
+        ``charge`` bucket — the flow never waits, so nothing else would
+        book it.
         """
-        self.offloads_inlined += 1
-        if not self.tracer.enabled:
-            return Event(self).succeed(fn())
-        try:
-            with self._compute_span(f"inline.{charge}", charge) as span:
-                result = fn()
-        finally:
-            self.tracer.charge(charge, span.duration)
-        return Event(self).succeed(result)
-
-    @contextlib.contextmanager
-    def _compute_span(self, name: str, charge: str, **attrs: Any):
-        """A span of category ``charge`` around host compute, current while it runs."""
+        self.compute_calls += 1
         tracer = self.tracer
-        span = tracer.begin(name, category=charge, **attrs)
+        if not tracer.enabled:
+            return Event(self).succeed(fn())
+        span = tracer.begin(f"inline.{charge}", category=charge)
         token = tracer.activate(span)
         try:
-            yield span
+            result = fn()
         except BaseException as exc:
             span.set(error=repr(exc))
             raise
         finally:
             tracer.deactivate(token)
             tracer.end(span)
-
-    def codec_map(self, tasks: list[Callable[[], None]]) -> None:
-        """Run one kernel pass's column-split tasks across the codec pool.
-
-        This is the :attr:`RSCode.parallel_map` hook for live deployments:
-        the codec layer hands over independent closures (each writing a
-        disjoint byte range), and they execute concurrently — the native
-        GF kernel releases the GIL for the duration of the C call, so the
-        splits genuinely overlap.  The first task runs inline on the
-        calling thread (usually an ``offload`` worker): only *leaf* tasks
-        ever enter the codec pool, so nested submission deadlock is
-        impossible, and a single-task pass costs no handoff at all.
-        Exceptions propagate to the caller after every task has finished
-        (no split is left half-written when a sibling fails).
-        """
-        tracer = self.tracer
-        pass_span = None
-        if tracer.enabled:
-            # One pass span + one span per column-split task.  The task
-            # spans carry explicit parents because codec-pool threads have
-            # no inherited context, and close on the exception path too, so
-            # a poisoned split never leaves an open span in the export.
-            pass_span = tracer.begin(
-                "codec.pass", category="codec", parent=tracer.current, tasks=len(tasks)
-            )
-
-            def run_task(index: int, task: Callable[[], None]) -> None:
-                span = tracer.begin(
-                    "codec.task",
-                    category="codec",
-                    parent=pass_span,
-                    index=index,
-                    thread=threading.get_ident(),
-                )
-                try:
-                    task()
-                except BaseException as exc:
-                    span.set(error=repr(exc))
-                    raise
-                finally:
-                    tracer.end(span)
-
-            tasks = [
-                lambda i=i, task=task: run_task(i, task) for i, task in enumerate(tasks)
-            ]
-        try:
-            if len(tasks) <= 1 or self._closed:
-                for task in tasks:
-                    task()
-                return
-            futs = [self._codec_executor.submit(task) for task in tasks[1:]]
-            first_exc: BaseException | None = None
-            try:
-                tasks[0]()
-            except BaseException as exc:
-                first_exc = exc
-            for fut in futs:
-                try:
-                    fut.result()
-                except BaseException as exc:
-                    if first_exc is None:
-                        first_exc = exc
-            if first_exc is not None:
-                raise first_exc
-        except BaseException as exc:
-            if pass_span is not None:
-                pass_span.set(error=repr(exc))
-            raise
-        finally:
-            if pass_span is not None:
-                tracer.end(pass_span)
+            tracer.charge(charge, span.duration)
+        return Event(self).succeed(result)
 
     def wait(self, event: Event) -> asyncio.Future:
         """Bridge a process-model event to an awaitable."""
@@ -468,29 +318,16 @@ class LiveEngine:
             raise proc._value
         return await self.wait(proc)
 
-    async def quiesce(self, settle_rounds: int = 2) -> None:
-        """Await full drain of scheduled work and offloads.
+    async def quiesce(self) -> None:
+        """Await full drain of scheduled work.
 
-        ``settle_rounds`` extra no-op loop passes absorb completions that
-        land exactly at the drain edge (an offload finishing between the
-        counter check and the waiter registration).  Raises
-        :class:`LiveProcessError` if any detached process crashed since
-        the previous drain.
+        Raises :class:`LiveProcessError` if any detached process crashed
+        since the previous drain.
         """
-        while True:
-            if self._pending == 0 and self._offloads == 0:
-                settled = True
-                for _ in range(settle_rounds):
-                    await asyncio.sleep(0)
-                    if self._pending or self._offloads:
-                        settled = False
-                        break
-                if settled:
-                    break
-            else:
-                fut = self.loop.create_future()
-                self._quiesce_waiters.append(fut)
-                await fut
+        while self._pending:
+            fut = self.loop.create_future()
+            self._quiesce_waiters.append(fut)
+            await fut
         if self.errors:
             errors, self.errors = list(self.errors), []
             raise LiveProcessError(errors)
@@ -502,20 +339,6 @@ class LiveEngine:
     def microqueue_depth(self) -> int:
         """Zero-delay actions waiting in the drain queue."""
         return len(self._soon)
-
-    @property
-    def pool_queue_depth(self) -> int:
-        """Offload work items queued behind busy worker threads."""
-        return self._executor._work_queue.qsize()
-
-    @property
-    def codec_queue_depth(self) -> int:
-        """Column-split tasks queued behind busy codec-pool threads."""
-        return self._codec_executor._work_queue.qsize()
-
-    @property
-    def offloads_inflight(self) -> int:
-        return self._offloads
 
     def start_watchdog(self, interval: float = 0.05, histogram=None) -> None:
         """Start the event-loop lag sampler (idempotent).
@@ -566,5 +389,3 @@ class LiveEngine:
         if not self._closed:
             self._closed = True
             self.stop_watchdog()
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._codec_executor.shutdown(wait=True, cancel_futures=True)

@@ -7,9 +7,8 @@ socket (:class:`_SocketStream`: every part of a frame is received into
 the one buffer it stays in), dispatches them on the shared service, and
 sends the response back with vectored ``sendmsg``.  Frames on one
 connection execute in order (a client's pipeline is FIFO); different
-connections run concurrently on the event loop — which is exactly where
-the live backend's parallelism comes from: while one request's encode
-runs on a worker thread, the loop serves other clients.
+connections run concurrently on the event loop: while one request waits
+(a lock grant, a background stripe), the loop serves other clients.
 
 ``serve_in_thread`` runs the whole stack (loop + service + server) on a
 dedicated thread and hands back a handle with the bound port — the shape
@@ -388,7 +387,7 @@ class _RequestTrace:
     ``attrs["remote_parent"]`` (remote span ids never masquerade as
     local parent links).  The span is installed as the handler task's
     current scope, so every flow span the dispatch spawns — put/get
-    roots, offload and codec-pool spans — parents under it through the
+    roots, digest and codec spans — parents under it through the
     contextvar, forming one tree per request.
 
     Attribution: flow waits charge the request sink (classified by the
@@ -567,9 +566,9 @@ def serve_in_thread(
 ) -> ServerHandle:
     """Run a live staging server on a dedicated thread; returns its handle.
 
-    ``live_kwargs`` (``max_workers``, ``tracing``, ...) go
-    unchanged to :class:`LiveStagingService`.  ``tracing=True`` gives the
-    service a wall-clock tracer (distributed span trees, per-request
+    ``live_kwargs`` (``time_scale``, ``tracing``) go unchanged to
+    :class:`LiveStagingService`.  ``tracing=True`` gives the service a
+    wall-clock tracer (distributed span trees, per-request
     attribution, loop-lag watchdog); read the results through
     ``handle.live`` after ``handle.stop()``.
     """

@@ -8,22 +8,12 @@ client API as coroutines.  Every generator flow (put/get, stripe
 formation, recovery sweeps) runs unchanged; what changes is who drives
 it: asyncio tasks on the wall clock instead of a virtual-time heap.
 
-Host compute (payload digests, GF(2^8) encode/decode batches) reaches the
-engine through :meth:`StagingRuntime.compute`, which names the bytes the
-work passes over.  Work on fewer than :data:`INLINE_COMPUTE_BYTES` runs on
-the loop — the hop to a worker costs more than the work; everything else
-is offloaded to the engine's worker pool and runs **lock-free**: the
-codec layer is thread-safe (locked decode-matrix cache, condition-guarded
-coding batch, thread-local scratch pools), so concurrent offloads
-genuinely overlap.  On top of that, each large kernel pass is
-stripe-parallel — ``RSCode.parallel_map`` is wired to
-:meth:`LiveEngine.codec_map`, which fans the pass's column splits across
-a dedicated codec worker pool.
-
-Both rest on a second CPU.  A process whose affinity mask holds one
-(``LiveEngine.usable_cpus``) runs every pass on the loop, unsplit: a
-worker there only takes turns with the loop, and a split is the serial
-pass plus handoffs.
+Host compute (payload digests, GF(2^8) kernel passes) reaches the engine
+through :meth:`StagingRuntime.compute` and runs on the loop, in the flow
+that asked for it (:meth:`LiveEngine.inline`), whatever its size and
+however many CPUs the host has.  A staging server is one process on one
+core, as in the paper's deployments; more cores mean more shard processes
+(:class:`~repro.live.cluster.LiveCluster`), not worker threads in one.
 """
 
 from __future__ import annotations
@@ -40,27 +30,7 @@ from repro.obs.wallclock import WallClockTracer
 from repro.staging.domain import BBox
 from repro.staging.service import StagingConfig, StagingService
 
-__all__ = ["LiveStagingService", "INLINE_COMPUTE_BYTES"]
-
-#: Compute over fewer input bytes than this runs inline on the event loop.
-#: It is the measured cost of the worker hop (submit, wake, completion
-#: callback, microqueue resume) expressed as work of the slowest per-byte
-#: kernel a flow offloads.  The hop: 47 us in an otherwise idle process on
-#: one core (a flow with one offload 60 us, with one inline 12 us), ~80 us
-#: with a client thread competing for the interpreter.  The kernels, in ns
-#: per input byte named to ``compute`` at 64 KiB / 256 KiB / 1 MiB / 2 MiB
-#: (native kernel, one core of a 2-vCPU x86-64 with AVX2 and PCLMULQDQ):
-#: ``payload_digest`` (CRC-32, native fold) 0.09 / 0.06 / 0.05 / 0.05,
-#: RS(3,1) ``encode`` 0.25 / 0.09 / 0.06 / 0.06, ``reconstruct_shard``
-#: 0.27 / 0.11 / 0.06 / 0.06 (``decode``, which no flow offloads,
-#: 0.44 / 0.20 / 0.36 / 0.47).  At a MiB and up all three cost about
-#: 0.06 ns/B, so the hop is worth 0.7-1.4 MiB of any of them; the constant
-#: is the power of two above that.  A 1 MiB block's digest (~55 us, no
-#: more than the hop) stays on the loop; every k x 1 MiB kernel pass
-#: (k >= 2) goes to a worker - where the process may use a second CPU.
-#: On one, nothing does: the worker cannot run beside the loop, so the hop
-#: (and a column split on top of it) is pure overhead.
-INLINE_COMPUTE_BYTES = 2 * 1024 * 1024
+__all__ = ["LiveStagingService"]
 
 
 class LiveStagingService:
@@ -75,16 +45,15 @@ class LiveStagingService:
         config: StagingConfig,
         policy,
         time_scale: float = 0.0,
-        max_workers: int | None = None,
         tracing: bool = False,
     ):
         # The wall clock runs at one rate: a modeled delay takes no time.
         if time_scale != 0.0:
             raise ValueError(f"time_scale must be 0.0, got {time_scale}")
-        self.engine = LiveEngine(max_workers=max_workers)
+        self.engine = LiveEngine()
         # Wall-clock tracing: the injected tracer replaces the sim-time
         # Tracer the StagingService would build, so put/get flows, the
-        # runtime's leaf instrumentation and the engine's offload/codec
+        # runtime's leaf instrumentation and the engine's digest/codec
         # spans all land in one wall-clock span tree.  `config.tracing`
         # opts in too, for callers that only hold a StagingConfig.
         self.tracing = bool(tracing or config.tracing)
@@ -96,14 +65,7 @@ class LiveStagingService:
         if self.tracer is None:
             self.tracer = self.service.tracer  # NULL_TRACER
         self.engine.tracer = self.tracer
-        self.service.runtime.compute_offload = self._place_compute
-        # Stripe-parallel kernel passes: large encodes/decodes split by
-        # column range across the engine's codec pool.  Byte-identical
-        # to serial (columns are independent), so sim-vs-live
-        # conformance is unaffected.  With one codec thread a split is
-        # the serial pass plus handoffs, so then there is none.
-        if self.engine.codec_workers > 1:
-            self.service.codec.code.parallel_map = self.engine.codec_map
+        self.service.runtime.compute_hook = self.engine.inline
         self._register_live_gauges()
         if self.tracing:
             self.engine.start_watchdog(
@@ -115,28 +77,17 @@ class LiveStagingService:
         from repro.live import protocol
 
         reg = self.service.metrics.registry
-        code = self.service.codec.code
         engine = self.engine
-        code.parallel_stats.register_gauges(reg, "codec.parallel")
         protocol.PROTO_STATS.register_gauges(reg, "protocol")
-        # Continuous saturation signals for the data plane: worker-pool
-        # backlogs, the zero-delay microqueue, in-flight offloads and the
-        # watchdog's event-loop lag readings.
-        reg.gauge("live.pool.queue_depth", lambda: engine.pool_queue_depth)
-        reg.gauge("live.codec_pool.queue_depth", lambda: engine.codec_queue_depth)
+        # Continuous saturation signals for the data plane: the zero-delay
+        # microqueue, the engine's boundary counts and the watchdog's
+        # event-loop lag readings.
         reg.gauge("live.microqueue.depth", lambda: engine.microqueue_depth)
         reg.gauge("live.events.ready_total", lambda: engine.events_ready)
         reg.gauge("live.events.scheduled_total", lambda: engine.actions_scheduled)
-        reg.gauge("live.offloads.inlined_total", lambda: engine.offloads_inlined)
-        reg.gauge("live.offloads.submitted_total", lambda: engine.offloads_submitted)
-        reg.gauge("live.offloads.inflight", lambda: engine.offloads_inflight)
+        reg.gauge("live.compute.calls_total", lambda: engine.compute_calls)
         reg.gauge("live.loop.lag_last_s", lambda: engine.loop_lag_s)
         reg.gauge("live.loop.lag_max_s", lambda: engine.loop_lag_max_s)
-
-    def _place_compute(self, fn, nbytes: int, category: str):
-        if nbytes < INLINE_COMPUTE_BYTES or self.engine.usable_cpus == 1:
-            return self.engine.inline(fn, charge=category)
-        return self.engine.offload(fn, charge=category)
 
     # ------------------------------------------------------------------
     # convenience passthroughs
@@ -224,7 +175,7 @@ class LiveStagingService:
         await self.engine.run_process(self.service.flush(), name="flush")
 
     async def quiesce(self) -> None:
-        """Drain all scheduled work, background protection and offloads."""
+        """Drain all scheduled work and background protection."""
         await self.engine.quiesce()
 
     # ------------------------------------------------------------------

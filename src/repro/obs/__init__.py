@@ -11,13 +11,13 @@ in aggregate:
   so traced and untraced runs execute the identical simulation.
 - :mod:`repro.obs.wallclock` — the same span model stamped on
   ``time.monotonic_ns`` for the live backend, with contextvar-based
-  scoping (correct across asyncio tasks and worker threads), distributed
+  scoping (correct across asyncio tasks and threads), distributed
   trace ids carried through the live protocol, and per-request latency
   attribution (microqueue wait, codec, lock hold, socket I/O, ...).
 - :mod:`repro.obs.registry` — one registry of counters, gauges and
   fixed-bucket histograms (p50/p95/p99/max) that the metrics layer, the
   storage accountant and the codec caches publish into; plus
-  :class:`StatCounters` for stats incremented from worker threads.
+  :class:`StatCounters` for stats incremented from several threads.
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   ``chrome://tracing`` / Perfetto), JSONL span/event dumps, flat metrics
   snapshots, and Prometheus text exposition (``write_trace_dir``: all of

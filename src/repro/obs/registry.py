@@ -71,12 +71,11 @@ class Gauge:
 class StatCounters(Mapping):
     """A fixed family of counters safe to increment from any thread.
 
-    Drop-in replacement for the plain-dict stat globals (`PROTO_STATS`,
-    ``RSCode.parallel_stats``) whose ``d[k] += 1`` read-modify-write
-    raced across client threads and codec-pool workers.  Reads keep the
-    dict interface (``stats["passes"]``, ``dict(stats)``) so existing
-    call sites and benchmarks work unchanged; all mutation goes through
-    :meth:`inc` under a lock.
+    Drop-in replacement for a plain-dict stat global (``PROTO_STATS``)
+    whose ``d[k] += 1`` read-modify-write raced across client threads.
+    Reads keep the dict interface (``stats["passes"]``, ``dict(stats)``)
+    so existing call sites and benchmarks work unchanged; all mutation
+    goes through :meth:`inc` under a lock.
     """
 
     __slots__ = ("_lock", "_values")
@@ -224,10 +223,10 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         # Guards registry *structure* (creation, name iteration) against
-        # concurrent access from the live backend's worker threads.  The
-        # metrics themselves stay lock-free: counters/histograms are only
-        # mutated from the owning (loop) thread, gauges read racy-but-
-        # atomic values.
+        # concurrent access from other threads (a caller reading a
+        # ``serve_in_thread`` server's registry).  The metrics themselves
+        # stay lock-free: counters/histograms are only mutated from the
+        # owning (loop) thread, gauges read racy-but-atomic values.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -4,8 +4,8 @@
 live data plane: same :class:`Span` tree, same exporters, but timestamps
 come from ``time.monotonic_ns`` (as seconds since the tracer's epoch) and
 the dynamic scope is tracked in a :mod:`contextvars` variable so parent
-attribution stays correct across asyncio tasks *and* worker-pool threads
-— the two places the sim tracer's single "current span" attribute would
+attribution stays correct across asyncio tasks *and* threads — the two
+places the sim tracer's single "current span" attribute would
 leak scopes between concurrent requests.
 
 Distributed traces
@@ -24,12 +24,11 @@ Per-request latency attribution
 the current request (:meth:`push_attribution`).  :meth:`traced` charges
 every wait a flow performs, classified by what it yielded on
 (``queue_wait`` for scheduling through the engine's microqueue,
-``lock_wait`` for resource grants, ``codec``/``digest`` for
-offloaded compute — events carry a ``charge`` tag where the default
-classification is wrong).  An event that is already complete when the
-flow yields it is no wait — the live engine resumes the flow in place —
-and is not timed; compute the engine runs inline is no wait either and
-is charged by :meth:`LiveEngine.inline` from its own span.  Waits are
+``lock_wait`` for resource grants — events carry a ``charge`` tag where
+the default classification is wrong).  An event that is already complete
+when the flow yields it is no wait — the live engine resumes the flow in
+place — and is not timed; host compute (``codec``, ``digest``) is no wait
+either and is charged by :meth:`LiveEngine.inline` from its own span.  Waits are
 charged exactly once even when traced flows nest (the outermost wrapper
 claims the item for the duration of the resume call-stack), so a
 request's charges are non-overlapping segments of its wall time
@@ -61,9 +60,8 @@ __all__ = ["WallSpan", "WallClockTracer", "WAIT_CATEGORIES"]
 WAIT_CATEGORIES = (
     "queue_wait",   # scheduling through the engine microqueue
     "lock_wait",    # entity/stripe resource grants
-    "codec",        # GF(2^8) kernel passes: worker wait, or inline span
-    "digest",       # payload hashing: worker wait, or inline span
-    "offload",      # other worker-pool waits
+    "codec",        # GF(2^8) kernel passes (LiveEngine.inline's span)
+    "digest",       # payload hashing (LiveEngine.inline's span)
     "fanout_wait",  # condition events (AllOf/AnyOf)
     "event_wait",   # any other event
 )
@@ -212,7 +210,7 @@ class WallClockTracer(Tracer):
         """Drive ``gen`` under a span, charging each wait it performs.
 
         Scope save/restore uses the contextvar, so interleaved flows on
-        the loop thread and spans opened from worker threads both see the
+        the loop thread and spans opened from other threads both see the
         right parent.  Wait charging claims the yielded item for the
         duration of the resume call-stack, so nested ``traced`` wrappers
         (outer flow ``yield from`` an inner traced flow) charge each wait

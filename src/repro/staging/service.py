@@ -324,13 +324,9 @@ class StagingService:
         is_new = ent.version < 0
         prev_bytes = ent.nbytes if not is_new else 0
         payload = self._block_payload(ent.name, ent.block_id, ent.version + 1, region, data)
-        # Digest is a pure function of the payload; on the live backend a
-        # large one runs lock-free on a worker (zlib releases the GIL),
-        # keeping the checksum off the event loop.  The entity lock is held, so
-        # the write is still recorded before any later op on this entity.
-        digest = yield from self.runtime.compute(
-            lambda: payload_digest(payload), int(payload.size), category="digest"
-        )
+        # The entity lock is held, so the write is recorded before any
+        # later op on this entity.
+        digest = yield from self.runtime.compute(lambda: payload_digest(payload), "digest")
         ent.record_write(self.sim.now, self.step, int(payload.size), digest)
         self.metrics.storage.original += int(payload.size) - prev_bytes
         if self.config.async_protection:
@@ -423,9 +419,7 @@ class StagingService:
             ent, client_name, repair=self.policy.repair_on_access
         )
         if verify:
-            digest = yield from self.runtime.compute(
-                lambda: payload_digest(payload), int(payload.size), category="digest"
-            )
+            digest = yield from self.runtime.compute(lambda: payload_digest(payload), "digest")
             if digest != ent.digest:
                 self.read_errors += 1
                 raise DataLossError(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -30,17 +28,6 @@ def small_config(**overrides) -> StagingConfig:
     )
     defaults.update(overrides)
     return StagingConfig(**defaults)
-
-
-def pin_usable_cpus(monkeypatch, n: int) -> None:
-    """Make live engines built from here on see ``n`` usable CPUs.
-
-    ``LiveEngine`` places compute from its process's affinity mask: with one
-    CPU every pass runs on the loop, unsplit.  Tests that pin a hop or a
-    column split name the CPU count they pin it for, so they hold under
-    ``taskset`` as on the full host.
-    """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def make_service(policy_name: str = "corec", **overrides) -> StagingService:

@@ -1,12 +1,12 @@
-"""Stripe-parallel codec passes are byte-identical to serial ones.
+"""Codec passes run concurrently on one codec are byte-identical to serial ones.
 
-``RSCode.parallel_map`` splits large kernel products into column-range
-tasks.  Columns of a GF(2^8) matrix product are independent, so any
-split must reproduce the serial bytes exactly — for every registered
-kernel, the native kernel (when loaded), every worker count, and the
-awkward shapes (zero-length shards, lengths that are not multiples of
-k or of the 4 KiB split alignment).  The ``*_batch_*`` tests push a
-batch of stripes through the codec one ``encode`` / ``decode`` call each.
+One ``RSCode`` shared by several threads must give every caller the bytes
+a lone caller gets: the decode-matrix and reconstruction-row caches are
+locked and the kernel scratch is thread-local.  Each test pushes a batch
+of stripes through a thread pool, one ``encode`` / ``decode`` /
+``reconstruct_shard`` call per task — for every registered kernel, the
+native kernel (when loaded), every worker count, and the awkward shapes
+(zero-length shards, lengths that are not multiples of k or of 4 KiB).
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.erasure.gf256 import GF256
 from repro.erasure.reedsolomon import RSCode, StripeCodec
-
-COMMON = dict(deadline=None, derandomize=True)
 
 # Kernels to exercise: every pure-numpy kernel (with the native kernel
 # masked off so the stacked path runs) plus the native pointer path.
@@ -31,27 +28,15 @@ if GF256.native_kernel() is not None:
     KERNEL_CASES.append(("native", True))
 
 
-def _make_parallel(code: RSCode, pool_map, max_tasks: int = 8) -> None:
-    """Force column splits on small payloads so tests stay fast."""
-    code.parallel_map = pool_map
-    code.parallel_min_bytes = 1
-    code.parallel_chunk_bytes = 4096
-    code.parallel_max_tasks = max_tasks
-
-
-def _pool_map(workers: int):
-    def run(tasks):
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for fut in [ex.submit(t) for t in tasks]:
-                fut.result()
-
-    return run
+def _concurrently(workers: int, fn, jobs) -> list:
+    """``fn`` over ``jobs`` on a ``workers``-thread pool, results in order."""
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, jobs))
 
 
 def _random_stripes(rng, k: int, n_stripes: int) -> list[list[np.ndarray]]:
     stripes = []
     for _ in range(n_stripes):
-        # Mix of lengths: big enough to split, plus tiny/empty tails.
         length = int(rng.choice([0, 1, 4097, 20000, 40001]))
         stripes.append(
             [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
@@ -72,12 +57,9 @@ def test_parallel_encode_batch_matches_serial(
         GF256.set_kernel(kernel)
     try:
         serial = list(map(RSCode(k, m).encode, stripes))
-        par_code = RSCode(k, m)
-        _make_parallel(par_code, _pool_map(workers))
-        parallel = [par_code.encode(s) for s in stripes]
+        parallel = _concurrently(workers, RSCode(k, m).encode, stripes)
     finally:
         GF256.set_kernel(None)
-    assert par_code.parallel_stats["passes"] >= 1
     for want, got in zip(serial, parallel):
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
@@ -102,9 +84,7 @@ def test_parallel_decode_batch_matches_serial(
         GF256.set_kernel(kernel)
     try:
         serial = list(map(RSCode(k, m).decode, jobs))
-        par_code = RSCode(k, m)
-        _make_parallel(par_code, _pool_map(workers))
-        parallel = [par_code.decode(j) for j in jobs]
+        parallel = _concurrently(workers, RSCode(k, m).decode, jobs)
     finally:
         GF256.set_kernel(None)
     for want, got in zip(serial, parallel):
@@ -125,9 +105,7 @@ def test_parallel_encode_objects_batch_matches_serial(workers):
             [rng.integers(0, 256, size=int(n), dtype=np.uint8) for n in lengths]
         )
     serial = list(map(StripeCodec(k, m).encode_objects, groups))
-    par = StripeCodec(k, m)
-    _make_parallel(par.code, _pool_map(workers))
-    parallel = [par.encode_objects(g) for g in groups]
+    parallel = _concurrently(workers, StripeCodec(k, m).encode_objects, groups)
     for want, got in zip(serial, parallel):
         assert want.lengths == got.lengths
         for a, b in zip(want.shards, got.shards):
@@ -142,67 +120,11 @@ def test_parallel_reconstruct_shard_matches_serial(workers):
     code = RSCode(k, m)
     shards = data + code.encode(data)
     par = RSCode(k, m)
-    _make_parallel(par, _pool_map(workers))
-    for target in range(k + m):
+
+    def rebuild(target: int) -> np.ndarray:
         present = {i: shards[i] for i in range(k + m) if i != target}
-        got = par.reconstruct_shard(present, target)
-        assert np.array_equal(shards[target], got)
+        return par.reconstruct_shard(present, target)
 
-
-@settings(max_examples=15, **COMMON)
-@given(
-    st.integers(2, 6),
-    st.integers(1, 3),
-    st.integers(1, 8),
-    st.integers(0, 2**32 - 1),
-)
-def test_parallel_split_property(k, m, workers, seed):
-    """Random shapes: the split never changes a byte, pass counters move."""
-    rng = np.random.default_rng(seed)
-    n_stripes = int(rng.integers(1, 4))
-    stripes = []
-    for _ in range(n_stripes):
-        length = int(rng.integers(1, 50000))
-        stripes.append(
-            [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
-        )
-    serial = list(map(RSCode(k, m).encode, stripes))
-    par = RSCode(k, m)
-    _make_parallel(par, _pool_map(workers))
-    parallel = [par.encode(s) for s in stripes]
-    stats = par.parallel_stats
-    assert stats["passes"] + stats["serial_passes"] >= 1
-    for want, got in zip(serial, parallel):
-        for a, b in zip(want, got):
-            assert np.array_equal(a, b)
-
-
-def test_parallel_task_exception_propagates():
-    """A worker failure must surface, not silently corrupt the pass."""
-    k, m = 2, 1
-    code = RSCode(k, m)
-
-    def broken_map(tasks):
-        raise RuntimeError("codec pool down")
-
-    _make_parallel(code, broken_map)
-    data = [(np.arange(20000) % 256).astype(np.uint8) for _ in range(k)]
-    with pytest.raises(RuntimeError, match="codec pool down"):
-        code.encode(data)
-
-
-def test_serial_below_threshold():
-    """Small products never fan out (the split overhead would dominate)."""
-    code = RSCode(3, 2)
-    calls = []
-
-    def spy_map(tasks):
-        calls.append(len(tasks))
-        for t in tasks:
-            t()
-
-    code.parallel_map = spy_map  # thresholds left at defaults
-    data = [(np.arange(512) % 256).astype(np.uint8) for _ in range(3)]
-    code.encode(data)
-    assert calls == []  # under parallel_min_bytes -> single inline task
-    assert code.parallel_stats["serial_passes"] >= 1
+    got = _concurrently(workers, rebuild, range(k + m))
+    for target in range(k + m):
+        assert np.array_equal(shards[target], got[target])

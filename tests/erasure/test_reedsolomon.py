@@ -468,13 +468,12 @@ class TestDecodeCache:
 
 @pytest.mark.parametrize("kernel", ["table", "reference"])
 def test_numpy_kernels_through_the_rows_entry_point(kernel):
-    """Encode -> decode -> reconstruct on the fallback kernels, split raggedly.
+    """Encode -> decode -> reconstruct on the fallback kernels, then ragged ranges.
 
     The expected bytes come from the kernel the selection rule picks (native
     when it loaded), so this is also the native-vs-numpy byte comparison.
-    Odd k, and a shard length that leaves the 4 KiB-aligned column split a
-    1809-byte tail; the direct ``matmul_rows`` calls use ranges aligned to
-    nothing at all.
+    Odd k and an odd shard length; the direct ``matmul_rows`` calls use
+    column ranges aligned to nothing at all.
     """
     k, m, length = 5, 3, 10001
     rng = np.random.default_rng(k * m)
@@ -484,13 +483,7 @@ def test_numpy_kernels_through_the_rows_entry_point(kernel):
     shards = data + want_parity
     survivors = {i: shards[i] for i in range(k + m) if i not in (0, 3, 6)}
 
-    def run_inline(tasks):
-        for task in tasks:
-            task()
-
     code = RSCode(k, m)
-    code.parallel_map = run_inline
-    code.parallel_min_bytes, code.parallel_chunk_bytes = 1, 4096
     GF256.set_kernel(kernel)
     GF256.reset_kernel_stats()
     try:
@@ -504,8 +497,7 @@ def test_numpy_kernels_through_the_rows_entry_point(kernel):
         assert GF256.KERNEL_STATS[kernel] == passes
     finally:
         GF256.set_kernel(None)
-    assert code.parallel_stats["passes"] == 5  # every RSCode product fanned out
-    assert passes == 5 * 3 + 4  # three column ranges each, plus the direct calls
+    assert passes == 5 + 4  # one per RSCode product, plus the direct calls
     for got in (parity, ranged):
         assert all(np.array_equal(w, g) for w, g in zip(want_parity, got))
     assert all(np.array_equal(w, g) for w, g in zip(data, decoded))

@@ -12,10 +12,20 @@ policies, same decisions, same bytes.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.policies import policy_from_spec
+from repro.live import LiveClient, serve_in_thread
 from repro.live.conformance import WORKLOADS, build_tape, run
-from repro.staging.service import diff_projections, projection_sha256
+from repro.staging.service import (
+    StagingConfig,
+    build_geometry,
+    diff_projections,
+    projection_sha256,
+)
+from repro.workloads.capture import Tape, config_meta
+from repro.workloads.load import apply_op
 
 # Sim-backend projection digest, non-quiesce op count and read-digest
 # count of each spec, measured at the commit before specs became tape
@@ -50,16 +60,66 @@ def test_live_runs_are_deterministic():
     assert reads_a == reads_b
 
 
-def test_offload_choice_does_not_change_state(monkeypatch):
-    """Worker-pool codec offload must be invisible to the state machine."""
-    spec = WORKLOADS["failure-and-recover"]
-    # The tape's 4 KiB objects sit under the inline threshold: all on the loop.
-    proj_inline, reads_inline = run(spec, "live")
-    # Threshold 0: every digest, encode and reconstruct hops to a worker.
-    monkeypatch.setattr("repro.live.service.INLINE_COMPUTE_BYTES", 0)
-    proj_pool, reads_pool = run(spec, "live")
-    assert diff_projections(proj_inline, proj_pool) == []
-    assert reads_inline == reads_pool
+def mebibyte_corec_tape() -> tuple[StagingConfig, tuple, Tape]:
+    """Sixteen 1 MiB blocks under CoREC's storage bound, no drain between ops.
+
+    Every first write is cold, so the warm-up demotes: k x 1 MiB stripe
+    encodes run while the puts behind them read the storage accounting
+    (``_enforce_storage_bound``).  Then put/get pairs on random blocks.
+    """
+    config = StagingConfig(
+        n_servers=8,
+        domain_shape=(256, 256, 256),
+        element_bytes=1,
+        object_max_bytes=1 << 20,
+        seed=1,
+    )
+    policy = ("corec", {"storage_bound": 0.67})
+    domain = build_geometry(config)[1]
+    tape = Tape(meta={"config": config_meta(config), "policy": list(policy)})
+
+    def emit(op: str, block: int | None = None) -> None:
+        fields = {}
+        if block is not None:
+            box = domain.block_bbox(block)
+            fields = dict(var="field", lb=box.lb, ub=box.ub)
+        tape.record(0.0, op, "w", **fields)
+
+    rng = np.random.default_rng(1)
+    for block in rng.permutation(domain.n_blocks):
+        emit("put", int(block))
+    emit("step")
+    emit("quiesce")
+    for block in rng.integers(0, domain.n_blocks, size=16):
+        emit("put", int(block))
+        emit("get", int(block))
+    emit("step")
+    emit("flush")
+    emit("quiesce")
+    return config, policy, tape
+
+
+def test_demotion_encodes_complete_in_op_order():
+    """One tape on the live server, five times: one outcome.
+
+    A demotion's stripe encode runs on the loop inside the flow that
+    spawned it, so it lands before the next op is read, on any host; no
+    put can read the storage accounting while an encode is in flight.
+    """
+    config, policy, tape = mebibyte_corec_tape()
+    outcomes = []
+    for _ in range(5):
+        handle = serve_in_thread(config, lambda: policy_from_spec(policy, seed=config.seed))
+        try:
+            with LiveClient(handle.host, handle.port, name="w") as client:
+                for op in tape.ops:
+                    apply_op(client, op)
+        finally:
+            handle.stop()
+        live = handle.live
+        outcomes.append((live.metrics.counters["stripe_encodes"], live.storage_report()))
+    assert outcomes[0][0] >= 4  # demotions encoded stripes: the case tests something
+    assert outcomes == [outcomes[0]] * 5
 
 
 def test_workloads_are_not_vacuous():

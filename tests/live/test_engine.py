@@ -68,45 +68,6 @@ def test_now_is_monotonic_wall_clock():
     run(main())
 
 
-def test_offload_runs_off_the_loop_thread():
-    async def main():
-        eng = LiveEngine()
-        try:
-            loop_thread = threading.get_ident()
-
-            def flow():
-                worker = yield eng.offload(threading.get_ident)
-                return worker
-
-            worker_thread = await eng.run_process(flow())
-            assert worker_thread != loop_thread
-        finally:
-            eng.close()
-
-    run(main())
-
-
-def test_offload_exception_propagates_into_process():
-    async def main():
-        eng = LiveEngine()
-        try:
-            def boom():
-                raise ValueError("kernel exploded")
-
-            def flow():
-                try:
-                    yield eng.offload(boom)
-                except ValueError as exc:
-                    return f"caught {exc}"
-                return "not raised"
-
-            assert await eng.run_process(flow()) == "caught kernel exploded"
-        finally:
-            eng.close()
-
-    run(main())
-
-
 def test_detached_crash_surfaces_at_quiesce():
     async def main():
         eng = LiveEngine()
@@ -207,16 +168,6 @@ def test_sync_run_is_rejected():
                 eng.run()
         finally:
             eng.close()
-
-    run(main())
-
-
-def test_offload_after_close_is_rejected():
-    async def main():
-        eng = LiveEngine()
-        eng.close()
-        with pytest.raises(RuntimeError):
-            eng.offload(lambda: None)
 
     run(main())
 
@@ -606,15 +557,15 @@ def test_inline_compute_returns_a_ready_event_and_raises_in_place():
         loop_thread = threading.get_ident()
 
         def flow():
-            where = yield eng.inline(threading.get_ident)
+            where = yield eng.inline(threading.get_ident, "codec")
             try:
-                yield eng.inline(lambda: 1 // 0)
+                yield eng.inline(lambda: 1 // 0, "codec")
             except ZeroDivisionError:
                 return where
             return None
 
         assert await eng.run_process(flow()) == loop_thread
-        assert (eng.offloads_inlined, eng.offloads_submitted) == (2, 0)
+        assert eng.compute_calls == 2
 
     with_engine(body)
 

@@ -1,8 +1,8 @@
-"""Operation counts of one live request: what the engine schedules and hops.
+"""Operation counts of one live request: what the engine schedules and computes.
 
 The ``repro.scaling`` discipline applied to the live control plane: wall
 time on a shared one-core box proves nothing, but the number of actions a
-request defers to the microqueue and the number of worker-pool hops it
+request defers to the microqueue and the number of host compute calls it
 makes repeat exactly, so they are pinned as counts.  Everything runs
 in-process on one loop (no socket), after a warm step so entities, locks
 and stripes exist and every put is a rewrite.
@@ -18,11 +18,11 @@ import pytest
 from repro import CoRECConfig, CoRECPolicy, ErasurePolicy
 from repro.core.recovery import RecoveryConfig
 from repro.erasure.gf256 import GF256
-from repro.live.service import INLINE_COMPUTE_BYTES, LiveStagingService
+from repro.live.service import LiveStagingService
 from repro.staging.objects import ResilienceState
 from repro.staging.service import StagingConfig
 
-from tests.conftest import pin_usable_cpus, small_config
+from tests.conftest import small_config
 
 
 class Deployment:
@@ -50,12 +50,12 @@ class Deployment:
         await self.live.end_step()
         await self.live.quiesce()
 
-    def counts(self) -> tuple[int, int, int]:
+    def counts(self) -> tuple[int, int]:
         eng = self.engine
-        return eng.actions_scheduled, eng.offloads_submitted, eng.offloads_inlined
+        return eng.actions_scheduled, eng.compute_calls
 
-    async def cost(self, op) -> tuple[int, int, int]:
-        """(scheduled actions, worker hops, inline computes) of ``await op``."""
+    async def cost(self, op) -> tuple[int, int]:
+        """(scheduled actions, compute calls) of ``await op``."""
         before = self.counts()
         await op
         return tuple(b - a for a, b in zip(before, self.counts()))
@@ -91,8 +91,8 @@ def test_small_rewrite_put_schedules_at_most_six_actions_and_no_hop():
             costs = [
                 await dep.cost(dep.live.put("w", "v", dep.boxes[b], dep.data)) for b in chosen
             ]
-            # (scheduled actions, worker hops, inline computes: the digest)
-            assert costs == [(actions, 0, 1)] * 4, costs
+            # (scheduled actions, compute calls: the digest)
+            assert costs == [(actions, 1)] * 4, costs
 
     run(body)
 
@@ -104,7 +104,7 @@ def test_small_verified_get_schedules_at_most_five_actions_and_no_hop():
         costs = [
             await dep.cost(dep.live.get("r", "v", box, True)) for box in dep.boxes[:8]
         ]
-        assert costs == [(0, 0, 1)] * 8  # the one inline compute is the verify digest
+        assert costs == [(0, 1)] * 8  # the one compute call is the verify digest
 
     run(body)
 
@@ -134,7 +134,7 @@ def test_a_put_that_spawns_a_demotion_acks_after_the_demotions_first_step():
         process = eng.process
         eng.process = lambda gen, name="": process(announced(gen, name), name)
         for b in blocks:
-            scheduled, _, _ = await dep.cost(live.put("w", "v", dep.boxes[b], dep.data))
+            scheduled, _ = await dep.cost(live.put("w", "v", dep.boxes[b], dep.data))
             order.append(f"ack {b}")
             assert scheduled == 2  # the demotion's start, and the ack behind it
         assert order == [
@@ -170,50 +170,55 @@ def test_a_put_that_fails_in_its_first_step_is_an_error_response_not_a_crash():
     assert handle._server._inflight == 0
 
 
-def test_one_mib_put_hashes_once_on_the_loop_and_hops_only_for_kernel_passes():
-    block = 1 << 20
-    assert block < INLINE_COMPUTE_BYTES
-
+def test_one_mib_put_hashes_once_on_the_loop():
     async def body(dep):
-        hopped, inlined = [], []
-        offload, inline = dep.engine.offload, dep.engine.inline
+        computed = []
+        runtime = dep.live.runtime
+        hook = runtime.compute_hook
 
-        def recording_offload(fn, charge="offload"):
-            hopped.append(charge)
-            return offload(fn, charge=charge)
+        def recording_hook(fn, charge):
+            computed.append(charge)
+            return hook(fn, charge)
 
-        def recording_inline(fn, charge="offload"):
-            inlined.append(charge)
-            return inline(fn, charge=charge)
-
-        dep.engine.offload, dep.engine.inline = recording_offload, recording_inline
+        runtime.compute_hook = recording_hook
         for box in dep.boxes[:4]:
-            hopped.clear()
-            inlined.clear()
-            _, hops, n_inline = await dep.cost(dep.live.put("w", "v", box, dep.data))
-            # Whatever protects the block, its bytes are hashed once, on the
-            # loop; kernel passes over k x 1 MiB (if any) are still hops.
-            assert inlined == ["digest"] and n_inline == 1
-            assert "digest" not in hopped and hops == len(hopped)
+            computed.clear()
+            await dep.live.put("w", "v", box, dep.data)
+            # Whatever protects the block, its bytes are hashed once; any
+            # other compute call is a kernel pass, on the loop as well.
+            assert computed.count("digest") == 1
+            assert set(computed) <= {"digest", "codec"}
 
-    run(body, block_bytes=block, domain_shape=(128, 128, 128))
+    run(body, block_bytes=1 << 20, domain_shape=(128, 128, 128))
 
 
-def test_concurrent_puts_to_one_block_serialise_through_a_scheduled_grant(monkeypatch):
+def test_concurrent_puts_to_one_block_serialise_through_a_scheduled_grant():
     """Contention is still a real wait.
 
-    Small puts run start to finish without blocking, so two of them never
-    meet.  A threshold-sized (2 MiB) put parks on its digest hop *holding*
-    the entity lock: the second put finds the lock taken, queues, and its
-    grant — an event with a waiter — goes through the microqueue.  The hop
-    exists where a worker can overlap the loop: on two usable CPUs.
+    Puts run start to finish without blocking, so two of them never meet
+    on their own.  Here the test holds the entity lock while it issues
+    both: each queues, and each grant — an event with a waiter — goes
+    through the microqueue.
     """
-    pin_usable_cpus(monkeypatch, 2)
 
     async def body(dep):
-        box = dep.boxes[0]
-        lock = dep.live.runtime.entity_lock(("v", 0))
-        solo, _, _ = await dep.cost(dep.live.put("w", "v", box, dep.data))
+        # A replicated block: its rewrite spawns nothing to schedule.
+        state = lambda b: dep.live.directory.get("v", b).state  # noqa: E731
+        bid = next(b for b in range(len(dep.boxes)) if state(b) == ResilienceState.REPLICATED)
+        box = dep.boxes[bid]
+        lock = dep.live.runtime.entity_lock(("v", bid))
+        solo, _ = await dep.cost(dep.live.put("w", "v", box, dep.data))
+        version = dep.live.directory.get("v", bid).version
+        held = lock.request()
+        assert held.processed  # the lock was free: granted on the spot
+        before = dep.counts()
+        puts = asyncio.gather(
+            dep.live.put("a", "v", box, dep.data),
+            dep.live.put("b", "v", box, dep.data),
+        )
+        await asyncio.sleep(0)  # both puts take their first step, and queue
+        assert lock.queued == 2
+        lock.release(held)
         queued_at_release = []
         release = lock.release
 
@@ -222,66 +227,51 @@ def test_concurrent_puts_to_one_block_serialise_through_a_scheduled_grant(monkey
             release(req)
 
         lock.release = watched_release
-        version = dep.live.directory.get("v", 0).version
-        both, hops, _ = await dep.cost(
-            asyncio.gather(
-                dep.live.put("a", "v", box, dep.data),
-                dep.live.put("b", "v", box, dep.data),
-            )
-        )
+        await puts
+        both = dep.counts()[0] - before[0]
         assert queued_at_release == [1, 0]  # b waited for a's release
-        assert both == 2 * solo + 1  # ... and its grant was scheduled
-        assert hops == 2
+        # Alone, a put schedules nothing.  Parked, each schedules its grant,
+        # then the completions that now have a waiter: the block flow, the
+        # gather over it and the put itself.
+        assert (solo, both) == (0, 2 * 4), (solo, both)
         assert lock.in_use == 0 and lock.queued == 0
-        assert dep.live.directory.get("v", 0).version == version + 2
+        assert dep.live.directory.get("v", bid).version == version + 2
 
-    run(body, block_bytes=INLINE_COMPUTE_BYTES, domain_shape=(128, 128, 256))
+    run(body)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_mebibyte_kernel_passes_hop_and_split_only_with_a_second_cpu(monkeypatch, cpus):
-    """Where a stripe encode over k x 1 MiB and the decode behind a 1 MiB
-    degraded get run follows from the CPUs the process may use.
-
-    On one, a worker cannot overlap the loop and a column split is the
-    serial pass plus handoffs: each pass is one kernel call on the loop.
-    On two, each pass hops to a worker and splits into k column tasks.
-    """
-    pin_usable_cpus(monkeypatch, cpus)
-    # (worker hops, kernel calls, split passes) of one pass
-    per_pass = [0, 1, 0] if cpus == 1 else [1, 3, 1]
+def test_mebibyte_kernel_passes_run_on_the_loop_unsplit():
+    """A stripe encode over k x 1 MiB and the decode behind a 1 MiB degraded
+    get are each one compute call and one kernel call, on the loop."""
 
     async def main():
         # Eight 1 MiB blocks: four RS(3,1) stripes, two of them full.
         config = small_config(domain_shape=(128, 128, 512), object_max_bytes=1 << 20)
         live = LiveStagingService(config, ErasurePolicy(RecoveryConfig(mode="none")))
-        eng, code = live.engine, live.service.codec.code
+        eng = live.engine
 
         def counts() -> list[int]:
-            return [
-                eng.offloads_submitted,
-                GF256.KERNEL_STATS["matmul_calls"],
-                code.parallel_stats["passes"],
-            ]
+            return [eng.compute_calls, GF256.KERNEL_STATS["matmul_calls"]]
 
         def since(before: list[int]) -> list[int]:
             return [b - a for a, b in zip(before, counts())]
 
         try:
             before = counts()
-            for b in range(live.domain.n_blocks):
+            blocks = live.domain.n_blocks
+            for b in range(blocks):
                 await live.put("w", "v", live.domain.block_bbox(b))
             await live.flush()
             await live.quiesce()
             encodes = live.metrics.counters["stripe_encodes"]
             assert encodes == 4
-            assert since(before) == [n * encodes for n in per_pass]
+            assert since(before) == [blocks + encodes, encodes]  # digests + passes
             live.fail_server(live.directory.get("v", 0).primary)
             before = counts()
             _, got = await live.get("r", "v", live.domain.block_bbox(0))
             assert live.metrics.counters["degraded_reads"] == 1
             assert got[0].size == 1 << 20
-            assert since(before) == per_pass
+            assert since(before) == [2, 1]  # the reconstruct pass and the digest
         finally:
             await live.close()
 
@@ -295,8 +285,7 @@ def test_boundary_counters_are_in_the_registry_and_the_prometheus_dump():
         expected = {
             "live.events.ready_total": eng.events_ready,
             "live.events.scheduled_total": eng.actions_scheduled,
-            "live.offloads.inlined_total": eng.offloads_inlined,
-            "live.offloads.submitted_total": eng.offloads_submitted,
+            "live.compute.calls_total": eng.compute_calls,
         }
         snapshot = dep.live.metrics.registry.snapshot()
         assert {name: snapshot[name] for name in expected} == expected

@@ -88,9 +88,9 @@ def test_concurrent_matmul_matches_reference():
 def test_sim_compute_hook_adds_no_events():
     """``StagingRuntime.compute`` must be yield-free on the simulator.
 
-    The live backend routes codec work through ``compute`` so it can be
-    offloaded to worker threads.  On the simulator the hook must run the
-    function *inline with zero yields*: one extra event per encode would
+    The live backend routes codec work through ``compute`` so it can
+    charge it to the request's trace.  On the simulator the hook must run
+    the function *inline with zero yields*: one extra event per encode would
     shift every downstream timestamp and invalidate the golden benchmark
     outputs.  Pin the contract directly: a sim-mode runtime's compute
     generator returns without ever yielding.
@@ -98,42 +98,10 @@ def test_sim_compute_hook_adds_no_events():
     from tests.conftest import make_service
 
     svc = make_service("corec")
-    gen = svc.runtime.compute(lambda: "inline-result", nbytes=0)
+    gen = svc.runtime.compute(lambda: "inline-result")
     try:
         yielded = next(gen)
     except StopIteration as stop:
         assert stop.value == "inline-result"
     else:  # pragma: no cover - the regression itself
         raise AssertionError(f"sim compute() yielded {yielded!r}")
-
-
-def test_offloaded_compute_returns_same_bytes_as_inline():
-    """Worker-pool offload is a pure execution-venue change.
-
-    Runs the same encode through the inline path and the live offload
-    path and requires identical parity bytes (the conformance suite
-    checks this end-to-end; this is the minimal unit pin).
-    """
-    import asyncio
-
-    from repro.live.engine import LiveEngine
-
-    code = RSCode(3, 1)
-    rng = np.random.default_rng(21)
-    shards = [rng.integers(0, 256, size=1024, dtype=np.uint8) for _ in range(3)]
-    inline = code.encode(shards)
-
-    async def main():
-        eng = LiveEngine()
-        try:
-            def flow():
-                result = yield eng.offload(lambda: code.encode(shards))
-                return result
-
-            return await eng.run_process(flow())
-        finally:
-            eng.close()
-
-    offloaded = asyncio.run(main())
-    for a, b in zip(inline, offloaded):
-        assert np.array_equal(a, b)

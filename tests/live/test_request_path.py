@@ -30,7 +30,7 @@ from repro.live.service import LiveStagingService
 from repro.obs.wallclock import WAIT_CATEGORIES
 from repro.staging.service import StagingConfig
 
-from tests.conftest import pin_usable_cpus, small_config
+from tests.conftest import small_config
 
 BLOCK = 16 * 16 * 16
 B0 = ((0, 0, 0), (16, 16, 16))
@@ -362,8 +362,8 @@ class PeakAbove:
     GF256.native_kernel() is None,
     reason="the numpy table kernel gathers through an index temporary 8x the payload",
 )
-@pytest.mark.parametrize("backend", ["sim", "live-1cpu", "live-2cpu"])
-def test_a_mebibyte_decode_allocates_the_decoded_shard_and_nothing_else(monkeypatch, backend):
+@pytest.mark.parametrize("backend", ["sim", "live"])
+def test_a_mebibyte_decode_allocates_the_decoded_shard_and_nothing_else(backend):
     """The allocation line of the degraded-read pass budget.
 
     A degraded get of a 1 MiB block, and ``recover_primary`` of another,
@@ -386,8 +386,6 @@ def test_a_mebibyte_decode_allocates_the_decoded_shard_and_nothing_else(monkeypa
             svc.run_workflow(svc.runtime.recover_primary(rec))
         payload = done.value[1][got.block_id]
     else:
-        pin_usable_cpus(monkeypatch, 1 if backend == "live-1cpu" else 2)
-
         async def main():
             live = LiveStagingService(mebibyte_stripes_config(), policy)
             try:

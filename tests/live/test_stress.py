@@ -31,8 +31,6 @@ from repro.live.protocol import LiveClient, RemoteOpError
 from repro.live.server import serve_in_thread
 from repro.staging.service import StagingConfig
 
-from tests.conftest import pin_usable_cpus
-
 N_CLIENTS = 6
 OPS_PER_CLIENT = 18
 SHARED_REGION = ((0, 0, 0), (16, 16, 16))  # block 0 of every variable
@@ -214,19 +212,15 @@ def test_concurrent_clients_with_server_kill():
         handle.stop()
 
 
-def test_server_kill_during_parallel_encode(monkeypatch):
-    """Chaos while encodes fan out across the codec worker pool.
+def test_server_kill_during_stripe_forming_puts():
+    """Chaos while a writer's puts keep forming stripes.
 
-    The codec split thresholds are forced down so every offloaded
-    encode/decode pass runs stripe-parallel on the live codec executor,
-    then a server is killed and replaced twice mid-traffic.  At quiesce
-    the full invariant sweep and a digest audit must come back clean —
-    a column-split pass interrupted by chaos must never publish a
-    half-written shard.  Passes split only with two or more usable CPUs.
+    Cold single-write variables are striped by the policy, and a flush
+    every fourth put forces the batched encodes; servers 2 and 5 are
+    killed and replaced mid-traffic.  At quiesce the full invariant
+    sweep and a digest audit must come back clean, and no process may
+    be left waiting.
     """
-    pin_usable_cpus(monkeypatch, 2)
-    # Blocks of 32 KiB: the 4 KiB-aligned column split needs shards wider
-    # than one alignment quantum, or every pass collapses back to one task.
     config = StagingConfig(
         n_servers=8,
         domain_shape=(64, 64, 32),
@@ -238,11 +232,6 @@ def test_server_kill_during_parallel_encode(monkeypatch):
     handle = serve_in_thread(config, CoRECPolicy)
     try:
         live = handle._server.live
-        code = live.service.codec.code
-        code.parallel_min_bytes = 1  # fan out every offloaded pass
-        code.parallel_chunk_bytes = 4096
-        passes_before = code.parallel_stats["passes"]
-
         first_put = threading.Event()
         op_errors: list[str] = []
         crashes: list[BaseException] = []
@@ -252,7 +241,7 @@ def test_server_kill_during_parallel_encode(monkeypatch):
                 with LiveClient(handle.host, handle.port, name="pwriter") as cli:
                     for opno in range(36):
                         # Cold single-write variables -> the policy stripes
-                        # them; flushing forces the batched parallel encodes.
+                        # them; flushing forces the batched encodes.
                         var = f"pv{opno % 12}"
                         data = np.full((32, 32, 32), opno % 256, np.uint8)
                         try:
@@ -265,7 +254,7 @@ def test_server_kill_during_parallel_encode(monkeypatch):
             except BaseException as exc:  # noqa: BLE001
                 crashes.append(exc)
 
-        t = threading.Thread(target=writer, name="parallel-writer")
+        t = threading.Thread(target=writer, name="stripe-writer")
         t.start()
         with LiveClient(handle.host, handle.port, name="chaos") as cli:
             assert first_put.wait(timeout=30)
@@ -275,7 +264,7 @@ def test_server_kill_during_parallel_encode(monkeypatch):
                     cli.query("pv0", *region)
                 cli.replace_server(victim)
         t.join(timeout=JOIN_TIMEOUT)
-        assert not t.is_alive(), "writer hung (codec pool deadlock?)"
+        assert not t.is_alive(), "writer hung (deadlock?)"
         assert not crashes, f"writer crashed: {crashes!r}"
 
         with LiveClient(handle.host, handle.port, name="control") as control:
@@ -286,9 +275,7 @@ def test_server_kill_during_parallel_encode(monkeypatch):
             assert control.stats()["alive_servers"] == list(range(8))
 
         assert live.engine.alive_processes() == [], "deadlocked processes"
-        assert code.parallel_stats["passes"] > passes_before, (
-            "no kernel pass actually fanned out — the case tested nothing"
-        )
+        assert live.metrics.counters["stripe_encodes"] > 0, "no stripe formed: tested nothing"
         violations = run_invariants(
             live.service,
             tier=QUIESCENT,

@@ -3,7 +3,7 @@
 The contract under test: one traced client request produces ONE linked
 span tree spanning the client's rpc span, the server's dispatch span
 (linked cross-process via trace-id equality + ``remote_parent``), the
-put/get flow spans, worker-pool offloads and codec fan-out — and the
+put/get flow spans and the digest/codec compute under them — and the
 dispatch span's latency breakdown reconciles against end-to-end wall
 time.  With tracing off, the protocol must be byte-identical to the
 untraced build: no header fields, no response fields, no spans.
@@ -11,7 +11,6 @@ untraced build: no header fields, no response fields, no spans.
 
 from __future__ import annotations
 
-import asyncio
 import importlib.util
 import json
 import os
@@ -23,12 +22,8 @@ import pytest
 
 from repro.core.corec import CoRECPolicy
 from repro.live import LiveClient, serve_in_thread
-from repro.live.service import INLINE_COMPUTE_BYTES
 from repro.live.protocol import frame_parts, header_preamble
-from repro.obs.wallclock import WallClockTracer
-from repro.staging.service import StagingConfig, build_geometry
-
-from tests.conftest import pin_usable_cpus
+from repro.staging.service import StagingConfig
 
 REGION = ((0, 0, 0), (32, 32, 32))  # exactly one 32 KiB block
 
@@ -45,10 +40,6 @@ def one_block_config() -> StagingConfig:
 
 def traced_handle(**kwargs):
     return serve_in_thread(one_block_config(), CoRECPolicy, tracing=True, **kwargs)
-
-
-def by_name(spans, name):
-    return [s for s in spans if s.name == name]
 
 
 def dispatch_spans(spans, op):
@@ -83,11 +74,10 @@ class TestLinkedSpanTree:
     def test_one_put_yields_one_linked_tree(self):
         """Client rpc -> server dispatch -> put flow -> digest: one trace.
 
-        A 32 KiB block is under ``INLINE_COMPUTE_BYTES``: its digest runs
-        on the loop, and still shows as a ``digest`` span under the flow
-        that asked for it, booked to the request's ``digest`` bucket.
+        The digest runs on the loop, and shows as a ``digest`` span under
+        the flow that asked for it, booked to the request's ``digest``
+        bucket.
         """
-        assert 32768 < INLINE_COMPUTE_BYTES
         _, cli_rpc, dispatch, tree = traced_put_tree(one_block_config(), REGION, 32768)
         # Cross-process link: same trace, remote parent recorded, but the
         # dispatch span stays a *local* root.
@@ -112,36 +102,12 @@ class TestLinkedSpanTree:
         tree_names = {s.name for s in tree}
         assert "put" in tree_names
         assert "put.block" in tree_names
-        assert "offload.digest" not in tree_names
         (digest,) = [s for s in tree if s.category == "digest"]
+        assert digest.name == "inline.digest"
         assert by_id[digest.parent_id].name == "put.block"
-        assert "thread" not in digest.attrs  # ran on the loop, not a worker
         assert dispatch.attrs["breakdown"]["digest"] == pytest.approx(
             digest.t1 - digest.t0, abs=1e-9
         )
-
-    def test_threshold_sized_put_still_digests_on_a_worker(self, monkeypatch):
-        """At ``INLINE_COMPUTE_BYTES`` and above the digest is offloaded
-        (where a worker can overlap the loop: two usable CPUs)."""
-        pin_usable_cpus(monkeypatch, 2)
-        config = StagingConfig(
-            n_servers=8,
-            domain_shape=(128, 128, 256),
-            element_bytes=1,
-            object_max_bytes=INLINE_COMPUTE_BYTES,
-            seed=7,
-        )
-        box = build_geometry(config)[1].block_bbox(0)
-        assert box.volume == INLINE_COMPUTE_BYTES  # exactly one threshold-sized block
-        region = (box.lb, box.ub)
-        _, _, dispatch, tree = traced_put_tree(config, region, INLINE_COMPUTE_BYTES)
-        by_id = {s.span_id: s for s in tree}
-        (digest,) = [s for s in tree if s.category == "digest"]
-        assert digest.name == "offload.digest"
-        assert digest.attrs["thread"] != threading.get_ident()
-        assert by_id[digest.parent_id].name == "put.block"
-        # The flow's wait for the worker is what books the bucket here.
-        assert dispatch.attrs["breakdown"]["digest"] > 0.0
 
     def test_breakdown_reconciles_with_wall_time(self):
         """Categories are non-negative and sum exactly to e2e (``other`` is
@@ -171,67 +137,6 @@ class TestLinkedSpanTree:
                 assert span.attrs["wait_overlap"] >= 0.0
                 checked += 1
         assert checked == 4
-
-    def test_codec_fanout_spans_join_the_request_trace(self, monkeypatch):
-        pin_usable_cpus(monkeypatch, 2)  # passes split only with two or more
-        handle = traced_handle()
-        tracer = handle.live.tracer
-        try:
-            code = handle.live.service.codec.code
-            code.parallel_min_bytes = 1  # fan out every offloaded pass
-            code.parallel_chunk_bytes = 4096
-            data = np.arange(32 * 32 * 32, dtype=np.uint8)
-            with LiveClient(handle.host, handle.port, name="t", tracer=tracer) as cli:
-                for v in range(4):
-                    cli.put(f"cold{v}", *REGION, data)
-                cli.flush()  # forces the batched parallel encodes
-                cli.quiesce()
-        finally:
-            handle.stop()
-        spans = tracer.spans
-        passes = by_name(spans, "codec.pass")
-        tasks = by_name(spans, "codec.task")
-        assert passes, "no kernel pass fanned out — the case tested nothing"
-        assert tasks
-        by_id = {s.span_id: s for s in spans}
-        for task in tasks:
-            parent = by_id[task.parent_id]
-            assert parent.name == "codec.pass"
-            assert task.trace_id == parent.trace_id
-            assert task.t1 is not None
-        for pass_span in passes:
-            # Pass spans parent under the offloaded compute that ran them.
-            assert pass_span.parent_id is not None
-            assert by_id[pass_span.parent_id].trace_id == pass_span.trace_id
-
-    def test_codec_fanout_exception_closes_all_spans(self):
-        """A poisoned column split must not leave open spans behind."""
-        from repro.live.engine import LiveEngine
-
-        async def run():
-            engine = LiveEngine()
-            tracer = WallClockTracer()
-            engine.tracer = tracer
-            try:
-                def good():
-                    return None
-
-                def bad():
-                    raise ValueError("poisoned split")
-
-                with pytest.raises(ValueError, match="poisoned split"):
-                    engine.codec_map([good, bad, good])
-            finally:
-                engine.close()
-            return tracer
-
-        tracer = asyncio.run(run())
-        (pass_span,) = by_name(tracer.spans, "codec.pass")
-        tasks = by_name(tracer.spans, "codec.task")
-        assert len(tasks) == 3
-        assert all(s.t1 is not None for s in [pass_span, *tasks])
-        assert "error" in pass_span.attrs
-        assert any("error" in s.attrs for s in tasks)
 
 
 class TestConcurrentTraces:

@@ -109,8 +109,8 @@ class TestContextScope:
         assert a.trace_id != b.trace_id
 
     def test_worker_thread_inherits_scope_via_copy_context(self):
-        """The engine's offload wrapper pattern: snapshot context, run the
-        work under it on another thread, spans still parent correctly."""
+        """Snapshot the context, run work under it on another thread: spans
+        still parent correctly."""
         tracer = WallClockTracer()
         parent = tracer.begin("request")
         token = tracer.activate(parent)
@@ -120,7 +120,7 @@ class TestContextScope:
         out = {}
 
         def work():
-            span = tracer.begin("offload.codec")
+            span = tracer.begin("codec")
             tracer.end(span)
             out["span"] = span
 
@@ -261,14 +261,14 @@ class TestPrometheusText:
     def test_renders_counter_gauge_histogram(self):
         reg = MetricsRegistry()
         reg.counter("live.rpc.put").inc(7)
-        reg.gauge("live.pool.queue_depth", lambda: 3)
+        reg.gauge("live.microqueue.depth", lambda: 3)
         hist = reg.histogram("live.rpc.put.e2e_s")
         for v in (0.001, 0.002, 0.003):
             hist.observe(v)
         text = prometheus_text(reg)
         assert "# TYPE live_rpc_put counter" in text
         assert "live_rpc_put 7" in text
-        assert "live_pool_queue_depth 3" in text
+        assert "live_microqueue_depth 3" in text
         assert 'live_rpc_put_e2e_s{quantile="0.99"}' in text
         assert "live_rpc_put_e2e_s_count 3" in text
 
