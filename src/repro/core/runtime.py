@@ -563,13 +563,13 @@ class StagingRuntime:
         exec_name = self.server(exec_sid).name
 
         shard_len = max(e.nbytes for e in real)
-        payloads: list[np.ndarray] = []
+        payloads: list[np.ndarray | None] = []  # None: a vacant slot's zeros
         lengths: list[int] = []
         slot_keys: list[EntityKey | None] = []
         versions: dict[EntityKey, int] = {}
         for e, srv in zip(list(members), all_data_servers[:k]):
             if e is None:
-                payloads.append(np.zeros(shard_len, dtype=np.uint8))
+                payloads.append(None)
                 lengths.append(0)
                 slot_keys.append(None)
                 continue
@@ -629,7 +629,7 @@ class StagingRuntime:
             lengths=lengths,
             shard_len=shard_len,
             group_id=gid,
-            baseline=[p if mk is not None else None for p, mk in zip(payloads, slot_keys)],
+            baseline=payloads,
         )
         for shard_idx, psid, parity in parity_plan:
             if not self.server(psid).failed:
@@ -878,10 +878,11 @@ class StagingRuntime:
         for psrv, pkey, i in touched:
             if psrv.failed or not psrv.has(pkey):
                 continue  # died while we were charging costs
-            # P_i' = P_i + G[k+i, slot] * (old + new), folded into a copy.
-            buf = psrv.fetch_bytes(pkey).copy()
-            self.codec.code.fold_parity(buf, i, slot, old_p, new_p)
-            psrv.store_bytes(pkey, buf)
+            # P_i' = P_i + G[k+i, slot] * (old + new), a fresh array: stored
+            # arrays are never written in place, so a reader holding the old
+            # parity keeps a consistent snapshot.
+            parity = psrv.fetch_bytes(pkey)
+            psrv.store_bytes(pkey, self.codec.code.fold_parity(parity, i, slot, old_p, new_p))
         if apply_data is not None:
             apply_data()
         self.metrics.count("parity_updates")
@@ -977,14 +978,14 @@ class StagingRuntime:
         """
         exec_sid = ent.primary
         exec_name = self.server(exec_sid).name
-        shards: list[np.ndarray] = []
+        shards: list[np.ndarray | None] = []  # None: a vacant slot's zeros
         for i in range(stripe.k):
             if i == slot:
                 shards.append(new_padded)
                 continue
             mk = stripe.members[i]
             if mk is None or stripe.baseline[i] is None:
-                shards.append(np.zeros(stripe.shard_len, dtype=np.uint8))
+                shards.append(None)
                 continue
             other = self.directory.entities[mk]
             osrv = self.server(other.primary)
@@ -1241,11 +1242,13 @@ class StagingRuntime:
             return None
         return tuple(sorted(avail.keys())[: stripe.k])
 
-    def _shard_payload(self, stripe: StripeInfo, idx: int) -> np.ndarray:
+    def _shard_payload(self, stripe: StripeInfo, idx: int) -> np.ndarray | None:
+        """Shard ``idx``'s bytes as the parity encodes them; None for a
+        vacant slot, whose zeros the codec drops as a column."""
         if idx < stripe.k:
             mk = stripe.members[idx]
             if mk is None:
-                return np.zeros(stripe.shard_len, dtype=np.uint8)
+                return None
             member = self.directory.entities[mk]
             if (
                 member.version != stripe.member_versions.get(mk)
@@ -1311,7 +1314,9 @@ class StagingRuntime:
         if target_idx in avail:
             holder = avail[target_idx]
             payload = self._shard_payload(stripe, target_idx)
-            return payload, (holder if holder is not None else stripe.shard_servers[target_idx])
+            if payload is None:
+                return np.zeros(stripe.shard_len, dtype=np.uint8), stripe.shard_servers[target_idx]
+            return payload, holder
         # Prefer data shards (virtual zeros are free), then parities.
         chosen = sorted(avail.keys())[: stripe.k]
         if len(chosen) < stripe.k:
@@ -1339,7 +1344,7 @@ class StagingRuntime:
         exec_name = self.server(exec_sid).name
         # Snapshot all shard payloads now (consistent under the stripe
         # lock), then charge the transfer costs.
-        present: dict[int, np.ndarray] = {i: self._shard_payload(stripe, i) for i in chosen}
+        present = {i: self._shard_payload(stripe, i) for i in chosen}
         for i in chosen:
             holder = avail[i]
             if holder is not None and holder != exec_sid:

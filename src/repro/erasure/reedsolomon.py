@@ -87,8 +87,10 @@ class RSCode:
             raise ValueError(f"unknown construction {construction!r}")
         # Parity block rows (m x k): the non-identity part of the generator.
         self.parity_rows = self.generator.a[k:, :]
-        # fold_parity's 1x2 matrices: [i, j:j+1] is [[c, c]], c = G[k+i, j].
-        self._fold_rows = np.repeat(self.parity_rows[:, :, None], 2, axis=2)
+        # fold_parity's 1x3 matrices: [i, j:j+1] is [[1, c, c]], c = G[k+i, j]
+        # (the stored parity passes through, old and new are scaled by c).
+        self._fold_rows = np.ones((m, k, 3), dtype=np.uint8)
+        self._fold_rows[:, :, 1:] = self.parity_rows[:, :, None]
         # Decode matrices are pure functions of the surviving-row set; the
         # same erasure patterns recur constantly during recovery, so the
         # Gauss-Jordan inversions are kept in a bounded LRU (as production
@@ -148,13 +150,34 @@ class RSCode:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _as_rows(shards: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-        """Normalize shards to contiguous uint8 rows *without* stacking."""
-        rows = [np.ascontiguousarray(s, dtype=np.uint8).ravel() for s in shards]
+    def _as_rows(shards: Sequence[np.ndarray | None]) -> tuple[list[np.ndarray], int]:
+        """Normalize shards to contiguous uint8 rows *without* stacking.
+
+        A ``None`` shard gets no row (see :meth:`_present_columns`).
+        """
+        rows = [np.ascontiguousarray(s, dtype=np.uint8).ravel() for s in shards if s is not None]
         lengths = {r.size for r in rows}
         if len(lengths) > 1:
             raise ValueError(f"shards must be equal length, got {sorted(lengths)}")
         return rows, (lengths.pop() if lengths else 0)
+
+    @classmethod
+    def _present_columns(
+        cls, mat: np.ndarray, shards: Sequence[np.ndarray | None]
+    ) -> tuple[np.ndarray, list[np.ndarray], int]:
+        """``mat`` and ``shards`` without the columns whose shard is ``None``.
+
+        ``None`` is a known all-zero shard (a vacant stripe slot): its
+        column contributes nothing to the product, so it costs neither a
+        buffer nor kernel work.  At least one shard must be present to fix
+        the length.
+        """
+        rows, length = cls._as_rows(shards)
+        if len(rows) == len(shards):
+            return mat, rows, length
+        if not rows:
+            raise ValueError("every shard is None: no length to compute at")
+        return mat.take([j for j, s in enumerate(shards) if s is not None], axis=1), rows, length
 
     @staticmethod
     def _product(mat: np.ndarray, rows: Sequence[np.ndarray], length: int) -> list[np.ndarray]:
@@ -167,14 +190,18 @@ class RSCode:
         GF256.matmul_rows(mat, rows, outs)
         return outs
 
-    def encode(self, data_shards: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Compute the ``m`` parity shards for ``k`` data shards."""
-        rows, length = self._as_rows(data_shards)
-        if len(rows) != self.k:
-            raise ValueError(f"expected {self.k} data shards, got {len(rows)}")
+    def encode(self, data_shards: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+        """Compute the ``m`` parity shards for ``k`` data shards.
+
+        A ``None`` shard is all zeros and drops its column (see
+        :meth:`_present_columns`): the same bytes as passing the zeros.
+        """
+        if len(data_shards) != self.k:
+            raise ValueError(f"expected {self.k} data shards, got {len(data_shards)}")
+        mat, rows, length = self._present_columns(self.parity_rows, data_shards)
         if self.m == 0:
             return []
-        return self._product(self.parity_rows, rows, length)
+        return self._product(mat, rows, length)
 
     def fold_parity(
         self,
@@ -183,23 +210,34 @@ class RSCode:
         shard_index: int,
         old_shard: np.ndarray | None,
         new_shard: np.ndarray | None,
-    ) -> None:
-        """In place ``P_i += G[k+i, j] * (old + new)`` for one parity buffer.
+    ) -> np.ndarray:
+        """``P_i + G[k+i, j] * (old + new)`` as a fresh parity buffer.
 
-        One kernel pass: the 1x2 product ``[c c] . [old; new]`` accumulated
-        into ``parity`` - no ``old ^ new`` delta is materialized.  ``None``
-        stands for a vacant (all-zero) slot and drops its column.
+        One overwriting kernel pass of the 1x3 product
+        ``[1 c c] . [P; old; new]``: ``parity`` is read once and never
+        written, and neither an ``old ^ new`` delta nor a copy of the
+        parity is materialized.  ``None`` stands for a vacant (all-zero)
+        slot and drops its column; with both sides vacant the fold is the
+        identity and costs no pass.  ``parity`` goes to the kernel as a
+        bare row, so anything but a C-contiguous uint8 array of the shards'
+        length is a ValueError rather than a hidden copy.
         """
-        rows, length = self._as_rows(
-            [s for s in (old_shard, new_shard) if s is not None]
+        if not (
+            isinstance(parity, np.ndarray)
+            and parity.dtype == np.uint8
+            and parity.flags.c_contiguous
+        ):
+            raise ValueError("parity must be a contiguous uint8 array")
+        rows, length = self._as_rows((parity, old_shard, new_shard))
+        if len(rows) == 1:
+            return rows[0].copy()
+        out = np.empty(length, dtype=np.uint8)
+        GF256.matmul_rows(
+            self._fold_rows[parity_index, shard_index : shard_index + 1, : len(rows)],
+            rows,
+            (out,),
         )
-        if rows:
-            GF256.matmul_rows(
-                self._fold_rows[parity_index, shard_index : shard_index + 1, : len(rows)],
-                rows,
-                (GF256.writable_row(parity, length),),
-                accumulate=True,
-            )
+        return out
 
     def update_parity(
         self,
@@ -212,18 +250,19 @@ class RSCode:
 
         ``P_i' = P_i + G[k+i, j] * (old + new)`` — requires reading the old
         shard and rewriting every parity, which is exactly the update
-        overhead the paper's Section II-A describes.
+        overhead the paper's Section II-A describes.  Returns fresh
+        parities; the inputs are left as they were.
         """
         if not 0 <= shard_index < self.k:
             raise IndexError("shard_index out of range")
         if len(parities) != self.m:
             raise ValueError(f"expected {self.m} parities, got {len(parities)}")
-        out = []
-        for i in range(self.m):
-            p = np.ascontiguousarray(parities[i], dtype=np.uint8).ravel().copy()
-            self.fold_parity(p, i, shard_index, old_shard, new_shard)
-            out.append(p)
-        return out
+        return [
+            self.fold_parity(
+                np.ascontiguousarray(p, dtype=np.uint8), i, shard_index, old_shard, new_shard
+            )
+            for i, p in enumerate(parities)
+        ]
 
     def decode(
         self,
@@ -311,13 +350,17 @@ class RSCode:
             self._row_cache[key] = row
             return row
 
-    def reconstruct_shard(self, present: dict[int, np.ndarray], target: int) -> np.ndarray:
+    def reconstruct_shard(
+        self, present: dict[int, np.ndarray | None], target: int
+    ) -> np.ndarray:
         """Reconstruct one stripe shard (data *or* parity) by index.
 
         A single missing shard costs exactly one payload-sized kernel pass:
         the target is a linear combination of any k survivors, so the
         (cached) combination row is applied with one matrix-vector product
-        instead of decoding all k data shards and re-encoding.
+        instead of decoding all k data shards and re-encoding.  A survivor
+        given as ``None`` is all zeros and drops its column, as in
+        :meth:`encode`; the target itself must not be one.
         """
         if not 0 <= target < self.n:
             raise IndexError("target out of range")
@@ -332,8 +375,8 @@ class RSCode:
                 raise IndexError(f"shard index {idx} out of range 0..{self.n - 1}")
         chosen = tuple(sorted(present.keys())[: self.k])
         row = self._reconstruct_row(chosen, target)
-        rows, length = self._as_rows([present[i] for i in chosen])
-        return self._product(row, rows, length)[0]
+        mat, rows, length = self._present_columns(row, [present[i] for i in chosen])
+        return self._product(mat, rows, length)[0]
 
 
 @dataclass

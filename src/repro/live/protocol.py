@@ -431,11 +431,10 @@ class LiveClient:
         while views:
             send_some(self.sock, views)
 
-    def _recv_exactly(self, n: int) -> memoryview:
-        """Receive exactly ``n`` bytes into one fresh buffer (no joins)."""
-        buf = bytearray(n)
+    def _recv_into(self, buf) -> memoryview:
+        """Fill the fresh buffer ``buf`` from the socket (no joins)."""
         view = memoryview(buf)
-        got = 0
+        n, got = len(view), 0
         while got < n:
             nread = self.sock.recv_into(view[got:], n - got)
             if nread == 0:
@@ -491,9 +490,13 @@ class LiveClient:
         try:
             self._send_parts(frame_parts(header, payload, preamble=preamble, extra=extra))
             steps = _frame_header()
-            head = self._recv_exactly(next(steps))
-            resp = steps.send(self._recv_exactly(steps.send(head)))
-            body = self._recv_exactly(resp["payload_len"]) if resp["payload_len"] else memoryview(b"")
+            head = self._recv_into(bytearray(next(steps)))
+            resp = steps.send(self._recv_into(bytearray(steps.send(head))))
+            n = resp["payload_len"]
+            # The body lands in uninitialised memory, as on the server
+            # (``_SocketStream.readexactly``): the kernel writes every byte,
+            # so zero-filling it first would be one more pass over it.
+            body = self._recv_into(np.empty(n, dtype=np.uint8)) if n else memoryview(b"")
         except socket.timeout as exc:
             # The op blew its deadline: the connection's framing state is
             # unknown (a late response would desync the next request), so

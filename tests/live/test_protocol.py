@@ -250,3 +250,25 @@ def test_live_put_get_path_makes_zero_payload_copies(server, traced):
     assert after["frames_out"] > before["frames_out"]
     # Repeated identical requests reuse the client's cached preambles.
     assert after["preamble_hits"] >= before["preamble_hits"] + 6
+
+
+def test_a_mebibyte_get_body_lands_in_an_ndarray():
+    """The client lands a response body as the server lands a request
+    payload: in one uninitialised ndarray the kernel fills, with no
+    zero-filled ``bytearray`` first, and the bytes come back exact."""
+    mib = 1 << 20
+    config = StagingConfig(
+        n_servers=8, domain_shape=(128, 128, 64), element_bytes=1,
+        object_max_bytes=mib, seed=1,
+    )
+    data = np.random.default_rng(29).integers(0, 256, mib, dtype=np.uint8)
+    handle = serve_in_thread(config, CoRECPolicy)
+    try:
+        with LiveClient(handle.host, handle.port) as c:
+            c.put("mib", (0, 0, 0), (128, 128, 64), data)
+            _, blocks = c.get("mib", (0, 0, 0), (128, 128, 64), verify=True)
+    finally:
+        handle.stop()
+    (payload,) = blocks.values()
+    assert isinstance(payload.obj, np.ndarray) and payload.obj.size == mib
+    assert bytes(payload) == data.tobytes()
