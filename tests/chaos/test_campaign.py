@@ -66,6 +66,38 @@ class TestReproducibility:
         assert a.fingerprint == b.fingerprint
 
 
+# Fingerprint of every run of the fixed-seed matrix: the injected events
+# and their times, the unit list, the final clock, every counter and the
+# final projection.  A change that moves one has changed what a campaign
+# injects or what the stack does under it.
+PINNED_FINGERPRINTS = {
+    ("scheduled", "corec", 0): "89e308c6a7b1df7f029216fc076a2386",
+    ("scheduled", "corec", 1): "fa8ce96c13c480c2cec77dd4d3d4db6d",
+    ("scheduled", "hybrid", 0): "551a569341bd917dd6d8c8573493b1c0",
+    ("scheduled", "hybrid", 1): "1edee04ad27fa18ea69fb88df0a66787",
+    ("scheduled", "replicate", 0): "08fc73df2253f2476cbb73074c29e501",
+    ("scheduled", "replicate", 1): "818ade9e67e0b5b334499cd9d7a23e4e",
+    ("scheduled", "erasure", 0): "3e89bb13de8b07313014909edb962498",
+    ("scheduled", "erasure", 1): "a8d21ed4260509ea7d0e5e247a48113a",
+    ("stochastic", "corec", 0): "70d5da5cb41d87e88960f8ee9d117c87",
+    ("stochastic", "corec", 1): "8f8ce5b6c8766208caa72e0eb4ba29e5",
+    ("stochastic", "hybrid", 0): "0777a453985645557f684d88e387a195",
+    ("stochastic", "hybrid", 1): "136c4660099ddb3693e447bc92d10df1",
+    ("stochastic", "replicate", 0): "c988685f2c74f2f983b8a22a54d515c7",
+    ("stochastic", "replicate", 1): "cf7da7d041c38f947035f49df719e916",
+    ("stochastic", "erasure", 0): "d681bd4edc7b636ec3d1485caef47616",
+    ("stochastic", "erasure", 1): "12e0be0d58e805c46e7bdb749fe80b3b",
+    ("cabinet", "corec", 0): "8d1ec0276e84631c2830696eb879f30e",
+    ("cabinet", "corec", 1): "92207d1b0e26ac632855f5c2272ae163",
+    ("cabinet", "hybrid", 0): "b92bf8aa2faaa13595d84a9a09559a68",
+    ("cabinet", "hybrid", 1): "fb2dc9b4afdbd2c9553db281c8509f3b",
+    ("cabinet", "replicate", 0): "d7eebdc94b49a51270c41119d1668f5d",
+    ("cabinet", "replicate", 1): "6a0715fd701ca43681c8fcae39fbdc32",
+    ("cabinet", "erasure", 0): "4ee693d2b96d3257cad12005bce336be",
+    ("cabinet", "erasure", 1): "c8b93333108222ae5743d678bdd451df",
+}
+
+
 class TestAllModesPass:
     @pytest.mark.parametrize("mode", ["scheduled", "stochastic", "cabinet"])
     @pytest.mark.parametrize("policy", ["corec", "hybrid", "replicate", "erasure"])
@@ -81,6 +113,7 @@ class TestAllModesPass:
             )
             assert res.units, "campaign must actually inject failures"
             assert res.checks_run > len(res.units)
+            assert res.fingerprint == PINNED_FINGERPRINTS[mode, policy, seed], seed
 
     def test_cabinet_mode_correlated(self):
         cfg = ChaosConfig(mode="cabinet", policy="corec", seed=1)
