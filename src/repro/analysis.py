@@ -5,10 +5,8 @@ this module turns them (or live :class:`~repro.core.metrics.Metrics`
 objects) into comparisons and terminal-friendly plots:
 
 - :func:`load_results` / :func:`list_results` — read the result store;
-- :func:`speedup_table` — pairwise response-time ratios between policies;
 - :func:`ascii_series` — a Figure-10-style per-timestep line plot;
-- :func:`ascii_bars` — a Figure-8-style bar chart;
-- :func:`breakdown_shares` — normalized Figure-9-style stacked shares.
+- :func:`ascii_bars` — a Figure-8-style bar chart.
 
 Everything is pure stdlib + numpy, so reports render anywhere (including
 the CI logs the bench suite runs in).
@@ -18,17 +16,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "load_results",
     "list_results",
-    "speedup_table",
     "ascii_series",
     "ascii_bars",
-    "breakdown_shares",
 ]
 
 DEFAULT_RESULTS_DIR = os.path.join(
@@ -52,31 +48,6 @@ def load_results(name: str, results_dir: str | None = None):
     path = os.path.join(d, f"{name}.json")
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# comparisons
-# ---------------------------------------------------------------------------
-
-def speedup_table(rows: Iterable[Mapping], key: str, base: str) -> dict[str, float]:
-    """Per-policy ratio of ``key`` against policy ``base``.
-
-    A value of 1.30 means that policy is 30% *slower* (larger) than the
-    base on the chosen metric.
-    """
-    rows = list(rows)
-    base_value = next(r[key] for r in rows if r["policy"] == base)
-    if base_value == 0:
-        raise ValueError(f"base policy {base!r} has zero {key!r}")
-    return {r["policy"]: r[key] / base_value for r in rows}
-
-
-def breakdown_shares(breakdown: Mapping[str, float]) -> dict[str, float]:
-    """Normalize a Figure-9 breakdown to fractional shares."""
-    total = sum(breakdown.values())
-    if total <= 0:
-        return {k: 0.0 for k in breakdown}
-    return {k: v / total for k, v in breakdown.items()}
 
 
 # ---------------------------------------------------------------------------

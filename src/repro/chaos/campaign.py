@@ -14,9 +14,10 @@ makes reproduction and shrinking uniform:
 
 - ``scheduled``: units drawn in serialized slots across a calibrated
   workload horizon, so each repair finishes before the next failure;
-- ``stochastic``: a :class:`~repro.sim.failures.FailureInjector` in MTBF
-  mode (with the repair-delay re-arm) is pre-run on a scratch simulator
-  and its event stream recorded, then replayed as a schedule;
+- ``stochastic``: MTBF failures, each replaced after a uniform repair
+  delay, at most one server down at a time, drawn straight from the
+  seeded rng, so the campaign run, its reproduction and every shrink
+  replay inject one timeline;
 - ``cabinet``: correlated failures — every server of one cabinet dies at
   the same instant (the topology-aware layout must keep this survivable).
 
@@ -39,10 +40,10 @@ import numpy as np
 
 from repro.chaos.invariants import ONLINE, QUIESCENT, Violation, run_invariants
 from repro.core.runtime import DataLossError
-from repro.sim.failures import FailureInjector, FailureSchedule
-from repro.sim.engine import Simulator
 
-__all__ = ["ChaosConfig", "FailureUnit", "CampaignResult", "run_campaign", "shrink_units"]
+__all__ = [
+    "ChaosConfig", "FailureUnit", "CampaignResult", "inject_units", "run_campaign", "shrink_units",
+]
 
 _POLICIES = ("replicate", "erasure", "hybrid", "corec")
 _MODES = ("scheduled", "stochastic", "cabinet")
@@ -101,6 +102,7 @@ class ChaosConfig:
             raise ValueError("need at least one timestep and one variable")
         if self.n_failures < 1:
             raise ValueError("a chaos campaign needs at least one failure")
+        _staging_config(self)  # raises for a deployment the service would refuse
 
 
 @dataclass
@@ -150,8 +152,23 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # service / workload assembly
 # ----------------------------------------------------------------------
+def _staging_config(cfg: ChaosConfig, tracing: bool = False):
+    from repro import StagingConfig
+
+    return StagingConfig(
+        n_servers=cfg.n_servers,
+        nodes_per_cabinet=cfg.nodes_per_cabinet,
+        domain_shape=tuple(cfg.domain_shape),
+        object_max_bytes=cfg.object_bytes,
+        placement_mode=cfg.placement_mode,
+        max_coding_sets=cfg.max_coding_sets,
+        tracing=tracing,
+        seed=cfg.seed,
+    )
+
+
 def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = False):
-    from repro import StagingConfig, StagingService
+    from repro import StagingService
     from repro.core.policies import bounded_spec, policy_from_spec
     from repro.core.recovery import RecoveryConfig
 
@@ -162,16 +179,7 @@ def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = Fals
             mode="lazy", mtbf_s=4.0 * DEADLINE_FRAC * horizon, deadline_fraction=0.25
         )
     return StagingService(
-        StagingConfig(
-            n_servers=cfg.n_servers,
-            nodes_per_cabinet=cfg.nodes_per_cabinet,
-            domain_shape=tuple(cfg.domain_shape),
-            object_max_bytes=cfg.object_bytes,
-            placement_mode=cfg.placement_mode,
-            max_coding_sets=cfg.max_coding_sets,
-            tracing=tracing,
-            seed=cfg.seed,
-        ),
+        _staging_config(cfg, tracing),
         policy_from_spec(
             bounded_spec(cfg.policy, cfg.storage_bound), seed=cfg.seed, recovery=recovery
         ),
@@ -247,40 +255,40 @@ def _scheduled_units(cfg: ChaosConfig, horizon: float, rng) -> list[FailureUnit]
 
 
 def _stochastic_units(cfg: ChaosConfig, horizon: float, rng) -> list[FailureUnit]:
-    """Record an MTBF-mode injector run on a scratch simulator, then replay.
+    """MTBF failures with a uniform repair delay, drawn from ``rng`` alone.
 
-    Pre-recording (rather than coupling the stochastic injector to the live
-    service) keeps the event stream identical between the campaign run, the
-    bit-identical reproduction run, and every shrink replay.
+    Exponential fleet-wide gaps tick until the cutoff.  A tick that finds
+    a server down fails nobody (one failure at a time); otherwise it draws
+    a victim, then a repair delay uniform in [0.5, 1.5] × the mean.  The
+    draws come in that order (gap, victim, delay), so a seed fixes the
+    whole timeline.  A repair counts if it lands strictly before the next
+    tick and no later than the cutoff; the failure still open at the
+    cutoff comes last, never replaced.
     """
     cutoff = 0.85 * horizon
     # Fleet failure rate n/mtbf over the window ≈ n_failures expected.
     mtbf = cfg.n_servers * cutoff / cfg.n_failures
-    sim = Simulator()
-    events: list[tuple[float, str, int]] = []
-    inj = FailureInjector(
-        sim,
-        on_fail=lambda s: events.append((sim.now, "fail", s)),
-        on_replace=lambda s: events.append((sim.now, "replace", s)),
-        mtbf_s=mtbf,
-        n_servers=cfg.n_servers,
-        rng=rng,
-        repair_delay_s=0.05 * horizon,
-        repair_delay_dist="uniform",
-        max_concurrent_failures=1,
-    )
-    inj.start()
-    sim.run(until=cutoff)
-    units = []
-    open_fail: dict[int, float] = {}
-    for t, kind, sid in events:
-        if kind == "fail":
-            open_fail[sid] = t
-        else:
-            units.append(FailureUnit(open_fail.pop(sid), sid, t))
-    for sid, t in sorted(open_fail.items()):
-        units.append(FailureUnit(t, sid, None))  # replacement past the cutoff
-    units.sort(key=lambda u: u.t_fail)
+    gap_mean = 1.0 / (cfg.n_servers / mtbf)
+    repair_mean = 0.05 * horizon
+    servers = list(range(cfg.n_servers))
+    units: list[FailureUnit] = []
+    down: FailureUnit | None = None
+    t = 0.0
+    while True:
+        t += float(rng.exponential(gap_mean))
+        if t > cutoff:
+            break
+        if down is not None:
+            if down.t_replace >= t:
+                continue
+            units.append(down)
+        victim = int(rng.choice(servers))
+        delay = float(rng.uniform(0.5 * repair_mean, 1.5 * repair_mean))
+        down = FailureUnit(t, victim, t + delay)
+    if down is not None:
+        if down.t_replace > cutoff:
+            down = FailureUnit(down.t_fail, down.server, None)
+        units.append(down)
     return _enforce_guard(units, REPAIR_GUARD_FRAC * horizon)
 
 
@@ -318,14 +326,36 @@ def _cabinet_units(cfg: ChaosConfig, horizon: float, rng) -> list[FailureUnit]:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _units_to_schedule(units: list[FailureUnit]) -> FailureSchedule:
-    sched = FailureSchedule()
-    for u in units:
-        sched.add_failure(u.t_fail, u.server)
-        if u.t_replace is not None:
-            sched.add_replacement(u.t_replace, u.server)
-    sched.validate()
-    return sched
+def inject_units(sim, units: list[FailureUnit], apply) -> None:
+    """Start the process that calls ``apply(kind, server)`` on ``sim`` at
+    each ``"fail"`` / ``"replace"`` time of ``units``: in time order,
+    failures before replacements at one instant, then by server.
+
+    Raises ``ValueError`` before any event runs if one server's
+    fail→replace cycles overlap: a replacement before its failure, or a
+    failure at or before the server's previous replacement.
+    """
+    back_at: dict[int, float] = {}
+    for u in sorted(units, key=lambda u: (u.t_fail, u.server)):
+        if u.t_replace is not None and u.t_replace < u.t_fail:
+            raise ValueError(
+                f"server {u.server} is replaced at t={u.t_replace}, before it fails at t={u.t_fail}"
+            )
+        if u.t_fail <= back_at.get(u.server, -math.inf):
+            raise ValueError(f"server {u.server} fails at t={u.t_fail} while already failed")
+        back_at[u.server] = math.inf if u.t_replace is None else u.t_replace
+    actions = [(u.t_fail, "fail", u.server) for u in units]
+    actions += [(u.t_replace, "replace", u.server) for u in units if u.t_replace is not None]
+    actions.sort(key=lambda a: (a[0], a[1] == "replace", a[2]))
+
+    def walk() -> Generator:
+        for t, kind, server in actions:
+            delay = t - sim.now
+            if delay > 0:
+                yield sim.timeout(delay)
+            apply(kind, server)
+
+    sim.process(walk(), name="failure-units")
 
 
 def fingerprint(svc, events: list, units: list[FailureUnit]) -> str:
@@ -375,16 +405,10 @@ def execute_units(
         violations.extend(found)
 
     if units:
-        inj = FailureInjector(
-            svc.sim,
-            on_fail=lambda s: _checked("fail", s),
-            on_replace=lambda s: _checked("replace", s),
-            schedule=_units_to_schedule(units),
-        )
-        inj.start()
+        inject_units(svc.sim, units, _checked)
     losses: list = []
     svc.run_workflow(_workload(svc, cfg, losses))
-    svc.run()  # drain background protection / recovery / injector tail
+    svc.run()  # drain background protection / recovery / the unit walk's tail
     waived = 0
     for t, detail in losses:
         if (

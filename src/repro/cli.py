@@ -336,11 +336,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosConfig, run_campaign
 
     modes = ["scheduled", "stochastic", "cabinet"] if args.mode == "all" else [args.mode]
-    results = []
-    failed = False
-    for mode in modes:
-        for i in range(args.campaigns):
-            cfg = ChaosConfig(
+    try:
+        configs = [
+            ChaosConfig(
                 mode=mode,
                 policy=args.policy,
                 seed=args.seed + i,
@@ -352,10 +350,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 shrink=not args.no_shrink,
                 out_dir=args.out,
             )
-            result = run_campaign(cfg)
-            results.append({"policy": args.policy, **result.summary()})
-            if not result.passed:
-                failed = True
+            for mode in modes
+            for i in range(args.campaigns)
+        ]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    results = []
+    failed = False
+    for cfg in configs:
+        result = run_campaign(cfg)
+        results.append({"policy": args.policy, **result.summary()})
+        if not result.passed:
+            failed = True
     _emit({"campaigns": results} if len(results) > 1 else results[0], args)
     return 1 if failed else 0
 
@@ -369,15 +375,18 @@ def cmd_dataloss(args: argparse.Namespace) -> int:
     """
     from repro.chaos import DataLossConfig, run_dataloss_campaign
 
-    cfg = DataLossConfig(
-        seed=args.seed,
-        n_servers=args.servers,
-        nodes_per_cabinet=args.nodes_per_cabinet,
-        n_variables=args.variables,
-        object_bytes=args.object_bytes,
-        max_coding_sets=args.max_coding_sets,
-        inject=not args.no_inject,
-    )
+    try:
+        cfg = DataLossConfig(
+            seed=args.seed,
+            n_servers=args.servers,
+            nodes_per_cabinet=args.nodes_per_cabinet,
+            n_variables=args.variables,
+            object_bytes=args.object_bytes,
+            max_coding_sets=args.max_coding_sets,
+            inject=not args.no_inject,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     payload = run_dataloss_campaign(cfg)
     comparison = payload["comparisons"]["spread_vs_coding_sets"]
     if args.json:
@@ -417,12 +426,15 @@ def cmd_scale(args: argparse.Namespace) -> int:
     """
     from repro.scaling import SWEEP_SERVERS, ScalingConfig, check_bounds, run_scale
 
-    cfg = ScalingConfig(
-        servers=tuple(args.servers) if args.servers else SWEEP_SERVERS,
-        blocks_per_server=args.blocks_per_server,
-        timesteps=args.timesteps,
-        seed=args.seed,
-    )
+    try:
+        cfg = ScalingConfig(
+            servers=tuple(args.servers) if args.servers else SWEEP_SERVERS,
+            blocks_per_server=args.blocks_per_server,
+            timesteps=args.timesteps,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     rows = [run_scale(cfg, n) for n in cfg.servers]
     problems = [] if args.no_assert else check_bounds(rows)
     _emit({"sweep": rows, "bound_violations": problems}, args)

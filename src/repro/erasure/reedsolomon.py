@@ -12,16 +12,14 @@ coded data — the cost asymmetry at the heart of CoREC's hot/cold split: an
 update to one data shard requires touching **every** parity shard, whereas a
 replicated object only rewrites its replicas.
 
-:class:`StripeCodec` adapts the fixed-shard-size core to variable-size
-payloads by padding, and carries shard-to-server bookkeeping for the staging
-layer.
+:class:`StripeCodec` holds the one code every stripe of a deployment uses;
+the staging layer pads each member to its stripe's shard length itself.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +32,7 @@ from repro.erasure.matrix import (
     vandermonde_rs_matrix,
 )
 
-__all__ = ["RSCode", "StripeCodec", "Stripe"]
+__all__ = ["RSCode", "StripeCodec"]
 
 
 class RSCode:
@@ -379,68 +377,8 @@ class RSCode:
         return self._product(mat, rows, length)[0]
 
 
-@dataclass
-class Stripe:
-    """A coded stripe: shard payloads plus original object lengths.
-
-    ``shards[i]`` for ``i < k`` are (padded) data shards; ``i >= k`` are
-    parities.  ``lengths[i]`` records each original object's byte length so
-    decode can strip the padding.
-    """
-
-    code: RSCode
-    shards: list[np.ndarray]
-    lengths: list[int]
-
-    @property
-    def shard_len(self) -> int:
-        return int(self.shards[0].size) if self.shards else 0
-
-
 class StripeCodec:
-    """Variable-size object <-> fixed-size stripe adapter.
-
-    The staging layer deals in objects of (slightly) varying byte size; the
-    RS core wants equal-length shards.  The codec pads each object to the
-    stripe's shard length (the max object length) before encoding and strips
-    padding after decode.
-    """
+    """The deployment's stripe code, ``RSCode(k, m, construction)``, as ``.code``."""
 
     def __init__(self, k: int, m: int, construction: str = "cauchy"):
         self.code = RSCode(k, m, construction)
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-    @property
-    def m(self) -> int:
-        return self.code.m
-
-    @staticmethod
-    def _pad(buf: np.ndarray, length: int) -> np.ndarray:
-        buf = np.ascontiguousarray(buf, dtype=np.uint8).ravel()
-        if buf.size == length:
-            return buf
-        out = np.zeros(length, dtype=np.uint8)
-        out[: buf.size] = buf
-        return out
-
-    def encode_objects(self, objects: Sequence[np.ndarray]) -> Stripe:
-        """Encode ``k`` byte buffers (possibly unequal lengths) into a stripe."""
-        if len(objects) != self.k:
-            raise ValueError(f"expected {self.k} objects, got {len(objects)}")
-        lengths = [int(np.asarray(o).size) for o in objects]
-        shard_len = max(lengths) if lengths else 0
-        if shard_len == 0:
-            raise ValueError("cannot encode empty objects")
-        data = [self._pad(o, shard_len) for o in objects]
-        parity = self.code.encode(data)
-        return Stripe(code=self.code, shards=data + parity, lengths=lengths)
-
-    def decode_objects(self, stripe_lengths: Sequence[int], present: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """Recover the original (unpadded) objects from surviving shards."""
-        data = self.code.decode(present)
-        if len(stripe_lengths) != self.k:
-            raise ValueError("need one original length per data shard")
-        return [data[i][: stripe_lengths[i]].copy() for i in range(self.k)]

@@ -1,4 +1,4 @@
-"""Discrete-event simulation engine and cluster/network/failure models.
+"""Discrete-event simulation engine and cluster/network models.
 
 This subpackage is the substitute for the paper's physical testbed (Titan
 Cray XK7 with RDMA transport).  It provides:
@@ -11,16 +11,18 @@ Cray XK7 with RDMA transport).  It provides:
 - :mod:`repro.sim.network` — a latency + bandwidth point-to-point transfer
   model with per-endpoint contention;
 - :mod:`repro.sim.cluster` — nodes, cabinets and the topology-aware logical
-  ring used by CoREC's grouped placement (paper Section III-A);
-- :mod:`repro.sim.failures` — scheduled and stochastic (MTBF) failure
-  injection with replacement servers.
+  ring used by CoREC's grouped placement (paper Section III-A).
+
+Servers fail and are replaced through the staging service
+(``fail_server`` / ``replace_server``): at workload steps from a
+``failure_plan``, or at the times of a chaos campaign's ``FailureUnit``
+list (:mod:`repro.chaos.campaign`).
 """
 
 from repro.sim.engine import Simulator, Process, Event, Timeout, Interrupt, AnyOf, AllOf
 from repro.sim.resources import Resource
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.cluster import Cluster, Node, topology_aware_ring
-from repro.sim.failures import FailureInjector, FailureSchedule
 
 __all__ = [
     "Simulator",
@@ -36,6 +38,4 @@ __all__ = [
     "Cluster",
     "Node",
     "topology_aware_ring",
-    "FailureInjector",
-    "FailureSchedule",
 ]

@@ -9,8 +9,8 @@ Modules
 -------
 - :mod:`repro.staging.domain` — n-D half-open bounding boxes and the global
   domain grid;
-- :mod:`repro.staging.objects` — object identifiers, payloads, versions and
-  block entities (the unit of hot/cold classification);
+- :mod:`repro.staging.objects` — payload digests, stripes and block
+  entities (the unit of hot/cold classification);
 - :mod:`repro.staging.index` — the block -> server spatial index (the DHT
   analogue);
 - :mod:`repro.staging.server` — staging-server state: local object store,
@@ -23,7 +23,7 @@ Modules
 """
 
 from repro.staging.domain import BBox, Domain
-from repro.staging.objects import ObjectId, DataObject, BlockEntity, ResilienceState
+from repro.staging.objects import BlockEntity, ResilienceState
 from repro.staging.index import SpatialIndex
 from repro.staging.server import StagingServer, CostModel
 from repro.staging.metadata import MetadataDirectory
@@ -31,8 +31,6 @@ from repro.staging.metadata import MetadataDirectory
 __all__ = [
     "BBox",
     "Domain",
-    "ObjectId",
-    "DataObject",
     "BlockEntity",
     "ResilienceState",
     "SpatialIndex",

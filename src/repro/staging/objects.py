@@ -24,23 +24,7 @@ import numpy as np
 from repro.erasure.gf256 import GF256
 from repro.staging.domain import BBox
 
-__all__ = ["ObjectId", "DataObject", "ResilienceState", "BlockEntity", "StripeInfo"]
-
-
-@dataclass(frozen=True)
-class ObjectId:
-    """Identity of one staged object version: (variable, block, version)."""
-
-    name: str
-    block_id: int
-    version: int
-
-    def key(self) -> str:
-        return f"{self.name}/{self.block_id}@{self.version}"
-
-    def entity_key(self) -> tuple[str, int]:
-        """The version-less entity this object belongs to."""
-        return (self.name, self.block_id)
+__all__ = ["ResilienceState", "BlockEntity", "StripeInfo"]
 
 
 #: Views at least this long take the native CRC fold.  The ctypes call has
@@ -85,25 +69,6 @@ def content_id(data: np.ndarray) -> str:
     """
     view = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
     return hashlib.blake2b(view, digest_size=12).hexdigest()
-
-
-@dataclass
-class DataObject:
-    """One staged object version with its payload."""
-
-    oid: ObjectId
-    bbox: BBox
-    payload: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.payload = np.ascontiguousarray(self.payload, dtype=np.uint8).ravel()
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.payload.size)
-
-    def digest(self) -> str:
-        return payload_digest(self.payload)
 
 
 class ResilienceState(enum.Enum):

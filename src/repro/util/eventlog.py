@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 __all__ = ["Event", "EventLog"]
 
@@ -47,7 +47,7 @@ class Event:
 
 
 class EventLog:
-    """Append-only event log with filtered iteration helpers.
+    """Append-only event log with per-kind counts.
 
     With a ``capacity``, the log is a ring buffer that drops the oldest
     events (see module docstring); :attr:`dropped` counts the evictions.
@@ -76,14 +76,6 @@ class EventLog:
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)
-
-    def between(self, t0: float, t1: float, kinds: Iterable[str] | None = None) -> list[Event]:
-        wanted = set(kinds) if kinds is not None else None
-        return [
-            e
-            for e in self._events
-            if t0 <= e.t < t1 and (wanted is None or e.kind in wanted)
-        ]
 
     def count(self, kind: str) -> int:
         return sum(1 for e in self._events if e.kind == kind)

@@ -57,27 +57,13 @@ class RunningStat:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """Combine two independent accumulators (parallel reduction)."""
-        out = RunningStat()
-        out.n = self.n + other.n
-        if out.n == 0:
-            return out
-        delta = other._mean - self._mean
-        out._mean = self._mean + delta * other.n / out.n
-        out._m2 = self._m2 + other._m2 + delta * delta * self.n * other.n / out.n
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        out.total = self.total + other.total
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunningStat(n={self.n}, mean={self.mean:.6g}, std={self.std:.3g})"
 
 
 @dataclass
 class TimeSeries:
-    """Append-only (t, value) series with numpy export."""
+    """Append-only (t, value) series."""
 
     name: str = ""
     times: list[float] = field(default_factory=list)
@@ -89,9 +75,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.values)
 
     def mean(self) -> float:
         return float(np.mean(self.values)) if self.values else 0.0

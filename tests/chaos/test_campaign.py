@@ -3,18 +3,23 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.chaos.campaign import (
+    REPAIR_GUARD_FRAC,
     ChaosConfig,
     FailureUnit,
+    _stochastic_units,
     calibrate_horizon,
     execute_units,
     fingerprint,
     generate_units,
+    inject_units,
     run_campaign,
     shrink_units,
 )
+from repro.sim.engine import Simulator
 from repro.staging.server import StagingServer
 
 
@@ -232,6 +237,104 @@ class TestMutationCatchShrinkDump:
         assert runs >= 1
 
 
+def _walk(units):
+    """``(time, kind, server)`` of each ``apply`` call ``inject_units`` makes."""
+    sim = Simulator()
+    calls = []
+    inject_units(sim, units, lambda kind, sid: calls.append((sim.now, kind, sid)))
+    sim.run()
+    return calls
+
+
+def _rejected_before_any_event(units):
+    sim = Simulator()
+    calls = []
+    with pytest.raises(ValueError):
+        inject_units(sim, units, lambda kind, sid: calls.append(kind))
+    sim.run()
+    assert calls == [] and sim.now == 0.0
+
+
+class TestInjectUnits:
+    """The one walk from a unit list to fail/replace calls."""
+
+    def test_fail_replace_cycles_valid(self):
+        units = [FailureUnit(10.0 * c + 1, 4, 10.0 * c + 5) for c in range(3)]
+        assert [kind for _, kind, _ in _walk(units)] == ["fail", "replace"] * 3
+
+    def test_same_instant_fail_then_replace_valid(self):
+        assert _walk([FailureUnit(1.0, 0, 1.0)]) == [(1.0, "fail", 0), (1.0, "replace", 0)]
+
+    def test_interleaving_independent_per_server(self):
+        units = [FailureUnit(1.0, 0, 4.0), FailureUnit(2.0, 1, 3.0)]
+        assert _walk(units) == [
+            (1.0, "fail", 0), (2.0, "fail", 1), (3.0, "replace", 1), (4.0, "replace", 0),
+        ]
+
+    def test_replacement_before_failure_rejected(self):
+        _rejected_before_any_event([FailureUnit(5.0, 0, 2.0)])
+        # The replacement at t=5 belongs to the cycle that fails at t=10.
+        _rejected_before_any_event([FailureUnit(1.0, 0, 2.0), FailureUnit(10.0, 0, 5.0)])
+
+    def test_overlapping_cycles_on_one_server_rejected(self):
+        _rejected_before_any_event([FailureUnit(1.0, 2, 5.0), FailureUnit(3.0, 2, 8.0)])
+        # At one instant the failure applies first: at t=5 the server is still down.
+        _rejected_before_any_event([FailureUnit(1.0, 2, 5.0), FailureUnit(5.0, 2, 8.0)])
+        _rejected_before_any_event([FailureUnit(1.0, 2, None), FailureUnit(9.0, 2, None)])
+
+    def test_events_in_time_order_fail_before_replace(self):
+        cfg = ChaosConfig(mode="scheduled", policy="corec", seed=0, shrink=False)
+        horizon = calibrate_horizon(cfg)
+        t1, t2 = 0.25 * horizon, 0.5 * horizon
+        res, _ = execute_units(cfg, [FailureUnit(t2, 5, t2), FailureUnit(t1, 3, t2)], horizon)
+        assert [(kind, sid) for _, kind, sid in res.events] == [
+            ("fail", 3), ("fail", 5), ("replace", 3), ("replace", 5),
+        ]
+        assert [t for t, _, _ in res.events] == pytest.approx([t1, t2, t2, t2])
+
+
+class TestStochasticUnits:
+    """The MTBF draw: one timeline per seed, one server down at a time."""
+
+    HORIZON = 1.0
+
+    def draw(self, seed, n_failures=3):
+        cfg = ChaosConfig(mode="stochastic", seed=seed, n_failures=n_failures)
+        return _stochastic_units(cfg, self.HORIZON, np.random.default_rng(seed))
+
+    def test_rate_roughly_matches(self):
+        # n_failures is the expected number of ticks over the window; the
+        # one-down rule and the repair guard keep fewer of them.
+        means = {n: np.mean([len(self.draw(s, n)) for s in range(40)]) for n in (1, 6)}
+        assert 0.5 <= means[1] <= 1.5
+        assert 2 * means[1] < means[6] <= 6
+
+    def test_deterministic_per_seed(self):
+        assert self.draw(7) == self.draw(7)
+        assert self.draw(7) != self.draw(8)
+
+    def test_at_most_one_server_down(self):
+        cutoff = 0.85 * self.HORIZON
+        for seed in range(40):
+            units = self.draw(seed, n_failures=6)
+            for prev, nxt in zip(units, units[1:]):
+                assert prev.t_replace is not None
+                assert nxt.t_fail >= prev.t_replace + REPAIR_GUARD_FRAC * self.HORIZON
+            assert all(u.t_fail <= cutoff for u in units)
+            assert all(u.t_replace is None or u.t_replace <= cutoff for u in units)
+
+    def test_repair_delay_within_half_to_one_and_a_half_means(self):
+        mean = 0.05 * self.HORIZON
+        delays = [
+            u.t_replace - u.t_fail
+            for seed in range(40)
+            for u in self.draw(seed, n_failures=6)
+            if u.t_replace is not None
+        ]
+        assert delays
+        assert all(0.5 * mean - 1e-12 <= d <= 1.5 * mean + 1e-12 for d in delays)
+
+
 class TestConfigValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -240,3 +343,7 @@ class TestConfigValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             ChaosConfig(policy="none")
+
+    def test_server_count_the_deployment_refuses_rejected(self):
+        with pytest.raises(ValueError, match="cannot host"):
+            ChaosConfig(n_servers=3)

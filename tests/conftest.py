@@ -41,6 +41,14 @@ def make_service(policy_name: str = "corec", **overrides) -> StagingService:
     return StagingService(small_config(**overrides), policy)
 
 
+def padded(objects) -> list[np.ndarray]:
+    """Each object zero-padded to the longest: one stripe's data shards."""
+    shards = [np.zeros(max(o.size for o in objects), np.uint8) for _ in objects]
+    for shard, o in zip(shards, objects):
+        shard[: o.size] = o
+    return shards
+
+
 def stripes_consistent(svc: StagingService) -> bool:
     """Recompute every stripe's parity from the stored primary copies."""
     code = svc.codec.code

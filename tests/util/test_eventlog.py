@@ -20,18 +20,6 @@ class TestEventLog:
         assert ev.source == "s3"
         assert ev.data == {"stripe": 7}
 
-    def test_between_half_open(self):
-        log = EventLog()
-        for t in (0.0, 1.0, 2.0, 3.0):
-            log.emit(t, "x")
-        assert [e.t for e in log.between(1.0, 3.0)] == [1.0, 2.0]
-
-    def test_between_with_kind_filter(self):
-        log = EventLog()
-        log.emit(1.0, "a")
-        log.emit(1.5, "b")
-        assert [e.kind for e in log.between(0, 2, kinds=["b"])] == ["b"]
-
     def test_count(self):
         log = EventLog()
         log.emit(0, "a")

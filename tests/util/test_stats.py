@@ -41,34 +41,13 @@ class TestRunningStat:
             s.variance, float(np.var(data, ddof=1)), rel_tol=1e-6, abs_tol=1e-4
         )
 
-    @given(
-        st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=50),
-        st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=50),
-    )
-    def test_merge_equals_sequential(self, a, b):
-        sa, sb, sc = RunningStat(), RunningStat(), RunningStat()
-        sa.extend(a)
-        sb.extend(b)
-        sc.extend(a + b)
-        merged = sa.merge(sb)
-        assert merged.n == sc.n
-        assert math.isclose(merged.mean, sc.mean, rel_tol=1e-9, abs_tol=1e-6)
-        assert math.isclose(merged._m2, sc._m2, rel_tol=1e-6, abs_tol=1e-3)
-
-    def test_merge_with_empty(self):
-        s = RunningStat()
-        s.extend([1, 2, 3])
-        merged = s.merge(RunningStat())
-        assert merged.n == 3 and math.isclose(merged.mean, 2.0)
-
 
 class TestTimeSeries:
     def test_add_and_arrays(self):
         ts = TimeSeries("x")
         ts.add(0.0, 1.0)
         ts.add(1.0, 3.0)
-        t, v = ts.as_arrays()
-        assert list(t) == [0.0, 1.0] and list(v) == [1.0, 3.0]
+        assert ts.times == [0.0, 1.0] and ts.values == [1.0, 3.0]
         assert len(ts) == 2
         assert ts.mean() == 2.0
 
