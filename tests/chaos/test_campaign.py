@@ -258,6 +258,9 @@ def _rejected_before_any_event(units):
 class TestInjectUnits:
     """The one walk from a unit list to fail/replace calls."""
 
+    def test_single_cycle_valid(self):
+        assert _walk([FailureUnit(1.0, 0, 2.0)]) == [(1.0, "fail", 0), (2.0, "replace", 0)]
+
     def test_fail_replace_cycles_valid(self):
         units = [FailureUnit(10.0 * c + 1, 4, 10.0 * c + 5) for c in range(3)]
         assert [kind for _, kind, _ in _walk(units)] == ["fail", "replace"] * 3
@@ -273,7 +276,10 @@ class TestInjectUnits:
 
     def test_replacement_before_failure_rejected(self):
         _rejected_before_any_event([FailureUnit(5.0, 0, 2.0)])
-        # The replacement at t=5 belongs to the cycle that fails at t=10.
+
+    def test_replacement_before_later_cycle_failure_rejected(self):
+        # The replacement at t=5 belongs to the cycle that fails at t=10;
+        # the server's earlier failure at t=1 does not make it valid.
         _rejected_before_any_event([FailureUnit(1.0, 0, 2.0), FailureUnit(10.0, 0, 5.0)])
 
     def test_overlapping_cycles_on_one_server_rejected(self):
@@ -291,6 +297,14 @@ class TestInjectUnits:
             ("fail", 3), ("fail", 5), ("replace", 3), ("replace", 5),
         ]
         assert [t for t, _, _ in res.events] == pytest.approx([t1, t2, t2, t2])
+
+    def test_service_fails_before_it_replaces_at_one_instant(self):
+        cfg = ChaosConfig(mode="scheduled", policy="corec", seed=0, shrink=False)
+        horizon = calibrate_horizon(cfg)
+        t = 0.25 * horizon
+        res, _ = execute_units(cfg, [FailureUnit(t, 0, t)], horizon)
+        assert [(kind, sid) for _, kind, sid in res.events] == [("fail", 0), ("replace", 0)]
+        assert [t_ev for t_ev, _, _ in res.events] == pytest.approx([t, t])
 
 
 class TestStochasticUnits:
@@ -312,6 +326,15 @@ class TestStochasticUnits:
     def test_deterministic_per_seed(self):
         assert self.draw(7) == self.draw(7)
         assert self.draw(7) != self.draw(8)
+
+    def test_campaign_draw_deterministic_per_config_seed(self):
+        # generate_units seeds its own rng from the config: the timeline,
+        # repair delays included, is a function of the seed alone.
+        cfg = ChaosConfig(mode="stochastic", seed=5, n_failures=6)
+        units = generate_units(cfg, self.HORIZON)
+        assert any(u.t_replace is not None for u in units)
+        assert units == generate_units(cfg, self.HORIZON)
+        assert units == self.draw(5, n_failures=6)
 
     def test_at_most_one_server_down(self):
         cutoff = 0.85 * self.HORIZON
