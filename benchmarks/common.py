@@ -125,7 +125,7 @@ def run_synthetic(
     svc.run()  # drain background transitions / recovery
     if trace_dir is not None:
         write_trace_dir(
-            trace_dir, svc.tracer, svc.log, svc.metrics,
+            trace_dir, svc.tracer, svc.metrics,
             process_name=f"repro-{case}-{policy_name}",
         )
     m = svc.metrics

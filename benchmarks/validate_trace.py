@@ -5,8 +5,8 @@ Usage::
     python benchmarks/validate_trace.py --trace-dir trace-out \
         [--schema docs/schemas/trace_schema.json]
 
-Checks ``trace.json`` (Chrome ``trace_event`` format), ``spans.jsonl`` and
-``events.jsonl`` against ``docs/schemas/trace_schema.json``, then runs
+Checks ``trace.json`` (Chrome ``trace_event`` format) and ``spans.jsonl``
+against ``docs/schemas/trace_schema.json``, then runs
 structural cross-checks the schema language cannot express: span ids are
 unique and in start order, parent links resolve to earlier spans, spans
 close no earlier than they open, and every complete trace event nests
@@ -154,14 +154,6 @@ def validate_dir(trace_dir: str, schema_path: str) -> list[str]:
             check(row, schemas["span"], f"spans:{lineno}", errors)
             spans.append(row)
     _check_span_structure(spans, errors)
-
-    events_path = os.path.join(trace_dir, "events.jsonl")
-    if os.path.exists(events_path):
-        with open(events_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    check(json.loads(line), schemas["event"], f"events:{lineno}", errors)
 
     if not spans:
         errors.append("spans.jsonl: no spans — traced run produced an empty trace")

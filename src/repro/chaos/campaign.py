@@ -23,7 +23,7 @@ makes reproduction and shrinking uniform:
 
 On violation the failure list is shrunk ddmin-style to a minimal failing
 schedule, and the minimal schedule is re-run with tracing enabled to dump
-``trace.json`` / ``spans.jsonl`` / ``events.jsonl`` / ``metrics.json``
+``trace.json`` / ``spans.jsonl`` / ``metrics.json`` / ``metrics.prom``
 plus ``schedule.json`` and ``violations.json``.
 """
 
@@ -379,7 +379,7 @@ def execute_units(
     """Run one campaign against a fixed failure-unit list.
 
     Returns ``(CampaignResult, service)``; the service is still live so a
-    caller can export its tracer/log (the dump path does).
+    caller can export its tracer and metrics (the dump path does).
     """
     svc = _build_service(cfg, horizon, tracing=tracing)
     violations: list[Violation] = []
@@ -396,8 +396,6 @@ def execute_units(
         checks += 1
         found = run_invariants(svc, tier=ONLINE)
         for v in found:
-            svc.log.emit(svc.sim.now, "invariant_violated", source="chaos",
-                         invariant=v.invariant, detail=v.detail)
             svc.tracer.instant(
                 "chaos.violation", category="failure",
                 invariant=v.invariant, detail=v.detail,
@@ -504,7 +502,7 @@ def dump_artifacts(
 
     traced_result, svc = execute_units(cfg, units, result.horizon, tracing=True)
     artifacts = write_trace_dir(
-        out_dir, svc.tracer, svc.log, svc.metrics,
+        out_dir, svc.tracer, svc.metrics,
         process_name=f"chaos-{cfg.mode}-seed{cfg.seed}",
     )
     schedule_path = os.path.join(out_dir, "schedule.json")

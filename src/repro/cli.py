@@ -40,6 +40,13 @@ class _UsageError(Exception):
     """A flag value that parsed but does not fit the deployment (exit 2)."""
 
 
+def _bad_input(path: str, exc: Exception) -> int:
+    """One stderr line for an input file that cannot be read; exit 2."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"{path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _step_server(text: str) -> tuple[int, int]:
     """argparse type of ``--fail``/``--replace``: ``STEP:SERVER``, both >= 0."""
     step, sep, server = text.partition(":")
@@ -135,7 +142,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     service.run()
     tracer = service.tracer
     artifacts = write_trace_dir(
-        args.out, tracer, service.log, service.metrics,
+        args.out, tracer, service.metrics,
         process_name=f"repro-{args.case}-{args.policy}",
     )
     # Cross-check: summed leaf-span costs must reproduce Metrics.breakdown.
@@ -149,8 +156,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "policy": args.policy,
         "spans": len(tracer.spans),
         "root_spans": len(tracer.roots()),
-        "events": len(service.log),
-        "events_dropped": service.log.dropped,
         "breakdown_max_drift_s": drift,
         "read_errors": service.read_errors,
         "artifacts": artifacts,
@@ -229,18 +234,6 @@ def cmd_durability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _events_dropped_nearby(path: str) -> int | None:
-    """Read ``eventlog.dropped`` from a metrics.json next to ``path``."""
-    metrics_path = os.path.join(os.path.dirname(os.path.abspath(path)), "metrics.json")
-    try:
-        with open(metrics_path, encoding="utf-8") as fh:
-            registry = json.load(fh).get("registry", {})
-    except (OSError, ValueError):
-        return None
-    dropped = registry.get("eventlog.dropped")
-    return int(dropped) if dropped is not None else None
-
-
 def _span_table(rows: list[dict]) -> None:
     header = f"{'span':<22} {'n':>7} {'total_s':>10} {'p50_s':>10} {'p95_s':>10} {'p99_s':>10} {'max_s':>10}"
     print(header)
@@ -258,27 +251,23 @@ def _report_spans(spans_path: str, args: argparse.Namespace) -> int:
     Per-span-name duration percentiles; for a live trace also the
     request / distinct-trace counts and the per-category latency
     attribution aggregated from the dispatch spans' ``breakdown`` attrs.
-    ``metrics.json`` in the same directory contributes the dropped-event
-    count.
     """
     from repro.obs.export import span_summary
 
-    with open(spans_path, encoding="utf-8") as fh:
-        summary = span_summary(json.loads(line) for line in fh if line.strip())
-    dropped = summary["events_dropped"] = _events_dropped_nearby(spans_path)
+    try:
+        with open(spans_path, encoding="utf-8") as fh:
+            summary = span_summary(json.loads(line) for line in fh if line.strip())
+    except OSError as exc:
+        return _bad_input(spans_path, exc)
     if args.json:
         _emit(summary, args)
         return 0
-    dropped_line = f"events dropped: {dropped}\n" if dropped is not None else ""
     if summary["traces"]:
         # A wall-clock trace leads with its trace / request counts.
         print(f"{summary['spans']} spans in {summary['traces']} traces, "
               f"{summary['requests']} attributed requests")
-        print(dropped_line, end="")
         print()
     _span_table(summary["by_span"])
-    if not summary["traces"]:
-        print(dropped_line, end="")
     if summary["attribution"]:
         print()
         print("latency attribution (per request, seconds):")
@@ -300,7 +289,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not args.name:
         print("pick a result with --name (see --list)", file=sys.stderr)
         return 2
-    payload = load_results(args.name, args.results_dir)
+    try:
+        payload = load_results(args.name, args.results_dir)
+    except OSError as exc:
+        return _bad_input(exc.filename, exc)
     if args.json:
         json.dump(payload, sys.stdout, indent=2, default=float)
         print()
@@ -449,7 +441,7 @@ def _export_live(args: argparse.Namespace, live) -> dict[str, str]:
     from repro.obs.export import write_trace_dir
 
     return write_trace_dir(
-        args.trace_dir, live.tracer, live.service.log, live.service.metrics,
+        args.trace_dir, live.tracer, live.service.metrics,
         process_name="repro-live", clock="wall-clock seconds",
     )
 
@@ -491,8 +483,8 @@ def cmd_live(args: argparse.Namespace) -> int:
     drives a small client workload through the real socket path, prints
     the resulting stats and exits — the self-contained health check CI
     runs on every push.  ``--trace-dir DIR`` turns on wall-clock tracing
-    and exports the span tree, event log, metrics snapshot and a
-    Prometheus text dump to ``DIR`` on exit (both modes).
+    and exports the span tree, metrics snapshot and a Prometheus text
+    dump to ``DIR`` on exit (both modes).
     """
     from repro import StagingConfig
 
@@ -739,9 +731,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         tape = Tape.load(args.tape)
         deployment = tape.deployment()
-    except ValueError as exc:
-        print(f"{args.tape}: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:
+        return _bad_input(args.tape, exc)
     amplify = dict(args.amplify)
 
     with _open_backend(args, args.backend, *deployment) as connect:
@@ -831,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     synthetic_case(p_trace)
     p_trace.add_argument("--out", default="trace-out",
                          help="directory for trace.json / spans.jsonl / "
-                              "events.jsonl / metrics.json / metrics.prom")
+                              "metrics.json / metrics.prom")
     p_trace.set_defaults(func=cmd_trace)
 
     p_s3d = sub.add_parser("run-s3d", help="run the S3D workflow (Table II)")

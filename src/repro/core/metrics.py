@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.obs.registry import MetricsRegistry
-from repro.util.stats import RunningStat, TimeSeries
+from repro.util.stats import RunningStat
 
 __all__ = ["Metrics", "StorageAccountant", "BREAKDOWN_CATEGORIES"]
 
@@ -90,7 +90,6 @@ class Metrics:
         self.breakdown: dict[str, float] = {c: 0.0 for c in BREAKDOWN_CATEGORIES}
         self.storage = StorageAccountant()
         self.storage.register_gauges(self.registry)
-        self.efficiency_series = TimeSeries("efficiency")
         self.put_hist = self.registry.histogram("put_response_s")
         self.get_hist = self.registry.histogram("get_response_s")
 
@@ -124,9 +123,6 @@ class Metrics:
     def record_get(self, duration: float) -> None:
         self.get_stat.add(duration)
         self.get_hist.observe(duration)
-
-    def sample_efficiency(self, t: float) -> None:
-        self.efficiency_series.add(t, self.storage.efficiency())
 
     # ------------------------------------------------------------------
     def write_efficiency(self) -> float:

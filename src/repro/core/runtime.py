@@ -47,7 +47,6 @@ from repro.staging.objects import BlockEntity, ResilienceState, StripeInfo
 from repro.staging.server import StagingServer
 from repro.core.metrics import Metrics
 from repro.core.placement import GroupLayout
-from repro.util.eventlog import EventLog
 
 __all__ = ["StagingRuntime", "DataLossError", "primary_key", "replica_key"]
 
@@ -78,7 +77,6 @@ class StagingRuntime:
         layout: GroupLayout,
         metrics: Metrics,
         codec: StripeCodec,
-        log: EventLog,
         tracer: Tracer,
     ):
         self.sim = sim
@@ -88,7 +86,6 @@ class StagingRuntime:
         self.layout = layout
         self.metrics = metrics
         self.codec = codec
-        self.log = log
         self.tracer = tracer
         self.costs = self.servers[0].costs
         # Host-compute hook.  ``None`` (the simulator default) runs numeric
@@ -161,7 +158,6 @@ class StagingRuntime:
                 yield sim.timeout(duration)
         finally:
             cpu.release()
-        srv.requests_served += 1
         dur = sim.now - start
         booked = dur if charge_wait else duration
         self.metrics.add_time(category, booked)

@@ -226,7 +226,6 @@ class LiveStagingService:
             "entities": len(self.service.directory.entities),
             "stripes": len(self.service.directory.stripes),
             "read_errors": self.service.read_errors,
-            "events_dropped": self.service.log.dropped,
         }
 
     def observe_request(self, op: str, e2e_s: float, breakdown: dict[str, float]) -> None:

@@ -19,7 +19,7 @@ in aggregate:
   storage accountant and the codec caches publish into; plus
   :class:`StatCounters` for stats incremented from several threads.
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
-  ``chrome://tracing`` / Perfetto), JSONL span/event dumps, flat metrics
+  ``chrome://tracing`` / Perfetto), JSONL span dumps, flat metrics
   snapshots, and Prometheus text exposition (``write_trace_dir``: all of
   them into one directory).
 
@@ -37,7 +37,6 @@ from repro.obs.export import (
     span_summary,
     spans_to_breakdown,
     write_chrome_trace,
-    write_events_jsonl,
     write_metrics_json,
     write_prometheus_text,
     write_spans_jsonl,
@@ -63,7 +62,6 @@ __all__ = [
     "span_summary",
     "spans_to_breakdown",
     "write_chrome_trace",
-    "write_events_jsonl",
     "write_metrics_json",
     "write_prometheus_text",
     "write_spans_jsonl",

@@ -11,9 +11,8 @@ Three output shapes:
   family — Perfetto then renders each tid as a flame chart.  A child is
   placed on its parent's tid whenever it nests under everything open
   there, so request trees read top-down.
-- **JSONL dumps** (:func:`write_spans_jsonl` / :func:`write_events_jsonl`):
-  one JSON object per line, for ad-hoc ``jq``/pandas analysis and for the
-  CI schema check.
+- **JSONL dump** (:func:`write_spans_jsonl`): one JSON object per span
+  per line, for ad-hoc ``jq``/pandas analysis and for the CI schema check.
 - **Metrics snapshot** (:func:`write_metrics_json`): the flat registry
   snapshot plus the legacy ``Metrics.snapshot()`` dict.
 
@@ -22,7 +21,7 @@ into one directory — the artifact set of ``repro trace``, ``repro live
 --trace-dir``, a failing chaos campaign and the traced benches alike.
 
 All exporters sort nothing and randomize nothing: output order is span
-id / event order, so deterministic runs export byte-identical artifacts.
+id order, so deterministic runs export byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "span_summary",
     "spans_to_breakdown",
     "write_chrome_trace",
-    "write_events_jsonl",
     "write_metrics_json",
     "write_prometheus_text",
     "write_spans_jsonl",
@@ -263,20 +261,6 @@ def write_spans_jsonl(path: str, tracer: Tracer) -> str:
     return path
 
 
-def write_events_jsonl(path: str, log) -> str:
-    """Dump an :class:`repro.util.eventlog.EventLog` as JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in log:
-            fh.write(
-                json.dumps(
-                    {"t": ev.t, "kind": ev.kind, "source": ev.source, "data": ev.data},
-                    default=float,
-                )
-                + "\n"
-            )
-    return path
-
-
 def write_metrics_json(path: str, metrics) -> str:
     """Write ``Metrics.snapshot()`` + the registry snapshot to one file."""
     payload = {"summary": metrics.snapshot(), "registry": metrics.registry.snapshot()}
@@ -289,16 +273,14 @@ def write_metrics_json(path: str, metrics) -> str:
 def write_trace_dir(
     out_dir: str,
     tracer: Tracer,
-    log,
     metrics,
     process_name: str = "repro-staging",
     clock: str = "simulated seconds",
 ) -> dict[str, str]:
     """Write every trace/metrics artifact of one run into ``out_dir``.
 
-    ``trace.json`` (Perfetto), ``spans.jsonl``, ``events.jsonl``,
-    ``metrics.json`` and ``metrics.prom``; returns their paths by
-    artifact name.
+    ``trace.json`` (Perfetto), ``spans.jsonl``, ``metrics.json`` and
+    ``metrics.prom``; returns their paths by artifact name.
     """
     os.makedirs(out_dir, exist_ok=True)
     join = os.path.join
@@ -307,7 +289,6 @@ def write_trace_dir(
             join(out_dir, "trace.json"), tracer, process_name, clock
         ),
         "spans": write_spans_jsonl(join(out_dir, "spans.jsonl"), tracer),
-        "events": write_events_jsonl(join(out_dir, "events.jsonl"), log),
         "metrics": write_metrics_json(join(out_dir, "metrics.json"), metrics),
         "prometheus": write_prometheus_text(join(out_dir, "metrics.prom"), metrics.registry),
     }

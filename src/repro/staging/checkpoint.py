@@ -117,7 +117,6 @@ class CheckpointedStaging:
         duration = sim.now - t0
         self.n_checkpoints += 1
         self.total_checkpoint_time += duration
-        self.service.log.emit(sim.now, "checkpoint", source="ckpt", bytes=nbytes, duration=duration)
         return duration
 
     def restart(self) -> Generator:
@@ -133,5 +132,4 @@ class CheckpointedStaging:
         yield sim.timeout(base * (1.0 + self.config.redistribute_overhead))
         duration = sim.now - t0
         self.total_restart_time += duration
-        self.service.log.emit(sim.now, "restart", source="ckpt", bytes=nbytes, duration=duration)
         return duration

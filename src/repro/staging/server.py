@@ -103,7 +103,6 @@ class StagingServer:
         self.failed = False
         self.epoch = 0  # bumped on replacement; distinguishes incarnations
         self._recent_requests: deque[float] = deque()
-        self.requests_served = 0
         self.bytes_stored = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

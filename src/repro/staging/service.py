@@ -36,7 +36,6 @@ from repro.staging.index import SpatialIndex
 from repro.staging.metadata import MetadataDirectory
 from repro.staging.objects import BlockEntity, ResilienceState, content_id, payload_digest
 from repro.staging.server import CostModel, StagingServer
-from repro.util.eventlog import EventLog
 from repro.util.rng import RngStreams, stable_hash
 
 __all__ = [
@@ -157,7 +156,6 @@ class StagingService:
         self.policy = policy
         self.sim = engine if engine is not None else Simulator()
         self.streams = RngStreams(config.seed)
-        self.log = EventLog()
         self.metrics = Metrics()
         # An injected tracer wins over the config flag: the live backend
         # passes a WallClockTracer so flows are stamped on the wall clock
@@ -186,7 +184,6 @@ class StagingService:
             layout=self.layout,
             metrics=self.metrics,
             codec=self.codec,
-            log=self.log,
             tracer=self.tracer,
         )
         policy.attach(self.runtime)
@@ -198,18 +195,15 @@ class StagingService:
     def _register_component_gauges(self) -> None:
         """Publish component-internal counters into the metrics registry.
 
-        The decode-matrix cache, the directory and the event log keep
-        plain-int counters for zero-overhead updates; registering callback
-        gauges gives them one queryable namespace without changing the hot
-        paths.
+        The decode-matrix cache and the directory keep plain-int counters
+        for zero-overhead updates; registering callback gauges gives them
+        one queryable namespace without changing the hot paths.
         """
         reg = self.metrics.registry
         code = self.codec.code
         reg.gauge("rs.decode_cache.hits", lambda: code.decode_cache_hits)
         reg.gauge("rs.decode_cache.misses", lambda: code.decode_cache_misses)
         reg.gauge("rs.decode_cache.evictions", lambda: code.decode_cache_evictions)
-        reg.gauge("eventlog.len", lambda: len(self.log))
-        reg.gauge("eventlog.dropped", lambda: self.log.dropped)
         stats = self.directory.op_stats
         reg.gauge("directory.entity_touches", lambda: stats["entity_touches"])
         reg.gauge("directory.stripe_touches", lambda: stats["stripe_touches"])
@@ -444,7 +438,6 @@ class StagingService:
             if pending:
                 yield AllOf(self.sim, pending)
         yield from self.policy.on_step_end(self.step)
-        self.metrics.sample_efficiency(self.sim.now)
         self.step += 1
 
     def flush(self) -> Generator:
@@ -464,13 +457,11 @@ class StagingService:
     # ------------------------------------------------------------------
     def fail_server(self, sid: int) -> None:
         self.servers[sid].fail()
-        self.log.emit(self.sim.now, "server_failed", source=f"s{sid}", server=sid)
         self.tracer.instant("failure.detect", category="failure", server=sid)
         self.policy.on_server_failed(sid)
 
     def replace_server(self, sid: int) -> None:
         self.servers[sid].replace()
-        self.log.emit(self.sim.now, "server_replaced", source=f"s{sid}", server=sid)
         self.tracer.instant("failure.replace", category="failure", server=sid)
         self.policy.on_server_replaced(sid)
 

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG streams, statistics, configs, event logs.
+"""Shared utilities: seeded RNG streams, statistics and units.
 
 These helpers are deliberately dependency-light (numpy only) so every other
 subpackage — the erasure-coding substrate, the discrete-event simulator, the
@@ -7,7 +7,6 @@ staging service and the CoREC runtime — can build on them without cycles.
 
 from repro.util.rng import RngStreams
 from repro.util.stats import RunningStat, TimeSeries, percentile
-from repro.util.eventlog import Event, EventLog
 from repro.util.units import KB, MB, GB, fmt_bytes, fmt_time
 
 __all__ = [
@@ -15,8 +14,6 @@ __all__ = [
     "RunningStat",
     "TimeSeries",
     "percentile",
-    "Event",
-    "EventLog",
     "KB",
     "MB",
     "GB",

@@ -1,14 +1,13 @@
 """Streaming statistics used by the metrics layer and the bench harness.
 
 The simulator produces many per-request samples (write/read response times,
-queue waits, encode durations).  ``RunningStat`` accumulates them in O(1)
-memory with Welford's algorithm; ``TimeSeries`` keeps (time, value) pairs for
+queue waits, encode durations).  ``RunningStat`` accumulates their count,
+total and mean in O(1) memory; ``TimeSeries`` keeps (time, value) pairs for
 per-timestep plots such as the paper's Figure 10.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,48 +16,24 @@ __all__ = ["RunningStat", "TimeSeries", "percentile"]
 
 
 class RunningStat:
-    """Welford one-pass mean/variance with min/max tracking."""
+    """One-pass count, total and running mean."""
 
-    __slots__ = ("n", "_mean", "_m2", "min", "max", "total")
+    __slots__ = ("n", "_mean", "total")
 
     def __init__(self) -> None:
         self.n = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
         self.total = 0.0
 
     def add(self, x: float) -> None:
         x = float(x)
         self.n += 1
         self.total += x
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
+        self._mean += (x - self._mean) / self.n
 
     @property
     def mean(self) -> float:
         return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RunningStat(n={self.n}, mean={self.mean:.6g}, std={self.std:.3g})"
 
 
 @dataclass
@@ -75,9 +50,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else 0.0
 
 
 def percentile(xs, q: float) -> float:

@@ -12,9 +12,10 @@ compression and flow amplification.
 :class:`~repro.live.protocol.LiveClient`, a sharded
 :class:`~repro.live.router.ClusterClient` or a sim-backed
 :class:`~repro.workloads.load.SimTarget` — and records every
-``put``/``get``/``step``/``flush``/``quiesce`` the application issues:
-region geometry, the read-verification flag *as issued*, payload byte
-digests, and wall-clock issue times.
+``put``/``get``/``step``/``flush``/``quiesce`` the application issues,
+and every ``fail_server``/``replace_server`` as a ``fail``/``replace``
+op: region geometry, the read-verification flag *as issued*, payload
+byte digests, server ids, and wall-clock issue times.
 
 Tape format (version 2)
 -----------------------
@@ -128,6 +129,7 @@ RETIRED_CONFIG_FIELDS = {"index_scheme": "round_robin", "verify_reads": True}
 
 _MISSING = object()
 _TAPPED = ("put", "get", "step", "flush", "quiesce")
+_SERVER_OPS = {"fail_server": "fail", "replace_server": "replace"}  # tapped if present
 
 
 def config_meta(config) -> dict[str, Any]:
@@ -341,8 +343,9 @@ class CaptureRecorder:
     """Tap a live client's data/control plane onto a :class:`Tape`.
 
     ``client`` needs the blocking client surface (``put``, ``get``,
-    ``step``, ``flush``, ``quiesce``); both :class:`LiveClient` and
-    :class:`ClusterClient` qualify.  Several recorders may share one
+    ``step``, ``flush``, ``quiesce``); :class:`LiveClient`,
+    :class:`ClusterClient` and ``SimTarget`` qualify, and their
+    ``fail_server`` / ``replace_server`` are recorded too.  Several recorders may share one
     ``tape`` (one per flow client) — pass the same instance and a
     distinct ``flow`` name; issue order is serialized by the tape lock.
 
@@ -380,13 +383,17 @@ class CaptureRecorder:
         if self.attached:
             raise RuntimeError("CaptureRecorder is already attached")
         cli = self.client
-        self._saved = {a: cli.__dict__.get(a, _MISSING) for a in _TAPPED}
-        self._orig = {a: getattr(cli, a) for a in _TAPPED}
+        taps = _TAPPED + tuple(a for a in _SERVER_OPS if hasattr(cli, a))
+        self._saved = {a: cli.__dict__.get(a, _MISSING) for a in taps}
+        self._orig = {a: getattr(cli, a) for a in taps}
         self._now()  # pin t=0 at attach
         cli.put = self._put
         cli.get = self._get
         for op in ("step", "flush", "quiesce"):
             setattr(cli, op, self._marker(op))
+        for attr, op in _SERVER_OPS.items():
+            if attr in self._orig:
+                setattr(cli, attr, self._server_op(op, attr))
         return self
 
     def detach(self) -> Tape:
@@ -440,6 +447,18 @@ class CaptureRecorder:
             t = self._now()
             result = orig()
             self.tape.record(t, op, self.flow)
+            return result
+
+        return tapped
+
+    def _server_op(self, op: str, attr: str):
+        """Tap for a ``fail`` / ``replace``: its issue time and ``server``."""
+        orig = self._orig[attr]
+
+        def tapped(sid):
+            t = self._now()
+            result = orig(sid)
+            self.tape.record(t, op, self.flow, server=int(sid))
             return result
 
         return tapped

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -206,8 +207,8 @@ class TestMutationCatchShrinkDump:
         for fname in (
             "trace.json",
             "spans.jsonl",
-            "events.jsonl",
             "metrics.json",
+            "metrics.prom",
             "schedule.json",
             "violations.json",
         ):
@@ -216,6 +217,39 @@ class TestMutationCatchShrinkDump:
         assert sched["units"] == [u.as_dict() for u in res.minimal_units]
         viols = json.loads((out / "violations.json").read_text())
         assert viols, "dumped violations must not be empty"
+
+    def test_online_violations_dumped_as_one_instant_each(self, tmp_path, monkeypatch):
+        # Mutation: a crashed server keeps its byte count, so the online
+        # bytes_conservation check fires at the failure itself.
+        orig = StagingServer.fail
+
+        def leaky_fail(self):
+            kept = self.bytes_stored
+            orig(self)
+            self.bytes_stored = kept
+
+        monkeypatch.setattr(StagingServer, "fail", leaky_fail)
+        out = tmp_path / "dump"
+        res = run_campaign(
+            ChaosConfig(mode="scheduled", policy="corec", seed=1, out_dir=str(out))
+        )
+        assert not res.passed and res.minimal_units
+        rows = [json.loads(line) for line in (out / "spans.jsonl").read_text().splitlines()]
+        names = Counter(r["name"] for r in rows)
+        assert names["failure.detect"] == len(res.minimal_units)
+        assert names["failure.replace"] == sum(
+            u.t_replace is not None for u in res.minimal_units
+        )
+        instants = Counter(
+            (r["t0"], r["attrs"]["invariant"], r["attrs"]["detail"])
+            for r in rows if r["name"] == "chaos.violation"
+        )
+        dumped = Counter(
+            (v["t"], v["invariant"], v["detail"])
+            for v in json.loads((out / "violations.json").read_text())
+        )
+        assert instants and not instants - dumped
+        assert {inv for _, inv, _ in instants} == {"bytes_conservation"}
 
     def test_failure_independent_bug_shrinks_to_empty(self, monkeypatch):
         # A bug that fires with no failures at all must shrink to the empty

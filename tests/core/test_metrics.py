@@ -113,14 +113,6 @@ class TestMetrics:
         assert "breakdown" in snap and "counters" in snap
         assert snap["counters"]["encodes"] == 1
 
-    def test_sample_efficiency_series(self):
-        m = Metrics()
-        m.storage.original = 100
-        m.sample_efficiency(1.0)
-        m.storage.replica = 100
-        m.sample_efficiency(2.0)
-        assert m.efficiency_series.values == [1.0, 0.5]
-
     def test_extra_categories(self):
         m = Metrics()
         m.register_category("recovery_sweep")

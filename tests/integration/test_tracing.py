@@ -129,10 +129,7 @@ class TestZeroPerturbation:
     def test_traced_and_untraced_runs_identical(self):
         def fingerprint(svc):
             return (
-                tuple(
-                    (round(e.t, 12), e.kind, e.source, tuple(sorted(e.data.items())))
-                    for e in svc.log
-                ),
+                svc.projection(),
                 dict(svc.metrics.counters),
                 round(svc.sim.now, 12),
                 {c: round(v, 12) for c, v in svc.metrics.breakdown.items()

@@ -261,12 +261,10 @@ class TestExportedTraceValidates:
 
         service = handle.live.service
         artifacts = write_trace_dir(
-            str(tmp_path), tracer, service.log, service.metrics,
+            str(tmp_path), tracer, service.metrics,
             process_name="repro-live", clock="wall-clock seconds",
         )
-        assert set(artifacts) == {
-            "chrome_trace", "spans", "events", "metrics", "prometheus"
-        }
+        assert set(artifacts) == {"chrome_trace", "spans", "metrics", "prometheus"}
         root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         spec = importlib.util.spec_from_file_location(
             "validate_trace", os.path.join(root, "benchmarks", "validate_trace.py")
@@ -278,8 +276,7 @@ class TestExportedTraceValidates:
         )
         assert errors == []
         # The Prometheus dump includes the request histograms and the
-        # satellite gauges (protocol stats, dropped events).
+        # satellite gauges (protocol stats).
         prom = (tmp_path / "metrics.prom").read_text()
         assert "live_rpc_put_e2e_s" in prom
         assert "protocol_frames_in" in prom
-        assert "eventlog_dropped" in prom

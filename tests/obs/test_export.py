@@ -12,14 +12,12 @@ from repro.obs.export import (
     span_summary,
     spans_to_breakdown,
     write_chrome_trace,
-    write_events_jsonl,
     write_metrics_json,
     write_spans_jsonl,
     write_trace_dir,
 )
 from repro.obs.tracer import Tracer
 from repro.obs.wallclock import WallClockTracer
-from repro.util.eventlog import EventLog
 
 
 class FakeClock:
@@ -157,16 +155,6 @@ class TestWriters:
         assert rows == span_rows(tracer)
         assert [r["span_id"] for r in rows] == [1, 2, 3, 4, 5]
 
-    def test_events_jsonl(self, tmp_path):
-        log = EventLog()
-        log.emit(1.0, "put", source="s0", nbytes=10)
-        log.emit(2.0, "fail", source="s1")
-        path = write_events_jsonl(str(tmp_path / "events.jsonl"), log)
-        with open(path, encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh]
-        assert rows[0] == {"t": 1.0, "kind": "put", "source": "s0", "data": {"nbytes": 10}}
-        assert rows[1]["kind"] == "fail"
-
     def test_metrics_json(self, tmp_path):
         m = Metrics()
         m.record_put(0.25)
@@ -184,7 +172,6 @@ class TestWriteTraceDir:
     ARTIFACTS = {
         "chrome_trace": "trace.json",
         "spans": "spans.jsonl",
-        "events": "events.jsonl",
         "metrics": "metrics.json",
         "prometheus": "metrics.prom",
     }
@@ -194,14 +181,14 @@ class TestWriteTraceDir:
         [(build_sample_tracer, "simulated seconds"), (WallClockTracer, "wall-clock seconds")],
         ids=["sim", "wallclock"],
     )
-    def test_writes_exactly_the_five_artifacts(self, tmp_path, make_tracer, clock):
+    def test_writes_exactly_the_four_artifacts(self, tmp_path, make_tracer, clock):
         tracer = make_tracer()
         tracer.end(tracer.begin("rpc.put", category="rpc"))
         m = Metrics()
         m.record_put(0.25)
         out = tmp_path / "nested" / "dir"  # created on demand
         artifacts = write_trace_dir(
-            str(out), tracer, EventLog(), m, process_name="unit", clock=clock
+            str(out), tracer, m, process_name="unit", clock=clock
         )
         assert artifacts == {k: str(out / name) for k, name in self.ARTIFACTS.items()}
         assert sorted(os.listdir(out)) == sorted(self.ARTIFACTS.values())
@@ -213,7 +200,7 @@ class TestWriteTraceDir:
 
     def test_summary_of_written_spans_equals_summary_of_the_tracer(self, tmp_path):
         tracer = build_sample_tracer()
-        artifacts = write_trace_dir(str(tmp_path), tracer, EventLog(), Metrics())
+        artifacts = write_trace_dir(str(tmp_path), tracer, Metrics())
         with open(artifacts["spans"], encoding="utf-8") as fh:
             read_back = [json.loads(line) for line in fh]
         assert span_summary(read_back) == span_summary(span_rows(tracer))

@@ -113,14 +113,6 @@ class TestBusyAndWorkload:
         assert log[1][0] == 2.0
         assert log[1][2] == pytest.approx(2.0)  # includes queue wait
 
-    def test_requests_served_counter(self):
-        sim, s, busy = self.make()
-
-        for _ in range(3):
-            sim.process(busy(0.1))
-        sim.run()
-        assert s.requests_served == 3
-
     def test_workload_level_reflects_queue(self):
         sim, s, busy = self.make()
         assert s.workload_level() == pytest.approx(0.0, abs=0.1)

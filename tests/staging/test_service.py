@@ -273,17 +273,6 @@ class TestStepOrchestration:
 
         svc.run_workflow(wf())
 
-    def test_efficiency_sampled_per_step(self):
-        svc = make_service("replication")
-
-        def wf():
-            yield from svc.put("w0", "v", svc.domain.bbox)
-            yield from svc.end_step()
-
-        svc.run_workflow(wf())
-        assert len(svc.metrics.efficiency_series) == 1
-        assert svc.metrics.efficiency_series.values[0] == pytest.approx(0.5)
-
 
 class TestVerifyAll:
     def test_clean_service_verifies_everything(self):

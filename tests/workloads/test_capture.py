@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.live.conformance import WORKLOADS, build_config, build_tape, policy_spec
 from repro.staging.objects import content_id
 from repro.workloads.capture import (
     TAPE_FORMAT,
@@ -19,6 +20,7 @@ from repro.workloads.capture import (
     config_from_meta,
     config_meta,
 )
+from repro.workloads.load import apply_op, open_target, replay_tape
 
 
 class FakeClient:
@@ -48,6 +50,12 @@ class FakeClient:
 
     def quiesce(self):
         self.log.append(("quiesce",))
+
+    def fail_server(self, sid):
+        self.log.append(("fail", sid))
+
+    def replace_server(self, sid):
+        self.log.append(("replace", sid))
 
 
 class TestTapeFormat:
@@ -245,10 +253,14 @@ class TestCaptureRecorder:
         cli.step()
         cli.flush()
         cli.quiesce()
+        cli.fail_server(3)
+        cli.replace_server(3)
         tape = rec.detach()
         assert [o.op for o in tape.ops] == [
-            "put", "get", "step", "flush", "quiesce"
+            "put", "get", "step", "flush", "quiesce", "fail", "replace"
         ]
+        assert [o.server for o in tape.ops[-2:]] == [3, 3]
+        assert cli.log[-2:] == [("fail", 3), ("replace", 3)]
         assert all(o.t >= 0 for o in tape.ops)
         assert tape.ops[0].t <= tape.ops[-1].t
         get = tape.ops[1]
@@ -315,6 +327,22 @@ class TestCaptureRecorder:
         assert [o.flow for o in tape.ops] == ["a", "b", "a"]
         assert [o.seq for o in tape.ops] == [0, 1, 2]
         assert tape.flows() == ["a", "b"]
+
+    def test_captured_failure_run_replays_on_sim(self):
+        spec = WORKLOADS["failure-and-recover"]
+        config, policy = build_config(spec), policy_spec(spec)
+        ops = build_tape(spec).ops
+        with open_target("sim", config, policy) as connect:
+            client = connect("w")
+            rec = CaptureRecorder(client, flow="w")
+            for op in ops:
+                apply_op(client, op)
+            tape = rec.finalize(config, policy, projection=client.projection())
+        assert [(o.op, o.server) for o in tape.ops] == [(o.op, o.server) for o in ops]
+        with open_target("sim", *tape.deployment()) as connect:
+            report = replay_tape(Tape.loads(tape.dumps()), connect("w"))
+        assert report.projection_check == "match"
+        assert report.ok
 
     def test_finalize_stamps_meta(self):
         from tests.conftest import small_config

@@ -142,7 +142,7 @@ class TestCase5:
 
 class TestFailurePlan:
     def test_scheduled_failure_executes(self):
-        svc = make_service("corec")
+        svc = make_service("corec", tracing=True)
         cfg = SyntheticWorkloadConfig(
             case="case5",
             n_writers=8,
@@ -155,8 +155,8 @@ class TestFailurePlan:
         svc.run()
         assert svc.read_errors == 0
         assert not svc.servers[3].failed
-        assert svc.log.count("server_failed") == 1
-        assert svc.log.count("server_replaced") == 1
+        assert len(svc.tracer.find("failure.detect")) == 1
+        assert len(svc.tracer.find("failure.replace")) == 1
 
     def test_unknown_action_rejected(self):
         svc = make_service("corec")
