@@ -128,8 +128,7 @@ SIMPLE_CONFIG_FIELDS = (
 RETIRED_CONFIG_FIELDS = {"index_scheme": "round_robin", "verify_reads": True}
 
 _MISSING = object()
-_TAPPED = ("put", "get", "step", "flush", "quiesce")
-_SERVER_OPS = {"fail_server": "fail", "replace_server": "replace"}  # tapped if present
+_TAPPED = ("put", "get", "step", "flush", "quiesce", "fail_server", "replace_server")
 
 
 def config_meta(config) -> dict[str, Any]:
@@ -343,9 +342,8 @@ class CaptureRecorder:
     """Tap a live client's data/control plane onto a :class:`Tape`.
 
     ``client`` needs the blocking client surface (``put``, ``get``,
-    ``step``, ``flush``, ``quiesce``); :class:`LiveClient`,
-    :class:`ClusterClient` and ``SimTarget`` qualify, and their
-    ``fail_server`` / ``replace_server`` are recorded too.  Several recorders may share one
+    ``step``, ``flush``, ``quiesce``, ``fail_server``, ``replace_server``);
+    :class:`LiveClient`, :class:`ClusterClient` and ``SimTarget`` qualify.  Several recorders may share one
     ``tape`` (one per flow client) — pass the same instance and a
     distinct ``flow`` name; issue order is serialized by the tape lock.
 
@@ -383,17 +381,15 @@ class CaptureRecorder:
         if self.attached:
             raise RuntimeError("CaptureRecorder is already attached")
         cli = self.client
-        taps = _TAPPED + tuple(a for a in _SERVER_OPS if hasattr(cli, a))
-        self._saved = {a: cli.__dict__.get(a, _MISSING) for a in taps}
-        self._orig = {a: getattr(cli, a) for a in taps}
+        self._saved = {a: cli.__dict__.get(a, _MISSING) for a in _TAPPED}
+        self._orig = {a: getattr(cli, a) for a in _TAPPED}
         self._now()  # pin t=0 at attach
         cli.put = self._put
         cli.get = self._get
         for op in ("step", "flush", "quiesce"):
             setattr(cli, op, self._marker(op))
-        for attr, op in _SERVER_OPS.items():
-            if attr in self._orig:
-                setattr(cli, attr, self._server_op(op, attr))
+        cli.fail_server = self._server_op("fail", "fail_server")
+        cli.replace_server = self._server_op("replace", "replace_server")
         return self
 
     def detach(self) -> Tape:

@@ -179,6 +179,12 @@ class FakeLoadClient:
     def quiesce(self):
         pass
 
+    def fail_server(self, sid):
+        pass
+
+    def replace_server(self, sid):
+        pass
+
     def close(self):
         self.closed = True
 
