@@ -343,9 +343,10 @@ class CaptureRecorder:
 
     ``client`` needs the blocking client surface (``put``, ``get``,
     ``step``, ``flush``, ``quiesce``, ``fail_server``, ``replace_server``);
-    :class:`LiveClient`, :class:`ClusterClient` and ``SimTarget`` qualify.  Several recorders may share one
-    ``tape`` (one per flow client) — pass the same instance and a
-    distinct ``flow`` name; issue order is serialized by the tape lock.
+    :class:`LiveClient`, :class:`ClusterClient` and ``SimTarget`` qualify.
+    Several recorders may share one ``tape`` (one per flow client) — pass
+    the same instance and a distinct ``flow`` name; issue order is
+    serialized by the tape lock.
 
     Wall-clock zero is the first recorder's attach on a shared tape.
     """
