@@ -47,7 +47,10 @@ MIN_ENCODE_SPEEDUP_VS_SEED = 3.0
 # Scalar products follow the kernel in charge; only meaningful (and only
 # gated) where that kernel is not the table fallback itself.
 MIN_ADDMUL_SPEEDUP_VS_TABLE = 4.0
-# The same for the checksum: the native CRC fold vs zlib (measured 4-5x).
+# The same for the checksum: the native CRC fold vs zlib (measured 4-5x on
+# the 4 x 128-bit PCLMULQDQ body, 12-13x on the 4 x 512-bit VPCLMULQDQ one).
+# BENCH_codec.json was recorded on the 128-bit body, so a host without the
+# wide body still clears its payload_digest_mb_s.
 MIN_DIGEST_SPEEDUP_VS_ZLIB = 3.0
 # Absolute floors in MB/s, (native kernel loaded, numpy ``table`` fallback).
 # The serial ones sit under what the fallback delivers, so only a Python loop
@@ -125,8 +128,9 @@ def measure(reps: int) -> dict[str, float]:
     metrics["rs_decode_4_2_mb_s"] = 4 * SHARD / t / 1e6
 
     rparity = code.encode(shards)
-    # The write path of an encoded block: one data shard changes, every
-    # parity is copied and delta-updated (bytes of the rewritten shard / s).
+    # The write path of an encoded block: one data shard changes, and each
+    # parity is folded into a fresh one in a single [1 c c].[P; old; new]
+    # pass, no copy first (bytes of the rewritten shard / s).
     t = best_time(lambda: code.update_parity(rparity, 1, shards[1], shards[0]), reps)
     metrics["rs_update_parity_mb_s"] = SHARD / t / 1e6
 
@@ -207,6 +211,9 @@ def main() -> int:
     args = ap.parse_args()
 
     metrics = measure(args.reps)
+    native = GF256.native_kernel()
+    print(f"  GF kernel: {GF256.selected_kernels()['large']}; "
+          f"CRC body: {native.crc_body if native is not None else 'zlib'}")
     for key in sorted(metrics):
         unit = " MB/s" if key.endswith("_mb_s") else ""
         print(f"  {key:32s} {metrics[key]:10.2f}{unit}")

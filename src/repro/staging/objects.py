@@ -29,11 +29,19 @@ __all__ = ["ResilienceState", "BlockEntity", "StripeInfo"]
 
 #: Views at least this long take the native CRC fold.  The ctypes call has
 #: a fixed cost of ~2.5 us, so below this the fold saves less than it
-#: costs; zlib / native per view on one core of a 2-vCPU x86-64, hot cache
-#: and cold: 8 KiB 2.5 / 3.4 and 2.7 / 4.1 us, 16 KiB 4.7 / 4.1 and
-#: 5.2 / 5.4, 32 KiB 9.2 / 5.4 and 10.6 / 8.2, 64 KiB 20.6 / 6.7 and
-#: 19.1 / 11.4.  At 16 KiB the cold case loses (the simulator's 16 KiB
-#: gets read +4 % slower), so the cut is the first size where both win.
+#: costs.  Per view in us, zlib / 128-bit body / wide body, on one core of
+#: a 2-vCPU x86-64 with AVX-512 (median of 400, range over three rounds;
+#: cold is after 3 MiB of copies):
+#:
+#:   8 KiB   hot  3.3-4.8 / 3.7-6.4 / 4.2-6.0    cold  6.6-7.9 / 15-21 / 15-21
+#:   16 KiB  hot  4.9-9.1 / 4.3-7.0 / 3.7-6.2    cold  6.6-12 / 17-22 / 19-21
+#:   32 KiB  hot  9.3-18 / 5.1-7.7 / 3.9-6.4     cold  16-19 / 16-23 / 11-19
+#:   64 KiB  hot  17-34 / 6.9-8.9 / 4.1-6.2      cold  20-34 / 21-25 / 17-23
+#:
+#: Cold, the fold loses at 8 and 16 KiB on either body (the simulator's
+#: 16 KiB gets read +4 % slower with the cut there), is about even at
+#: 32 KiB and wins from 64 KiB; hot it wins from 16 KiB.  The wide body
+#: moves none of that, so the cut stays where the 128-bit body put it.
 NATIVE_CRC_MIN_BYTES = 32 * 1024
 
 
@@ -46,9 +54,11 @@ def payload_digest(data: np.ndarray) -> str:
     released.  From :data:`NATIVE_CRC_MIN_BYTES` up, and where the native
     kernel loaded, the carry-less-multiply fold of
     :meth:`NativeKernel.crc32 <repro.erasure.native.NativeKernel.crc32>`
-    does the bulk (about 55 us per MiB); otherwise, and for every tail,
-    ``zlib.crc32`` (about 240 us per MiB).  Both routes return the same
-    value.  It detects corruption; it is not an identity — 32 bits
+    does the bulk: 4 x 512-bit lanes where the host has VPCLMULQDQ and
+    AVX-512 (about 0.02 ns/B, 21 us per hot MiB, 50-70 us once it left
+    L2), else 4 x 128-bit lanes (about 0.06 ns/B, 60 us per hot MiB);
+    otherwise, and for every tail, ``zlib.crc32`` (about 0.25 ns/B, 250 us
+    per MiB).  Both routes return the same value.  It detects corruption; it is not an identity — 32 bits
     collide, so nothing that is recorded or compared across runs may use
     it (that is :func:`content_id`).
     """

@@ -16,7 +16,9 @@ import asyncio
 import pytest
 
 from repro import CoRECPolicy, DataLossError, ErasurePolicy, ReplicationPolicy, StagingService
+from repro.core.recovery import RecoveryConfig
 from repro.core.runtime import primary_key, replica_key
+from repro.erasure.gf256 import GF256
 from repro.live.service import LiveStagingService
 from repro.staging.objects import ResilienceState
 
@@ -170,6 +172,56 @@ def test_live_pass_budget_one_digest_per_put_and_per_verified_get(monkeypatch):
                 await op
                 await live.quiesce()
                 assert calls == [box.volume] * hashed
+        finally:
+            await live.close()
+
+    asyncio.run(main())
+
+
+# Lazy recovery: nothing rebuilds the failed primary until a replacement
+# joins, so the get's own passes are the only ones (an aggressive burst
+# would decode the same entity beside it on the live engine).
+def degraded_policy():
+    return ErasurePolicy(RecoveryConfig(mode="lazy"))
+
+
+def _degraded_get_budget(svc, calls, ent, kernel_before, degraded_before):
+    assert calls == [ent.nbytes]
+    assert GF256.KERNEL_STATS["matmul_calls"] - kernel_before == 1
+    assert svc.metrics.counters["degraded_reads"] - degraded_before == 1
+
+
+def test_sim_pass_budget_one_digest_and_one_kernel_pass_per_degraded_verified_get(monkeypatch):
+    """A verified get whose primary is lost decodes it in one kernel pass
+    and hashes the result once, background work it sets off included."""
+    svc = StagingService(small_config(), degraded_policy())
+    for flow in writes(svc):
+        svc.run_workflow(flow)
+    svc.run()
+    ent, _ = encoded_with_neighbour(svc)
+    svc.fail_server(ent.primary)
+    calls = _counting_digest(monkeypatch)
+    before = GF256.KERNEL_STATS["matmul_calls"], svc.metrics.counters["degraded_reads"]
+    svc.run_workflow(svc.get("r", ent.name, svc.domain.block_bbox(ent.block_id), True))
+    svc.run()
+    _degraded_get_budget(svc, calls, ent, *before)
+
+
+def test_live_pass_budget_one_digest_and_one_kernel_pass_per_degraded_verified_get(monkeypatch):
+    async def main():
+        live = LiveStagingService(small_config(), degraded_policy())
+        try:
+            svc = live.service
+            for flow in writes(svc):
+                await live.engine.run_process(flow, name="stage")
+            await live.quiesce()
+            ent, _ = encoded_with_neighbour(svc)
+            svc.fail_server(ent.primary)
+            calls = _counting_digest(monkeypatch)
+            before = GF256.KERNEL_STATS["matmul_calls"], svc.metrics.counters["degraded_reads"]
+            await live.get("r", ent.name, svc.domain.block_bbox(ent.block_id), True)
+            await live.quiesce()
+            _degraded_get_budget(svc, calls, ent, *before)
         finally:
             await live.close()
 
