@@ -17,13 +17,15 @@ Key differences from the simulator:
 - A flow runs until it really blocks.  A booking that needs no wait takes
   no event at all (``runs_next`` / ``skip`` answer from the ``soon_batch``
   budget); an event triggered with no waiter is *ready*, complete at
-  once, and a process that yields a complete event is resumed in the
-  same call.  A request's flows take their first step in their starter's
-  frame (``gather``, ``run_process``), and ``run_process`` returns the
-  value directly when the flow ran to completion and nothing is pending.
-  The deferred path — the microqueue — is what runs when an event has
-  waiters, for detached process starts (background work must not
-  re-enter the policy code that spawns it) and interrupts.
+  once, and a flow that yields a complete event is resumed in the same
+  call.  A request's flows run in their starter's frame (``gather``,
+  ``run_process``) until they complete or really block; only a flow that
+  blocks gets a :class:`Process`, which wraps its suspended generator, and
+  ``run_process`` returns the value directly when the flow ran to
+  completion and nothing is pending.  The deferred path — the
+  microqueue — is what runs when an event has waiters, for detached
+  process starts (background work must not re-enter the policy code that
+  spawns it) and interrupts.
   The budget is refilled only by a loop callback of the engine's own, so
   a handler that never awaits still yields to the selector once per
   ``soon_batch`` units.
@@ -52,7 +54,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.engine import AllOf, ConditionEvent, Event, Process, Timeout
+from repro.sim.engine import AllOf, ConditionEvent, Event, Interrupt, Process, Timeout
 
 __all__ = ["LiveEngine", "LiveProcessError"]
 
@@ -128,39 +130,70 @@ class LiveEngine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def _new_process(self, gen: Generator, name: str) -> Process:
-        name = name or getattr(gen, "__name__", "process")
-        proc = Process(self, self._run_to_block(gen), name=name)
-        self._processes.add(proc)
-        return proc
-
     def process(self, gen: Generator, name: str = "") -> Process:
-        proc = self._new_process(gen, name)
+        proc = Process(self, self._run_to_block(gen), name or getattr(gen, "__name__", "process"))
+        self._processes.add(proc)
         self._schedule_callback(proc._start)
         return proc
 
-    def _step_in(self, gen: Generator, name: str = "") -> Process:
-        """Start ``gen`` as a process whose first step runs here, in this frame.
+    def _step_in(self, gen: Generator, name: str = "") -> tuple[Process | None, Any, Any]:
+        """Drive ``gen`` here, in this frame, until it completes or really blocks.
 
-        A crash in that step is the process's failure value, raised by
-        whoever joins it; it is not raised into the spawner.
+        ``(None, value, exc)`` when it completed: ``exc`` is what it raised,
+        else None.  ``(process, None, None)`` when it blocked: only then is
+        there a :class:`Process`, wrapping the suspended generator.  Like a
+        process's, the flow's crash is its outcome, not raised here; an
+        uncaught :class:`Interrupt` ends it quietly with that value.
         """
-        proc = self._new_process(gen, name)
         try:
-            proc._start()
-        except BaseException:
-            if proc.ok is not False:
-                raise
-        return proc
+            target = self._advance(gen, None, None)
+        except StopIteration as stop:
+            return None, stop.value, None
+        except Interrupt as intr:
+            return None, intr, None
+        except BaseException as crash:
+            return None, None, crash
+        name = name or getattr(gen, "__name__", "process")
+        if not isinstance(target, Event):
+            raise TypeError(
+                f"process {name!r} yielded {target!r}; processes may only yield Events"
+            )
+        body = self._run_to_block(gen, target)
+        next(body)  # to its ``yield target``, where the process resumes it
+        proc = Process(self, body, name)
+        self._processes.add(proc)
+        proc._target = target
+        if target.callbacks is None:
+            target._add_callback(proc._resume)  # processed, budget spent: deferred
+        else:
+            target.callbacks.append(proc._resume)
+        return proc, None, None
+
+    def _completed(self, value: Any, exc: BaseException | None) -> Event:
+        """A flow's outcome as a ready event (what a finished process is)."""
+        return Event(self).succeed(value) if exc is None else Event(self).fail(exc)
 
     def gather(self, flows: Iterable[Generator]) -> ConditionEvent:
-        """Step each flow in place; an already-complete join if all finished."""
-        procs = [self._step_in(flow) for flow in flows]
-        if all(proc.ok and proc.callbacks is None for proc in procs):
-            done = ConditionEvent(self, (), 0)  # succeeds at once: ready
-            done.events = procs
-            return done
-        return AllOf(self, procs)
+        """Drive each flow in place; an already-complete join if all finished.
+
+        ``events`` holds each flow's :class:`Process` if it blocked, else
+        its ready completion event.
+        """
+        events = []
+        blocked = False
+        for flow in flows:
+            proc, value, exc = self._step_in(flow)
+            if proc is None:
+                proc = self._completed(value, exc)
+                blocked = blocked or exc is not None
+            else:
+                blocked = True
+            events.append(proc)
+        if blocked:
+            return AllOf(self, events)
+        done = ConditionEvent(self, (), 0)  # succeeds at once: ready
+        done.events = events
+        return done
 
     def runs_next(self) -> bool:
         """Spend one unit of the callback's budget on a booking taken in place."""
@@ -173,32 +206,44 @@ class LiveEngine:
     def skip(self, delay: float) -> bool:
         return delay >= 0 and self.runs_next()
 
-    def _run_to_block(self, gen: Generator) -> Generator:
-        """Drive ``gen``, resuming it in place on every complete event it yields.
+    def _advance(self, gen: Generator, value: Any, exc: BaseException | None) -> Any:
+        """Resume ``gen`` in place through every complete event it yields.
 
-        Only an event that is still pending — or any event once the
-        callback's ``soon_batch`` budget is spent — is yielded on to the
-        :class:`Process`, which waits on it through the deferred path.
+        Returns the first target that blocks it: an event that is still
+        pending, or any event once the callback's ``soon_batch`` budget is
+        spent.  The flow's return (``StopIteration``) and its exceptions
+        propagate.
         """
         send, throw = gen.send, gen.throw
-        value: Any = None
-        exc: BaseException | None = None
         while True:
-            try:
-                target = send(value) if exc is None else throw(exc)
-            except StopIteration as stop:
-                return stop.value
+            target = send(value) if exc is None else throw(exc)
             if getattr(target, "processed", False) and self._budget > 0:
                 self._budget -= 1
                 if target.ok:
-                    value, exc = target.value, None
+                    value, exc = target._value, None
                 else:
-                    value, exc = None, target.value
+                    value, exc = None, target._value
                 continue
-            try:
-                value, exc = (yield target), None
-            except BaseException as thrown:  # failed event or Interrupt
-                value, exc = None, thrown
+            return target
+
+    def _run_to_block(self, gen: Generator, target: Any = None) -> Generator:
+        """A :class:`Process` body: ``gen``, resumed in place between real waits.
+
+        Only what :meth:`_advance` stops at is yielded on to the process,
+        which waits on it through the deferred path.  ``target``, when
+        given, is the event ``gen`` is already suspended on.
+        """
+        try:
+            if target is None:
+                target = self._advance(gen, None, None)
+            while True:
+                try:
+                    value, exc = (yield target), None
+                except BaseException as thrown:  # failed event or Interrupt
+                    value, exc = None, thrown
+                target = self._advance(gen, value, exc)
+        except StopIteration as stop:  # from ``_advance``: the flow returned
+            return stop.value
 
     def peek(self) -> float:
         """Time of the next scheduled action (inf when fully drained)."""
@@ -304,18 +349,21 @@ class LiveEngine:
         return fut
 
     async def run_process(self, gen: Generator, name: str = "") -> Any:
-        """Step ``gen`` in place as a process and return its completion value.
+        """Drive ``gen`` in place and return its completion value.
 
-        Directly — no future, no loop iteration — only when it ran to
-        completion *and* nothing is pending: a background process it
+        Directly — no process, no future, no loop iteration — only when it
+        ran to completion *and* nothing is pending: a background process it
         spawned is in the microqueue, and must take its first step before
-        the caller hears the ack, as it does when the ack queues behind it.
+        the caller hears the ack, so the outcome then queues behind it.  A
+        flow that blocks becomes a :class:`Process`, and is awaited.
         """
-        proc = self._step_in(gen, name)
-        if proc.callbacks is None and not self._pending and self.runs_next():
-            if proc.ok:
-                return proc._value
-            raise proc._value
+        proc, value, exc = self._step_in(gen, name)
+        if proc is None:
+            if not self._pending and self.runs_next():
+                if exc is None:
+                    return value
+                raise exc
+            proc = self._completed(value, exc)
         return await self.wait(proc)
 
     async def quiesce(self) -> None:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import struct
 import time
@@ -200,16 +201,58 @@ def frame_parts(
     (trace context) are encoded per frame after ``payload_len``; when
     ``extra`` is None the output is byte-identical to a call without it.
     """
-    views = _payload_list(payload)
-    plen = sum(v.nbytes for v in views)
-    if plen > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(f"payload too large ({plen} bytes)")
     if preamble is None:
         preamble = header_preamble(header or {})
     else:
         PROTO_STATS.inc("preamble_hits")
+    return _frame(preamble, _payload_list(payload), _extra_fields(extra))
+
+
+def _frame(preamble: bytes, views: list[memoryview], extra: bytes = b"") -> list[Buffer]:
+    plen = sum(v.nbytes for v in views)
+    if plen > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(f"payload too large ({plen} bytes)")
     PROTO_STATS.inc("frames_out")
-    return [_prefix(preamble, plen, _extra_fields(extra)), *views]
+    return [_prefix(preamble, plen, extra), *views]
+
+
+_PUT_ACK = ("ok", "duration")
+_GET_ACK = ("ok", "duration", "blocks")
+
+
+def _ack_preamble(header: dict[str, Any]) -> bytes | None:
+    """A put/get ack's :func:`header_preamble`, written from a byte template.
+
+    ``{"ok": True, "duration": d}`` and ``{"ok": True, "duration": d,
+    "blocks": [[id, nbytes], ...]}``, keys in that order, ``d`` a finite
+    ``float`` and every id and size an ``int``: the bytes ``json.dumps``
+    would produce (``float.__repr__`` and ``int.__repr__`` are what it
+    writes).  None for any other shape — a traced ack's ``attr`` /
+    ``srv_span``, a non-finite duration, an error — which the caller
+    encodes with ``json.dumps`` as before.
+    """
+    shape = tuple(header)
+    if shape == _PUT_ACK:
+        tail = b""
+    elif shape == _GET_ACK:
+        blocks = header["blocks"]
+        if type(blocks) is not list:
+            return None
+        pairs = []
+        for pair in blocks:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            bid, nbytes = pair
+            if type(bid) is not int or type(nbytes) is not int:
+                return None
+            pairs.append(b"[%d,%d]" % (bid, nbytes))
+        tail = b',"blocks":[' + b",".join(pairs) + b"]"
+    else:
+        return None
+    duration = header["duration"]
+    if header["ok"] is not True or type(duration) is not float or not math.isfinite(duration):
+        return None
+    return b'{"ok":true,"duration":' + repr(duration).encode("ascii") + tail + b',"payload_len":'
 
 
 def _encode_frame(header: dict[str, Any], payload: bytes | memoryview = b"") -> bytes:
@@ -242,7 +285,7 @@ def _decode_header(raw: bytes | bytearray | memoryview) -> dict[str, Any]:
     return header
 
 
-def _frame_header():
+def _frame_header(decode: Callable[[Any], dict[str, Any]] = _decode_header):
     """The header half of a frame, shared by both readers (sans-IO).
 
     A generator the reader drives with the bytes it fetched: it yields
@@ -250,26 +293,33 @@ def _frame_header():
     header's size, is sent the header bytes and yields the decoded
     header.  :func:`read_frame` (asyncio) and :class:`LiveClient`
     (blocking socket) differ only in how they fetch — the length check
-    and the header decode are these statements for both.
+    and the header decode are these statements for both.  ``decode``
+    turns the header bytes into the header: :func:`_decode_header`, or a
+    memo over it (the server's).
     """
     (hlen,) = _LEN.unpack((yield _LEN.size))
     if hlen == 0 or hlen > MAX_HEADER_BYTES:
         raise ProtocolError(f"bad header length {hlen}")
-    yield _decode_header((yield hlen))
+    yield decode((yield hlen))
 
 
 # ---------------------------------------------------------------------------
 # asyncio framing (server side)
 # ---------------------------------------------------------------------------
 async def read_frame(
-    reader, stamp: Callable[[], None] | None = None
+    reader,
+    stamp: Callable[[], None] | None = None,
+    decode: Callable[[Any], dict[str, Any]] = _decode_header,
 ) -> tuple[dict[str, Any], bytes]:
     """Read one frame; raises ``EOFError`` on clean connection close.
 
-    The payload lands in the single buffer ``readexactly`` returns —
+    Three reads: the length word, the header, the payload (when it has
+    one).  The payload lands in the single buffer ``readexactly`` returns —
     that is its final resting place on this side (``np.frombuffer``
     wraps it without copying), so the receive path contributes no
-    intermediate copies.
+    intermediate copies.  ``decode`` is as for :func:`_frame_header`:
+    the server passes its memo, so a header it has seen before is not
+    decoded again.
 
     A close is clean only at a frame boundary: EOF before the first byte
     is ``EOFError``, EOF anywhere inside the frame is a
@@ -281,7 +331,7 @@ async def read_frame(
     payload arrived — so a traced caller can read its clock there.  The
     bytes take the same statements either way.
     """
-    steps = _frame_header()
+    steps = _frame_header(decode)
     part = "length word"
     try:
         head = await reader.readexactly(next(steps))
@@ -320,10 +370,15 @@ async def write_frame(
 
     ``payload`` may be one buffer or a list of buffers (e.g. a get
     response's block views); ``writelines`` hands the list to the
-    transport as-is.  ``stamp`` as for :func:`read_frame`, called once:
-    the frame is serialized, nothing is sent yet.
+    transport as-is.  A put/get ack's header is written from its byte
+    template (:func:`_ack_preamble`), any other through ``json.dumps``;
+    the bytes are the same.  ``stamp`` as for :func:`read_frame`, called
+    once: the frame is serialized, nothing is sent yet.
     """
-    parts = frame_parts(header, payload, extra=extra)
+    preamble = _ack_preamble(header) if extra is None else None
+    if preamble is None:
+        preamble = header_preamble(header)
+    parts = _frame(preamble, _payload_list(payload), _extra_fields(extra))
     if stamp is not None:
         stamp()
     writer.writelines(parts)

@@ -66,12 +66,20 @@ class MetadataDirectory:
         # Plain-int operation counters (exported as registry gauges so they
         # never enter ``Metrics.counters`` and cannot perturb golden runs).
         self.op_stats = {"entity_touches": 0, "stripe_touches": 0, "full_scans": 0}
+        self._owners: dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
     def owner_of(self, entity_key: tuple[str, int]) -> int:
-        """Metadata owner server for an entity (hash distribution)."""
-        name, block_id = entity_key
-        return stable_hash(f"meta:{name}/{block_id}") % self.n_servers
+        """Metadata owner server for an entity (hash distribution).
+
+        Every write asks; the hash is taken once per key.
+        """
+        owner = self._owners.get(entity_key)
+        if owner is None:
+            name, block_id = entity_key
+            owner = stable_hash(f"meta:{name}/{block_id}") % self.n_servers
+            self._owners[entity_key] = owner
+        return owner
 
     def get_or_create(self, name: str, block_id: int, primary: int) -> BlockEntity:
         key = (name, block_id)

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.corec import CoRECPolicy
 from repro.live.protocol import (
     LiveClient,
     ProtocolError,
     RemoteOpError,
+    _ack_preamble,
     _decode_header,
     _encode_frame,
+    frame_parts,
+    header_preamble,
+    write_frame,
 )
 from repro.live.server import serve_in_thread
 from repro.staging.service import StagingConfig
@@ -43,6 +51,72 @@ def test_bad_header_is_rejected():
         _decode_header(b'"a bare string"')
     with pytest.raises(ProtocolError):
         _decode_header(b'{"op": "x", "payload_len": -4}')
+
+
+# ---------------------------------------------------------------------------
+# put/get ack templates
+# ---------------------------------------------------------------------------
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e308, 1.7976931348623157e308)
+_BLOCKS = st.lists(st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=2,
+                            max_size=2), max_size=40)
+
+
+async def _written(header, payload=b""):
+    """The bytes ``write_frame`` sends for ``header``."""
+    out = []
+
+    class Writer:
+        def writelines(self, parts):
+            out.extend(bytes(part) for part in parts)
+
+        async def drain(self):
+            pass
+
+    await write_frame(Writer(), header, payload)
+    return b"".join(out)
+
+
+def _encoded(header, payload=b""):
+    """The same frame through ``json.dumps`` alone."""
+    return b"".join(bytes(part) for part in frame_parts(header, payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(duration=st.one_of(_FINITE, st.sampled_from(_EDGES)), blocks=st.none() | _BLOCKS)
+def test_ack_template_is_the_json_encoding(duration, blocks):
+    header = {"ok": True, "duration": duration}
+    if blocks is not None:
+        header["blocks"] = blocks
+    template = _ack_preamble(header)
+    assert template is not None
+    assert template == header_preamble(header)
+    body = [np.zeros(3, dtype=np.uint8)] if blocks else b""
+    assert asyncio.run(_written(header, body)) == _encoded(header, body)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"ok": True, "duration": float("nan")},
+        {"ok": True, "duration": float("inf"), "blocks": []},
+        {"ok": True, "duration": -float("inf")},
+        {"ok": True, "duration": 0.5, "attr": {"loop_cpu": 1e-6}, "srv_span": 7},
+        {"ok": True, "duration": 0.5, "blocks": [[0, 8]], "attr": {}, "srv_span": 3},
+        {"duration": 0.5, "ok": True},  # another key order
+        {"ok": True, "duration": 1},  # an int duration
+        {"ok": True, "duration": np.float64(0.5)},
+        {"ok": True, "duration": 0.5, "blocks": [[True, 8]]},
+        {"ok": True, "duration": 0.5, "blocks": [(0, 8)]},
+        {"ok": True, "duration": 0.5, "blocks": [[0, 8, 1]]},
+        {"ok": 1, "duration": 0.5},
+        {"ok": False, "error_type": "KeyError", "error": "gone"},
+        {"ok": True, "now": 0.25},
+    ],
+)
+def test_any_other_ack_shape_falls_back_to_the_encoder(header):
+    assert _ack_preamble(header) is None
+    assert asyncio.run(_written(header)) == _encoded(header)
 
 
 # ---------------------------------------------------------------------------

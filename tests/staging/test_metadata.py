@@ -38,6 +38,24 @@ class TestEntityRegistry:
         assert o1 == o2
         assert 0 <= o1 < 4
 
+    def test_owner_is_the_hash_taken_once_per_key(self, monkeypatch):
+        from repro.staging import metadata
+        from repro.util.rng import stable_hash
+
+        hashed = []
+
+        def counting(text):
+            hashed.append(text)
+            return stable_hash(text)
+
+        monkeypatch.setattr(metadata, "stable_hash", counting)
+        d = MetadataDirectory(Domain((64,), (4,)), n_servers=7)
+        keys = [(name, b) for name in ("v", "pressure", "é/x") for b in range(16)]
+        for _ in range(3):
+            for name, b in keys:
+                assert d.owner_of((name, b)) == stable_hash(f"meta:{name}/{b}") % 7
+        assert len(hashed) == len(keys)
+
     def test_entities_on_server(self):
         d = make_dir()
         d.get_or_create("v", 0, primary=1)
