@@ -65,8 +65,11 @@ class Clock(Protocol):
         ...
 
     def gather(self, flows: Iterable[Generator]) -> Any:
-        """Start ``flows``; an event that fires when all are done, with the
-        flows' processes, in order, as its ``events``."""
+        """Start ``flows``; an event that fires when all are done, with each
+        flow's completion event, in order, as its ``events``.  An entry's
+        ``value`` is what its flow returned.  It is the flow's process on
+        the simulator; the live engine makes a process only for a flow that
+        blocks or raises."""
         ...
 
     def runs_next(self) -> bool:

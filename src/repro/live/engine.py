@@ -19,10 +19,10 @@ Key differences from the simulator:
   budget); an event triggered with no waiter is *ready*, complete at
   once, and a flow that yields a complete event is resumed in the same
   call.  A request's flows run in their starter's frame (``gather``,
-  ``run_process``) until they complete or really block; only a flow that
-  blocks gets a :class:`Process`, which wraps its suspended generator, and
-  ``run_process`` returns the value directly when the flow ran to
-  completion and nothing is pending.  The deferred path — the
+  ``run_process``) until they return or really block; only a flow that
+  blocks, or raises, gets a :class:`Process`, which wraps its suspended
+  generator (or its exception), and ``run_process`` returns the value
+  directly when the flow returned and nothing is pending.  The deferred path — the
   microqueue — is what runs when an event has waiters, for detached
   process starts (background work must not re-enter the policy code that
   spawns it) and interrupts.
@@ -54,9 +54,18 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.engine import AllOf, ConditionEvent, Event, Interrupt, Process, Timeout
+from repro.sim.engine import AllOf, ConditionEvent, Event, Process, Timeout
 
 __all__ = ["LiveEngine", "LiveProcessError"]
+
+
+_UNSTARTED = object()
+
+
+def _raising(exc: BaseException) -> Generator:
+    """A process body that ends as its flow did: by raising ``exc``."""
+    raise exc
+    yield  # pragma: no cover - makes this a generator
 
 
 class LiveProcessError(RuntimeError):
@@ -136,64 +145,45 @@ class LiveEngine:
         self._schedule_callback(proc._start)
         return proc
 
-    def _step_in(self, gen: Generator, name: str = "") -> tuple[Process | None, Any, Any]:
-        """Drive ``gen`` here, in this frame, until it completes or really blocks.
+    def _step_in(self, gen: Generator, name: str = "") -> tuple[Process | None, Any]:
+        """Drive ``gen`` here, in this frame, until it returns or really blocks.
 
-        ``(None, value, exc)`` when it completed: ``exc`` is what it raised,
-        else None.  ``(process, None, None)`` when it blocked: only then is
-        there a :class:`Process`, wrapping the suspended generator.  Like a
-        process's, the flow's crash is its outcome, not raised here; an
-        uncaught :class:`Interrupt` ends it quietly with that value.
+        ``(None, value)`` when it returned ``value``.  Otherwise a
+        :class:`Process` takes the flow over — the generator where it
+        blocked, or the exception that ended it — and decides its outcome
+        as for any process.  A crash is the process's failure value,
+        raised by whoever joins it; it is not raised into the spawner.
         """
         try:
-            target = self._advance(gen, None, None)
+            body = self._run_to_block(gen, self._advance(gen, None, None))
         except StopIteration as stop:
-            return None, stop.value, None
-        except Interrupt as intr:
-            return None, intr, None
-        except BaseException as crash:
-            return None, None, crash
-        name = name or getattr(gen, "__name__", "process")
-        if not isinstance(target, Event):
-            raise TypeError(
-                f"process {name!r} yielded {target!r}; processes may only yield Events"
-            )
-        body = self._run_to_block(gen, target)
-        next(body)  # to its ``yield target``, where the process resumes it
-        proc = Process(self, body, name)
+            return None, stop.value
+        except BaseException as end:  # an Interrupt or a crash
+            body = _raising(end)
+        proc = Process(self, body, name or getattr(gen, "__name__", "process"))
         self._processes.add(proc)
-        proc._target = target
-        if target.callbacks is None:
-            target._add_callback(proc._resume)  # processed, budget spent: deferred
-        else:
-            target.callbacks.append(proc._resume)
-        return proc, None, None
-
-    def _completed(self, value: Any, exc: BaseException | None) -> Event:
-        """A flow's outcome as a ready event (what a finished process is)."""
-        return Event(self).succeed(value) if exc is None else Event(self).fail(exc)
+        try:
+            proc._start()
+        except BaseException:
+            if proc.ok is not False:
+                raise
+        return proc, None
 
     def gather(self, flows: Iterable[Generator]) -> ConditionEvent:
         """Drive each flow in place; an already-complete join if all finished.
 
-        ``events`` holds each flow's :class:`Process` if it blocked, else
+        ``events`` holds each flow's :class:`Process` if it needed one, else
         its ready completion event.
         """
         events = []
-        blocked = False
         for flow in flows:
-            proc, value, exc = self._step_in(flow)
-            if proc is None:
-                proc = self._completed(value, exc)
-                blocked = blocked or exc is not None
-            else:
-                blocked = True
-            events.append(proc)
-        if blocked:
-            return AllOf(self, events)
-        done = ConditionEvent(self, (), 0)  # succeeds at once: ready
-        done.events = events
-        return done
+            proc, value = self._step_in(flow)
+            events.append(Event(self).succeed(value) if proc is None else proc)
+        if all(ev.ok and ev.callbacks is None for ev in events):
+            done = ConditionEvent(self, (), 0)  # succeeds at once: ready
+            done.events = events
+            return done
+        return AllOf(self, events)
 
     def runs_next(self) -> bool:
         """Spend one unit of the callback's budget on a booking taken in place."""
@@ -226,15 +216,15 @@ class LiveEngine:
                 continue
             return target
 
-    def _run_to_block(self, gen: Generator, target: Any = None) -> Generator:
+    def _run_to_block(self, gen: Generator, target: Any = _UNSTARTED) -> Generator:
         """A :class:`Process` body: ``gen``, resumed in place between real waits.
 
         Only what :meth:`_advance` stops at is yielded on to the process,
         which waits on it through the deferred path.  ``target``, when
-        given, is the event ``gen`` is already suspended on.
+        given, is what ``gen`` is already suspended on.
         """
         try:
-            if target is None:
+            if target is _UNSTARTED:
                 target = self._advance(gen, None, None)
             while True:
                 try:
@@ -355,15 +345,14 @@ class LiveEngine:
         ran to completion *and* nothing is pending: a background process it
         spawned is in the microqueue, and must take its first step before
         the caller hears the ack, so the outcome then queues behind it.  A
-        flow that blocks becomes a :class:`Process`, and is awaited.
+        flow that blocks, or raises, runs on as a :class:`Process`, and is
+        awaited.
         """
-        proc, value, exc = self._step_in(gen, name)
+        proc, value = self._step_in(gen, name)
         if proc is None:
             if not self._pending and self.runs_next():
-                if exc is None:
-                    return value
-                raise exc
-            proc = self._completed(value, exc)
+                return value
+            proc = Event(self).succeed(value)
         return await self.wait(proc)
 
     async def quiesce(self) -> None:

@@ -50,64 +50,21 @@ class _SocketStream:
     gigabyte cost address space and no resident pages.  The non-blocking
     socket is tried first; the loop is asked to wait only when it has
     nothing, so a connection yields whenever its socket runs dry.
-
-    The socket is registered with the loop's selector once, here, and
-    leaves it in :meth:`close`.  A wait hands the callback the view still
-    to fill: the callback receives into it and resolves the wait with the
-    byte count, as ``loop.sock_recv_into`` does, without adding and
-    removing the reader each time.  The selector is level-triggered, so
-    it can report readiness that a read in the same loop iteration has
-    already consumed: the callback's ``recv_into`` then finds nothing and
-    the wait goes on.  Readiness that arrives while nobody waits (the next
-    frame, pipelined behind a request that is itself waiting) would fire
-    the callback on every loop iteration: the callback pauses the
-    registration instead, and the next wait re-arms it.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, sock: socket.socket):
         self._loop = loop
         self._sock = sock
-        self._fd = sock.fileno()
         self._out: list[memoryview] = []
-        self._waiter: asyncio.Future | None = None
-        self._into: memoryview | None = None
-        loop.add_reader(self._fd, self._on_readable)
-        self._armed = True
-
-    def _on_readable(self) -> None:
-        waiter = self._waiter
-        if waiter is None:
-            self._loop.remove_reader(self._fd)  # nobody waits: pause
-            self._armed = False
-            return
-        if waiter.done():  # woken or cancelled; the handler has yet to run
-            return
-        try:
-            nread = self._sock.recv_into(self._into)
-        except (BlockingIOError, InterruptedError):
-            return  # already read this iteration: keep waiting
-        except OSError as exc:
-            waiter.set_exception(exc)
-            return
-        waiter.set_result(nread)
 
     async def readexactly(self, n: int) -> memoryview:
         view = memoryview(np.empty(n, dtype=np.uint8))
-        sock = self._sock
         got = 0
         while got < n:
             try:
-                nread = sock.recv_into(view[got:])
+                nread = self._sock.recv_into(view[got:])
             except BlockingIOError:
-                if not self._armed:
-                    self._loop.add_reader(self._fd, self._on_readable)
-                    self._armed = True
-                self._into = view[got:]
-                self._waiter = self._loop.create_future()
-                try:
-                    nread = await self._waiter
-                finally:
-                    self._waiter = self._into = None
+                nread = await self._loop.sock_recv_into(self._sock, view[got:])
             if nread == 0:
                 raise asyncio.IncompleteReadError(view[:got], n)
             got += nread
@@ -126,26 +83,16 @@ class _SocketStream:
                 await self._loop.sock_sendall(self._sock, views.pop(0))
 
     def close(self) -> None:
-        if self._armed:
-            self._loop.remove_reader(self._fd)
-            self._armed = False
         self._sock.close()
-
-
-class _Header(dict):
-    """A decoded request header, shared by every frame that carries its bytes.
-
-    Read-only by convention: the next request with the same bytes gets
-    this very dict.  ``box`` is its region's interned :class:`BBox`, set
-    by :meth:`LiveServer._bbox` on first use.
-    """
-
-    __slots__ = ("box",)
 
 
 #: Distinct request headers (and regions) the server remembers; the memo
 #: is emptied when it fills, so key churn costs a re-decode, not memory.
 _MEMO_LIMIT = 1024
+#: Longest header the memo keeps: a put/get/query header is well under
+#: it, a region list (``mput`` / ``mget``) or an oversized header is
+#: decoded for its request and freed with it.
+_MEMO_HEADER_BYTES = 512
 
 
 class LiveServer:
@@ -168,7 +115,7 @@ class LiveServer:
         self.connections_served = 0
         self.requests_served = 0
         # Raw request-header bytes -> decoded header; region -> its BBox.
-        self._headers: dict[bytes, _Header] = {}
+        self._headers: dict[bytes, dict[str, Any]] = {}
         self._boxes: dict[tuple, BBox] = {}
 
     # ------------------------------------------------------------------
@@ -231,13 +178,12 @@ class LiveServer:
                 await asyncio.sleep(1.0)
                 continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            task = loop.create_task(self._handle(loop, sock))
+            task = loop.create_task(self._handle(_SocketStream(loop, sock)))
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
 
-    async def _handle(self, loop: asyncio.AbstractEventLoop, sock: socket.socket) -> None:
+    async def _handle(self, stream: _SocketStream) -> None:
         self.connections_served += 1
-        stream = _SocketStream(loop, sock)
         try:
             while True:
                 op = await self._serve_one(stream, stream)
@@ -301,31 +247,33 @@ class LiveServer:
         if self._inflight == 0:
             self._idle.set()
 
-    def _decode(self, raw: memoryview) -> _Header:
-        """:func:`_decode_header`, once per distinct header byte string."""
+    def _decode(self, raw: memoryview) -> dict[str, Any]:
+        """:func:`_decode_header`, once per distinct short header byte string.
+
+        A kept header is shared by every request that sends its bytes, so
+        nothing downstream may change it.
+        """
+        if len(raw) > _MEMO_HEADER_BYTES:
+            return _decode_header(raw)
         key = bytes(raw)
         header = self._headers.get(key)
         if header is None:
-            header = _Header(_decode_header(key))
-            header.box = None
+            header = _decode_header(key)
             if "span" not in header:  # a traced frame's span id is never sent twice
                 if len(self._headers) >= _MEMO_LIMIT:
                     self._headers.clear()
                 self._headers[key] = header
         return header
 
-    def _bbox(self, header: _Header) -> BBox:
+    def _bbox(self, header: dict[str, Any]) -> BBox:
         """The header's region, one :class:`BBox` per distinct region."""
-        box = header.box
+        region = (tuple(header["lb"]), tuple(header["ub"]))
+        box = self._boxes.get(region)
         if box is None:
-            region = (tuple(header["lb"]), tuple(header["ub"]))
-            box = self._boxes.get(region)
-            if box is None:
-                box = BBox(*region)
-                if len(self._boxes) >= _MEMO_LIMIT:
-                    self._boxes.clear()
-                self._boxes[region] = box
-            header.box = box
+            box = BBox(*region)
+            if len(self._boxes) >= _MEMO_LIMIT:
+                self._boxes.clear()
+            self._boxes[region] = box
         return box
 
     @staticmethod

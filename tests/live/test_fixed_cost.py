@@ -121,3 +121,33 @@ def test_a_traced_clients_headers_are_decoded_each_time_and_not_kept():
             cli.put("v", (0, 0, 0), (16, 16, 16))
         kept = list(handle._server._headers)
     assert len(kept) == 1 and b'"span"' not in kept[0]
+
+
+def test_a_long_header_is_decoded_for_its_request_and_not_kept(monkeypatch):
+    """Only a short header is kept: a region list or a long name is decoded
+    each time it arrives and is freed with its request."""
+    decoded = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    corners = [(x, y, z) for x in (0, 8, 16, 24) for y in (0, 8, 16, 24) for z in (0, 8)]
+    regions = [(c, tuple(v + 8 for v in c)) for c in corners]
+    long_var = "v" * 600
+    with serve_in_thread(_config(), CoRECPolicy) as handle:
+        with LiveClient(handle.host, handle.port, name="c", timeout=10.0) as cli:
+            cli.put("v", (0, 0, 0), (32, 32, 32))
+            monkeypatch.setattr(json, "loads", counting)
+            for _ in range(3):
+                _, blocks = cli.mget("v", regions)
+                assert blocks
+                cli.put(long_var, (0, 0, 0), (16, 16, 16))
+            monkeypatch.setattr(json, "loads", loads)
+        kept = list(handle._server._headers)
+    requests = [text for text in decoded if '"op":' in text]
+    assert len(requests) == 6
+    assert all(len(text) > live_server._MEMO_HEADER_BYTES for text in requests)
+    assert kept and all(len(raw) <= live_server._MEMO_HEADER_BYTES for raw in kept)
+    assert not any(b'"mget"' in raw or long_var.encode() in raw for raw in kept)

@@ -1,12 +1,11 @@
-"""A connection's reader registration: made once, paused while nobody waits,
+"""A connection's reader registration: present only while a read waits,
 gone from the loop's selector whenever the connection ends.
 
-``_SocketStream`` keeps its socket registered with the loop instead of
-adding and removing a reader around every wait.  The selector is
-level-triggered, so the two ways that goes wrong are a registration that
-outlives its socket (a stale selector key for a recycled fd) and one that
-fires on every loop iteration while bytes sit unread behind a request that
-is itself waiting (a spinning loop).
+``_SocketStream`` asks the loop to watch its socket only when a read finds
+it empty.  The selector is level-triggered, so the two ways a registration
+goes wrong are one that outlives its socket (a stale selector key for a
+recycled fd) and one that fires on every loop iteration while bytes sit
+unread behind a request that is itself waiting (a spinning loop).
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def test_the_fd_leaves_the_selector_when_the_peer_ends_the_connection(
         sock = socket.create_connection((handle.host, handle.port), timeout=10.0)
         sock.sendall(PING)
         assert "now" in _read_ack(sock)
-        time.sleep(0.05)  # the handler is parked on its socket, registered
+        time.sleep(0.05)  # the handler waits on its socket, registered
         if ending != "clean EOF":
             sock.sendall(_put((0, 0, 0), (16, 16, 16), BLOCK)[:60])
         if ending == "truncated frame":
@@ -119,7 +118,7 @@ def test_the_fd_leaves_the_selector_when_the_peer_ends_the_connection(
         _wait_for(lambda: registered_after_close)
         assert registered_after_close == [False]
         with LiveClient(handle.host, handle.port, timeout=10.0) as cli:
-            cli.ping()  # a recycled fd registers afresh
+            cli.ping()  # a recycled fd is watched afresh
     assert registered_after_close == [False, False]
 
 
@@ -140,8 +139,8 @@ def test_the_fd_leaves_the_selector_when_shutdown_cancels_a_connection_mid_frame
 
 def test_a_frame_pipelined_behind_a_waiting_put_does_not_spin_the_loop():
     """The put waits on a held entity lock; the ping behind it is readable
-    the whole time and nobody reads it.  A registration that stayed armed
-    would wake the selector on every iteration."""
+    the whole time and nobody reads it.  A registration left in place while
+    nobody waits would wake the selector on every iteration."""
     with serve_in_thread(_config(), CoRECPolicy) as handle:
         live, loop = handle.live, handle._loop
         box = live.domain.block_bbox(0)
@@ -169,7 +168,7 @@ def test_a_frame_pipelined_behind_a_waiting_put_does_not_spin_the_loop():
             _on_loop(loop, lambda: lock.release(held))
             assert _read_ack(sock)["ok"] is True
             assert "now" in _read_ack(sock)
-            sock.sendall(PING)  # the next wait re-arms the registration
+            sock.sendall(PING)  # the next wait registers the socket again
             assert "now" in _read_ack(sock)
         finally:
             sock.close()
