@@ -18,7 +18,6 @@ import numpy as np
 from repro import StagingConfig, StagingService
 from repro.core.policies import bounded_spec, policy_from_spec
 from repro.core.recovery import RecoveryConfig
-from repro.obs.export import write_trace_dir
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -59,7 +58,7 @@ TABLE1_SIM = {
 }
 
 
-def table1_config(seed: int = 1, tracing: bool = False) -> StagingConfig:
+def table1_config(seed: int = 1) -> StagingConfig:
     return StagingConfig(
         n_servers=TABLE1_SIM["staging"],
         domain_shape=TABLE1_SIM["domain"],
@@ -68,7 +67,6 @@ def table1_config(seed: int = 1, tracing: bool = False) -> StagingConfig:
         n_level=TABLE1_SIM["m"],
         k=TABLE1_SIM["k"],
         nodes_per_cabinet=2,
-        tracing=tracing,
         seed=seed,
     )
 
@@ -82,14 +80,13 @@ HYBRID_SEED = 11
 def build_service(
     policy_name: str,
     seed: int = 1,
-    tracing: bool = False,
     recovery: RecoveryConfig | None = None,
     **policy_options,
 ) -> StagingService:
     """Table I deployment under ``policy_name`` at the Table I storage bound."""
     spec = bounded_spec(policy_name, TABLE1_SIM["storage_bound"], **policy_options)
     return StagingService(
-        table1_config(seed=seed, tracing=tracing),
+        table1_config(seed=seed),
         policy_from_spec(spec, seed=HYBRID_SEED, recovery=recovery),
     )
 
@@ -101,17 +98,10 @@ def run_synthetic(
     failure_plan: dict | None = None,
     seed: int = 1,
     read_in_write_cases: bool = False,
-    trace_dir: str | None = None,
     **policy_kw,
 ) -> dict:
-    """Run one Table I synthetic case; return a result row.
-
-    ``trace_dir`` additionally runs the case with span tracing enabled and
-    drops the ``write_trace_dir`` artifact set there.
-    Tracing adds no simulator events, so the result row is unaffected;
-    golden results are regenerated with tracing off regardless.
-    """
-    svc = build_service(policy_name, seed=seed, tracing=trace_dir is not None, **policy_kw)
+    """Run one Table I synthetic case; return a result row."""
+    svc = build_service(policy_name, seed=seed, **policy_kw)
     cfg = SyntheticWorkloadConfig(
         case=case,
         n_writers=TABLE1_SIM["writers"],
@@ -123,11 +113,6 @@ def run_synthetic(
     wl = SyntheticWorkload(svc, cfg)
     svc.run_workflow(wl.run())
     svc.run()  # drain background transitions / recovery
-    if trace_dir is not None:
-        write_trace_dir(
-            trace_dir, svc.tracer, svc.metrics,
-            process_name=f"repro-{case}-{policy_name}",
-        )
     m = svc.metrics
     steady_put = (
         float(np.mean(wl.step_put.values[-5:])) if len(wl.step_put) >= 5 else m.put_stat.mean

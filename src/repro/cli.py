@@ -7,17 +7,18 @@ Usage::
     python -m repro model --s 0.67 --miss 0.2
     python -m repro run-case --case case5 --policy corec \
         --fail 4:0 --replace 8:0
-    python -m repro trace --case case1 --policy corec --out traces/
-    python -m repro report --trace traces/spans.jsonl
+    python -m repro run-case --case case1 --policy corec --trace-dir traces/
+    python -m repro report --trace traces/
     python -m repro scale --servers 4 8 16
     python -m repro load --process poisson --rate 50 --duration 2 \
         --shards 2 --capture run.tape.jsonl
     python -m repro replay --tape run.tape.jsonl --backend cluster --shards 2
 
 ``--fail STEP:SERVER`` / ``--replace STEP:SERVER`` inject the paper's
-Figure-10-style failure schedules.  ``trace`` runs with hierarchical span
-tracing enabled and exports Perfetto-loadable ``trace.json`` plus JSONL
-span/event dumps and metrics snapshots (see docs/OBSERVABILITY.md).
+Figure-10-style failure schedules.  ``--trace-dir DIR`` runs with
+hierarchical span tracing enabled and exports Perfetto-loadable
+``trace.json`` plus a JSONL span dump and metrics snapshots to ``DIR``
+(see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _failure_plan(args: argparse.Namespace, n_servers: int) -> dict:
     return plan
 
 
-def _build_case(args: argparse.Namespace, tracing: bool = False):
+def _build_case(args: argparse.Namespace, tracing: bool):
     """One synthetic Table-I case: service + workload, ready to run."""
     from repro import StagingConfig, StagingService
     from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
@@ -118,7 +119,13 @@ def _build_case(args: argparse.Namespace, tracing: bool = False):
 
 
 def cmd_run_case(args: argparse.Namespace) -> int:
-    service, workload = _build_case(args)
+    """Run one synthetic case.
+
+    ``--trace-dir DIR`` runs it traced and exports the trace directory;
+    the run then also exits 1 if the summed leaf-span costs drift from
+    ``Metrics.breakdown``.
+    """
+    service, workload = _build_case(args, tracing=bool(args.trace_dir))
     service.run_workflow(workload.run())
     service.run()
     out = {
@@ -129,37 +136,25 @@ def cmd_run_case(args: argparse.Namespace) -> int:
         "step_put_ms": [v * 1e3 for v in workload.step_put.values],
         "step_get_ms": [v * 1e3 for v in workload.step_get.values],
     }
-    _emit(out, args)
-    return 0 if service.read_errors == 0 else 1
+    drift = 0.0
+    if args.trace_dir:
+        from repro.obs.export import spans_to_breakdown, write_trace_dir
 
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one traced case and export Chrome-trace / JSONL / metrics files."""
-    from repro.obs.export import spans_to_breakdown, write_trace_dir
-
-    service, workload = _build_case(args, tracing=True)
-    service.run_workflow(workload.run())
-    service.run()
-    tracer = service.tracer
-    artifacts = write_trace_dir(
-        args.out, tracer, service.metrics,
-        process_name=f"repro-{args.case}-{args.policy}",
-    )
-    # Cross-check: summed leaf-span costs must reproduce Metrics.breakdown.
-    recon = spans_to_breakdown(tracer.spans)
-    breakdown = service.metrics.breakdown
-    drift = max(
-        (abs(recon.get(c, 0.0) - v) for c, v in breakdown.items()), default=0.0
-    )
-    out = {
-        "case": args.case,
-        "policy": args.policy,
-        "spans": len(tracer.spans),
-        "root_spans": len(tracer.roots()),
-        "breakdown_max_drift_s": drift,
-        "read_errors": service.read_errors,
-        "artifacts": artifacts,
-    }
+        tracer = service.tracer
+        recon = spans_to_breakdown(tracer.spans)
+        drift = max(
+            (abs(recon.get(c, 0.0) - v) for c, v in service.metrics.breakdown.items()),
+            default=0.0,
+        )
+        out.update(
+            spans=len(tracer.spans),
+            root_spans=len(tracer.roots()),
+            breakdown_max_drift_s=drift,
+            artifacts=write_trace_dir(
+                args.trace_dir, tracer, service.metrics,
+                process_name=f"repro-{args.case}-{args.policy}",
+            ),
+        )
     _emit(out, args)
     if drift > 1e-6:
         print(f"warning: trace/breakdown drift {drift:.3e}s exceeds 1e-6s", file=sys.stderr)
@@ -278,10 +273,11 @@ def _report_spans(spans_path: str, args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import ascii_bars, ascii_series, list_results, load_results
 
-    if args.live_trace:
-        return _report_spans(os.path.join(args.live_trace, "spans.jsonl"), args)
     if args.trace:
-        return _report_spans(args.trace, args)
+        path = args.trace
+        if os.path.isdir(path):
+            path = os.path.join(path, "spans.jsonl")
+        return _report_spans(path, args)
     if args.list:
         for name in list_results(args.results_dir):
             print(name)
@@ -499,6 +495,9 @@ def cmd_live(args: argparse.Namespace) -> int:
     tracing = bool(args.trace_dir)
 
     if args.shards > 1:
+        if tracing:
+            raise _UsageError("--trace-dir needs --shards 1: each shard process "
+                              "would keep its own tracer")
         return _cmd_live_cluster(args, config)
 
     if args.smoke:
@@ -572,8 +571,6 @@ def _cmd_live_cluster(args: argparse.Namespace, config) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.trace_dir:
-        print("--trace-dir is per-process; ignored with --shards > 1", file=sys.stderr)
     pspec = bounded_spec(args.policy, args.storage_bound)
     if args.policy == "corec":
         # Group-scoped enforcement is the only storage-bound scope a
@@ -814,16 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_case = sub.add_parser("run-case", help="run a synthetic Table-I case")
     synthetic_case(p_case)
+    p_case.add_argument("--trace-dir", default="",
+                        help="trace the run; export trace.json / spans.jsonl / "
+                             "metrics.json / metrics.prom to this directory")
     p_case.set_defaults(func=cmd_run_case)
-
-    p_trace = sub.add_parser(
-        "trace", help="run a traced synthetic case and export trace artifacts"
-    )
-    synthetic_case(p_trace)
-    p_trace.add_argument("--out", default="trace-out",
-                         help="directory for trace.json / spans.jsonl / "
-                              "metrics.json / metrics.prom")
-    p_trace.set_defaults(func=cmd_trace)
 
     p_s3d = sub.add_parser("run-s3d", help="run the S3D workflow (Table II)")
     common(p_s3d)
@@ -845,11 +836,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--name", default="")
     p_report.add_argument("--list", action="store_true")
     p_report.add_argument("--results-dir", default=None)
-    p_report.add_argument("--trace", default="",
-                          help="summarize a spans.jsonl dump instead of a stored result")
-    p_report.add_argument("--live-trace", default="", metavar="DIR",
-                          help="the same summary for DIR/spans.jsonl (a live trace "
-                               "adds trace counts and latency attribution)")
+    p_report.add_argument("--trace", default="", metavar="PATH",
+                          help="summarize a spans.jsonl dump, or a trace directory's, "
+                               "instead of a stored result (a live trace adds trace "
+                               "counts and latency attribution)")
     p_report.set_defaults(func=cmd_report)
 
     p_chaos = sub.add_parser(

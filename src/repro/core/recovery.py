@@ -312,22 +312,17 @@ class RecoveryManager:
         # Repair tasks run as sibling processes, outside the phase span's
         # dynamic scope — anchor each task span to the phase explicitly so
         # the reconstruct/transfer spans inside parent under the phase.
-        parent = tracer.current if tracer.enabled else None
+        parent = tracer.current
         width = width or self.config.sweep_parallelism
         for i in range(0, len(tasks), width):
-            batch = tasks[i : i + width]
-            if parent is not None:
-                procs = [
-                    self.rt.sim.process(
-                        tracer.traced(
-                            "recovery.task", self._guarded(t),
-                            category="recovery", parent=parent,
-                        )
+            procs = [
+                self.rt.sim.process(
+                    tracer.traced(
+                        "recovery.task", self._guarded(t), category="recovery", parent=parent
                     )
-                    for t in batch
-                ]
-            else:
-                procs = [self.rt.sim.process(self._guarded(t)) for t in batch]
+                )
+                for t in tasks[i : i + width]
+            ]
             yield AllOf(self.rt.sim, procs)
 
     def _guarded(self, gen) -> Generator:

@@ -6,13 +6,14 @@ in aggregate:
 - :mod:`repro.obs.tracer` — hierarchical spans (``put -> classify ->
   encode -> transport[shard] -> metadata``, ``get -> locate ->
   fetch/decode``, ``failure -> detect -> re-protect -> reconstruct``)
-  driven by the simulator clock.  Tracing is off by default: the
-  :data:`NULL_TRACER` singleton makes every instrumentation point a no-op
-  so traced and untraced runs execute the identical simulation.
-- :mod:`repro.obs.wallclock` — the same span model stamped on
-  ``time.monotonic_ns`` for the live backend, with contextvar-based
-  scoping (correct across asyncio tasks and threads), distributed
-  trace ids carried through the live protocol, and per-request latency
+  on one clock, with contextvar scoping (correct across interleaved
+  flows, asyncio tasks and threads) and one ``traced`` flow driver.
+  Tracing is off by default: the :data:`NULL_TRACER` singleton makes
+  every instrumentation point a no-op so traced and untraced runs
+  execute the identical simulation.
+- :mod:`repro.obs.wallclock` — the same tracer stamped on
+  ``time.monotonic_ns`` for the live backend, with distributed trace
+  ids carried through the live protocol and per-request latency
   attribution (microqueue wait, codec, lock hold, socket I/O, ...).
 - :mod:`repro.obs.registry` — one registry of counters, gauges and
   fixed-bucket histograms (p50/p95/p99/max) that the metrics layer, the
@@ -29,7 +30,7 @@ trace.
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, StatCounters
-from repro.obs.wallclock import WAIT_CATEGORIES, WallClockTracer, WallSpan
+from repro.obs.wallclock import WAIT_CATEGORIES, WallClockTracer
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
@@ -49,7 +50,6 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "WallClockTracer",
-    "WallSpan",
     "WAIT_CATEGORIES",
     "MetricsRegistry",
     "Counter",

@@ -17,8 +17,8 @@ Three output shapes:
   snapshot plus the legacy ``Metrics.snapshot()`` dict.
 
 :func:`write_trace_dir` writes all of them (plus the Prometheus text dump)
-into one directory — the artifact set of ``repro trace``, ``repro live
---trace-dir``, a failing chaos campaign and the traced benches alike.
+into one directory — the artifact set of ``repro run-case --trace-dir``,
+``repro live --trace-dir`` and a failing chaos campaign alike.
 
 All exporters sort nothing and randomize nothing: output order is span
 id order, so deterministic runs export byte-identical artifacts.

@@ -27,6 +27,7 @@ import numpy as np
 from repro.sim.engine import AllOf
 from repro.staging.domain import BBox
 from repro.util.stats import TimeSeries
+from repro.workloads.synthetic import apply_failure_plan, reader_regions
 
 __all__ = ["TABLE_II", "S3DConfig", "S3DWorkload"]
 
@@ -168,8 +169,6 @@ class S3DWorkload:
         return boxes
 
     def _analysis_boxes(self) -> list[BBox]:
-        from repro.workloads.synthetic import reader_regions
-
         return reader_regions(self.service.domain, self.config.n_analysis)
 
     # ------------------------------------------------------------------
@@ -177,11 +176,7 @@ class S3DWorkload:
         cfg = self.config
         sim = self.service.sim
         for step in range(cfg.timesteps):
-            for action, sid in cfg.failure_plan.get(step, []):
-                if action == "fail":
-                    self.service.fail_server(sid)
-                else:
-                    self.service.replace_server(sid)
+            apply_failure_plan(self.service, cfg.failure_plan, step)
             # Analysis reads the *previous* step's staged data first — the
             # coupled pipeline overlaps analysis with the next simulation
             # phase, so a failure at a step boundary hits the read path.

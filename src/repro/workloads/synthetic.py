@@ -83,6 +83,17 @@ def reader_regions(domain: Domain, n_readers: int) -> list[BBox]:
     return writer_regions(domain, n_readers)
 
 
+def apply_failure_plan(service, plan: dict[int, list[tuple[str, int]]], step: int) -> None:
+    """Run ``plan``'s ``("fail" | "replace", server)`` actions for ``step``."""
+    for action, sid in plan.get(step, []):
+        if action == "fail":
+            service.fail_server(sid)
+        elif action == "replace":
+            service.replace_server(sid)
+        else:
+            raise ValueError(f"unknown failure action {action!r}")
+
+
 @dataclass
 class SyntheticWorkloadConfig:
     case: str = "case1"
@@ -142,7 +153,7 @@ class SyntheticWorkload:
             yield from self._populate()
             yield from self.service.end_step()
         for step in range(cfg.timesteps):
-            self._apply_failure_plan(self.service.step)
+            apply_failure_plan(self.service, cfg.failure_plan, self.service.step)
             if cfg.compute_time_s > 0:
                 # The simulation computes before staging its results; this
                 # is what makes resilience overhead a *fraction* of the
@@ -158,15 +169,6 @@ class SyntheticWorkload:
         yield from self.service.flush()
 
     # ------------------------------------------------------------------
-    def _apply_failure_plan(self, step: int) -> None:
-        for action, sid in self.config.failure_plan.get(step, []):
-            if action == "fail":
-                self.service.fail_server(sid)
-            elif action == "replace":
-                self.service.replace_server(sid)
-            else:
-                raise ValueError(f"unknown failure action {action!r}")
-
     def _writers_for_step(self, step: int) -> list[int]:
         cfg = self.config
         n = len(self.writer_boxes)

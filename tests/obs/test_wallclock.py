@@ -10,7 +10,8 @@ import pytest
 
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricsRegistry, StatCounters
-from repro.obs.wallclock import WAIT_CATEGORIES, WallClockTracer, WallSpan
+from repro.obs.tracer import Span
+from repro.obs.wallclock import WAIT_CATEGORIES, WallClockTracer
 
 
 class TestSpansAndTraceIds:
@@ -18,7 +19,7 @@ class TestSpansAndTraceIds:
         tracer = WallClockTracer()
         span = tracer.begin("op", category="rpc")
         tracer.end(span)
-        assert isinstance(span, WallSpan)
+        assert type(span) is Span
         assert 0.0 <= span.t0 <= span.t1
 
     def test_root_opens_fresh_trace_child_inherits(self):

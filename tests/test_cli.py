@@ -36,7 +36,7 @@ class TestParser:
             ["run-case", "--fail", "1:-1"],  # would index from the end
             ["run-case", "--replace=-1:0"],
             ["run-case", "--servers", "8", "--fail", "1:8"],
-            ["trace", "--fail", "1:99"],
+            ["run-case", "--trace-dir", "never-written", "--fail", "1:99"],
             ["replay", "--tape", "never-read.jsonl", "--amplify", "w"],
             ["replay", "--tape", "never-read.jsonl", "--amplify", "w=0"],
             ["replay", "--tape", "never-read.jsonl", "--amplify", "=2"],
@@ -44,13 +44,14 @@ class TestParser:
             ["chaos", "--servers", "3"],
             ["dataloss", "--servers", "4"],
             ["scale", "--servers", "6"],
+            ["live", "--shards", "2", "--smoke", "--trace-dir", "never-written"],
         ],
         ids=[
             "fail-no-server", "fail-server-not-int", "fail-negative-server",
             "replace-negative-step", "fail-past-the-deployment", "trace-fail-past-the-deployment",
             "amplify-no-count", "amplify-zero", "amplify-no-flow",
             "chaos-no-failures", "chaos-too-few-servers", "dataloss-too-few-servers",
-            "scale-servers-not-a-multiple-of-4",
+            "scale-servers-not-a-multiple-of-4", "live-shards-trace-dir",
         ],
     )
     def test_malformed_input_is_a_usage_error_before_anything_runs(self, argv, capsys):
@@ -66,10 +67,10 @@ class TestParser:
         [
             ["replay", "--tape", "{missing}/t.jsonl"],
             ["report", "--trace", "{missing}/spans.jsonl"],
-            ["report", "--live-trace", "{missing}"],
+            ["report", "--trace", "{missing}"],
             ["report", "--name", "nonexistent_result", "--results-dir", "{missing}"],
         ],
-        ids=["replay-tape", "report-trace", "report-live-trace", "report-name"],
+        ids=["replay-tape", "report-trace", "report-trace-dir", "report-name"],
     )
     def test_missing_input_file_is_one_line_and_exit_2(self, argv, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent")
@@ -290,21 +291,23 @@ class TestDurabilityCommand:
 
 
 class TestTraceReport:
-    def test_trace_and_live_trace_are_one_report(self, tmp_path, capsys):
+    def test_trace_file_and_trace_dir_are_one_report(self, tmp_path, capsys):
         out_dir = str(tmp_path / "trace")
         rc = main([
-            "--json", "trace", "--case", "case5", "--timesteps", "2",
-            "--writers", "8", "--readers", "4", "--out", out_dir,
+            "--json", "run-case", "--case", "case5", "--timesteps", "2",
+            "--writers", "8", "--readers", "4", "--trace-dir", out_dir,
         ])
         assert rc == 0
-        artifacts = json.loads(capsys.readouterr().out)["artifacts"]
+        out = json.loads(capsys.readouterr().out)
+        assert out["breakdown_max_drift_s"] <= 1e-6 and out["read_errors"] == 0
+        artifacts = out["artifacts"]
         assert set(artifacts) == {"chrome_trace", "spans", "metrics", "prometheus"}
         assert main(["report", "--trace", artifacts["spans"]]) == 0
         by_file = capsys.readouterr().out
-        assert main(["report", "--live-trace", out_dir]) == 0
+        assert main(["report", "--trace", out_dir]) == 0
         assert capsys.readouterr().out == by_file
         assert by_file.startswith("span ")
-        assert main(["--json", "report", "--live-trace", out_dir]) == 0
+        assert main(["--json", "report", "--trace", out_dir]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["spans"] > 0 and summary["traces"] == 0
         assert summary["by_span"][0]["total"] >= summary["by_span"][-1]["total"]

@@ -110,6 +110,10 @@ class TestS3DWorkload:
         assert svc.read_errors == 0
         assert not svc.servers[0].failed
 
+    def test_unknown_action_rejected(self):
+        with pytest.raises(ValueError, match="unknown failure action 'explode'"):
+            run_s3d(timesteps=2, failure_plan={1: [("explode", 0)]})
+
     def test_no_read_errors(self):
         svc, wl = run_s3d()
         assert svc.read_errors == 0
