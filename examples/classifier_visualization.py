@@ -83,9 +83,7 @@ def main() -> None:
         "Figure 3b: rotating subdomains and the periodic lookahead",
         rotating_writes,
         steps=15,
-        config=ClassifierConfig(
-            hot_window_steps=1, spatial_radius=0, temporal_lookahead=True, lookahead_steps=1
-        ),
+        config=ClassifierConfig(hot_window_steps=1, spatial_radius=0, temporal_lookahead=True),
     )
     print("\nIn 3b, from step ~11 the *next* slab lights up '+' one step before")
     print("its writes arrive: the lookahead has learned the period-4 rotation.")

@@ -49,6 +49,12 @@ _POLICIES = ("replicate", "erasure", "hybrid", "corec")
 _MODES = ("scheduled", "stochastic", "cabinet")
 
 READ_STRIDE = 4  # the workload reads every Nth block back each step
+# The campaign deployment: two servers per cabinet, a 32^3 domain, two
+# variables, two parity sets per group under ``coding_sets``.
+NODES_PER_CABINET = 2
+DOMAIN_SHAPE = (32, 32, 32)
+N_VARIABLES = 2
+MAX_CODING_SETS = 2
 # Fraction of the calibrated horizon the recovery sweep deadline gets.
 # Kept small so repairs land between failure slots — chaos verifies
 # correctness of the machinery, not the paper's deadline tradeoff.
@@ -81,14 +87,10 @@ class ChaosConfig:
     policy: str = "corec"
     seed: int = 0
     n_servers: int = 8
-    nodes_per_cabinet: int = 2
-    domain_shape: tuple = (32, 32, 32)
     object_bytes: int = 4096
-    n_variables: int = 2
     timesteps: int = 4
     n_failures: int = 3
     placement_mode: str = "grouped"
-    max_coding_sets: int = 2
     storage_bound: float = 0.67
     shrink: bool = True
     out_dir: str | None = None
@@ -98,8 +100,8 @@ class ChaosConfig:
             raise ValueError(f"unknown chaos mode {self.mode!r} (pick from {_MODES})")
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r} (pick from {_POLICIES})")
-        if self.timesteps < 1 or self.n_variables < 1:
-            raise ValueError("need at least one timestep and one variable")
+        if self.timesteps < 1:
+            raise ValueError("need at least one timestep")
         if self.n_failures < 1:
             raise ValueError("a chaos campaign needs at least one failure")
         _staging_config(self)  # raises for a deployment the service would refuse
@@ -157,11 +159,11 @@ def _staging_config(cfg: ChaosConfig, tracing: bool = False):
 
     return StagingConfig(
         n_servers=cfg.n_servers,
-        nodes_per_cabinet=cfg.nodes_per_cabinet,
-        domain_shape=tuple(cfg.domain_shape),
+        nodes_per_cabinet=NODES_PER_CABINET,
+        domain_shape=DOMAIN_SHAPE,
         object_max_bytes=cfg.object_bytes,
         placement_mode=cfg.placement_mode,
-        max_coding_sets=cfg.max_coding_sets,
+        max_coding_sets=MAX_CODING_SETS,
         tracing=tracing,
         seed=cfg.seed,
     )
@@ -175,9 +177,7 @@ def _build_service(cfg: ChaosConfig, horizon: float | None, tracing: bool = Fals
     recovery = None
     if horizon is not None:
         # Lazy recovery whose sweep deadline fits inside a failure slot.
-        recovery = RecoveryConfig(
-            mode="lazy", mtbf_s=4.0 * DEADLINE_FRAC * horizon, deadline_fraction=0.25
-        )
+        recovery = RecoveryConfig(mode="lazy", mtbf_s=4.0 * DEADLINE_FRAC * horizon)
     return StagingService(
         _staging_config(cfg, tracing),
         policy_from_spec(
@@ -194,7 +194,7 @@ def _workload(svc, cfg: ChaosConfig, losses: list) -> Generator:
     to convert into violations — but the workload keeps going, because the
     interesting bugs are often *after* the first loss.
     """
-    names = [f"v{i}" for i in range(cfg.n_variables)]
+    names = [f"v{i}" for i in range(N_VARIABLES)]
     blocks = list(range(svc.domain.n_blocks))
     for step in range(cfg.timesteps):
         for name in names:
@@ -309,8 +309,8 @@ def _cabinet_units(cfg: ChaosConfig, horizon: float, rng) -> list[FailureUnit]:
     """Correlated rounds: a whole cabinet dies at one instant per round."""
     from repro.sim.cluster import Cluster
 
-    cluster = Cluster(n_servers=cfg.n_servers, nodes_per_cabinet=cfg.nodes_per_cabinet)
-    n_rounds = max(1, min(2, cfg.n_failures // max(1, cfg.nodes_per_cabinet)))
+    cluster = Cluster(n_servers=cfg.n_servers, nodes_per_cabinet=NODES_PER_CABINET)
+    n_rounds = max(1, min(2, cfg.n_failures // NODES_PER_CABINET))
     lo, hi = 0.2 * horizon, 0.8 * horizon
     slot = (hi - lo) / n_rounds
     units = []

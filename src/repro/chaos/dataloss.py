@@ -30,10 +30,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.chaos.invariants import stripe_holders
 from repro.core.recovery import RecoveryConfig
 from repro.staging.objects import ResilienceState
 
 __all__ = ["DataLossConfig", "run_dataloss_campaign"]
+
+DOMAIN_SHAPE = (32, 64, 64)
+PLACEMENTS = ("spread", "coding_sets")  # the baseline, then the placement it is compared with
 
 
 @dataclass
@@ -43,19 +47,15 @@ class DataLossConfig:
     seed: int = 0
     n_servers: int = 16
     nodes_per_cabinet: int = 2
-    domain_shape: tuple = (32, 64, 64)
     object_bytes: int = 4096
     n_variables: int = 3
     max_coding_sets: int = 2
-    placements: tuple = ("spread", "coding_sets")
     # Kill the worst cabinet for real and audit through the read paths.
     inject: bool = True
 
     def __post_init__(self) -> None:
         if self.n_servers < 8:
             raise ValueError("the campaign needs at least 8 servers")
-        if not self.placements:
-            raise ValueError("need at least one placement mode to measure")
 
 
 def _build_service(cfg: DataLossConfig, placement: str):
@@ -65,7 +65,7 @@ def _build_service(cfg: DataLossConfig, placement: str):
         StagingConfig(
             n_servers=cfg.n_servers,
             nodes_per_cabinet=cfg.nodes_per_cabinet,
-            domain_shape=tuple(cfg.domain_shape),
+            domain_shape=DOMAIN_SHAPE,
             object_max_bytes=cfg.object_bytes,
             placement_mode=placement,
             max_coding_sets=cfg.max_coding_sets,
@@ -91,22 +91,11 @@ def _stage_workload(svc, cfg: DataLossConfig) -> None:
     svc.run()
 
 
-def _stripe_holders(svc, stripe) -> list[int]:
-    """Servers holding a *real* shard of the stripe (data via primaries)."""
-    holders = []
-    for i in range(stripe.k):
-        if stripe.members[i] is not None:
-            holders.append(svc.directory.entities[stripe.members[i]].primary)
-    for j in range(stripe.k, stripe.k + stripe.m):
-        holders.append(stripe.shard_servers[j])
-    return holders
-
-
 def _stripes_killed_by(svc, dead: set[int]) -> list[int]:
     """Stripe ids that lose more than ``m`` real shards to ``dead``."""
     killed = []
     for sid, stripe in sorted(svc.directory.stripes.items()):
-        lost = sum(1 for s in _stripe_holders(svc, stripe) if s in dead)
+        lost = sum(1 for _, s in stripe_holders(svc, stripe) if s in dead)
         if lost > stripe.m:
             killed.append(sid)
     return killed
@@ -127,7 +116,7 @@ def _distinct_sets_per_group(svc) -> dict[int, int]:
     sets_by_group: dict[int, set] = {}
     for stripe in svc.directory.stripes.values():
         sets_by_group.setdefault(stripe.group_id, set()).add(
-            frozenset(_stripe_holders(svc, stripe))
+            frozenset(s for _, s in stripe_holders(svc, stripe))
         )
     return {gid: len(s) for gid, s in sorted(sets_by_group.items())}
 
@@ -191,14 +180,14 @@ def _inject_and_audit(svc, cfg: DataLossConfig, kills_by_cabinet: dict) -> dict:
 
 
 def run_dataloss_campaign(cfg: DataLossConfig) -> dict:
-    """Measure every placement and compare the first against the others.
+    """Measure both placements and compare ``spread`` against ``coding_sets``.
 
     Returns a JSON-ready payload: per-placement exposure, the loss ratio
-    of the first placement vs each alternative (``inf``-free: a loss-free
-    alternative reports the raw event counts and a ratio against 1), and
+    of ``spread`` vs ``coding_sets`` (``inf``-free: a loss-free
+    ``coding_sets`` reports the raw event counts and a ratio against 1), and
     a fingerprint of the whole payload for bit-identical regression gates.
     """
-    placements = {p: _measure_placement(cfg, p) for p in cfg.placements}
+    placements = {p: _measure_placement(cfg, p) for p in PLACEMENTS}
     payload = {
         "seed": cfg.seed,
         "n_servers": cfg.n_servers,
@@ -206,17 +195,16 @@ def run_dataloss_campaign(cfg: DataLossConfig) -> dict:
         "max_coding_sets": cfg.max_coding_sets,
         "placements": placements,
     }
-    base = cfg.placements[0]
+    base, other = PLACEMENTS
     base_kills = placements[base]["stripe_kill_events"]
-    comparisons = {}
-    for other in cfg.placements[1:]:
-        other_kills = placements[other]["stripe_kill_events"]
-        comparisons[f"{base}_vs_{other}"] = {
+    other_kills = placements[other]["stripe_kill_events"]
+    payload["comparisons"] = {
+        f"{base}_vs_{other}": {
             f"{base}_kill_events": base_kills,
             f"{other}_kill_events": other_kills,
             "loss_ratio": base_kills / max(1, other_kills),
         }
-    payload["comparisons"] = comparisons
+    }
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     payload["fingerprint"] = hashlib.blake2b(blob, digest_size=16).hexdigest()
     return payload

@@ -172,6 +172,17 @@ def check_accounting(svc) -> list[str]:
     ]
 
 
+def stripe_holders(svc, stripe) -> list[tuple[int, int]]:
+    """``(slot, server)`` of each *real* shard: data via member primaries."""
+    holders = [
+        (i, svc.directory.entities[mk].primary)
+        for i, mk in enumerate(stripe.members[:stripe.k])
+        if mk is not None
+    ]
+    holders += [(j, stripe.shard_servers[j]) for j in range(stripe.k, stripe.k + stripe.m)]
+    return holders
+
+
 def check_anti_affinity(svc) -> list[str]:
     """No two shards of a stripe share a server once rebalance had a chance.
 
@@ -182,14 +193,7 @@ def check_anti_affinity(svc) -> list[str]:
     """
     problems = []
     for stripe in svc.directory.stripes.values():
-        holders: list[tuple[int, int]] = []
-        for i in range(stripe.k):
-            mk = stripe.members[i]
-            if mk is None:
-                continue
-            holders.append((i, svc.directory.entities[mk].primary))
-        for j in range(stripe.k, stripe.k + stripe.m):
-            holders.append((j, stripe.shard_servers[j]))
+        holders = stripe_holders(svc, stripe)
         by_server: dict[int, list[int]] = {}
         for slot, server in holders:
             by_server.setdefault(server, []).append(slot)
@@ -231,14 +235,10 @@ def check_coding_sets(svc) -> list[str]:
     for stripe in svc.directory.stripes.values():
         allowed = layout.allowed_stripe_servers(stripe.group_id)
         occupied = stripe.occupied_servers()
-        holders: list[tuple[int, int]] = []
-        for i in range(stripe.k):
-            if stripe.members[i] is not None:
-                holders.append((i, svc.directory.entities[stripe.members[i]].primary))
-        for j in range(stripe.k, stripe.k + stripe.m):
-            sid = stripe.shard_servers[j]
-            holders.append((j, sid))
-            parity_in_use.setdefault(stripe.group_id, set()).add(sid)
+        holders = stripe_holders(svc, stripe)
+        parity_in_use.setdefault(stripe.group_id, set()).update(
+            stripe.shard_servers[stripe.k:stripe.k + stripe.m]
+        )
         strays = [(slot, s) for slot, s in holders if s not in allowed]
         if not strays:
             continue

@@ -15,7 +15,7 @@ the last two off for the ablation bench):
   ``spatial_ttl_steps`` steps ("data objects with spatial coordinates near
   current hot data are anticipated to be accessed in the near future");
 - **temporal lookahead** — if an entity's write history shows a stable
-  period ``p``, it is promoted ``lookahead_steps`` before its predicted
+  period ``p``, it is promoted ``LOOKAHEAD_STEPS`` before its predicted
   next write (the multi-timestep look-ahead that drives Case 2).
 
 The classifier also keeps the accuracy bookkeeping behind the paper's miss
@@ -33,6 +33,7 @@ from repro.staging.domain import Domain
 __all__ = ["ClassifierConfig", "HotColdClassifier"]
 
 EntityKey = tuple[str, int]
+LOOKAHEAD_STEPS = 1  # how early a periodic entity is promoted before its next write
 
 
 @dataclass
@@ -42,7 +43,6 @@ class ClassifierConfig:
     spatial_radius: int = 1
     spatial_ttl_steps: int = 2
     temporal_lookahead: bool = True
-    lookahead_steps: int = 1
     history_len: int = 8
 
     def __post_init__(self) -> None:
@@ -117,7 +117,7 @@ class HotColdClassifier:
         return None
 
     def predicted_hot(self, key: EntityKey, step: int) -> bool:
-        """Temporal lookahead: next periodic write within lookahead_steps."""
+        """Temporal lookahead: next periodic write within ``LOOKAHEAD_STEPS``."""
         if not self.config.temporal_lookahead:
             return False
         period = self.detect_period(key)
@@ -125,7 +125,7 @@ class HotColdClassifier:
             return False
         last = self._history[key][-1]
         next_write = last + period
-        return 0 <= next_write - step <= self.config.lookahead_steps
+        return 0 <= next_write - step <= LOOKAHEAD_STEPS
 
     # ------------------------------------------------------------------
     def is_hot(self, key: EntityKey, step: int) -> bool:

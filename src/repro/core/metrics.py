@@ -83,8 +83,8 @@ class Metrics:
     siphon time into nowhere.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.put_stat = RunningStat()
         self.get_stat = RunningStat()
         self.breakdown: dict[str, float] = {c: 0.0 for c in BREAKDOWN_CATEGORIES}

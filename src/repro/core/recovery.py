@@ -4,10 +4,10 @@ Three modes:
 
 - **lazy** (CoREC's contribution): after a replacement server joins, lost
   objects are repaired *on access* (the read path restores what it had to
-  reconstruct anyway), and a background sweep with a deadline of
-  ``deadline_fraction * MTBF`` (the paper uses MTBF/4) repairs whatever was
-  never touched.  Before a replacement joins, reads run in *degraded mode*
-  (reconstruct, serve, discard).
+  reconstruct anyway), and a background sweep with the paper's deadline
+  of MTBF/4 (``DEADLINE_FRACTION``) repairs whatever was never touched.
+  Before a replacement joins, reads run in *degraded mode* (reconstruct,
+  serve, discard).
 - **aggressive** (the baseline of existing resilient stores): the moment a
   failure is detected, every lost object is reconstructed onto surviving
   servers in one burst — fast repair, but the burst competes with
@@ -30,27 +30,28 @@ __all__ = ["RecoveryConfig", "RecoveryManager"]
 # immediately") — that burst is exactly what interferes with application
 # requests, so it runs much wider than a lazy sweep.
 AGGRESSIVE_PARALLELISM = 64
+# The lazy sweep's deadline as a share of the MTBF: the paper's MTBF/4.
+DEADLINE_FRACTION = 0.25
 
 
 @dataclass
 class RecoveryConfig:
     mode: str = "lazy"               # "lazy" | "aggressive" | "none"
     mtbf_s: float = 400.0
-    deadline_fraction: float = 0.25  # the paper's 1/4 MTBF limit
     repair_on_access: bool = True
     sweep_parallelism: int = 4       # concurrent repairs during a lazy sweep
 
     def __post_init__(self) -> None:
         if self.mode not in ("lazy", "aggressive", "none"):
             raise ValueError(f"unknown recovery mode {self.mode!r}")
-        if self.mtbf_s <= 0 or not 0 < self.deadline_fraction <= 1:
-            raise ValueError("invalid MTBF / deadline fraction")
+        if self.mtbf_s <= 0:
+            raise ValueError("MTBF must be > 0")
         if self.sweep_parallelism < 1:
             raise ValueError("sweep_parallelism must be >= 1")
 
     @property
     def deadline_s(self) -> float:
-        return self.mtbf_s * self.deadline_fraction
+        return self.mtbf_s * DEADLINE_FRACTION
 
 
 class RecoveryManager:

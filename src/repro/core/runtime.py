@@ -229,14 +229,14 @@ class StagingRuntime:
     def entity_lock(self, key: EntityKey) -> Resource:
         lock = self._entity_locks.get(key)
         if lock is None:
-            lock = Resource(self.sim, capacity=1)
+            lock = Resource(self.sim)
             self._entity_locks[key] = lock
         return lock
 
     def stripe_lock(self, stripe_id: int) -> Resource:
         lock = self._stripe_locks.get(stripe_id)
         if lock is None:
-            lock = Resource(self.sim, capacity=1)
+            lock = Resource(self.sim)
             self._stripe_locks[stripe_id] = lock
         return lock
 

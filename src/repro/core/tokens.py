@@ -37,7 +37,7 @@ class EncodingTokenManager:
         self.sim = sim
         self.servers = servers
         self.enabled = enabled
-        self._tokens = [Resource(sim, capacity=1) for _ in range(n_groups)]
+        self._tokens = [Resource(sim) for _ in range(n_groups)]
         self.encodes_by_server: dict[int, int] = {}
         self.offloaded = 0   # encodes routed away from the busiest candidate
         self.executed = 0

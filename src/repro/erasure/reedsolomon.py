@@ -378,7 +378,7 @@ class RSCode:
 
 
 class StripeCodec:
-    """The deployment's stripe code, ``RSCode(k, m, construction)``, as ``.code``."""
+    """The deployment's stripe code, a Cauchy ``RSCode(k, m)``, as ``.code``."""
 
-    def __init__(self, k: int, m: int, construction: str = "cauchy"):
-        self.code = RSCode(k, m, construction)
+    def __init__(self, k: int, m: int):
+        self.code = RSCode(k, m)

@@ -56,6 +56,7 @@ __all__ = [
 
 
 REWRITE_FRACTION = 0.5  # share of a step's puts that rewrite a staged block
+N_VARS = 2  # variables a tape's puts pick from
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class WorkloadSpec:
     name: str
     policy: str  # "replicate" | "corec"
     seed: int
-    n_vars: int = 2
     n_blocks: int = 12  # distinct blocks touched (first N of the grid)
     n_steps: int = 4
     puts_per_step: int = 6
@@ -155,7 +155,7 @@ def build_tape(spec: WorkloadSpec) -> Tape:
         tape.record(0.0, "quiesce", "w")  # drain all background work before the next op
 
     rng = np.random.default_rng(spec.seed)
-    variables = [f"var{v}" for v in range(spec.n_vars)]
+    variables = [f"var{v}" for v in range(N_VARS)]
     written: list[tuple[str, int]] = []
     fail_at = {step: sid for step, sid in spec.failures}
     pending_replace: list[int] = []

@@ -22,9 +22,7 @@ slices, …).  Both ends hand the list to ``socket.sendmsg``
 (:func:`send_some`: the blocking client directly, the server through its
 connection stream's ``writelines``/``drain``) and both land bytes
 directly into one buffer sized for them (``recv_into``) and return
-``memoryview``\\ s of it.  :data:`PROTO_STATS` counts the payload copies
-that do happen (only the legacy :func:`_encode_frame` join performs
-one), so tests can assert the hot path stays at zero.
+``memoryview``\\ s of it.
 
 Hot-path header encoding: ``json.dumps`` of a per-request dict shows up
 at GB/s payload rates, so stable header fields can be pre-serialized
@@ -88,11 +86,10 @@ MAX_PAYLOAD_BYTES = 1 << 30
 #: more block views than this goes out in several calls.
 IOV_MAX = 1024
 
-#: Copy accounting for the payload path.  ``payload_copies`` /
-#: ``bytes_copied`` count every place this module materializes payload
-#: bytes it already held in another buffer; the scatter/gather send and
-#: recv_into receive paths never increment them.  Thread-safe: client
-#: threads and the server loop thread increment concurrently.
+#: Frame accounting.  Thread-safe: client threads and the server loop
+#: thread increment concurrently.  Nothing in this module copies a payload,
+#: so ``payload_copies`` / ``bytes_copied`` stay 0; they are kept because
+#: ``benchmarks/e2e/layers.py`` reads them by key.
 PROTO_STATS = StatCounters(
     ("frames_out", "frames_in", "payload_copies", "bytes_copied", "preamble_hits")
 )
@@ -253,21 +250,6 @@ def _ack_preamble(header: dict[str, Any]) -> bytes | None:
     if header["ok"] is not True or type(duration) is not float or not math.isfinite(duration):
         return None
     return b'{"ok":true,"duration":' + repr(duration).encode("ascii") + tail + b',"payload_len":'
-
-
-def _encode_frame(header: dict[str, Any], payload: bytes | memoryview = b"") -> bytes:
-    """Legacy single-buffer framing: joins the parts (copies the payload).
-
-    Kept for tests and for callers that genuinely need one contiguous
-    buffer; the data plane uses :func:`frame_parts` + scatter/gather
-    sends instead.
-    """
-    parts = frame_parts(header, payload)
-    plen = sum(memoryview(p).nbytes for p in parts[1:])
-    if plen:
-        PROTO_STATS.inc("payload_copies")
-        PROTO_STATS.inc("bytes_copied", plen)
-    return b"".join(bytes(p) if not isinstance(p, bytes) else p for p in parts)
 
 
 def _decode_header(raw: bytes | bytearray | memoryview) -> dict[str, Any]:

@@ -22,7 +22,7 @@ list (:mod:`repro.chaos.campaign`).
 from repro.sim.engine import Simulator, Process, Event, Timeout, Interrupt, AnyOf, AllOf
 from repro.sim.resources import Resource
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.cluster import Cluster, Node, topology_aware_ring
+from repro.sim.cluster import Cluster, topology_aware_ring
 
 __all__ = [
     "Simulator",
@@ -36,6 +36,5 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "Cluster",
-    "Node",
     "topology_aware_ring",
 ]

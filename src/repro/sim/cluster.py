@@ -1,9 +1,9 @@
-"""Physical cluster topology: servers on nodes, nodes in cabinets.
+"""Physical cluster topology: one server per node, nodes in cabinets.
 
 The paper's grouped placement (Section III-A) depends on knowing which
 staging servers share a failure domain: "a single event such as a power
 failure or a physical disturbance will affect multiple devices".  The
-cluster model records the server -> node -> cabinet mapping, and
+cluster model records the server -> cabinet mapping, and
 :func:`topology_aware_ring` produces the logical server ring CoREC places
 replication/coding groups on — reordered so that any ``n`` consecutive ring
 positions fall in ``n`` distinct cabinets (when enough cabinets exist).
@@ -11,61 +11,40 @@ positions fall in ``n`` distinct cabinets (when enough cabinets exist).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Node", "Cluster", "topology_aware_ring"]
-
-
-@dataclass(frozen=True)
-class Node:
-    """A physical node hosting one or more staging servers."""
-
-    node_id: int
-    cabinet: int
+__all__ = ["Cluster", "topology_aware_ring"]
 
 
 @dataclass
 class Cluster:
-    """Server/node/cabinet layout.
+    """Server/cabinet layout: one staging server per physical node.
 
     Parameters
     ----------
     n_servers:
         Total staging servers.
-    servers_per_node:
-        Staging server processes co-located per physical node.
     nodes_per_cabinet:
-        Physical nodes per cabinet (the correlated-failure domain).
+        Physical nodes, hence servers, per cabinet (the correlated-failure
+        domain): server ``s`` sits in cabinet ``s // nodes_per_cabinet``.
     """
 
     n_servers: int
-    servers_per_node: int = 1
     nodes_per_cabinet: int = 4
-    nodes: list[Node] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_servers < 1:
             raise ValueError("need at least one server")
-        if self.servers_per_node < 1 or self.nodes_per_cabinet < 1:
-            raise ValueError("servers_per_node and nodes_per_cabinet must be >= 1")
-        n_nodes = -(-self.n_servers // self.servers_per_node)  # ceil division
-        self.nodes = [Node(node_id=i, cabinet=i // self.nodes_per_cabinet) for i in range(n_nodes)]
-
-    # ------------------------------------------------------------------
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
+        if self.nodes_per_cabinet < 1:
+            raise ValueError("nodes_per_cabinet must be >= 1")
 
     @property
     def n_cabinets(self) -> int:
-        return self.nodes[-1].cabinet + 1
-
-    def node_of(self, server_id: int) -> Node:
-        self._check(server_id)
-        return self.nodes[server_id // self.servers_per_node]
+        return -(-self.n_servers // self.nodes_per_cabinet)  # ceil division
 
     def cabinet_of(self, server_id: int) -> int:
-        return self.node_of(server_id).cabinet
+        self._check(server_id)
+        return server_id // self.nodes_per_cabinet
 
     def servers_in_cabinet(self, cabinet: int) -> list[int]:
         return [s for s in range(self.n_servers) if self.cabinet_of(s) == cabinet]

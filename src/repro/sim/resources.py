@@ -1,8 +1,8 @@
 """FIFO resources for the simulator.
 
-``Resource`` models a server's bounded concurrency (CPU slots, NIC
-serialization): processes request a slot, hold it for some duration, and
-release it; waiters queue FIFO.
+``Resource`` models a server's serialized work (its CPU, a NIC, a stripe
+lock, a coding token): processes request the one slot, hold it for some
+duration, and release it; waiters queue FIFO.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ __all__ = ["Resource"]
 
 
 class Resource:
-    """A counted FIFO resource (capacity >= 1).
+    """A one-slot FIFO resource (``in_use`` is 0 or 1).
 
     Usage inside a process::
 
@@ -27,11 +27,8 @@ class Resource:
             resource.release()
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self.in_use = 0
         self._queue: deque[Event] = deque()
 
@@ -41,38 +38,38 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Event:
-        """Return an event that fires when a slot is granted."""
+        """Return an event that fires when the slot is granted."""
         ev = Event(self.sim)
         ev.charge = "lock_wait"  # wall-clock attribution for grant waits
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if not self.in_use:
+            self.in_use = 1
             ev.succeed(self)
         else:
             self._queue.append(ev)
         return ev
 
     def try_acquire(self) -> bool:
-        """Take a free slot with no event, if its grant would run next;
+        """Take the free slot with no event, if its grant would run next;
         on False spell it out: ``yield resource.request()``."""
-        if self.in_use < self.capacity and self.sim.runs_next():
-            self.in_use += 1
+        if not self.in_use and self.sim.runs_next():
+            self.in_use = 1
             return True
         return False
 
     def cancel(self, request: Event) -> None:
-        """Give up ``request``: withdraw it if still queued, else free its slot."""
+        """Give up ``request``: withdraw it if still queued, else free the slot."""
         try:
             self._queue.remove(request)
         except ValueError:
             self.release(request)
 
     def release(self, _request: Event | None = None) -> None:
-        """Free a slot, waking the oldest waiter if any."""
-        if self.in_use <= 0:
+        """Free the slot, handing it to the oldest waiter if any."""
+        if not self.in_use:
             raise RuntimeError("release without matching request")
         if self._queue:
             nxt = self._queue.popleft()
             nxt.succeed(self)  # slot transfers directly to the waiter
         else:
-            self.in_use -= 1
+            self.in_use = 0
 

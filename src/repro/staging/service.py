@@ -58,14 +58,12 @@ class StagingConfig:
     """
 
     n_servers: int = 8
-    servers_per_node: int = 1
     nodes_per_cabinet: int = 2
     domain_shape: tuple[int, ...] = (64, 64, 64)
     element_bytes: int = 1
     object_max_bytes: int = 16 * 1024
     n_level: int = 1  # replicas per entity; also the code's parity count m
     k: int = 3
-    rs_construction: str = "cauchy"
     network: NetworkConfig = field(default_factory=NetworkConfig)
     costs: CostModel = field(default_factory=CostModel)
     topology_aware: bool = True
@@ -109,11 +107,7 @@ def build_geometry(config: StagingConfig) -> tuple[Cluster, Domain, SpatialIndex
     the shard that owns each block, guaranteed to agree with every shard's
     own view because they all derive it from the same config.
     """
-    cluster = Cluster(
-        n_servers=config.n_servers,
-        servers_per_node=config.servers_per_node,
-        nodes_per_cabinet=config.nodes_per_cabinet,
-    )
+    cluster = Cluster(n_servers=config.n_servers, nodes_per_cabinet=config.nodes_per_cabinet)
     block_shape = choose_block_shape(
         config.domain_shape, config.element_bytes, config.object_max_bytes
     )
@@ -175,7 +169,7 @@ class StagingService:
             for sid in range(config.n_servers)
         ]
         self.directory = MetadataDirectory(self.domain, config.n_servers, layout=self.layout)
-        self.codec = StripeCodec(config.k, config.n_level, config.rs_construction)
+        self.codec = StripeCodec(config.k, config.n_level)
         self.runtime = StagingRuntime(
             sim=self.sim,
             network=self.network,

@@ -107,14 +107,12 @@ OP_FIELDS: dict[str, tuple[str, ...]] = {
 # ``StagingConfig`` default.
 SIMPLE_CONFIG_FIELDS = (
     "n_servers",
-    "servers_per_node",
     "nodes_per_cabinet",
     "domain_shape",
     "element_bytes",
     "object_max_bytes",
     "n_level",
     "k",
-    "rs_construction",
     "topology_aware",
     "placement_mode",
     "max_coding_sets",
@@ -125,7 +123,12 @@ SIMPLE_CONFIG_FIELDS = (
 # Fields older tapes carry whose one value in use became a constant of the
 # build: such a tape loads when it recorded that value and fails closed
 # when it asks for another.
-RETIRED_CONFIG_FIELDS = {"index_scheme": "round_robin", "verify_reads": True}
+RETIRED_CONFIG_FIELDS = {
+    "index_scheme": "round_robin",
+    "verify_reads": True,
+    "servers_per_node": 1,
+    "rs_construction": "cauchy",
+}
 
 _MISSING = object()
 _TAPPED = ("put", "get", "step", "flush", "quiesce", "fail_server", "replace_server")

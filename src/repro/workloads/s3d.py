@@ -79,17 +79,11 @@ class S3DConfig:
     timesteps: int = 20
     analysis_every: int = 2        # analyses run at lower temporal frequency
     var: str = "species"
-    # S3D stages several field variables per step (temperature, pressure,
-    # the species mass fractions, ...). Variables share the domain and the
-    # per-step cadence; analyses read all of them.
-    n_variables: int = 1
     failure_plan: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 <= self.scale_index < len(TABLE_II):
             raise ValueError("scale_index must select a Table II column")
-        if self.n_variables < 1:
-            raise ValueError("n_variables must be >= 1")
         if self.shrink < 1:
             raise ValueError("shrink must be >= 1")
         base = TABLE_II[self.scale_index]
@@ -130,12 +124,7 @@ class S3DConfig:
         v = 1
         for s in self.domain_shape:
             v *= s
-        return v * self.element_bytes * self.n_variables
-
-    def variables(self) -> list[str]:
-        if self.n_variables == 1:
-            return [self.var]
-        return [f"{self.var}{i}" for i in range(self.n_variables)]
+        return v * self.element_bytes
 
 
 class S3DWorkload:
@@ -184,9 +173,8 @@ class S3DWorkload:
                 before_n = self.service.metrics.get_stat.n
                 before_total = self.service.metrics.get_stat.total
                 procs = [
-                    sim.process(self.service.get(f"an{i}", var, box), name=f"an{i}-{var}")
+                    sim.process(self.service.get(f"an{i}", cfg.var, box), name=f"an{i}-{cfg.var}")
                     for i, box in enumerate(self.analysis_boxes)
-                    for var in cfg.variables()
                 ]
                 yield AllOf(sim, procs)
                 n_new = self.service.metrics.get_stat.n - before_n
@@ -201,9 +189,8 @@ class S3DWorkload:
             before_n = self.service.metrics.put_stat.n
             before_total = self.service.metrics.put_stat.total
             procs = [
-                sim.process(self.service.put(f"sim{i}", var, box), name=f"sim{i}-{var}")
+                sim.process(self.service.put(f"sim{i}", cfg.var, box), name=f"sim{i}-{cfg.var}")
                 for i, box in enumerate(self.writer_boxes)
-                for var in cfg.variables()
             ]
             yield AllOf(sim, procs)
             n_new = self.service.metrics.put_stat.n - before_n

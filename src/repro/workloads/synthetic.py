@@ -31,6 +31,7 @@ from repro.util.stats import TimeSeries
 __all__ = ["SyntheticWorkloadConfig", "SyntheticWorkload", "writer_regions", "reader_regions"]
 
 CASES = ("case1", "case2", "case3", "case4", "case5")
+VAR = "field"  # the one variable every case writes and reads
 
 
 def _grid_factor(n: int, ndim: int) -> tuple[int, ...]:
@@ -100,7 +101,6 @@ class SyntheticWorkloadConfig:
     n_writers: int = 64
     n_readers: int = 32
     timesteps: int = 20
-    var: str = "field"
     subdomain_groups: int = 4          # case2: rotating subdomain count
     hot_fraction: float = 0.125        # case3: hot share of the domain
     write_probability: float = 0.3     # case4: per-writer write chance
@@ -204,7 +204,7 @@ class SyntheticWorkload:
         durations: list[float] = []
         procs = [
             sim.process(
-                self._timed_put(durations, f"w{i}", self.config.var, self.writer_boxes[i]),
+                self._timed_put(durations, f"w{i}", VAR, self.writer_boxes[i]),
                 name=f"w{i}-s{step}",
             )
             for i in self._writers_for_step(step)
@@ -217,7 +217,7 @@ class SyntheticWorkload:
         """Initial write of the whole domain (case 5 setup)."""
         sim = self.service.sim
         procs = [
-            sim.process(self.service.put(f"w{i}", self.config.var, box), name=f"pop-w{i}")
+            sim.process(self.service.put(f"w{i}", VAR, box), name=f"pop-w{i}")
             for i, box in enumerate(self.writer_boxes)
         ]
         yield AllOf(sim, procs)
@@ -244,7 +244,7 @@ class SyntheticWorkload:
         durations: list[float] = []
         procs = [
             sim.process(
-                self._timed_get(durations, f"r{i}", self.config.var, self.reader_boxes[i]),
+                self._timed_get(durations, f"r{i}", VAR, self.reader_boxes[i]),
                 name=f"r{i}-s{self.service.step}",
             )
             for i in self._readers_for_step()

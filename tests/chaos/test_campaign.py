@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.chaos.campaign import (
+    NODES_PER_CABINET,
     REPAIR_GUARD_FRAC,
     ChaosConfig,
     FailureUnit,
@@ -129,7 +130,7 @@ class TestAllModesPass:
         for u in res.units:
             by_time[u.t_fail] = by_time.get(u.t_fail, 0) + 1
         # Whole cabinets die at one instant.
-        assert all(n == cfg.nodes_per_cabinet for n in by_time.values())
+        assert all(n == NODES_PER_CABINET for n in by_time.values())
 
 
 class TestRegressions:

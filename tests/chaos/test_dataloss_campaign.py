@@ -86,8 +86,6 @@ class TestReproducibility:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DataLossConfig(n_servers=4)
-        with pytest.raises(ValueError):
-            DataLossConfig(placements=())
 
 
 class TestCampaignPlacementModes:

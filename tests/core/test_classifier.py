@@ -99,7 +99,7 @@ class TestTemporalLookahead:
         assert clf.detect_period(("v", 0)) is None
 
     def test_predicted_hot_before_next_write(self):
-        clf, _ = make(lookahead_steps=1, hot_window_steps=1, spatial_radius=0)
+        clf, _ = make(hot_window_steps=1, spatial_radius=0)
         for step in (0, 4, 8):
             clf.record_write(("v", 0), step=step)
         # Next write predicted at 12; promoted one step before.

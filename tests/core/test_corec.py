@@ -117,7 +117,7 @@ class TestTemporalLookahead:
         # writes (case-2 behaviour).
         svc = make(
             storage_bound=0.5,
-            classifier=ClassifierConfig(hot_window_steps=1, lookahead_steps=1),
+            classifier=ClassifierConfig(hot_window_steps=1),
         )
         half0 = svc.domain.block_bbox(0).union_bounds(svc.domain.block_bbox(3))
 

@@ -163,10 +163,8 @@ class TestMetrics:
         assert dict(m.counters) == {"zeta": 2, "alpha": 1, "mid": 1}
 
     def test_shared_registry(self):
-        from repro.obs.registry import MetricsRegistry
-
-        reg = MetricsRegistry()
-        m = Metrics(registry=reg)
+        m = Metrics()
+        reg = m.registry
         m.count("encodes", 3)
         assert reg.counter("encodes").value == 3
         assert reg.histogram("put_response_s") is m.put_hist

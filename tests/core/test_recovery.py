@@ -26,7 +26,7 @@ class TestRecoveryConfig:
             RecoveryConfig(mode="eager")
 
     def test_deadline(self):
-        cfg = RecoveryConfig(mtbf_s=400.0, deadline_fraction=0.25)
+        cfg = RecoveryConfig(mtbf_s=400.0)
         assert cfg.deadline_s == 100.0
 
     def test_parallelism_validation(self):

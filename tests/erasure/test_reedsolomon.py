@@ -250,7 +250,7 @@ class TestXorConstruction:
         assert code.generator.is_mds_generator(4)
 
     def test_end_to_end_service_with_xor(self):
-        from repro import ReplicationPolicy, ErasurePolicy, StagingConfig, StagingService
+        from repro import ErasurePolicy, StagingConfig, StagingService
 
         svc = StagingService(
             StagingConfig(
@@ -258,11 +258,12 @@ class TestXorConstruction:
                 domain_shape=(32, 32, 32),
                 element_bytes=1,
                 object_max_bytes=4096,
-                rs_construction="xor",
                 seed=1,
             ),
             ErasurePolicy(),
         )
+        # A deployment stripes with Cauchy; swap the code before the first put.
+        svc.codec.code = RSCode(3, 1, "xor")
 
         def wf():
             yield from svc.put("w0", "v", svc.domain.bbox)
@@ -275,6 +276,7 @@ class TestXorConstruction:
         svc.run_workflow(wf())
         svc.run()
         assert svc.read_errors == 0
+        assert svc.metrics.counters["degraded_reads"] > 0
 
 
 def all_erasure_patterns(n, m):

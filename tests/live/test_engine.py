@@ -137,7 +137,7 @@ def test_resources_serialize_on_live_engine():
     async def main():
         eng = LiveEngine()
         try:
-            res = Resource(eng, capacity=1)
+            res = Resource(eng)
             active = []
             max_active = []
 
@@ -201,7 +201,7 @@ def test_nan_and_negative_timeouts_are_rejected_before_anything_is_scheduled():
 def test_trigger_without_waiter_is_processed_and_schedules_nothing():
     async def body(eng):
         ev = eng.event().succeed("v")
-        res = Resource(eng, capacity=1)
+        res = Resource(eng)
         grant = res.request()  # uncontended
         tick = eng.timeout(3.0)  # a modeled delay takes no wall time
         assert ev.processed and grant.processed and tick.processed
@@ -216,7 +216,7 @@ def test_trigger_without_waiter_is_processed_and_schedules_nothing():
 def test_later_waiter_resumes_inline_with_the_value():
     async def body(eng):
         ev = eng.event().succeed("early")
-        res = Resource(eng, capacity=1)
+        res = Resource(eng)
 
         def flow():
             got = yield ev
@@ -504,7 +504,7 @@ def test_a_pipelining_connection_that_never_awaits_cannot_starve_a_second_one():
 
     from repro.core.corec import CoRECPolicy
     from repro.live import LiveClient, serve_in_thread
-    from repro.live.protocol import _encode_frame
+    from repro.live.protocol import frame_parts
     from repro.staging.service import StagingConfig
 
     config = StagingConfig(
@@ -513,8 +513,8 @@ def test_a_pipelining_connection_that_never_awaits_cannot_starve_a_second_one():
     handle = serve_in_thread(config, CoRECPolicy)
     eng, server = handle.live.engine, handle._server
     n_puts = 4 * eng.soon_batch
-    put = _encode_frame(
-        {"op": "put", "client": "a", "var": "v", "lb": [0, 0, 0], "ub": [4, 4, 4]}
+    put = b"".join(
+        frame_parts({"op": "put", "client": "a", "var": "v", "lb": [0, 0, 0], "ub": [4, 4, 4]})
     )
     held, release = threading.Event(), threading.Event()
 

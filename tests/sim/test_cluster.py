@@ -8,21 +8,15 @@ from repro.sim.cluster import Cluster, topology_aware_ring
 
 class TestCluster:
     def test_basic_layout(self):
-        c = Cluster(n_servers=8, servers_per_node=1, nodes_per_cabinet=2)
-        assert c.n_nodes == 8
+        c = Cluster(n_servers=8, nodes_per_cabinet=2)
         assert c.n_cabinets == 4
         assert c.cabinet_of(0) == 0
         assert c.cabinet_of(7) == 3
 
-    def test_multiple_servers_per_node(self):
-        c = Cluster(n_servers=8, servers_per_node=2, nodes_per_cabinet=2)
-        assert c.n_nodes == 4
-        assert c.node_of(0).node_id == c.node_of(1).node_id
-        assert c.node_of(2).node_id != c.node_of(1).node_id
-
     def test_ragged_node_count(self):
-        c = Cluster(n_servers=5, servers_per_node=2)
-        assert c.n_nodes == 3
+        c = Cluster(n_servers=5, nodes_per_cabinet=2)
+        assert c.n_cabinets == 3
+        assert c.servers_in_cabinet(2) == [4]
 
     def test_out_of_range(self):
         c = Cluster(n_servers=4)
@@ -35,10 +29,10 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(n_servers=0)
         with pytest.raises(ValueError):
-            Cluster(n_servers=4, servers_per_node=0)
+            Cluster(n_servers=4, nodes_per_cabinet=0)
 
     def test_servers_in_cabinet(self):
-        c = Cluster(n_servers=8, servers_per_node=1, nodes_per_cabinet=4)
+        c = Cluster(n_servers=8, nodes_per_cabinet=4)
         assert c.servers_in_cabinet(0) == [0, 1, 2, 3]
         assert c.servers_in_cabinet(1) == [4, 5, 6, 7]
 
@@ -59,7 +53,7 @@ class TestTopologyAwareRing:
     def test_window_spans_distinct_cabinets(self):
         # Any window of size <= n_cabinets spans distinct cabinets when the
         # distribution is balanced.
-        c = Cluster(n_servers=16, nodes_per_cabinet=2, servers_per_node=1)
+        c = Cluster(n_servers=16, nodes_per_cabinet=2)
         ring = topology_aware_ring(c)
         w = min(c.n_cabinets, 4)
         for start in range(len(ring)):
@@ -72,12 +66,8 @@ class TestTopologyAwareRing:
         ring = topology_aware_ring(c)
         assert sorted(ring) == [0, 1, 2, 3]
 
-    @given(
-        n=st.integers(1, 64),
-        spn=st.integers(1, 3),
-        npc=st.integers(1, 8),
-    )
-    def test_ring_always_permutation_property(self, n, spn, npc):
-        c = Cluster(n_servers=n, servers_per_node=spn, nodes_per_cabinet=npc)
+    @given(n=st.integers(1, 64), npc=st.integers(1, 8))
+    def test_ring_always_permutation_property(self, n, npc):
+        c = Cluster(n_servers=n, nodes_per_cabinet=npc)
         ring = topology_aware_ring(c)
         assert sorted(ring) == list(range(n))

@@ -7,14 +7,9 @@ from repro.sim.resources import Resource
 
 
 class TestResource:
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
     def test_serialization(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         log = []
 
         def worker(tag):
@@ -32,7 +27,7 @@ class TestResource:
 
     def test_fifo_order(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         order = []
 
         def worker(tag, arrive):
@@ -48,24 +43,6 @@ class TestResource:
         sim.run()
         assert order == [0, 1, 2, 3]
 
-    def test_capacity_two_parallel(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        finished = []
-
-        def worker(tag):
-            req = res.request()
-            yield req
-            yield sim.timeout(1)
-            res.release(req)
-            finished.append((sim.now, tag))
-
-        for i in range(4):
-            sim.process(worker(i))
-        sim.run()
-        # Two run in [0,1], two in [1,2].
-        assert [t for t, _ in finished] == [1, 1, 2, 2]
-
     def test_release_without_request(self):
         sim = Simulator()
         res = Resource(sim)
@@ -74,7 +51,7 @@ class TestResource:
 
     def test_queued_and_utilization(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         res.request()
         res.request()
         assert res.in_use == 1
@@ -82,7 +59,7 @@ class TestResource:
 
     def test_try_acquire_takes_a_free_slot_only_when_its_grant_would_run_next(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         assert res.try_acquire() and res.in_use == 1  # nothing is scheduled
         assert not res.try_acquire()  # no slot
         res.release()
@@ -93,7 +70,7 @@ class TestResource:
 
     def test_cancel_withdraws_a_queued_request_and_releases_a_granted_one(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         held, queued, behind = res.request(), res.request(), res.request()
         res.cancel(queued)
         assert (res.in_use, res.queued) == (1, 1)
@@ -104,7 +81,7 @@ class TestResource:
 
     def test_acquire_helper(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         done = []
 
         def acquire(hold_time):

@@ -11,6 +11,7 @@ import pytest
 from repro.live.conformance import WORKLOADS, build_config, build_tape, policy_spec
 from repro.staging.objects import content_id
 from repro.workloads.capture import (
+    RETIRED_CONFIG_FIELDS,
     TAPE_FORMAT,
     TAPE_VERSION,
     CaptureRecorder,
@@ -191,9 +192,10 @@ class TestTapeFormat:
 
 
 class TestRetiredConfigFields:
-    """``index_scheme`` and ``verify_reads`` stopped being options: a tape
-    that recorded the one value ever in use still loads, one that asks for
-    another fails closed at load, and new tapes do not write them."""
+    """``index_scheme``, ``verify_reads``, ``servers_per_node`` and
+    ``rs_construction`` stopped being options: a tape that recorded the one
+    value ever in use still loads, one that asks for another fails closed at
+    load, and new tapes do not write them."""
 
     SMOKE_TAPE = os.path.join(
         os.path.dirname(__file__), "..", "..", "benchmarks", "tapes", "smoke.tape.jsonl"
@@ -206,11 +208,19 @@ class TestRetiredConfigFields:
         assert tape.meta["version"] == 1
         assert tape.meta["config"]["index_scheme"] == "round_robin"
         assert tape.meta["config"]["verify_reads"] is True
+        assert tape.meta["config"]["servers_per_node"] == 1
+        assert tape.meta["config"]["rs_construction"] == "cauchy"
         config, policy = tape.deployment()
         assert config.n_servers == 8 and policy[0] == "corec"
 
     @pytest.mark.parametrize(
-        "field, value", [("index_scheme", "hash"), ("verify_reads", False)]
+        "field, value",
+        [
+            ("index_scheme", "hash"),
+            ("verify_reads", False),
+            ("servers_per_node", 2),
+            ("rs_construction", "vandermonde"),
+        ],
     )
     def test_another_value_is_rejected_at_load(self, field, value):
         with open(self.SMOKE_TAPE, encoding="utf-8") as fh:
@@ -228,7 +238,7 @@ class TestRetiredConfigFields:
             config=small_config(), policy_spec=("corec", {})
         )
         written = json.loads(tape.dumps().splitlines()[0])["config"]
-        assert "index_scheme" not in written and "verify_reads" not in written
+        assert not set(RETIRED_CONFIG_FIELDS) & set(written)
         assert Tape.loads(tape.dumps()).deployment()[0].seed == small_config().seed
 
     def test_tape_without_deployment_meta_cannot_open_one(self):

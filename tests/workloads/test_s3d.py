@@ -117,26 +117,3 @@ class TestS3DWorkload:
     def test_no_read_errors(self):
         svc, wl = run_s3d()
         assert svc.read_errors == 0
-
-
-class TestMultiVariable:
-    def test_variables_list(self):
-        cfg = S3DConfig(scale_index=0, shrink=8, n_variables=3)
-        assert cfg.variables() == ["species0", "species1", "species2"]
-        assert S3DConfig(scale_index=0, shrink=8).variables() == ["species"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            S3DConfig(scale_index=0, shrink=8, n_variables=0)
-
-    def test_per_step_bytes_scales(self):
-        one = S3DConfig(scale_index=0, shrink=8, per_core_subdomain=8)
-        three = S3DConfig(scale_index=0, shrink=8, per_core_subdomain=8, n_variables=3)
-        assert three.per_step_bytes == 3 * one.per_step_bytes
-
-    def test_multivar_workflow(self):
-        svc, wl = run_s3d(timesteps=3, n_variables=3)
-        assert svc.metrics.put_stat.n == 3 * wl.config.n_writers * 3
-        names = {e.name for e in svc.directory.entities.values()}
-        assert names == {"species0", "species1", "species2"}
-        assert svc.read_errors == 0
