@@ -1,18 +1,17 @@
 /* Native data-plane kernels: the GF(2^8) fused matrix product and the
- * request path's CRC-32.
+ * request path's CRC-32, as the CPython extension module ``_gf_matmul``.
  *
  * GF(2^8) fused matrix kernel: nibble-table shuffle product.
  *
- * The same low/high-nibble factorization the numpy "nibble" kernel uses
- * (product c*x = LO[c][x & 15] ^ HI[c][x >> 4]), lowered to a 32-byte
- * PSHUFB on AVX2 hosts the way ISA-L's SIMD erasure kernels do: one
- * in-register shuffle performs 32 table lookups, so a full r x k stripe
- * product streams the data once while every table access stays in
- * registers.  A plain-C path covers tails and non-AVX2 hosts; both paths
- * are bit-exact with the Python reference kernel.  The product either
- * overwrites its output rows (the first column group's sums are stored as
- * they are, so a fresh buffer needs no zeroing pass first) or
- * XOR-accumulates into them (parity folds).
+ * The low/high-nibble factorization of a field product (c*x =
+ * LO[c][x & 15] ^ HI[c][x >> 4]), lowered to a 32-byte PSHUFB on AVX2 hosts
+ * the way ISA-L's SIMD erasure kernels do: one in-register shuffle performs
+ * 32 table lookups, so a full r x k stripe product streams the data once
+ * while every table access stays in registers.  A plain-C path covers tails
+ * and non-AVX2 hosts; both paths are bit-exact with the Python reference
+ * kernel.  The product either overwrites its output rows (the first column
+ * group's sums are stored as they are, so a fresh buffer needs no zeroing
+ * pass first) or XOR-accumulates into them (parity folds).
  *
  * CRC-32 fold: zlib's reflected polynomial 0xEDB88320 folded with
  * carry-less multiplies, then Barrett-reduced to 32 bits (Gopal et al.,
@@ -21,15 +20,22 @@
  * 4 x 128-bit PCLMULQDQ lanes (64 bytes a step), and on AVX-512 hosts
  * 4 x 512-bit VPCLMULQDQ lanes (256 bytes a step) whose four 128-bit
  * quarters are folded down and handed to the same 16-byte loop and
- * reduction.  They consume whole 16-byte blocks only; the caller finishes
- * the tail with zlib.crc32, so the result is bit-identical to zlib.
+ * reduction.  They consume whole 16-byte blocks only; a byte-table loop
+ * finishes the last 0-15 bytes (and any view too short to fold), so the
+ * result is bit-identical to zlib.crc32.
  *
- * Built at runtime by repro.erasure.native (gcc -O3 -shared); the SIMD
- * bodies compile via per-function target attributes so no ISA flags are
- * needed and the binary still loads on any x86-64, dispatching on
- * __builtin_cpu_supports at call time.  -DGF_NO_VPCLMUL leaves the wide
- * body out, for a compiler that rejects its target attribute.
+ * The entry points (end of file) take their arrays through the buffer
+ * protocol: each checks every row it is handed, then releases the GIL
+ * around the kernel alone.  Built at runtime by repro.erasure.native
+ * (cc -O3 -shared against Python.h); the SIMD bodies compile via
+ * per-function target attributes so no ISA flags are needed and the module
+ * still loads on any x86-64, dispatching on __builtin_cpu_supports.
+ * -DGF_NO_VPCLMUL leaves the wide body out, for a compiler that rejects its
+ * target attribute.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -145,18 +151,17 @@ static size_t matmul_avx2(const uint8_t *mat, size_t r, size_t k,
 }
 #endif /* GF_X86 */
 
-/* Entry point: writes the product into the out rows (accumulate == 0) or
+/* The product: writes it into the out rows (accumulate == 0) or
  * XOR-accumulates it into them (accumulate != 0).  What an overwritten row
  * held is never read: the AVX2 body stores its first column group's sums,
  * and the scalar path (the tail, or the whole row without AVX2) zeroes its
- * bytes before summing into them.
- * Shards and output rows are passed as pointer arrays so callers can hand
- * over arbitrary (even non-adjacent) row buffers without stacking a matrix. */
-void gf_matmul(const uint8_t *mat, size_t r, size_t k,
-               const uint8_t *const *shard_ptrs,
-               uint8_t *const *out_ptrs, size_t length,
-               const uint8_t *nib_lo, const uint8_t *nib_hi,
-               int accumulate)
+ * bytes before summing into them.  Rows are pointer arrays, so a caller's
+ * separate (even non-adjacent) row buffers need no stacking into a matrix. */
+static void gf_matmul(const uint8_t *mat, size_t r, size_t k,
+                      const uint8_t *const *shard_ptrs,
+                      uint8_t *const *out_ptrs, size_t length,
+                      const uint8_t *nib_lo, const uint8_t *nib_hi,
+                      int accumulate)
 {
     size_t l0 = 0;
     if (r == 0 || length == 0)
@@ -171,7 +176,7 @@ void gf_matmul(const uint8_t *mat, size_t r, size_t k,
 }
 
 /* 0 = plain C only, 2 = AVX2 dispatch active on this host. */
-int gf_simd_level(void)
+static int gf_simd_level(void)
 {
 #ifdef GF_X86
     if (__builtin_cpu_supports("avx2"))
@@ -322,10 +327,11 @@ static uint32_t crc32_vpclmul(const uint8_t *buf, size_t len, uint32_t crc)
 #endif /* CRC_WIDE */
 #endif /* GF_X86 */
 
+
 /* 0 = no CRC fold on this host, 1 = the PCLMULQDQ + SSE4.1 body, 2 = the
  * VPCLMULQDQ + AVX512F + AVX512BW body as well (built in, and the host has
  * all three). */
-int crc32_simd_level(void)
+static int crc32_simd_level(void)
 {
 #ifdef GF_X86
 #ifdef CRC_WIDE
@@ -339,13 +345,16 @@ int crc32_simd_level(void)
     return 0;
 }
 
-/* The bodies as entry points: continue zlib's running CRC ``crc`` over
- * buf[0:len] and return it.  len must be a multiple of 16, at least 64 for
- * the 128-bit body and 256 for the wide one, and the host must report the
- * body's crc32_simd_level(); the caller checks both once and finishes any
- * tail with zlib.  Each is exported so one host can check both. */
-uint32_t crc32_fold_128(const uint8_t *buf, size_t len, uint32_t crc)
+/* zlib's running CRC ``crc`` continued over buf[0:len] by body ``body``
+ * (1: 128-bit, 2: wide): len a multiple of 16, at least 64 (256 for the
+ * wide body), and the host at that crc32_simd_level(). */
+static uint32_t crc32_fold(int body, const uint8_t *buf, size_t len, uint32_t crc)
 {
+    (void)body;
+#ifdef CRC_WIDE
+    if (body == 2)
+        return ~crc32_vpclmul(buf, len, ~crc);
+#endif
 #ifdef GF_X86
     return ~crc32_pclmul(buf, len, ~crc);
 #else
@@ -355,20 +364,297 @@ uint32_t crc32_fold_128(const uint8_t *buf, size_t len, uint32_t crc)
 #endif
 }
 
-#ifdef CRC_WIDE
-uint32_t crc32_fold_512(const uint8_t *buf, size_t len, uint32_t crc)
+/* Byte-at-a-time CRC-32 for the 0-15 bytes past the fold (and views too
+ * short to fold, or every byte on a host without a fold body). */
+static uint32_t crc_table[256];
+
+static void crc_table_init(void)
 {
-    return ~crc32_vpclmul(buf, len, ~crc);
+    for (uint32_t n = 0; n < 256; n++) {
+        uint32_t c = n;
+        for (int i = 0; i < 8; i++)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        crc_table[n] = c;
+    }
+}
+
+static uint32_t crc32_bytes(uint32_t crc, const uint8_t *buf, size_t len)
+{
+    crc = ~crc;
+    while (len--)
+        crc = crc_table[(crc ^ *buf++) & 0xff] ^ (crc >> 8);
+    return ~crc;
+}
+
+/* ------------------------------------------------------------------------
+ * The CPython entry points.
+ * --------------------------------------------------------------------- */
+
+/* The nibble tables every product reads, cut from the 256 x 256 product
+ * table by set_tables(): nib_lo[c][x] = c * x, nib_hi[c][x] = c * (x << 4). */
+static uint8_t nib_lo[256 * 16], nib_hi[256 * 16];
+static int have_tables;
+static int crc_level; /* crc32_simd_level(), taken once at import */
+
+/* Export ``obj`` as a read-only buffer that is a C-contiguous 1-D run of
+ * uint8: anything else is a ValueError naming ``what``, and nothing is held. */
+static int get_bytes(PyObject *obj, Py_buffer *view, const char *what, Py_ssize_t i)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != 1
+        || (view->format != NULL && strcmp(view->format, "B") != 0)
+        || !PyBuffer_IsContiguous(view, 'C')) {
+        PyBuffer_Release(view);
+        if (i < 0)
+            PyErr_Format(PyExc_ValueError, "%s needs a contiguous 1-D uint8 view", what);
+        else
+            PyErr_Format(PyExc_ValueError,
+                         "%s row %zd is not a contiguous 1-D uint8 buffer", what, i);
+        return -1;
+    }
+    return 0;
+}
+
+/* set_tables(mul): take the nibble tables from the 256 x 256 product table. */
+static PyObject *py_set_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b;
+    (void)self;
+    if (nargs != 1) {
+        PyErr_SetString(PyExc_TypeError, "set_tables(mul) takes one argument");
+        return NULL;
+    }
+    if (PyObject_GetBuffer(args[0], &b, PyBUF_C_CONTIGUOUS) < 0)
+        return NULL;
+    if (b.len != 256 * 256) {
+        PyBuffer_Release(&b);
+        PyErr_SetString(PyExc_ValueError, "mul must be the 256 x 256 product table");
+        return NULL;
+    }
+    for (int c = 0; c < 256; c++) {
+        const uint8_t *row = (const uint8_t *)b.buf + c * 256;
+        memcpy(nib_lo + c * 16, row, 16);
+        for (int x = 0; x < 16; x++)
+            nib_hi[c * 16 + x] = row[x << 4];
+    }
+    PyBuffer_Release(&b);
+    have_tables = 1;
+    Py_RETURN_NONE;
+}
+
+/* Rows a product holds on the stack; a larger one allocates. */
+#define STACK_ROWS 32
+
+/* gf_matmul(mat, shard_rows, out_rows, offset, length, accumulate)
+ *
+ * Writes (or XOR-accumulates) mat . shards into bytes [offset, offset +
+ * length) of each out row.  ``mat`` is an r x k C-contiguous uint8 matrix,
+ * ``shard_rows`` k and ``out_rows`` r contiguous 1-D uint8 buffers, each
+ * holding at least offset + length bytes, the out rows writable. */
+static PyObject *py_gf_matmul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer mb, stack_views[STACK_ROWS], *views = stack_views;
+    const uint8_t *stack_ptrs[STACK_ROWS], **ptrs = stack_ptrs;
+    PyObject *shards = NULL, *outs = NULL, *ret = NULL;
+    Py_ssize_t k, r, n, held = 0, offset, length, end;
+    int accumulate;
+    (void)self;
+
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "gf_matmul(mat, shard_rows, out_rows, offset, length, accumulate)");
+        return NULL;
+    }
+    if (!have_tables) {
+        PyErr_SetString(PyExc_RuntimeError, "set_tables() was never called");
+        return NULL;
+    }
+    offset = PyLong_AsSsize_t(args[3]);
+    if (offset == -1 && PyErr_Occurred())
+        return NULL;
+    length = PyLong_AsSsize_t(args[4]);
+    if (length == -1 && PyErr_Occurred())
+        return NULL;
+    accumulate = PyObject_IsTrue(args[5]);
+    if (accumulate < 0)
+        return NULL;
+    if (offset < 0 || length < 0 || offset > PY_SSIZE_T_MAX - length) {
+        PyErr_SetString(PyExc_ValueError, "offset and length must be non-negative");
+        return NULL;
+    }
+    end = offset + length;
+    shards = PySequence_Fast(args[1], "shard rows must be a sequence");
+    if (shards == NULL)
+        return NULL;
+    outs = PySequence_Fast(args[2], "out rows must be a sequence");
+    if (outs == NULL)
+        goto done;
+    k = PySequence_Fast_GET_SIZE(shards);
+    r = PySequence_Fast_GET_SIZE(outs);
+
+    if (PyObject_GetBuffer(args[0], &mb, PyBUF_RECORDS_RO) < 0)
+        goto done;
+    if (mb.ndim != 2 || mb.itemsize != 1
+        || (mb.format != NULL && strcmp(mb.format, "B") != 0)
+        || !PyBuffer_IsContiguous(&mb, 'C') || mb.shape[0] != r || mb.shape[1] != k) {
+        PyErr_Format(PyExc_ValueError,
+                     "matrix is not a contiguous %zd x %zd uint8 matrix "
+                     "(%zd out rows, %zd shard rows)", r, k, r, k);
+        PyBuffer_Release(&mb);
+        goto done;
+    }
+
+    n = k + r;
+    if (n > STACK_ROWS) {
+        views = PyMem_New(Py_buffer, n);
+        ptrs = PyMem_New(const uint8_t *, n);
+        if (views == NULL || ptrs == NULL) {
+            PyErr_NoMemory();
+            goto release;
+        }
+    }
+    for (; held < n; held++) {
+        int out = held >= k;
+        Py_ssize_t i = out ? held - k : held;
+        PyObject *row = out ? PySequence_Fast_GET_ITEM(outs, i)
+                            : PySequence_Fast_GET_ITEM(shards, i);
+        Py_buffer *v = &views[held];
+        if (get_bytes(row, v, out ? "out" : "shard", i) < 0)
+            goto release;
+        if (v->len < end) {
+            PyErr_Format(PyExc_ValueError, "%s row %zd holds %zd bytes, product needs %zd",
+                         out ? "out" : "shard", i, v->len, end);
+            PyBuffer_Release(v);
+            goto release;
+        }
+        if (out && v->readonly) {
+            PyErr_Format(PyExc_ValueError, "out row %zd is read-only", i);
+            PyBuffer_Release(v);
+            goto release;
+        }
+        ptrs[held] = (const uint8_t *)v->buf + offset;
+    }
+
+    Py_BEGIN_ALLOW_THREADS
+    gf_matmul(mb.buf, (size_t)r, (size_t)k, ptrs, (uint8_t *const *)(ptrs + k),
+              (size_t)length, nib_lo, nib_hi, accumulate);
+    Py_END_ALLOW_THREADS
+    Py_INCREF(Py_None);
+    ret = Py_None;
+
+release:
+    while (held > 0)
+        PyBuffer_Release(&views[--held]);
+    if (views != stack_views)
+        PyMem_Free(views);
+    if (ptrs != stack_ptrs)
+        PyMem_Free(ptrs);
+    PyBuffer_Release(&mb);
+done:
+    Py_XDECREF(shards);
+    Py_XDECREF(outs);
+    return ret;
+}
+
+/* zlib.crc32(view, crc) with the whole 16-byte blocks on ``body`` (0: the
+ * wide body from 256 bytes where the host has it, else the 128-bit one from
+ * 64), the last 0-15 bytes by table. */
+static PyObject *crc_entry(PyObject *const *args, Py_ssize_t nargs, int body)
+{
+    Py_buffer v;
+    unsigned long crc = 0;
+    size_t n, len;
+    const uint8_t *buf;
+
+    if (nargs < 1 || nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "crc32(view, crc=0)");
+        return NULL;
+    }
+    if (body > crc_level) {
+        PyErr_Format(PyExc_RuntimeError, "this host lacks CRC body %d", body);
+        return NULL;
+    }
+    if (nargs == 2) {
+        crc = PyLong_AsUnsignedLongMask(args[1]);
+        if (crc == (unsigned long)-1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (get_bytes(args[0], &v, "crc32", -1) < 0)
+        return NULL;
+    buf = v.buf;
+    len = (size_t)v.len;
+    n = len & ~(size_t)15;
+    if (body == 0)
+        body = crc_level == 2 && n >= 256 ? 2 : crc_level && n >= 64 ? 1 : 0;
+    if (body && n >= (body == 2 ? 256u : 64u)) {
+        Py_BEGIN_ALLOW_THREADS
+        crc = crc32_fold(body, buf, n, (uint32_t)crc);
+        Py_END_ALLOW_THREADS
+        buf += n;
+        len -= n;
+    }
+    crc = crc32_bytes((uint32_t)crc, buf, len);
+    PyBuffer_Release(&v);
+    return PyLong_FromUnsignedLong(crc);
+}
+
+static PyObject *py_crc32(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    return crc_entry(args, nargs, 0);
+}
+
+/* Each body as its own entry, so one host can hold both to zlib. */
+static PyObject *py_crc32_fold_128(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    return crc_entry(args, nargs, 1);
+}
+
+#ifdef CRC_WIDE
+static PyObject *py_crc32_fold_512(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    return crc_entry(args, nargs, 2);
 }
 #endif
 
-/* The one the request path calls: the wide body where the host has it and
- * the bulk fills one 256-byte step, else the 128-bit body. */
-uint32_t crc32_fold(const uint8_t *buf, size_t len, uint32_t crc)
-{
+static PyMethodDef methods[] = {
+    {"set_tables", (PyCFunction)(void (*)(void))py_set_tables, METH_FASTCALL,
+     "set_tables(mul): cut the nibble tables from the 256 x 256 product table."},
+    {"gf_matmul", (PyCFunction)(void (*)(void))py_gf_matmul, METH_FASTCALL,
+     "gf_matmul(mat, shard_rows, out_rows, offset, length, accumulate)"},
+    {"crc32", (PyCFunction)(void (*)(void))py_crc32, METH_FASTCALL,
+     "crc32(view, crc=0): zlib.crc32 of a contiguous 1-D uint8 view."},
+    {"crc32_fold_128", (PyCFunction)(void (*)(void))py_crc32_fold_128, METH_FASTCALL,
+     "crc32 with the bulk on the 4 x 128-bit body."},
 #ifdef CRC_WIDE
-    if (len >= 256 && crc32_simd_level() == 2)
-        return crc32_fold_512(buf, len, crc);
+    {"crc32_fold_512", (PyCFunction)(void (*)(void))py_crc32_fold_512, METH_FASTCALL,
+     "crc32 with the bulk on the 4 x 512-bit body."},
 #endif
-    return crc32_fold_128(buf, len, crc);
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_gf_matmul",
+    .m_doc = "GF(2^8) product and CRC-32 kernels.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__gf_matmul(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m == NULL)
+        return NULL;
+    crc_table_init();
+    crc_level = crc32_simd_level();
+    if (PyModule_AddIntConstant(m, "GF_SIMD_LEVEL", gf_simd_level()) < 0
+        || PyModule_AddIntConstant(m, "CRC_SIMD_LEVEL", crc_level) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

@@ -19,10 +19,10 @@ stacked-array wrapper), and three kernels behind it:
 - ``table`` - the same per-cell walk through one reused scratch row: no
   allocation, no setup, no cache.  The portable fallback;
 - ``native`` - the runtime-compiled SIMD nibble-shuffle kernel of
-  :mod:`repro.erasure.native`, fed row *pointers*.
+  :mod:`repro.erasure.native`, handed the rows themselves in one C call.
 
 Which one runs follows from a single observable fact: ``native`` if the
-shared object built and loaded, else ``table``.  :meth:`GF256.set_kernel`
+extension module built and loaded, else ``table``.  :meth:`GF256.set_kernel`
 overrides that for tests and benchmarks only.  All three compute exact
 field arithmetic, so the choice never changes an output byte - only
 throughput.
@@ -160,9 +160,8 @@ class GF256:
     def writable_row(arr: np.ndarray, size: int) -> np.ndarray:
         """``arr`` as the flat row a kernel may write ``size`` bytes into.
 
-        Output buffers reach the native kernel as bare pointers, so anything
-        but a writable C-contiguous uint8 array of exactly that size is a
-        ValueError here rather than a broadcast or a stray write there.
+        Anything but a writable C-contiguous uint8 array of exactly that
+        size is a ValueError here rather than a broadcast there.
         """
         if not (
             isinstance(arr, np.ndarray)
@@ -247,24 +246,6 @@ class GF256:
                 else:
                     np.take(cls.MUL[c], src, out=tmp, mode="clip")
                     np.bitwise_xor(acc, tmp, out=acc)
-
-    @classmethod
-    def _kernel_native(cls, mat, shard_rows, out_rows, offset, length, accumulate) -> None:
-        """Compiled nibble-shuffle kernel (see ``_gf_matmul.c``).
-
-        Rows are handed to C as pointer arrays, so neither separate row
-        buffers nor a column range of a larger product need a compaction
-        copy.  Unlike the numpy kernels it can overwrite its output, so a
-        fresh product costs no zeroing pass.
-        """
-        nat = cls._NATIVE
-        nat.matmul_ptrs(
-            mat,
-            nat.row_ptrs(shard_rows, offset, length),
-            nat.row_ptrs(out_rows, offset, length),
-            length,
-            accumulate,
-        )
 
     # The runtime-compiled kernel, or None when it could not be built or
     # loaded (no compiler, ``REPRO_GF_NATIVE=0``).
@@ -356,7 +337,10 @@ class GF256:
         cls.KERNEL_STATS["matmul_calls"] += 1
         cls.KERNEL_STATS[name] = cls.KERNEL_STATS.get(name, 0) + 1
         if name == "native":
-            cls._kernel_native(mat, shard_rows, out_rows, offset, length, accumulate)
+            # One C call, handed the rows as they are (no compaction copy of
+            # separate rows or of a column range); it can overwrite its
+            # output, so a fresh product costs no zeroing pass.
+            cls._NATIVE.matmul(mat, shard_rows, out_rows, offset, length, accumulate)
         else:
             getattr(cls, "_kernel_" + name)(mat, shard_rows, out_rows, offset, length)
 

@@ -27,22 +27,24 @@ from repro.staging.domain import BBox
 __all__ = ["ResilienceState", "BlockEntity", "StripeInfo"]
 
 
-#: Views at least this long take the native CRC fold.  The ctypes call has
-#: a fixed cost of ~2.5 us, so below this the fold saves less than it
-#: costs.  Per view in us, zlib / 128-bit body / wide body, on one core of
-#: a 2-vCPU x86-64 with AVX-512 (median of 400, range over three rounds;
-#: cold is after 3 MiB of copies):
+#: Views at least this long take the native CRC fold.  The call is one C
+#: entry taking the view as a buffer (~0.3 us); below this the fold saves
+#: less than that or loses cold.  Per view in us, zlib / 128-bit body /
+#: wide body, on one core of a 2-vCPU x86-64 with AVX-512 (median of 400,
+#: range over three rounds; cold is after 3 MiB of copies):
 #:
-#:   8 KiB   hot  3.3-4.8 / 3.7-6.4 / 4.2-6.0    cold  6.6-7.9 / 15-21 / 15-21
-#:   16 KiB  hot  4.9-9.1 / 4.3-7.0 / 3.7-6.2    cold  6.6-12 / 17-22 / 19-21
-#:   32 KiB  hot  9.3-18 / 5.1-7.7 / 3.9-6.4     cold  16-19 / 16-23 / 11-19
-#:   64 KiB  hot  17-34 / 6.9-8.9 / 4.1-6.2      cold  20-34 / 21-25 / 17-23
+#:   512 B   hot  0.6 / 0.3-0.4 / 0.3-0.4     cold  2.6-3.2 / 2.5-2.8 / 2.4-2.9
+#:   1 KiB   hot  0.6-0.7 / 0.4-0.6 / 0.3     cold  4.1-4.5 / 3.3-3.5 / 3.0-3.3
+#:   2 KiB   hot  1.3-1.4 / 0.6 / 0.4-0.5     cold  4.3-4.7 / 3.0-3.1 / 2.7-3.0
+#:   4 KiB   hot  1.5-1.6 / 0.5-0.9 / 0.4     cold  5.2-6.3 / 3.4-3.6 / 1.7-2.4
+#:   16 KiB  hot  5.0-8.1 / 1.2 / 0.8-0.9     cold  11-12 / 4.6-4.8 / 3.8-3.9
+#:   64 KiB  hot  34-36 / 4.1 / 2.0           cold  34-37 / 8.1-10 / 7.0-7.9
 #:
-#: Cold, the fold loses at 8 and 16 KiB on either body (the simulator's
-#: 16 KiB gets read +4 % slower with the cut there), is about even at
-#: 32 KiB and wins from 64 KiB; hot it wins from 16 KiB.  The wide body
-#: moves none of that, so the cut stays where the 128-bit body put it.
-NATIVE_CRC_MIN_BYTES = 32 * 1024
+#: Hot and cold, the fold wins by more than a microsecond on either body
+#: from 2 KiB; at 512 B the cold ranges overlap.  Winning hot is not
+#: enough: with the cut where the fold lost cold, the simulator's 16 KiB
+#: gets read 4 % slower.
+NATIVE_CRC_MIN_BYTES = 2 * 1024
 
 
 def payload_digest(data: np.ndarray) -> str:
@@ -52,20 +54,20 @@ def payload_digest(data: np.ndarray) -> str:
     ``verify_all`` audits compare against (the role iSCSI and ext4 give a
     CRC).  Runs over the contiguous uint8 view in place with the GIL
     released.  From :data:`NATIVE_CRC_MIN_BYTES` up, and where the native
-    kernel loaded, the carry-less-multiply fold of
-    :meth:`NativeKernel.crc32 <repro.erasure.native.NativeKernel.crc32>`
-    does the bulk: 4 x 512-bit lanes where the host has VPCLMULQDQ and
-    AVX-512 (about 0.02 ns/B, 21 us per hot MiB, 50-70 us once it left
-    L2), else 4 x 128-bit lanes (about 0.06 ns/B, 60 us per hot MiB);
-    otherwise, and for every tail, ``zlib.crc32`` (about 0.25 ns/B, 250 us
-    per MiB).  Both routes return the same value.  It detects corruption; it is not an identity — 32 bits
-    collide, so nothing that is recorded or compared across runs may use
-    it (that is :func:`content_id`).
+    kernel loaded on a host with a fold body, one call of
+    :attr:`NativeKernel.crc32 <repro.erasure.native.NativeKernel.crc32>`:
+    4 x 512-bit lanes where the host has VPCLMULQDQ and AVX-512 (about
+    0.02 ns/B, 21 us per hot MiB, 50-70 us once it left L2), else 4 x
+    128-bit lanes (about 0.06 ns/B, 60 us per hot MiB), the last 0-15
+    bytes by table; otherwise ``zlib.crc32`` (about 0.25 ns/B, 250 us per
+    MiB).  Both routes return the same value.  It detects corruption; it
+    is not an identity — 32 bits collide, so nothing that is recorded or
+    compared across runs may use it (that is :func:`content_id`).
     """
     view = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
     if view.size >= NATIVE_CRC_MIN_BYTES:
         native = GF256.native_kernel()
-        if native is not None:
+        if native is not None and native.crc_level:
             return "%08x" % native.crc32(view)
     return "%08x" % zlib.crc32(view)
 

@@ -1,10 +1,10 @@
 """Oracle for the native CRC-32 fold: it is zlib's CRC, byte for byte.
 
 ``NativeKernel.crc32`` folds whole 16-byte blocks with carry-less
-multiplies and lets ``zlib.crc32`` finish the tail from the running value,
-so every length, start offset and starting CRC must give exactly
-``zlib.crc32``.  The shared object exports each of its two bodies as its
-own symbol, so one host checks both: the 4 x 128-bit PCLMULQDQ body
+multiplies and finishes the tail by table from the running value, so every
+length, start offset and starting CRC must give exactly ``zlib.crc32``.
+The extension module exports each of its two bodies as its own entry
+point, so one host checks both: the 4 x 128-bit PCLMULQDQ body
 (``crc32_fold_128``) everywhere it has PCLMULQDQ, and the 4 x 512-bit
 VPCLMULQDQ body (``crc32_fold_512``) where it also has AVX512F and
 AVX512BW.  ``test_each_body_is_zlibs_crc`` drives each body alone; the
@@ -12,12 +12,10 @@ other cases go through ``NativeKernel.crc32``, the entry point the
 request path calls.
 Skipped where the native kernel did not load (no compiler,
 ``REPRO_GF_NATIVE=0``); ``payload_digest`` is checked on every host in
-``tests/staging/test_objects.py``.
-"""
+``tests/staging/test_objects.py``."""
 
 from __future__ import annotations
 
-import ctypes
 import os
 import shutil
 import zlib
@@ -60,28 +58,16 @@ MISSING_WIDE = [f for f in WIDE_FLAGS if FLAGS is not None and f not in FLAGS]
 
 
 def body(name: str):
-    """``zlib.crc32`` with one exported fold body alone taking the whole
-    16-byte blocks from its minimum length up; skipped where the host
-    lacks the body."""
+    """``zlib.crc32`` with one body alone taking the whole 16-byte blocks
+    from its minimum length up (each is its own entry point of the
+    module); skipped where the host lacks the body."""
     if name == "128":
         if NATIVE.crc_level < 1:
             pytest.skip("host lacks pclmulqdq or sse4.1")
-        fn, least = NATIVE.lib.crc32_fold_128, 64
-    else:
-        if NATIVE.crc_level < 2:
-            pytest.skip(f"wide CRC body not selected: host lacks {', '.join(MISSING_WIDE) or '?'}")
-        fn, least = NATIVE.lib.crc32_fold_512, 256
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32]
-    fn.restype = ctypes.c_uint32
-
-    def crc32(view: np.ndarray, crc: int = 0) -> int:
-        n = view.size & ~15
-        if n >= least:
-            crc = fn(view.ctypes.data, n, crc)
-            view = view[n:]
-        return zlib.crc32(view, crc)
-
-    return crc32
+        return NATIVE.module.crc32_fold_128
+    if NATIVE.crc_level < 2:
+        pytest.skip(f"wide CRC body not selected: host lacks {', '.join(MISSING_WIDE) or '?'}")
+    return NATIVE.module.crc32_fold_512
 
 
 def test_every_length_up_to_300():
@@ -173,7 +159,8 @@ def test_a_compiler_without_the_wide_target_still_builds_the_rest(tmp_path, monk
     assert kernel is not None
     assert kernel.simd_level == NATIVE.simd_level
     assert kernel.crc_level == min(NATIVE.crc_level, 1)
-    assert getattr(kernel.lib, "crc32_fold_512", None) is None
+    assert not hasattr(kernel.module, "crc32_fold_512")
+    assert kernel.module.crc32_fold_128(BUF, 7) == zlib.crc32(BUF, 7)
     big = np.random.default_rng(2).integers(0, 256, (1 << 20) + 77, dtype=np.uint8)
     assert kernel.crc32(big, 7) == zlib.crc32(big, 7)
     assert os.listdir(tmp_path / "cache") != []

@@ -22,7 +22,7 @@ from repro.erasure.reedsolomon import RSCode
 from tests.conftest import padded
 
 # Kernels to exercise: every pure-numpy kernel (with the native kernel
-# masked off so the stacked path runs) plus the native pointer path.
+# masked off so the stacked path runs) plus the native kernel.
 KERNEL_CASES = [
     (name, False) for name in GF256.available_kernels() if name != "native"
 ]
