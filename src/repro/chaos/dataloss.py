@@ -30,7 +30,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.chaos.invariants import stripe_holders
 from repro.core.recovery import RecoveryConfig
 from repro.staging.objects import ResilienceState
 
@@ -95,7 +94,7 @@ def _stripes_killed_by(svc, dead: set[int]) -> list[int]:
     """Stripe ids that lose more than ``m`` real shards to ``dead``."""
     killed = []
     for sid, stripe in sorted(svc.directory.stripes.items()):
-        lost = sum(1 for _, s in stripe_holders(svc, stripe) if s in dead)
+        lost = sum(1 for _, s in stripe.holders() if s in dead)
         if lost > stripe.m:
             killed.append(sid)
     return killed
@@ -116,7 +115,7 @@ def _distinct_sets_per_group(svc) -> dict[int, int]:
     sets_by_group: dict[int, set] = {}
     for stripe in svc.directory.stripes.values():
         sets_by_group.setdefault(stripe.group_id, set()).add(
-            frozenset(s for _, s in stripe_holders(svc, stripe))
+            frozenset(s for _, s in stripe.holders())
         )
     return {gid: len(s) for gid, s in sorted(sets_by_group.items())}
 

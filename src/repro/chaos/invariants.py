@@ -172,17 +172,6 @@ def check_accounting(svc) -> list[str]:
     ]
 
 
-def stripe_holders(svc, stripe) -> list[tuple[int, int]]:
-    """``(slot, server)`` of each *real* shard: data via member primaries."""
-    holders = [
-        (i, svc.directory.entities[mk].primary)
-        for i, mk in enumerate(stripe.members[:stripe.k])
-        if mk is not None
-    ]
-    holders += [(j, stripe.shard_servers[j]) for j in range(stripe.k, stripe.k + stripe.m)]
-    return holders
-
-
 def check_anti_affinity(svc) -> list[str]:
     """No two shards of a stripe share a server once rebalance had a chance.
 
@@ -193,7 +182,7 @@ def check_anti_affinity(svc) -> list[str]:
     """
     problems = []
     for stripe in svc.directory.stripes.values():
-        holders = stripe_holders(svc, stripe)
+        holders = stripe.holders()
         by_server: dict[int, list[int]] = {}
         for slot, server in holders:
             by_server.setdefault(server, []).append(slot)
@@ -234,11 +223,9 @@ def check_coding_sets(svc) -> list[str]:
     parity_in_use: dict[int, set[int]] = {}
     for stripe in svc.directory.stripes.values():
         allowed = layout.allowed_stripe_servers(stripe.group_id)
-        occupied = stripe.occupied_servers()
-        holders = stripe_holders(svc, stripe)
-        parity_in_use.setdefault(stripe.group_id, set()).update(
-            stripe.shard_servers[stripe.k:stripe.k + stripe.m]
-        )
+        holders = stripe.holders()
+        occupied = {s for _, s in holders}
+        parity_in_use.setdefault(stripe.group_id, set()).update(stripe.parity_servers)
         strays = [(slot, s) for slot, s in holders if s not in allowed]
         if not strays:
             continue
@@ -289,12 +276,15 @@ def check_store_consistency(svc) -> list[str]:
                     if sep and sid_str.isdigit() and shard_str.isdigit()
                     else None
                 )
+                parity = int(shard_str) - stripe.k if stripe is not None else -1
                 if stripe is None:
                     problems.append(f"{srv.name}: orphan shard {key!r} (no such stripe)")
-                elif stripe.shard_servers[int(shard_str)] != sid:
+                elif not 0 <= parity < stripe.m:
+                    problems.append(f"{srv.name}: shard {key!r} is not a parity slot")
+                elif stripe.parity_servers[parity] != sid:
                     problems.append(
                         f"{srv.name}: stale shard {key!r} (directory places it on "
-                        f"s{stripe.shard_servers[int(shard_str)]})"
+                        f"s{stripe.parity_servers[parity]})"
                     )
             elif key.startswith("R/"):
                 name, _, block_str = key[2:].rpartition("/")
@@ -341,9 +331,9 @@ def check_parity_integrity(svc) -> list[str]:
             continue
         data = [rt._shard_payload(stripe, i) for i in range(stripe.k)]
         expected = svc.codec.code.encode(data)
-        for j in range(stripe.m):
+        for j, psid in enumerate(stripe.parity_servers):
             idx = stripe.k + j
-            srv = svc.servers[stripe.shard_servers[idx]]
+            srv = svc.servers[psid]
             if not srv.has(stripe.shard_key(idx)):
                 continue  # a *lost* parity is the durability checker's case
             got = srv.store[stripe.shard_key(idx)]
@@ -404,7 +394,13 @@ def check_reverse_indexes(svc) -> list[str]:
     exp_stripes: dict[int, set[int]] = {}
     exp_vacant: dict[int, set[int]] = {}
     for sid, stripe in d.stripes.items():
-        for srv in set(stripe.shard_servers):
+        if set(stripe.placeholders) != set(stripe.vacant_slots()):
+            problems.append(
+                f"stripe {sid}: placeholders for slots {sorted(stripe.placeholders)} "
+                f"but vacant slots {stripe.vacant_slots()}"
+            )
+            continue
+        for _, srv in stripe.holders(vacant=True):
             exp_stripes.setdefault(srv, set()).add(sid)
         if stripe.vacant_slots():
             exp_vacant.setdefault(stripe.group_id, set()).add(sid)

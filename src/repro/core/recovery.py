@@ -182,11 +182,9 @@ class RecoveryManager:
     def _lost_parities(self, sid: int) -> list[tuple[StripeInfo, int]]:
         out = []
         for stripe in self.rt.directory.stripes_on_server(sid):
-            for i in range(stripe.k, stripe.k + stripe.m):
-                if stripe.shard_servers[i] == sid and not self.rt.server(sid).has(
-                    stripe.shard_key(i)
-                ):
-                    out.append((stripe, i))
+            for j, psid in enumerate(stripe.parity_servers):
+                if psid == sid and not self.rt.server(sid).has(stripe.shard_key(stripe.k + j)):
+                    out.append((stripe, stripe.k + j))
         return out
 
     # ------------------------------------------------------------------
@@ -281,7 +279,7 @@ class RecoveryManager:
             # mid-repair death: the runtime skipped the store; re-home it.
         if stripe.stripe_id not in self.rt.directory.stripes:
             return
-        if stripe.shard_servers[idx] != sid:
+        if stripe.parity_servers[idx - stripe.k] != sid:
             return  # already rehomed by another flow
         onto = self._pick_parity_survivor(stripe, exclude=sid)
         if onto is None:
@@ -360,13 +358,15 @@ class RecoveryManager:
             stripe = directory.stripes.get(stripe_id)
             if stripe is None:
                 continue
-            if sid in stripe.shard_servers:
+            holders = stripe.holders(vacant=True)
+            servers = {server for _, server in holders}
+            if sid in servers:
                 continue
-            if not (group & set(stripe.shard_servers)):
+            if not (group & servers):
                 continue  # another group's stripe
             move_slot = None
             seen: set[int] = set()
-            for i, server in enumerate(stripe.shard_servers):
+            for i, server in holders:
                 if server in seen:
                     move_slot = i  # doubled shard
                     break
@@ -378,7 +378,7 @@ class RecoveryManager:
                 # menu / the whole cluster under the other modes — parity
                 # legitimately living there must not be pulled in-group).
                 allowed = self.rt.layout.allowed_stripe_servers(stripe.group_id)
-                for i, server in enumerate(stripe.shard_servers):
+                for i, server in holders:
                     if server not in group and (i < stripe.k or server not in allowed):
                         move_slot = i  # displaced shard
                         break
@@ -399,7 +399,7 @@ class RecoveryManager:
             self.rt.metrics.count("rebalanced_shards", len(tasks))
 
     def _move_primary(self, ent: BlockEntity, stripe: StripeInfo, slot: int, onto: int) -> Generator:
-        """Migrate an entity's primary copy (and shard role) to ``onto``."""
+        """Migrate an entity's primary copy to ``onto``; its stripe slot follows."""
         yield from self.rt.with_entity_lock(
             ent.key, self._move_primary_locked(ent, stripe, slot, onto)
         )
@@ -423,7 +423,6 @@ class RecoveryManager:
         dst.store_bytes(key, payload)
         if not src.failed:
             src.delete_bytes(key)
-        stripe.retarget_shard(slot, onto)
         ent.primary = onto
         yield from self.rt.metadata_update(ent, onto)
 
@@ -433,7 +432,7 @@ class RecoveryManager:
         )
 
     def _move_parity_locked(self, stripe: StripeInfo, idx: int, onto: int) -> Generator:
-        old_sid = stripe.shard_servers[idx]
+        old_sid = stripe.parity_servers[idx - stripe.k]
         old_srv = self.rt.server(old_sid)
         key = stripe.shard_key(idx)
         if old_srv.has(key):
@@ -542,7 +541,9 @@ class RecoveryManager:
         first inside the coding group, then cluster-wide; only if every
         alive server already holds a shard do we accept doubling up.
         """
-        occupied = set(ent.stripe.shard_servers) if ent.stripe is not None else set()
+        occupied = (
+            {s for _, s in ent.stripe.holders(vacant=True)} if ent.stripe is not None else set()
+        )
         group = self.rt.layout.coding_group(ent.primary)
         tiers = (
             [s for s in group if s != exclude and self.rt.alive(s) and s not in occupied],
@@ -560,21 +561,17 @@ class RecoveryManager:
         return None
 
     def _pick_parity_survivor(self, stripe: StripeInfo, exclude: int) -> int | None:
-        gid = self.rt.layout.coding_group_id(stripe.shard_servers[0])
         # Mode-aware preference order: under coding_sets the group's parity
         # menu comes first, so repairs keep every stripe inside its allowed
         # server sets; grouped/spread prefer the group members as before.
-        preferred = self.rt.layout.parity_candidates(gid)
+        preferred = self.rt.layout.parity_candidates(stripe.group_id)
+        named = {s for _, s in stripe.holders(vacant=True)}
         tiers = (
-            [
-                s
-                for s in preferred
-                if s != exclude and self.rt.alive(s) and s not in stripe.shard_servers
-            ],
+            [s for s in preferred if s != exclude and self.rt.alive(s) and s not in named],
             [
                 s
                 for s in range(len(self.rt.servers))
-                if s != exclude and self.rt.alive(s) and s not in stripe.shard_servers
+                if s != exclude and self.rt.alive(s) and s not in named
             ],
             [s for s in preferred if s != exclude and self.rt.alive(s)],
         )

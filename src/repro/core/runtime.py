@@ -379,8 +379,8 @@ class StagingRuntime:
     def redirect_pending(self, ent: BlockEntity) -> None:
         """Move a pending entity whose primary died to an alive group member.
 
-        Keeps the pending pool's server keying consistent so the stripe the
-        entity eventually joins places its data shard on the right server.
+        Re-keys the entity's pending-pool entry under its new primary, so
+        encoders keep picking members with distinct primaries.
         """
         gid = self.layout.coding_group_id(ent.primary)
         old = ent.primary
@@ -431,11 +431,10 @@ class StagingRuntime:
             # Placeholders are soft preferences; what must stay unique per
             # server is the set of *real* shards (rehoming may have parked
             # a live shard on a vacant slot's placeholder server).
-            occupied = stripe.occupied_servers()
-            if server in occupied:
+            if any(srv == server for _, srv in stripe.holders()):
                 continue
             for i in stripe.vacant_slots():
-                if stripe.shard_servers[i] == server:
+                if stripe.placeholders[i] == server:
                     return stripe, i
                 if fallback is None:
                     fallback = (stripe, i)
@@ -549,9 +548,9 @@ class StagingRuntime:
         placeholders = [s for s in group_members if s not in data_servers]
         # Vacant slots get placeholder servers so they can be refilled later.
         all_data_servers = list(data_servers) + placeholders[: k - len(real)]
-        shard_servers = self.layout.stripe_shard_servers(
+        parity_servers = self.layout.stripe_shard_servers(
             gid, all_data_servers, seq=self.directory.stripe_seq(gid)
-        )
+        )[k:]
 
         exec_sid = executor if executor is not None else real[0].primary
         if not self.alive(exec_sid):
@@ -563,7 +562,7 @@ class StagingRuntime:
         lengths: list[int] = []
         slot_keys: list[EntityKey | None] = []
         versions: dict[EntityKey, int] = {}
-        for e, srv in zip(list(members), all_data_servers[:k]):
+        for e in members:
             if e is None:
                 payloads.append(None)
                 lengths.append(0)
@@ -607,7 +606,7 @@ class StagingRuntime:
 
         parity_plan: list[tuple[int, int, np.ndarray]] = []
         for i, parity in enumerate(parities):
-            psid = shard_servers[k + i]
+            psid = parity_servers[i]
             if self.alive(psid):
                 if psid != exec_sid:
                     yield from self.transfer(exec_name, self.server(psid).name, shard_len)
@@ -615,15 +614,18 @@ class StagingRuntime:
                 parity_plan.append((k + i, psid, parity))
 
         # --- atomic registration ---
+        # Occupied slots need no server: each is its member's primary *now*,
+        # whatever redirect moved it while the gather yielded.
         stripe = StripeInfo(
             stripe_id=self.directory.new_stripe_id(gid),
             k=k,
             m=m,
             members=slot_keys,
             member_versions=dict(versions),
-            shard_servers=shard_servers,
+            parity_servers=parity_servers,
             lengths=lengths,
             shard_len=shard_len,
+            placeholders=dict(zip((i for i, e in enumerate(members) if e is None), placeholders)),
             group_id=gid,
             baseline=payloads,
         )
@@ -771,7 +773,9 @@ class StagingRuntime:
         """
         if stripe.members[slot] is not None or stripe.stripe_id not in self.directory.stripes:
             return False
-        if stripe.shard_servers[slot] != ent.primary and ent.primary in stripe.shard_servers:
+        if stripe.placeholders[slot] != ent.primary and any(
+            srv == ent.primary for _, srv in stripe.holders(vacant=True)
+        ):
             return False  # would put two shards of the stripe on one server
         if not self.server(ent.primary).has(primary_key(ent)):
             # Same guard as stripe formation: the primary was replaced while
@@ -782,7 +786,7 @@ class StagingRuntime:
         version = ent.stored_version  # the fetched bytes' version (see gather)
 
         def apply_state() -> None:
-            stripe.fill_slot(slot, ent.key, ent.primary)  # retargets placeholder
+            stripe.fill_slot(slot, ent.key)
             stripe.lengths[slot] = int(payload.size)
             stripe.member_versions[ent.key] = version
             stripe.baseline[slot] = payload_p
@@ -838,7 +842,7 @@ class StagingRuntime:
         src_name = self.server(src_sid).name
         touched: list[tuple[StagingServer, str, int]] = []
         for i in range(stripe.m):
-            psid = stripe.shard_servers[stripe.k + i]
+            psid = stripe.parity_servers[i]
             if not self.alive(psid):
                 continue  # lost parity; recovery will re-materialize it
             pkey = stripe.shard_key(stripe.k + i)
@@ -995,7 +999,7 @@ class StagingRuntime:
         parities = yield from self.compute(lambda: self.codec.code.encode(shards))
         staged: list[tuple[StagingServer, str, np.ndarray]] = []
         for i, parity in enumerate(parities):
-            psid = stripe.shard_servers[stripe.k + i]
+            psid = stripe.parity_servers[i]
             if not self.alive(psid):
                 continue
             if psid != exec_sid:
@@ -1063,7 +1067,7 @@ class StagingRuntime:
         self.metrics.count("slot_vacated")
         if stripe.is_empty():
             for i in range(stripe.m):
-                psid = stripe.shard_servers[stripe.k + i]
+                psid = stripe.parity_servers[i]
                 srv = self.server(psid)
                 if not srv.failed:
                     srv.delete_bytes(stripe.shard_key(stripe.k + i))
@@ -1098,10 +1102,12 @@ class StagingRuntime:
                     if s is donor or s.shard_len < ent.nbytes:
                         continue
                     for slot in s.vacant_slots():
-                        if s.shard_servers[slot] == ent.primary:
+                        if s.placeholders[slot] == ent.primary:
                             target = (s, slot)
                             break
-                        if fallback is None and ent.primary not in s.shard_servers:
+                        if fallback is None and all(
+                            srv != ent.primary for _, srv in s.holders(vacant=True)
+                        ):
                             fallback = (s, slot)
                     if target:
                         break
@@ -1220,10 +1226,9 @@ class StagingRuntime:
             srv = self.server(member.primary)
             if srv.has(primary_key(member)):
                 avail[i] = member.primary
-        for i in range(stripe.k, stripe.k + stripe.m):
-            sid = stripe.shard_servers[i]
-            if self.server(sid).has(stripe.shard_key(i)):
-                avail[i] = sid
+        for j, sid in enumerate(stripe.parity_servers):
+            if self.server(sid).has(stripe.shard_key(stripe.k + j)):
+                avail[stripe.k + j] = sid
         return avail
 
     def stripe_survivor_pattern(self, stripe: StripeInfo) -> tuple[int, ...] | None:
@@ -1259,7 +1264,9 @@ class StagingRuntime:
                 self.server(member.primary).fetch_bytes(primary_key(member)),
                 stripe.shard_len,
             )
-        return self.server(stripe.shard_servers[idx]).fetch_bytes(stripe.shard_key(idx))
+        return self.server(stripe.parity_servers[idx - stripe.k]).fetch_bytes(
+            stripe.shard_key(idx)
+        )
 
     def reconstruct_shard(
         self,
@@ -1311,7 +1318,7 @@ class StagingRuntime:
             holder = avail[target_idx]
             payload = self._shard_payload(stripe, target_idx)
             if payload is None:
-                return np.zeros(stripe.shard_len, dtype=np.uint8), stripe.shard_servers[target_idx]
+                return np.zeros(stripe.shard_len, dtype=np.uint8), stripe.placeholders[target_idx]
             return payload, holder
         # Prefer data shards (virtual zeros are free), then parities.
         chosen = sorted(avail.keys())[: stripe.k]
@@ -1323,9 +1330,7 @@ class StagingRuntime:
         if exec_sid is None or not self.alive(exec_sid):
             candidates = [s for s in set(holders) if self.alive(s)] or [
                 s
-                for s in self.layout.coding_group_members(
-                    self.layout.coding_group_id(stripe.shard_servers[0])
-                )
+                for s in self.layout.coding_group_members(stripe.group_id)
                 if self.alive(s)
             ]
             if not candidates:
@@ -1437,9 +1442,6 @@ class StagingRuntime:
         dst.store_bytes(primary_key(ent), payload)
         ent.stored_version = payload_version
         if onto is not None and onto != ent.primary:
-            if ent.stripe is not None:
-                slot = ent.stripe.member_shard_index(ent.key)
-                ent.stripe.retarget_shard(slot, onto)
             ent.primary = onto
         self.metrics.count("recovered_objects")
         yield from self.metadata_update(ent, dst_sid)
@@ -1512,7 +1514,7 @@ class StagingRuntime:
     def _recover_parity_locked(self, stripe: StripeInfo, idx: int, onto: int | None) -> Generator:
         if stripe.stripe_id not in self.directory.stripes:
             return  # dissolved while we waited for the lock
-        dst_sid = stripe.shard_servers[idx] if onto is None else onto
+        dst_sid = stripe.parity_servers[idx - stripe.k] if onto is None else onto
         dst = self.server(dst_sid)
         if dst.failed or dst.has(stripe.shard_key(idx)):
             return

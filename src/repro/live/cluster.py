@@ -8,7 +8,7 @@ along group lines:
 
 - placement never crosses a coding group: replicas live in the aligned
   replication sub-window, stripe shards in the group, and every failure
-  redirect (replica promotion, encoded retarget, pending redirect,
+  redirect (replica promotion, encoded primary move, pending redirect,
   unprotected fallback) stays inside the group;
 - the metadata directory's reverse indexes are keyed by server and
   group, so a shard's directory is exactly the global directory

@@ -34,17 +34,19 @@ class MetadataDirectory:
     - ``entities_by_state``: resilience state -> entity keys (the hot/cold
       membership sets the classifier scans);
     - ``replicas_by_server``: server id -> entity keys with a replica there;
-    - ``stripes_by_server``: server id -> stripe ids with any shard slot
-      (including vacant placeholders) targeted at that server;
+    - ``stripes_by_server``: server id -> stripe ids naming that server
+      for any slot: a parity, a vacant placeholder, or an occupied slot
+      through its member's primary (a member's move re-indexes its
+      stripe);
     - ``vacant_by_group``: coding-group id -> stripe ids with >=1 vacant
       data slot (the free list refills and compaction consume).
 
     The indexes are updated transactionally with every mutation:
     ``BlockEntity.__setattr__`` notifies on primary/state/replicas writes,
-    and ``StripeInfo``'s mutation methods notify on shard placement
-    changes.  ``op_stats`` counts index-path record touches and remaining
-    full-directory walks so complexity bounds can be asserted from
-    operation counts rather than wall-clock time.
+    and ``StripeInfo``'s mutation methods notify on parity, placeholder
+    and membership changes.  ``op_stats`` counts index-path record
+    touches and remaining full-directory walks so complexity bounds can be
+    asserted from operation counts rather than wall-clock time.
     """
 
     def __init__(self, domain: Domain, n_servers: int, layout=None):
@@ -142,23 +144,21 @@ class MetadataDirectory:
         return self._stripes_formed_by_group.get(group_id, 0)
 
     def register_stripe(self, stripe: StripeInfo) -> None:
-        if stripe.group_id < 0 and self.layout is not None:
-            stripe.group_id = self.layout.coding_group_id(stripe.shard_servers[0])
         self.stripes[stripe.stripe_id] = stripe
-        for srv in set(stripe.shard_servers):
+        stripe._dir = self
+        for _, srv in stripe.holders(vacant=True):
             self.stripes_by_server.setdefault(srv, set()).add(stripe.stripe_id)
         if stripe.vacant_slots():
             self.vacant_by_group.setdefault(stripe.group_id, set()).add(stripe.stripe_id)
-        stripe._dir = self
         self.op_stats["stripe_touches"] += 1
 
     def drop_stripe(self, stripe_id: int) -> None:
         stripe = self.stripes.pop(stripe_id, None)
         if stripe is None:
             return
-        stripe._dir = None
-        for srv in set(stripe.shard_servers):
+        for _, srv in stripe.holders(vacant=True):
             self.stripes_by_server.get(srv, set()).discard(stripe_id)
+        stripe._dir = None
         self.vacant_by_group.get(stripe.group_id, set()).discard(stripe_id)
         self.op_stats["stripe_touches"] += 1
 
@@ -171,6 +171,8 @@ class MetadataDirectory:
             if old != new:
                 self.entities_by_primary.get(old, set()).discard(key)
                 self.entities_by_primary.setdefault(new, set()).add(key)
+                if ent.stripe is not None and key in ent.stripe.members:
+                    self._stripe_retargeted(ent.stripe, old, new)
         elif attr == "state":
             if old != new:
                 self.entities_by_state[old].discard(key)
@@ -185,7 +187,7 @@ class MetadataDirectory:
 
     def _stripe_retargeted(self, stripe: StripeInfo, old: int, new: int) -> None:
         if old != new:
-            if old not in stripe.shard_servers:
+            if all(srv != old for _, srv in stripe.holders(vacant=True)):
                 self.stripes_by_server.get(old, set()).discard(stripe.stripe_id)
             self.stripes_by_server.setdefault(new, set()).add(stripe.stripe_id)
         self.op_stats["stripe_touches"] += 1
@@ -225,7 +227,7 @@ class MetadataDirectory:
         return sorted((self.entities[k] for k in keys), key=lambda e: e.seq)
 
     def stripes_on_server(self, server_id: int) -> list[StripeInfo]:
-        """Stripes with any shard slot targeted at ``server_id`` (id order)."""
+        """Stripes naming ``server_id`` for any slot (id order)."""
         ids = self.stripes_by_server.get(server_id, ())
         self.op_stats["stripe_touches"] += len(ids)
         return [self.stripes[sid] for sid in sorted(ids)]

@@ -99,12 +99,15 @@ class StripeInfo:
     ``members[i]`` is the entity key occupying data-shard slot ``i`` or
     ``None`` for a *vacant* slot (an all-zero virtual shard — created when a
     member is promoted back to replication, or when a partial stripe is
-    flushed).  ``shard_servers`` lists the server responsible for each of
-    the ``k+m`` shards (data first); vacant slots keep their placeholder
-    server so a later entity on that server can refill the slot with a
-    cheap parity delta-update.  ``lengths`` are original payload lengths
-    (0 for vacant); decode strips the padding.  ``member_versions`` pins the
-    entity version each slot currently encodes.
+    flushed).  The stripe stores a server only where no entity records
+    one: ``parity_servers[j]`` holds parity shard ``k+j``, and
+    ``placeholders`` maps each vacant slot to the server a later entity
+    may refill it from with a cheap parity delta-update.  An occupied
+    slot's server is its member's ``primary`` — one record, so a member
+    that moves takes its slot along (:meth:`holders` resolves it).
+    ``lengths`` are original payload lengths (0 for vacant); decode strips
+    the padding.  ``member_versions`` pins the entity version each slot
+    currently encodes.
     """
 
     stripe_id: int
@@ -112,12 +115,13 @@ class StripeInfo:
     m: int
     members: list[Optional[tuple[str, int]]]
     member_versions: dict[tuple[str, int], int]
-    shard_servers: list[int]
+    parity_servers: list[int]
     lengths: list[int]
     shard_len: int
+    placeholders: dict[int, int] = field(default_factory=dict)
     # Coding group this stripe belongs to, fixed at formation time.  A
     # rehomed shard can temporarily live off-group, so the group identity
-    # must not be re-derived from ``shard_servers``.
+    # must not be re-derived from any shard's server.
     group_id: int = -1
     # The exact (padded) data-shard payloads the parity currently encodes.
     # This is the read-before-overwrite baseline a real implementation gets
@@ -132,12 +136,6 @@ class StripeInfo:
     # ``register_stripe``); mutations route index updates through it.
     _dir = None
 
-    def data_servers(self) -> list[int]:
-        return self.shard_servers[: self.k]
-
-    def parity_servers(self) -> list[int]:
-        return self.shard_servers[self.k :]
-
     def shard_key(self, shard_index: int) -> str:
         return f"stripe{self.stripe_id}/shard{shard_index}"
 
@@ -147,20 +145,22 @@ class StripeInfo:
     def vacant_slots(self) -> list[int]:
         return [i for i, mk in enumerate(self.members) if mk is None]
 
-    def occupied_servers(self) -> set[int]:
-        """Servers holding a *real* shard: occupied data slots plus parities.
+    def holders(self, vacant: bool = False) -> list[tuple[int, int]]:
+        """``(slot, server)`` of each real shard, in slot order.
 
-        Vacant slots are excluded — their placeholder server stores no
-        bytes, so placement decisions (rehoming, refills) must not treat it
-        as taken or they double real shards while a group member sits idle.
+        An occupied data slot's server is its member's primary; a parity's
+        is stored.  Vacant placeholders hold no bytes, so placement
+        decisions that must keep real shards apart leave them out;
+        ``vacant=True`` lists them too (every server the stripe names).
         """
-        holders = {
-            self.shard_servers[i]
-            for i, mk in enumerate(self.members)
-            if mk is not None
-        }
-        holders.update(self.shard_servers[self.k:])
-        return holders
+        out = []
+        for i, mk in enumerate(self.members):
+            if mk is not None:
+                out.append((i, self._dir.entities[mk].primary))
+            elif vacant:
+                out.append((i, self.placeholders[i]))
+        out += [(self.k + j, s) for j, s in enumerate(self.parity_servers)]
+        return out
 
     def is_empty(self) -> bool:
         """True when every data slot is vacant (stripe can be reclaimed)."""
@@ -171,25 +171,36 @@ class StripeInfo:
     # indexes (server -> stripes, group -> vacant stripes) stay exact.
 
     def retarget_shard(self, shard_index: int, server: int) -> None:
-        """Move shard ``shard_index`` (data or parity) to ``server``."""
-        old = self.shard_servers[shard_index]
-        self.shard_servers[shard_index] = server
+        """Move parity shard ``shard_index``, or a vacant slot's placeholder,
+        to ``server``.
+
+        An occupied slot has no stored server: it moves with its member's
+        ``primary``.
+        """
+        if shard_index >= self.k:
+            old = self.parity_servers[shard_index - self.k]
+            self.parity_servers[shard_index - self.k] = server
+        elif self.members[shard_index] is None:
+            old = self.placeholders[shard_index]
+            self.placeholders[shard_index] = server
+        else:
+            raise ValueError(f"slot {shard_index} is occupied: move its member's primary")
         if self._dir is not None:
             self._dir._stripe_retargeted(self, old, server)
 
-    def fill_slot(self, slot: int, entity_key: tuple[str, int], server: int) -> None:
-        """Occupy vacant data slot ``slot`` with ``entity_key`` on ``server``."""
-        old = self.shard_servers[slot]
+    def fill_slot(self, slot: int, entity_key: tuple[str, int]) -> None:
+        """Occupy vacant data slot ``slot`` with ``entity_key``."""
+        old = self.placeholders.pop(slot)
         self.members[slot] = entity_key
-        self.shard_servers[slot] = server
         if self._dir is not None:
-            self._dir._stripe_slot_filled(self, old, server)
+            self._dir._stripe_slot_filled(self, old, self._dir.entities[entity_key].primary)
 
     def vacate_slot(self, slot: int) -> None:
-        """Empty data slot ``slot``; the placeholder server stays behind."""
+        """Empty data slot ``slot``; its member's server stays behind as
+        the placeholder."""
+        self.placeholders[slot] = self._dir.entities[self.members[slot]].primary
         self.members[slot] = None
-        if self._dir is not None:
-            self._dir._stripe_slot_vacated(self)
+        self._dir._stripe_slot_vacated(self)
 
 
 @dataclass

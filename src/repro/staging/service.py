@@ -482,13 +482,12 @@ class StagingService:
                 return
         if ent.state == ResilienceState.ENCODED and ent.stripe is not None:
             stripe = ent.stripe
-            slot = stripe.member_shard_index(ent.key)
             members = self.layout.coding_group_members(stripe.group_id)
             # Occupancy counts real shards only: a vacant slot's placeholder
             # server holds no bytes, and counting it here starves ``free``
             # and doubles two live data shards onto one server (a single
             # further failure would then exceed the code's tolerance).
-            occupied = stripe.occupied_servers()
+            occupied = {s for _, s in stripe.holders()}
             free = [
                 s for s in members
                 if not self.servers[s].failed and s not in occupied
@@ -499,8 +498,7 @@ class StagingService:
             new_primary = free[0] if free else min(
                 alive, key=lambda s: (self.servers[s].workload_level(), s)
             )
-            stripe.retarget_shard(slot, new_primary)
-            ent.primary = new_primary
+            ent.primary = new_primary  # the stripe slot moves with it
             return
         if ent.state == ResilienceState.PENDING_STRIPE:
             self.runtime.redirect_pending(ent)
@@ -595,7 +593,7 @@ class StagingService:
         stripes = {}
         for sid, stripe in sorted(self.directory.stripes.items()):
             stripes[sid] = {
-                "servers": list(stripe.shard_servers),
+                "servers": [s for _, s in stripe.holders(vacant=True)],
                 "members": [
                     None if mk is None else f"{mk[0]}/{mk[1]}" for mk in stripe.members
                 ],

@@ -107,16 +107,6 @@ class SyntheticWorkloadConfig:
     seed: int = 7
     read_in_write_cases: bool = False  # optional read phase after writes
     compute_time_s: float = 0.0        # per-step simulation compute phase
-    # Read-phase pattern (case 5 and read_in_write_cases). The paper ran
-    # "various cases of reads" mirroring the write patterns; results
-    # "show similar patterns as case 5":
-    #   "all"    — every reader reads its share of the whole domain;
-    #   "subset" — only a fixed subset of the domain is read each step;
-    #   "random" — a random subset of reader regions per step;
-    #   "hot"    — a small hot region is read at high frequency, the rest
-    #              once.
-    read_pattern: str = "all"
-    read_fraction: float = 0.25        # share read by "subset"/"hot"/"random"
     failure_plan: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -126,10 +116,6 @@ class SyntheticWorkloadConfig:
             raise ValueError("need at least one timestep and one writer")
         if not 0 < self.hot_fraction <= 1:
             raise ValueError("hot_fraction must be in (0, 1]")
-        if self.read_pattern not in ("all", "subset", "random", "hot"):
-            raise ValueError(f"unknown read pattern {self.read_pattern!r}")
-        if not 0 < self.read_fraction <= 1:
-            raise ValueError("read_fraction must be in (0, 1]")
 
 
 class SyntheticWorkload:
@@ -222,24 +208,8 @@ class SyntheticWorkload:
         ]
         yield AllOf(sim, procs)
 
-    def _readers_for_step(self) -> list[int]:
-        cfg = self.config
-        n = min(cfg.n_readers, len(self.reader_boxes))
-        if cfg.read_pattern == "all":
-            return list(range(n))
-        n_part = max(1, int(round(n * cfg.read_fraction)))
-        if cfg.read_pattern == "subset":
-            return list(range(n_part))
-        if cfg.read_pattern == "random":
-            chosen = self.rng.random(n) < cfg.read_fraction
-            out = [i for i in range(n) if chosen[i]]
-            return out or [int(self.rng.integers(0, n))]
-        # "hot": the hot readers read every step; the rest only on step 0.
-        if self.service.step <= 1:
-            return list(range(n))
-        return list(range(n_part))
-
     def _read_phase(self) -> Generator:
+        """Every reader reads its share of the whole domain."""
         sim = self.service.sim
         durations: list[float] = []
         procs = [
@@ -247,7 +217,7 @@ class SyntheticWorkload:
                 self._timed_get(durations, f"r{i}", VAR, self.reader_boxes[i]),
                 name=f"r{i}-s{self.service.step}",
             )
-            for i in self._readers_for_step()
+            for i in range(min(self.config.n_readers, len(self.reader_boxes)))
         ]
         yield AllOf(sim, procs)
         if durations:

@@ -162,13 +162,9 @@ class TestRegressions:
         res, svc = execute_units(cfg, units, horizon)
         assert res.passed, [str(v) for v in res.violations]
         for stripe in svc.directory.stripes.values():
-            holders = [
-                stripe.shard_servers[i]
-                for i, mk in enumerate(stripe.members)
-                if mk is not None
-            ] + list(stripe.shard_servers[stripe.k:])
+            holders = [srv for _, srv in stripe.holders()]
             assert len(holders) == len(set(holders)), (
-                f"stripe {stripe.stripe_id} doubles a server: {stripe.shard_servers}"
+                f"stripe {stripe.stripe_id} doubles a server: {holders}"
             )
 
     def test_erasure_pending_window_waived_not_violated(self):

@@ -131,17 +131,17 @@ class TestAntiAffinity:
         # Double the parity onto the first occupied data slot's server while
         # its own server (alive, now shard-free) could host it.
         slot = next(i for i, mk in enumerate(stripe.members) if mk is not None)
-        stripe.shard_servers[stripe.k] = stripe.shard_servers[slot]
+        stripe.parity_servers[0] = svc.directory.entities[stripe.members[slot]].primary
         found = violations_of(svc, "anti_affinity")
         assert found and f"stripe {stripe.stripe_id}" in found[0].detail
 
     def test_vacant_placeholder_is_not_a_holder(self, healthy):
-        # occupied_servers() drives both the checker and rehoming: vacant
-        # slots must not count.
+        # holders() drives both the checker and rehoming: vacant slots must
+        # not count.
         for stripe in healthy.directory.stripes.values():
-            occ = stripe.occupied_servers()
-            for i, mk in enumerate(stripe.members):
-                if mk is None and stripe.shard_servers[i] not in occ:
+            occ = {srv for _, srv in stripe.holders()}
+            for i in stripe.vacant_slots():
+                if stripe.placeholders[i] not in occ:
                     return  # found a placeholder correctly excluded
         pytest.skip("no stripe with an exclusively-placeholder server")
 
@@ -181,7 +181,7 @@ class TestParityIntegrity:
         svc = quiesced_service()
         stripe = next(iter(svc.directory.stripes.values()))
         key = stripe.shard_key(stripe.k)
-        srv = svc.servers[stripe.shard_servers[stripe.k]]
+        srv = svc.servers[stripe.parity_servers[0]]
         corrupted = srv.store[key].copy()
         corrupted[0] ^= 0xFF
         srv.store[key] = corrupted
@@ -195,7 +195,7 @@ class TestParityIntegrity:
             if any(mk is not None for mk in s.members)
         )
         slot = next(i for i, mk in enumerate(stripe.members) if mk is not None)
-        svc.servers[stripe.shard_servers[slot]].fail()
+        svc.servers[svc.directory.entities[stripe.members[slot]].primary].fail()
         # The member's data shard is gone: the parity checker must skip the
         # stripe (durability owns that case) instead of fetching from the
         # failed server.
@@ -221,11 +221,21 @@ class TestReverseIndexes:
         stripe = next(iter(svc.directory.stripes.values()))
         fresh = next(
             s for s in range(svc.config.n_servers)
-            if s not in stripe.shard_servers
+            if all(s != srv for _, srv in stripe.holders(vacant=True))
         )
-        stripe.shard_servers[stripe.k] = fresh
+        stripe.parity_servers[0] = fresh
         found = violations_of(svc, "reverse_indexes")
         assert found and "stripes_by_server" in found[0].detail
+
+    def test_placeholder_on_an_occupied_slot_flagged(self):
+        # An occupied slot's server is its member's primary; a stored
+        # placeholder for it would be a second record.
+        svc = quiesced_service()
+        stripe = next(iter(svc.directory.stripes.values()))
+        slot = next(i for i, mk in enumerate(stripe.members) if mk is not None)
+        stripe.placeholders[slot] = 0
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "placeholders" in found[0].detail
 
     def test_stale_state_set_flagged(self):
         svc = quiesced_service()

@@ -72,7 +72,7 @@ def stripes_consistent(svc: StagingService) -> bool:
             continue
         parities = code.encode(shards)
         for i in range(s.m):
-            srv = svc.servers[s.shard_servers[s.k + i]]
+            srv = svc.servers[s.parity_servers[i]]
             stored = srv.store.get(s.shard_key(s.k + i))
             if stored is not None and not (stored == parities[i]).all():
                 return False

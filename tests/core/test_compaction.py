@@ -37,8 +37,8 @@ class TestSlotRetargeting:
         # redirect could); refilling from that server must refuse.
         drive(svc, svc.runtime.extract_from_stripe(ents[0]))
         slot = 0
-        stripe.shard_servers[slot] = 999  # placeholder moved off-group
-        doubling_primary = stripe.shard_servers[1]
+        stripe.placeholders[slot] = 999  # placeholder moved off-group
+        doubling_primary = dict(stripe.holders())[1]
         ent = ents[1]  # its primary already holds shard 1
 
         def attempt():
@@ -78,7 +78,8 @@ class TestSlotRetargeting:
         ents = TestEncodedUpdates().setup_stripe(svc)
         drive(svc, svc.runtime.extract_from_stripe(ents[0]))
         for s in svc.directory.stripes.values():
-            assert len(set(s.shard_servers)) == len(s.shard_servers)
+            servers = [srv for _, srv in s.holders(vacant=True)]
+            assert len(set(servers)) == len(servers)
 
 
 class TestCompaction:

@@ -73,7 +73,8 @@ class TestEnsureWritablePrimary:
         drive(svc, wf2())
         svc.run()
         assert ent.primary != old_primary
-        assert stripe.shard_servers[slot] == ent.primary
+        assert dict(stripe.holders())[slot] == ent.primary
+        assert ent.stripe.stripe_id in svc.directory.stripes_by_server[ent.primary]
 
     def test_unprotected_moves_to_ring_successor(self):
         svc = make_service("none")
@@ -225,25 +226,36 @@ class TestRefreshRacesEncoder:
     entity lock while an encoder, holding only the stripe lock, puts the
     entity in a stripe and reclaims those copies: the refresh must not
     store a copy the entity no longer lists (ROADMAP 3(i), the replica
-    leak).  S3D under async protection, a server failed at step 1 and
-    replaced at step 2 so recovery, pending encodes and the step's writes
-    overlap — the smallest geometries that still race."""
+    leak).  The same race covers placement: a writer redirects a member
+    off its failed primary while the encoder gathers, and the stripe must
+    place that slot on the member's new server, so rebalance can see and
+    undo the doubling (once two shards sat on one server while a group
+    member was alive and shard-free).  S3D under async protection, a
+    server failed at step 1 and replaced at step 2 so recovery, pending
+    encodes and the step's writes overlap — the smallest geometries that
+    still race."""
 
-    @pytest.mark.parametrize("shrink, victim", [(8, 2), (4, 5)])
-    def test_no_replica_copy_outlives_the_entitys_replica_set(self, shrink, victim):
+    @pytest.mark.parametrize(
+        "shrink, per_core_subdomain, object_max_bytes, victim",
+        [(8, 8, 4096, 2), (4, 8, 4096, 5), (8, 8, 4096, 0), (4, 16, 16384, 5)],
+    )
+    def test_no_replica_copy_outlives_the_entitys_replica_set(
+        self, shrink, per_core_subdomain, object_max_bytes, victim
+    ):
         from repro import CoRECConfig, CoRECPolicy, StagingConfig, StagingService
         from repro.chaos.invariants import QUIESCENT, run_invariants
         from repro.workloads.s3d import S3DConfig, S3DWorkload
 
         cfg = S3DConfig(
-            scale_index=1, shrink=shrink, per_core_subdomain=8, element_bytes=8,
-            timesteps=3, analysis_every=2,
+            scale_index=1, shrink=shrink, per_core_subdomain=per_core_subdomain,
+            element_bytes=8, timesteps=3, analysis_every=2,
             failure_plan={1: [("fail", victim)], 2: [("replace", victim)]},
         )
         svc = StagingService(
             StagingConfig(
                 n_servers=cfg.n_staging, domain_shape=cfg.domain_shape, element_bytes=8,
-                object_max_bytes=4096, async_protection=True, nodes_per_cabinet=1, seed=1,
+                object_max_bytes=object_max_bytes, async_protection=True,
+                nodes_per_cabinet=1, seed=1,
             ),
             CoRECPolicy(CoRECConfig(storage_bound=0.67)),
         )

@@ -121,8 +121,9 @@ class TestErasurePolicy:
         stripe = next(iter(svc.directory.stripes.values()))
         # Kill two shard holders of the same stripe before aggressive
         # recovery can help (same instant).
-        svc.fail_server(stripe.shard_servers[0])
-        svc.fail_server(stripe.shard_servers[1])
+        holders = dict(stripe.holders())
+        svc.fail_server(holders[0])
+        svc.fail_server(holders[1])
 
         def wf():
             yield from svc.get("r0", "v", svc.domain.bbox)

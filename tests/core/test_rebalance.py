@@ -30,22 +30,24 @@ class TestRebalance:
         group = set(svc.layout.coding_group(0))
         svc.fail_server(0)
         svc.run()
+        def servers(s):
+            return [srv for _, srv in s.holders(vacant=True)]
+
         displaced = [
             s
             for s in svc.directory.stripes.values()
-            if group & set(s.shard_servers)
-            and any(srv not in group for srv in s.shard_servers)
+            if group & set(servers(s)) and any(srv not in group for srv in servers(s))
         ]
         assert displaced, "expected off-group shards after aggressive recovery"
         # Never doubled, even while displaced.
         for s in svc.directory.stripes.values():
-            assert len(set(s.shard_servers)) == len(s.shard_servers)
+            assert len(set(servers(s))) == len(servers(s))
         svc.replace_server(0)
         svc.run()
         for s in svc.directory.stripes.values():
-            assert len(set(s.shard_servers)) == len(s.shard_servers)
-            owning = set(svc.layout.coding_group(s.shard_servers[0]))
-            assert all(srv in owning for srv in s.shard_servers)
+            assert len(set(servers(s))) == len(servers(s))
+            owning = set(svc.layout.coding_group_members(s.group_id))
+            assert all(srv in owning for srv in servers(s))
         assert stripes_consistent(svc)
 
     def test_sequential_double_failure_survives(self):
@@ -96,6 +98,35 @@ class TestRebalance:
         assert svc.metrics.counters.get("rebalanced_shards", 0) > 0
 
 
+    def test_rehomed_parity_stays_in_the_stripes_own_sets(self):
+        """A stripe's group is ``group_id``, never slot 0's server.  Under
+        coding_sets, two failures in the group leave aggressive recovery
+        no free member, so slot 0 is rehomed to another group; when the
+        parity server then fails, its replacement must still come from
+        the stripe's own candidates (menu, then members), not from the
+        group slot 0 now sits in."""
+        svc = StagingService(
+            small_config(n_servers=16, nodes_per_cabinet=1, placement_mode="coding_sets"),
+            ErasurePolicy(recovery=RecoveryConfig(mode="aggressive")),
+        )
+        write_all(svc, steps=1)
+        stripe = min(
+            (s for s in svc.directory.stripes.values() if all(s.members)),
+            key=lambda s: s.stripe_id,
+        )
+        named = [srv for _, srv in stripe.holders(vacant=True)]
+        free = [s for s in svc.layout.coding_group_members(stripe.group_id) if s not in named]
+        for sid in [*free, named[0]]:
+            svc.fail_server(sid)
+            svc.run()
+        slot0 = dict(stripe.holders())[0]
+        assert svc.layout.coding_group_id(slot0) != stripe.group_id
+        svc.fail_server(stripe.parity_servers[0])
+        svc.run()
+        assert stripe.parity_servers[0] in svc.layout.parity_candidates(stripe.group_id)
+        assert stripes_consistent(svc)
+
+
 class TestRepairOnUpdate:
     def test_missing_parity_rebuilt_by_update(self):
         """A replaced parity holder is repaired the moment its stripe is
@@ -109,7 +140,7 @@ class TestRepairOnUpdate:
         )
         write_all(svc, steps=1)
         stripe = next(iter(svc.directory.stripes.values()))
-        psid = stripe.parity_servers()[0]
+        psid = stripe.parity_servers[0]
         svc.fail_server(psid)
         svc.replace_server(psid)
         assert not svc.servers[psid].has(stripe.shard_key(stripe.k))
@@ -163,10 +194,11 @@ class TestParityMoveRace:
         write_all(svc, steps=1)
         stripe = next(iter(svc.directory.stripes.values()))
         idx = stripe.k  # the parity slot
-        old_sid = stripe.shard_servers[idx]
+        old_sid = stripe.parity_servers[0]
         # Pick a destination outside the stripe.
         onto = next(
-            s for s in range(svc.config.n_servers) if s not in stripe.shard_servers
+            s for s in range(svc.config.n_servers)
+            if all(s != srv for _, srv in stripe.holders(vacant=True))
         )
         member_key = next(m for m in stripe.members if m is not None)
         member = svc.directory.entities[member_key]
@@ -191,7 +223,7 @@ class TestParityMoveRace:
 
         svc.run_workflow(wf())
         svc.run()
-        assert stripe.shard_servers[idx] == onto
+        assert stripe.parity_servers[0] == onto
         assert svc.servers[onto].has(stripe.shard_key(idx))
         assert not svc.servers[old_sid].has(stripe.shard_key(idx))
         assert stripes_consistent(svc)

@@ -105,7 +105,8 @@ class TestStripeFormation:
         gid, ents = self.fill_group(svc, 3)
         drive(svc, svc.runtime.form_stripe(gid, ents))
         stripe = next(iter(svc.directory.stripes.values()))
-        assert len(set(stripe.shard_servers)) == len(stripe.shard_servers)
+        servers = [srv for _, srv in stripe.holders(vacant=True)]
+        assert len(set(servers)) == len(servers) == stripe.k + stripe.m
 
     def test_partial_stripe_with_vacancies(self):
         svc = make_service("none")
@@ -246,8 +247,9 @@ class TestDegradedReadsAndRecovery:
         ents = TestEncodedUpdates().setup_stripe(svc)
         stripe = ents[0].stripe
         # Kill two shard holders: m=1 cannot tolerate it.
-        svc.fail_server(stripe.shard_servers[0])
-        svc.fail_server(stripe.shard_servers[1])
+        holders = dict(stripe.holders())
+        svc.fail_server(holders[0])
+        svc.fail_server(holders[1])
 
         def wf():
             yield from svc.runtime.degraded_read(ents[0], "client")
@@ -282,7 +284,7 @@ class TestDegradedReadsAndRecovery:
         svc = make_service("none")
         ents = TestEncodedUpdates().setup_stripe(svc)
         stripe = ents[0].stripe
-        psid = stripe.parity_servers()[0]
+        psid = stripe.parity_servers[0]
         svc.fail_server(psid)
         svc.replace_server(psid)
         drive(svc, svc.runtime.recover_parity(stripe, stripe.k))

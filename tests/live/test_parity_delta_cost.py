@@ -82,10 +82,10 @@ def test_rewrite_of_an_encoded_entity_is_m_passes_and_m_fresh_parities(m, n_serv
         stripe = ent.stripe
         assert ent.state == ResilienceState.ENCODED and ent.nbytes == BLOCK
         assert stripe.m == m and stripe.shard_len == BLOCK
-        assert all(svc.runtime.alive(sid) for sid in stripe.shard_servers)
+        assert all(svc.runtime.alive(sid) for _, sid in stripe.holders(vacant=True))
         parity_slots = [
-            (svc.servers[stripe.shard_servers[i]].store, stripe.shard_key(i))
-            for i in range(stripe.k, stripe.k + m)
+            (svc.servers[sid].store, stripe.shard_key(stripe.k + j))
+            for j, sid in enumerate(stripe.parity_servers)
         ]
 
         def rewrite(version):
@@ -134,7 +134,7 @@ def test_a_reconstruct_over_a_vacant_slot_allocates_only_its_output(backend):
         rt.drive(svc, svc.runtime.form_stripe(gid, [*ents, None]))
         stripe = ents[0].stripe
         assert stripe.members[2] is None and stripe.shard_len == BLOCK
-        psrv = svc.servers[stripe.shard_servers[3]]
+        psrv = svc.servers[stripe.parity_servers[0]]
         want = psrv.store[stripe.shard_key(3)]
         psrv.delete_bytes(stripe.shard_key(3))
 

@@ -66,7 +66,7 @@ def parity_of_a_degraded_decode(svc):
     ent, _ = encoded_with_neighbour(svc)
     stripe = ent.stripe
     svc.fail_server(ent.primary)
-    flip_bit(svc, stripe.shard_servers[stripe.k], stripe.shard_key(stripe.k))
+    flip_bit(svc, stripe.parity_servers[0], stripe.shard_key(stripe.k))
     return ent
 
 

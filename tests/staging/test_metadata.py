@@ -11,6 +11,15 @@ def make_dir():
     return MetadataDirectory(Domain((16,), (4,)), n_servers=4)
 
 
+def members_on(d, *primaries):
+    """Keys of entities ``("v", i)`` with primary ``primaries[i]``; a
+    ``None`` primary leaves slot ``i`` vacant."""
+    return [
+        None if p is None else d.get_or_create("v", i, primary=p).key
+        for i, p in enumerate(primaries)
+    ]
+
+
 class TestEntityRegistry:
     def test_get_or_create_idempotent(self):
         d = make_dir()
@@ -79,7 +88,7 @@ class TestStripeRegistry:
 
     def test_register_and_drop(self):
         d = make_dir()
-        s = StripeInfo(0, 2, 1, [("v", 0), ("v", 1)], {}, [0, 1, 2], [4, 4], 4)
+        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4)
         d.register_stripe(s)
         assert d.stripes[0] is s
         d.drop_stripe(0)
@@ -134,8 +143,7 @@ class TestReverseIndexes:
 
     def test_register_stripe_indexes_all_shard_servers(self):
         d = make_dir()
-        s = StripeInfo(0, 2, 1, [("v", 0), ("v", 1)], {}, [0, 1, 2], [4, 4], 4,
-                       group_id=0)
+        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
         d.register_stripe(s)
         for srv in (0, 1, 2):
             assert 0 in d.stripes_by_server[srv]
@@ -146,13 +154,13 @@ class TestReverseIndexes:
 
     def test_vacate_fill_cycle_maintains_free_list(self):
         d = make_dir()
-        s = StripeInfo(1, 2, 1, [("v", 0), ("v", 1)], {}, [0, 1, 2], [4, 4], 4,
-                       group_id=5)
+        s = StripeInfo(1, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=5)
         d.register_stripe(s)
         s.vacate_slot(0)
+        assert s.placeholders == {0: 0}  # the member's server stays behind
         assert 1 in d.vacant_by_group[5]
         assert [st.stripe_id for st in d.vacant_stripes(5)] == [1]
-        s.fill_slot(0, ("w", 9), 3)
+        s.fill_slot(0, d.get_or_create("w", 3, primary=3).key)
         assert 1 not in d.vacant_by_group[5]
         # The placeholder server 0 held no other slot, so it is dropped
         # while the new server 3 is picked up.
@@ -162,22 +170,64 @@ class TestReverseIndexes:
     def test_retarget_keeps_server_with_remaining_slot(self):
         d = make_dir()
         # Server 0 holds both slot 0 and the parity slot.
-        s = StripeInfo(2, 2, 1, [("v", 0), ("v", 1)], {}, [0, 1, 0], [4, 4], 4,
-                       group_id=0)
+        s = StripeInfo(2, 2, 1, members_on(d, 0, 1), {}, [0], [4, 4], 4, group_id=0)
         d.register_stripe(s)
-        s.retarget_shard(0, 3)
+        with pytest.raises(ValueError):
+            s.retarget_shard(0, 3)  # an occupied slot moves with its member
+        ent = d.entities[("v", 0)]
+        ent.stripe = s
+        ent.primary = 3
+        assert s.holders() == [(0, 3), (1, 1), (2, 0)]
         # Server 0 still holds the parity, so it must stay indexed.
         assert 2 in d.stripes_by_server[0]
         assert 2 in d.stripes_by_server[3]
         s.retarget_shard(2, 1)
         assert 2 not in d.stripes_by_server.get(0, set())
 
+    def test_member_move_reindexes_its_stripe(self):
+        # An occupied slot's server is its member's primary, so moving the
+        # primary moves the stripe's index entry with it.
+        d = make_dir()
+        s = StripeInfo(4, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        d.register_stripe(s)
+        ent = d.entities[("v", 0)]
+        ent.stripe = s
+        ent.primary = 3
+        assert s.holders() == [(0, 3), (1, 1), (2, 2)]
+        assert 4 not in d.stripes_by_server.get(0, set())
+        assert 4 in d.stripes_by_server[3]
+
+    def test_vacated_member_move_leaves_its_placeholder_indexed(self):
+        d = make_dir()
+        s = StripeInfo(5, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        d.register_stripe(s)
+        ent = d.entities[("v", 0)]
+        ent.stripe = s
+        s.vacate_slot(0)
+        ent.primary = 3  # no longer a member: the placeholder stays on 0
+        assert s.holders(vacant=True) == [(0, 0), (1, 1), (2, 2)]
+        assert 5 in d.stripes_by_server[0]
+        assert 5 not in d.stripes_by_server.get(3, set())
+
+    def test_move_outside_any_stripe_touches_no_stripe(self):
+        d = make_dir()
+        s = StripeInfo(6, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        d.register_stripe(s)
+        before = {srv: set(ids) for srv, ids in d.stripes_by_server.items()}
+        touches = d.op_stats["stripe_touches"]
+        d.get_or_create("w", 0, primary=0).primary = 3  # a replicated entity
+        assert d.op_stats["stripe_touches"] == touches
+        assert {srv: ids for srv, ids in d.stripes_by_server.items() if ids} == before
+
     def test_partial_stripe_registered_on_free_list(self):
         d = make_dir()
-        s = StripeInfo(3, 2, 1, [("v", 0), None], {}, [0, 1, 2], [4, 0], 4,
-                       group_id=7)
+        s = StripeInfo(3, 2, 1, members_on(d, 0, None), {}, [2], [4, 0], 4,
+                       placeholders={1: 1}, group_id=7)
         d.register_stripe(s)
         assert 3 in d.vacant_by_group[7]
+        assert s.holders() == [(0, 0), (2, 2)]  # a placeholder holds no bytes
+        assert s.holders(vacant=True) == [(0, 0), (1, 1), (2, 2)]
+        assert 3 in d.stripes_by_server[1]
 
     def test_op_stats_count_index_reads(self):
         d = make_dir()
@@ -211,10 +261,10 @@ class TestStorageBreakdown:
 
     def test_encoded_entities_count_stripe_once(self):
         d = make_dir()
-        s = StripeInfo(0, 2, 1, [("v", 0), ("v", 1)], {}, [0, 1, 2], [100, 100], 100)
+        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], [100, 100], 100)
         d.register_stripe(s)
         for bid in (0, 1):
-            e = d.get_or_create("v", bid, bid)
+            e = d.entities[("v", bid)]
             e.record_write(0.0, 0, 100, "x")
             e.state = ResilienceState.ENCODED
             e.stripe = s

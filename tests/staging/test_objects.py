@@ -117,15 +117,19 @@ class TestStripeInfo:
             m=1,
             members=[("v", 0), None, ("v", 2)],
             member_versions={("v", 0): 1, ("v", 2): 2},
-            shard_servers=[0, 1, 2, 3],
+            parity_servers=[3],
             lengths=[10, 0, 8],
             shard_len=10,
+            placeholders={1: 1},
         )
 
     def test_servers(self):
         s = self.make()
-        assert s.data_servers() == [0, 1, 2]
-        assert s.parity_servers() == [3]
+        s.retarget_shard(1, 4)  # a vacant slot's placeholder
+        s.retarget_shard(3, 5)  # a parity
+        assert s.placeholders == {1: 4} and s.parity_servers == [5]
+        with pytest.raises(ValueError):
+            s.retarget_shard(0, 6)  # occupied: its server is its member's primary
 
     def test_shard_key(self):
         assert self.make().shard_key(3) == "stripe5/shard3"

@@ -181,48 +181,11 @@ class TestFailurePlan:
 
 
 class TestReadPatterns:
-    def run_pattern(self, pattern, **kw):
+    def test_all_pattern_reads_everything(self):
         svc = make_service("corec")
-        cfg = SyntheticWorkloadConfig(
-            case="case5", n_writers=8, n_readers=8, timesteps=4,
-            read_pattern=pattern, **kw,
-        )
+        cfg = SyntheticWorkloadConfig(case="case5", n_writers=8, n_readers=8, timesteps=4)
         wl = SyntheticWorkload(svc, cfg)
         svc.run_workflow(wl.run())
         svc.run()
         assert svc.read_errors == 0
-        return svc, wl
-
-    def test_pattern_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticWorkloadConfig(read_pattern="backwards")
-        with pytest.raises(ValueError):
-            SyntheticWorkloadConfig(read_fraction=0.0)
-
-    def test_all_pattern_reads_everything(self):
-        svc, wl = self.run_pattern("all")
         assert svc.metrics.get_stat.n == 4 * 8
-
-    def test_subset_pattern_reads_fewer(self):
-        svc, wl = self.run_pattern("subset", read_fraction=0.25)
-        assert svc.metrics.get_stat.n == 4 * 2
-
-    def test_random_pattern_deterministic(self):
-        a = self.run_pattern("random", seed=3)[0].metrics.get_stat.n
-        b = self.run_pattern("random", seed=3)[0].metrics.get_stat.n
-        assert a == b
-
-    def test_hot_pattern_front_loads(self):
-        svc, wl = self.run_pattern("hot", read_fraction=0.25)
-        # First read step covers all readers; later steps the hot subset.
-        assert svc.metrics.get_stat.n == 8 + 3 * 2
-
-    def test_patterns_similar_response(self):
-        """Paper: read-pattern variants 'show similar patterns as case 5'."""
-        means = {}
-        for pattern in ("all", "subset", "random"):
-            svc, _ = self.run_pattern(pattern, seed=2)
-            means[pattern] = svc.metrics.get_stat.mean
-        base = means["all"]
-        for pattern, value in means.items():
-            assert value < 3 * base
