@@ -256,12 +256,15 @@ def check_coding_sets(svc) -> list[str]:
 
 
 def check_store_consistency(svc) -> list[str]:
-    """Every stored object is one the directory placed on that server.
+    """Every stored object is one the directory placed on that server, at
+    the version the directory says.
 
     Orphan bytes (keys the metadata does not know about, or copies the
     directory places elsewhere) indicate a flow that moved or dropped an
     object without cleaning up — they silently eat staging memory and can
-    serve stale data through direct-key reads.
+    serve stale data through direct-key reads.  At quiescence every write
+    has landed, so each primary and replica copy holds the entity's
+    ``version`` and so does a member's stripe (``member_versions``).
     """
     problems = []
     for srv in svc.servers:
@@ -296,6 +299,11 @@ def check_store_consistency(svc) -> list[str]:
                         f"{srv.name}: replica {key!r} not in the entity's replica set "
                         f"{ent.replicas}"
                     )
+                elif srv.version_of(key) != ent.version:
+                    problems.append(
+                        f"{srv.name}: replica {key!r} holds v{srv.version_of(key)}, "
+                        f"entity is at v{ent.version}"
+                    )
             elif key.startswith("P/"):
                 name, _, block_str = key[2:].rpartition("/")
                 ent = svc.directory.get(name, int(block_str)) if block_str.isdigit() else None
@@ -305,6 +313,17 @@ def check_store_consistency(svc) -> list[str]:
                     problems.append(
                         f"{srv.name}: primary copy {key!r} but the directory points "
                         f"at s{ent.primary}"
+                    )
+                elif srv.version_of(key) != ent.version:
+                    problems.append(
+                        f"{srv.name}: primary copy {key!r} holds v{srv.version_of(key)}, "
+                        f"entity is at v{ent.version}"
+                    )
+                elif ent.stripe is not None and ent.stripe.member_versions.get(ent.key) != ent.version:
+                    problems.append(
+                        f"{srv.name}: stripe {ent.stripe.stripe_id} encodes "
+                        f"v{ent.stripe.member_versions.get(ent.key)} of {key!r}, "
+                        f"entity is at v{ent.version}"
                     )
             else:
                 problems.append(f"{srv.name}: unrecognized store key {key!r}")

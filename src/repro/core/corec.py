@@ -192,7 +192,7 @@ class CoRECPolicy(ResiliencePolicy):
                 e = d.entities[key]
                 if e.version >= 0:
                     original += e.nbytes
-                replica += e.replica_bytes_accounted
+                replica += e.nbytes * len(e.replicas)
         for stripe in d.stripes.values():
             if stripe.group_id == gid:
                 parity += stripe.m * stripe.shard_len

@@ -101,8 +101,7 @@ class SimpleHybridPolicy(ResiliencePolicy):
                     ent.primary, self.rt.costs.store_cost(int(payload.size)), "store"
                 )
                 if not self.rt.server(ent.primary).failed:
-                    self.rt.server(ent.primary).store_bytes(primary_key(ent), payload)
-                    ent.stored_version = ent.version
+                    self.rt.server(ent.primary).store_bytes(primary_key(ent), payload, ent.version)
                 yield from self.rt.replicate_entity(ent, payload)
             else:  # PENDING or NONE -> replicate directly
                 if state == ResilienceState.PENDING_STRIPE:

@@ -45,11 +45,11 @@ BREAKDOWN_CATEGORIES = (
 
 @dataclass
 class StorageAccountant:
-    """Incremental original/replica/parity byte accounting.
+    """Incremental original/replica/parity byte totals.
 
-    Mirrors :meth:`repro.staging.metadata.MetadataDirectory.storage_breakdown`
-    but is updated in O(1) by the runtime on every protection transition.
-    Tests cross-check the two representations after every workflow.
+    Kept by the :class:`~repro.staging.metadata.MetadataDirectory` that
+    owns it, in O(1) from the same hooks that keep its indexes; its full
+    walk, ``storage_breakdown``, is the reference they are checked against.
     """
 
     original: int = 0

@@ -415,12 +415,12 @@ class RecoveryManager:
         if not src.has(key):
             yield from self.rt._recover_primary_locked(ent, onto=onto)
             return
-        payload = src.fetch_bytes(key)
+        payload, version = src.fetch_bytes(key), src.version_of(key)
         yield from self.rt.transfer(src.name, dst.name, ent.nbytes, "recovery")
         yield from self.rt.busy(onto, self.rt.costs.store_cost(ent.nbytes), "recovery")
         if dst.failed or stripe.members[slot] != ent.key:
             return
-        dst.store_bytes(key, payload)
+        dst.store_bytes(key, payload, version)
         if not src.failed:
             src.delete_bytes(key)
         ent.primary = onto
@@ -506,13 +506,7 @@ class RecoveryManager:
             yield from self.rt._recover_primary_locked(ent, onto=onto)
             return
         new_primary = live[0]
-        srv = self.rt.server(new_primary)
-        payload = srv.fetch_bytes(replica_key(ent))
-        srv.store_bytes(primary_key(ent), payload)
-        srv.delete_bytes(replica_key(ent))
-        # The promoted bytes are the replica copy's version.
-        ent.stored_version = ent.replica_version
-        ent.primary = new_primary
+        self.rt.promote_replica(ent, new_primary)
         ent.replicas = [
             r for r in ent.replicas if r != new_primary and self.rt.alive(r)
         ]
@@ -527,10 +521,6 @@ class RecoveryManager:
             ent.replicas = targets[: self.rt.layout.n_level]
             for t in ent.replicas:
                 yield from self.rt._recover_replica_locked(ent, t)
-        # Logical accounting follows the new replica set.
-        new_accounted = ent.nbytes * len(ent.replicas)
-        self.rt.metrics.storage.replica += new_accounted - ent.replica_bytes_accounted
-        ent.replica_bytes_accounted = new_accounted
         yield from self.rt.metadata_update(ent, new_primary)
 
     def _pick_survivor(self, ent: BlockEntity, exclude: int) -> int | None:

@@ -273,8 +273,7 @@ class StagingRuntime:
         if store:
             yield from self.busy(ent.primary, self.costs.store_cost(int(payload.size)), "store")
             if not psrv.failed:
-                psrv.store_bytes(primary_key(ent), payload)
-                ent.stored_version = ent.version
+                psrv.store_bytes(primary_key(ent), payload, ent.version)
 
     # ------------------------------------------------------------------
     # replication flows
@@ -298,12 +297,8 @@ class StagingRuntime:
             # during the yields, and a copy stored now would belong to no
             # entity.  (A drifted member keeps ``t`` and still needs it fresh.)
             if not dst.failed and t in ent.replicas:
-                dst.store_bytes(replica_key(ent), payload)
+                dst.store_bytes(replica_key(ent), payload, ent.version)
             self.metrics.count("replica_writes")
-        new_accounted = ent.nbytes * len(ent.replicas)
-        self.metrics.storage.replica += new_accounted - ent.replica_bytes_accounted
-        ent.replica_bytes_accounted = new_accounted
-        ent.replica_version = ent.version
 
     def replicate_entity(self, ent: BlockEntity, payload: np.ndarray) -> Generator:
         """Place/refresh the entity's replicas (paper's C_r path).
@@ -328,17 +323,12 @@ class StagingRuntime:
             yield from self.transfer(src.name, dst.name, ent.nbytes)
             yield from self.busy(t, self.costs.store_cost(ent.nbytes), "store")
             if not dst.failed:  # may have died mid-transfer
-                dst.store_bytes(replica_key(ent), payload)
+                dst.store_bytes(replica_key(ent), payload, ent.version)
             self.metrics.count("replica_writes")
         was_replicated = ent.state == ResilienceState.REPLICATED
         placement_changed = not was_replicated or targets != ent.replicas
         ent.state = ResilienceState.REPLICATED
         ent.replicas = targets
-        ent.replica_version = ent.version
-        # Logical accounting: replica bytes promised by the protection state.
-        new_accounted = ent.nbytes * len(targets)
-        self.metrics.storage.replica += new_accounted - ent.replica_bytes_accounted
-        ent.replica_bytes_accounted = new_accounted
         if placement_changed:
             # Replica refreshes reuse the existing placement; only placement
             # changes publish new location metadata.
@@ -347,15 +337,22 @@ class StagingRuntime:
             self.metrics.count("transitions_to_replicated")
 
     def _drop_replica_copies(self, ent: BlockEntity) -> None:
-        """Delete the replica payloads and their accounting (state untouched)."""
+        """Delete the replica payloads and empty the replica set (state untouched)."""
         for t in ent.replicas:
             srv = self.server(t)
             if not srv.failed:
                 srv.delete_bytes(replica_key(ent))
         ent.replicas = []
-        ent.replica_version = -1
-        self.metrics.storage.replica -= ent.replica_bytes_accounted
-        ent.replica_bytes_accounted = 0
+
+    def promote_replica(self, ent: BlockEntity, sid: int) -> None:
+        """Make replica holder ``sid`` the primary in place: its copy, if it
+        holds one, becomes the primary copy.  The caller sets ``replicas``."""
+        srv = self.server(sid)
+        rkey = replica_key(ent)
+        if srv.has(rkey):
+            srv.store_bytes(primary_key(ent), srv.fetch_bytes(rkey), srv.version_of(rkey))
+            srv.delete_bytes(rkey)
+        ent.primary = sid
 
     # ------------------------------------------------------------------
     # stripe formation (demotion / initial protection by erasure coding)
@@ -516,18 +513,13 @@ class StagingRuntime:
         written concurrently with the gather, the stripe is reconciled with
         a parity delta-update right after registration.
         """
-        body = self._form_stripe_body(gid, members, executor)
-        if not self.tracer.enabled:
-            result = yield from body
-            return result
-        result = yield from self.tracer.traced(
+        return self.tracer.traced(
             "stripe.form",
-            body,
+            self._form_stripe_body(gid, members, executor),
             category="encode",
             gid=gid,
             members=sum(1 for e in members if e is not None),
         )
-        return result
 
     def _form_stripe_body(
         self,
@@ -577,7 +569,7 @@ class StagingRuntime:
             # Snapshot payload and version together (no yield in between) so
             # the stripe is self-consistent even if the member is written
             # while other members are still being gathered.  The version of
-            # record is ``stored_version`` — what the fetched bytes actually
+            # record is the stored copy's — what the fetched bytes actually
             # are — NOT ``e.version``: a writer bumps the version under the
             # entity lock *before* its store lands, and this gather does not
             # hold that lock, so the two can disagree mid-write.  Pairing
@@ -585,7 +577,7 @@ class StagingRuntime:
             # version, drop the member's replicas, and lose the new write
             # on the next primary failure.
             raw = src.fetch_bytes(primary_key(e))
-            versions[e.key] = e.stored_version
+            versions[e.key] = src.version_of(primary_key(e))
             if e.primary != exec_sid:
                 yield from self.transfer(src.name, exec_name, e.nbytes)
             payloads.append(self._pad(raw, shard_len))
@@ -632,7 +624,6 @@ class StagingRuntime:
         for shard_idx, psid, parity in parity_plan:
             if not self.server(psid).failed:
                 self.server(psid).store_bytes(stripe.shard_key(shard_idx), parity)
-        self.metrics.storage.parity += m * shard_len
         self.directory.register_stripe(stripe)
         for e in real:
             e.state = ResilienceState.ENCODED
@@ -670,17 +661,17 @@ class StagingRuntime:
         promoted to primary: that would silently resurrect old bytes.
         """
         psrv = self.server(ent.primary)
-        for r in ent.replicas if ent.replica_version == ent.version else ():
+        for r in ent.replicas:
             rsrv = self.server(r)
-            if rsrv.has(replica_key(ent)):
+            version = rsrv.version_of(replica_key(ent))
+            if version == ent.version:
                 payload = rsrv.fetch_bytes(replica_key(ent))
                 yield from self.transfer(rsrv.name, psrv.name, ent.nbytes, "recovery")
                 yield from self.busy(ent.primary, self.costs.store_cost(ent.nbytes), "recovery")
                 # A concurrent write may have landed a newer copy meanwhile;
                 # never clobber it with the (older) replica bytes.
                 if not psrv.failed and not psrv.has(primary_key(ent)):
-                    psrv.store_bytes(primary_key(ent), payload)
-                    ent.stored_version = ent.replica_version
+                    psrv.store_bytes(primary_key(ent), payload, version)
                     self.metrics.count("recovered_objects")
                 break
         if not psrv.has(primary_key(ent)):
@@ -700,6 +691,7 @@ class StagingRuntime:
         if not psrv.has(primary_key(ent)):
             return  # primary down/empty: any leftover copies stay (protection)
         current = psrv.fetch_bytes(primary_key(ent))
+        version = psrv.version_of(primary_key(ent))  # what the fetched bytes are
         base = stripe.baseline[slot]
         if base is not None and current.size <= stripe.shard_len:
             cur_p = self._pad(current, stripe.shard_len)
@@ -708,11 +700,10 @@ class StagingRuntime:
                 # any copies a deferred drop left behind (only when the
                 # stored bytes ARE the current version — otherwise the
                 # copies are still the only protection for the live write).
-                stripe.member_versions[ent.key] = ent.stored_version
-                if ent.replicas and ent.stored_version == ent.version:
+                stripe.member_versions[ent.key] = version
+                if ent.replicas and version == ent.version:
                     self._drop_replica_copies(ent)
                 return
-            version = ent.stored_version  # what the fetched bytes actually are
 
             def apply_state() -> None:
                 stripe.baseline[slot] = cur_p
@@ -781,9 +772,10 @@ class StagingRuntime:
             # Same guard as stripe formation: the primary was replaced while
             # the entity waited in the pending pool.
             yield from self._restore_primary_from_replica(ent)
-        payload = self.server(ent.primary).fetch_bytes(primary_key(ent))
+        psrv = self.server(ent.primary)
+        payload = psrv.fetch_bytes(primary_key(ent))
         payload_p = self._pad(payload, stripe.shard_len)
-        version = ent.stored_version  # the fetched bytes' version (see gather)
+        version = psrv.version_of(primary_key(ent))  # the fetched bytes' (see gather)
 
         def apply_state() -> None:
             stripe.fill_slot(slot, ent.key)
@@ -914,8 +906,7 @@ class StagingRuntime:
             # Does not fit the stripe any more: vacate and re-enqueue.
             yield from self.extract_from_stripe(ent)
             yield from self.busy(ent.primary, self.costs.store_cost(new_payload.size), "store")
-            self.server(ent.primary).store_bytes(primary_key(ent), new_payload)
-            ent.stored_version = ent.version
+            self.server(ent.primary).store_bytes(primary_key(ent), new_payload, ent.version)
             self.enqueue_for_encoding(ent)
             gid = self.layout.coding_group_id(ent.primary)
             yield from self.encode_pending(gid)
@@ -936,8 +927,7 @@ class StagingRuntime:
 
         def apply_data() -> None:
             if not psrv.failed:
-                psrv.store_bytes(pkey, new_payload)
-                ent.stored_version = version
+                psrv.store_bytes(pkey, new_payload, version)
             stripe.lengths[slot] = int(new_payload.size)
             stripe.member_versions[ent.key] = version
             stripe.baseline[slot] = new_p
@@ -1042,8 +1032,9 @@ class StagingRuntime:
 
         def apply_state() -> None:
             if not psrv.has(primary_key(ent)):
-                psrv.store_bytes(primary_key(ent), old[: stripe.lengths[slot]].copy())
-                ent.stored_version = baseline_version
+                psrv.store_bytes(
+                    primary_key(ent), old[: stripe.lengths[slot]].copy(), baseline_version
+                )
             stripe.vacate_slot(slot)
             stripe.lengths[slot] = 0
             stripe.baseline[slot] = None
@@ -1071,7 +1062,6 @@ class StagingRuntime:
                 srv = self.server(psid)
                 if not srv.failed:
                     srv.delete_bytes(stripe.shard_key(stripe.k + i))
-            self.metrics.storage.parity -= stripe.m * stripe.shard_len
             self.directory.drop_stripe(stripe.stripe_id)
         return self.server(ent.primary).store.get(primary_key(ent))
 
@@ -1166,13 +1156,12 @@ class StagingRuntime:
             # Only version-fresh replicas qualify — leftover copies kept
             # through a drifted encode hold older bytes.
             src_sid, src_key = ent.primary, pkey
-            if ent.replica_version == ent.version:
-                for r in ent.replicas:
-                    rsrv = self.server(r)
-                    if rsrv.has(replica_key(ent)) and rsrv.workload_level() < self.server(
-                        src_sid
-                    ).workload_level():
-                        src_sid, src_key = r, replica_key(ent)
+            for r in ent.replicas:
+                rsrv = self.server(r)
+                if rsrv.version_of(replica_key(ent)) == ent.version and (
+                    rsrv.workload_level() < self.server(src_sid).workload_level()
+                ):
+                    src_sid, src_key = r, replica_key(ent)
             src = self.server(src_sid)
             payload = src.fetch_bytes(src_key)
             yield from self.busy(src_sid, self.costs.lookup_cost(ent.nbytes), "store")
@@ -1182,17 +1171,16 @@ class StagingRuntime:
         # Replica fallback (version-fresh copies only: a stale replica
         # would silently serve old bytes; the stripe path below decodes
         # whatever the parity actually protects instead).
-        for r in ent.replicas if ent.replica_version == ent.version else ():
+        for r in ent.replicas:
             rsrv = self.server(r)
-            if rsrv.has(replica_key(ent)):
+            if rsrv.version_of(replica_key(ent)) == ent.version:
                 payload = rsrv.fetch_bytes(replica_key(ent))
                 yield from self.busy(r, self.costs.lookup_cost(ent.nbytes), "store")
                 if repair and not psrv.failed:
                     yield from self.transfer(rsrv.name, psrv.name, ent.nbytes, "recovery")
                     yield from self.busy(ent.primary, self.costs.store_cost(ent.nbytes), "recovery")
                     if not psrv.failed and not psrv.has(pkey):
-                        psrv.store_bytes(pkey, payload)
-                        ent.stored_version = ent.replica_version
+                        psrv.store_bytes(pkey, payload, ent.version)
                         self.metrics.count("recovered_objects")
                 yield from self.transfer(rsrv.name, dst_name, ent.nbytes)
                 self.metrics.count("replica_reads")
@@ -1205,8 +1193,7 @@ class StagingRuntime:
             if repair and not psrv.failed:
                 yield from self.busy(ent.primary, self.costs.store_cost(ent.nbytes), "recovery")
                 if not psrv.failed and not psrv.has(pkey):
-                    psrv.store_bytes(pkey, payload)
-                    ent.stored_version = decoded_version
+                    psrv.store_bytes(pkey, payload, decoded_version)
                     self.metrics.count("recovered_objects")
             return payload
 
@@ -1293,18 +1280,13 @@ class StagingRuntime:
 
         Returns ``(payload, exec_sid)`` where payload is the *padded* shard.
         """
-        body = self._reconstruct_body(stripe, target_idx, exec_sid, category)
-        if not self.tracer.enabled:
-            result = yield from body
-            return result
-        result = yield from self.tracer.traced(
+        return self.tracer.traced(
             "reconstruct",
-            body,
+            self._reconstruct_body(stripe, target_idx, exec_sid, category),
             category=category,
             stripe=stripe.stripe_id,
             shard=target_idx,
         )
-        return result
 
     def _reconstruct_body(
         self,
@@ -1375,14 +1357,12 @@ class StagingRuntime:
         happens in the read path and the result is *not* re-stored (the
         caller decides about repair).
         """
-        body = self._degraded_read_body(ent, dst_name)
-        if not self.tracer.enabled:
-            result = yield from body
-            return result
-        result = yield from self.tracer.traced(
-            "get.decode", body, category="get", entity=f"{ent.name}/{ent.block_id}"
+        return self.tracer.traced(
+            "get.decode",
+            self._degraded_read_body(ent, dst_name),
+            category="get",
+            entity=f"{ent.name}/{ent.block_id}",
         )
-        return result
 
     def _degraded_read_body(self, ent: BlockEntity, dst_name: str) -> Generator:
         stripe = ent.stripe
@@ -1417,11 +1397,10 @@ class StagingRuntime:
         # Version-fresh replicas first (cheap copy); a stale replica is
         # skipped in favor of the stripe, which decodes what the parity
         # actually protects.
-        for r in ent.replicas if ent.replica_version == ent.version else ():
+        for r in ent.replicas:
             rsrv = self.server(r)
-            if rsrv.has(replica_key(ent)):
+            if rsrv.version_of(replica_key(ent)) == ent.version:
                 payload = rsrv.fetch_bytes(replica_key(ent))
-                payload_version = ent.replica_version
                 yield from self.busy(r, self.costs.lookup_cost(ent.nbytes), "recovery")
                 yield from self.transfer(rsrv.name, dst.name, ent.nbytes, "recovery")
                 break
@@ -1439,8 +1418,7 @@ class StagingRuntime:
         yield from self.busy(dst_sid, self.costs.store_cost(ent.nbytes), "recovery")
         if dst.failed:
             raise DataLossError(f"server {dst_sid} failed during recovery of {ent.key}")
-        dst.store_bytes(primary_key(ent), payload)
-        ent.stored_version = payload_version
+        dst.store_bytes(primary_key(ent), payload, payload_version)
         if onto is not None and onto != ent.primary:
             ent.primary = onto
         self.metrics.count("recovered_objects")
@@ -1476,11 +1454,10 @@ class StagingRuntime:
         src_sid = None
         key = None
         psrv = self.server(ent.primary)
-        # Source discipline: replica copies all hold ``replica_version``
-        # bytes.  The primary qualifies as a source only when its bytes
-        # match that version (a stale restored primary would make this
-        # copy diverge from its siblings under one version stamp).
-        if psrv.has(primary_key(ent)) and ent.stored_version == ent.replica_version:
+        # Source discipline: the primary qualifies only when its bytes are
+        # the current version (a stale restored primary is skipped for a
+        # sibling copy); the new copy keeps its source's version.
+        if psrv.version_of(primary_key(ent)) == ent.version:
             src_sid, key = ent.primary, primary_key(ent)
         else:
             for r in ent.replicas:
@@ -1491,8 +1468,9 @@ class StagingRuntime:
             # Last resort: rebuild primary first, then copy.
             yield from self._recover_primary_locked(ent, onto=None)
             src_sid, key = ent.primary, primary_key(ent)
-        payload = self.server(src_sid).fetch_bytes(key)
-        yield from self.transfer(self.server(src_sid).name, dst.name, ent.nbytes, "recovery")
+        src = self.server(src_sid)
+        payload, version = src.fetch_bytes(key), src.version_of(key)
+        yield from self.transfer(src.name, dst.name, ent.nbytes, "recovery")
         yield from self.busy(target, self.costs.store_cost(ent.nbytes), "recovery")
         if target not in ent.replicas:
             # The stripe-formation path reclaims replicas without taking the
@@ -1502,7 +1480,7 @@ class StagingRuntime:
             self.metrics.count("replica_repairs_stale")
             return
         if not dst.failed:
-            dst.store_bytes(replica_key(ent), payload)
+            dst.store_bytes(replica_key(ent), payload, version)
         self.metrics.count("recovered_replicas")
 
     def recover_parity(self, stripe: StripeInfo, idx: int, onto: int | None = None) -> Generator:

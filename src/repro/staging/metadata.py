@@ -42,16 +42,19 @@ class MetadataDirectory:
       data slot (the free list refills and compaction consume).
 
     The indexes are updated transactionally with every mutation:
-    ``BlockEntity.__setattr__`` notifies on primary/state/replicas writes,
-    and ``StripeInfo``'s mutation methods notify on parity, placeholder
-    and membership changes.  ``op_stats`` counts index-path record
+    ``BlockEntity.__setattr__`` notifies on primary/state/replicas/nbytes
+    writes, and ``StripeInfo``'s mutation methods notify on parity,
+    placeholder and membership changes.  The same hooks, with stripe
+    registration and drop, keep the byte totals of ``storage`` (the
+    run's ``StorageAccountant``).  ``op_stats`` counts index-path record
     touches and remaining full-directory walks so complexity bounds can be
     asserted from operation counts rather than wall-clock time.
     """
 
-    def __init__(self, domain: Domain, n_servers: int, layout=None):
+    def __init__(self, domain: Domain, n_servers: int, storage, layout=None):
         self.domain = domain
         self.n_servers = n_servers
+        self.storage = storage
         self.layout = layout
         self.entities: dict[tuple[str, int], BlockEntity] = {}
         self.stripes: dict[int, StripeInfo] = {}
@@ -150,6 +153,7 @@ class MetadataDirectory:
             self.stripes_by_server.setdefault(srv, set()).add(stripe.stripe_id)
         if stripe.vacant_slots():
             self.vacant_by_group.setdefault(stripe.group_id, set()).add(stripe.stripe_id)
+        self.storage.parity += stripe.m * stripe.shard_len
         self.op_stats["stripe_touches"] += 1
 
     def drop_stripe(self, stripe_id: int) -> None:
@@ -160,12 +164,17 @@ class MetadataDirectory:
             self.stripes_by_server.get(srv, set()).discard(stripe_id)
         stripe._dir = None
         self.vacant_by_group.get(stripe.group_id, set()).discard(stripe_id)
+        self.storage.parity -= stripe.m * stripe.shard_len
         self.op_stats["stripe_touches"] += 1
 
     # ------------------------------------------------------------------
     # index-maintenance notifications (called from the object layer)
     # ------------------------------------------------------------------
     def _entity_index_update(self, ent: BlockEntity, attr: str, old, new) -> None:
+        if attr == "nbytes":  # a byte total, not an index: no touch
+            self.storage.original += new - old
+            self.storage.replica += (new - old) * len(ent.replicas)
+            return
         key = ent.key
         if attr == "primary":
             if old != new:
@@ -183,6 +192,7 @@ class MetadataDirectory:
                 self.replicas_by_server.get(srv, set()).discard(key)
             for srv in new_set - old_set:
                 self.replicas_by_server.setdefault(srv, set()).add(key)
+            self.storage.replica += ent.nbytes * (len(new or ()) - len(old or ()))
         self.op_stats["entity_touches"] += 1
 
     def _stripe_retargeted(self, stripe: StripeInfo, old: int, new: int) -> None:
@@ -241,8 +251,9 @@ class MetadataDirectory:
     def storage_breakdown(self) -> dict[str, int]:
         """Bytes of original data vs redundancy currently promised.
 
-        Computed from metadata (entity sizes and states), independent of the
-        per-server stores, so tests can cross-check the two.
+        Recomputed by a full walk of the metadata (entity sizes and
+        states): the reference the incrementally kept ``storage`` totals
+        are checked against, independent of the per-server stores.
         """
         self.op_stats["full_scans"] += 1
         original = 0

@@ -210,7 +210,8 @@ class BlockEntity:
     Carries the current version/payload bookkeeping, the resilience state,
     and the access counters the CoREC classifier reads (paper Section II-C:
     "we use reference counters to record the access frequency of each data
-    object").
+    object").  ``version`` counts writes; the version a stored copy holds
+    is its server's record (``StagingServer.version_of``).
     """
 
     name: str
@@ -230,27 +231,14 @@ class BlockEntity:
     last_write_step: int = -1
     digest: str = ""              # payload_digest (CRC-32) of the current payload
     transition_in_flight: bool = False  # async promote/demote already queued
-    replica_bytes_accounted: int = 0    # logical replica bytes in the accountant
-    # Version the replica copies hold.  Reads may serve a replica only when
-    # this matches ``version``: leftover copies kept through a drifted
-    # encode (or mid-refresh) hold older bytes, and serving them silently
-    # returns stale data.  ``-1`` (or any mismatch) means "don't trust".
-    replica_version: int = -1
-    # Version of the bytes the primary store currently holds.  A writer
-    # bumps ``version`` (under the entity lock) before its store lands, and
-    # flows that do NOT hold the entity lock — stripe formation snapshots,
-    # reconciles — read the primary in that window.  Pairing every fetch
-    # with this stamp (instead of ``version``) keeps "which bytes did I
-    # actually capture" exact; restores from replicas/stripes stamp the
-    # version of the bytes they materialized.
-    stored_version: int = -1
     seq: int = -1                 # directory insertion order (stable sort key)
 
     # Back-reference to the owning MetadataDirectory (set by
-    # ``get_or_create``); placement/state writes notify it so the reverse
-    # indexes track every mutation, wherever it happens.
+    # ``get_or_create``); placement/state/size writes notify it so the
+    # reverse indexes and byte totals track every mutation, wherever it
+    # happens.
     _dir = None
-    _indexed_attrs = frozenset(("primary", "state", "replicas"))
+    _indexed_attrs = frozenset(("primary", "state", "replicas", "nbytes"))
 
     def __setattr__(self, name: str, value) -> None:
         d = self._dir

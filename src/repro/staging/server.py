@@ -74,7 +74,14 @@ class CostModel:
 
 
 class StagingServer:
-    """One staging server: store + CPU slot + workload statistics."""
+    """One staging server: store + CPU slot + workload statistics.
+
+    The store is versioned, as DataSpaces versions staged objects: an
+    entity copy (``P/`` primary, ``R/`` replica) is stored with the entity
+    version its bytes are, and :meth:`version_of` answers which.  A parity
+    shard is stored with none: its stripe's ``member_versions`` says what
+    it encodes.
+    """
 
     def __init__(
         self,
@@ -89,6 +96,7 @@ class StagingServer:
         self.costs = costs or CostModel()
         self.cpu = Resource(sim)  # one slot: request processing and encoding serialize
         self.store: dict[str, np.ndarray] = {}
+        self.versions: dict[str, int | None] = {}  # key -> version of its bytes
         # Optional multi-tier backing store (the paper's future-work
         # extension): placement/capacity/migration are tracked per object
         # and the cumulative tier access time is reported in
@@ -111,7 +119,7 @@ class StagingServer:
     # ------------------------------------------------------------------
     # state operations (instantaneous; time charged separately)
     # ------------------------------------------------------------------
-    def store_bytes(self, key: str, payload: np.ndarray) -> None:
+    def store_bytes(self, key: str, payload: np.ndarray, version: int | None = None) -> None:
         if self.failed:
             raise RuntimeError(f"store on failed server {self.name}")
         payload = np.ascontiguousarray(payload, dtype=np.uint8).ravel()
@@ -119,6 +127,7 @@ class StagingServer:
         if old is not None:
             self.bytes_stored -= old.size
         self.store[key] = payload
+        self.versions[key] = version
         self.bytes_stored += payload.size
         if self.tiered is not None:
             self.tier_busy_s += self.tiered.put(key, payload)
@@ -137,7 +146,12 @@ class StagingServer:
     def has(self, key: str) -> bool:
         return not self.failed and key in self.store
 
+    def version_of(self, key: str) -> int | None:
+        """Version of the entity copy stored under ``key``, else ``None``."""
+        return self.versions.get(key)
+
     def delete_bytes(self, key: str) -> None:
+        self.versions.pop(key, None)
         payload = self.store.pop(key, None)
         if payload is not None:
             self.bytes_stored -= payload.size
@@ -151,6 +165,7 @@ class StagingServer:
         """Crash: all in-memory content is lost."""
         self.failed = True
         self.store.clear()
+        self.versions.clear()
         self.bytes_stored = 0
         if self.tiered is not None:
             self.tiered.clear()
@@ -162,6 +177,7 @@ class StagingServer:
         self.failed = False
         self.epoch += 1
         self.store.clear()
+        self.versions.clear()
         self.bytes_stored = 0
         if self.tiered is not None:
             self.tiered.clear()

@@ -168,7 +168,9 @@ class StagingService:
             )
             for sid in range(config.n_servers)
         ]
-        self.directory = MetadataDirectory(self.domain, config.n_servers, layout=self.layout)
+        self.directory = MetadataDirectory(
+            self.domain, config.n_servers, self.metrics.storage, layout=self.layout
+        )
         self.codec = StripeCodec(config.k, config.n_level)
         self.runtime = StagingRuntime(
             sim=self.sim,
@@ -310,13 +312,11 @@ class StagingService:
     ) -> Generator:
         self._ensure_writable_primary(ent)
         is_new = ent.version < 0
-        prev_bytes = ent.nbytes if not is_new else 0
         payload = self._block_payload(ent.name, ent.block_id, ent.version + 1, region, data)
         # The entity lock is held, so the write is recorded before any
         # later op on this entity.
         digest = yield from self.runtime.compute(lambda: payload_digest(payload), "digest")
         ent.record_write(self.sim.now, self.step, int(payload.size), digest)
-        self.metrics.storage.original += int(payload.size) - prev_bytes
         if self.config.async_protection:
             # Acknowledge once the primary copy is staged; protection runs
             # in the background (serialized by the entity lock, so a later
@@ -467,18 +467,8 @@ class StagingService:
         if ent.state == ResilienceState.REPLICATED:
             live = [r for r in ent.replicas if not self.servers[r].failed]
             if live:
-                new_primary = live[0]
-                srv = self.servers[new_primary]
-                if srv.has(f"R/{ent.name}/{ent.block_id}"):
-                    srv.store_bytes(primary_key(ent), srv.fetch_bytes(f"R/{ent.name}/{ent.block_id}"))
-                    srv.delete_bytes(f"R/{ent.name}/{ent.block_id}")
-                    # The promoted bytes are the replica copy's version.
-                    ent.stored_version = ent.replica_version
-                ent.primary = new_primary
-                ent.replicas = [r for r in ent.replicas if r != new_primary]
-                new_accounted = ent.nbytes * len(ent.replicas)
-                self.metrics.storage.replica += new_accounted - ent.replica_bytes_accounted
-                ent.replica_bytes_accounted = new_accounted
+                self.runtime.promote_replica(ent, live[0])
+                ent.replicas = [r for r in ent.replicas if r != live[0]]
                 return
         if ent.state == ResilienceState.ENCODED and ent.stripe is not None:
             stripe = ent.stripe

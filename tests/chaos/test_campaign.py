@@ -181,8 +181,8 @@ class TestMutationCatchShrinkDump:
         # Mutation: every replacement-epoch server corrupts primary writes.
         orig = StagingServer.store_bytes
 
-        def corrupting(self, key, payload):
-            orig(self, key, payload)
+        def corrupting(self, key, payload, version=None):
+            orig(self, key, payload, version)
             if key.startswith("P/") and self.epoch > 0:
                 self.store[key] = self.store[key].copy()
                 self.store[key][0] ^= 0xFF
@@ -253,8 +253,8 @@ class TestMutationCatchShrinkDump:
         # schedule (the minimal reproducer is "just run the workload").
         orig = StagingServer.store_bytes
 
-        def corrupting(self, key, payload):
-            orig(self, key, payload)
+        def corrupting(self, key, payload, version=None):
+            orig(self, key, payload, version)
             if key.startswith("stripe"):
                 self.store[key] = self.store[key].copy()
                 self.store[key][0] ^= 0xFF

@@ -175,6 +175,44 @@ class TestStoreConsistency:
         found = violations_of(svc, "store_consistency")
         assert found and "not in the entity's replica set" in found[0].detail
 
+    # A stale copy is seeded by storing the same bytes under an older
+    # version: what a write that never reached that copy leaves behind.
+    def test_stale_primary_copy_flagged(self):
+        svc = quiesced_service()
+        ent = next(iter(svc.directory.entities.values()))
+        srv = svc.servers[ent.primary]
+        srv.store_bytes(primary_key(ent), srv.fetch_bytes(primary_key(ent)), ent.version - 1)
+        found = violations_of(svc, "store_consistency")
+        assert [v.detail for v in found] == [
+            f"{srv.name}: primary copy {primary_key(ent)!r} holds v{ent.version - 1}, "
+            f"entity is at v{ent.version}"
+        ]
+
+    def test_stale_replica_copy_flagged(self):
+        svc = quiesced_service()
+        ent = next(
+            e for e in svc.directory.entities.values()
+            if e.state == ResilienceState.REPLICATED and e.replicas
+        )
+        srv = svc.servers[ent.replicas[0]]
+        srv.store_bytes(replica_key(ent), srv.fetch_bytes(replica_key(ent)), ent.version - 1)
+        found = violations_of(svc, "store_consistency")
+        assert found and f"replica {replica_key(ent)!r} holds v{ent.version - 1}" in found[0].detail
+
+    def test_stripe_encoding_an_older_version_flagged(self):
+        svc = quiesced_service()
+        stripe = next(
+            s for s in svc.directory.stripes.values() if any(mk is not None for mk in s.members)
+        )
+        key = next(mk for mk in stripe.members if mk is not None)
+        ent = svc.directory.entities[key]
+        stripe.member_versions[key] = ent.version - 1
+        found = violations_of(svc, "store_consistency")
+        assert found and (
+            f"stripe {stripe.stripe_id} encodes v{ent.version - 1} of {primary_key(ent)!r}, "
+            f"entity is at v{ent.version}"
+        ) in found[0].detail
+
 
 class TestParityIntegrity:
     def test_corrupt_parity_flagged(self):

@@ -60,7 +60,6 @@ class TestSlotRetargeting:
             from repro.staging.objects import payload_digest
 
             fresh.record_write(svc.sim.now, 0, int(payload.size), payload_digest(payload))
-            svc.metrics.storage.original += int(payload.size)
             yield from svc.runtime.ingest_primary(fresh, "w0", payload)
 
         drive(svc, ingest())

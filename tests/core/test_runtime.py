@@ -27,7 +27,6 @@ def stage_entity(svc, block_id=0, version_payloads=1):
             from repro.staging.objects import payload_digest
 
             ent.record_write(svc.sim.now, svc.step, int(p.size), payload_digest(p))
-            svc.metrics.storage.original += int(p.size) - (0 if ent.version > 0 else 0)
             yield from svc.runtime.ingest_primary(ent, "w0", p)
 
         drive(svc, wf())

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.metrics import StorageAccountant
 from repro.staging.domain import Domain
 from repro.staging.metadata import MetadataDirectory
 from repro.staging.objects import ResilienceState, StripeInfo
 
 
 def make_dir():
-    return MetadataDirectory(Domain((16,), (4,)), n_servers=4)
+    return MetadataDirectory(Domain((16,), (4,)), n_servers=4, storage=StorageAccountant())
 
 
 def members_on(d, *primaries):
@@ -58,7 +59,7 @@ class TestEntityRegistry:
             return stable_hash(text)
 
         monkeypatch.setattr(metadata, "stable_hash", counting)
-        d = MetadataDirectory(Domain((64,), (4,)), n_servers=7)
+        d = MetadataDirectory(Domain((64,), (4,)), n_servers=7, storage=StorageAccountant())
         keys = [(name, b) for name in ("v", "pressure", "é/x") for b in range(16)]
         for _ in range(3):
             for name, b in keys:
@@ -277,3 +278,41 @@ class TestStorageBreakdown:
         d = make_dir()
         d.get_or_create("v", 0, 0)
         assert d.storage_breakdown()["original"] == 0
+
+    def test_kept_totals_follow_each_mutation_and_equal_the_walk(self):
+        d = make_dir()
+        a, b = (d.get_or_create("v", i, primary=i) for i in (0, 1))
+        stripe = StripeInfo(0, 2, 1, [a.key, b.key], {}, [2], [100, 60], 100)
+
+        def encode():
+            a.replicas = []
+            d.register_stripe(stripe)
+            for e in (a, b):
+                e.state, e.stripe = ResilienceState.ENCODED, stripe
+
+        def decode():
+            d.drop_stripe(stripe.stripe_id)
+            for e in (a, b):
+                e.state, e.stripe = ResilienceState.NONE, None
+
+        steps = [
+            (lambda: a.record_write(0.0, 0, 100, "x"), (100, 0, 0)),  # first write
+            (lambda: setattr(a, "replicas", [2, 3]), (100, 200, 0)),  # copies placed
+            (lambda: setattr(a, "replicas", [3]), (100, 100, 0)),  # one dropped
+            (lambda: b.record_write(0.0, 0, 60, "y"), (160, 100, 0)),
+            (lambda: a.record_write(0.0, 1, 100, "x2"), (160, 100, 0)),  # rewrite
+            (lambda: setattr(a, "nbytes", 120), (180, 120, 0)),  # size moves copies
+            (lambda: setattr(a, "nbytes", 100), (160, 100, 0)),
+            (encode, (160, 0, 100)),
+            (decode, (160, 0, 0)),
+            (lambda: d.drop_stripe(stripe.stripe_id), (160, 0, 0)),  # dropped once
+        ]
+        for step, (original, replica, parity) in steps:
+            step()
+            kept = d.storage
+            assert (kept.original, kept.replica, kept.parity) == (original, replica, parity)
+            assert d.storage_breakdown() == {
+                "original": original,
+                "replica_overhead": replica,
+                "parity_overhead": parity,
+            }

@@ -58,6 +58,25 @@ class TestStoreOperations:
     def test_delete_missing_is_noop(self):
         self.make().delete_bytes("missing")
 
+    def test_an_entity_copy_carries_its_version_a_parity_none(self):
+        s = self.make()
+        s.store_bytes("P/v/0", np.zeros(8, np.uint8), 0)
+        s.store_bytes("R/v/1", np.zeros(8, np.uint8), 3)
+        s.store_bytes("stripe0/shard3", np.zeros(8, np.uint8))
+        assert (s.version_of("P/v/0"), s.version_of("R/v/1")) == (0, 3)
+        assert s.version_of("stripe0/shard3") is None
+        s.store_bytes("P/v/0", np.ones(8, np.uint8), 1)  # overwrite
+        assert s.version_of("P/v/0") == 1
+        s.delete_bytes("P/v/0")
+        assert s.version_of("P/v/0") is None
+        assert s.version_of("missing") is None
+        s.fail()
+        assert s.version_of("R/v/1") is None
+        s.replace()
+        assert s.version_of("R/v/1") is None and not s.versions
+        s.store_bytes("R/v/1", np.zeros(8, np.uint8), 4)
+        assert s.version_of("R/v/1") == 4
+
 
 class TestFailureSemantics:
     def test_fail_clears_store(self):
