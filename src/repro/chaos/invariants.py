@@ -114,21 +114,15 @@ def check_durability(svc) -> list[str]:
 
 
 def check_bytes_conservation(svc) -> list[str]:
-    """Per-server byte accounting matches the store; accountant is sane.
+    """Failed servers hold nothing; the storage accountant is sane.
 
-    ``bytes_stored`` is an incrementally-maintained counter; any drift from
-    the actual store contents means a store/delete path skipped its
-    bookkeeping.  Failed servers must be empty, and the storage accountant
-    can never go negative.
+    A crashed server's memory is gone, so any object left in its store
+    is a path that skipped the crash; the storage accountant can never go
+    negative.
     """
     problems = []
     for srv in svc.servers:
-        actual = sum(int(v.size) for v in srv.store.values())
-        if srv.bytes_stored != actual:
-            problems.append(
-                f"{srv.name}: bytes_stored={srv.bytes_stored} but store holds {actual}"
-            )
-        if srv.failed and (srv.store or srv.bytes_stored):
+        if srv.failed and srv.store:
             problems.append(f"{srv.name}: failed but still holds objects")
     acct = svc.metrics.storage
     for field in ("original", "replica", "parity"):
@@ -369,7 +363,10 @@ def check_reverse_indexes(svc) -> list[str]:
 
     Rebuilds each index from scratch out of the entities/stripes dicts and
     diffs it against the incrementally-maintained one — any divergence
-    means some mutation path bypassed the index-update hooks.
+    means some mutation path bypassed the index-update hooks.  The encode
+    queue is rebuilt too: at quiescence no encoder holds a popped key, so
+    it lists exactly the ``PENDING_STRIPE`` entities, each once, under its
+    primary — a pending entity in no queue is never encoded.
     """
     problems = []
     d = svc.directory
@@ -387,9 +384,13 @@ def check_reverse_indexes(svc) -> list[str]:
     exp_primary: dict[int, set] = {}
     exp_state: dict[ResilienceState, set] = {s: set() for s in ResilienceState}
     exp_replicas: dict[int, set] = {}
+    exp_pending: dict[tuple[int, int], set] = {}
     for key, ent in d.entities.items():
         exp_primary.setdefault(ent.primary, set()).add(key)
         exp_state[ent.state].add(key)
+        if ent.state == ResilienceState.PENDING_STRIPE:
+            at = (d.layout.coding_group_id(ent.primary), ent.primary)
+            exp_pending.setdefault(at, set()).add(key)
         for r in ent.replicas:
             exp_replicas.setdefault(r, set()).add(key)
     # Drop empty sets on both sides: an index legitimately keeps an empty
@@ -435,6 +436,13 @@ def check_reverse_indexes(svc) -> list[str]:
         {k: v for k, v in d.vacant_by_group.items() if v},
         exp_vacant,
     )
+
+    # (coding group, server) -> queued keys
+    queued = {(g, s): q for g, group in d.pending.items() for s, q in group.items() if q}
+    diff("pending", {at: set(q) for at, q in queued.items()}, exp_pending)
+    for at, queue in queued.items():
+        if len(queue) != len(set(queue)):
+            problems.append(f"pending[{at}]: a key is queued twice in {queue}")
 
     for key, ent in d.entities.items():
         if ent._dir is not d:

@@ -104,20 +104,12 @@ class SimpleHybridPolicy(ResiliencePolicy):
                     self.rt.server(ent.primary).store_bytes(primary_key(ent), payload, ent.version)
                 yield from self.rt.replicate_entity(ent, payload)
             else:  # PENDING or NONE -> replicate directly
-                if state == ResilienceState.PENDING_STRIPE:
-                    # The switch decision overtakes the queued demotion;
-                    # leaving the key queued would let a later flush encode
-                    # a replicated entity.
-                    self.rt.dequeue_pending(ent)
+                # The switch overtakes a queued demotion: leaving
+                # PENDING_STRIPE drops the queued key, and an encoder that
+                # popped it already sees the state change and lets it go.
+                ent.state = ResilienceState.NONE
                 yield from self.rt.ingest_primary(ent, client_name, payload)
-                if ent.state == ResilienceState.ENCODED:
-                    # An encoder popped the key before the dequeue and raced
-                    # the ingest: keep the stripe protection and fold the
-                    # write into the parity (replicate_entity rejects
-                    # striped entities).
-                    yield from self.rt.reconcile_encoded_member(ent)
-                else:
-                    yield from self.rt.replicate_entity(ent, payload)
+                yield from self.rt.replicate_entity(ent, payload)
         else:  # desired == "encode"
             yield from self.rt.ingest_primary(ent, client_name, payload)
             if state == ResilienceState.REPLICATED:

@@ -103,8 +103,8 @@ class ResiliencePolicy:
     def _demote_to_encoded(self, ent: BlockEntity, executor: int | None = None) -> Generator:
         """Replicated -> erasure coded: join/refill a stripe.
 
-        The replica copies are *kept* while the entity waits in the pending
-        pool (it stays protected through the whole transition) and are
+        The replica copies are *kept* while the entity waits in the encode
+        queue (it stays protected through the whole transition) and are
         reclaimed by the encode itself.  Caller must hold the entity lock.
         """
         if ent.state != ResilienceState.REPLICATED:

@@ -94,9 +94,6 @@ class StagingRuntime:
         # ``(fn, category) -> Event``: it runs ``fn`` on the loop and, with
         # tracing on, charges the time to ``category``.
         self.compute_hook: Callable[[Callable[[], object], str], object] | None = None
-        # Pending (not yet striped) entities per coding group, keyed by the
-        # primary server each entity would contribute a data shard from.
-        self.pending: dict[int, dict[int, list[EntityKey]]] = {}
         self._entity_locks: dict[EntityKey, Resource] = {}
         self._stripe_locks: dict[int, Resource] = {}
 
@@ -368,48 +365,53 @@ class StagingRuntime:
             raise RuntimeError(f"enqueue_for_encoding: {ent.key} still in a stripe")
         if ent.state == ResilienceState.PENDING_STRIPE:
             raise RuntimeError(f"enqueue_for_encoding: {ent.key} already pending")
-        gid = self.layout.coding_group_id(ent.primary)
-        group_pending = self.pending.setdefault(gid, {})
-        group_pending.setdefault(ent.primary, []).append(ent.key)
-        ent.state = ResilienceState.PENDING_STRIPE
+        ent.state = ResilienceState.PENDING_STRIPE  # queues its key at its primary
 
     def redirect_pending(self, ent: BlockEntity) -> None:
         """Move a pending entity whose primary died to an alive group member.
 
-        Re-keys the entity's pending-pool entry under its new primary, so
-        encoders keep picking members with distinct primaries.
+        Its queued key follows the primary (``MetadataDirectory.pending``),
+        so encoders keep picking members with distinct primaries.
         """
         gid = self.layout.coding_group_id(ent.primary)
-        old = ent.primary
         alive = [s for s in self.layout.coding_group_members(gid) if self.alive(s)]
         if not alive:
             raise DataLossError(f"coding group of pending entity {ent.key} fully failed")
-        new = min(alive, key=lambda s: (self.server(s).workload_level(), s))
-        group_pending = self.pending.setdefault(gid, {})
-        old_queue = group_pending.get(old, [])
-        if ent.key in old_queue:
-            old_queue.remove(ent.key)
-            group_pending.setdefault(new, []).append(ent.key)
-        ent.primary = new
+        ent.primary = min(alive, key=lambda s: (self.server(s).workload_level(), s))
 
-    def dequeue_pending(self, ent: BlockEntity) -> None:
-        """Remove an entity's key from the encode queues (state untouched).
+    def _next_encodable(self, queue: list[EntityKey]) -> int | None:
+        """Index of the first queued entity whose bytes an encode can
+        gather (its primary copy, or a fresh replica to restore it from).
+        One whose every copy is lost stays queued until a write lands its
+        bytes, without holding up the keys behind it."""
+        for i, key in enumerate(queue):
+            ent = self.directory.entities[key]
+            if self.server(ent.primary).has(primary_key(ent)) or any(
+                self.server(r).version_of(replica_key(ent)) == ent.version for r in ent.replicas
+            ):
+                return i
+        return None
 
-        Used when a policy decision overtakes a pending demotion — e.g. a
-        write switches the entity back to replication before it joined a
-        stripe.  Without this the stale key stays queued and a later flush
-        would encode an entity that is no longer pending.  No-op when the
-        entity is not queued.
-        """
-        for group_pending in self.pending.values():
-            for queue in group_pending.values():
-                if ent.key in queue:
-                    queue.remove(ent.key)
-                    return
+    def _encode_popped(self, members: Sequence[BlockEntity], body: Generator) -> Generator:
+        """Run ``body``, an encode of ``members`` whose keys were popped off
+        their queues.  If it raises (a server died mid-gather) or returns
+        no result (a concurrent encoder took the slot, or a member stopped
+        waiting), each member it did not stripe and that still waits goes
+        back to the front of its queue, not into no queue."""
+        done = False
+        try:
+            done = yield from body
+            return done
+        finally:
+            if not done:
+                for ent in reversed(members):
+                    queue = self.directory.pending_queue(ent.primary)
+                    if ent.state == ResilienceState.PENDING_STRIPE and ent.key not in queue:
+                        queue.insert(0, ent.key)
 
     def stripe_ready(self, gid: int) -> bool:
-        """True when the group's pending pool can make progress."""
-        group_pending = self.pending.get(gid, {})
+        """True when the group's encode queue can make progress."""
+        group_pending = self.directory.pending.get(gid, {})
         if sum(1 for v in group_pending.values() if v) >= self.layout.k:
             return True
         return any(
@@ -438,12 +440,12 @@ class StagingRuntime:
         return fallback
 
     def encode_pending(self, gid: int, executor: int | None = None) -> Generator:
-        """Drain the group's pending pool: refill vacant slots, form stripes.
+        """Drain the group's encode queue: refill vacant slots, form stripes.
 
         ``executor`` forces where full-stripe encodes run (token workflow);
         None lets each stripe encode on its first member's primary.
         """
-        group_pending = self.pending.setdefault(gid, {})
+        group_pending = self.directory.pending.setdefault(gid, {})
         # 1. Refill vacant slots with matching-server pending entities.
         progress = True
         while progress:
@@ -456,31 +458,21 @@ class StagingRuntime:
                 if found is None:
                     continue
                 stripe, slot = found
-                ent = self.directory.entities[queue[0]]
+                i = self._next_encodable(queue)
+                if i is None:
+                    continue
+                ent = self.directory.entities[queue[i]]
                 if ent.nbytes > stripe.shard_len:
                     continue  # does not fit; wait for a fresh stripe
-                queue.pop(0)
-                filled = yield from self.with_stripe_lock(
-                    stripe.stripe_id, self._fill_slot(stripe, slot, ent)
-                )
-                if not filled:
-                    # A concurrent encoder claimed the slot while we waited
-                    # for the stripe lock; retry with the next free slot.
-                    queue.insert(0, ent.key)
+                del queue[i]
+                fill = self.with_stripe_lock(stripe.stripe_id, self._fill_slot(stripe, slot, ent))
+                yield from self._encode_popped([ent], fill)
                 progress = True
         # 2. Form complete stripes while k distinct *alive* servers have
         # entities.  Entities whose primary is down stay pending (they keep
         # their pre-demotion replicas, so they remain protected) until the
         # server is replaced or a write redirects them.
-        while True:
-            ready_servers = sorted(
-                s for s, v in group_pending.items() if v and self.alive(s)
-            )
-            if len(ready_servers) < self.layout.k:
-                break
-            chosen = ready_servers[: self.layout.k]
-            members = [self.directory.entities[group_pending[s].pop(0)] for s in chosen]
-            yield from self.form_stripe(gid, members, executor=executor)
+        yield from self._form_from_queues(gid, executor, partial=False)
 
     def flush_pending(self, gid: int, executor: int | None = None) -> Generator:
         """Close out partial stripes with vacant (zero) slots.
@@ -488,16 +480,26 @@ class StagingRuntime:
         Used at workflow barriers so no entity stays unprotected.
         """
         yield from self.encode_pending(gid, executor=executor)
-        group_pending = self.pending.setdefault(gid, {})
-        while any(v for s, v in group_pending.items() if self.alive(s)):
-            ready = sorted(
-                s for s, v in group_pending.items() if v and self.alive(s)
-            )[: self.layout.k]
-            members: list[BlockEntity | None] = [
-                self.directory.entities[group_pending[s].pop(0)] for s in ready
-            ]
-            members += [None] * (self.layout.k - len(members))
-            yield from self.form_stripe(gid, members, executor=executor)
+        yield from self._form_from_queues(gid, executor, partial=True)
+
+    def _form_from_queues(self, gid: int, executor: int | None, partial: bool) -> Generator:
+        """Form stripes from the first encodable entity of up to k alive
+        servers' queues, while k have one or, with ``partial``, while any
+        has (vacant slots fill the rest)."""
+        k = self.layout.k
+        group_pending = self.directory.pending.setdefault(gid, {})
+        while True:
+            heads = {
+                s: self._next_encodable(v) for s, v in group_pending.items() if v and self.alive(s)
+            }
+            ready = sorted(s for s, i in heads.items() if i is not None)[:k]
+            if not ready or (len(ready) < k and not partial):
+                return
+            members = [self.directory.entities[group_pending[s].pop(heads[s])] for s in ready]
+            yield from self._encode_popped(
+                members,
+                self.form_stripe(gid, members + [None] * (k - len(members)), executor=executor),
+            )
 
     def form_stripe(
         self,
@@ -533,6 +535,7 @@ class StagingRuntime:
         real = [e for e in members if e is not None]
         if not real:
             raise ValueError("cannot form a stripe with no members")
+        states = [e.state for e in real]
         data_servers = [e.primary for e in real]
         if len(set(data_servers)) != len(data_servers):
             raise ValueError("stripe members must have distinct primary servers")
@@ -551,19 +554,17 @@ class StagingRuntime:
 
         shard_len = max(e.nbytes for e in real)
         payloads: list[np.ndarray | None] = []  # None: a vacant slot's zeros
-        lengths: list[int] = []
         slot_keys: list[EntityKey | None] = []
         versions: dict[EntityKey, int] = {}
         for e in members:
             if e is None:
                 payloads.append(None)
-                lengths.append(0)
                 slot_keys.append(None)
                 continue
             src = self.server(e.primary)
             if not src.has(primary_key(e)):
                 # The member's primary was replaced while it waited in the
-                # pending pool; restore its copy from a replica (pending
+                # encode queue; restore its copy from a replica (pending
                 # entities keep their pre-demotion copies for exactly this).
                 yield from self._restore_primary_from_replica(e)
             # Snapshot payload and version together (no yield in between) so
@@ -581,7 +582,6 @@ class StagingRuntime:
             if e.primary != exec_sid:
                 yield from self.transfer(src.name, exec_name, e.nbytes)
             payloads.append(self._pad(raw, shard_len))
-            lengths.append(int(raw.size))
             slot_keys.append(e.key)
 
         yield from self.busy(exec_sid, self.costs.encode_cost(k, m, shard_len), "encode")
@@ -606,6 +606,11 @@ class StagingRuntime:
                 parity_plan.append((k + i, psid, parity))
 
         # --- atomic registration ---
+        if any(e.state != s for e, s in zip(real, states)):
+            # A write moved a member to another scheme while the gather
+            # yielded (hybrid: pending -> replicated); striping it too would
+            # protect it twice.  Nothing is stored or registered.
+            return None
         # Occupied slots need no server: each is its member's primary *now*,
         # whatever redirect moved it while the gather yielded.
         stripe = StripeInfo(
@@ -615,7 +620,6 @@ class StagingRuntime:
             members=slot_keys,
             member_versions=dict(versions),
             parity_servers=parity_servers,
-            lengths=lengths,
             shard_len=shard_len,
             placeholders=dict(zip((i for i, e in enumerate(members) if e is None), placeholders)),
             group_id=gid,
@@ -693,7 +697,7 @@ class StagingRuntime:
         current = psrv.fetch_bytes(primary_key(ent))
         version = psrv.version_of(primary_key(ent))  # what the fetched bytes are
         base = stripe.baseline[slot]
-        if base is not None and current.size <= stripe.shard_len:
+        if base is not None:
             cur_p = self._pad(current, stripe.shard_len)
             if (cur_p == base).all():
                 # No byte drift; adopt the stored bytes' version and reclaim
@@ -707,7 +711,6 @@ class StagingRuntime:
 
             def apply_state() -> None:
                 stripe.baseline[slot] = cur_p
-                stripe.lengths[slot] = int(current.size)
                 stripe.member_versions[ent.key] = version
                 if ent.replicas and version == ent.version:
                     # The parity now protects the live bytes: the replica
@@ -737,18 +740,7 @@ class StagingRuntime:
         stripe = ent.stripe
         if stripe is None or ent.key not in stripe.members:
             return
-        psrv = self.server(ent.primary)
-        if not psrv.has(primary_key(ent)):
-            return
-        current = psrv.fetch_bytes(primary_key(ent))
-        if current.size > stripe.shard_len:
-            # The racing write outgrew the stripe: vacate the slot (the
-            # oversized bytes are already stored) and queue a re-encode,
-            # mirroring update_encoded_entity's oversize path.
-            yield from self.extract_from_stripe(ent)
-            self.enqueue_for_encoding(ent)
-            gid = self.layout.coding_group_id(ent.primary)
-            yield from self.encode_pending(gid)
+        if not self.server(ent.primary).has(primary_key(ent)):
             return
         slot = stripe.member_shard_index(ent.key)
         yield from self.with_stripe_lock(
@@ -760,8 +752,10 @@ class StagingRuntime:
 
         Caller holds the stripe lock.  Returns False (without touching the
         stripe) if the slot was claimed by a concurrent encoder while this
-        process waited for the lock.
+        process waited for the lock, or if a write moved ``ent`` to another
+        scheme meanwhile (as in stripe formation).
         """
+        state = ent.state
         if stripe.members[slot] is not None or stripe.stripe_id not in self.directory.stripes:
             return False
         if stripe.placeholders[slot] != ent.primary and any(
@@ -770,7 +764,7 @@ class StagingRuntime:
             return False  # would put two shards of the stripe on one server
         if not self.server(ent.primary).has(primary_key(ent)):
             # Same guard as stripe formation: the primary was replaced while
-            # the entity waited in the pending pool.
+            # the entity waited in the encode queue.
             yield from self._restore_primary_from_replica(ent)
         psrv = self.server(ent.primary)
         payload = psrv.fetch_bytes(primary_key(ent))
@@ -779,7 +773,6 @@ class StagingRuntime:
 
         def apply_state() -> None:
             stripe.fill_slot(slot, ent.key)
-            stripe.lengths[slot] = int(payload.size)
             stripe.member_versions[ent.key] = version
             stripe.baseline[slot] = payload_p
             ent.state = ResilienceState.ENCODED
@@ -791,10 +784,12 @@ class StagingRuntime:
                 # _form_stripe_body).
                 self._drop_replica_copies(ent)
 
-        yield from self._apply_parity_delta(
+        applied = yield from self._apply_parity_delta(
             stripe, slot, old=None, new=payload_p, src_sid=ent.primary,
-            apply_data=apply_state,
+            apply_data=apply_state, precondition=lambda: ent.state == state,
         )
+        if not applied:
+            return False
         yield from self.metadata_update(ent, ent.primary)
         self.metrics.count("slot_refills")
         self.metrics.count("transitions_to_encoded")
@@ -901,17 +896,6 @@ class StagingRuntime:
         if stripe is None:
             raise RuntimeError(f"entity {ent.key} is ENCODED but has no stripe")
         new_payload = np.ascontiguousarray(new_payload, dtype=np.uint8).ravel()
-
-        if new_payload.size > stripe.shard_len:
-            # Does not fit the stripe any more: vacate and re-enqueue.
-            yield from self.extract_from_stripe(ent)
-            yield from self.busy(ent.primary, self.costs.store_cost(new_payload.size), "store")
-            self.server(ent.primary).store_bytes(primary_key(ent), new_payload, ent.version)
-            self.enqueue_for_encoding(ent)
-            gid = self.layout.coding_group_id(ent.primary)
-            yield from self.encode_pending(gid)
-            return
-
         yield from self.with_stripe_lock(
             stripe.stripe_id, self._update_encoded_locked(ent, stripe, new_payload, strategy)
         )
@@ -928,7 +912,6 @@ class StagingRuntime:
         def apply_data() -> None:
             if not psrv.failed:
                 psrv.store_bytes(pkey, new_payload, version)
-            stripe.lengths[slot] = int(new_payload.size)
             stripe.member_versions[ent.key] = version
             stripe.baseline[slot] = new_p
             if ent.replicas:
@@ -981,7 +964,7 @@ class StagingRuntime:
             osrv = self.server(other.primary)
             if osrv.has(primary_key(other)) and other.primary != exec_sid:
                 # Charge the old-data read the naive scheme requires.
-                yield from self.transfer(osrv.name, exec_name, stripe.lengths[i])
+                yield from self.transfer(osrv.name, exec_name, other.nbytes)
             shards.append(stripe.baseline[i])
         yield from self.busy(
             exec_sid, self.costs.encode_cost(stripe.k, stripe.m, stripe.shard_len), "encode"
@@ -1004,7 +987,7 @@ class StagingRuntime:
         self.metrics.count("stripe_reencodes")
 
     # ------------------------------------------------------------------
-    # leaving a stripe (promotion / restripe)
+    # leaving a stripe (promotion / compaction)
     # ------------------------------------------------------------------
     def extract_from_stripe(self, ent: BlockEntity) -> Generator:
         """Remove ``ent`` from its stripe: zero its slot, return its payload.
@@ -1033,10 +1016,9 @@ class StagingRuntime:
         def apply_state() -> None:
             if not psrv.has(primary_key(ent)):
                 psrv.store_bytes(
-                    primary_key(ent), old[: stripe.lengths[slot]].copy(), baseline_version
+                    primary_key(ent), old[: ent.nbytes].copy(), baseline_version
                 )
             stripe.vacate_slot(slot)
-            stripe.lengths[slot] = 0
             stripe.baseline[slot] = None
             stripe.member_versions.pop(ent.key, None)
             ent.stripe = None
@@ -1120,7 +1102,7 @@ class StagingRuntime:
             target.stripe_id, self._fill_slot(target, slot, ent)
         )
         if not filled:
-            # Slot was taken while we moved; fall back to the pending pool.
+            # Slot was taken while we moved; fall back to the encode queue.
             self.enqueue_for_encoding(ent)
             gid = self.layout.coding_group_id(ent.primary)
             yield from self.encode_pending(gid)

@@ -39,7 +39,12 @@ class MetadataDirectory:
       through its member's primary (a member's move re-indexes its
       stripe);
     - ``vacant_by_group``: coding-group id -> stripe ids with >=1 vacant
-      data slot (the free list refills and compaction consume).
+      data slot (the free list refills and compaction consume);
+    - ``pending``: coding-group id -> primary server -> keys of the
+      entities waiting for a stripe, in queue order (the encode queue the
+      runtime drains).  It follows each entity: entering
+      ``PENDING_STRIPE`` queues the key at its primary, leaving it drops
+      the key, and a move re-keys it to the end of the new server's queue.
 
     The indexes are updated transactionally with every mutation:
     ``BlockEntity.__setattr__`` notifies on primary/state/replicas/nbytes
@@ -68,6 +73,7 @@ class MetadataDirectory:
         self.replicas_by_server: dict[int, set[tuple[str, int]]] = {}
         self.stripes_by_server: dict[int, set[int]] = {}
         self.vacant_by_group: dict[int, set[int]] = {}
+        self.pending: dict[int, dict[int, list[tuple[str, int]]]] = {}
         # Plain-int operation counters (exported as registry gauges so they
         # never enter ``Metrics.counters`` and cannot perturb golden runs).
         self.op_stats = {"entity_touches": 0, "stripe_touches": 0, "full_scans": 0}
@@ -167,6 +173,11 @@ class MetadataDirectory:
         self.storage.parity -= stripe.m * stripe.shard_len
         self.op_stats["stripe_touches"] += 1
 
+    def pending_queue(self, server: int) -> list[tuple[str, int]]:
+        """The encode queue of the entities whose primary is ``server``."""
+        gid = self.layout.coding_group_id(server)
+        return self.pending.setdefault(gid, {}).setdefault(server, [])
+
     # ------------------------------------------------------------------
     # index-maintenance notifications (called from the object layer)
     # ------------------------------------------------------------------
@@ -182,10 +193,21 @@ class MetadataDirectory:
                 self.entities_by_primary.setdefault(new, set()).add(key)
                 if ent.stripe is not None and key in ent.stripe.members:
                     self._stripe_retargeted(ent.stripe, old, new)
+                elif ent.state == ResilienceState.PENDING_STRIPE:
+                    queue = self.pending_queue(old)
+                    if key in queue:  # not while an encoder holds it
+                        queue.remove(key)
+                        self.pending_queue(new).append(key)
         elif attr == "state":
             if old != new:
                 self.entities_by_state[old].discard(key)
                 self.entities_by_state[new].add(key)
+                if new == ResilienceState.PENDING_STRIPE:
+                    self.pending_queue(ent.primary).append(key)
+                elif old == ResilienceState.PENDING_STRIPE:
+                    queue = self.pending_queue(ent.primary)
+                    if key in queue:  # not while an encoder holds it
+                        queue.remove(key)
         else:  # replicas
             old_set, new_set = set(old or ()), set(new or ())
             for srv in old_set - new_set:

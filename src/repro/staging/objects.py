@@ -104,10 +104,11 @@ class StripeInfo:
     ``placeholders`` maps each vacant slot to the server a later entity
     may refill it from with a cheap parity delta-update.  An occupied
     slot's server is its member's ``primary`` — one record, so a member
-    that moves takes its slot along (:meth:`holders` resolves it).
-    ``lengths`` are original payload lengths (0 for vacant); decode strips
-    the padding.  ``member_versions`` pins the entity version each slot
-    currently encodes.
+    that moves takes its slot along (:meth:`holders` resolves it).  A
+    slot's payload length is its member's ``nbytes`` (every write stores
+    the whole block); decode cuts the padded shard back to it.
+    ``member_versions`` pins the entity version each slot currently
+    encodes.
     """
 
     stripe_id: int
@@ -116,7 +117,6 @@ class StripeInfo:
     members: list[Optional[tuple[str, int]]]
     member_versions: dict[tuple[str, int], int]
     parity_servers: list[int]
-    lengths: list[int]
     shard_len: int
     placeholders: dict[int, int] = field(default_factory=dict)
     # Coding group this stripe belongs to, fixed at formation time.  A
@@ -210,8 +210,9 @@ class BlockEntity:
     Carries the current version/payload bookkeeping, the resilience state,
     and the access counters the CoREC classifier reads (paper Section II-C:
     "we use reference counters to record the access frequency of each data
-    object").  ``version`` counts writes; the version a stored copy holds
-    is its server's record (``StagingServer.version_of``).
+    object").  ``version`` counts writes from 0 (``version + 1`` have
+    landed); the version a stored copy holds is its server's record
+    (``StagingServer.version_of``).
     """
 
     name: str
@@ -225,9 +226,7 @@ class BlockEntity:
     stripe: Optional[StripeInfo] = None
 
     # --- classifier bookkeeping -------------------------------------
-    write_count: int = 0          # lifetime writes
     ref_counter: int = 0          # accesses since the last state transition
-    last_write_time: float = -1.0
     last_write_step: int = -1
     digest: str = ""              # payload_digest (CRC-32) of the current payload
     transition_in_flight: bool = False  # async promote/demote already queued
@@ -253,11 +252,9 @@ class BlockEntity:
     def key(self) -> tuple[str, int]:
         return (self.name, self.block_id)
 
-    def record_write(self, t: float, step: int, nbytes: int, digest: str) -> None:
+    def record_write(self, step: int, nbytes: int, digest: str) -> None:
         self.version += 1
-        self.write_count += 1
         self.ref_counter += 1
-        self.last_write_time = t
         self.last_write_step = step
         self.nbytes = nbytes
         self.digest = digest
@@ -266,7 +263,3 @@ class BlockEntity:
         """Reset on state transition, per the paper: "once it is erasure
         coded, its access frequency is reset back to zero"."""
         self.ref_counter = 0
-
-    def primary_key(self) -> str:
-        """Key under which the *current* primary copy is stored."""
-        return f"{self.name}/{self.block_id}"

@@ -80,7 +80,8 @@ class StagingServer:
     entity copy (``P/`` primary, ``R/`` replica) is stored with the entity
     version its bytes are, and :meth:`version_of` answers which.  A parity
     shard is stored with none: its stripe's ``member_versions`` says what
-    it encodes.
+    it encodes.  :attr:`bytes_stored` is read off the store, never kept
+    beside it.
     """
 
     def __init__(
@@ -111,10 +112,14 @@ class StagingServer:
         self.failed = False
         self.epoch = 0  # bumped on replacement; distinguishes incarnations
         self._recent_requests: deque[float] = deque()
-        self.bytes_stored = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<StagingServer {self.name} objs={len(self.store)} failed={self.failed}>"
+
+    @property
+    def bytes_stored(self) -> int:
+        """Bytes of every payload in the store."""
+        return sum(payload.size for payload in self.store.values())
 
     # ------------------------------------------------------------------
     # state operations (instantaneous; time charged separately)
@@ -123,12 +128,8 @@ class StagingServer:
         if self.failed:
             raise RuntimeError(f"store on failed server {self.name}")
         payload = np.ascontiguousarray(payload, dtype=np.uint8).ravel()
-        old = self.store.get(key)
-        if old is not None:
-            self.bytes_stored -= old.size
         self.store[key] = payload
         self.versions[key] = version
-        self.bytes_stored += payload.size
         if self.tiered is not None:
             self.tier_busy_s += self.tiered.put(key, payload)
 
@@ -152,9 +153,7 @@ class StagingServer:
 
     def delete_bytes(self, key: str) -> None:
         self.versions.pop(key, None)
-        payload = self.store.pop(key, None)
-        if payload is not None:
-            self.bytes_stored -= payload.size
+        self.store.pop(key, None)
         if self.tiered is not None:
             self.tiered.delete(key)
 
@@ -166,7 +165,6 @@ class StagingServer:
         self.failed = True
         self.store.clear()
         self.versions.clear()
-        self.bytes_stored = 0
         if self.tiered is not None:
             self.tiered.clear()
 
@@ -178,7 +176,6 @@ class StagingServer:
         self.epoch += 1
         self.store.clear()
         self.versions.clear()
-        self.bytes_stored = 0
         if self.tiered is not None:
             self.tiered.clear()
         self._recent_requests.clear()

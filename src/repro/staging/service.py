@@ -216,15 +216,15 @@ class StagingService:
         return _byte_ramp(nbytes) + np.uint8(base & 0xFF)
 
     def _block_payload(
-        self, name: str, block_id: int, version: int, region: BBox, data: np.ndarray | None
+        self, name: str, block_id: int, version: int, region: BBox, data: np.ndarray | None,
+        current: np.ndarray | None = None,
     ) -> np.ndarray:
         block_box = self.domain.block_bbox(block_id)
-        nbytes = self.domain.nbytes(block_box)
         if data is None:
-            return self.synth_payload(name, block_id, version, nbytes)
+            return self.synth_payload(name, block_id, version, self.domain.nbytes(block_box))
         # Slice the caller's region array down to this block.  A region that
         # only partially covers the block is applied read-modify-write on
-        # top of the block's current content (zeros if never written).
+        # top of the block's ``current`` content (zeros if never written).
         eb = self.config.element_bytes
         arr = np.ascontiguousarray(data)
         if arr.size * arr.itemsize != region.volume * eb:
@@ -245,13 +245,8 @@ class StagingService:
         if region.contains(block_box):
             return np.ascontiguousarray(src).ravel()
         # Partial write: overlay onto the existing block content.
-        base = np.zeros(block_box.shape + (eb,), dtype=np.uint8)
-        ent = self.directory.get(name, block_id)
-        if ent is not None and ent.version >= 0:
-            srv = self.servers[ent.primary]
-            cur = srv.store.get(primary_key(ent))
-            if cur is not None and cur.size == nbytes:
-                base = cur.reshape(block_box.shape + (eb,)).copy()
+        shape = block_box.shape + (eb,)
+        base = np.zeros(shape, dtype=np.uint8) if current is None else current.reshape(shape).copy()
         base[
             tuple(slice(il - bl, iu - bl) for il, iu, bl in zip(inter.lb, inter.ub, block_box.lb))
         ] = src
@@ -312,11 +307,20 @@ class StagingService:
     ) -> Generator:
         self._ensure_writable_primary(ent)
         is_new = ent.version < 0
-        payload = self._block_payload(ent.name, ent.block_id, ent.version + 1, region, data)
+        current = None
+        if data is not None and not is_new and not region.contains(ent.bbox):
+            # A partial put keeps the rest of the block; a redirected or
+            # replaced primary holds no copy, so read it as a get would.
+            psrv = self.servers[ent.primary]
+            current = psrv.store.get(primary_key(ent))
+            if current is None:
+                current = yield from self.runtime._read_entity_locked(ent, psrv.name, False)
+        version = ent.version + 1
+        payload = self._block_payload(ent.name, ent.block_id, version, region, data, current)
         # The entity lock is held, so the write is recorded before any
         # later op on this entity.
         digest = yield from self.runtime.compute(lambda: payload_digest(payload), "digest")
-        ent.record_write(self.sim.now, self.step, int(payload.size), digest)
+        ent.record_write(self.step, int(payload.size), digest)
         if self.config.async_protection:
             # Acknowledge once the primary copy is staged; protection runs
             # in the background (serialized by the entity lock, so a later
@@ -556,7 +560,7 @@ class StagingService:
 
         Everything here must be identical across backends at a quiescent
         point: directory metadata, stripe geometry and membership, each
-        server's store contents (key → ``content_id``), pending-encode pools
+        server's store contents (key → ``content_id``), the encode queue
         and durability-relevant counters.  Clock readings, response times and
         transfer stats are deliberately excluded.  Tape pins
         (``projection_sha256``), the conformance diffs and the chaos
@@ -581,13 +585,14 @@ class StagingService:
                 "nbytes": ent.nbytes,
             }
         stripes = {}
+        ents = self.directory.entities
         for sid, stripe in sorted(self.directory.stripes.items()):
             stripes[sid] = {
                 "servers": [s for _, s in stripe.holders(vacant=True)],
                 "members": [
                     None if mk is None else f"{mk[0]}/{mk[1]}" for mk in stripe.members
                 ],
-                "lengths": list(stripe.lengths),
+                "lengths": [0 if mk is None else ents[mk].nbytes for mk in stripe.members],
                 "shard_len": stripe.shard_len,
             }
         servers = [
@@ -605,7 +610,7 @@ class StagingService:
                 for srv, queue in sorted(group.items())
                 if queue
             }
-            for gid, group in sorted(self.runtime.pending.items())
+            for gid, group in sorted(self.directory.pending.items())
             if any(queue for queue in group.values())
         }
         storage = self.metrics.storage

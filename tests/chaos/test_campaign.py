@@ -22,6 +22,7 @@ from repro.chaos.campaign import (
     shrink_units,
 )
 from repro.sim.engine import Simulator
+from repro.staging.objects import ResilienceState
 from repro.staging.server import StagingServer
 
 
@@ -167,13 +168,34 @@ class TestRegressions:
                 f"stripe {stripe.stripe_id} doubles a server: {holders}"
             )
 
-    def test_erasure_pending_window_waived_not_violated(self):
-        # stochastic/erasure seed 3 loses a queued-for-encoding entity that
-        # never had replicas: the documented gap of the non-replicating
-        # baselines, reported as a waived loss rather than a violation.
+    def test_lost_pending_copy_fails_no_other_operation(self):
+        # stochastic/erasure seed 3: ('v0', 1) loses its only copy while
+        # queued for encoding, the documented unprotected window of the
+        # non-replicating baselines.  Encoders pass over it until the
+        # workload's next write lands its bytes; a formation that popped it
+        # instead aborted and failed the put of v1/5, a healthy block
+        # (reported as one waived loss).
         res = run_campaign(ChaosConfig(mode="stochastic", policy="erasure", seed=3))
         assert res.passed
-        assert res.waived_losses >= 1
+        assert res.waived_losses == 0
+
+    def test_lost_pending_copy_strands_no_member(self):
+        # The same campaign: the lost entity is striped once its bytes are
+        # written again, and the queue ends holding exactly the pending
+        # entities, each under its primary (none are left in no queue).
+        cfg = ChaosConfig(mode="stochastic", policy="erasure", seed=3, shrink=False)
+        horizon = calibrate_horizon(cfg)
+        _, svc = execute_units(cfg, generate_units(cfg, horizon), horizon)
+        d = svc.directory
+        assert d.entities[("v0", 1)].state == ResilienceState.ENCODED
+        queued = sorted(
+            (key, srv) for group in d.pending.values() for srv, q in group.items() for key in q
+        )
+        pending = sorted(
+            (key, d.entities[key].primary)
+            for key in d.entities_by_state[ResilienceState.PENDING_STRIPE]
+        )
+        assert queued == pending
 
 
 class TestMutationCatchShrinkDump:
@@ -216,14 +238,14 @@ class TestMutationCatchShrinkDump:
         assert viols, "dumped violations must not be empty"
 
     def test_online_violations_dumped_as_one_instant_each(self, tmp_path, monkeypatch):
-        # Mutation: a crashed server keeps its byte count, so the online
+        # Mutation: a crashed server keeps its store, so the online
         # bytes_conservation check fires at the failure itself.
         orig = StagingServer.fail
 
         def leaky_fail(self):
-            kept = self.bytes_stored
+            kept = dict(self.store)
             orig(self)
-            self.bytes_stored = kept
+            self.store.update(kept)
 
         monkeypatch.setattr(StagingServer, "fail", leaky_fail)
         out = tmp_path / "dump"

@@ -92,9 +92,11 @@ class TestDurability:
 
 
 class TestBytesConservation:
-    def test_counter_drift_flagged(self):
+    def test_failed_server_holding_objects_flagged(self):
         svc = quiesced_service()
-        svc.servers[0].bytes_stored += 7
+        kept = dict(svc.servers[0].store)
+        svc.servers[0].fail()
+        svc.servers[0].store.update(kept)
         found = [
             v for v in run_invariants(svc, tier=ONLINE)
             if v.invariant == "bytes_conservation"
@@ -296,6 +298,50 @@ class TestReverseIndexes:
         d.vacant_by_group.setdefault(full.group_id, set()).add(full.stripe_id)
         found = violations_of(svc, "reverse_indexes")
         assert found and "vacant_by_group" in found[0].detail
+
+
+class TestEncodeQueue:
+    """The encode queue holds exactly the pending entities, each once,
+    under its primary: the ways a hand-kept copy drifts from them."""
+
+    def queued_service(self):
+        svc = quiesced_service()
+        ent = svc.directory.entities_in_state(ResilienceState.REPLICATED)[0]
+        svc.runtime.enqueue_for_encoding(ent)
+        assert violations_of(svc, "reverse_indexes") == []
+        return svc, ent
+
+    def test_stale_server_key_flagged(self):
+        svc, ent = self.queued_service()
+        d = svc.directory
+        d.pending_queue(ent.primary).remove(ent.key)
+        other = next(
+            s for s in svc.layout.coding_group_members(svc.layout.coding_group_id(ent.primary))
+            if s != ent.primary
+        )
+        d.pending_queue(other).append(ent.key)
+        found = violations_of(svc, "reverse_indexes")
+        assert found and all("pending" in v.detail for v in found)
+        assert any(str(other) in v.detail for v in found)
+
+    def test_pending_entity_without_key_flagged(self):
+        svc, ent = self.queued_service()
+        svc.directory.pending_queue(ent.primary).remove(ent.key)
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "pending" in found[0].detail and repr(ent.key) in found[0].detail
+
+    def test_key_of_non_pending_entity_flagged(self):
+        svc = quiesced_service()
+        ent = svc.directory.entities_in_state(ResilienceState.ENCODED)[0]
+        svc.directory.pending_queue(ent.primary).append(ent.key)
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "pending" in found[0].detail and repr(ent.key) in found[0].detail
+
+    def test_key_queued_twice_flagged(self):
+        svc, ent = self.queued_service()
+        svc.directory.pending_queue(ent.primary).append(ent.key)
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "queued twice" in found[0].detail
 
 
 class TestDigestAudit:

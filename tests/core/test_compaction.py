@@ -59,7 +59,7 @@ class TestSlotRetargeting:
         def ingest():
             from repro.staging.objects import payload_digest
 
-            fresh.record_write(svc.sim.now, 0, int(payload.size), payload_digest(payload))
+            fresh.record_write(0, int(payload.size), payload_digest(payload))
             yield from svc.runtime.ingest_primary(fresh, "w0", payload)
 
         drive(svc, ingest())

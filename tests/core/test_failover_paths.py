@@ -7,8 +7,8 @@ from repro import DataLossError
 from repro.core.runtime import primary_key, replica_key
 from repro.staging.objects import ResilienceState
 
-from tests.conftest import make_service, stripes_consistent
-from tests.core.test_runtime import TestEncodedUpdates, stage_entity
+from tests.conftest import make_service
+from tests.core.test_runtime import stage_entity
 
 
 def drive(svc, gen):
@@ -114,35 +114,55 @@ class TestEnsureWritablePrimary:
 
         drive(svc, wf())
         assert ent.primary != old
-        # Its pending-pool registration moved with it.
-        assert ent.key in svc.runtime.pending[gid].get(ent.primary, [])
-        assert ent.key not in svc.runtime.pending[gid].get(old, [])
+        # Its queued key moved with it.
+        assert ent.key in svc.directory.pending[gid].get(ent.primary, [])
+        assert ent.key not in svc.directory.pending[gid].get(old, [])
 
 
-class TestRestripePath:
-    def test_growing_payload_restripes(self):
-        """An update larger than the stripe's shard length re-stripes."""
-        svc = make_service("none")
-        ents = TestEncodedUpdates().setup_stripe(svc)
-        ent = ents[0]
-        old_stripe = ent.stripe
-        big = svc.synth_payload("v", ent.block_id, 77, old_stripe.shard_len * 2)
+class TestQueuedKeyFollowsPrimary:
+    def test_recovery_onto_a_survivor_rekeys_the_queued_key(self):
+        """Aggressive recovery moves a queued entity's primary; the next
+        stripe formation must still see one member per server."""
+        from repro import CoRECConfig, CoRECPolicy, StagingConfig, StagingService
+        from repro.chaos.invariants import check_reverse_indexes
+        from repro.core.recovery import RecoveryConfig
 
-        def wf():
-            ent.version += 1
-            ent.nbytes = int(big.size)
-            yield from svc.runtime.update_encoded_entity(ent, big, strategy="delta")
-
-        drive(svc, wf())
-        svc.run()
-        assert ent.stripe is not old_stripe or ent.stripe is None or ent.state in (
-            ResilienceState.PENDING_STRIPE,
-            ResilienceState.ENCODED,
+        svc = StagingService(
+            StagingConfig(n_servers=8, domain_shape=(64, 64, 32)),
+            CoRECPolicy(
+                CoRECConfig(storage_bound=0.3, recovery=RecoveryConfig(mode="aggressive"))
+            ),
         )
-        # The big payload is stored and the old slot vacated.
-        assert (svc.servers[ent.primary].fetch_bytes(primary_key(ent)) == big).all()
-        assert ent.key not in old_stripe.members
-        assert stripes_consistent(svc)
+
+        def put_all():
+            for b in range(svc.domain.n_blocks):
+                yield from svc.put("w0", "v", svc.domain.block_bbox(b))
+
+        drive(svc, put_all())
+        svc.run()
+        queued = []
+        for sid in (0, 2, 6):
+            ent = next(
+                e for e in svc.directory.entities_on_server(sid)
+                if e.state == ResilienceState.REPLICATED
+            )
+            svc.runtime.enqueue_for_encoding(ent)
+            queued.append(ent)
+        svc.fail_server(0)
+        svc.run()
+        assert queued[0].primary != 0  # recovered onto a survivor
+        svc.replace_server(0)
+        svc.run()
+        assert check_reverse_indexes(svc) == []
+
+        def barrier():
+            yield from svc.end_step()
+            yield from svc.flush()
+
+        drive(svc, barrier())
+        svc.run()
+        assert all(e.state == ResilienceState.ENCODED for e in queued)
+        assert check_reverse_indexes(svc) == []
 
 
 class TestPromoteReplicaFallback:

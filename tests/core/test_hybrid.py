@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import SimpleHybridPolicy, StagingService
+from repro import DataLossError, SimpleHybridPolicy, StagingService
+from repro.chaos.invariants import check_reverse_indexes
 from repro.staging.objects import ResilienceState
 
 from tests.conftest import accounting_consistent, make_service, small_config, stripes_consistent
+from tests.core import test_runtime
 
 
 def make(seed=11, **kw):
@@ -91,3 +93,56 @@ class TestResilience:
         write_all(hybrid, steps=5)
         write_all(corec, steps=5)
         assert hybrid.metrics.put_stat.mean > corec.metrics.put_stat.mean
+
+
+class TestSwitchDuringFormation:
+    """A write switches a pending entity to replication while an encoder
+    that already popped its key is still gathering the stripe."""
+
+    def setup_group(self, monkeypatch):
+        svc = make()
+        monkeypatch.setattr(svc.policy, "_draw", lambda: "replicate")
+        gid, ents = test_runtime.TestStripeFormation().fill_group(svc, svc.layout.k)
+        for ent in ents:
+            svc.runtime.enqueue_for_encoding(ent)
+        return svc, gid, ents
+
+    @staticmethod
+    def queued(svc, gid):
+        return sorted(key for q in svc.directory.pending[gid].values() for key in q)
+
+    def test_formation_leaves_the_switched_member_out(self, monkeypatch):
+        svc, gid, ents = self.setup_group(monkeypatch)
+        switched, others = ents[1], [ents[0], ents[2]]
+        svc.sim.process(svc.runtime.flush_pending(gid))  # pops all k keys, then gathers
+        svc.run_workflow(svc.put("w1", "v", switched.bbox))
+        svc.run()
+        assert switched.state == ResilienceState.REPLICATED and switched.stripe is None
+        # The first formation stood down at registration; the flush went on
+        # to stripe the other two on their own.
+        assert svc.metrics.counters["stripe_encodes"] == 2
+        (stripe,) = svc.directory.stripes.values()
+        assert sorted(k for k in stripe.members if k) == sorted(e.key for e in others)
+        assert all(e.state == ResilienceState.ENCODED for e in others)
+        assert self.queued(svc, gid) == []
+        assert check_reverse_indexes(svc) == [] and stripes_consistent(svc)
+
+    def test_aborted_formation_does_not_requeue_the_switched_member(self, monkeypatch):
+        svc, gid, ents = self.setup_group(monkeypatch)
+        switched, dying = ents[1], ents[2]
+
+        def encoder():
+            with pytest.raises(DataLossError):
+                yield from svc.runtime.flush_pending(gid)
+
+        def kill():
+            svc.fail_server(dying.primary)  # the gather reaches it after the switch began
+            yield svc.sim.timeout(0)
+
+        svc.sim.process(encoder())
+        svc.sim.process(kill())
+        svc.run_workflow(svc.put("w1", "v", switched.bbox))
+        svc.run()
+        assert switched.state == ResilienceState.REPLICATED and switched.stripe is None
+        assert switched.key not in self.queued(svc, gid)
+        assert self.queued(svc, gid) == sorted([ents[0].key, dying.key])

@@ -26,7 +26,7 @@ def stage_entity(svc, block_id=0, version_payloads=1):
         def wf(p=payload):
             from repro.staging.objects import payload_digest
 
-            ent.record_write(svc.sim.now, svc.step, int(p.size), payload_digest(p))
+            ent.record_write(svc.step, int(p.size), payload_digest(p))
             yield from svc.runtime.ingest_primary(ent, "w0", p)
 
         drive(svc, wf())

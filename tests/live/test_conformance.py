@@ -5,7 +5,7 @@ Each seeded workload tape is played twice through the one runner
 wall-clock live server over TCP — with the tape's full drain between
 ops.  At every read, payload digests must match op-for-op; at the end,
 the timing-free state projections (directory metadata, stripe geometry,
-every server's store contents, pending pools, storage accounting) must
+every server's store contents, the encode queue, storage accounting) must
 be identical.  This is the live backend's core correctness claim: same
 policies, same decisions, same bytes.
 """

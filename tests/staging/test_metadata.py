@@ -89,7 +89,7 @@ class TestStripeRegistry:
 
     def test_register_and_drop(self):
         d = make_dir()
-        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4)
+        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], 4)
         d.register_stripe(s)
         assert d.stripes[0] is s
         d.drop_stripe(0)
@@ -144,7 +144,7 @@ class TestReverseIndexes:
 
     def test_register_stripe_indexes_all_shard_servers(self):
         d = make_dir()
-        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], 4, group_id=0)
         d.register_stripe(s)
         for srv in (0, 1, 2):
             assert 0 in d.stripes_by_server[srv]
@@ -155,7 +155,7 @@ class TestReverseIndexes:
 
     def test_vacate_fill_cycle_maintains_free_list(self):
         d = make_dir()
-        s = StripeInfo(1, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=5)
+        s = StripeInfo(1, 2, 1, members_on(d, 0, 1), {}, [2], 4, group_id=5)
         d.register_stripe(s)
         s.vacate_slot(0)
         assert s.placeholders == {0: 0}  # the member's server stays behind
@@ -171,7 +171,7 @@ class TestReverseIndexes:
     def test_retarget_keeps_server_with_remaining_slot(self):
         d = make_dir()
         # Server 0 holds both slot 0 and the parity slot.
-        s = StripeInfo(2, 2, 1, members_on(d, 0, 1), {}, [0], [4, 4], 4, group_id=0)
+        s = StripeInfo(2, 2, 1, members_on(d, 0, 1), {}, [0], 4, group_id=0)
         d.register_stripe(s)
         with pytest.raises(ValueError):
             s.retarget_shard(0, 3)  # an occupied slot moves with its member
@@ -189,7 +189,7 @@ class TestReverseIndexes:
         # An occupied slot's server is its member's primary, so moving the
         # primary moves the stripe's index entry with it.
         d = make_dir()
-        s = StripeInfo(4, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        s = StripeInfo(4, 2, 1, members_on(d, 0, 1), {}, [2], 4, group_id=0)
         d.register_stripe(s)
         ent = d.entities[("v", 0)]
         ent.stripe = s
@@ -200,7 +200,7 @@ class TestReverseIndexes:
 
     def test_vacated_member_move_leaves_its_placeholder_indexed(self):
         d = make_dir()
-        s = StripeInfo(5, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        s = StripeInfo(5, 2, 1, members_on(d, 0, 1), {}, [2], 4, group_id=0)
         d.register_stripe(s)
         ent = d.entities[("v", 0)]
         ent.stripe = s
@@ -212,7 +212,7 @@ class TestReverseIndexes:
 
     def test_move_outside_any_stripe_touches_no_stripe(self):
         d = make_dir()
-        s = StripeInfo(6, 2, 1, members_on(d, 0, 1), {}, [2], [4, 4], 4, group_id=0)
+        s = StripeInfo(6, 2, 1, members_on(d, 0, 1), {}, [2], 4, group_id=0)
         d.register_stripe(s)
         before = {srv: set(ids) for srv, ids in d.stripes_by_server.items()}
         touches = d.op_stats["stripe_touches"]
@@ -222,7 +222,7 @@ class TestReverseIndexes:
 
     def test_partial_stripe_registered_on_free_list(self):
         d = make_dir()
-        s = StripeInfo(3, 2, 1, members_on(d, 0, None), {}, [2], [4, 0], 4,
+        s = StripeInfo(3, 2, 1, members_on(d, 0, None), {}, [2], 4,
                        placeholders={1: 1}, group_id=7)
         d.register_stripe(s)
         assert 3 in d.vacant_by_group[7]
@@ -252,7 +252,7 @@ class TestStorageBreakdown:
     def test_replicated_entity(self):
         d = make_dir()
         e = d.get_or_create("v", 0, 0)
-        e.record_write(0.0, 0, 100, "x")
+        e.record_write(0, 100, "x")
         e.state = ResilienceState.REPLICATED
         e.replicas = [1]
         b = d.storage_breakdown()
@@ -262,11 +262,11 @@ class TestStorageBreakdown:
 
     def test_encoded_entities_count_stripe_once(self):
         d = make_dir()
-        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], [100, 100], 100)
+        s = StripeInfo(0, 2, 1, members_on(d, 0, 1), {}, [2], 100)
         d.register_stripe(s)
         for bid in (0, 1):
             e = d.entities[("v", bid)]
-            e.record_write(0.0, 0, 100, "x")
+            e.record_write(0, 100, "x")
             e.state = ResilienceState.ENCODED
             e.stripe = s
         b = d.storage_breakdown()
@@ -282,7 +282,7 @@ class TestStorageBreakdown:
     def test_kept_totals_follow_each_mutation_and_equal_the_walk(self):
         d = make_dir()
         a, b = (d.get_or_create("v", i, primary=i) for i in (0, 1))
-        stripe = StripeInfo(0, 2, 1, [a.key, b.key], {}, [2], [100, 60], 100)
+        stripe = StripeInfo(0, 2, 1, [a.key, b.key], {}, [2], 100)
 
         def encode():
             a.replicas = []
@@ -296,11 +296,11 @@ class TestStorageBreakdown:
                 e.state, e.stripe = ResilienceState.NONE, None
 
         steps = [
-            (lambda: a.record_write(0.0, 0, 100, "x"), (100, 0, 0)),  # first write
+            (lambda: a.record_write(0, 100, "x"), (100, 0, 0)),  # first write
             (lambda: setattr(a, "replicas", [2, 3]), (100, 200, 0)),  # copies placed
             (lambda: setattr(a, "replicas", [3]), (100, 100, 0)),  # one dropped
-            (lambda: b.record_write(0.0, 0, 60, "y"), (160, 100, 0)),
-            (lambda: a.record_write(0.0, 1, 100, "x2"), (160, 100, 0)),  # rewrite
+            (lambda: b.record_write(0, 60, "y"), (160, 100, 0)),
+            (lambda: a.record_write(1, 100, "x2"), (160, 100, 0)),  # rewrite
             (lambda: setattr(a, "nbytes", 120), (180, 120, 0)),  # size moves copies
             (lambda: setattr(a, "nbytes", 100), (160, 100, 0)),
             (encode, (160, 0, 100)),

@@ -87,26 +87,24 @@ class TestBlockEntity:
 
     def test_record_write_increments(self):
         e = self.make()
-        e.record_write(1.0, 0, 100, "d1")
-        e.record_write(2.0, 1, 100, "d2")
+        e.record_write(0, 100, "d1")
+        e.record_write(1, 100, "d2")
         assert e.version == 1
-        assert e.write_count == 2
         assert e.ref_counter == 2
         assert e.last_write_step == 1
         assert e.digest == "d2"
 
     def test_reset_ref_counter(self):
         e = self.make()
-        e.record_write(1.0, 0, 100, "d")
+        e.record_write(0, 100, "d")
         e.reset_ref_counter()
         assert e.ref_counter == 0
-        assert e.write_count == 1  # lifetime count unaffected
+        assert e.version == 0  # the write count is unaffected
 
     def test_keys(self):
         e = self.make()
-        e.record_write(0.0, 0, 4, "d")
+        e.record_write(0, 4, "d")
         assert e.key == ("v", 2)
-        assert e.primary_key() == "v/2"
 
 
 class TestStripeInfo:
@@ -118,7 +116,6 @@ class TestStripeInfo:
             members=[("v", 0), None, ("v", 2)],
             member_versions={("v", 0): 1, ("v", 2): 2},
             parity_servers=[3],
-            lengths=[10, 0, 8],
             shard_len=10,
             placeholders={1: 1},
         )

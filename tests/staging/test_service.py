@@ -146,6 +146,39 @@ class TestPutGet:
 
         svc.run_workflow(wf())
 
+    def test_partial_write_after_primary_failure_keeps_the_rest(self):
+        # The redirected primary of an encoded block holds no copy: the
+        # read-modify-write base is decoded, not zeros.
+        from repro import CoRECPolicy
+
+        svc = StagingService(
+            small_config(domain_shape=(16, 16, 16), object_max_bytes=4096), CoRECPolicy()
+        )
+        block = svc.domain.block_bbox(0)
+        half = BBox(block.lb, (block.lb[0] + block.shape[0] // 2,) + tuple(block.ub[1:]))
+
+        def stage():
+            yield from svc.put("w0", "v", block, data=np.full(block.shape, 5, np.uint8))
+            yield from svc.end_step()
+            yield from svc.flush()
+
+        svc.run_workflow(stage())
+        svc.run()
+        ent = svc.directory.require("v", 0)
+        assert ent.state == ResilienceState.ENCODED
+        svc.fail_server(ent.primary)
+
+        def rewrite_half():
+            yield from svc.put("w0", "v", half, data=np.full(half.shape, 7, np.uint8))
+            _, payloads = yield from svc.get("r0", "v", block)
+            return payloads[0].reshape(block.shape)
+
+        got = svc.sim.process(rewrite_half())
+        svc.run()
+        cut = block.shape[0] // 2
+        assert (got.value[:cut] == 7).all()
+        assert (got.value[cut:] == 5).all()
+
     def test_wrong_data_size_raises(self):
         svc = make_service("none")
         box = svc.domain.block_bbox(0)

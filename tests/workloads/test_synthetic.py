@@ -78,7 +78,7 @@ class TestCase1:
     def test_every_entity_written_every_step(self):
         svc, wl = run_case("case1", timesteps=3)
         for e in svc.directory.entities.values():
-            assert e.write_count == 3
+            assert e.version + 1 == 3
 
     def test_put_counts(self):
         svc, wl = run_case("case1", timesteps=3)
@@ -94,24 +94,24 @@ class TestCase2:
         svc, wl = run_case("case2", timesteps=4)
         # Over 4 steps each writer wrote exactly once.
         for e in svc.directory.entities.values():
-            assert e.write_count == 1
+            assert e.version + 1 == 1
 
     def test_two_full_cycles(self):
         svc, wl = run_case("case2", timesteps=8)
         for e in svc.directory.entities.values():
-            assert e.write_count == 2
+            assert e.version + 1 == 2
 
 
 class TestCase3:
     def test_hot_subset_written_more(self):
         svc, wl = run_case("case3", timesteps=5, hot_fraction=0.125)
-        counts = sorted(e.write_count for e in svc.directory.entities.values())
+        counts = sorted(e.version + 1 for e in svc.directory.entities.values())
         assert counts[0] == 1       # cold data written once
         assert counts[-1] == 5      # hot data written every step
 
     def test_hot_fraction_size(self):
         svc, wl = run_case("case3", timesteps=3, hot_fraction=0.25)
-        hot = [e for e in svc.directory.entities.values() if e.write_count == 3]
+        hot = [e for e in svc.directory.entities.values() if e.version + 1 == 3]
         assert 1 <= len(hot) <= svc.domain.n_blocks // 2
 
 
@@ -119,8 +119,8 @@ class TestCase4:
     def test_random_subsets_deterministic(self):
         a = run_case("case4", timesteps=4, seed=3)[0]
         b = run_case("case4", timesteps=4, seed=3)[0]
-        ca = {k: e.write_count for k, e in a.directory.entities.items()}
-        cb = {k: e.write_count for k, e in b.directory.entities.items()}
+        ca = {k: e.version + 1 for k, e in a.directory.entities.items()}
+        cb = {k: e.version + 1 for k, e in b.directory.entities.items()}
         assert ca == cb
 
     def test_at_least_one_writer_per_step(self):
